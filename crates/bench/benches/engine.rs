@@ -29,6 +29,50 @@ fn bench_scheduler(h: &Harness) {
     );
 }
 
+/// The simulator's own access pattern (the hold model): `depth` events stay
+/// resident and every popped event is replaced by one a little later. The
+/// increments are the delays the simulator schedules with — an ACK's and an
+/// MTU's serialization at 10 Gbps plus 100 ns of wire, a switch's 1 µs
+/// processing delay, a host's 20 µs stack delay — so most events land just
+/// ahead of "now" (the same mix flowbench's `push_pop_ns_d*` probe uses).
+/// `elements` is pop+schedule pairs, so ns/pair = 1e9 / `elems_per_sec`.
+fn bench_scheduler_hold(h: &Harness) {
+    use netsim::event::{EventKind, Scheduler};
+    const OPS: u64 = 200_000;
+    const SPAN_PS: u64 = 20_000_000;
+    const STEPS_PS: [u64; 5] = [151_200, 1_000_000, 1_200_000, 1_300_000, 20_000_000];
+    for (name, depth) in [
+        ("scheduler/hold_1k", 1_000u64),
+        ("scheduler/hold_64k", 64_000),
+    ] {
+        let mut rng = DetRng::new(1, depth);
+        // Drawn ahead of time: the loop times the scheduler, not the RNG.
+        let deltas: Vec<SimTime> = (0..4096)
+            .map(|_| SimTime::from_ps(STEPS_PS[rng.gen_index(STEPS_PS.len())]))
+            .collect();
+        h.bench_with_setup(
+            name,
+            OPS,
+            || {
+                let mut s = Scheduler::new();
+                for token in 0..depth {
+                    let at = SimTime::from_ps(rng.next_u64() % SPAN_PS);
+                    s.schedule(at, EventKind::Timer { host: 0, token });
+                }
+                s
+            },
+            |mut s| {
+                for i in 0..OPS as usize {
+                    let e = s.pop().expect("hold model never drains");
+                    let at = e.time + deltas[i & 4095];
+                    s.schedule(at, EventKind::Timer { host: 0, token: 0 });
+                }
+                black_box(s.now())
+            },
+        );
+    }
+}
+
 fn bench_hashing(h: &Harness) {
     let hasher = EcmpHasher::new(HashConfig::FiveTupleAndVField, 0xDEADBEEF);
     let key = FlowKey {
@@ -339,6 +383,7 @@ fn bench_sketch(h: &Harness) {
 fn main() {
     let h = Harness::from_args();
     bench_scheduler(&h);
+    bench_scheduler_hold(&h);
     bench_hashing(&h);
     bench_queue(&h);
     bench_rng(&h);

@@ -10,7 +10,7 @@ use experiments::schemes::{self, SchemeSpec};
 use experiments::{run_fat_tree, run_testbed, Window};
 use fb_bench::Harness;
 use netsim::{DetRng, SimTime, Simulator};
-use topology::{build_fat_tree, FatTreeParams, TestbedParams};
+use topology::{build_fat_tree, degrade_agg_core_link, FatTreeParams, TestbedParams};
 use transport::install_agents;
 use workloads::{
     all_to_all, hotspot, microbench, partition_aggregate, testbed_one_tor, FlowSizeDist,
@@ -20,12 +20,19 @@ fn fb() -> SchemeSpec {
     schemes::flowbender(flowbender::Config::default())
 }
 
+/// Bench a deterministic scenario that returns its event count. One untimed
+/// run up front sizes `elements`, so every row reports events per second.
+fn bench_events(h: &Harness, name: &str, mut run: impl FnMut() -> u64) {
+    let events = run();
+    h.bench(name, events, || black_box(run()));
+}
+
 /// Table 1 miniature: 8 x 1 MB ToR-to-ToR flows under FlowBender.
 fn bench_table1(h: &Harness) {
     let params = FatTreeParams::paper();
     let specs = microbench(&params, 8, 1_000_000);
-    h.bench("paper/table1_microbench", 0, || {
-        black_box(run_fat_tree(params, &fb(), &specs, SimTime::from_secs(5), 1).events)
+    bench_events(h, "paper/table1_microbench", || {
+        run_fat_tree(params, &fb(), &specs, SimTime::from_secs(5), 1).events
     });
 }
 
@@ -47,11 +54,12 @@ fn bench_fig3_fig4(h: &Harness) {
         ("paper/fig3_alltoall_mean_flowbender", fb()),
         ("paper/fig4_alltoall_tail_ecmp", schemes::ecmp()),
     ] {
-        h.bench(name, 0, || {
+        bench_events(h, name, || {
             let out = run_fat_tree(params, &scheme, &specs, window.drain_until, 1);
             let s = stats::samples(&out.flows, window.start, window.end);
             let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-            black_box((stats::mean(&fcts), stats::percentile(&fcts, 0.99)))
+            black_box((stats::mean(&fcts), stats::percentile(&fcts, 0.99)));
+            out.events
         });
     }
 }
@@ -61,9 +69,10 @@ fn bench_fig5(h: &Harness) {
     let params = FatTreeParams::paper();
     let mut rng = DetRng::new(1, 2);
     let specs = partition_aggregate(&params, 0.4, 8, 1_000_000, SimTime::from_ms(3), &mut rng);
-    h.bench("paper/fig5_incast", 0, || {
+    bench_events(h, "paper/fig5_incast", || {
         let out = run_fat_tree(params, &fb(), &specs, SimTime::from_ms(200), 1);
-        black_box(stats::avg_job_completion(&out.flows))
+        black_box(stats::avg_job_completion(&out.flows));
+        out.events
     });
 }
 
@@ -89,17 +98,15 @@ fn bench_fig6_fig7(h: &Harness) {
             flowbender::Config::default().with_t(0.01),
         ),
     ] {
-        h.bench(name, 0, || {
-            black_box(
-                run_fat_tree(
-                    params,
-                    &schemes::flowbender(cfg),
-                    &specs,
-                    SimTime::from_ms(200),
-                    1,
-                )
-                .events,
+        bench_events(h, name, || {
+            run_fat_tree(
+                params,
+                &schemes::flowbender(cfg),
+                &specs,
+                SimTime::from_ms(200),
+                1,
             )
+            .events
         });
     }
 }
@@ -117,8 +124,8 @@ fn bench_fig8(h: &Harness) {
         SimTime::from_ms(10),
         &mut rng,
     );
-    h.bench("paper/fig8_testbed", 0, || {
-        black_box(run_testbed(params.clone(), &fb(), &specs, SimTime::from_ms(300), 1, &[]).events)
+    bench_events(h, "paper/fig8_testbed", || {
+        run_testbed(params.clone(), &fb(), &specs, SimTime::from_ms(300), 1, &[]).events
     });
 }
 
@@ -138,9 +145,10 @@ fn bench_hotspot(h: &Harness) {
         &mut rng,
     );
     let watch: Vec<(usize, usize)> = (0..params.aggs).map(|a| (0usize, a)).collect();
-    h.bench("paper/hotspot_decongest", 0, || {
+    bench_events(h, "paper/hotspot_decongest", || {
         let out = run_testbed(params.clone(), &fb(), &specs, duration, 1, &watch);
-        black_box(out.port_stats.iter().map(|p| p.tx_bytes_tcp).sum::<u64>())
+        black_box(out.port_stats.iter().map(|p| p.tx_bytes_tcp).sum::<u64>());
+        out.events
     });
 }
 
@@ -148,14 +156,15 @@ fn bench_hotspot(h: &Harness) {
 fn bench_link_failure(h: &Harness) {
     let params = FatTreeParams::paper();
     let specs = microbench(&params, 8, 1_000_000);
-    h.bench("paper/link_failure_recovery", 0, || {
+    bench_events(h, "paper/link_failure_recovery", || {
         let mut sim = Simulator::new(9);
         let ft = build_fat_tree(&mut sim, params, fb().switch_config());
         install_agents(&mut sim, &specs, &fb().tcp_config());
         let (node, port) = ft.agg_core_link(0, 0);
         sim.schedule_link_state(node, port, false, SimTime::from_us(200));
         sim.run_until(SimTime::from_secs(5));
-        black_box(sim.recorder().completed_count())
+        black_box(sim.recorder().completed_count());
+        sim.events_processed()
     });
 }
 
@@ -178,32 +187,33 @@ fn bench_ablation(h: &Harness) {
             flowbender::Config::default().with_cooldown(3),
         ),
     ] {
-        h.bench(name, 0, || {
-            black_box(
-                run_fat_tree(
-                    params,
-                    &schemes::flowbender(cfg),
-                    &specs,
-                    SimTime::from_ms(200),
-                    1,
-                )
-                .events,
+        bench_events(h, name, || {
+            run_fat_tree(
+                params,
+                &schemes::flowbender(cfg),
+                &specs,
+                SimTime::from_ms(200),
+                1,
             )
+            .events
         });
     }
 }
 
 /// §4.3.1 asymmetry miniature: one degraded agg->core link under the
-/// microbenchmark with FlowBender compensating.
+/// microbenchmark with FlowBender compensating (the scenario of
+/// `experiments::asym::run_config`, which does not report its event count).
 fn bench_asym(h: &Harness) {
-    h.bench("paper/asym_wcmp_compensation", 0, || {
-        black_box(experiments::asym::run_config(
-            &fb(),
-            false,
-            1_000_000,
-            5_000_000_000,
-            1,
-        ))
+    let params = FatTreeParams::paper();
+    let specs = microbench(&params, 16, 1_000_000);
+    bench_events(h, "paper/asym_wcmp_compensation", || {
+        let mut sim = Simulator::new(1);
+        let ft = build_fat_tree(&mut sim, params, fb().switch_config());
+        degrade_agg_core_link(&mut sim, &ft, 0, 0, 0, 5_000_000_000, false);
+        install_agents(&mut sim, &specs, &fb().tcp_config());
+        sim.run_until(SimTime::from_secs(120));
+        black_box(sim.recorder().completed_count());
+        sim.events_processed()
     });
 }
 
@@ -219,8 +229,8 @@ fn bench_topo_dep(h: &Harness) {
         &FlowSizeDist::web_search(),
         &mut rng,
     );
-    h.bench("paper/topo_dep_tiny_fabric", 0, || {
-        black_box(run_fat_tree(params, &fb(), &specs, SimTime::from_ms(300), 1).events)
+    bench_events(h, "paper/topo_dep_tiny_fabric", || {
+        run_fat_tree(params, &fb(), &specs, SimTime::from_ms(300), 1).events
     });
 }
 

@@ -86,7 +86,7 @@ pub use sim::{Conservation, Handoff, LinkSpec, PortStats, QueueSpec, Simulator, 
 pub use slab::{PacketId, PacketSlab};
 pub use switch::{
     CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, FlowcutState, FlowletState,
-    ForwardingScheme, PfcConfig, RoutingTable,
+    ForwardingScheme, PfcConfig, PortSetId, RoutingTable,
 };
 pub use telemetry::{ProbeKind, Series, SeriesKey, Telemetry, TelemetryConfig};
 pub use time::SimTime;

@@ -185,18 +185,14 @@ pub struct Packet {
     /// highest sequence number the receiver has seen (used only for
     /// statistics, not by the protocol).
     pub rcv_high: u64,
-    /// Simulator-internal: the ingress port through which this packet
-    /// entered the switch currently buffering it. Used for PFC (combined
-    /// input/output queueing) accounting. [`INGRESS_NONE`] when the packet
-    /// is not attributed to any ingress (e.g. host-originated).
-    pub ingress_tag: u16,
     /// The INT stack: per-hop telemetry stamped by switches with INT
     /// enabled, `None` everywhere else (the default for every
     /// constructor). On a CN packet this carries exactly the blamed hop.
     pub int: Option<Box<IntStack>>,
 }
 
-/// Sentinel for [`Packet::ingress_tag`]: not attributed to an ingress port.
+/// Sentinel ingress port of a queued packet that is not attributed to any
+/// ingress for PFC accounting (e.g. host-originated).
 pub const INGRESS_NONE: u16 = u16::MAX;
 
 impl Packet {
@@ -222,7 +218,6 @@ impl Packet {
             flags,
             tstamp: now,
             rcv_high: 0,
-            ingress_tag: INGRESS_NONE,
             int: None,
         }
     }
@@ -249,7 +244,6 @@ impl Packet {
             flags,
             tstamp: echo,
             rcv_high: 0,
-            ingress_tag: INGRESS_NONE,
             int: None,
         }
     }
@@ -272,7 +266,6 @@ impl Packet {
             flags,
             tstamp: now,
             rcv_high: 0,
-            ingress_tag: INGRESS_NONE,
             int: Some(Box::new(IntStack { hops: vec![blame] })),
         }
     }

@@ -8,14 +8,16 @@
 //! threshold", K = 90 KB for 10 Gbps links). Non-ECN packets (or any packet
 //! once the byte capacity is exhausted) are dropped at the tail.
 //!
-//! The queue stores `(PacketId, size)` entries, not packets — packets live
-//! in the simulator's [`crate::slab::PacketSlab`]. The marking decision is
-//! returned in [`EnqueueResult::Queued`]; the caller (which owns the slab)
-//! applies the CE bit. This keeps the hot enqueue/dequeue path free of
-//! packet copies: one entry is 8 bytes.
+//! The queue stores small entries, not packets — packets live in the
+//! simulator's [`crate::slab::PacketSlab`]. An entry carries what the port
+//! needs when it starts transmitting (wire size, PFC ingress attribution,
+//! protocol), so dequeue and tx-start never touch the slab. The marking
+//! decision is returned in [`EnqueueResult::Queued`]; the caller (which
+//! owns the slab) applies the CE bit. One entry is 12 bytes.
 
 use std::collections::VecDeque;
 
+use crate::packet::{Proto, INGRESS_NONE};
 use crate::slab::PacketId;
 
 /// Outcome of an enqueue attempt.
@@ -31,12 +33,17 @@ pub enum EnqueueResult {
     Dropped,
 }
 
-/// One queued packet: its slab id and wire size (cached here so dequeue and
-/// byte accounting never touch the slab).
+/// One queued packet: its slab id plus everything tx-start reads, cached
+/// here so dequeue, byte accounting and PFC release never touch the slab.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    id: PacketId,
-    size: u32,
+pub(crate) struct Entry {
+    pub(crate) id: PacketId,
+    /// Wire size in bytes.
+    pub(crate) size: u32,
+    /// Ingress port the buffering switch received the packet on (PFC
+    /// accounting); [`INGRESS_NONE`] when not attributed to an ingress.
+    pub(crate) ingress: u16,
+    pub(crate) proto: Proto,
 }
 
 /// A byte-bounded FIFO of packet ids with single-threshold ECN marking.
@@ -92,6 +99,20 @@ impl EcnQueue {
     /// DCTCP's specification.
     #[inline]
     pub fn enqueue(&mut self, id: PacketId, size: u32, ecn_capable: bool) -> EnqueueResult {
+        let entry = Entry {
+            id,
+            size,
+            ingress: INGRESS_NONE,
+            proto: Proto::Tcp,
+        };
+        self.enqueue_entry(entry, ecn_capable)
+    }
+
+    /// [`EcnQueue::enqueue`] for the simulator, which also records the
+    /// packet's ingress port and protocol for tx-start.
+    #[inline]
+    pub(crate) fn enqueue_entry(&mut self, entry: Entry, ecn_capable: bool) -> EnqueueResult {
+        let size = entry.size;
         if self.bytes + size as u64 > self.capacity {
             self.stats.dropped += 1;
             return EnqueueResult::Dropped;
@@ -105,16 +126,22 @@ impl EcnQueue {
         if self.bytes > self.stats.max_bytes {
             self.stats.max_bytes = self.bytes;
         }
-        self.fifo.push_back(Entry { id, size });
+        self.fifo.push_back(entry);
         EnqueueResult::Queued { marked }
     }
 
     /// Remove and return the head-of-line packet id, if any.
     #[inline]
     pub fn dequeue(&mut self) -> Option<PacketId> {
+        self.dequeue_entry().map(|e| e.id)
+    }
+
+    /// Remove and return the head-of-line entry, if any.
+    #[inline]
+    pub(crate) fn dequeue_entry(&mut self) -> Option<Entry> {
         let e = self.fifo.pop_front()?;
         self.bytes -= e.size as u64;
-        Some(e.id)
+        Some(e)
     }
 
     /// Current occupancy in bytes.

@@ -28,7 +28,7 @@ use crate::event::{EventKind, Scheduler};
 use crate::faults::{DirectedFault, FaultAction, FaultPlan};
 use crate::hashing::{EcmpHasher, HashConfig};
 use crate::packet::{Flags, IntHop, NodeId, Packet, PortId, Proto, INGRESS_NONE};
-use crate::queue::{EcnQueue, EnqueueResult, QueueStats};
+use crate::queue::{EcnQueue, EnqueueResult, Entry, QueueStats};
 use crate::record::{Counter, DropReason, Recorder, RunResults, SloConfig};
 use crate::rng::DetRng;
 use crate::slab::{PacketId, PacketSlab};
@@ -133,6 +133,10 @@ struct Port {
     peer_port: PortId,
     rate_bps: u64,
     delay: SimTime,
+    /// `delay` plus the peer's ingress processing delay (fixed once both
+    /// nodes exist): what a departing packet needs to arrive, without
+    /// reading the peer node on every hop.
+    arrive_delay: SimTime,
     up: bool,
     /// A packet is currently being serialized on this port.
     busy: bool,
@@ -592,42 +596,28 @@ impl Simulator {
         assert_ne!(a, b, "self-links are not allowed");
         let pa = self.nodes[a as usize].ports.len() as PortId;
         let pb = self.nodes[b as usize].ports.len() as PortId;
-        self.nodes[a as usize].ports.push(Port {
-            queue: EcnQueue::new(spec.a_queue.capacity, spec.a_queue.mark_threshold),
-            peer: b,
-            peer_port: pb,
-            rate_bps: spec.rate_bps,
-            delay: spec.delay,
-            up: true,
-            busy: false,
-            paused: false,
-            loss_rate: 0.0,
-            ber: 0.0,
-            fault_rng: None,
-            tx_epoch: 0,
-            tx_end: SimTime::ZERO,
-            tx_pkt: 0,
-            tx_bytes: [0; 2],
-            tx_pkts: 0,
-        });
-        self.nodes[b as usize].ports.push(Port {
-            queue: EcnQueue::new(spec.b_queue.capacity, spec.b_queue.mark_threshold),
-            peer: a,
-            peer_port: pa,
-            rate_bps: spec.rate_bps,
-            delay: spec.delay,
-            up: true,
-            busy: false,
-            paused: false,
-            loss_rate: 0.0,
-            ber: 0.0,
-            fault_rng: None,
-            tx_epoch: 0,
-            tx_end: SimTime::ZERO,
-            tx_pkt: 0,
-            tx_bytes: [0; 2],
-            tx_pkts: 0,
-        });
+        for (node, queue, peer, peer_port) in [(a, spec.a_queue, b, pb), (b, spec.b_queue, a, pa)] {
+            let arrive_delay = spec.delay + self.nodes[peer as usize].proc_delay;
+            self.nodes[node as usize].ports.push(Port {
+                queue: EcnQueue::new(queue.capacity, queue.mark_threshold),
+                peer,
+                peer_port,
+                rate_bps: spec.rate_bps,
+                delay: spec.delay,
+                arrive_delay,
+                up: true,
+                busy: false,
+                paused: false,
+                loss_rate: 0.0,
+                ber: 0.0,
+                fault_rng: None,
+                tx_epoch: 0,
+                tx_end: SimTime::ZERO,
+                tx_pkt: 0,
+                tx_bytes: [0; 2],
+                tx_pkts: 0,
+            });
+        }
         for id in [a, b] {
             if let NodeKind::Switch(meta) = &mut self.nodes[id as usize].kind {
                 if let Some(pfc) = &mut meta.pfc {
@@ -1031,11 +1021,7 @@ impl Simulator {
                 if !owned[p.peer as usize] {
                     continue;
                 }
-                let lat = if any_pfc {
-                    p.delay
-                } else {
-                    p.delay + self.nodes[p.peer as usize].proc_delay
-                };
+                let lat = if any_pfc { p.delay } else { p.arrive_delay };
                 if best.is_none_or(|b| lat < b) {
                     best = Some(lat);
                 }
@@ -1350,10 +1336,15 @@ impl Simulator {
                     |p| ports[p as usize].up,
                 ),
             };
-            pkt.ingress_tag = in_port;
+            let entry = Entry {
+                id,
+                size: pkt.size,
+                ingress: in_port,
+                proto: pkt.key.proto,
+            };
             let enq = node.ports[egress as usize]
                 .queue
-                .enqueue(id, pkt.size, pkt.ecn_capable());
+                .enqueue_entry(entry, pkt.ecn_capable());
             if let EnqueueResult::Queued { marked: true } = enq {
                 pkt.flags.set(Flags::CE);
             }
@@ -1583,13 +1574,19 @@ impl Simulator {
             !self.nodes[host as usize].ports.is_empty(),
             "host {host} has no NIC link"
         );
-        let (size, ect, flow) = {
+        let (entry, ect, flow) = {
             let pkt = self.packets.get(id);
-            (pkt.size, pkt.ecn_capable(), pkt.flow)
+            let entry = Entry {
+                id,
+                size: pkt.size,
+                ingress: INGRESS_NONE,
+                proto: pkt.key.proto,
+            };
+            (entry, pkt.ecn_capable(), pkt.flow)
         };
         let enq = self.nodes[host as usize].ports[0]
             .queue
-            .enqueue(id, size, ect);
+            .enqueue_entry(entry, ect);
         if self.recorder.trace_wants(flow) {
             match enq {
                 EnqueueResult::Queued { marked } => {
@@ -1646,22 +1643,22 @@ impl Simulator {
     /// queued packet. Packets destined for a dead link are black-holed.
     fn try_start_tx(&mut self, node: NodeId, port: PortId) {
         loop {
-            let (id, link_up) = {
+            let (entry, link_up) = {
                 let p = &mut self.nodes[node as usize].ports[port as usize];
                 if p.busy || p.paused {
                     return;
                 }
-                let Some(id) = p.queue.dequeue() else { return };
-                (id, p.up)
+                let Some(entry) = p.queue.dequeue_entry() else {
+                    return;
+                };
+                (entry, p.up)
             };
-            let (size, ingress_tag, proto, flow) = {
-                let pkt = self.packets.get(id);
-                (pkt.size as u64, pkt.ingress_tag, pkt.key.proto, pkt.flow)
-            };
+            let id = entry.id;
+            let size = entry.size as u64;
             // PFC release: the packet left this switch's buffer.
-            self.pfc_release(node, ingress_tag, size);
+            self.pfc_release(node, entry.ingress, size);
             if !link_up {
-                self.packets.remove(id);
+                let flow = self.packets.remove(id).flow;
                 if self.recorder.trace_wants(flow) {
                     self.recorder.trace_event(
                         self.now,
@@ -1677,7 +1674,10 @@ impl Simulator {
                     .drop_packet(self.now, DropReason::LinkDown, node, port);
                 continue;
             }
-            if self.recorder.trace_wants(flow) {
+            // The queue entry carried everything tx-start needs; only the
+            // flight recorder wants the packet itself.
+            if self.recorder.trace_active() {
+                let flow = self.packets.get(id).flow;
                 self.recorder
                     .trace_event(self.now, flow, TraceEvent::Dequeue { node, port });
             }
@@ -1685,7 +1685,7 @@ impl Simulator {
             let (at, epoch) = {
                 let p = &mut self.nodes[node as usize].ports[port as usize];
                 p.busy = true;
-                p.tx_bytes[proto_index(proto)] += size;
+                p.tx_bytes[proto_index(entry.proto)] += size;
                 p.tx_pkts += 1;
                 let ser = SimTime::serialization(size, p.rate_bps);
                 p.tx_end = now + ser;
@@ -1753,7 +1753,7 @@ impl Simulator {
     }
 
     fn handle_tx_done(&mut self, node: NodeId, port: PortId, id: PacketId, epoch: u16) {
-        let (peer, peer_port, delay, link_up, loss_rate, ber) = {
+        let (peer, peer_port, arrive_delay, link_up, loss_rate, ber) = {
             let p = &mut self.nodes[node as usize].ports[port as usize];
             if epoch != p.tx_epoch {
                 // Superseded by a mid-run rate change; the rescheduled
@@ -1761,7 +1761,14 @@ impl Simulator {
                 return;
             }
             p.busy = false;
-            (p.peer, p.peer_port, p.delay, p.up, p.loss_rate, p.ber)
+            (
+                p.peer,
+                p.peer_port,
+                p.arrive_delay,
+                p.up,
+                p.loss_rate,
+                p.ber,
+            )
         };
         // Fault checks, in severity order. Each consults the departing
         // port's private fault stream only when its fault is actually
@@ -1790,10 +1797,7 @@ impl Simulator {
             }
             self.recorder.drop_packet(self.now, reason, node, port);
         } else {
-            let arrive_at = self.now + delay + self.nodes[peer as usize].proc_delay;
-            // Clear simulator-internal state before the packet enters the
-            // next node.
-            self.packets.get_mut(id).ingress_tag = INGRESS_NONE;
+            let arrive_at = self.now + arrive_delay;
             if self.is_owned(peer) {
                 self.sched.schedule(
                     arrive_at,

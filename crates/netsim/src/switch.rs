@@ -385,64 +385,118 @@ impl CnLimiter {
         self.next_allowed.is_empty()
     }
 }
+
+/// A switch's multipath routing table: destination host → port set.
 ///
 /// `eligible(dst)` returns the egress ports on which the destination host
 /// is reachable; `weights(dst)` returns matching WCMP weights (empty =
 /// equal cost). Real switches implement WCMP by replicating ECMP table
 /// entries in proportion to the weights — same hash engine, uneven
 /// shares — which is exactly how [`crate::hashing::EcmpHasher`] consumes
-/// them. Tables are dense vectors because host ids are dense (0..n_hosts).
+/// them.
+///
+/// A switch has few *distinct* port sets (a fat-tree switch at most one per
+/// port plus "all uplinks"), so the table stores each set once and a dense
+/// 2-byte set id per destination (host ids are dense, `0..n_hosts`). A
+/// topology builder registers each set with [`RoutingTable::add_set`] and
+/// points destinations at it with [`RoutingTable::assign`];
+/// [`RoutingTable::set`] does both for one destination (no de-duplication:
+/// searching for an equal set on every call costs more than it saves).
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
-    per_dst: Vec<Vec<PortId>>,
-    /// Parallel to `per_dst`; empty inner vec = equal weights.
-    per_dst_weights: Vec<Vec<u32>>,
+    /// Index into `sets` per destination; set 0 is empty (unreachable).
+    set_of: Vec<u16>,
+    sets: Vec<PortSet>,
+}
+
+/// Handle of a port set registered in one [`RoutingTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortSetId(u16);
+
+#[derive(Debug, Clone, Default)]
+struct PortSet {
+    ports: Vec<PortId>,
+    /// Parallel to `ports`; empty = equal weights.
+    weights: Vec<u32>,
 }
 
 impl RoutingTable {
     /// Build an empty table for `n_hosts` destinations.
     pub fn new(n_hosts: usize) -> Self {
         RoutingTable {
-            per_dst: vec![Vec::new(); n_hosts],
-            per_dst_weights: vec![Vec::new(); n_hosts],
+            set_of: vec![0; n_hosts],
+            sets: vec![PortSet::default()],
         }
+    }
+
+    /// Register an equal-cost port set.
+    pub fn add_set(&mut self, ports: Vec<PortId>) -> PortSetId {
+        self.push_set(PortSet {
+            ports,
+            weights: Vec::new(),
+        })
+    }
+
+    /// Register a port set with WCMP weights (§4.3.1's weighted-cost
+    /// multipathing). Zero-weight ports are legal (they are never
+    /// selected) but at least one weight must be positive.
+    pub fn add_weighted_set(&mut self, ports: Vec<PortId>, weights: Vec<u32>) -> PortSetId {
+        assert_eq!(ports.len(), weights.len(), "weights must match ports");
+        assert!(weights.iter().any(|&w| w > 0), "all-zero WCMP weights");
+        self.push_set(PortSet { ports, weights })
+    }
+
+    fn push_set(&mut self, set: PortSet) -> PortSetId {
+        let id = u16::try_from(self.sets.len()).expect("more than 65535 port sets in one table");
+        self.sets.push(set);
+        PortSetId(id)
+    }
+
+    /// Route `dst` over a set registered in this table.
+    pub fn assign(&mut self, dst: u32, set: PortSetId) {
+        assert!((set.0 as usize) < self.sets.len(), "foreign port set id");
+        self.set_of[dst as usize] = set.0;
     }
 
     /// Set the eligible egress ports towards `dst` (equal-cost).
     pub fn set(&mut self, dst: u32, ports: Vec<PortId>) {
-        self.per_dst[dst as usize] = ports;
-        self.per_dst_weights[dst as usize].clear();
+        let id = self.add_set(ports);
+        self.assign(dst, id);
     }
 
-    /// Set eligible ports towards `dst` with WCMP weights (§4.3.1's
-    /// weighted-cost multipathing). Zero-weight ports are legal (they are
-    /// never selected) but at least one weight must be positive.
+    /// Set eligible ports towards `dst` with WCMP weights; see
+    /// [`RoutingTable::add_weighted_set`].
     pub fn set_weighted(&mut self, dst: u32, ports: Vec<PortId>, weights: Vec<u32>) {
-        assert_eq!(ports.len(), weights.len(), "weights must match ports");
-        assert!(weights.iter().any(|&w| w > 0), "all-zero WCMP weights");
-        self.per_dst[dst as usize] = ports;
-        self.per_dst_weights[dst as usize] = weights;
+        let id = self.add_weighted_set(ports, weights);
+        self.assign(dst, id);
+    }
+
+    #[inline]
+    fn set_for(&self, dst: u32) -> &PortSet {
+        &self.sets[self.set_of[dst as usize] as usize]
     }
 
     /// Eligible egress ports towards `dst`. Empty means unreachable
     /// (a routing bug — the simulator treats it as a hard error).
+    #[inline]
     pub fn eligible(&self, dst: u32) -> &[PortId] {
-        &self.per_dst[dst as usize]
+        &self.set_for(dst).ports
     }
 
     /// WCMP weights towards `dst`; empty slice = equal cost.
+    #[inline]
     pub fn weights(&self, dst: u32) -> &[u32] {
-        &self.per_dst_weights[dst as usize]
+        &self.set_for(dst).weights
     }
 
     /// Number of destinations this table covers.
     pub fn len(&self) -> usize {
-        self.per_dst.len()
+        self.set_of.len()
     }
 
     /// True if the table covers no destinations.
     pub fn is_empty(&self) -> bool {
-        self.per_dst.is_empty()
+        self.set_of.is_empty()
     }
 }
 

@@ -127,71 +127,140 @@ fn scheduler_is_a_stable_priority_queue() {
     }
 }
 
-/// The ladder scheduler and a plain binary heap agree on every pop, under
-/// random interleavings of schedules and pops that exercise same-instant
-/// ties, in-ring buckets, beyond-ring spills, and deep far-future jumps.
+/// The calendar scheduler and a plain binary heap agree on every answer
+/// (`pop`, `pop_before`, `next_time`, `peek_time`, `len`), under random
+/// interleavings that alternate growing and draining phases: same-instant
+/// ties, sub-bucket and in-ring deltas, beyond-ring spills that later sit
+/// between occupied ring buckets, deep far-future jumps over an empty ring,
+/// thousands of events in one bucket, and enough elapsed time to wrap the
+/// ring many times. Scheduling right after a `pop_before` that stopped at
+/// its deadline is the sharded engine's access pattern.
 #[test]
 fn scheduler_matches_reference_heap() {
+    use netsim::event::{BUCKET_WIDTH_PS, NUM_BUCKETS};
     use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    struct Pair {
+        s: Scheduler,
+        reference: BinaryHeap<Reverse<(u64, u64)>>,
+        seq: u64,
+        now: u64,
+        seed: u64,
+    }
+    impl Pair {
+        fn schedule(&mut self, at: u64) {
+            let token = self.seq;
+            self.s
+                .schedule(SimTime::from_ps(at), EventKind::Timer { host: 0, token });
+            self.reference.push(Reverse((at, token)));
+            self.seq += 1;
+        }
+        /// `pop_before(deadline)` on both; the popped event must match.
+        fn pop_before(&mut self, deadline: u64) {
+            let seed = self.seed;
+            let want = match self.reference.peek() {
+                Some(&Reverse((t, token))) if t <= deadline => {
+                    self.reference.pop();
+                    self.now = t;
+                    Some((t, token))
+                }
+                _ => None,
+            };
+            let got = self.s.pop_before(SimTime::from_ps(deadline)).map(|e| {
+                let EventKind::Timer { token, .. } = e.kind else {
+                    panic!("seed {seed}: unexpected kind");
+                };
+                (e.time.as_ps(), token)
+            });
+            assert_eq!(got, want, "seed {seed}: pop diverged (deadline {deadline})");
+        }
+        fn check_views(&mut self) {
+            let seed = self.seed;
+            let want = self.reference.peek().map(|r| SimTime::from_ps(r.0 .0));
+            assert_eq!(self.s.peek_time(), want, "seed {seed}: peek_time");
+            assert_eq!(self.s.next_time(), want, "seed {seed}: next_time");
+            assert_eq!(self.s.len(), self.reference.len(), "seed {seed}: len");
+        }
+    }
+
+    let horizon = BUCKET_WIDTH_PS * NUM_BUCKETS as u64;
     for seed in 0..30u64 {
         let mut rng = DetRng::new(seed, 0x18);
-        let mut s = Scheduler::new();
-        let mut reference: std::collections::BinaryHeap<Reverse<(u64, u64)>> = Default::default();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let mut last_scheduled = 0u64;
-        let n_ops = 200 + rng.gen_index(600);
-        let check = |e: netsim::event::Event, t: u64, token: u64, seed: u64| {
-            assert_eq!(e.time.as_ps(), t, "seed {seed}: pop time diverged");
-            match e.kind {
-                EventKind::Timer { token: got, .. } => {
-                    assert_eq!(got, token, "seed {seed}: pop order diverged")
-                }
-                _ => panic!("unexpected kind"),
-            }
+        let mut p = Pair {
+            s: Scheduler::new(),
+            reference: BinaryHeap::new(),
+            seq: 0,
+            now: 0,
+            seed,
         };
-        for _ in 0..n_ops {
-            if rng.gen_range(3) < 2 || reference.is_empty() {
-                // Deltas spanning every scheduler regime: same-instant ties,
-                // sub-bucket, in-ring, beyond-ring (far heap), deep far future.
-                let delta = match rng.gen_range(6) {
+        let mut last_scheduled = 0u64;
+        let mut ops = 0usize;
+        while ops < 20_000 {
+            ops += 1;
+            // Phases of 1500 ops: growing (2 schedules per pop), then
+            // draining (1 per 2) down into the sparse regime where the
+            // window skips empty buckets and jumps to the far heap.
+            let growing = (ops / 1500).is_multiple_of(2);
+            let schedule = rng.gen_range(6) < if growing { 4 } else { 1 };
+            if ops.is_multiple_of(7_000) {
+                // > 2000 events inside one future bucket.
+                let base = (p.now + rng.gen_range(100_000_000) as u64) | (BUCKET_WIDTH_PS - 1);
+                for _ in 0..2_100 {
+                    p.schedule(base + 1 + rng.gen_range(BUCKET_WIDTH_PS as u32) as u64);
+                }
+            } else if schedule || p.reference.is_empty() {
+                let delta = match rng.gen_range(7) {
                     0 => 0,
                     1 => rng.gen_range(1_000) as u64,
                     2 => rng.gen_range(1_000_000) as u64,
                     3 => rng.gen_range(200_000_000) as u64,
-                    4 => rng.gen_range(2_000_000_000) as u64,
+                    // Around the ring's horizon, either side of it.
+                    4 => {
+                        horizon - BUCKET_WIDTH_PS + rng.gen_range(2 * BUCKET_WIDTH_PS as u32) as u64
+                    }
+                    5 => rng.gen_range(2_000_000_000) as u64,
                     _ => 50_000_000_000 + rng.gen_range(1_000_000_000) as u64,
                 };
                 // Occasionally reuse an earlier future instant to force
                 // cross-call (time, seq) ties.
-                let at = if rng.gen_range(4) == 0 && last_scheduled >= now {
+                let at = if rng.gen_range(4) == 0 && last_scheduled >= p.now {
                     last_scheduled
                 } else {
-                    now + delta
+                    p.now + delta
                 };
                 last_scheduled = at;
-                s.schedule(
-                    SimTime::from_ps(at),
-                    EventKind::Timer {
-                        host: 0,
-                        token: seq,
-                    },
-                );
-                reference.push(Reverse((at, seq)));
-                seq += 1;
+                p.schedule(at);
             } else {
-                let e = s.pop().expect("scheduler empty while reference is not");
-                let Reverse((t, token)) = reference.pop().unwrap();
-                check(e, t, token, seed);
-                now = t;
+                match rng.gen_range(4) {
+                    0 => p.pop_before(u64::MAX),
+                    1 => p.check_views(),
+                    _ => {
+                        // One synchronization window: run to a deadline a
+                        // little ahead, then (next iterations) schedule.
+                        let deadline = p.now + rng.gen_range(3_000_000) as u64;
+                        for _ in 0..1 + rng.gen_range(40) {
+                            p.pop_before(deadline);
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            p.now > 8 * horizon,
+            "seed {seed}: only reached {} ps, the ring never wrapped",
+            p.now
+        );
         // Drain the remainder in lockstep.
-        while let Some(Reverse((t, token))) = reference.pop() {
-            let e = s.pop().expect("scheduler drained early");
-            check(e, t, token, seed);
+        while !p.reference.is_empty() {
+            p.check_views();
+            p.pop_before(u64::MAX);
         }
-        assert!(s.pop().is_none(), "seed {seed}: scheduler has extra events");
+        assert!(
+            p.s.pop().is_none(),
+            "seed {seed}: scheduler has extra events"
+        );
+        assert!(p.s.is_empty() && p.s.next_time().is_none(), "seed {seed}");
     }
 }
 

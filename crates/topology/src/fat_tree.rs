@@ -13,7 +13,9 @@
 //! [`FatTreeParams`] generalizes all of these counts so the §4.3.3
 //! path-diversity experiment can scale the fabric up.
 
-use netsim::{LinkSpec, NodeId, PortId, QueueSpec, RoutingTable, SimTime, Simulator, SwitchConfig};
+use netsim::{
+    LinkSpec, NodeId, PortId, PortSetId, QueueSpec, RoutingTable, SimTime, Simulator, SwitchConfig,
+};
 
 /// Dimensions and link parameters of a fat-tree fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,18 +340,18 @@ pub fn degrade_agg_core_link(
         .collect();
     {
         let mut rt = RoutingTable::new(n_hosts);
+        let up = rt.add_weighted_set(ft.agg_core_ports[ai].clone(), core_weights);
+        let down: Vec<PortSetId> = ft.agg_tor_ports[ai]
+            .iter()
+            .map(|ports| rt.add_set(ports.clone()))
+            .collect();
         for dst in 0..n_hosts {
-            let dst_pod = ft.pod_of(dst);
-            if dst_pod == pod {
-                let tor_pos = ft.tor_of(dst) % p.tors_per_pod;
-                rt.set(dst as u32, ft.agg_tor_ports[ai][tor_pos].clone());
+            let set = if ft.pod_of(dst) == pod {
+                down[ft.tor_of(dst) % p.tors_per_pod]
             } else {
-                rt.set_weighted(
-                    dst as u32,
-                    ft.agg_core_ports[ai].clone(),
-                    core_weights.clone(),
-                );
-            }
+                up
+            };
+            rt.assign(dst as u32, set);
         }
         sim.set_routes(ft.aggs[ai], rt);
     }
@@ -372,14 +374,16 @@ pub fn degrade_agg_core_link(
         let up_weights: Vec<u32> = (0..p.aggs_per_pod)
             .flat_map(|a| vec![agg_capacity[a]; p.links_per_tor_agg])
             .collect();
+        // Intra-pod: all aggs reach the ToR at full rate.
+        let up_equal = rt.add_set(ft.tor_uplinks[ti].clone());
+        let up_weighted = rt.add_weighted_set(ft.tor_uplinks[ti].clone(), up_weights);
         for dst in 0..n_hosts {
             if local.contains(&dst) {
                 rt.set(dst as u32, vec![ft.tor_host_ports[ti][dst - local.start]]);
             } else if ft.pod_of(dst) == pod {
-                // Intra-pod: all aggs reach the ToR at full rate.
-                rt.set(dst as u32, ft.tor_uplinks[ti].clone());
+                rt.assign(dst as u32, up_equal);
             } else {
-                rt.set_weighted(dst as u32, ft.tor_uplinks[ti].clone(), up_weights.clone());
+                rt.assign(dst as u32, up_weighted);
             }
         }
         sim.set_routes(ft.tors[ti], rt);
@@ -391,32 +395,40 @@ fn install_routes(sim: &mut Simulator, ft: &FatTree) {
     let p = &ft.params;
     let n_hosts = p.n_hosts();
 
+    // Each switch registers its few distinct port sets once and points
+    // every destination at one of them by id.
+
     // ToRs: local host -> host port; everything else -> all agg uplinks.
     for (ti, &tor) in ft.tors.iter().enumerate() {
         let mut rt = RoutingTable::new(n_hosts);
         let local = ft.hosts_of_tor(ti);
+        let up = rt.add_set(ft.tor_uplinks[ti].clone());
         for dst in 0..n_hosts {
             if local.contains(&dst) {
                 rt.set(dst as u32, vec![ft.tor_host_ports[ti][dst - local.start]]);
             } else {
-                rt.set(dst as u32, ft.tor_uplinks[ti].clone());
+                rt.assign(dst as u32, up);
             }
         }
         sim.set_routes(tor, rt);
     }
 
-    // Aggs: dst in my pod -> the single ToR port; else -> my core uplinks.
+    // Aggs: dst in my pod -> the ports to its ToR; else -> my core uplinks.
     for (ai, &agg) in ft.aggs.iter().enumerate() {
         let pod = ai / p.aggs_per_pod;
         let mut rt = RoutingTable::new(n_hosts);
+        let up = rt.add_set(ft.agg_core_ports[ai].clone());
+        let down: Vec<PortSetId> = ft.agg_tor_ports[ai]
+            .iter()
+            .map(|ports| rt.add_set(ports.clone()))
+            .collect();
         for dst in 0..n_hosts {
-            let dst_pod = ft.pod_of(dst);
-            if dst_pod == pod {
-                let tor_pos = ft.tor_of(dst) % p.tors_per_pod;
-                rt.set(dst as u32, ft.agg_tor_ports[ai][tor_pos].clone());
+            let set = if ft.pod_of(dst) == pod {
+                down[ft.tor_of(dst) % p.tors_per_pod]
             } else {
-                rt.set(dst as u32, ft.agg_core_ports[ai].clone());
-            }
+                up
+            };
+            rt.assign(dst as u32, set);
         }
         sim.set_routes(agg, rt);
     }
@@ -424,9 +436,12 @@ fn install_routes(sim: &mut Simulator, ft: &FatTree) {
     // Cores: dst -> the port to the dst pod's connected agg (deterministic).
     for (ci, &core) in ft.cores.iter().enumerate() {
         let mut rt = RoutingTable::new(n_hosts);
+        let down: Vec<PortSetId> = ft.core_agg_ports[ci]
+            .iter()
+            .map(|&port| rt.add_set(vec![port]))
+            .collect();
         for dst in 0..n_hosts {
-            let dst_pod = ft.pod_of(dst);
-            rt.set(dst as u32, vec![ft.core_agg_ports[ci][dst_pod]]);
+            rt.assign(dst as u32, down[ft.pod_of(dst)]);
         }
         sim.set_routes(core, rt);
     }
