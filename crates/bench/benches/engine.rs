@@ -305,13 +305,12 @@ fn bench_sharding(h: &Harness) {
     .collect();
     let until = SimTime::from_ms(25);
     // One untimed probe run sizes `elements` with the real event count.
-    let events = experiments::run_fat_tree_sharded(params, &scheme, &specs, until, 3, 1)
-        .expect("1 shard always partitions")
-        .events;
+    let run = experiments::Run::new(params, &scheme, &specs, until, 3);
+    let events = run.run().expect("1 shard always partitions").events;
     for shards in [1usize, 2, 4] {
+        let run = run.clone().shards(shards);
         h.bench(&format!("shard/alltoall_1024h_s{shards}"), events, || {
-            let out = experiments::run_fat_tree_sharded(params, &scheme, &specs, until, 3, shards)
-                .expect("shard counts divide k=16's 16 pods");
+            let out = run.run().expect("shard counts divide k=16's 16 pods");
             black_box(out.events)
         });
     }
@@ -339,22 +338,17 @@ fn bench_chaos(h: &Harness) {
     .collect();
     let until = SimTime::from_ms(25);
     let incident = experiments::chaos::Incident::over(SimTime::from_ms(1));
-    let slo = Some(netsim::SloConfig {
+    let slo = netsim::SloConfig {
         fail_at: incident.fail_at,
         bin: SimTime::from_us(50),
-    });
+    };
     let run = |shards: usize| {
-        experiments::run_fat_tree_sharded_faults(
-            params,
-            &scheme,
-            &specs,
-            until,
-            3,
-            shards,
-            slo,
-            |ft| incident.plan(ft),
-        )
-        .expect("shard counts divide k=16's 16 pods")
+        experiments::Run::new(params, &scheme, &specs, until, 3)
+            .shards(shards)
+            .slo(slo)
+            .faults(&|ft| incident.plan(ft))
+            .run()
+            .expect("shard counts divide k=16's 16 pods")
     };
     let events = run(1).events;
     for shards in [1usize, 4] {

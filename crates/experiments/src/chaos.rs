@@ -21,7 +21,8 @@
 //! crash and storm travels through the epoch mailbox when `--shards > 1`,
 //! and the per-epoch conservation assert audits the books through the
 //! whole incident. Traffic comes from [`workloads::PoissonStream`]
-//! (tie-free arrivals), so reports are byte-identical across shard counts.
+//! (tie-free arrivals, see [`Run`]), so reports are byte-identical across
+//! shard counts.
 
 use netsim::{DetRng, FaultPlan, SimTime, SloConfig};
 use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
@@ -30,7 +31,7 @@ use workloads::{FlowSizeDist, PoissonStream};
 
 use crate::fabric_scale::{arity, LOAD};
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{run_fat_tree_sharded_faults, RunOutput, Window};
+use crate::scenario::{PlanFn, Run, RunOutput, Window};
 use crate::schemes;
 
 /// RNG stream tag for the per-source Poisson streams (distinct from
@@ -190,18 +191,13 @@ fn setup(opts: &Opts) -> Setup {
 /// run outputs `(healthy, chaos)` for JSON export.
 pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOutput, RunOutput) {
     let s = setup(opts);
-    let run = |plan_fn: &(dyn Fn(&FatTree) -> FaultPlan + Sync)| {
-        run_fat_tree_sharded_faults(
-            s.params,
-            scheme,
-            &s.specs,
-            s.window.drain_until,
-            opts.seed,
-            opts.shards,
-            Some(s.slo),
-            plan_fn,
-        )
-        .expect("shard plan checked by Opts::check")
+    let run = |plan_fn: PlanFn| {
+        Run::new(s.params, scheme, &s.specs, s.window.drain_until, opts.seed)
+            .shards(opts.shards)
+            .slo(s.slo)
+            .faults(plan_fn)
+            .run()
+            .expect("shard plan checked by Opts::check")
     };
     // The healthy run arms the same SLO probe: its goodput bins are the
     // dip baseline, and its "reconvergence" samples (first delivery after

@@ -8,14 +8,11 @@
 //! hop, FastCC cutting cwnd on CN arrival) — on the two workloads where
 //! early feedback should matter most: incast (deep, short-lived queue
 //! spikes at the fan-in port) and a Zipf hotspot (persistent congestion
-//! on a few downlinks). Runs go through the sharded engine
-//! ([`crate::run_fat_tree_sharded`]), so `--shards N` works; Poisson
-//! workloads (hotspot, websearch, ...) are byte-identical across shard
-//! counts. Incast is the one exception fabric-wide (not feedback-specific):
-//! its *synchronized* workers create exact-timestamp arrival ties, and the
-//! tie order between events on different shards is a function of the
-//! partition, so ECMP's incast numbers already shift by a serialization
-//! quantum between `--shards 1` and `--shards 2`. Each shard count is
+//! on a few downlinks). `--shards N` works; the Poisson workloads
+//! (hotspot, websearch, ...) are byte-identical across shard counts, while
+//! incast's *synchronized* workers tie at shared switches, so its numbers
+//! (ECMP's included) shift by a serialization quantum between shard
+//! counts — see [`Run`] for the tie-free caveat. Each shard count is
 //! individually deterministic either way.
 //!
 //! The headline `lead` column is measured, not modeled: the sender opens
@@ -26,15 +23,12 @@
 //! recorder: a traced replay must log exactly [`Counter::CnDelivered`]
 //! `cn_arrive` timeline events, at timestamps consistent with the lead.
 
-use netsim::{Counter, DetRng, FlowTimeline, SimTime, TelemetryConfig, TraceConfig};
+use netsim::{Counter, DetRng, FlowTimeline, SimTime, TraceConfig};
 use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
 use topology::FatTreeParams;
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{
-    run_fat_tree_sharded, run_fat_tree_traced, slowest_flows, sweep_schemes_sharded, RunOutput,
-    Window,
-};
+use crate::scenario::{sweep_schemes_sharded, traced_replay, Run, RunOutput, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Offered load (fraction of edge bandwidth), the fabric-scale operating
@@ -120,21 +114,24 @@ fn gen_specs(
     wl.generate(params, LOAD, window.end, &mut rng)
 }
 
-/// Run one (scheme, workload) cell through the sharded engine, returning
+/// Run one (scheme, workload) cell on `opts.shards` engine threads with
+/// the flight recorder on for the flows `trace` selects (tracing is
+/// read-only: the same cell traced processes the same events), returning
 /// the digest alongside the full run output (for JSON export).
-pub fn run_one(opts: &Opts, scheme: &SchemeSpec, wl_slug: &str) -> (FbResult, RunOutput) {
+pub fn run_one(
+    opts: &Opts,
+    scheme: &SchemeSpec,
+    wl_slug: &str,
+    trace: TraceConfig,
+) -> (FbResult, RunOutput) {
     let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
     let window = measurement(opts);
     let specs = gen_specs(opts, &params, wl_slug, window);
-    let out = run_fat_tree_sharded(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        opts.shards,
-    )
-    .expect("shard plan checked by Opts::check");
+    let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
+        .shards(opts.shards)
+        .trace(trace)
+        .run()
+        .expect("shard plan and --trace checked by Opts::check");
 
     let flows = out.effective_flows();
     let fcts: Vec<f64> = samples(&flows, window.start, window.end)
@@ -158,29 +155,6 @@ pub fn run_one(opts: &Opts, scheme: &SchemeSpec, wl_slug: &str) -> (FbResult, Ru
     (digest, out)
 }
 
-/// Replay one cell on the classic engine with the flight recorder on.
-/// Tracing is read-only, so the replay is byte-identical to the sharded
-/// run — callers assert `events` match.
-pub fn run_one_traced(
-    opts: &Opts,
-    scheme: &SchemeSpec,
-    wl_slug: &str,
-    trace: TraceConfig,
-) -> RunOutput {
-    let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
-    let window = measurement(opts);
-    let specs = gen_specs(opts, &params, wl_slug, window);
-    run_fat_tree_traced(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        TelemetryConfig::off(),
-        trace,
-    )
-}
-
 /// Total `cn_arrive` events across a traced run's timelines — when every
 /// flow is traced, this must equal [`Counter::CnDelivered`].
 pub fn cn_arrivals_in(timelines: &[FlowTimeline]) -> usize {
@@ -190,10 +164,6 @@ pub fn cn_arrivals_in(timelines: &[FlowTimeline]) -> usize {
 /// Run the feedback experiment and build the report.
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    assert!(
-        opts.trace.is_off() || opts.shards == 1,
-        "--trace needs --shards 1: the flight recorder rides the single-threaded engine"
-    );
     let k = arity(opts);
     let params = FatTreeParams::k_ary(k).expect("arity checked by Opts::check");
     let selection = opts.scheme_selection(&default_schemes());
@@ -203,7 +173,7 @@ pub fn run(opts: &Opts) -> Report {
     };
 
     let runs = sweep_schemes_sharded(&selection, &wl_slugs, opts.shards, |scheme, wl| {
-        run_one(opts, scheme, wl)
+        run_one(opts, scheme, wl, TraceConfig::off())
     });
 
     let mut report = Report::new("feedback");
@@ -226,15 +196,9 @@ pub fn run(opts: &Opts) -> Report {
             // Flight-recorder cross-check of the lead measurement: replay
             // this cell traced and verify the recorder saw exactly the
             // CNs the counters claim were delivered.
-            if !opts.trace.is_off() {
-                let cfg = opts.trace.config_with(|n| slowest_flows(&out, n));
-                let traced = run_one_traced(opts, scheme, wl, cfg);
-                assert_eq!(
-                    traced.events, out.events,
-                    "tracing must not perturb the simulation"
-                );
-                report.trace_timelines(label.clone(), traced.results.timelines().to_vec());
-            }
+            let timelines =
+                traced_replay(&opts.trace, &out, |cfg| run_one(opts, scheme, wl, cfg).1);
+            report.trace_timelines(label.clone(), timelines);
             report.run_summary(RunSummary::from_run(
                 label,
                 scheme.name(),
@@ -356,7 +320,12 @@ mod tests {
     /// measures something physical, not an artifact.
     #[test]
     fn fastcc_lead_is_positive_on_incast() {
-        let (r, _) = run_one(&smoke_opts(), &schemes::fastcc(), "incast:8");
+        let (r, _) = run_one(
+            &smoke_opts(),
+            &schemes::fastcc(),
+            "incast:8",
+            TraceConfig::off(),
+        );
         assert!(r.cn_delivered > 0, "CNs must be delivered: {r:?}");
         let lead = r.lead_us.expect("lead must be measured");
         assert!(
@@ -383,13 +352,13 @@ mod tests {
             ..smoke_opts()
         };
         for scheme in [schemes::bender_int(), schemes::fastcc()] {
-            let base = run_one(&dense, &scheme, "hotspot");
+            let base = run_one(&dense, &scheme, "hotspot", TraceConfig::off());
             for shards in [2, 4] {
                 let opts = Opts {
                     shards,
                     ..dense.clone()
                 };
-                let (r, out) = run_one(&opts, &scheme, "hotspot");
+                let (r, out) = run_one(&opts, &scheme, "hotspot", TraceConfig::off());
                 assert_eq!(base.0.p99_s, r.p99_s, "{} x{shards}", scheme.name());
                 assert_eq!(base.0.completion, r.completion);
                 assert_eq!(base.0.cn_sent, r.cn_sent);
@@ -418,10 +387,10 @@ mod tests {
     #[test]
     fn traced_replay_confirms_cn_arrivals_against_counters() {
         let opts = smoke_opts();
-        let (r, out) = run_one(&opts, &schemes::fastcc(), "incast:8");
+        let (r, out) = run_one(&opts, &schemes::fastcc(), "incast:8", TraceConfig::off());
         assert!(r.cn_delivered > 0);
         let all: Vec<netsim::FlowId> = (0..r.flows as netsim::FlowId).collect();
-        let traced = run_one_traced(
+        let (_, traced) = run_one(
             &opts,
             &schemes::fastcc(),
             "incast:8",

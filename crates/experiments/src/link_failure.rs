@@ -15,7 +15,7 @@ use topology::FatTreeParams;
 use workloads::microbench;
 
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree_sharded_faults};
+use crate::scenario::{parallel_map, Run};
 use crate::schemes::{self, SchemeSpec};
 
 /// Result of one scheme's failure run.
@@ -40,8 +40,8 @@ pub struct FailureResult {
 /// link directions die. As in the gray-failure microbenchmark, the
 /// synchronized flows tie at shared switches, so a sharded run is a
 /// reproducible parallel execution rather than a byte-replica of
-/// `shards == 1`. Errors on shard counts the paper fabric (4 pods)
-/// cannot host.
+/// `shards == 1` (see [`Run`]). Errors on shard counts the paper fabric
+/// (4 pods) cannot host.
 pub fn run_scheme(
     scheme: &SchemeSpec,
     bytes: u64,
@@ -52,15 +52,9 @@ pub fn run_scheme(
     let params = FatTreeParams::paper();
     // 16 flows: two per host pair between ToR0/pod0 and ToR0/pod1.
     let specs = microbench(&params, 16, bytes);
-    let out = run_fat_tree_sharded_faults(
-        params,
-        scheme,
-        &specs,
-        SimTime::from_secs(60),
-        seed,
-        shards,
-        None,
-        |ft| {
+    let out = Run::new(params, scheme, &specs, SimTime::from_secs(60), seed)
+        .shards(shards)
+        .faults(&|ft| {
             // Fail agg 0 of pod 0's first core uplink: one of the 8
             // inter-pod paths dies. Packets already hashed onto it
             // black-hole.
@@ -68,8 +62,8 @@ pub fn run_scheme(
             let mut plan = FaultPlan::new();
             plan.kill(node, port, fail_at);
             plan
-        },
-    )?;
+        })
+        .run()?;
     let fcts: Vec<f64> = out
         .flows
         .iter()

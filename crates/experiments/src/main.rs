@@ -54,7 +54,8 @@ fn usage() -> ! {
     eprintln!("  --json DIR   write per-run JSON summaries and BENCH_run.json there");
     eprintln!("  --trace SEL  flight recorder: flow=<id>[,<id>...] traces those flows,");
     eprintln!("               slowest=<k> traces the k slowest TCP flows (found by an");
-    eprintln!("               untraced probe run); one timeline JSON per flow under --json");
+    eprintln!("               untraced probe run); one timeline JSON per flow under --json;");
+    eprintln!("               needs --shards 1");
     eprintln!("  --shards N   worker threads for the sharded engine (default 1 — the");
     eprintln!("               classic single-threaded engine; Poisson-workload results");
     eprintln!("               are identical at any N). honored by: fabric-scale, chaos,");

@@ -27,7 +27,7 @@ use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
 use topology::FatTreeParams;
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{run_fat_tree_sharded, sweep_schemes_sharded, RunOutput, Window};
+use crate::scenario::{sweep_schemes_sharded, Run, RunOutput, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Offered load (fraction of edge bandwidth): enough concurrency that
@@ -118,15 +118,10 @@ pub fn run_one(opts: &Opts, scheme: &SchemeSpec, wl_slug: &str) -> (ReorderResul
     let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
     let window = measurement(opts);
     let specs = gen_specs(opts, &params, wl_slug, window);
-    let out = run_fat_tree_sharded(
-        params,
-        scheme,
-        &specs,
-        window.drain_until,
-        opts.seed,
-        opts.shards,
-    )
-    .expect("shard plan checked by Opts::check");
+    let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
+        .shards(opts.shards)
+        .run()
+        .expect("shard plan checked by Opts::check");
 
     let flows = out.effective_flows();
     let fcts: Vec<f64> = samples(&flows, window.start, window.end)

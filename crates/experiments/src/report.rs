@@ -6,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use netsim::{Counter, FlowId, FlowTimeline, TraceConfig, TraceEvent};
+use netsim::{Counter, Emit, FlowId, FlowTimeline, TraceConfig, TraceEvent};
 use stats::{Json, Table};
 
 use crate::scenario::RunOutput;
@@ -171,6 +171,9 @@ impl Opts {
                 None => topology::FatTreeParams::k_ary(if self.smoke { 8 } else { 16 })?,
             };
             topology::ShardPlan::new(&params, self.shards)?;
+            if !self.trace.is_off() {
+                return Err(crate::scenario::SHARDED_PROBES_ERR.into());
+            }
         }
         Ok(())
     }
@@ -318,14 +321,11 @@ impl RunSummary {
         seed: u64,
         out: &RunOutput,
     ) -> Self {
-        // Feedback counters (INT/CN) and the reordering metric suite are
-        // omitted while zero so the summaries of runs that never exercise
-        // them stay byte-identical to the layouts pinned before those
-        // layers existed (same None-when-empty contract as the `drops`
-        // section).
+        // `Emit::NonZero` counters are omitted while zero (same
+        // None-when-empty contract as the `drops` section).
         let counters = Counter::all()
             .iter()
-            .filter(|&&c| !((c.feedback_only() || c.reordering_metric()) && out.get(c) == 0))
+            .filter(|&&c| c.emit() == Emit::Always || out.get(c) != 0)
             .map(|&c| (c.name().to_string(), out.get(c)))
             .collect();
         let fcts: Vec<f64> = out

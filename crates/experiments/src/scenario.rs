@@ -1,5 +1,5 @@
-//! Shared experiment machinery: runners, replication expansion, and
-//! parallel sweeps.
+//! Shared experiment machinery: the runner ([`Run`]), replication
+//! expansion, and parallel sweeps.
 //!
 //! What to run is described by a [`crate::schemes::SchemeSpec`] (fabric +
 //! host sides of one design, see the `schemes` module); this module owns
@@ -12,14 +12,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use netsim::{
-    Conservation, FlowId, FlowSpec, Handoff, PortStats, Proto, RunResults, SimTime, Simulator,
-    TelemetryConfig, TraceConfig,
+    Conservation, FaultPlan, FlowId, FlowSpec, FlowTimeline, Handoff, PortStats, Proto, RunResults,
+    SimTime, Simulator, SloConfig, TelemetryConfig, TraceConfig,
 };
 use topology::{
     build_fat_tree, build_testbed, FatTree, FatTreeParams, ShardPlan, Testbed, TestbedParams,
 };
 use transport::{install_agents, install_agents_on};
 
+use crate::report::TraceSel;
 use crate::schemes::SchemeSpec;
 
 /// Everything a finished run hands back for analysis (thread-safe: no
@@ -35,15 +36,15 @@ pub struct RunOutput {
     /// Events the simulator processed (for performance reporting).
     pub events: u64,
     /// The end-of-run packet-conservation ledger (already verified to
-    /// balance — every runner asserts it before handing results out).
+    /// balance — the runners assert it before handing results out).
     pub conservation: netsim::Conservation,
     /// `(primary, replica)` flow-id pairs added by a replicating scheme
     /// (empty for everything but RepFlow-style specs). Replica flows
     /// appear in `flows` like any other; use [`RunOutput::effective_flows`]
     /// for the first-finisher-wins view.
     pub replicas: Vec<(FlowId, FlowId)>,
-    /// Cross-shard accounting of a sharded run (`None` for the classic
-    /// single-threaded runners and for `shards == 1`).
+    /// Cross-shard accounting of a sharded run (`None` at one shard and
+    /// for testbed runs).
     pub shard_stats: Option<ShardStats>,
 }
 
@@ -70,30 +71,6 @@ impl Deref for RunOutput {
 }
 
 impl RunOutput {
-    fn from_sim(
-        sim: Simulator,
-        watch_ports: &[(netsim::NodeId, netsim::PortId)],
-        replicas: Vec<(FlowId, FlowId)>,
-    ) -> Self {
-        // Every experiment run passes the conservation audit, in every
-        // build profile (the simulator itself only debug-asserts it).
-        sim.assert_conservation();
-        let port_stats = watch_ports
-            .iter()
-            .map(|&(n, p)| sim.port_stats(n, p))
-            .collect();
-        let events = sim.events_processed();
-        let conservation = sim.conservation();
-        RunOutput {
-            results: sim.into_results(),
-            port_stats,
-            events,
-            conservation,
-            replicas,
-            shard_stats: None,
-        }
-    }
-
     /// The flow records as the *application* experienced them: replicas
     /// are folded into their primary (a replicated flow completes when
     /// its first copy does) and dropped from the list. For
@@ -159,6 +136,27 @@ pub fn slowest_flows(out: &RunOutput, k: usize) -> Vec<FlowId> {
     eff.into_iter().take(k).map(|f| f.flow).collect()
 }
 
+/// The flight-recorder half of `--trace`: resolve `sel` against the
+/// finished `probe` run (`slowest=k` ranks its own FCTs), `replay` the
+/// same cell at the same seed with the recorder on, and return the
+/// timelines. Tracing is read-only, so the replay must process exactly
+/// the probe's events — asserted here. Empty when `sel` is off.
+pub fn traced_replay(
+    sel: &TraceSel,
+    probe: &RunOutput,
+    replay: impl FnOnce(TraceConfig) -> RunOutput,
+) -> Vec<FlowTimeline> {
+    if sel.is_off() {
+        return Vec::new();
+    }
+    let traced = replay(sel.config_with(|k| slowest_flows(probe, k)));
+    assert_eq!(
+        traced.events, probe.events,
+        "tracing must not perturb the simulation"
+    );
+    traced.results.timelines().to_vec()
+}
+
 /// Expand `specs` for `scheme`: a replicating scheme gets one replica per
 /// short TCP flow appended (dense ids continuing after the primaries),
 /// everything else passes through untouched. Returns the expanded spec
@@ -181,62 +179,6 @@ fn expand_replicas(
         }
     }
     (all, pairs)
-}
-
-/// Run `specs` on a fat-tree of `params` under `scheme`, until `until`
-/// (which should cover the arrival window plus a drain period).
-pub fn run_fat_tree(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-) -> RunOutput {
-    run_fat_tree_with(params, scheme, specs, until, seed, TelemetryConfig::off())
-}
-
-/// [`run_fat_tree`] with an explicit telemetry configuration.
-pub fn run_fat_tree_with(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-) -> RunOutput {
-    run_fat_tree_traced(
-        params,
-        scheme,
-        specs,
-        until,
-        seed,
-        telemetry,
-        TraceConfig::off(),
-    )
-}
-
-/// [`run_fat_tree_with`] plus a flight-recorder [`TraceConfig`]: selected
-/// flows' timelines come back in [`RunResults::timelines`]. Tracing is
-/// read-only — a traced run's flow records, counters, and event count are
-/// byte-identical to the untraced run at the same seed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_traced(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-    trace: TraceConfig,
-) -> RunOutput {
-    let mut sim = Simulator::new(seed);
-    sim.set_telemetry(telemetry);
-    sim.set_trace(trace);
-    let _ft: FatTree = build_fat_tree(&mut sim, params, scheme.switch_config());
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    install_agents(&mut sim, &specs, &scheme.tcp_config());
-    sim.run_until(until);
-    RunOutput::from_sim(sim, &[], replicas)
 }
 
 /// The synchronization state shared by all workers of one sharded run.
@@ -339,24 +281,336 @@ impl ShardCoord {
     }
 }
 
-/// [`run_fat_tree`] on `shards` worker threads (the sharded multi-core
-/// engine). `shards == 1` delegates to the classic single-threaded runner
-/// — byte-identical to [`run_fat_tree`] by construction. For `shards > 1`
-/// the fabric is partitioned pod-granularly per [`ShardPlan`], each worker
-/// simulates its partition over a private event ladder and packet slab,
-/// and workers synchronize through the conservative barrier-epoch
-/// protocol of `ShardCoord` (above). Results merge in fixed shard order, so a
-/// run is reproducible for a given `(seed, shards)` regardless of how the
-/// OS schedules the workers.
+/// Builds a [`netsim::FaultPlan`] against the constructed topology, so a
+/// plan can target specific fabric links. Called once per worker, each on
+/// its own copy of the fabric: it must be a pure function of the
+/// [`FatTree`].
+pub type PlanFn<'a> = &'a (dyn Fn(&FatTree) -> FaultPlan + Sync);
+
+/// What [`Run::run`] answers when telemetry or the flight recorder is
+/// asked of a multi-shard run (`Opts::check` rejects the CLI form with the
+/// same text).
+pub(crate) const SHARDED_PROBES_ERR: &str = "--trace and telemetry series need --shards 1: \
+     their probe streams are keyed to one event ladder";
+
+/// The one way to run a fat-tree simulation: `specs` on a fat-tree of
+/// `params` under `scheme`, until `until` (which should cover the arrival
+/// window plus a drain period), from `seed`. Everything else is opt-in:
 ///
-/// This is the empty-fault-plan special case of
-/// [`run_fat_tree_sharded_faults`]. Telemetry and flight-recorder tracing
-/// remain single-threaded features (their probe streams are keyed to one
-/// event ladder); fault plans and reconvergence SLO probes shard cleanly
-/// and live in the `_faults` variant.
+/// ```
+/// use experiments::{schemes, Run};
+/// use netsim::{Counter, FaultPlan, FlowSpec, SimTime};
+/// use topology::FatTreeParams;
 ///
-/// Errors (rather than panics) on shard counts the fabric cannot host —
-/// the CLI surfaces these directly.
+/// // Eight cross-pod flows on the 16-host fabric, under FlowBender, on two
+/// // engine threads, with one agg->core uplink silently losing packets.
+/// let specs: Vec<FlowSpec> = (0..8)
+///     .map(|i| FlowSpec::tcp(i, i, 8 + i, 200_000, SimTime::ZERO))
+///     .collect();
+/// let scheme = schemes::flowbender(Default::default());
+/// let out = Run::new(FatTreeParams::tiny(), &scheme, &specs, SimTime::from_secs(5), 42)
+///     .shards(2)
+///     .faults(&|ft| {
+///         let (agg, port) = ft.agg_core_link(0, 0);
+///         let mut plan = FaultPlan::new();
+///         plan.gray_loss(agg, port, 0.02, SimTime::ZERO);
+///         plan
+///     })
+///     .run()?;
+/// assert!(out.flows.iter().all(|f| f.fct().is_some()));
+/// println!("{} events, {} reroutes", out.events, out.get(Counter::Reroutes));
+/// # Ok::<(), String>(())
+/// ```
+///
+/// **One set-up sequence.** Every simulator — the only one of a 1-shard
+/// run, or each worker's of a sharded one — is built by the same private
+/// function: `Simulator::new` → `set_telemetry` → `set_trace` → `set_slo`
+/// → `build_fat_tree` → `set_owned` (sharded only) → `install_faults`.
+/// An off telemetry/trace config, an unarmed SLO probe and an empty fault
+/// plan are all no-ops, so the plain run *is* the instrumented run with
+/// nothing switched on: tracing and telemetry are read-only, and a traced
+/// run's flow records, counters and event count are byte-identical to the
+/// untraced run at the same seed. Agents are installed after the faults,
+/// so fault events carry seq numbers below every flow event.
+///
+/// **Sharding.** With `shards > 1` the fabric is partitioned
+/// pod-granularly per [`ShardPlan`]; each worker thread simulates its
+/// partition over a private event ladder and packet slab, and workers
+/// synchronize through the conservative barrier-epoch protocol of
+/// `ShardCoord`. Results merge in fixed shard order, so a run is
+/// reproducible for a given `(seed, shards)` however the OS schedules the
+/// workers. Fault plans shard cleanly: gray-loss and corruption draws come
+/// from per-directed-port RNG streams (a function of the port's own
+/// departure order, which sharding does not change), and each plan step
+/// is compiled by the shard owning its anchor node, the directions owned
+/// elsewhere crossing the mailbox as [`Handoff::Fault`] in a round-0
+/// exchange *before* any traffic is installed. One caveat carried over
+/// from [`Simulator::install_faults`]: two same-instant plan steps from
+/// different anchor nodes targeting the same directed egress may apply in
+/// source-shard order rather than plan order. Every worker asserts packet
+/// conservation after **every** epoch's import phase and at quiesce, and
+/// the merged ledger must show exported == imported.
+///
+/// **Byte-identity across shard counts needs a tie-free workload.** When
+/// two packets arrive at one switch in the same picosecond from different
+/// ingress ports, their service order is the event insertion order, which
+/// a partitioned run reaches differently. Poisson-arrival workloads
+/// (fabric-scale, chaos, feedback's hotspot, the property suites) never
+/// tie in practice and are byte-identical at every shard count; the
+/// synchronized `microbench` / incast flow sets (gray-failure,
+/// link-failure, feedback's incast) tie constantly and are reproducible
+/// per shard count but not across counts.
+///
+/// **What `run()` rejects** (as `Err`, never a panic): a shard count the
+/// fabric cannot host (the [`ShardPlan`] message), and telemetry or
+/// tracing with `shards > 1` ("... need --shards 1").
+#[derive(Clone)]
+pub struct Run<'a> {
+    params: FatTreeParams,
+    scheme: &'a SchemeSpec,
+    specs: &'a [FlowSpec],
+    until: SimTime,
+    seed: u64,
+    shards: usize,
+    telemetry: TelemetryConfig,
+    trace: TraceConfig,
+    slo: Option<SloConfig>,
+    faults: Option<PlanFn<'a>>,
+}
+
+/// One worker's place in a sharded run.
+struct Shard<'a> {
+    id: usize,
+    plan: &'a ShardPlan,
+    coord: &'a ShardCoord,
+}
+
+impl Shard<'_> {
+    /// Post `sim`'s outbox, wait for every shard's, import this shard's
+    /// mail.
+    fn exchange(&self, sim: &mut Simulator) {
+        self.coord.post(self.id, sim.take_outbox(), self.plan);
+        for h in self.coord.collect(self.id) {
+            sim.import(h);
+        }
+    }
+}
+
+impl<'a> Run<'a> {
+    /// A plain single-threaded run: no telemetry, no tracing, no SLO
+    /// probe, no faults.
+    pub fn new(
+        params: FatTreeParams,
+        scheme: &'a SchemeSpec,
+        specs: &'a [FlowSpec],
+        until: SimTime,
+        seed: u64,
+    ) -> Self {
+        Run {
+            params,
+            scheme,
+            specs,
+            until,
+            seed,
+            shards: 1,
+            telemetry: TelemetryConfig::off(),
+            trace: TraceConfig::off(),
+            slo: None,
+            faults: None,
+        }
+    }
+
+    /// Run on `n` worker threads (the sharded engine); 1 is the default.
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = n;
+        self
+    }
+
+    /// Collect telemetry time series (single-shard only).
+    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
+        self.telemetry = cfg;
+        self
+    }
+
+    /// Record flight-recorder timelines for the flows `cfg` selects; they
+    /// come back in [`RunResults::timelines`] (single-shard only).
+    pub fn trace(mut self, cfg: TraceConfig) -> Self {
+        self.trace = cfg;
+        self
+    }
+
+    /// Arm the reconvergence / goodput SLO probe. Every worker arms the
+    /// same probe; per-shard [`netsim::SloResults`] merge with the flow
+    /// records.
+    pub fn slo(mut self, cfg: SloConfig) -> Self {
+        self.slo = Some(cfg);
+        self
+    }
+
+    /// Inject the faults `plan_fn` builds against the topology.
+    pub fn faults(mut self, plan_fn: PlanFn<'a>) -> Self {
+        self.faults = Some(plan_fn);
+        self
+    }
+
+    /// The one set-up sequence (see the type docs).
+    fn set_up(&self, shard: Option<&Shard>) -> Simulator {
+        let mut sim = Simulator::new(self.seed);
+        sim.set_telemetry(self.telemetry.clone());
+        sim.set_trace(self.trace.clone());
+        if let Some(cfg) = self.slo {
+            sim.set_slo(cfg);
+        }
+        let ft = build_fat_tree(&mut sim, self.params, self.scheme.switch_config());
+        if let Some(s) = shard {
+            sim.set_owned(s.plan.owned_mask(s.id));
+        }
+        if let Some(plan_fn) = self.faults {
+            sim.install_faults(&plan_fn(&ft));
+        }
+        sim
+    }
+
+    /// Simulate one partition of the fabric (all of it when `shard` is
+    /// `None`) and audit its books.
+    fn simulate(
+        &self,
+        specs: &[FlowSpec],
+        shard: Option<&Shard>,
+    ) -> (RunResults, u64, Conservation) {
+        let mut sim = self.set_up(shard);
+        if let Some(s) = shard {
+            // Round 0: cross-shard fault directions cross the mailbox
+            // before any traffic exists, so their event seqs sit below
+            // every flow event — the single-shard install order.
+            s.exchange(&mut sim);
+        }
+        install_agents_on(&mut sim, specs, &self.scheme.tcp_config(), |h| {
+            shard.is_none_or(|s| s.plan.owner_of(h) == s.id)
+        });
+        match shard {
+            None => sim.run_until(self.until),
+            Some(s) => {
+                let lookahead = sim
+                    .lookahead()
+                    .expect("a multi-shard plan must produce cross-shard links");
+                s.coord
+                    .lookahead
+                    .fetch_min(lookahead.as_ps(), Ordering::SeqCst);
+                loop {
+                    let next = sim.next_event_time().map_or(u64::MAX, |t| t.as_ps());
+                    let Some(deadline) = s.coord.agree(next, self.until.as_ps()) else {
+                        break;
+                    };
+                    sim.run_window(deadline);
+                    s.exchange(&mut sim);
+                    // Every epoch keeps the books balanced, not just the
+                    // quiesced end state — a fault that leaks or double
+                    // counts a packet is caught in the epoch it happens.
+                    sim.assert_conservation();
+                }
+            }
+        }
+        // Every run passes the conservation audit, in every build profile
+        // (the simulator itself only debug-asserts it).
+        sim.assert_conservation();
+        let (events, conservation) = (sim.events_processed(), sim.conservation());
+        (sim.into_results(), events, conservation)
+    }
+
+    /// Run it. Errors (rather than panics) on what the type docs list —
+    /// the CLI surfaces these directly.
+    pub fn run(&self) -> Result<RunOutput, String> {
+        let shards = self.shards;
+        let plan = ShardPlan::new(&self.params, shards)?;
+        if shards > 1 && (self.telemetry.enabled || self.trace.enabled) {
+            return Err(SHARDED_PROBES_ERR.to_string());
+        }
+        let (specs, replicas) = expand_replicas(self.specs, self.scheme);
+        let coord = ShardCoord::new(shards);
+        let worker_out = if shards == 1 {
+            vec![self.simulate(&specs, None)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..shards)
+                    .map(|id| {
+                        let shard = Shard {
+                            id,
+                            plan: &plan,
+                            coord: &coord,
+                        };
+                        let specs = &specs[..];
+                        scope.spawn(move || self.simulate(specs, Some(&shard)))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            })
+        };
+
+        // Deterministic merge in shard order, then the cross-shard ledger:
+        // every packet exported by one shard must have been imported by
+        // another, and the global invariant must balance once handoffs
+        // cancel.
+        let mut it = worker_out.into_iter();
+        let (mut results, mut events, mut c) = it.next().expect("at least one shard");
+        for (r, e, o) in it {
+            results.merge(r);
+            events += e;
+            c.injected += o.injected;
+            c.delivered += o.delivered;
+            c.in_flight += o.in_flight;
+            for (a, b) in c.dropped.iter_mut().zip(o.dropped) {
+                *a += b;
+            }
+            c.exported += o.exported;
+            c.imported += o.imported;
+        }
+        let handoffs = c.exported;
+        assert_eq!(
+            c.exported, c.imported,
+            "cross-shard handoff imbalance at quiesce: {handoffs} exported vs {} imported",
+            c.imported
+        );
+        // Imports re-insert packets that already counted at their source
+        // shard; subtract them so `injected` means true injections.
+        c.injected -= c.imported;
+        c.exported = 0;
+        c.imported = 0;
+        assert!(c.holds(), "packet conservation violated across shards: {c}");
+        Ok(RunOutput {
+            results,
+            port_stats: Vec::new(),
+            events,
+            conservation: c,
+            replicas,
+            shard_stats: (shards > 1).then(|| ShardStats {
+                shards,
+                handoffs,
+                rounds: coord.rounds.load(Ordering::Relaxed),
+                lookahead_ps: coord.lookahead.load(Ordering::Relaxed),
+            }),
+        })
+    }
+}
+
+/// The five-argument short form of [`Run`]: a plain single-threaded run.
+pub fn run_fat_tree(
+    params: FatTreeParams,
+    scheme: &SchemeSpec,
+    specs: &[FlowSpec],
+    until: SimTime,
+    seed: u64,
+) -> RunOutput {
+    Run::new(params, scheme, specs, until, seed)
+        .run()
+        .expect("one shard partitions every fabric")
+}
+
+/// [`Run`] with only a shard count set, for callers that predate the
+/// builder.
 pub fn run_fat_tree_sharded(
     params: FatTreeParams,
     scheme: &SchemeSpec,
@@ -365,248 +619,9 @@ pub fn run_fat_tree_sharded(
     seed: u64,
     shards: usize,
 ) -> Result<RunOutput, String> {
-    run_fat_tree_sharded_faults(params, scheme, specs, until, seed, shards, None, |_| {
-        netsim::FaultPlan::new()
-    })
-}
-
-/// [`run_fat_tree_sharded`] plus deterministic fault injection and an
-/// optional reconvergence SLO probe — the chaos engine's entry point.
-///
-/// The fault plan is built once per worker against that worker's own copy
-/// of the topology (the closure must therefore be a pure function of the
-/// [`FatTree`]). Determinism across shard counts rests on two properties:
-///
-/// * **Per-port fault RNG.** Gray-loss and corruption draws come from a
-///   per-directed-port PCG stream split off a never-advanced root, so a
-///   port's draw sequence is a function of its own departure order — which
-///   sharding does not change — rather than of the global event
-///   interleaving, which it does.
-/// * **Anchor-owner handoff.** Each plan step is compiled to directed
-///   per-port faults by the shard owning the step's anchor node; the
-///   directions owned by other shards travel through the epoch mailbox as
-///   [`Handoff::Fault`] messages. The exchange below runs one mailbox
-///   round *before* any traffic is installed, so fault events get seq
-///   numbers below every flow event on every shard — the same relative
-///   order the classic runner produces by installing faults first.
-///
-/// With an empty plan no handoffs are posted and no draws are made, so
-/// fault-free output is byte-identical to [`run_fat_tree_sharded`] (and,
-/// at `shards == 1`, to [`run_fat_tree`]).
-///
-/// When `slo` is set, every worker arms the same probe and the per-shard
-/// [`netsim::SloResults`] merge with the flow records; the per-shard
-/// conservation ledger is additionally asserted after **every** epoch's
-/// import phase, so a fault that corrupts the books is caught in the
-/// epoch it happens, not at quiesce.
-///
-/// Byte-identity across shard counts additionally requires a *tie-free*
-/// workload: when two packets arrive at the same switch at the exact same
-/// picosecond from different ingress ports, their service order is the
-/// event insertion order, which the classic and sharded engines reach
-/// differently. Poisson-arrival workloads (fabric-scale, chaos, the
-/// property suite) never tie in practice; the synchronized `microbench`
-/// flow sets (gray-failure, link-failure) tie constantly and are
-/// reproducible per shard count but not byte-stable across counts — a
-/// pre-existing property of the engine, not of fault injection.
-///
-/// One caveat carried over from [`netsim::Simulator::install_faults`]:
-/// two same-instant plan steps from *different* anchor nodes targeting
-/// the same directed egress may apply in source-shard order rather than
-/// plan order. Plans that want a deterministic winner across shard counts
-/// should separate such steps in time.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_sharded_faults<F>(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    shards: usize,
-    slo: Option<netsim::SloConfig>,
-    plan_fn: F,
-) -> Result<RunOutput, String>
-where
-    F: Fn(&FatTree) -> netsim::FaultPlan + Sync,
-{
-    let plan = ShardPlan::new(&params, shards)?;
-    if shards == 1 {
-        let mut sim = Simulator::new(seed);
-        if let Some(cfg) = slo {
-            sim.set_slo(cfg);
-        }
-        let ft: FatTree = build_fat_tree(&mut sim, params, scheme.switch_config());
-        sim.install_faults(&plan_fn(&ft));
-        let (specs, replicas) = expand_replicas(specs, scheme);
-        install_agents(&mut sim, &specs, &scheme.tcp_config());
-        sim.run_until(until);
-        return Ok(RunOutput::from_sim(sim, &[], replicas));
-    }
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    let coord = ShardCoord::new(shards);
-    let mut worker_out: Vec<(RunResults, u64, Conservation)> = Vec::with_capacity(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let coord = &coord;
-                let plan = &plan;
-                let specs = &specs[..];
-                let plan_fn = &plan_fn;
-                scope.spawn(move || {
-                    let mut sim = Simulator::new(seed);
-                    let ft = build_fat_tree(&mut sim, params, scheme.switch_config());
-                    sim.set_owned(plan.owned_mask(shard));
-                    if let Some(cfg) = slo {
-                        sim.set_slo(cfg);
-                    }
-                    sim.install_faults(&plan_fn(&ft));
-                    // Round 0: cross-shard fault directions cross the mailbox
-                    // before any traffic exists, so their event seqs sit below
-                    // every flow event — the classic runner's install order.
-                    coord.post(shard, sim.take_outbox(), plan);
-                    for h in coord.collect(shard) {
-                        sim.import(h);
-                    }
-                    install_agents_on(&mut sim, specs, &scheme.tcp_config(), |h| {
-                        plan.owner_of(h) == shard
-                    });
-                    let lookahead = sim
-                        .lookahead()
-                        .expect("a multi-shard plan must produce cross-shard links");
-                    coord
-                        .lookahead
-                        .fetch_min(lookahead.as_ps(), Ordering::SeqCst);
-                    let until_ps = until.as_ps();
-                    loop {
-                        let next = sim.next_event_time().map_or(u64::MAX, |t| t.as_ps());
-                        let Some(deadline) = coord.agree(next, until_ps) else {
-                            break;
-                        };
-                        sim.run_window(deadline);
-                        coord.post(shard, sim.take_outbox(), plan);
-                        for h in coord.collect(shard) {
-                            sim.import(h);
-                        }
-                        // Every epoch keeps the books balanced, not just the
-                        // quiesced end state — a fault that leaks or double
-                        // counts a packet is caught in the epoch it happens.
-                        sim.assert_conservation();
-                    }
-                    sim.assert_conservation();
-                    let events = sim.events_processed();
-                    let conservation = sim.conservation();
-                    (sim.into_results(), events, conservation)
-                })
-            })
-            .collect();
-        worker_out = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect();
-    });
-
-    // Deterministic merge in shard order, then the cross-shard ledger:
-    // every packet exported by one shard must have been imported by
-    // another, and the global invariant must balance once handoffs cancel.
-    let mut it = worker_out.into_iter();
-    let (mut results, mut events, first_c) = it.next().expect("at least one shard");
-    let (mut injected, mut delivered, mut in_flight) =
-        (first_c.injected, first_c.delivered, first_c.in_flight);
-    let mut dropped = first_c.dropped;
-    let (mut exported, mut imported) = (first_c.exported, first_c.imported);
-    for (r, e, c) in it {
-        results.merge(r);
-        events += e;
-        injected += c.injected;
-        delivered += c.delivered;
-        in_flight += c.in_flight;
-        for (a, b) in dropped.iter_mut().zip(c.dropped) {
-            *a += b;
-        }
-        exported += c.exported;
-        imported += c.imported;
-    }
-    assert_eq!(
-        exported, imported,
-        "cross-shard handoff imbalance at quiesce: {exported} exported vs {imported} imported"
-    );
-    let conservation = Conservation {
-        // Imports re-insert packets that already counted at their source
-        // shard; subtract them so `injected` means true injections.
-        injected: injected - imported,
-        delivered,
-        dropped,
-        in_flight,
-        exported: exported - imported,
-        imported: 0,
-    };
-    assert!(
-        conservation.holds(),
-        "packet conservation violated across shards: {conservation}"
-    );
-    Ok(RunOutput {
-        results,
-        port_stats: Vec::new(),
-        events,
-        conservation,
-        replicas,
-        shard_stats: Some(ShardStats {
-            shards,
-            handoffs: exported,
-            rounds: coord.rounds.load(Ordering::Relaxed),
-            lookahead_ps: coord.lookahead.load(Ordering::Relaxed),
-        }),
-    })
-}
-
-/// [`run_fat_tree_with`] plus a [`netsim::FaultPlan`] built against the
-/// constructed topology (the closure receives the [`FatTree`] so plans can
-/// target specific fabric links before the run starts).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_faults(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-    plan: impl FnOnce(&FatTree) -> netsim::FaultPlan,
-) -> RunOutput {
-    run_fat_tree_faults_traced(
-        params,
-        scheme,
-        specs,
-        until,
-        seed,
-        telemetry,
-        TraceConfig::off(),
-        plan,
-    )
-}
-
-/// [`run_fat_tree_faults`] with a flight-recorder [`TraceConfig`] — the
-/// combination the gray-failure diagnosis workflow uses (`--trace` on the
-/// experiments CLI lands here).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fat_tree_faults_traced(
-    params: FatTreeParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    telemetry: TelemetryConfig,
-    trace: TraceConfig,
-    plan: impl FnOnce(&FatTree) -> netsim::FaultPlan,
-) -> RunOutput {
-    let mut sim = Simulator::new(seed);
-    sim.set_telemetry(telemetry);
-    sim.set_trace(trace);
-    let ft: FatTree = build_fat_tree(&mut sim, params, scheme.switch_config());
-    sim.install_faults(&plan(&ft));
-    let (specs, replicas) = expand_replicas(specs, scheme);
-    install_agents(&mut sim, &specs, &scheme.tcp_config());
-    sim.run_until(until);
-    RunOutput::from_sim(sim, &[], replicas)
+    Run::new(params, scheme, specs, until, seed)
+        .shards(shards)
+        .run()
 }
 
 /// Run `specs` on a testbed of `params` under `scheme`. `watch_uplinks`
@@ -621,39 +636,25 @@ pub fn run_testbed(
     seed: u64,
     watch_uplinks: &[(usize, usize)],
 ) -> RunOutput {
-    run_testbed_with(
-        params,
-        scheme,
-        specs,
-        until,
-        seed,
-        watch_uplinks,
-        TelemetryConfig::off(),
-    )
-}
-
-/// [`run_testbed`] with an explicit telemetry configuration.
-#[allow(clippy::too_many_arguments)]
-pub fn run_testbed_with(
-    params: TestbedParams,
-    scheme: &SchemeSpec,
-    specs: &[FlowSpec],
-    until: SimTime,
-    seed: u64,
-    watch_uplinks: &[(usize, usize)],
-    telemetry: TelemetryConfig,
-) -> RunOutput {
     let mut sim = Simulator::new(seed);
-    sim.set_telemetry(telemetry);
     let tb: Testbed = build_testbed(&mut sim, params, scheme.switch_config());
-    let ports: Vec<_> = watch_uplinks
-        .iter()
-        .map(|&(t, a)| (tb.tors[t], tb.tor_uplinks[t][a]))
-        .collect();
     let (specs, replicas) = expand_replicas(specs, scheme);
     install_agents(&mut sim, &specs, &scheme.tcp_config());
     sim.run_until(until);
-    RunOutput::from_sim(sim, &ports, replicas)
+    sim.assert_conservation();
+    let port_stats = watch_uplinks
+        .iter()
+        .map(|&(t, a)| sim.port_stats(tb.tors[t], tb.tor_uplinks[t][a]))
+        .collect();
+    let (events, conservation) = (sim.events_processed(), sim.conservation());
+    RunOutput {
+        results: sim.into_results(),
+        port_stats,
+        events,
+        conservation,
+        replicas,
+        shard_stats: None,
+    }
 }
 
 /// Map `f` over `inputs` on a bounded worker pool (runs are
@@ -831,6 +832,71 @@ mod tests {
     use flowbender as fb;
     use netsim::Counter;
 
+    /// Kill host 0's NIC outright: nothing it sources can ever finish.
+    fn kill_host0(ft: &FatTree) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        plan.gray_loss(ft.hosts[0], 0, 1.0, SimTime::ZERO);
+        plan
+    }
+
+    /// Every `Run` option is read-only or a no-op when it has nothing to
+    /// do: each one, switched on alone at 1 shard, leaves flow records,
+    /// counters and the event count of the plain run untouched — and the
+    /// combinations `run()` cannot serve are an `Err`, not a panic.
+    #[test]
+    fn run_options_do_not_perturb_and_bad_combinations_are_errors() {
+        let params = FatTreeParams::tiny();
+        let specs: Vec<FlowSpec> = (0..8)
+            .map(|i| FlowSpec::tcp(i, i, 8 + i, 300_000, SimTime::ZERO))
+            .collect();
+        let scheme = schemes::flowbender(fb::Config::default());
+        let base = Run::new(params, &scheme, &specs, SimTime::from_secs(5), 1);
+        let plain = base.run().unwrap();
+        assert!(plain.flows.iter().all(|f| f.fct().is_some()));
+        let slo = SloConfig {
+            fail_at: SimTime::from_ms(1),
+            bin: SimTime::from_us(100),
+        };
+        let telemetry = base
+            .clone()
+            .telemetry(TelemetryConfig::all(SimTime::from_us(100)));
+        let trace = base.clone().trace(TraceConfig::flows((0..8).collect()));
+        let variants = [
+            ("telemetry", telemetry.clone()),
+            ("trace", trace.clone()),
+            ("slo", base.clone().slo(slo)),
+            ("empty plan", base.clone().faults(&|_| FaultPlan::new())),
+        ];
+        for (what, run) in variants {
+            let out = run.run().unwrap();
+            assert_eq!(out.events, plain.events, "{what}: events");
+            assert_eq!(
+                format!("{:?}", out.flows),
+                format!("{:?}", plain.flows),
+                "{what}: flow records"
+            );
+            for c in Counter::all() {
+                assert_eq!(out.get(c), plain.get(c), "{what}: {}", c.name());
+            }
+            assert_eq!(out.conservation, plain.conservation, "{what}: ledger");
+            assert!(out.shard_stats.is_none(), "{what}: one shard");
+            // ...while the option itself did its job.
+            match what {
+                "telemetry" => assert!(!out.series().is_empty()),
+                "trace" => assert_eq!(out.timelines().len(), 8),
+                "slo" => assert!(out.slo().is_some()),
+                _ => {}
+            }
+        }
+        for (what, run) in [("telemetry", telemetry), ("trace", trace)] {
+            let err = run.shards(2).run().unwrap_err();
+            assert_eq!(err, SHARDED_PROBES_ERR, "{what} x 2 shards");
+        }
+        assert!(base.clone().shards(2).run().is_ok(), "2 pods host 2 shards");
+        let err = base.shards(3).run().unwrap_err();
+        assert!(err.contains("does not divide"), "ShardPlan's error: {err}");
+    }
+
     #[test]
     fn tiny_fat_tree_run_completes_flows() {
         let params = FatTreeParams::tiny();
@@ -917,19 +983,16 @@ mod tests {
             FlowSpec::tcp(0, 0, 8, 50_000, SimTime::ZERO),
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
         ];
-        let out = run_fat_tree_faults(
+        let out = Run::new(
             params,
             &schemes::repflow(),
             &specs,
             SimTime::from_ms(200),
             3,
-            TelemetryConfig::off(),
-            |ft| {
-                let mut plan = netsim::FaultPlan::new();
-                plan.gray_loss(ft.hosts[0], 0, 1.0, SimTime::ZERO);
-                plan
-            },
-        );
+        )
+        .faults(&kill_host0)
+        .run()
+        .unwrap();
         let eff = out.effective_flows();
         assert_eq!(eff.len(), 2, "replicas fold away even when incomplete");
         let incomplete = out.incomplete_flows();
@@ -946,19 +1009,10 @@ mod tests {
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
             FlowSpec::tcp(2, 2, 10, 2_000_000, SimTime::ZERO),
         ];
-        let out = run_fat_tree_faults(
-            params,
-            &schemes::ecmp(),
-            &specs,
-            SimTime::from_ms(200),
-            3,
-            TelemetryConfig::off(),
-            |ft| {
-                let mut plan = netsim::FaultPlan::new();
-                plan.gray_loss(ft.hosts[0], 0, 1.0, SimTime::ZERO);
-                plan
-            },
-        );
+        let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_ms(200), 3)
+            .faults(&kill_host0)
+            .run()
+            .unwrap();
         let slow = slowest_flows(&out, 2);
         assert_eq!(slow.len(), 2);
         assert_eq!(slow[0], 0, "the flow that never finished ranks slowest");
@@ -1082,20 +1136,15 @@ mod tests {
         let specs: Vec<FlowSpec> = (0..8)
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 200_000, SimTime::ZERO))
             .collect();
-        let out = run_fat_tree_faults(
-            params,
-            &schemes::ecmp(),
-            &specs,
-            SimTime::from_secs(5),
-            1,
-            TelemetryConfig::off(),
-            |ft| {
-                let mut plan = netsim::FaultPlan::new();
+        let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_secs(5), 1)
+            .faults(&|ft| {
+                let mut plan = FaultPlan::new();
                 let (agg, port) = ft.agg_core_link(0, 0);
                 plan.gray_loss(agg, port, 0.05, SimTime::ZERO);
                 plan
-            },
-        );
+            })
+            .run()
+            .unwrap();
         assert!(out.conservation.holds());
         assert_eq!(
             out.conservation.injected,
@@ -1112,14 +1161,10 @@ mod tests {
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 500_000, SimTime::ZERO))
             .collect();
         let scheme = schemes::flowbender(fb::Config::default());
-        let out = run_fat_tree_with(
-            params,
-            &scheme,
-            &specs,
-            SimTime::from_secs(5),
-            1,
-            TelemetryConfig::all(SimTime::from_us(100)),
-        );
+        let out = Run::new(params, &scheme, &specs, SimTime::from_secs(5), 1)
+            .telemetry(TelemetryConfig::all(SimTime::from_us(100)))
+            .run()
+            .unwrap();
         assert!(
             out.series()
                 .iter()

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use experiments::schemes;
-use experiments::table1::{run_scheme_with, FLOW_COUNTS};
+use experiments::table1::{run_scheme, FLOW_COUNTS};
 use experiments::Opts;
 use netsim::{SimTime, TelemetryConfig};
 
@@ -34,7 +34,7 @@ fn render_once() -> String {
         seed: SEED,
         ..Opts::default()
     };
-    let runs = run_scheme_with(
+    let runs = run_scheme(
         &schemes::flowbender(flowbender::Config::default()),
         BYTES,
         SEED,
@@ -106,27 +106,22 @@ fn golden_fixture_is_loss_free_and_omits_the_drops_section() {
 /// JSON must sum to the advertised total and agree with the audit.
 #[test]
 fn dropful_run_reasons_sum_to_total() {
-    use experiments::run_fat_tree_faults;
+    use experiments::Run;
     use netsim::{DropReason, FaultPlan};
     use topology::FatTreeParams;
     use workloads::microbench;
 
     let params = FatTreeParams::tiny();
     let specs = microbench(&params, 4, 200_000);
-    let out = run_fat_tree_faults(
-        params,
-        &schemes::ecmp(),
-        &specs,
-        SimTime::from_secs(20),
-        5,
-        TelemetryConfig::off(),
-        |ft| {
+    let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_secs(20), 5)
+        .faults(&|ft| {
             let (node, port) = ft.agg_core_link(0, 0);
             let mut plan = FaultPlan::new();
             plan.gray_loss(node, port, 0.05, SimTime::ZERO);
             plan
-        },
-    );
+        })
+        .run()
+        .unwrap();
     let audit = out.drops();
     assert!(audit.total() > 0, "the gray link must drop something");
     let opts = Opts::default();

@@ -12,10 +12,10 @@
 //!
 //! Traffic is a seeded Poisson all-to-all on a k=8 fat-tree — tie-free
 //! arrivals, the precondition for cross-shard byte-identity (see
-//! `run_fat_tree_sharded_faults`).
+//! `experiments::Run`).
 
 use experiments::report::{Opts, RunSummary};
-use experiments::{run_fat_tree_sharded_faults, schemes};
+use experiments::{schemes, Run};
 use netsim::{DetRng, FaultPlan, FlowSpec, SimTime, SloConfig};
 use topology::FatTreeParams;
 use workloads::{FlowSizeDist, PoissonStream};
@@ -62,18 +62,21 @@ fn randomized_fault_plans_are_byte_identical_across_shard_counts() {
 
     for scheme in schemes::registry() {
         let run = |shards: usize| {
-            run_fat_tree_sharded_faults(params, &scheme, &specs, until, SEED, shards, None, |ft| {
-                // Pod 0's aggs towards their first two cores each:
-                // every one of these links crosses a shard boundary at
-                // some tested shard count, so the randomized flap/gray
-                // schedule exercises the Handoff::Fault path.
-                let links: Vec<_> = (0..4)
-                    .flat_map(|a| (0..2).map(move |k| ft.agg_core_link(a, k)))
-                    .collect();
-                let mut rng = DetRng::new(SEED, 0xC4A05);
-                FaultPlan::randomized(&mut rng, &links, SimTime::from_ms(20), 0.10)
-            })
-            .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"))
+            Run::new(params, &scheme, &specs, until, SEED)
+                .shards(shards)
+                .faults(&|ft| {
+                    // Pod 0's aggs towards their first two cores each:
+                    // every one of these links crosses a shard boundary at
+                    // some tested shard count, so the randomized flap/gray
+                    // schedule exercises the Handoff::Fault path.
+                    let links: Vec<_> = (0..4)
+                        .flat_map(|a| (0..2).map(move |k| ft.agg_core_link(a, k)))
+                        .collect();
+                    let mut rng = DetRng::new(SEED, 0xC4A05);
+                    FaultPlan::randomized(&mut rng, &links, SimTime::from_ms(20), 0.10)
+                })
+                .run()
+                .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"))
         };
 
         let base = run(1);
@@ -114,15 +117,10 @@ fn core_crash_with_slo_probe_is_byte_identical_up_to_eight_shards() {
     let scheme = schemes::flowbender(flowbender::Config::default());
 
     let run = |shards: usize| {
-        run_fat_tree_sharded_faults(
-            params,
-            &scheme,
-            &specs,
-            until,
-            SEED,
-            shards,
-            Some(slo),
-            |ft| {
+        Run::new(params, &scheme, &specs, until, SEED)
+            .shards(shards)
+            .slo(slo)
+            .faults(&|ft| {
                 // Core 1 serves every pod; at 2+ shards its crash compiles
                 // on its owner and fans directed faults out to aggs in
                 // other shards through the mailbox. A flap on a pod-0
@@ -132,9 +130,9 @@ fn core_crash_with_slo_probe_is_byte_identical_up_to_eight_shards() {
                 plan.switch_outage(ft.cores[1], fail_at, SimTime::from_us(400));
                 plan.flap(agg0, up0, SimTime::from_us(150), SimTime::from_us(300));
                 plan
-            },
-        )
-        .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"))
+            })
+            .run()
+            .unwrap_or_else(|e| panic!("{shards} shards on k=8: {e}"))
     };
 
     let base = run(1);

@@ -4,7 +4,7 @@
 //! and the gray-failure experiment must attach decision-bearing
 //! timelines when `--trace` is on.
 
-use experiments::gray_failure::{run, run_scheme, run_scheme_traced};
+use experiments::gray_failure::{run, run_scheme, GrayResult};
 use experiments::{slowest_flows, timeline_json, Opts, RunSummary, SchemeSpec, TraceSel};
 use netsim::TraceConfig;
 
@@ -16,12 +16,17 @@ fn fb() -> SchemeSpec {
     experiments::schemes::flowbender(flowbender::Config::default())
 }
 
+/// One gray-failure cell at one shard, traced per `cfg`.
+fn cell(scheme: &SchemeSpec, cfg: TraceConfig) -> (GrayResult, experiments::RunOutput) {
+    run_scheme(scheme, LOSS, BYTES, SEED, 1, cfg).unwrap()
+}
+
 #[test]
 fn traced_run_leaves_normal_outputs_byte_identical() {
     let scheme = fb();
-    let (r_plain, plain) = run_scheme(&scheme, LOSS, BYTES, SEED);
+    let (r_plain, plain) = cell(&scheme, TraceConfig::off());
     let cfg = TraceConfig::flows((0..16).collect());
-    let (r_traced, traced) = run_scheme_traced(&scheme, LOSS, BYTES, SEED, cfg);
+    let (r_traced, traced) = cell(&scheme, cfg);
 
     // The pinned machine-readable summary — counters, FCT percentiles,
     // drop audit, event count — must not move by a byte.
@@ -57,17 +62,17 @@ fn traced_run_leaves_normal_outputs_byte_identical() {
 #[test]
 fn timeline_json_is_deterministic_across_runs_and_scheme_order() {
     let scheme = fb();
-    let (_, probe) = run_scheme(&scheme, LOSS, BYTES, SEED);
+    let (_, probe) = cell(&scheme, TraceConfig::off());
     let ids = slowest_flows(&probe, 2);
     assert_eq!(ids.len(), 2);
     let cfg = TraceConfig::flows(ids);
 
-    let (_, first) = run_scheme_traced(&scheme, LOSS, BYTES, SEED, cfg.clone());
+    let (_, first) = cell(&scheme, cfg.clone());
     // Interleave an unrelated ECMP run: every run is an independent
     // simulation, so what else ran (and in what order) must not leak
     // into the timelines.
-    let _ = run_scheme(&experiments::schemes::ecmp(), LOSS, BYTES, SEED);
-    let (_, second) = run_scheme_traced(&scheme, LOSS, BYTES, SEED, cfg);
+    let _ = cell(&experiments::schemes::ecmp(), TraceConfig::off());
+    let (_, second) = cell(&scheme, cfg);
 
     let ser = |out: &experiments::RunOutput| -> Vec<String> {
         out.timelines()

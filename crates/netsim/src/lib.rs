@@ -79,14 +79,15 @@ pub use packet::{
 };
 pub use queue::{EcnQueue, EnqueueResult, QueueStats};
 pub use record::{
-    Counter, DropAudit, DropReason, FlowRecord, Recorder, RunResults, Sink, SloConfig, SloResults,
+    Counter, DropAudit, DropReason, Emit, FlowRecord, Merge, Recorder, RunResults, Sink, SloConfig,
+    SloResults,
 };
 pub use rng::DetRng;
 pub use sim::{Conservation, Handoff, LinkSpec, PortStats, QueueSpec, Simulator, SwitchConfig};
 pub use slab::{PacketId, PacketSlab};
 pub use switch::{
-    CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, FlowcutState, FlowletState,
-    ForwardingScheme, PfcConfig, PortSetId, RoutingTable,
+    CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme, PfcConfig,
+    PinTable, PortSetId, RoutingTable,
 };
 pub use telemetry::{ProbeKind, Series, SeriesKey, Telemetry, TelemetryConfig};
 pub use time::SimTime;

@@ -13,11 +13,13 @@
 //! needs when it starts transmitting (wire size, PFC ingress attribution,
 //! protocol), so dequeue and tx-start never touch the slab. The marking
 //! decision is returned in [`EnqueueResult::Queued`]; the caller (which
-//! owns the slab) applies the CE bit. One entry is 12 bytes.
+//! owns the slab) applies the CE bit. One entry is 8 bytes: a saturated
+//! deep-buffered port holds ~1400 of them, and how many ports saturate is
+//! what differs between two seeds of one workload.
 
 use std::collections::VecDeque;
 
-use crate::packet::{Proto, INGRESS_NONE};
+use crate::packet::{PortId, Proto, INGRESS_NONE};
 use crate::slab::PacketId;
 
 /// Outcome of an enqueue attempt.
@@ -39,11 +41,59 @@ pub enum EnqueueResult {
 pub(crate) struct Entry {
     pub(crate) id: PacketId,
     /// Wire size in bytes.
-    pub(crate) size: u32,
-    /// Ingress port the buffering switch received the packet on (PFC
-    /// accounting); [`INGRESS_NONE`] when not attributed to an ingress.
-    pub(crate) ingress: u16,
-    pub(crate) proto: Proto,
+    size: u16,
+    /// Bits 0–14: the ingress port ([`NO_INGRESS`] when not attributed to
+    /// one); bit 15: the packet is UDP.
+    tag: u16,
+}
+
+const UDP_BIT: u16 = 1 << 15;
+/// [`INGRESS_NONE`] as the tag's 15 port bits hold it.
+const NO_INGRESS: u16 = INGRESS_NONE & !UDP_BIT;
+
+impl Entry {
+    /// `ingress` is the port the buffering switch received the packet on
+    /// (PFC accounting), or [`INGRESS_NONE`].
+    #[inline]
+    pub(crate) fn new(id: PacketId, size: u32, ingress: PortId, proto: Proto) -> Entry {
+        assert!(
+            size <= u16::MAX as u32,
+            "wire size {size} B overflows a queue entry"
+        );
+        debug_assert!(ingress == INGRESS_NONE || ingress < NO_INGRESS);
+        let udp = match proto {
+            Proto::Tcp => 0,
+            Proto::Udp => UDP_BIT,
+        };
+        Entry {
+            id,
+            size: size as u16,
+            tag: (ingress & NO_INGRESS) | udp,
+        }
+    }
+
+    /// Wire size in bytes.
+    #[inline]
+    pub(crate) fn size(self) -> u32 {
+        self.size as u32
+    }
+
+    #[inline]
+    pub(crate) fn ingress(self) -> PortId {
+        match self.tag & NO_INGRESS {
+            NO_INGRESS => INGRESS_NONE,
+            port => port,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn proto(self) -> Proto {
+        if self.tag & UDP_BIT == 0 {
+            Proto::Tcp
+        } else {
+            Proto::Udp
+        }
+    }
 }
 
 /// A byte-bounded FIFO of packet ids with single-threshold ECN marking.
@@ -99,20 +149,14 @@ impl EcnQueue {
     /// DCTCP's specification.
     #[inline]
     pub fn enqueue(&mut self, id: PacketId, size: u32, ecn_capable: bool) -> EnqueueResult {
-        let entry = Entry {
-            id,
-            size,
-            ingress: INGRESS_NONE,
-            proto: Proto::Tcp,
-        };
-        self.enqueue_entry(entry, ecn_capable)
+        self.enqueue_entry(Entry::new(id, size, INGRESS_NONE, Proto::Tcp), ecn_capable)
     }
 
     /// [`EcnQueue::enqueue`] for the simulator, which also records the
     /// packet's ingress port and protocol for tx-start.
     #[inline]
     pub(crate) fn enqueue_entry(&mut self, entry: Entry, ecn_capable: bool) -> EnqueueResult {
-        let size = entry.size;
+        let size = entry.size();
         if self.bytes + size as u64 > self.capacity {
             self.stats.dropped += 1;
             return EnqueueResult::Dropped;
@@ -140,7 +184,7 @@ impl EcnQueue {
     #[inline]
     pub(crate) fn dequeue_entry(&mut self) -> Option<Entry> {
         let e = self.fifo.pop_front()?;
-        self.bytes -= e.size as u64;
+        self.bytes -= e.size() as u64;
         Some(e)
     }
 
@@ -196,6 +240,28 @@ mod tests {
 
     const QUEUED: EnqueueResult = EnqueueResult::Queued { marked: false };
     const MARKED: EnqueueResult = EnqueueResult::Queued { marked: true };
+
+    #[test]
+    fn entry_packs_into_eight_bytes_and_reads_back() {
+        assert_eq!(std::mem::size_of::<Entry>(), 8);
+        for proto in [Proto::Tcp, Proto::Udp] {
+            for ingress in [0, 1, 47, NO_INGRESS - 1, INGRESS_NONE] {
+                for size in [0, 40, MTU, u16::MAX as u32] {
+                    let e = Entry::new(9, size, ingress, proto);
+                    assert_eq!(
+                        (e.id, e.size(), e.ingress(), e.proto()),
+                        (9, size, ingress, proto)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a queue entry")]
+    fn oversized_wire_size_is_refused() {
+        EcnQueue::drop_tail(1_000_000).enqueue(0, 1 << 16, true);
+    }
 
     #[test]
     fn fifo_order_and_byte_accounting() {

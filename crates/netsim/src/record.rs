@@ -50,186 +50,141 @@ impl FlowRecord {
     }
 }
 
-/// Global event counters. Extend freely; the array in [`Recorder`] sizes
-/// itself from [`Counter::COUNT`].
+/// How a counter combines when results merge (shards of one run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+pub enum Merge {
+    /// An event count: merges add.
+    Sum,
+    /// A high-water mark: merges take the maximum.
+    Max,
+}
+
+/// Whether a counter appears in a run's JSON summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Emit {
+    /// Always, zero or not (the counters every run can move).
+    Always,
+    /// Only while nonzero: counters that one opt-in layer alone can move
+    /// (switch feedback, the reordering suite, flowcuts), so summaries of
+    /// runs that never exercise it keep the byte layout pinned before the
+    /// layer existed.
+    NonZero,
+}
+
+/// The one table every per-counter fact comes from: variant, JSON name,
+/// [`Merge`] rule, [`Emit`] rule. Generates [`Counter`], its `COUNT`,
+/// `all()` (table order = JSON order = `repr` order) and the accessors.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $merge:ident, $emit:ident;)*) => {
+        /// Global event counters. Extend the `counters!` table freely; the
+        /// array in [`Recorder`] sizes itself from [`Counter::COUNT`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Number of counter variants.
+            pub const COUNT: usize = [$(Counter::$variant),*].len();
+
+            /// All variants, for iteration in reports.
+            pub fn all() -> [Counter; Counter::COUNT] {
+                [$(Counter::$variant),*]
+            }
+
+            /// Human-readable name for report rendering.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+
+            /// How this counter merges across shards.
+            pub fn merge(self) -> Merge {
+                match self {
+                    $(Counter::$variant => Merge::$merge,)*
+                }
+            }
+
+            /// Whether summaries omit this counter while it is zero.
+            pub fn emit(self) -> Emit {
+                match self {
+                    $(Counter::$variant => Emit::$emit,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Data packets delivered to receivers.
-    DataPktsRcvd,
+    DataPktsRcvd = "data_pkts_rcvd", Sum, Always;
     /// Data packets that arrived out of order (seq below the highest seq
     /// already seen for the flow).
-    OooPktsRcvd,
+    OooPktsRcvd = "ooo_pkts_rcvd", Sum, Always;
     /// ACK packets delivered to senders.
-    AcksRcvd,
+    AcksRcvd = "acks_rcvd", Sum, Always;
     /// ACKs carrying the ECN echo.
-    MarkedAcksRcvd,
+    MarkedAcksRcvd = "marked_acks_rcvd", Sum, Always;
     /// Segments retransmitted (fast retransmit or RTO).
-    Retransmits,
+    Retransmits = "retransmits", Sum, Always;
     /// Retransmission timeouts fired.
-    Timeouts,
+    Timeouts = "timeouts", Sum, Always;
     /// FlowBender reroutes triggered by congestion (F > T for N RTTs).
-    Reroutes,
+    Reroutes = "reroutes", Sum, Always;
     /// FlowBender reroutes triggered by an RTO.
-    TimeoutReroutes,
+    TimeoutReroutes = "timeout_reroutes", Sum, Always;
     /// Packets dropped at a full queue.
-    QueueDrops,
+    QueueDrops = "queue_drops", Sum, Always;
     /// Packets black-holed on a failed link.
-    LinkDrops,
+    LinkDrops = "link_drops", Sum, Always;
     /// PFC pause frames sent.
-    PfcPauses,
+    PfcPauses = "pfc_pauses", Sum, Always;
     /// PFC resume frames sent.
-    PfcResumes,
+    PfcResumes = "pfc_resumes", Sum, Always;
     /// Duplicate ACKs observed by senders.
-    DupAcks,
+    DupAcks = "dup_acks", Sum, Always;
     /// Fast retransmits entered.
-    FastRetransmits,
+    FastRetransmits = "fast_retransmits", Sum, Always;
     /// DSACKs received by senders (spurious retransmissions detected).
-    DsacksRcvd,
+    DsacksRcvd = "dsacks_rcvd", Sum, Always;
     /// Switch-generated congestion notifications emitted.
-    CnSent,
+    CnSent = "cn_sent", Sum, NonZero;
     /// Congestion notifications delivered back to their senders.
-    CnDelivered,
+    CnDelivered = "cn_delivered", Sum, NonZero;
     /// Congestion notifications suppressed by the per-(port, flow) rate
     /// limiter.
-    CnSuppressed,
+    CnSuppressed = "cn_suppressed", Sum, NonZero;
     /// INT per-hop telemetry records stamped into forwarded packets.
-    IntStamps,
+    IntStamps = "int_stamps", Sum, NonZero;
     /// Summed lead time (picoseconds) by which a CN beat the end-to-end
     /// ECN echo for the same congestion window. Divide by
     /// [`Counter::FeedbackLeadSamples`] for the mean.
-    FeedbackLeadPs,
+    FeedbackLeadPs = "feedback_lead_ps", Sum, NonZero;
     /// Number of CN-vs-ECN-echo lead samples in
     /// [`Counter::FeedbackLeadPs`].
-    FeedbackLeadSamples,
+    FeedbackLeadSamples = "feedback_lead_samples", Sum, NonZero;
     /// Retransmissions proven spurious by a DSACK: the "lost" segment's
     /// original copy arrived after all (the reordering tax of spraying).
-    SpuriousRetransmits,
+    SpuriousRetransmits = "spurious_retransmits", Sum, NonZero;
     /// Congestion-state undos driven by DSACKs: the sender restored the
     /// cwnd/ssthresh it cut on entering a recovery that turned out to be
     /// spurious.
-    DsackUndos,
+    DsackUndos = "dsack_undos", Sum, NonZero;
     /// Payload bytes delivered more than once to receivers (segments the
     /// reassembly buffer already held in full).
-    DupBytes,
+    DupBytes = "dup_bytes", Sum, NonZero;
     /// High-water mark, in bytes, of any single receiver's out-of-order
     /// reassembly buffer. Merges by maximum, not sum (see
     /// [`RunResults::merge`]).
-    OooBytesMax,
+    OooBytesMax = "ooo_bytes_max", Max, NonZero;
     /// Flowcut boundaries at which a switch actually re-routed a pinned
     /// flow to a different egress (switch-side flowcut switching).
-    FlowcutReroutes,
+    FlowcutReroutes = "flowcut_reroutes", Sum, NonZero;
     /// Packets forwarded on an already-pinned flowcut egress (the sticky
     /// fast path of switch-side flowcut switching).
-    FlowcutPinned,
-}
-
-impl Counter {
-    /// Number of counter variants.
-    pub const COUNT: usize = 27;
-
-    /// Human-readable name for report rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::DataPktsRcvd => "data_pkts_rcvd",
-            Counter::OooPktsRcvd => "ooo_pkts_rcvd",
-            Counter::AcksRcvd => "acks_rcvd",
-            Counter::MarkedAcksRcvd => "marked_acks_rcvd",
-            Counter::Retransmits => "retransmits",
-            Counter::Timeouts => "timeouts",
-            Counter::Reroutes => "reroutes",
-            Counter::TimeoutReroutes => "timeout_reroutes",
-            Counter::QueueDrops => "queue_drops",
-            Counter::LinkDrops => "link_drops",
-            Counter::PfcPauses => "pfc_pauses",
-            Counter::PfcResumes => "pfc_resumes",
-            Counter::DupAcks => "dup_acks",
-            Counter::FastRetransmits => "fast_retransmits",
-            Counter::DsacksRcvd => "dsacks_rcvd",
-            Counter::CnSent => "cn_sent",
-            Counter::CnDelivered => "cn_delivered",
-            Counter::CnSuppressed => "cn_suppressed",
-            Counter::IntStamps => "int_stamps",
-            Counter::FeedbackLeadPs => "feedback_lead_ps",
-            Counter::FeedbackLeadSamples => "feedback_lead_samples",
-            Counter::SpuriousRetransmits => "spurious_retransmits",
-            Counter::DsackUndos => "dsack_undos",
-            Counter::DupBytes => "dup_bytes",
-            Counter::OooBytesMax => "ooo_bytes_max",
-            Counter::FlowcutReroutes => "flowcut_reroutes",
-            Counter::FlowcutPinned => "flowcut_pinned",
-        }
-    }
-
-    /// Counters that only the switch-assisted feedback layer (INT / CN)
-    /// can move. Report layers omit these when zero so runs with feedback
-    /// disabled keep their historical JSON byte layout.
-    pub fn feedback_only(self) -> bool {
-        matches!(
-            self,
-            Counter::CnSent
-                | Counter::CnDelivered
-                | Counter::CnSuppressed
-                | Counter::IntStamps
-                | Counter::FeedbackLeadPs
-                | Counter::FeedbackLeadSamples
-        )
-    }
-
-    /// Counters added by the reordering metric suite (PR 10). Like
-    /// [`Counter::feedback_only`], report layers omit these when zero so
-    /// historical runs — which never move them — keep their exact JSON
-    /// byte layout.
-    pub fn reordering_metric(self) -> bool {
-        matches!(
-            self,
-            Counter::SpuriousRetransmits
-                | Counter::DsackUndos
-                | Counter::DupBytes
-                | Counter::OooBytesMax
-                | Counter::FlowcutReroutes
-                | Counter::FlowcutPinned
-        )
-    }
-
-    /// Counters that record a high-water mark rather than an event count:
-    /// shard merges take the maximum instead of the sum.
-    pub fn merges_by_max(self) -> bool {
-        matches!(self, Counter::OooBytesMax)
-    }
-
-    /// All variants, for iteration in reports.
-    pub fn all() -> [Counter; Counter::COUNT] {
-        [
-            Counter::DataPktsRcvd,
-            Counter::OooPktsRcvd,
-            Counter::AcksRcvd,
-            Counter::MarkedAcksRcvd,
-            Counter::Retransmits,
-            Counter::Timeouts,
-            Counter::Reroutes,
-            Counter::TimeoutReroutes,
-            Counter::QueueDrops,
-            Counter::LinkDrops,
-            Counter::PfcPauses,
-            Counter::PfcResumes,
-            Counter::DupAcks,
-            Counter::FastRetransmits,
-            Counter::DsacksRcvd,
-            Counter::CnSent,
-            Counter::CnDelivered,
-            Counter::CnSuppressed,
-            Counter::IntStamps,
-            Counter::FeedbackLeadPs,
-            Counter::FeedbackLeadSamples,
-            Counter::SpuriousRetransmits,
-            Counter::DsackUndos,
-            Counter::DupBytes,
-            Counter::OooBytesMax,
-            Counter::FlowcutReroutes,
-            Counter::FlowcutPinned,
-        ]
-    }
+    FlowcutPinned = "flowcut_pinned", Sum, NonZero;
 }
 
 /// Why a packet left the simulation without being delivered.
@@ -571,11 +526,6 @@ impl Recorder {
         &self.flows
     }
 
-    /// Consume the recorder, returning the flow records.
-    pub fn into_flows(self) -> Vec<FlowRecord> {
-        self.flows
-    }
-
     /// Number of flows that completed.
     pub fn completed_count(&self) -> usize {
         self.flows.iter().filter(|f| f.end != SimTime::MAX).count()
@@ -737,11 +687,6 @@ impl RunResults {
         &self.flows
     }
 
-    /// Consume the view, returning the flow records.
-    pub fn into_flows(self) -> Vec<FlowRecord> {
-        self.flows
-    }
-
     /// Fold another shard's results into this one. Every shard of a
     /// sharded run registers the *same* dense flow list (only the owner of
     /// a flow's endpoints completes it), so flow records merge by taking
@@ -769,10 +714,9 @@ impl RunResults {
             .iter()
             .zip(self.counters.iter_mut().zip(other.counters))
         {
-            if c.merges_by_max() {
-                *a = (*a).max(b);
-            } else {
-                *a += b;
+            match c.merge() {
+                Merge::Sum => *a += b,
+                Merge::Max => *a = (*a).max(b),
             }
         }
         self.drops.merge(&other.drops);
@@ -1035,57 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn feedback_only_covers_exactly_the_feedback_counters() {
-        let feedback: Vec<_> = Counter::all()
-            .iter()
-            .copied()
-            .filter(|c| c.feedback_only())
-            .collect();
-        assert_eq!(
-            feedback,
-            vec![
-                Counter::CnSent,
-                Counter::CnDelivered,
-                Counter::CnSuppressed,
-                Counter::IntStamps,
-                Counter::FeedbackLeadPs,
-                Counter::FeedbackLeadSamples,
-            ]
-        );
-        // The legacy counters (everything a feedback-free run can move)
-        // must never be filtered, or existing JSON layouts would change.
-        assert!(!Counter::Reroutes.feedback_only());
-        assert!(!Counter::MarkedAcksRcvd.feedback_only());
-    }
-
-    #[test]
-    fn reordering_metric_covers_exactly_the_new_counters() {
-        let new: Vec<_> = Counter::all()
-            .iter()
-            .copied()
-            .filter(|c| c.reordering_metric())
-            .collect();
-        assert_eq!(
-            new,
-            vec![
-                Counter::SpuriousRetransmits,
-                Counter::DsackUndos,
-                Counter::DupBytes,
-                Counter::OooBytesMax,
-                Counter::FlowcutReroutes,
-                Counter::FlowcutPinned,
-            ]
-        );
-        // The two omission predicates must never overlap or cover legacy
-        // counters — each guards its own JSON-layout invariant.
-        for c in Counter::all() {
-            assert!(!(c.feedback_only() && c.reordering_metric()));
-        }
-        assert!(!Counter::OooPktsRcvd.reordering_metric());
-        assert!(!Counter::DsacksRcvd.reordering_metric());
-    }
-
-    #[test]
     fn record_max_keeps_the_high_water_mark() {
         let mut r = Recorder::new();
         r.record_max(Counter::OooBytesMax, 1460);
@@ -1097,8 +990,8 @@ mod tests {
 
     #[test]
     fn merge_sums_counts_but_maxes_high_water_marks() {
-        assert!(Counter::OooBytesMax.merges_by_max());
-        assert!(!Counter::DupBytes.merges_by_max());
+        assert_eq!(Counter::OooBytesMax.merge(), Merge::Max);
+        assert_eq!(Counter::DupBytes.merge(), Merge::Sum);
         let mut a = Recorder::new();
         a.add(Counter::DupBytes, 100);
         a.record_max(Counter::OooBytesMax, 5000);

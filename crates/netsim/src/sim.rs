@@ -33,8 +33,8 @@ use crate::record::{Counter, DropReason, Recorder, RunResults, SloConfig};
 use crate::rng::DetRng;
 use crate::slab::{PacketId, PacketSlab};
 use crate::switch::{
-    select_port, CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, FlowcutState,
-    FlowletState, ForwardingScheme, PfcAction, PfcConfig, PfcState, RoutingTable,
+    select_port, CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme,
+    PfcAction, PfcConfig, PfcState, PinTable, RoutingTable,
 };
 use crate::telemetry::{ProbeKind, SeriesKey, TelemetryConfig};
 use crate::time::SimTime;
@@ -191,8 +191,7 @@ struct SwitchMeta {
     hasher: EcmpHasher,
     routes: RoutingTable,
     pfc: Option<PfcState>,
-    flowlets: FlowletState,
-    flowcuts: FlowcutState,
+    pins: PinTable,
     rng: DetRng,
     /// Switch-assisted feedback (INT stamping / CN emission); `None` (the
     /// default) keeps the forwarding hot path on a single branch.
@@ -328,7 +327,11 @@ struct QueueWatcher {
 #[derive(Debug, Clone)]
 pub enum Handoff {
     /// A packet finishing propagation towards non-owned `node`; the owner
-    /// re-inserts it into its slab and schedules the arrival.
+    /// re-inserts it into its slab and schedules the arrival. Also carries
+    /// switch-generated CNs to a non-owned sender host: they skip the
+    /// fabric (delivered a fixed `cn_delay` after emission, see
+    /// [`crate::switch::FeedbackConfig`]) and land on `port: 0`, exactly
+    /// what the emitting shard would have scheduled locally.
     Arrive {
         /// Arrival time (link propagation + receiver processing delay).
         at: SimTime,
@@ -364,41 +367,14 @@ pub enum Handoff {
         /// destination the coordinator routes on.
         fault: DirectedFault,
     },
-    /// A switch-generated congestion notification towards a non-owned
-    /// sender host. CNs skip the fabric (delivered a fixed `cn_delay`
-    /// after emission, see [`crate::switch::FeedbackConfig`]), so they
-    /// carry their own variant: the owner re-inserts the packet into its
-    /// slab and schedules a direct arrival at the host — exactly what the
-    /// emitting shard would have done locally, keeping every shard count
-    /// byte-identical.
-    Cn {
-        /// Delivery time (emission + `cn_delay`).
-        at: SimTime,
-        /// The sender host the CN targets.
-        node: NodeId,
-        /// The CN packet itself (blamed hop in its INT stack).
-        pkt: Packet,
-    },
 }
 
 impl Handoff {
     /// The destination node — what the coordinator routes on.
     pub fn node(&self) -> NodeId {
         match self {
-            Handoff::Arrive { node, .. } | Handoff::Pfc { node, .. } | Handoff::Cn { node, .. } => {
-                *node
-            }
+            Handoff::Arrive { node, .. } | Handoff::Pfc { node, .. } => *node,
             Handoff::Fault { fault, .. } => fault.node(),
-        }
-    }
-
-    /// Scheduled arrival time at the destination shard.
-    pub fn at(&self) -> SimTime {
-        match self {
-            Handoff::Arrive { at, .. }
-            | Handoff::Pfc { at, .. }
-            | Handoff::Fault { at, .. }
-            | Handoff::Cn { at, .. } => *at,
         }
     }
 }
@@ -576,8 +552,7 @@ impl Simulator {
                 hasher: EcmpHasher::new(cfg.hash, salt),
                 routes: RoutingTable::default(),
                 pfc: cfg.pfc.map(|p| PfcState::new(p, 0)),
-                flowlets: FlowletState::new(),
-                flowcuts: FlowcutState::new(),
+                pins: PinTable::new(),
                 rng: self.master_rng.split(0x5311_0000 | id as u64),
                 feedback: cfg.feedback,
                 cn_limiter: CnLimiter::new(),
@@ -933,11 +908,6 @@ impl Simulator {
         self.events_processed
     }
 
-    /// Packets currently in flight (parked in the slab).
-    pub fn packets_in_flight(&self) -> usize {
-        self.packets.len()
-    }
-
     /// Packets delivered to destination agents so far.
     pub fn packets_delivered(&self) -> u64 {
         self.delivered
@@ -1108,32 +1078,7 @@ impl Simulator {
             // (those two terms count packets only, and must stay equal
             // across shards at quiesce).
             Handoff::Fault { at, fault } => self.schedule_directed_fault(at, fault),
-            // A CN skips the fabric: deliver it straight to the target
-            // host (port 0 is cosmetic — hosts have one NIC and the
-            // arrival handler ignores the port for host nodes).
-            Handoff::Cn { at, node, pkt } => {
-                let id = self.packets.insert(pkt);
-                self.imported += 1;
-                self.sched.schedule(
-                    at,
-                    EventKind::Arrive {
-                        node,
-                        port: 0,
-                        pkt: id,
-                    },
-                );
-            }
         }
-    }
-
-    /// Packets exported to other shards so far.
-    pub fn exported(&self) -> u64 {
-        self.exported
-    }
-
-    /// Packets imported from other shards so far.
-    pub fn imported(&self) -> u64 {
-        self.imported
     }
 
     // ------------------------------------------------------------------
@@ -1305,7 +1250,7 @@ impl Simulator {
             let weights = meta.routes.weights(pkt.dst());
             let mut flowcut = None;
             let egress = match meta.scheme {
-                ForwardingScheme::Flowlet { gap } => meta.flowlets.select(
+                ForwardingScheme::Flowlet { gap } => meta.pins.flowlet(
                     self.now,
                     gap,
                     meta.hasher.hash(pkt),
@@ -1313,7 +1258,7 @@ impl Simulator {
                     &mut meta.rng,
                 ),
                 ForwardingScheme::Flowcut { cfg } => {
-                    let (port, decision) = meta.flowcuts.select(
+                    let (port, decision) = meta.pins.flowcut(
                         self.now,
                         cfg,
                         meta.hasher.hash(pkt),
@@ -1336,12 +1281,7 @@ impl Simulator {
                     |p| ports[p as usize].up,
                 ),
             };
-            let entry = Entry {
-                id,
-                size: pkt.size,
-                ingress: in_port,
-                proto: pkt.key.proto,
-            };
+            let entry = Entry::new(id, pkt.size, in_port, pkt.key.proto);
             let enq = node.ports[egress as usize]
                 .queue
                 .enqueue_entry(entry, pkt.ecn_capable());
@@ -1508,6 +1448,8 @@ impl Simulator {
             let sender = cn.dst();
             let at = self.now + cn_delay;
             let cn_id = self.packets.insert(cn);
+            // Port 0 is cosmetic either way: hosts have one NIC and the
+            // arrival handler ignores the port for host nodes.
             if self.is_owned(sender) {
                 self.sched.schedule(
                     at,
@@ -1520,9 +1462,10 @@ impl Simulator {
             } else {
                 let pkt = self.packets.remove(cn_id);
                 self.exported += 1;
-                self.outbox.push(Handoff::Cn {
+                self.outbox.push(Handoff::Arrive {
                     at,
                     node: sender,
+                    port: 0,
                     pkt,
                 });
             }
@@ -1576,12 +1519,7 @@ impl Simulator {
         );
         let (entry, ect, flow) = {
             let pkt = self.packets.get(id);
-            let entry = Entry {
-                id,
-                size: pkt.size,
-                ingress: INGRESS_NONE,
-                proto: pkt.key.proto,
-            };
+            let entry = Entry::new(id, pkt.size, INGRESS_NONE, pkt.key.proto);
             (entry, pkt.ecn_capable(), pkt.flow)
         };
         let enq = self.nodes[host as usize].ports[0]
@@ -1654,9 +1592,9 @@ impl Simulator {
                 (entry, p.up)
             };
             let id = entry.id;
-            let size = entry.size as u64;
+            let size = entry.size() as u64;
             // PFC release: the packet left this switch's buffer.
-            self.pfc_release(node, entry.ingress, size);
+            self.pfc_release(node, entry.ingress(), size);
             if !link_up {
                 let flow = self.packets.remove(id).flow;
                 if self.recorder.trace_wants(flow) {
@@ -1685,7 +1623,7 @@ impl Simulator {
             let (at, epoch) = {
                 let p = &mut self.nodes[node as usize].ports[port as usize];
                 p.busy = true;
-                p.tx_bytes[proto_index(entry.proto)] += size;
+                p.tx_bytes[proto_index(entry.proto())] += size;
                 p.tx_pkts += 1;
                 let ser = SimTime::serialization(size, p.rate_bps);
                 p.tx_end = now + ser;

@@ -18,14 +18,40 @@ use crate::packet::Packet;
 /// returning garbage.
 pub type PacketId = u32;
 
+/// A slot holds a packet or, once freed, the free list's next link — the
+/// list costs no memory of its own.
+#[derive(Debug)]
+enum Slot {
+    Live(Packet),
+    /// Freed; names the slot freed before it ([`NO_SLOT`] ends the list).
+    Free(PacketId),
+}
+
+/// End of the free list.
+const NO_SLOT: PacketId = PacketId::MAX;
+
 /// Slab of in-flight packets with LIFO slot reuse.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PacketSlab {
-    slots: Vec<Option<Packet>>,
-    free: Vec<PacketId>,
+    slots: Vec<Slot>,
+    /// Most recently freed slot: head of the LIFO list threaded through
+    /// the `Free` slots.
+    free_head: PacketId,
     live: usize,
     peak: usize,
     inserted: u64,
+}
+
+impl Default for PacketSlab {
+    fn default() -> Self {
+        PacketSlab {
+            slots: Vec::new(),
+            free_head: NO_SLOT,
+            live: 0,
+            peak: 0,
+            inserted: 0,
+        }
+    }
 }
 
 impl PacketSlab {
@@ -43,18 +69,17 @@ impl PacketSlab {
         if self.live > self.peak {
             self.peak = self.live;
         }
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(pkt);
-                id
-            }
-            None => {
-                let id = self.slots.len() as PacketId;
-                self.slots.push(Some(pkt));
-                id
-            }
+        let id = self.free_head;
+        if id == NO_SLOT {
+            let id = self.slots.len() as PacketId;
+            self.slots.push(Slot::Live(pkt));
+            return id;
         }
+        match std::mem::replace(&mut self.slots[id as usize], Slot::Live(pkt)) {
+            Slot::Free(next) => self.free_head = next,
+            Slot::Live(_) => unreachable!("free list names a live slot"),
+        }
+        id
     }
 
     /// Move the packet out of the slab, freeing its slot.
@@ -62,28 +87,34 @@ impl PacketSlab {
     /// Panics if `id` is stale (already removed) or was never issued.
     #[inline]
     pub fn remove(&mut self, id: PacketId) -> Packet {
-        let pkt = self.slots[id as usize]
-            .take()
-            .expect("stale packet id: slot already freed");
+        let slot = &mut self.slots[id as usize];
+        let Slot::Live(_) = slot else {
+            panic!("stale packet id: slot already freed");
+        };
+        let Slot::Live(pkt) = std::mem::replace(slot, Slot::Free(self.free_head)) else {
+            unreachable!("checked live above");
+        };
+        self.free_head = id;
         self.live -= 1;
-        self.free.push(id);
         pkt
     }
 
     /// Borrow the packet behind `id`. Panics on stale ids.
     #[inline]
     pub fn get(&self, id: PacketId) -> &Packet {
-        self.slots[id as usize]
-            .as_ref()
-            .expect("stale packet id: slot already freed")
+        match &self.slots[id as usize] {
+            Slot::Live(pkt) => pkt,
+            Slot::Free(_) => panic!("stale packet id: slot already freed"),
+        }
     }
 
     /// Mutably borrow the packet behind `id`. Panics on stale ids.
     #[inline]
     pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
-        self.slots[id as usize]
-            .as_mut()
-            .expect("stale packet id: slot already freed")
+        match &mut self.slots[id as usize] {
+            Slot::Live(pkt) => pkt,
+            Slot::Free(_) => panic!("stale packet id: slot already freed"),
+        }
     }
 
     /// Number of live (in-flight) packets.
@@ -156,6 +187,12 @@ mod tests {
         assert_eq!(slab.insert(pkt(3)), b);
         assert_eq!(slab.insert(pkt(4)), a);
         assert_eq!(slab.len(), 2);
+    }
+
+    #[test]
+    fn free_link_fits_in_the_packet_it_replaces() {
+        // The footprint stays `peak * size_of::<Packet>()`.
+        assert_eq!(std::mem::size_of::<Slot>(), std::mem::size_of::<Packet>());
     }
 
     #[test]

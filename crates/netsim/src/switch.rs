@@ -99,45 +99,109 @@ impl FlowcutConfig {
     }
 }
 
-/// What [`FlowcutState::select`] decided for one packet (the simulator
-/// turns these into counters and trace events).
+/// What [`PinTable::select`] decided for one packet (for flowcut switching
+/// the simulator turns these into counters and trace events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowcutDecision {
-    /// First packet of a flow at this switch: a new flowcut started.
+    /// First packet of a flow at this switch (or its pinned port became
+    /// unusable): a new pin started.
     Start,
-    /// Mid-flowcut: the packet followed the pinned egress.
+    /// Within the gap: the packet followed the pinned egress.
     Pinned,
     /// Boundary reached, but the pinned egress was kept (load below the
-    /// trigger, or it was still the best choice).
+    /// trigger, or it was still the boundary policy's choice).
     Held,
-    /// Boundary reached and the flowcut moved to a different egress.
+    /// Boundary reached and the flow moved to a different egress.
     Rerouted,
 }
 
-/// Per-switch flowcut table: flow hash → (last packet seen, pinned port).
+/// Per-switch gap-pinned table: flow hash → (last packet seen, pinned
+/// port) — the one mechanism behind both [`ForwardingScheme::Flowlet`] and
+/// [`ForwardingScheme::Flowcut`], which differ only in which ports count
+/// as usable and in what happens at a boundary (flowlet is flowcut with no
+/// load trigger and a random pick).
 ///
-/// Like [`FlowletState`], entries are never evicted and the table is
-/// driven purely by the switch's local arrival order — which sharding
-/// does not change — so flowcut runs are byte-identical across shard
-/// counts by construction.
+/// Entries are never evicted — at simulation scale the table stays small,
+/// and evicting one would turn a held boundary into a fresh start. The
+/// table is driven purely by the switch's local arrival order — which
+/// sharding does not change — so runs are byte-identical across shard
+/// counts by construction. Backed by a [`DetHashMap`]: the lookup runs
+/// once per packet, where SipHash would dominate the whole selection.
 #[derive(Debug, Default)]
-pub struct FlowcutState {
+pub struct PinTable {
     table: DetHashMap<u64, (SimTime, PortId)>,
 }
 
-impl FlowcutState {
+impl PinTable {
     /// Create an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Pick the egress port for a packet of flow `flow_hash` arriving at
-    /// `now`. Within a flowcut the pinned port is authoritative; at a
-    /// boundary (idle gap exceeded, pinned port unusable, or first
-    /// packet) the least-queued live eligible port is chosen, with the
-    /// load trigger able to veto a move off an uncongested pinned egress.
-    #[allow(clippy::too_many_arguments)]
+    /// `now`. While the pinned port is `usable` and packets keep arriving
+    /// within `gap` of each other the pin is authoritative (packets of the
+    /// flow may still be in flight on it; moving now could overtake them).
+    /// Otherwise `boundary` chooses: it gets `Some(pinned)` at an idle-gap
+    /// boundary (and may keep it), `None` for a flow's first packet or
+    /// when the pinned port became unusable (routing change / local link
+    /// death).
     pub fn select(
+        &mut self,
+        now: SimTime,
+        gap: SimTime,
+        flow_hash: u64,
+        usable: impl Fn(PortId) -> bool,
+        boundary: impl FnOnce(Option<PortId>) -> PortId,
+    ) -> (PortId, FlowcutDecision) {
+        match self.table.get_mut(&flow_hash) {
+            Some((last, port)) if usable(*port) => {
+                let idle = now.saturating_sub(*last);
+                *last = now;
+                if idle <= gap {
+                    return (*port, FlowcutDecision::Pinned);
+                }
+                let next = boundary(Some(*port));
+                let decision = if next == *port {
+                    FlowcutDecision::Held
+                } else {
+                    FlowcutDecision::Rerouted
+                };
+                *port = next;
+                (next, decision)
+            }
+            _ => {
+                let port = boundary(None);
+                self.table.insert(flow_hash, (now, port));
+                (port, FlowcutDecision::Start)
+            }
+        }
+    }
+
+    /// Flowlet switching (LetFlow): any eligible port is usable, and every
+    /// boundary re-draws uniformly at random.
+    pub fn flowlet(
+        &mut self,
+        now: SimTime,
+        gap: SimTime,
+        flow_hash: u64,
+        eligible: &[PortId],
+        rng: &mut DetRng,
+    ) -> PortId {
+        debug_assert!(!eligible.is_empty());
+        let usable = |p| eligible.contains(&p);
+        self.select(now, gap, flow_hash, usable, |_| {
+            eligible[rng.gen_index(eligible.len())]
+        })
+        .0
+    }
+
+    /// Flowcut switching: a pinned port must also be locally up; at an
+    /// idle-gap boundary the load trigger holds an uncongested pinned
+    /// egress, and every other boundary takes the least-queued live
+    /// eligible port.
+    #[allow(clippy::too_many_arguments)]
+    pub fn flowcut(
         &mut self,
         now: SimTime,
         cfg: FlowcutConfig,
@@ -148,95 +212,11 @@ impl FlowcutState {
         link_up: impl Fn(PortId) -> bool,
     ) -> (PortId, FlowcutDecision) {
         debug_assert!(!eligible.is_empty());
-        match self.table.get_mut(&flow_hash) {
-            Some((last, port)) if eligible.contains(port) && link_up(*port) => {
-                let idle = now.saturating_sub(*last);
-                *last = now;
-                if idle <= cfg.gap {
-                    // Mid-flowcut: packets of this flowcut may still be in
-                    // flight on the pinned path; moving now could overtake
-                    // them. Stay pinned unconditionally.
-                    (*port, FlowcutDecision::Pinned)
-                } else if cfg.load_threshold.is_some_and(|t| queue_bytes(*port) <= t) {
-                    // Boundary, but the pinned egress is uncongested: the
-                    // load trigger holds the path.
-                    (*port, FlowcutDecision::Held)
-                } else {
-                    let next = adaptive_pick(eligible, rng, &queue_bytes, &link_up);
-                    let moved = next != *port;
-                    *port = next;
-                    (
-                        next,
-                        if moved {
-                            FlowcutDecision::Rerouted
-                        } else {
-                            FlowcutDecision::Held
-                        },
-                    )
-                }
-            }
-            _ => {
-                // First packet of the flow here, or the pinned port became
-                // unusable (routing change / local link death): start a
-                // fresh flowcut on the best live port.
-                let port = adaptive_pick(eligible, rng, &queue_bytes, &link_up);
-                self.table.insert(flow_hash, (now, port));
-                (port, FlowcutDecision::Start)
-            }
-        }
-    }
-
-    /// Number of tracked flows (diagnostics).
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True if no flow is tracked yet.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-}
-
-/// Per-switch flowlet table: flow hash → (last packet seen, chosen port).
-///
-/// Entries are never evicted — at simulation scale the table stays small,
-/// and keeping them preserves the "same port while active" invariant.
-/// Backed by a [`DetHashMap`]: the lookup runs once per packet on the
-/// flowlet fast path, where SipHash would dominate the whole selection.
-#[derive(Debug, Default)]
-pub struct FlowletState {
-    table: DetHashMap<u64, (SimTime, PortId)>,
-}
-
-impl FlowletState {
-    /// Create an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pick the egress port for a packet of flow `flow_hash` arriving at
-    /// `now`: sticky while the inter-packet gap stays within `gap`,
-    /// re-drawn uniformly at random otherwise.
-    pub fn select(
-        &mut self,
-        now: SimTime,
-        gap: SimTime,
-        flow_hash: u64,
-        eligible: &[PortId],
-        rng: &mut DetRng,
-    ) -> PortId {
-        debug_assert!(!eligible.is_empty());
-        match self.table.get_mut(&flow_hash) {
-            Some((last, port)) if now.saturating_sub(*last) <= gap && eligible.contains(port) => {
-                *last = now;
-                *port
-            }
-            _ => {
-                let port = eligible[rng.gen_index(eligible.len())];
-                self.table.insert(flow_hash, (now, port));
-                port
-            }
-        }
+        let usable = |p| eligible.contains(&p) && link_up(p);
+        self.select(now, cfg.gap, flow_hash, usable, |pinned| match pinned {
+            Some(p) if cfg.load_threshold.is_some_and(|t| queue_bytes(p) <= t) => p,
+            _ => adaptive_pick(eligible, rng, &queue_bytes, &link_up),
+        })
     }
 
     /// Number of tracked flows (diagnostics).
@@ -619,7 +599,7 @@ pub fn select_port(
 /// Least-occupied among live local links, with an unbiased
 /// (reservoir-sampled) random tie-break. Shared by the DeTail-style
 /// [`ForwardingScheme::Adaptive`] per-packet path and the boundary
-/// re-route of [`FlowcutState`]. If every local link is down, falls back
+/// re-route of [`PinTable::flowcut`]. If every local link is down, falls back
 /// to the first eligible port (the packet will be black-holed, as it
 /// would in reality).
 fn adaptive_pick(
@@ -837,16 +817,19 @@ mod tests {
 
     #[test]
     fn flowlet_sticks_within_gap_and_moves_after() {
-        let mut fl = FlowletState::new();
+        let mut fl = PinTable::new();
         let mut rng = DetRng::new(4, 4);
         let gap = SimTime::from_us(100);
         let elig = vec![0u16, 1, 2, 3];
-        let p0 = fl.select(SimTime::from_us(0), gap, 42, &elig, &mut rng);
+        let p0 = fl.flowlet(SimTime::from_us(0), gap, 42, &elig, &mut rng);
         // Packets within the gap stick to the same port.
         for t in [10u64, 60, 150, 240] {
             // each arrival refreshes last-seen, so gaps are measured
             // packet-to-packet
-            assert_eq!(fl.select(SimTime::from_us(t), gap, 42, &elig, &mut rng), p0);
+            assert_eq!(
+                fl.flowlet(SimTime::from_us(t), gap, 42, &elig, &mut rng),
+                p0
+            );
         }
         assert_eq!(fl.len(), 1);
         // After an idle period > gap, the flowlet may move: over many
@@ -854,7 +837,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut t = SimTime::from_ms(1);
         for _ in 0..64 {
-            seen.insert(fl.select(t, gap, 42, &elig, &mut rng));
+            seen.insert(fl.flowlet(t, gap, 42, &elig, &mut rng));
             t += SimTime::from_us(500); // always > gap
         }
         assert!(
@@ -865,13 +848,13 @@ mod tests {
 
     #[test]
     fn flowlet_flows_are_independent() {
-        let mut fl = FlowletState::new();
+        let mut fl = PinTable::new();
         let mut rng = DetRng::new(9, 9);
         let gap = SimTime::from_us(100);
         let elig: Vec<u16> = (0..8).collect();
         let now = SimTime::from_us(5);
         let ports: Vec<u16> = (0..32)
-            .map(|f| fl.select(now, gap, f, &elig, &mut rng))
+            .map(|f| fl.flowlet(now, gap, f, &elig, &mut rng))
             .collect();
         assert_eq!(fl.len(), 32);
         let distinct: std::collections::HashSet<_> = ports.iter().collect();
@@ -883,28 +866,28 @@ mod tests {
 
     #[test]
     fn flowlet_redraws_when_port_no_longer_eligible() {
-        let mut fl = FlowletState::new();
+        let mut fl = PinTable::new();
         let mut rng = DetRng::new(2, 2);
         let gap = SimTime::from_us(100);
-        let p = fl.select(SimTime::ZERO, gap, 7, &[5, 6], &mut rng);
+        let p = fl.flowlet(SimTime::ZERO, gap, 7, &[5, 6], &mut rng);
         // Routing changed: the cached port is not eligible any more.
         let only = if p == 5 { vec![6u16] } else { vec![5u16] };
-        let np = fl.select(SimTime::from_us(1), gap, 7, &only, &mut rng);
+        let np = fl.flowlet(SimTime::from_us(1), gap, 7, &only, &mut rng);
         assert_eq!(np, only[0]);
     }
 
     #[test]
     fn flowcut_pins_within_gap_even_under_congestion() {
-        let mut fc = FlowcutState::new();
+        let mut fc = PinTable::new();
         let mut rng = DetRng::new(3, 3);
         let cfg = FlowcutConfig::new(SimTime::from_us(100));
         let elig = vec![0u16, 1, 2, 3];
         // The pinned port becomes the most congested one — mid-flowcut the
         // flow must stay anyway (moving could overtake in-flight packets).
-        let (p0, d0) = fc.select(SimTime::ZERO, cfg, 7, &elig, &mut rng, |_| 0, |_| true);
+        let (p0, d0) = fc.flowcut(SimTime::ZERO, cfg, 7, &elig, &mut rng, |_| 0, |_| true);
         assert_eq!(d0, FlowcutDecision::Start);
         for t in [10u64, 60, 150, 240] {
-            let (p, d) = fc.select(
+            let (p, d) = fc.flowcut(
                 SimTime::from_us(t),
                 cfg,
                 7,
@@ -920,14 +903,14 @@ mod tests {
 
     #[test]
     fn flowcut_boundary_reroutes_to_least_queued_only_when_loaded() {
-        let mut fc = FlowcutState::new();
+        let mut fc = PinTable::new();
         let mut rng = DetRng::new(5, 5);
         let cfg = FlowcutConfig::new(SimTime::from_us(100));
         let elig = vec![0u16, 1, 2];
-        let (p0, _) = fc.select(SimTime::ZERO, cfg, 9, &elig, &mut rng, |_| 0, |_| true);
+        let (p0, _) = fc.flowcut(SimTime::ZERO, cfg, 9, &elig, &mut rng, |_| 0, |_| true);
         // Boundary (idle 1 ms > gap) but the pinned egress is empty: the
         // load trigger holds the path.
-        let (p1, d1) = fc.select(
+        let (p1, d1) = fc.flowcut(
             SimTime::from_ms(1),
             cfg,
             9,
@@ -940,7 +923,7 @@ mod tests {
         // Next boundary with the pinned egress congested: move to the
         // least-queued alternative.
         let free = if p0 == 0 { 1 } else { 0 };
-        let (p2, d2) = fc.select(
+        let (p2, d2) = fc.flowcut(
             SimTime::from_ms(2),
             cfg,
             9,
@@ -954,15 +937,15 @@ mod tests {
 
     #[test]
     fn flowcut_always_reevaluates_without_load_trigger() {
-        let mut fc = FlowcutState::new();
+        let mut fc = PinTable::new();
         let mut rng = DetRng::new(6, 6);
         let cfg = FlowcutConfig::new(SimTime::from_us(100)).with_load_threshold(None);
         let elig = vec![0u16, 1];
-        let (p0, _) = fc.select(SimTime::ZERO, cfg, 1, &elig, &mut rng, |_| 0, |_| true);
+        let (p0, _) = fc.flowcut(SimTime::ZERO, cfg, 1, &elig, &mut rng, |_| 0, |_| true);
         // Boundary with equal queues: re-evaluation may keep the port, in
         // which case the decision is Held, not Rerouted.
         let other = 1 - p0;
-        let (p1, d1) = fc.select(
+        let (p1, d1) = fc.flowcut(
             SimTime::from_ms(1),
             cfg,
             1,
@@ -976,14 +959,14 @@ mod tests {
 
     #[test]
     fn flowcut_restarts_when_pinned_port_dies() {
-        let mut fc = FlowcutState::new();
+        let mut fc = PinTable::new();
         let mut rng = DetRng::new(8, 8);
         let cfg = FlowcutConfig::new(SimTime::from_us(100));
-        let (p0, _) = fc.select(SimTime::ZERO, cfg, 4, &[5, 6], &mut rng, |_| 0, |_| true);
+        let (p0, _) = fc.flowcut(SimTime::ZERO, cfg, 4, &[5, 6], &mut rng, |_| 0, |_| true);
         // Mid-flowcut, but the pinned link died locally: a fresh flowcut
         // starts on the surviving port.
         let other = if p0 == 5 { 6 } else { 5 };
-        let (p1, d1) = fc.select(
+        let (p1, d1) = fc.flowcut(
             SimTime::from_us(1),
             cfg,
             4,
