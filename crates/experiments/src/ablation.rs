@@ -10,13 +10,14 @@
 //!   options only, FlowBender was extremely effective"),
 //! * timeout rerouting disabled (isolates the congestion-driven half).
 
-use netsim::{Counter, SimTime};
-use stats::{fmt_secs, samples, Table};
+use netsim::SimTime;
+use stats::{fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{all_to_all, FlowSizeDist};
+use workloads::patterns::websearch;
 
+use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{parallel_map, run_fat_tree};
 use crate::schemes;
 
 /// A named FlowBender variant.
@@ -65,56 +66,29 @@ pub fn variants() -> Vec<Variant> {
     ]
 }
 
-/// One variant's outcome.
-#[derive(Debug)]
-pub struct Cell {
-    /// Variant name.
-    pub name: &'static str,
-    /// Mean FCT (s).
-    pub mean_s: f64,
-    /// p99 FCT (s).
-    pub p99_s: f64,
-    /// Total reroutes.
-    pub reroutes: u64,
-    /// Out-of-order fraction.
-    pub ooo_frac: f64,
-}
-
-/// Run all variants on the same workload.
+/// Run all variants on the same workload, in [`variants`] order.
 pub fn sweep(opts: &Opts) -> Vec<Cell> {
     opts.validate();
     let params = FatTreeParams::paper();
-    let duration = opts.scaled(SimTime::from_ms(60));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-    let dist = FlowSizeDist::web_search();
-
     parallel_map(variants(), |v| {
-        let mut rng = netsim::DetRng::new(opts.seed, 0xAB1A);
-        let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-        let out = run_fat_tree(
-            params,
-            &schemes::flowbender(v.cfg),
-            &specs,
-            window.drain_until,
-            opts.seed,
+        let (specs, window) = windowed_cell(
+            opts,
+            &params,
+            &websearch(),
+            0.4,
+            SimTime::from_ms(60),
+            0xAB1A,
         );
-        let s = samples(&out.flows, window.start, window.end);
-        let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-        let data = out.get(Counter::DataPktsRcvd).max(1);
-        Cell {
-            name: v.name,
-            mean_s: stats::mean(&fcts).unwrap_or(0.0),
-            p99_s: stats::percentile(&fcts, 0.99).unwrap_or(0.0),
-            reroutes: out.get(Counter::Reroutes) + out.get(Counter::TimeoutReroutes),
-            ooo_frac: out.get(Counter::OooPktsRcvd) as f64 / data as f64,
-        }
+        let scheme = schemes::flowbender(v.cfg);
+        let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
+        Cell::of(out, window)
     })
 }
 
 /// Produce the ablation report.
 pub fn run(opts: &Opts) -> Report {
     let cells = sweep(opts);
-    let base = &cells[0];
+    let base = &cells[0].fct;
     let mut table = Table::new(vec![
         "variant",
         "mean (norm.)",
@@ -123,14 +97,14 @@ pub fn run(opts: &Opts) -> Report {
         "ooo %",
         "mean abs",
     ]);
-    for c in &cells {
+    for (v, c) in variants().iter().zip(&cells) {
         table.row(vec![
-            c.name.to_string(),
-            format!("{:.3}", c.mean_s / base.mean_s),
-            format!("{:.3}", c.p99_s / base.p99_s),
-            c.reroutes.to_string(),
-            format!("{:.4}%", c.ooo_frac * 100.0),
-            fmt_secs(c.mean_s),
+            v.name.to_string(),
+            format!("{:.3}", c.fct.mean() / base.mean()),
+            format!("{:.3}", c.fct.quantile(0.99) / base.quantile(0.99)),
+            c.out.reroutes().to_string(),
+            format!("{:.4}%", c.out.ooo_frac() * 100.0),
+            fmt_secs(c.fct.mean()),
         ]);
     }
     let mut r = Report::new("ablation");

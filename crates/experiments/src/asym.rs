@@ -16,8 +16,9 @@ use topology::{build_fat_tree, degrade_agg_core_link, FatTreeParams};
 use transport::install_agents;
 use workloads::microbench;
 
+use crate::cell::Digest;
 use crate::report::{Opts, Report};
-use crate::scenario::parallel_map;
+use crate::scenario::{parallel_map, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// One configuration's outcome.
@@ -59,12 +60,13 @@ fn configs() -> Vec<(&'static str, SchemeSpec, bool)> {
 /// Run one configuration: 16 cross-pod flows with pod-0/agg-0's first core
 /// uplink degraded to `slow_rate`.
 pub fn run_config(
+    label: &'static str,
     scheme: &SchemeSpec,
     wcmp: bool,
     bytes: u64,
     slow_rate: u64,
     seed: u64,
-) -> (f64, f64, f64, usize, u64) {
+) -> Cell {
     let params = FatTreeParams::paper();
     let mut sim = Simulator::new(seed);
     let ft = build_fat_tree(&mut sim, params, scheme.switch_config());
@@ -73,34 +75,23 @@ pub fn run_config(
     install_agents(&mut sim, &specs, &scheme.tcp_config());
     let t0 = sim.now();
     sim.run_until(SimTime::from_secs(120));
-    let elapsed = (sim.now() - t0).as_secs_f64().min(
-        sim.recorder()
-            .flows()
-            .iter()
-            .filter_map(|f| f.fct())
-            .map(|t| t.as_secs_f64())
-            .fold(0.0, f64::max),
-    );
+    let rec = sim.recorder();
+    let fct = Digest::of_flows(rec.flows(), Window::WHOLE_RUN);
+    let elapsed = (sim.now() - t0).as_secs_f64().min(fct.max());
     let (node, port) = ft.agg_core_link(0, 0);
     let slow = sim.port_stats(node, port);
-    let rec = sim.recorder();
-    let fcts: Vec<f64> = rec
-        .flows()
-        .iter()
-        .filter_map(|f| f.fct())
-        .map(|t| t.as_secs_f64())
-        .collect();
-    (
-        stats::mean(&fcts).unwrap_or(0.0),
-        fcts.iter().cloned().fold(0.0, f64::max),
-        if elapsed > 0.0 {
+    Cell {
+        label,
+        mean_s: fct.mean(),
+        max_s: fct.max(),
+        slow_link_bps: if elapsed > 0.0 {
             slow.tx_bytes_tcp as f64 * 8.0 / elapsed
         } else {
             0.0
         },
-        fcts.len(),
-        rec.get(Counter::Reroutes) + rec.get(Counter::TimeoutReroutes),
-    )
+        completed: fct.n(),
+        reroutes: rec.get(Counter::Reroutes) + rec.get(Counter::TimeoutReroutes),
+    }
 }
 
 /// Run the sweep.
@@ -109,16 +100,7 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
     let bytes = (10_000_000.0 * opts.scale) as u64;
     let slow_rate = 5_000_000_000;
     parallel_map(configs(), |(label, scheme, wcmp)| {
-        let (mean_s, max_s, slow_link_bps, completed, reroutes) =
-            run_config(&scheme, wcmp, bytes, slow_rate, opts.seed);
-        Cell {
-            label,
-            mean_s,
-            max_s,
-            slow_link_bps,
-            completed,
-            reroutes,
-        }
+        run_config(label, &scheme, wcmp, bytes, slow_rate, opts.seed)
     })
 }
 
@@ -160,34 +142,35 @@ mod tests {
     fn flowbender_compensates_for_missing_weights() {
         let bytes = 3_000_000;
         let slow = 5_000_000_000;
-        let ecmp = run_config(&schemes::ecmp(), false, bytes, slow, 9);
+        let ecmp = run_config("ecmp", &schemes::ecmp(), false, bytes, slow, 9);
         let fb = run_config(
+            "fb",
             &schemes::flowbender(flowbender::Config::default()),
             false,
             bytes,
             slow,
             9,
         );
-        let wcmp = run_config(&schemes::ecmp(), true, bytes, slow, 9);
+        let wcmp = run_config("wcmp", &schemes::ecmp(), true, bytes, slow, 9);
         // Everyone completes.
-        assert_eq!(ecmp.3, 16);
-        assert_eq!(fb.3, 16);
-        assert_eq!(wcmp.3, 16);
+        assert_eq!(ecmp.completed, 16);
+        assert_eq!(fb.completed, 16);
+        assert_eq!(wcmp.completed, 16);
         // The slow link is the straggler-maker for oblivious ECMP: the
         // worst flow takes notably longer than under FlowBender.
         assert!(
-            fb.1 < ecmp.1 * 0.95,
+            fb.max_s < ecmp.max_s * 0.95,
             "FlowBender max {} should beat oblivious ECMP max {}",
-            fb.1,
-            ecmp.1
+            fb.max_s,
+            ecmp.max_s
         );
         // FlowBender without weights lands in the same league as correctly
         // weighted WCMP (within 25% on the worst flow).
         assert!(
-            fb.1 < wcmp.1 * 1.25,
+            fb.max_s < wcmp.max_s * 1.25,
             "FlowBender max {} vs WCMP max {}",
-            fb.1,
-            wcmp.1
+            fb.max_s,
+            wcmp.max_s
         );
     }
 
@@ -195,14 +178,14 @@ mod tests {
     fn wcmp_weights_shift_traffic_off_the_slow_link() {
         let bytes = 3_000_000;
         let slow = 5_000_000_000;
-        let ecmp = run_config(&schemes::ecmp(), false, bytes, slow, 11);
-        let wcmp = run_config(&schemes::ecmp(), true, bytes, slow, 11);
+        let ecmp = run_config("ecmp", &schemes::ecmp(), false, bytes, slow, 11);
+        let wcmp = run_config("wcmp", &schemes::ecmp(), true, bytes, slow, 11);
         // With weights, the slow link carries (weakly) less traffic.
         assert!(
-            wcmp.2 <= ecmp.2 * 1.05,
+            wcmp.slow_link_bps <= ecmp.slow_link_bps * 1.05,
             "WCMP slow-link {} vs ECMP {}",
-            wcmp.2,
-            ecmp.2
+            wcmp.slow_link_bps,
+            ecmp.slow_link_bps
         );
     }
 }

@@ -8,83 +8,51 @@
 //! and RPS at three per-port buffer depths.
 
 use netsim::{Counter, QueueSpec, SimTime};
-use stats::{fmt_ratio, fmt_secs, samples, Table};
+use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{all_to_all, FlowSizeDist};
+use workloads::patterns::websearch;
 
+use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
-use crate::scenario::{run_fat_tree, sweep_schemes, Window};
+use crate::scenario::{run_fat_tree, sweep_schemes};
 use crate::schemes::{self, SchemeSpec};
 
 /// Evaluated per-port buffer capacities (bytes).
 pub const CAPACITIES: [u64; 3] = [150_000, 400_000, 2 * 1024 * 1024];
 
-/// One (capacity, scheme) outcome.
-#[derive(Debug)]
-pub struct Cell {
-    /// Buffer capacity, bytes.
-    pub capacity: u64,
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Mean FCT (s).
-    pub mean_s: f64,
-    /// p99 FCT (s).
-    pub p99_s: f64,
-    /// Queue drops.
-    pub drops: u64,
-    /// RTOs.
-    pub timeouts: u64,
-    /// In-window completion fraction.
-    pub completion: f64,
-}
-
-/// Run the sweep.
-pub fn sweep(opts: &Opts) -> Vec<Cell> {
-    opts.validate();
-    let duration = opts.scaled(SimTime::from_ms(60));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-    let dist = FlowSizeDist::web_search();
-    let contenders: Vec<SchemeSpec> = vec![
+/// The compared schemes, ECMP (the baseline) first.
+fn contenders() -> Vec<SchemeSpec> {
+    vec![
         schemes::ecmp(),
         schemes::flowbender(flowbender::Config::default()),
         schemes::rps(),
-    ];
+    ]
+}
 
-    sweep_schemes(&contenders, &CAPACITIES, |scheme, &capacity| {
+/// Run the sweep: one row per capacity, one [`Cell`] per contender.
+pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
+    opts.validate();
+    sweep_schemes(&contenders(), &CAPACITIES, |scheme, &capacity| {
         let mut params = FatTreeParams::paper();
         params.fabric_queue = QueueSpec {
             capacity,
             mark_threshold: 90_000,
         };
-        let mut rng = netsim::DetRng::new(opts.seed, 0xB0FF);
-        let specs = all_to_all(&params, 0.6, duration, &dist, &mut rng);
+        let (specs, window) = windowed_cell(
+            opts,
+            &params,
+            &websearch(),
+            0.6,
+            SimTime::from_ms(60),
+            0xB0FF,
+        );
         let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
-        let s = samples(&out.flows, window.start, window.end);
-        let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-        Cell {
-            capacity,
-            scheme: scheme.name().to_string(),
-            mean_s: stats::mean(&fcts).unwrap_or(0.0),
-            p99_s: stats::percentile(&fcts, 0.99).unwrap_or(0.0),
-            drops: out.get(Counter::QueueDrops),
-            timeouts: out.get(Counter::Timeouts),
-            completion: stats::completion_fraction(&out.flows, window.start, window.end),
-        }
+        Cell::of(out, window)
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Produce the report.
 pub fn run(opts: &Opts) -> Report {
-    let cells = sweep(opts);
-    let find = |capacity: u64, name: &str| {
-        cells
-            .iter()
-            .find(|c| c.capacity == capacity && c.scheme == name)
-            .unwrap_or_else(|| panic!("missing {name} at {capacity}"))
-    };
     let mut table = Table::new(vec![
         "buffer/port",
         "scheme",
@@ -96,20 +64,19 @@ pub fn run(opts: &Opts) -> Report {
         "RTOs",
         "compl",
     ]);
-    for &capacity in &CAPACITIES {
-        let ecmp = find(capacity, "ECMP");
-        for name in ["ECMP", "FlowBender", "RPS"] {
-            let c = find(capacity, name);
+    for (capacity, row) in CAPACITIES.iter().zip(sweep(opts)) {
+        let ecmp = &row[0].fct;
+        for (scheme, c) in contenders().iter().zip(&row) {
             table.row(vec![
                 format!("{}KB", capacity / 1000),
-                name.to_string(),
-                fmt_secs(c.mean_s),
-                fmt_secs(c.p99_s),
-                fmt_ratio(c.mean_s / ecmp.mean_s),
-                fmt_ratio(c.p99_s / ecmp.p99_s),
-                c.drops.to_string(),
-                c.timeouts.to_string(),
-                format!("{:.3}", c.completion),
+                scheme.name().to_string(),
+                fmt_secs(c.fct.mean()),
+                fmt_secs(c.fct.quantile(0.99)),
+                fmt_ratio(c.fct.mean() / ecmp.mean()),
+                fmt_ratio(c.fct.quantile(0.99) / ecmp.quantile(0.99)),
+                c.out.get(Counter::QueueDrops).to_string(),
+                c.out.get(Counter::Timeouts).to_string(),
+                format!("{:.3}", c.fct.completion),
             ]);
         }
     }
@@ -133,29 +100,28 @@ mod tests {
             seed: 2,
             ..Opts::default()
         };
-        let cells = sweep(&opts);
-        let ecmp_shallow = cells
-            .iter()
-            .find(|c| c.capacity == CAPACITIES[0] && c.scheme == "ECMP")
-            .unwrap();
-        let ecmp_deep = cells
-            .iter()
-            .find(|c| c.capacity == CAPACITIES[2] && c.scheme == "ECMP")
-            .unwrap();
+        let grid = sweep(&opts);
+        let (ecmp_shallow, ecmp_deep) = (&grid[0][0].out, &grid[2][0].out);
         assert!(
-            ecmp_shallow.drops > 0,
+            ecmp_shallow.get(Counter::QueueDrops) > 0,
             "150KB buffers must overflow at 60% load"
         );
-        assert_eq!(ecmp_deep.drops, 0, "2MB buffers should absorb 60% load");
+        assert_eq!(
+            ecmp_deep.get(Counter::QueueDrops),
+            0,
+            "2MB buffers should absorb 60% load"
+        );
         // Everything still completes (retransmission works).
-        for c in &cells {
-            assert!(
-                c.completion > 0.99,
-                "{} at {}: {}",
-                c.scheme,
-                c.capacity,
-                c.completion
-            );
+        for (capacity, row) in CAPACITIES.iter().zip(&grid) {
+            for (scheme, c) in contenders().iter().zip(row) {
+                assert!(
+                    c.fct.completion > 0.99,
+                    "{} at {}: {}",
+                    scheme.name(),
+                    capacity,
+                    c.fct.completion
+                );
+            }
         }
     }
 }

@@ -24,12 +24,12 @@
 //! (tie-free arrivals, see [`Run`]), so reports are byte-identical across
 //! shard counts.
 
-use netsim::{DetRng, FaultPlan, SimTime, SloConfig};
-use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
+use netsim::{FaultPlan, SimTime, SloConfig};
+use stats::{fmt_secs, percentile, Table};
 use topology::{FatTree, FatTreeParams};
-use workloads::{FlowSizeDist, PoissonStream};
 
-use crate::fabric_scale::{arity, LOAD};
+use crate::cell::{kary_window, poisson_websearch, Digest};
+use crate::fabric_scale::{fabric, LOAD};
 use crate::report::{Opts, Report, RunSummary};
 use crate::scenario::{PlanFn, Run, RunOutput, Window};
 use crate::schemes;
@@ -156,23 +156,21 @@ struct Setup {
 }
 
 fn setup(opts: &Opts) -> Setup {
-    let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
+    let params = fabric(opts);
     // Longer windows than fabric-scale: the SLO suite needs a population
     // of flows *in flight at the crash instant*, and the drain must span
     // the 10ms RTO floor with room to spare — flows black-holed by the
     // crash retransmit one RTO later, and that reconvergence tail is
     // exactly what is being measured.
-    let base = if opts.smoke {
-        SimTime::from_ms(2)
-    } else {
-        SimTime::from_ms(4)
-    };
-    let duration = opts.scaled(base);
-    let window = Window::for_duration(duration, SimTime::from_ms(50));
+    let window = kary_window(
+        opts,
+        SimTime::from_ms(4),
+        SimTime::from_ms(2),
+        SimTime::from_ms(50),
+    );
+    let duration = window.end;
     let incident = Incident::over(duration);
-    let rng = DetRng::new(opts.seed, STREAM_TAG);
-    let specs: Vec<netsim::FlowSpec> =
-        PoissonStream::new(&params, LOAD, duration, FlowSizeDist::web_search(), &rng).collect();
+    let specs = poisson_websearch(opts, &params, LOAD, duration, STREAM_TAG);
     let slo = SloConfig {
         fail_at: incident.fail_at,
         bin: SimTime::from_ps(duration.as_ps() / GOODPUT_BINS),
@@ -197,7 +195,7 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOu
             .slo(s.slo)
             .faults(plan_fn)
             .run()
-            .expect("shard plan checked by Opts::check")
+            .expect("--shards checked by the CLI")
     };
     // The healthy run arms the same SLO probe: its goodput bins are the
     // dip baseline, and its "reconvergence" samples (first delivery after
@@ -206,17 +204,10 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOu
     let healthy = run(&|_| FaultPlan::new());
     let chaos = run(&|ft| s.incident.plan(ft));
 
-    let h_fcts: Vec<f64> = samples(&healthy.effective_flows(), s.window.start, s.window.end)
-        .iter()
-        .map(|x| x.fct_s)
-        .collect();
+    let h_p99 = Digest::of(&healthy, s.window).quantile(0.99);
     let c_flows = chaos.effective_flows();
-    let c_fcts: Vec<f64> = samples(&c_flows, s.window.start, s.window.end)
-        .iter()
-        .map(|x| x.fct_s)
-        .collect();
-    let h_p99 = percentile(&h_fcts, 0.99).unwrap_or(0.0);
-    let c_p99 = percentile(&c_fcts, 0.99).unwrap_or(0.0);
+    let c_fct = Digest::of_flows(&c_flows, s.window);
+    let c_p99 = c_fct.quantile(0.99);
 
     let slo = chaos.slo().expect("SLO probe was armed");
     let lats: Vec<f64> = slo
@@ -256,7 +247,7 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOu
 
     let digest = ChaosResult {
         scheme: scheme.name().to_string(),
-        completion: completion_fraction(&c_flows, s.window.start, s.window.end),
+        completion: c_fct.completion,
         p99_inflation: if h_p99 > 0.0 { c_p99 / h_p99 } else { 0.0 },
         recon_p50_s: percentile(&lats, 0.5).unwrap_or(0.0),
         recon_p99_s: percentile(&lats, 0.99).unwrap_or(0.0),
@@ -275,8 +266,8 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOu
 /// Run the chaos suite and build the report.
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    let k = arity(opts);
     let s = setup(opts);
+    let k = s.params.pods;
     let selection =
         opts.scheme_selection(&[schemes::ecmp(), schemes::flowbender(Default::default())]);
 

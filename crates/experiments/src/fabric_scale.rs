@@ -19,13 +19,13 @@
 //! enforced by the `sharded_determinism` integration test; this
 //! experiment is where it pays off.
 
-use netsim::{Counter, DetRng, SimTime};
-use stats::{completion_fraction, fmt_secs, samples, BinSpec, FctAccumulator, Table};
+use netsim::SimTime;
+use stats::{fmt_secs, samples, BinSpec, FctAccumulator, Table};
 use topology::{FatTreeParams, ShardPlan};
-use workloads::{FlowSizeDist, PoissonStream};
 
+use crate::cell::{kary_fabric, kary_window, poisson_websearch, secs_or_dash, Cell};
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{Run, RunOutput, ShardStats, Window};
+use crate::scenario::Run;
 use crate::schemes;
 
 /// Offered load (fraction of edge bandwidth). One point, not a sweep —
@@ -35,64 +35,37 @@ pub const LOAD: f64 = 0.3;
 /// RNG stream tag for the per-source Poisson streams.
 const STREAM_TAG: u64 = 0xFA_B51C;
 
-/// One (scheme) result of the fabric-scale run.
-#[derive(Debug)]
-pub struct FsResult {
-    /// Scheme display name.
-    pub scheme: String,
-    /// Flows the Poisson stream emitted.
-    pub flows: usize,
-    /// Fraction of in-window flows that completed.
-    pub completion: f64,
-    /// Overall mean FCT (seconds), from the merged per-shard sketches.
-    pub mean_s: f64,
-    /// Overall p99 FCT (seconds), same source.
-    pub p99_s: f64,
-    /// Out-of-order arrival fraction.
-    pub ooo_frac: f64,
-    /// Events the engine processed (summed over shards).
-    pub events: u64,
-    /// What the sharded engine did (`None` when `--shards 1`).
-    pub shard_stats: Option<ShardStats>,
-}
-
-/// The fabric arity this invocation runs: `--topo k=K` if given, else
-/// k=16 (1024 hosts) — or k=8 (128 hosts) under `--smoke`.
-pub fn arity(opts: &Opts) -> usize {
-    opts.topo_k.unwrap_or(if opts.smoke { 8 } else { 16 })
+/// The fabric this invocation builds: `--topo k=K` if given, else k=16
+/// (1024 hosts) — or k=8 (128 hosts) under `--smoke`.
+pub fn fabric(opts: &Opts) -> FatTreeParams {
+    kary_fabric(opts, 16)
 }
 
 /// Run one scheme on the k-ary fabric through the sharded engine,
-/// returning the digest alongside the full run output (for JSON export).
-pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FsResult, RunOutput) {
-    let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
-    let plan = ShardPlan::new(&params, opts.shards).expect("shards checked by Opts::check");
+/// returning the merged per-shard FCT sketches alongside the cell.
+pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FctAccumulator, Cell) {
+    let params = fabric(opts);
+    let plan = ShardPlan::new(&params, opts.shards).expect("--shards checked by the CLI");
     // Short windows: a 1024-host all-to-all generates hundreds of flows
     // (and tens of millions of events) per simulated millisecond.
-    let base = if opts.smoke {
-        SimTime::from_us(400)
-    } else {
-        SimTime::from_ms(2)
-    };
-    let duration = opts.scaled(base);
-    let window = Window::for_duration(duration, SimTime::from_ms(50));
-
-    let rng = DetRng::new(opts.seed, STREAM_TAG);
-    let stream = PoissonStream::new(&params, LOAD, duration, FlowSizeDist::web_search(), &rng);
-    let specs: Vec<netsim::FlowSpec> = stream.collect();
-
+    let window = kary_window(
+        opts,
+        SimTime::from_ms(2),
+        SimTime::from_us(400),
+        SimTime::from_ms(50),
+    );
+    let specs = poisson_websearch(opts, &params, LOAD, window.end, STREAM_TAG);
     let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
         .shards(opts.shards)
         .run()
-        .expect("shard plan checked by Opts::check");
+        .expect("--shards checked by the CLI");
 
     // Aggregate the way the workers produce results: each shard sketches
     // the flows whose sources it owns, the coordinator merges sketches.
-    let flows = out.effective_flows();
     let mut per_shard: Vec<FctAccumulator> = (0..opts.shards)
         .map(|_| FctAccumulator::new(BinSpec::paper()))
         .collect();
-    for r in &flows {
+    for r in &out.effective_flows() {
         let shard = plan.host_owner(r.src as usize);
         for x in samples(std::slice::from_ref(r), window.start, window.end) {
             per_shard[shard].record_sample(&x);
@@ -102,37 +75,25 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FsResult, RunOutpu
     for other in &per_shard {
         acc.merge(other);
     }
-
-    let data = out.get(Counter::DataPktsRcvd).max(1);
-    let digest = FsResult {
-        scheme: scheme.name().to_string(),
-        flows: specs.len(),
-        completion: completion_fraction(&flows, window.start, window.end),
-        mean_s: acc.overall().mean().unwrap_or(0.0),
-        p99_s: acc.overall().quantile(0.99).unwrap_or(0.0),
-        ooo_frac: out.get(Counter::OooPktsRcvd) as f64 / data as f64,
-        events: out.events,
-        shard_stats: out.shard_stats,
-    };
-    (digest, out)
+    (acc, Cell::of(out, window))
 }
 
 /// Run the fabric-scale experiment and build the report.
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    let k = arity(opts);
-    let params = FatTreeParams::k_ary(k).expect("arity checked by Opts::check");
+    let params = fabric(opts);
+    let k = params.pods;
     let selection =
         opts.scheme_selection(&[schemes::ecmp(), schemes::flowbender(Default::default())]);
 
     let mut table = Table::new(vec![
         "scheme", "flows", "complete", "mean", "p99", "ooo", "events",
     ]);
-    let mut results = Vec::with_capacity(selection.len());
-    let mut summaries = Vec::with_capacity(selection.len());
+    let mut report = Report::new("fabric_scale");
+    let mut shard_stats = Vec::with_capacity(selection.len());
     for scheme in &selection {
-        let (r, out) = run_one(opts, scheme);
-        summaries.push(RunSummary::from_run(
+        let (acc, c) = run_one(opts, scheme);
+        report.run_summary(RunSummary::from_run(
             format!(
                 "{}_k{k}_shards{}_seed{}",
                 scheme.slug(),
@@ -142,32 +103,20 @@ pub fn run(opts: &Opts) -> Report {
             scheme.name(),
             opts,
             opts.seed,
-            &out,
+            &c.out,
         ));
         table.row(vec![
-            r.scheme.clone(),
-            r.flows.to_string(),
-            format!("{:.1}%", r.completion * 100.0),
-            if r.mean_s > 0.0 {
-                fmt_secs(r.mean_s)
-            } else {
-                "-".into()
-            },
-            if r.p99_s > 0.0 {
-                fmt_secs(r.p99_s)
-            } else {
-                "-".into()
-            },
-            format!("{:.3}%", r.ooo_frac * 100.0),
-            r.events.to_string(),
+            scheme.name().to_string(),
+            (c.out.flows.len() - c.out.replicas.len()).to_string(),
+            format!("{:.1}%", c.fct.completion * 100.0),
+            secs_or_dash(acc.overall().mean().unwrap_or(0.0)),
+            secs_or_dash(acc.overall().quantile(0.99).unwrap_or(0.0)),
+            format!("{:.3}%", c.out.ooo_frac() * 100.0),
+            c.out.events.to_string(),
         ]);
-        results.push(r);
+        shard_stats.extend(c.out.shard_stats);
     }
 
-    let mut report = Report::new("fabric_scale");
-    for s in summaries {
-        report.run_summary(s);
-    }
     report.section(
         format!(
             "Fabric scale: websearch all-to-all on a k={k} fat-tree \
@@ -178,10 +127,9 @@ pub fn run(opts: &Opts) -> Report {
         ),
         table,
     );
-    if let Some(ss) = results.iter().find_map(|r| r.shard_stats) {
+    if let Some(ss) = shard_stats.first() {
         let mut st = Table::new(vec!["shards", "epochs", "handoffs", "lookahead"]);
-        for r in &results {
-            let s = r.shard_stats.expect("all runs share one shard count");
+        for s in &shard_stats {
             st.row(vec![
                 s.shards.to_string(),
                 s.rounds.to_string(),
@@ -247,15 +195,21 @@ mod tests {
             schemes: vec!["flowbender".into()],
             ..Opts::default()
         };
-        let (a, _) = run_one(&mk(1), &schemes::flowbender(Default::default()));
-        let (b, _) = run_one(&mk(2), &schemes::flowbender(Default::default()));
-        assert_eq!(a.flows, b.flows);
-        assert_eq!(a.completion, b.completion);
-        assert_eq!(a.mean_s, b.mean_s);
-        assert_eq!(a.p99_s, b.p99_s);
-        assert_eq!(a.ooo_frac, b.ooo_frac);
-        assert!(a.shard_stats.is_none(), "--shards 1 is the classic engine");
-        let ss = b.shard_stats.expect("2-shard run reports stats");
+        let (a_acc, a) = run_one(&mk(1), &schemes::flowbender(Default::default()));
+        let (b_acc, b) = run_one(&mk(2), &schemes::flowbender(Default::default()));
+        assert_eq!(a.out.flows.len(), b.out.flows.len());
+        assert_eq!(a.fct.completion, b.fct.completion);
+        assert_eq!(a_acc.overall().mean(), b_acc.overall().mean());
+        assert_eq!(
+            a_acc.overall().quantile(0.99),
+            b_acc.overall().quantile(0.99)
+        );
+        assert_eq!(a.out.ooo_frac(), b.out.ooo_frac());
+        assert!(
+            a.out.shard_stats.is_none(),
+            "--shards 1 is the classic engine"
+        );
+        let ss = b.out.shard_stats.expect("2-shard run reports stats");
         assert_eq!(ss.shards, 2);
         assert!(ss.rounds > 0);
     }

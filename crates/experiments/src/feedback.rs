@@ -12,7 +12,7 @@
 //! (hotspot, websearch, ...) are byte-identical across shard counts, while
 //! incast's *synchronized* workers tie at shared switches, so its numbers
 //! (ECMP's included) shift by a serialization quantum between shard
-//! counts — see [`Run`] for the tie-free caveat. Each shard count is
+//! counts — see [`crate::Run`] for the tie-free caveat. Each shard count is
 //! individually deterministic either way.
 //!
 //! The headline `lead` column is measured, not modeled: the sender opens
@@ -23,61 +23,29 @@
 //! recorder: a traced replay must log exactly [`Counter::CnDelivered`]
 //! `cn_arrive` timeline events, at timestamps consistent with the lead.
 
-use netsim::{Counter, DetRng, FlowTimeline, SimTime, TraceConfig};
-use stats::{completion_fraction, fmt_secs, percentile, samples, Table};
-use topology::FatTreeParams;
+use netsim::{Counter, FlowTimeline};
 
-use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{sweep_schemes_sharded, traced_replay, Run, RunOutput, Window};
+use crate::cell::{secs_or_dash, Cell, WorkloadSweep};
+use crate::report::{Opts, Report};
+use crate::scenario::traced_replay;
 use crate::schemes::{self, SchemeSpec};
 
-/// Offered load (fraction of edge bandwidth), the fabric-scale operating
-/// point: enough congestion to emit CNs, not enough to collapse.
-pub const LOAD: f64 = 0.3;
+/// What the feedback sweep is: see [`WorkloadSweep`].
+pub const SWEEP: WorkloadSweep = WorkloadSweep {
+    name: "feedback",
+    title: "Switch-assisted feedback",
+    tag: 0xFEED_BACC,
+    headers: &[
+        "scheme", "flows", "complete", "p99 FCT", "CN sent", "CN deliv", "lead",
+    ],
+};
 
 /// Workload slugs swept by default: incast (fan-in capped to half the
 /// fabric, so the smoke-sized k=4 run stays legal) and the Zipf hotspot.
 /// `--workload` replaces the pair with a single selection.
 pub fn default_workloads(opts: &Opts) -> Vec<String> {
-    let hosts = FatTreeParams::k_ary(arity(opts))
-        .expect("arity checked by Opts::check")
-        .n_hosts();
+    let hosts = WorkloadSweep::fabric(opts).n_hosts();
     vec![format!("incast:{}", 32.min(hosts / 2)), "hotspot".into()]
-}
-
-/// RNG stream tag for the workload generators.
-const STREAM_TAG: u64 = 0xFEED_BACC;
-
-/// One (workload, scheme) cell of the feedback sweep.
-#[derive(Debug)]
-pub struct FbResult {
-    /// Scheme display name.
-    pub scheme: String,
-    /// Workload display name.
-    pub workload: String,
-    /// Flows the generator emitted.
-    pub flows: usize,
-    /// Fraction of in-window flows that completed.
-    pub completion: f64,
-    /// p99 FCT (seconds) over in-window completions.
-    pub p99_s: f64,
-    /// CNs switches emitted ([`Counter::CnSent`]).
-    pub cn_sent: u64,
-    /// CNs that reached their sender ([`Counter::CnDelivered`]).
-    pub cn_delivered: u64,
-    /// INT records stamped by the fabric ([`Counter::IntStamps`]).
-    pub int_stamps: u64,
-    /// Congestion windows where a CN preceded the ECN echo.
-    pub lead_samples: u64,
-    /// Mean CN-before-echo lead over those windows, in microseconds
-    /// (`None` when the scheme produced no samples).
-    pub lead_us: Option<f64>,
-}
-
-/// The fabric arity this invocation runs: `--topo k=K` if given, else
-/// k=8 (128 hosts) — or k=4 (16 hosts) under `--smoke`.
-pub fn arity(opts: &Opts) -> usize {
-    opts.topo_k.unwrap_or(if opts.smoke { 4 } else { 8 })
 }
 
 /// The default scheme set: both baselines, both feedback consumers.
@@ -90,69 +58,11 @@ pub fn default_schemes() -> Vec<SchemeSpec> {
     ]
 }
 
-fn measurement(opts: &Opts) -> Window {
-    let base = if opts.smoke {
-        SimTime::from_us(400)
-    } else {
-        SimTime::from_ms(2)
-    };
-    // Generous drain: incast jobs arriving late in the window still need
-    // their fan-in to finish for the completion column to mean anything.
-    Window::for_duration(opts.scaled(base), SimTime::from_ms(20))
-}
-
-/// Generate the flow list for one cell (deterministic in `(seed, slug)`,
-/// independent of scheme and shard count).
-fn gen_specs(
-    opts: &Opts,
-    params: &FatTreeParams,
-    wl_slug: &str,
-    window: Window,
-) -> Vec<netsim::FlowSpec> {
-    let wl = workloads::find(wl_slug).unwrap_or_else(|| panic!("unknown workload `{wl_slug}`"));
-    let mut rng = DetRng::new(opts.seed, STREAM_TAG);
-    wl.generate(params, LOAD, window.end, &mut rng)
-}
-
-/// Run one (scheme, workload) cell on `opts.shards` engine threads with
-/// the flight recorder on for the flows `trace` selects (tracing is
-/// read-only: the same cell traced processes the same events), returning
-/// the digest alongside the full run output (for JSON export).
-pub fn run_one(
-    opts: &Opts,
-    scheme: &SchemeSpec,
-    wl_slug: &str,
-    trace: TraceConfig,
-) -> (FbResult, RunOutput) {
-    let params = FatTreeParams::k_ary(arity(opts)).expect("arity checked by Opts::check");
-    let window = measurement(opts);
-    let specs = gen_specs(opts, &params, wl_slug, window);
-    let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
-        .shards(opts.shards)
-        .trace(trace)
-        .run()
-        .expect("shard plan and --trace checked by Opts::check");
-
-    let flows = out.effective_flows();
-    let fcts: Vec<f64> = samples(&flows, window.start, window.end)
-        .iter()
-        .map(|s| s.fct_s)
-        .collect();
-    let lead_samples = out.get(Counter::FeedbackLeadSamples);
-    let digest = FbResult {
-        scheme: scheme.name().to_string(),
-        workload: workloads::find(wl_slug).expect("resolved above").name(),
-        flows: specs.len(),
-        completion: completion_fraction(&flows, window.start, window.end),
-        p99_s: percentile(&fcts, 0.99).unwrap_or(0.0),
-        cn_sent: out.get(Counter::CnSent),
-        cn_delivered: out.get(Counter::CnDelivered),
-        int_stamps: out.get(Counter::IntStamps),
-        lead_samples,
-        lead_us: (lead_samples > 0)
-            .then(|| out.get(Counter::FeedbackLeadPs) as f64 / lead_samples as f64 / 1e6),
-    };
-    (digest, out)
+/// Mean CN-before-echo lead in microseconds over the congestion windows
+/// where a CN preceded the ECN echo (`None` when there were none).
+pub fn lead_us(c: &Cell) -> Option<f64> {
+    let samples = c.out.get(Counter::FeedbackLeadSamples);
+    (samples > 0).then(|| c.out.get(Counter::FeedbackLeadPs) as f64 / samples as f64 / 1e6)
 }
 
 /// Total `cn_arrive` events across a traced run's timelines — when every
@@ -164,77 +74,38 @@ pub fn cn_arrivals_in(timelines: &[FlowTimeline]) -> usize {
 /// Run the feedback experiment and build the report.
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    let k = arity(opts);
-    let params = FatTreeParams::k_ary(k).expect("arity checked by Opts::check");
-    let selection = opts.scheme_selection(&default_schemes());
-    let wl_slugs: Vec<String> = match &opts.workload {
-        Some(w) => vec![w.clone()],
-        None => default_workloads(opts),
-    };
-
-    let runs = sweep_schemes_sharded(&selection, &wl_slugs, opts.shards, |scheme, wl| {
-        run_one(opts, scheme, wl, TraceConfig::off())
-    });
-
-    let mut report = Report::new("feedback");
-    for (wl, cells) in wl_slugs.iter().zip(runs) {
-        let wl_name = cells
-            .first()
-            .map(|(r, _)| r.workload.clone())
-            .unwrap_or_else(|| wl.clone());
-        let wl_label = workloads::find(wl).expect("resolved by run_one").slug();
-        let mut table = Table::new(vec![
-            "scheme", "flows", "complete", "p99 FCT", "CN sent", "CN deliv", "lead",
-        ]);
-        for (scheme, (r, out)) in selection.iter().zip(cells) {
-            let label = format!(
-                "{wl_label}_{}_shards{}_seed{}",
-                scheme.slug(),
-                opts.shards,
-                opts.seed
-            );
+    let workloads = default_workloads(opts);
+    let mut report = SWEEP.report(
+        opts,
+        &default_schemes(),
+        workloads,
+        |report, label, scheme, wl, c| {
             // Flight-recorder cross-check of the lead measurement: replay
             // this cell traced and verify the recorder saw exactly the
             // CNs the counters claim were delivered.
-            let timelines =
-                traced_replay(&opts.trace, &out, |cfg| run_one(opts, scheme, wl, cfg).1);
-            report.trace_timelines(label.clone(), timelines);
-            report.run_summary(RunSummary::from_run(
-                label,
-                scheme.name(),
-                opts,
-                opts.seed,
-                &out,
-            ));
-            table.row(vec![
-                r.scheme.clone(),
-                r.flows.to_string(),
-                format!("{:.1}%", r.completion * 100.0),
-                if r.p99_s > 0.0 {
-                    fmt_secs(r.p99_s)
-                } else {
-                    "-".into()
-                },
-                r.cn_sent.to_string(),
-                r.cn_delivered.to_string(),
-                match r.lead_us {
-                    Some(us) => format!("{us:.1}us ({} wins)", r.lead_samples),
-                    None if r.int_stamps > 0 => format!("{} INT stamps", r.int_stamps),
+            let timelines = traced_replay(&opts.trace, &c.out, |cfg| {
+                SWEEP.cell(opts, scheme, wl, cfg).out
+            });
+            report.trace_timelines(label, timelines);
+            let int_stamps = c.out.get(Counter::IntStamps);
+            vec![
+                scheme.name().to_string(),
+                (c.out.flows.len() - c.out.replicas.len()).to_string(),
+                format!("{:.1}%", c.fct.completion * 100.0),
+                secs_or_dash(c.fct.quantile(0.99)),
+                c.out.get(Counter::CnSent).to_string(),
+                c.out.get(Counter::CnDelivered).to_string(),
+                match lead_us(c) {
+                    Some(us) => format!(
+                        "{us:.1}us ({} wins)",
+                        c.out.get(Counter::FeedbackLeadSamples)
+                    ),
+                    None if int_stamps > 0 => format!("{int_stamps} INT stamps"),
                     None => "-".into(),
                 },
-            ]);
-        }
-        report.section(
-            format!(
-                "Switch-assisted feedback on {wl_name}: k={k} fat-tree \
-                 ({} hosts) at {:.0}% load, {} shard(s)",
-                params.n_hosts(),
-                LOAD * 100.0,
-                opts.shards
-            ),
-            table,
-        );
-    }
+            ]
+        },
+    );
     report.note(
         "lead = mean time by which the first CN of a congestion window preceded \
          the first ECE-marked ACK of that window (FeedbackLeadPs / \
@@ -258,7 +129,8 @@ pub fn run(opts: &Opts) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::TraceSel;
+    use crate::report::{RunSummary, TraceSel};
+    use netsim::TraceConfig;
 
     fn smoke_opts() -> Opts {
         Opts {
@@ -320,19 +192,23 @@ mod tests {
     /// measures something physical, not an artifact.
     #[test]
     fn fastcc_lead_is_positive_on_incast() {
-        let (r, _) = run_one(
+        let c = SWEEP.cell(
             &smoke_opts(),
             &schemes::fastcc(),
             "incast:8",
             TraceConfig::off(),
         );
-        assert!(r.cn_delivered > 0, "CNs must be delivered: {r:?}");
-        let lead = r.lead_us.expect("lead must be measured");
+        assert!(c.out.get(Counter::CnDelivered) > 0, "CNs must be delivered");
+        let lead = lead_us(&c).expect("lead must be measured");
         assert!(
             lead > 0.0,
             "CN must precede the echo it pre-empts: {lead}us"
         );
-        assert!(r.completion > 0.5, "most in-window flows complete: {r:?}");
+        assert!(
+            c.fct.completion > 0.5,
+            "most in-window flows complete: {}",
+            c.fct.completion
+        );
     }
 
     /// Feedback-enabled schemes are byte-identical across shard counts:
@@ -352,26 +228,35 @@ mod tests {
             ..smoke_opts()
         };
         for scheme in [schemes::bender_int(), schemes::fastcc()] {
-            let base = run_one(&dense, &scheme, "hotspot", TraceConfig::off());
+            let base = SWEEP.cell(&dense, &scheme, "hotspot", TraceConfig::off());
             for shards in [2, 4] {
                 let opts = Opts {
                     shards,
                     ..dense.clone()
                 };
-                let (r, out) = run_one(&opts, &scheme, "hotspot", TraceConfig::off());
-                assert_eq!(base.0.p99_s, r.p99_s, "{} x{shards}", scheme.name());
-                assert_eq!(base.0.completion, r.completion);
-                assert_eq!(base.0.cn_sent, r.cn_sent);
-                assert_eq!(base.0.cn_delivered, r.cn_delivered);
-                assert_eq!(base.0.int_stamps, r.int_stamps);
-                assert_eq!(base.0.lead_samples, r.lead_samples);
-                assert_eq!(base.0.lead_us, r.lead_us);
-                assert_eq!(base.1.flows.len(), out.flows.len());
+                let c = SWEEP.cell(&opts, &scheme, "hotspot", TraceConfig::off());
+                assert_eq!(
+                    base.fct.quantile(0.99),
+                    c.fct.quantile(0.99),
+                    "{} x{shards}",
+                    scheme.name()
+                );
+                assert_eq!(base.fct.completion, c.fct.completion);
+                for counter in [
+                    Counter::CnSent,
+                    Counter::CnDelivered,
+                    Counter::IntStamps,
+                    Counter::FeedbackLeadSamples,
+                ] {
+                    assert_eq!(base.out.get(counter), c.out.get(counter));
+                }
+                assert_eq!(lead_us(&base), lead_us(&c));
+                assert_eq!(base.out.flows.len(), c.out.flows.len());
                 assert!(
-                    base.1
+                    base.out
                         .flows
                         .iter()
-                        .zip(out.flows.iter())
+                        .zip(c.out.flows.iter())
                         .all(|(a, b)| a.end == b.end),
                     "{} x{shards}: per-flow completion times must match",
                     scheme.name()
@@ -387,20 +272,24 @@ mod tests {
     #[test]
     fn traced_replay_confirms_cn_arrivals_against_counters() {
         let opts = smoke_opts();
-        let (r, out) = run_one(&opts, &schemes::fastcc(), "incast:8", TraceConfig::off());
-        assert!(r.cn_delivered > 0);
-        let all: Vec<netsim::FlowId> = (0..r.flows as netsim::FlowId).collect();
-        let (_, traced) = run_one(
-            &opts,
-            &schemes::fastcc(),
-            "incast:8",
-            TraceConfig::flows(all),
-        );
+        let out = SWEEP
+            .cell(&opts, &schemes::fastcc(), "incast:8", TraceConfig::off())
+            .out;
+        assert!(out.get(Counter::CnDelivered) > 0);
+        let all: Vec<netsim::FlowId> = (0..out.flows.len() as netsim::FlowId).collect();
+        let traced = SWEEP
+            .cell(
+                &opts,
+                &schemes::fastcc(),
+                "incast:8",
+                TraceConfig::flows(all),
+            )
+            .out;
         assert_eq!(traced.events, out.events, "tracing is read-only");
         let timelines = traced.results.timelines();
         assert_eq!(
             cn_arrivals_in(timelines) as u64,
-            r.cn_delivered,
+            out.get(Counter::CnDelivered),
             "every delivered CN appears in a timeline"
         );
         let cn_then_cut = timelines.iter().any(|t| {

@@ -7,114 +7,72 @@
 //! receiver's last hop is the bottleneck and multipathing can't help.
 
 use netsim::SimTime;
-use stats::{fmt_ratio, fmt_secs, job_completion, Table};
+use stats::{fmt_secs, job_completion, JobStats, Table};
 use topology::FatTreeParams;
-use workloads::Workload;
 
+use crate::cell::{baseline, ratio_cell, windowed_cell};
 use crate::report::{Opts, Report};
-use crate::scenario::{run_fat_tree, sweep_schemes, Window};
+use crate::scenario::{run_fat_tree, sweep_schemes};
 use crate::schemes::{self, SchemeSpec};
 
 /// Fan-in degrees from the paper's Figure 5.
 pub const FAN_INS: [u32; 4] = [4, 8, 16, 32];
 
-/// One (scheme, fan-in) cell.
-#[derive(Debug)]
-pub struct Cell {
-    /// Fan-in degree.
-    pub fan_in: u32,
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Average job completion time (s).
-    pub avg_jct_s: f64,
-    /// 99th-percentile job completion time (s); `None` without jobs.
-    pub p99_jct_s: Option<f64>,
-    /// Jobs measured (all of whose flows completed).
-    pub jobs: usize,
+/// Job completion statistics of one (scheme, fan-in) cell. Traffic comes
+/// from the workload registry's `incast:<fanin>` pattern (the same
+/// generator and RNG stream the hard-coded `partition_aggregate` call
+/// always used, so results are byte-compatible).
+pub fn run_cell(opts: &Opts, scheme: &SchemeSpec, fan_in: u32) -> JobStats {
+    let params = FatTreeParams::paper();
+    let (specs, window) = windowed_cell(
+        opts,
+        &params,
+        &workloads::patterns::incast(fan_in),
+        0.4,
+        SimTime::from_ms(60),
+        0xF165 ^ fan_in as u64,
+    );
+    let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
+    // Job completion uses all jobs whose flows all completed; trim
+    // cool-down jobs by start time like the FCT window does.
+    let in_window: Vec<_> = out
+        .effective_flows()
+        .into_iter()
+        .filter(|f| f.start >= window.start && f.start < window.end)
+        .collect();
+    job_completion(&in_window)
 }
 
-/// Run the sweep over `schemes` × [`FAN_INS`]. Traffic comes from the
-/// workload registry's `incast:<fanin>` pattern (the same generator and
-/// RNG stream the hard-coded `partition_aggregate` call always used, so
-/// results are byte-compatible).
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
+/// Run the sweep over `schemes` × [`FAN_INS`]: one row per fan-in.
+pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Vec<JobStats>> {
     opts.validate();
-    let params = FatTreeParams::paper();
-    let duration = opts.scaled(SimTime::from_ms(60));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-
     sweep_schemes(schemes, &FAN_INS, |scheme, &fan_in| {
-        let mut rng = netsim::DetRng::new(opts.seed, 0xF165 ^ fan_in as u64);
-        let specs = workloads::patterns::incast(fan_in).generate(&params, 0.4, duration, &mut rng);
-        let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
-        // Job completion uses all jobs whose flows all completed; trim
-        // cool-down jobs by start time like the FCT window does.
-        let in_window: Vec<_> = out
-            .effective_flows()
-            .iter()
-            .filter(|f| f.start >= window.start && f.start < window.end)
-            .cloned()
-            .collect();
-        let js = job_completion(&in_window);
-        Cell {
-            fan_in,
-            scheme: scheme.name().to_string(),
-            avg_jct_s: js.mean_s.unwrap_or(0.0),
-            p99_jct_s: js.p99_s,
-            jobs: js.jobs_complete,
-        }
+        run_cell(opts, scheme, fan_in)
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Produce the Figure 5 report.
 pub fn run(opts: &Opts) -> Report {
     let selection = opts.scheme_selection(&schemes::paper_set());
-    let cells = sweep(opts, &selection);
-    let find = |fan_in: u32, name: &str| {
-        cells
-            .iter()
-            .find(|c| c.fan_in == fan_in && c.scheme == name)
-            .unwrap_or_else(|| panic!("missing {name} at fan-in {fan_in}"))
-    };
-    // ECMP is the baseline when swept, else the first selected scheme.
-    let base_name = selection
-        .iter()
-        .map(|s| s.name().to_string())
-        .find(|n| n == "ECMP")
-        .unwrap_or_else(|| selection[0].name().to_string());
-    let others: Vec<String> = selection
-        .iter()
-        .map(|s| s.name().to_string())
-        .filter(|n| *n != base_name)
-        .collect();
+    let grid = sweep(opts, &selection);
+    let base = baseline(&selection);
+    let base_name = selection[base].name();
+    let others: Vec<usize> = (0..selection.len()).filter(|&s| s != base).collect();
     // One normalized table per statistic: the paper's average, plus the
     // p99 tail the per-job FCT extension adds.
-    let jct_table = |stat: &dyn Fn(&Cell) -> Option<f64>| {
+    let jct_table = |stat: &dyn Fn(&JobStats) -> Option<f64>| {
         let mut header = vec!["fan-in".to_string()];
-        header.extend(others.iter().cloned());
+        header.extend(others.iter().map(|&s| selection[s].name().to_string()));
         header.push(format!("{base_name} abs"));
         header.push("jobs".to_string());
         let mut table = Table::new(header);
-        for &n in &FAN_INS {
-            let base = find(n, &base_name);
-            let base_v = stat(base);
-            let mut row = vec![n.to_string()];
-            for name in &others {
-                let c = find(n, name);
-                row.push(match (stat(c), base_v) {
-                    (Some(v), Some(b)) if b > 0.0 => fmt_ratio(v / b),
-                    _ => "-".to_string(),
-                });
-            }
-            row.push(match base_v {
-                Some(b) => fmt_secs(b),
-                None => "-".to_string(),
-            });
-            row.push(base.jobs.to_string());
-            table.row(row);
+        for (n, row) in FAN_INS.iter().zip(&grid) {
+            let base_v = stat(&row[base]);
+            let mut cells = vec![n.to_string()];
+            cells.extend(others.iter().map(|&s| ratio_cell(stat(&row[s]), base_v)));
+            cells.push(base_v.map_or("-".to_string(), fmt_secs));
+            cells.push(row[base].jobs_complete.to_string());
+            table.row(cells);
         }
         table
     };
@@ -123,11 +81,11 @@ pub fn run(opts: &Opts) -> Report {
         format!(
             "Fig 5: partition-aggregate avg job completion time, normalized to {base_name} (lower is better)"
         ),
-        jct_table(&|c| (c.avg_jct_s > 0.0).then_some(c.avg_jct_s)),
+        jct_table(&|js| js.mean_s.filter(|&m| m > 0.0)),
     );
     r.section(
         format!("Fig 5 (ext): p99 job completion time, normalized to {base_name}"),
-        jct_table(&|c| c.p99_jct_s),
+        jct_table(&|js| js.p99_s),
     );
     r.note("paper: FlowBender ~0.25x at fan-in 4, ~0.5x at fan-in 32; within ~2% of DeTail/RPS");
     r
@@ -149,20 +107,8 @@ mod tests {
             schemes::ecmp(),
             schemes::flowbender(flowbender::Config::default()),
         ];
-        let params = FatTreeParams::paper();
-        let duration = opts.scaled(SimTime::from_ms(60));
-        let window = Window::for_duration(duration, SimTime::from_ms(400));
         let cells = parallel_map(sel, |scheme| {
-            let mut rng = netsim::DetRng::new(opts.seed, 0xF165 ^ 4);
-            let specs = workloads::patterns::incast(4).generate(&params, 0.4, duration, &mut rng);
-            let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
-            let in_window: Vec<_> = out
-                .flows
-                .iter()
-                .filter(|f| f.start >= window.start && f.start < window.end)
-                .cloned()
-                .collect();
-            let js = job_completion(&in_window);
+            let js = run_cell(&opts, &scheme, 4);
             (
                 scheme.name().to_string(),
                 js.mean_s.unwrap_or(0.0),

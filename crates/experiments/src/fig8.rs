@@ -10,10 +10,11 @@
 //! *larger* wins than the syscall-noise-limited testbed).
 
 use netsim::SimTime;
-use stats::{fmt_ratio, fmt_secs, samples, Table};
+use stats::{fmt_ratio, fmt_secs, Table};
 use topology::TestbedParams;
 use workloads::testbed_one_tor;
 
+use crate::cell::Cell;
 use crate::report::{Opts, Report};
 use crate::scenario::{run_testbed, sweep_schemes, Window};
 use crate::schemes::{self, SchemeSpec};
@@ -21,25 +22,8 @@ use crate::schemes::{self, SchemeSpec};
 /// Loads from the paper.
 pub const LOADS: [f64; 3] = [0.2, 0.4, 0.6];
 
-/// One (scheme, load) testbed run summary.
-#[derive(Debug)]
-pub struct Cell {
-    /// Load fraction.
-    pub load: f64,
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Mean FCT (s).
-    pub mean_s: f64,
-    /// p99 FCT (s).
-    pub p99_s: f64,
-    /// p99.9 FCT (s).
-    pub p999_s: f64,
-    /// Samples measured.
-    pub n: usize,
-}
-
-/// Run the sweep.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
+/// Run the sweep: one row per load, one [`Cell`] per scheme.
+pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Vec<Cell>> {
     opts.validate();
     let params = TestbedParams::paper();
     let duration = opts.scaled(SimTime::from_ms(800));
@@ -65,38 +49,19 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
             opts.seed,
             &[],
         );
-        let flows = out.effective_flows();
-        let s = samples(&flows, window.start, window.end);
-        let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-        Cell {
-            load,
-            scheme: scheme.name().to_string(),
-            mean_s: stats::mean(&fcts).unwrap_or(0.0),
-            p99_s: stats::percentile(&fcts, 0.99).unwrap_or(0.0),
-            p999_s: stats::percentile(&fcts, 0.999).unwrap_or(0.0),
-            n: fcts.len(),
-        }
+        Cell::of(out, window)
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Produce the Figure 8 report.
 pub fn run(opts: &Opts) -> Report {
-    let cells = sweep(
+    let grid = sweep(
         opts,
         &[
             schemes::ecmp(),
             schemes::flowbender(flowbender::Config::default()),
         ],
     );
-    let find = |load: f64, name: &str| {
-        cells
-            .iter()
-            .find(|c| c.load == load && c.scheme == name)
-            .unwrap_or_else(|| panic!("missing {name} at {load}"))
-    };
     let mut table = Table::new(vec![
         "load",
         "FB mean/ECMP",
@@ -107,18 +72,17 @@ pub fn run(opts: &Opts) -> Report {
         "ECMP p99.9",
         "flows",
     ]);
-    for &load in &LOADS {
-        let e = find(load, "ECMP");
-        let f = find(load, "FlowBender");
+    for (load, row) in LOADS.iter().zip(&grid) {
+        let (e, f) = (&row[0].fct, &row[1].fct);
         table.row(vec![
             format!("{:.0}%", load * 100.0),
-            fmt_ratio(f.mean_s / e.mean_s),
-            fmt_ratio(f.p99_s / e.p99_s),
-            fmt_ratio(f.p999_s / e.p999_s),
-            fmt_secs(e.mean_s),
-            fmt_secs(e.p99_s),
-            fmt_secs(e.p999_s),
-            e.n.to_string(),
+            fmt_ratio(f.mean() / e.mean()),
+            fmt_ratio(f.quantile(0.99) / e.quantile(0.99)),
+            fmt_ratio(f.quantile(0.999) / e.quantile(0.999)),
+            fmt_secs(e.mean()),
+            fmt_secs(e.quantile(0.99)),
+            fmt_secs(e.quantile(0.999)),
+            e.n().to_string(),
         ]);
     }
     let mut r = Report::new("fig8");
@@ -163,10 +127,9 @@ mod tests {
             opts.seed,
             &[],
         );
-        let s = samples(&out.flows, window.start, window.end);
-        assert!(s.len() > 50, "too few flows: {}", s.len());
-        let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-        let mean = stats::mean(&fcts).unwrap();
+        let fct = Cell::of(out, window).fct;
+        assert!(fct.n() > 50, "too few flows: {}", fct.n());
+        let mean = fct.mean();
         // 1MB at 10G is ~0.9ms with stack delays; under load it stretches
         // but must stay well under 100ms.
         assert!(mean > 0.8e-3 && mean < 0.1, "mean = {mean}");

@@ -8,33 +8,23 @@
 //! all-to-all plus the Table-1 microbenchmark, with flowlet gaps swept
 //! around the fabric RTT.
 
-use netsim::{Counter, SimTime};
-use stats::{fmt_ratio, fmt_secs, samples, Table};
+use netsim::SimTime;
+use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{all_to_all, microbench, FlowSizeDist};
+use workloads::{microbench, patterns::websearch};
 
+use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{parallel_map, run_fat_tree, sweep_schemes, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Flowlet inactivity gaps evaluated (around the ~90 µs fabric RTT).
 pub const GAPS_US: [u64; 3] = [50, 100, 500];
 
-/// One (scheme, load) all-to-all outcome.
-#[derive(Debug)]
-pub struct Cell {
-    /// Scheme label (includes the gap for flowlet variants).
-    pub label: String,
-    /// Load fraction.
-    pub load: f64,
-    /// Mean FCT (s).
-    pub mean_s: f64,
-    /// p99 FCT (s).
-    pub p99_s: f64,
-    /// Out-of-order fraction.
-    pub ooo_frac: f64,
-}
+/// Evaluated all-to-all loads.
+pub const LOADS: [f64; 2] = [0.4, 0.6];
 
+/// The compared schemes, ECMP (the baseline) first.
 fn contenders() -> Vec<SchemeSpec> {
     let mut v = vec![
         schemes::ecmp(),
@@ -46,46 +36,22 @@ fn contenders() -> Vec<SchemeSpec> {
     v
 }
 
-/// Run the all-to-all comparison.
-pub fn sweep(opts: &Opts) -> Vec<Cell> {
+/// Run the all-to-all comparison: one row per load, one [`Cell`] per
+/// contender.
+pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
     opts.validate();
     let params = FatTreeParams::paper();
-    let duration = opts.scaled(SimTime::from_ms(60));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-    let dist = FlowSizeDist::web_search();
-
-    let mut jobs = Vec::new();
-    for &load in &[0.4f64, 0.6] {
-        for scheme in contenders() {
-            jobs.push((load, scheme));
-        }
-    }
-    parallel_map(jobs, |(load, scheme)| {
-        let mut rng = netsim::DetRng::new(opts.seed, 0xF10E ^ (load * 1000.0) as u64);
-        let specs = all_to_all(&params, load, duration, &dist, &mut rng);
-        let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
-        let s = samples(&out.flows, window.start, window.end);
-        let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-        Cell {
-            label: scheme.name().to_string(),
-            load,
-            mean_s: stats::mean(&fcts).unwrap_or(0.0),
-            p99_s: stats::percentile(&fcts, 0.99).unwrap_or(0.0),
-            ooo_frac: out.get(Counter::OooPktsRcvd) as f64
-                / out.get(Counter::DataPktsRcvd).max(1) as f64,
-        }
+    sweep_schemes(&contenders(), &LOADS, |scheme, &load| {
+        let tag = 0xF10E ^ (load * 1000.0) as u64;
+        let (specs, window) =
+            windowed_cell(opts, &params, &websearch(), load, SimTime::from_ms(60), tag);
+        let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
+        Cell::of(out, window)
     })
 }
 
 /// Produce the report (all-to-all table plus a microbenchmark shootout).
 pub fn run(opts: &Opts) -> Report {
-    let cells = sweep(opts);
-    let find = |load: f64, label: &str| {
-        cells
-            .iter()
-            .find(|c| c.load == load && c.label == label)
-            .unwrap_or_else(|| panic!("missing {label} at {load}"))
-    };
     let mut table = Table::new(vec![
         "load",
         "scheme",
@@ -93,17 +59,15 @@ pub fn run(opts: &Opts) -> Report {
         "p99 vs ECMP",
         "ooo %",
     ]);
-    for &load in &[0.4f64, 0.6] {
-        let ecmp = find(load, "ECMP");
-        for spec in contenders() {
-            let label = spec.name().to_string();
-            let c = find(load, &label);
+    for (load, row) in LOADS.iter().zip(sweep(opts)) {
+        let ecmp = &row[0].fct;
+        for (scheme, c) in contenders().iter().zip(&row) {
             table.row(vec![
                 format!("{:.0}%", load * 100.0),
-                label.clone(),
-                fmt_ratio(c.mean_s / ecmp.mean_s),
-                fmt_ratio(c.p99_s / ecmp.p99_s),
-                format!("{:.3}%", c.ooo_frac * 100.0),
+                scheme.name().to_string(),
+                fmt_ratio(c.fct.mean() / ecmp.mean()),
+                fmt_ratio(c.fct.quantile(0.99) / ecmp.quantile(0.99)),
+                format!("{:.3}%", c.out.ooo_frac() * 100.0),
             ]);
         }
     }
@@ -114,21 +78,15 @@ pub fn run(opts: &Opts) -> Report {
         let params = FatTreeParams::paper();
         let specs = microbench(&params, 16, bytes);
         let out = run_fat_tree(params, &scheme, &specs, SimTime::from_secs(120), opts.seed);
-        let fcts: Vec<f64> = out
-            .flows
-            .iter()
-            .filter_map(|f| f.fct())
-            .map(|t| t.as_secs_f64())
-            .collect();
-        (
-            scheme.name().to_string(),
-            stats::mean(&fcts).unwrap_or(0.0),
-            fcts.iter().cloned().fold(0.0, f64::max),
-        )
+        (scheme, Cell::of(out, Window::WHOLE_RUN).fct)
     });
     let mut mtable = Table::new(vec!["scheme", "mean FCT", "max FCT"]);
-    for (label, mean, max) in &micro {
-        mtable.row(vec![label.clone(), fmt_secs(*mean), fmt_secs(*max)]);
+    for (scheme, fct) in &micro {
+        mtable.row(vec![
+            scheme.name().to_string(),
+            fmt_secs(fct.mean()),
+            fmt_secs(fct.max()),
+        ]);
     }
 
     let mut r = Report::new("flowlet");
@@ -151,6 +109,7 @@ pub fn run(opts: &Opts) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{all_to_all, FlowSizeDist};
 
     #[test]
     fn flowlet_scheme_runs_and_reorders_moderately() {
@@ -183,8 +142,7 @@ mod tests {
             out.flows.len(),
             "all flows must complete under flowlets"
         );
-        let ooo =
-            out.get(Counter::OooPktsRcvd) as f64 / out.get(Counter::DataPktsRcvd).max(1) as f64;
+        let ooo = out.ooo_frac();
         // Flowlets reorder less than per-packet spraying (>10%) but are
         // not reorder-free.
         assert!(ooo < 0.10, "flowlet ooo unexpectedly high: {ooo}");

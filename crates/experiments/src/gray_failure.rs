@@ -14,48 +14,22 @@
 //! {0.5%, 1%, 2%, 4%} for ECMP and FlowBender. Drop-reason audits in the
 //! JSON summaries localize the gray loss to the faulted egress.
 
-use netsim::{Counter, DropReason, FaultPlan, SimTime, TraceConfig};
-use stats::{fmt_secs, Table};
-use topology::FatTreeParams;
-use workloads::microbench;
+use netsim::{DropReason, SimTime, TraceConfig};
+use stats::Table;
 
+use crate::cell::{failure_cells, faulted_microbench, Cell};
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{parallel_map, traced_replay, Run, RunOutput};
+use crate::scenario::{sweep_schemes, traced_replay};
 use crate::schemes::{self, SchemeSpec};
 
 /// The loss rates swept by the committed experiment.
 pub const LOSS_RATES: [f64; 4] = [0.005, 0.01, 0.02, 0.04];
 
-/// Result of one `(scheme, loss rate)` run.
-#[derive(Debug)]
-pub struct GrayResult {
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Per-packet drop probability on the gray link.
-    pub loss: f64,
-    /// Flows that completed (of `flows`).
-    pub completed: usize,
-    /// Total flows.
-    pub flows: usize,
-    /// Timeouts observed.
-    pub timeouts: u64,
-    /// FlowBender reroutes triggered by timeouts.
-    pub timeout_reroutes: u64,
-    /// Packets the gray link silently ate ([`DropReason::GrayLoss`]).
-    pub gray_drops: u64,
-    /// Worst FCT among completed flows (s).
-    pub max_fct_s: f64,
-}
-
-/// Run one scheme against one gray-loss rate on `shards` engine threads,
-/// with the flight recorder on for the flows `trace` selects. Apart from
-/// the timelines in `out.results.timelines()`, a traced run's output is
-/// byte-identical to the untraced run at the same seed. This
-/// microbenchmark's synchronized flows tie at shared switches, so a
-/// sharded run is a reproducible parallel execution of the same
-/// experiment rather than a byte-replica of `shards == 1` (see
-/// [`Run`]). Errors on what [`Run::run`] rejects — here, shard counts
-/// the paper fabric (4 pods) cannot host, or tracing with `shards > 1`.
+/// Run one scheme against one gray-loss rate: the
+/// [`faulted_microbench`] with the uplink silently losing packets with
+/// probability `loss` from the start. Apart from the timelines in
+/// `out.results.timelines()`, a traced run's output is byte-identical to
+/// the untraced run at the same seed.
 pub fn run_scheme(
     scheme: &SchemeSpec,
     loss: f64,
@@ -63,43 +37,15 @@ pub fn run_scheme(
     seed: u64,
     shards: usize,
     trace: TraceConfig,
-) -> Result<(GrayResult, RunOutput), String> {
-    let params = FatTreeParams::paper();
-    // 16 flows: two per host pair between ToR0/pod0 and ToR0/pod1.
-    let specs = microbench(&params, 16, bytes);
-    let out = Run::new(params, scheme, &specs, SimTime::from_secs(60), seed)
-        .shards(shards)
-        .trace(trace)
-        .faults(&|ft| {
-            // Gray out agg 0 of pod 0's first core uplink: one of the 8
-            // inter-pod paths silently loses packets from the start.
-            let (node, port) = ft.agg_core_link(0, 0);
-            let mut plan = FaultPlan::new();
-            plan.gray_loss(node, port, loss, SimTime::ZERO);
-            plan
-        })
-        .run()?;
-    Ok((summarize(scheme, loss, specs.len(), &out), out))
+) -> Result<Cell, String> {
+    faulted_microbench(scheme, bytes, seed, shards, trace, &|plan, node, port| {
+        plan.gray_loss(node, port, loss, SimTime::ZERO);
+    })
 }
 
-/// Fold one finished run into its table row.
-fn summarize(scheme: &SchemeSpec, loss: f64, flows: usize, out: &RunOutput) -> GrayResult {
-    let fcts: Vec<f64> = out
-        .flows
-        .iter()
-        .filter_map(|f| f.fct())
-        .map(|t| t.as_secs_f64())
-        .collect();
-    GrayResult {
-        scheme: scheme.name().to_string(),
-        loss,
-        completed: fcts.len(),
-        flows,
-        timeouts: out.get(Counter::Timeouts),
-        timeout_reroutes: out.get(Counter::TimeoutReroutes),
-        gray_drops: out.drops().by_reason(DropReason::GrayLoss),
-        max_fct_s: fcts.iter().cloned().fold(0.0, f64::max),
-    }
+/// Packets the gray link silently ate.
+pub fn gray_drops(c: &Cell) -> u64 {
+    c.out.drops().by_reason(DropReason::GrayLoss)
 }
 
 /// Produce the report: the sweep table plus one JSON run summary per
@@ -107,19 +53,18 @@ fn summarize(scheme: &SchemeSpec, loss: f64, flows: usize, out: &RunOutput) -> G
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
     let bytes = (10_000_000.0 * opts.scale) as u64;
-    let mut jobs: Vec<(SchemeSpec, f64)> = Vec::new();
-    for &loss in &LOSS_RATES {
-        jobs.push((schemes::ecmp(), loss));
-        jobs.push((schemes::flowbender(flowbender::Config::default()), loss));
-    }
-    let runs = parallel_map(jobs, |(scheme, loss)| {
+    let contenders = [
+        schemes::ecmp(),
+        schemes::flowbender(flowbender::Config::default()),
+    ];
+    let grid = sweep_schemes(&contenders, &LOSS_RATES, |scheme, &loss| {
         let cell = |trace| {
-            run_scheme(&scheme, loss, bytes, opts.seed, opts.shards, trace)
+            run_scheme(scheme, loss, bytes, opts.seed, opts.shards, trace)
                 .unwrap_or_else(|e| panic!("{e}"))
         };
-        let (r, out) = cell(TraceConfig::off());
-        let timelines = traced_replay(&opts.trace, &out, |cfg| cell(cfg).1);
-        (r, out, timelines)
+        let c = cell(TraceConfig::off());
+        let timelines = traced_replay(&opts.trace, &c.out, |cfg| cell(cfg).out);
+        (c, timelines)
     });
 
     let mut table = Table::new(vec![
@@ -132,39 +77,38 @@ pub fn run(opts: &Opts) -> Report {
         "max FCT",
     ]);
     let mut rep = Report::new("gray_failure");
-    for (r, out, timelines) in &runs {
-        table.row(vec![
-            format!("{:.1}%", r.loss * 100.0),
-            r.scheme.to_string(),
-            format!("{}/{}", r.completed, r.flows),
-            r.timeouts.to_string(),
-            r.timeout_reroutes.to_string(),
-            r.gray_drops.to_string(),
-            if r.completed > 0 {
-                fmt_secs(r.max_fct_s)
-            } else {
-                "-".to_string()
-            },
-        ]);
-        // `--shards 1` keeps the historical labels (and so the committed
-        // JSON file names); parallel runs are tagged with their shard
-        // count even though the bytes inside are identical.
-        let mut label = format!(
-            "{}_pm{}",
-            r.scheme.to_lowercase(),
-            (r.loss * 1000.0).round() as u32
-        );
-        if opts.shards > 1 {
-            label.push_str(&format!("_shards{}", opts.shards));
+    for (loss, row) in LOSS_RATES.iter().zip(grid) {
+        for (scheme, (c, timelines)) in contenders.iter().zip(row) {
+            let [completed, timeouts, timeout_reroutes, max_fct] = failure_cells(&c);
+            table.row(vec![
+                format!("{:.1}%", loss * 100.0),
+                scheme.name().to_string(),
+                completed,
+                timeouts,
+                timeout_reroutes,
+                gray_drops(&c).to_string(),
+                max_fct,
+            ]);
+            // `--shards 1` keeps the historical labels (and so the committed
+            // JSON file names); parallel runs are tagged with their shard
+            // count even though the bytes inside are identical.
+            let mut label = format!(
+                "{}_pm{}",
+                scheme.name().to_lowercase(),
+                (loss * 1000.0).round() as u32
+            );
+            if opts.shards > 1 {
+                label.push_str(&format!("_shards{}", opts.shards));
+            }
+            rep.run_summary(RunSummary::from_run(
+                label.clone(),
+                scheme.name(),
+                opts,
+                opts.seed,
+                &c.out,
+            ));
+            rep.trace_timelines(label, timelines);
         }
-        rep.run_summary(RunSummary::from_run(
-            label.clone(),
-            &r.scheme,
-            opts,
-            opts.seed,
-            out,
-        ));
-        rep.trace_timelines(label, timelines.clone());
     }
     rep.section(
         "Gray failure: one agg->core uplink silently drops packets under 16 cross-pod flows",
@@ -178,14 +122,9 @@ pub fn run(opts: &Opts) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::Counter;
 
-    fn plain(
-        scheme: &SchemeSpec,
-        loss: f64,
-        bytes: u64,
-        seed: u64,
-        shards: usize,
-    ) -> (GrayResult, RunOutput) {
+    fn plain(scheme: &SchemeSpec, loss: f64, bytes: u64, seed: u64, shards: usize) -> Cell {
         run_scheme(scheme, loss, bytes, seed, shards, TraceConfig::off()).unwrap()
     }
 
@@ -193,29 +132,34 @@ mod tests {
     fn flowbender_escapes_gray_link_ecmp_suffers() {
         let bytes = 3_000_000;
         let loss = 0.04;
-        let (ecmp, ecmp_out) = plain(&schemes::ecmp(), loss, bytes, 11, 1);
-        let (fb, _) = plain(
+        let ecmp = plain(&schemes::ecmp(), loss, bytes, 11, 1);
+        let fb = plain(
             &schemes::flowbender(flowbender::Config::default()),
             loss,
             bytes,
             11,
             1,
         );
-        assert!(ecmp.gray_drops > 0, "the gray link must actually drop");
-        assert_eq!(fb.completed, fb.flows, "FlowBender must complete all flows");
+        let ecmp_out = &ecmp.out;
+        assert!(gray_drops(&ecmp) > 0, "the gray link must actually drop");
+        assert_eq!(
+            fb.fct.n(),
+            fb.out.flows.len(),
+            "FlowBender must complete all flows"
+        );
         assert!(
-            fb.timeout_reroutes > 0,
+            fb.out.get(Counter::TimeoutReroutes) > 0,
             "escape must go through timeout reroutes"
         );
         // ECMP either strands flows on the lossy path or limps home
         // timeout-dominated: >= 5x FlowBender's worst FCT.
         assert!(
-            ecmp.completed < ecmp.flows || ecmp.max_fct_s >= 5.0 * fb.max_fct_s,
+            ecmp.fct.n() < ecmp_out.flows.len() || ecmp.fct.max() >= 5.0 * fb.fct.max(),
             "ECMP should stall or be >=5x slower: ecmp {}/{} max {}s vs fb max {}s",
-            ecmp.completed,
-            ecmp.flows,
-            ecmp.max_fct_s,
-            fb.max_fct_s
+            ecmp.fct.n(),
+            ecmp_out.flows.len(),
+            ecmp.fct.max(),
+            fb.fct.max()
         );
         // The audit pins every gray drop to the one faulted egress.
         let rows = ecmp_out.drops().per_port();
@@ -238,21 +182,21 @@ mod tests {
         // fixed shard count. (Byte-identity across shard counts is pinned
         // by the Poisson-workload property suite in tests/sharded_faults.)
         let bytes = 500_000;
-        let (a, ao) = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
+        let a = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
         for shards in [2, 4] {
-            let (b, bo) = plain(&schemes::ecmp(), 0.01, bytes, 7, shards);
-            assert_eq!(a.completed, b.completed, "shards={shards}");
-            assert_eq!(ao.flows.len(), bo.flows.len(), "shards={shards}");
-            assert!(b.gray_drops > 0, "shards={shards}: the gray link drops");
-            assert!(bo.conservation.holds(), "shards={shards}");
-            let (b2, bo2) = plain(&schemes::ecmp(), 0.01, bytes, 7, shards);
+            let b = plain(&schemes::ecmp(), 0.01, bytes, 7, shards);
+            assert_eq!(a.fct.n(), b.fct.n(), "shards={shards}");
+            assert_eq!(a.out.flows.len(), b.out.flows.len(), "shards={shards}");
+            assert!(gray_drops(&b) > 0, "shards={shards}: the gray link drops");
+            assert!(b.out.conservation.holds(), "shards={shards}");
+            let b2 = plain(&schemes::ecmp(), 0.01, bytes, 7, shards);
             assert_eq!(
-                b.max_fct_s.to_bits(),
-                b2.max_fct_s.to_bits(),
+                b.fct.max().to_bits(),
+                b2.fct.max().to_bits(),
                 "shards={shards}"
             );
-            assert_eq!(bo.events, bo2.events, "shards={shards}");
-            assert_eq!(bo.conservation, bo2.conservation, "shards={shards}");
+            assert_eq!(b.out.events, b2.out.events, "shards={shards}");
+            assert_eq!(b.out.conservation, b2.out.conservation, "shards={shards}");
         }
         let err = run_scheme(&schemes::ecmp(), 0.01, bytes, 7, 8, TraceConfig::off()).unwrap_err();
         assert!(err.contains("4 pods"), "paper fabric has 4 pods: {err}");
@@ -261,12 +205,12 @@ mod tests {
     #[test]
     fn same_seed_reproduces_exactly() {
         let bytes = 500_000;
-        let (a, ao) = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
-        let (b, bo) = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
-        assert_eq!(a.gray_drops, b.gray_drops);
-        assert_eq!(a.timeouts, b.timeouts);
-        assert_eq!(a.max_fct_s.to_bits(), b.max_fct_s.to_bits());
-        assert_eq!(ao.events, bo.events);
-        assert_eq!(ao.conservation, bo.conservation);
+        let a = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
+        let b = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
+        assert_eq!(gray_drops(&a), gray_drops(&b));
+        assert_eq!(a.out.get(Counter::Timeouts), b.out.get(Counter::Timeouts));
+        assert_eq!(a.fct.max().to_bits(), b.fct.max().to_bits());
+        assert_eq!(a.out.events, b.out.events);
+        assert_eq!(a.out.conservation, b.out.conservation);
     }
 }

@@ -33,6 +33,28 @@
 //! patterns exist is owned by the `workloads` crate's registry (selected
 //! with `--workload`); the one runner ([`Run`]) and the sweep machinery
 //! live in [`scenario`].
+//!
+//! ## Adding an experiment
+//!
+//! One row in [`mod@registry`] plus one module, which is four steps:
+//!
+//! 1. **cell set-up** — a helper from [`cell`] turns the options into a
+//!    flow list and a measurement [`Window`] ([`cell::windowed_cell`] for
+//!    the paper-fabric sweeps, [`cell::WorkloadSweep`] for the k-ary
+//!    scheme × workload sweeps, [`cell::faulted_microbench`] for the
+//!    failure microbenchmarks); the window, warm-up, drain and
+//!    normalization conventions are stated once, in [`cell`]'s docs;
+//! 2. **sweep** — [`sweep_schemes`] runs the cell per `(param, scheme)`
+//!    and returns the `[param][scheme]` grid, which tables index directly;
+//! 3. **digest** — [`Cell::of`] pairs each [`RunOutput`] with its
+//!    [`Digest`] (in-window FCT mean / quantiles / completion); counters
+//!    read straight off the run (`out.get(..)`, `out.ooo_frac()`,
+//!    `out.reroutes()`);
+//! 4. **table** — rows go into a [`stats::Table`] in a [`Report`], with
+//!    [`cell::baseline`] picking the scheme everything is normalized to.
+//!
+//! An experiment keeps code of its own only where it truly differs (the
+//! chaos script, fig5's job statistics, asym's hand-degraded link).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,6 +63,7 @@ pub mod ablation;
 pub mod alltoall;
 pub mod asym;
 pub mod buffers;
+pub mod cell;
 pub mod chaos;
 pub mod fabric_scale;
 pub mod feedback;
@@ -61,6 +84,7 @@ pub mod table1;
 pub mod topo_dep;
 pub mod trace_scale;
 
+pub use cell::{Cell, Digest};
 pub use registry::{find, registry, Experiment};
 pub use report::{timeline_json, Opts, Report, RunSummary, TraceSel};
 pub use scenario::{
@@ -96,28 +120,4 @@ pub fn workloads_help(unknown: &str) -> String {
          (parameterized forms like incast:1000 or hotspot:1.5 also work; \
          try the `workloads` subcommand)"
     )
-}
-
-/// Run every experiment and return all reports, in registry (paper) order.
-///
-/// The fig3/fig4/ooo entries share one all-to-all sweep; running them
-/// through [`Experiment::run`] individually would repeat that sweep three
-/// times, so this memoizes the sweep and pulls each report out by name.
-pub fn run_everything(opts: &Opts) -> Vec<Report> {
-    let mut sweep: Vec<Report> = Vec::new();
-    let mut reports = Vec::new();
-    for exp in registry() {
-        match exp.name() {
-            "fig3" | "fig4" | "ooo" => {
-                if sweep.is_empty() {
-                    sweep = alltoall::run_all(opts);
-                }
-                if let Some(pos) = sweep.iter().position(|r| r.name == exp.name()) {
-                    reports.push(sweep.remove(pos));
-                }
-            }
-            _ => reports.extend(exp.run(opts)),
-        }
-    }
-    reports
 }

@@ -9,75 +9,28 @@
 //! hash lands on the dead link black-hole forever; FlowBender flows take
 //! one RTO, bend, and finish.
 
-use netsim::{Counter, FaultPlan, SimTime};
+use netsim::{SimTime, TraceConfig};
 use stats::{fmt_secs, Table};
-use topology::FatTreeParams;
-use workloads::microbench;
 
+use crate::cell::{failure_cells, faulted_microbench, Cell};
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, Run};
+use crate::scenario::parallel_map;
 use crate::schemes::{self, SchemeSpec};
 
-/// Result of one scheme's failure run.
-#[derive(Debug)]
-pub struct FailureResult {
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Flows that completed (of `flows`).
-    pub completed: usize,
-    /// Total flows.
-    pub flows: usize,
-    /// Timeouts observed.
-    pub timeouts: u64,
-    /// FlowBender reroutes triggered by timeouts.
-    pub timeout_reroutes: u64,
-    /// Worst FCT among completed flows (s).
-    pub max_fct_s: f64,
-}
-
-/// Run the failure experiment for one scheme. `shards` selects the
-/// engine (`--shards N`); the failure is a [`FaultPlan::kill`] — both
-/// link directions die. As in the gray-failure microbenchmark, the
-/// synchronized flows tie at shared switches, so a sharded run is a
-/// reproducible parallel execution rather than a byte-replica of
-/// `shards == 1` (see [`Run`]). Errors on shard counts the paper fabric
-/// (4 pods) cannot host.
+/// Run the failure experiment for one scheme: the
+/// [`faulted_microbench`] with both directions of the uplink dying at
+/// `fail_at` — packets already hashed onto it black-hole.
 pub fn run_scheme(
     scheme: &SchemeSpec,
     bytes: u64,
     fail_at: SimTime,
     seed: u64,
     shards: usize,
-) -> Result<FailureResult, String> {
-    let params = FatTreeParams::paper();
-    // 16 flows: two per host pair between ToR0/pod0 and ToR0/pod1.
-    let specs = microbench(&params, 16, bytes);
-    let out = Run::new(params, scheme, &specs, SimTime::from_secs(60), seed)
-        .shards(shards)
-        .faults(&|ft| {
-            // Fail agg 0 of pod 0's first core uplink: one of the 8
-            // inter-pod paths dies. Packets already hashed onto it
-            // black-hole.
-            let (node, port) = ft.agg_core_link(0, 0);
-            let mut plan = FaultPlan::new();
-            plan.kill(node, port, fail_at);
-            plan
-        })
-        .run()?;
-    let fcts: Vec<f64> = out
-        .flows
-        .iter()
-        .filter_map(|f| f.fct())
-        .map(|t| t.as_secs_f64())
-        .collect();
-    Ok(FailureResult {
-        scheme: scheme.name().to_string(),
-        completed: fcts.len(),
-        flows: specs.len(),
-        timeouts: out.get(Counter::Timeouts),
-        timeout_reroutes: out.get(Counter::TimeoutReroutes),
-        max_fct_s: fcts.iter().cloned().fold(0.0, f64::max),
-    })
+) -> Result<Cell, String> {
+    let kill = |plan: &mut netsim::FaultPlan, node, port| {
+        plan.kill(node, port, fail_at);
+    };
+    faulted_microbench(scheme, bytes, seed, shards, TraceConfig::off(), &kill)
 }
 
 /// Produce the report.
@@ -90,7 +43,9 @@ pub fn run(opts: &Opts) -> Report {
         schemes::flowbender(flowbender::Config::default()),
     ];
     let results = parallel_map(contenders, |s| {
-        run_scheme(&s, bytes, fail_at, opts.seed, opts.shards).unwrap_or_else(|e| panic!("{e}"))
+        let c = run_scheme(&s, bytes, fail_at, opts.seed, opts.shards)
+            .unwrap_or_else(|e| panic!("{e}"));
+        (s, c)
     });
 
     let mut table = Table::new(vec![
@@ -100,18 +55,10 @@ pub fn run(opts: &Opts) -> Report {
         "timeout reroutes",
         "max FCT",
     ]);
-    for r in &results {
-        table.row(vec![
-            r.scheme.to_string(),
-            format!("{}/{}", r.completed, r.flows),
-            r.timeouts.to_string(),
-            r.timeout_reroutes.to_string(),
-            if r.completed > 0 {
-                fmt_secs(r.max_fct_s)
-            } else {
-                "-".to_string()
-            },
-        ]);
+    for (scheme, c) in &results {
+        let mut row = vec![scheme.name().to_string()];
+        row.extend(failure_cells(c));
+        table.row(row);
     }
     let mut rep = Report::new("link_failure");
     rep.section(
@@ -128,6 +75,7 @@ pub fn run(opts: &Opts) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::Counter;
 
     #[test]
     fn flowbender_survives_failure_ecmp_strands_flows() {
@@ -141,18 +89,22 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!(fb.completed, fb.flows, "FlowBender must complete all flows");
+        assert_eq!(
+            fb.fct.n(),
+            fb.out.flows.len(),
+            "FlowBender must complete all flows"
+        );
         assert!(
-            fb.timeout_reroutes > 0,
+            fb.out.get(Counter::TimeoutReroutes) > 0,
             "recovery must go through timeout reroutes"
         );
         assert!(
-            ecmp.completed < ecmp.flows,
+            ecmp.fct.n() < ecmp.out.flows.len(),
             "ECMP should strand the flows hashed onto the dead path"
         );
         // Recovery is RTO-scale: with a 10ms RTO floor the whole 3MB flow
         // set still finishes far faster than any routing reconvergence.
-        assert!(fb.max_fct_s < 5.0, "max fct = {}", fb.max_fct_s);
+        assert!(fb.fct.max() < 5.0, "max fct = {}", fb.fct.max());
     }
 
     #[test]
@@ -166,12 +118,12 @@ mod tests {
         let one = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, 1).unwrap();
         for shards in [2, 4] {
             let n = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, shards).unwrap();
-            assert_eq!(one.completed, n.completed, "shards={shards}");
+            assert_eq!(one.fct.n(), n.fct.n(), "shards={shards}");
             let again =
                 run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, shards).unwrap();
             assert_eq!(
-                n.max_fct_s.to_bits(),
-                again.max_fct_s.to_bits(),
+                n.fct.max().to_bits(),
+                again.fct.max().to_bits(),
                 "shards={shards}"
             );
         }

@@ -19,8 +19,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use experiments::{report::Opts, Report};
+use experiments::{registry, report::Opts, Experiment};
 use stats::Json;
+
+/// The names of the experiments that honor `--shards`, from the registry.
+fn sharded_names() -> String {
+    let names: Vec<&str> = experiments::registry()
+        .iter()
+        .filter(|e| e.fabric.is_some())
+        .map(|e| e.name)
+        .collect();
+    names.join(", ")
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -29,7 +39,7 @@ fn usage() -> ! {
     eprintln!();
     eprintln!("commands:");
     for e in experiments::registry() {
-        eprintln!("  {:<13} {}", e.name(), e.describe());
+        eprintln!("  {:<13} {}", e.name, e.describe);
     }
     eprintln!("  {:<13} everything above", "all");
     eprintln!(
@@ -58,8 +68,8 @@ fn usage() -> ! {
     eprintln!("               needs --shards 1");
     eprintln!("  --shards N   worker threads for the sharded engine (default 1 — the");
     eprintln!("               classic single-threaded engine; Poisson-workload results");
-    eprintln!("               are identical at any N). honored by: fabric-scale, chaos,");
-    eprintln!("               gray-failure, link-failure, feedback");
+    eprintln!("               are identical at any N). honored by:");
+    eprintln!("               {}", sharded_names());
     eprintln!("  --topo k=K   k-ary fat-tree arity for fabric-building experiments");
     eprintln!("               (hosts = k^3/4: k=8 -> 128, k=16 -> 1024, k=32 -> 8192)");
     eprintln!("  --smoke      CI-sized run: smaller fabric and shorter windows");
@@ -200,25 +210,34 @@ fn main() -> ExitCode {
             _ => usage(),
         }
     }
-    if let Err(e) = opts.check() {
+    let rows: Vec<&Experiment> = if command == "all" {
+        experiments::registry().iter().collect()
+    } else if let Some(exp) = experiments::find(&command) {
+        vec![exp]
+    } else {
+        eprintln!("error: unknown experiment '{command}'");
+        let names: Vec<&str> = experiments::registry().iter().map(|e| e.name).collect();
+        eprintln!("available: {} (or 'all')", names.join(", "));
+        return ExitCode::from(2);
+    };
+    if let Err(e) = opts
+        .check()
+        .and_then(|()| registry::check_shards(&rows, &opts))
+    {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
+    if opts.shards > 1 && rows.iter().all(|e| e.fabric.is_none()) {
+        eprintln!(
+            "warning: --shards {} ignored: `{command}` runs on the single-threaded \
+             engine (the sharded engine is wired into: {})",
+            opts.shards,
+            sharded_names()
+        );
+    }
 
     let started = std::time::Instant::now();
-    let reports: Vec<Report> = if command == "all" {
-        experiments::run_everything(&opts)
-    } else {
-        match experiments::find(&command) {
-            Some(exp) => exp.run(&opts),
-            None => {
-                eprintln!("error: unknown experiment '{command}'");
-                let names: Vec<&str> = experiments::registry().iter().map(|e| e.name()).collect();
-                eprintln!("available: {} (or 'all')", names.join(", "));
-                return ExitCode::from(2);
-            }
-        }
-    };
+    let reports = registry::run(&rows, &opts);
 
     if !opts.trace.is_off() && reports.iter().all(|r| r.traces.is_empty()) {
         eprintln!(

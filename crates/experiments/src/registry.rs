@@ -1,218 +1,219 @@
-//! The experiment registry: every paper artifact as a named, describable,
-//! runnable unit.
+//! The experiment registry: every paper artifact as one row of a table —
+//! name, description, how to run it, and (when it honors `--shards`) the
+//! fabric it builds.
 //!
-//! The CLI, `run_everything`, and usage text all iterate [`registry`]
-//! instead of hard-coding a command list, so adding an experiment is one
-//! `experiment!` line here plus its module. Entries appear in the paper's
-//! presentation order.
+//! The CLI's usage text, dispatch, `all`, and `--shards` validation all
+//! read [`registry`], so adding an experiment is one row here plus its
+//! module. Rows appear in the paper's presentation order.
 
+use topology::{FatTreeParams, ShardPlan};
+
+use crate::cell::{paper_fabric, WorkloadSweep};
 use crate::report::{Opts, Report};
+use crate::{
+    ablation, alltoall, asym, buffers, chaos, fabric_scale, feedback, fig5, fig8, flowlet,
+    gray_failure, hotspot, link_failure, reordering, repflow, sensitivity, table1, topo_dep,
+    trace_scale,
+};
 
-/// One runnable experiment from the paper (or an extension).
-///
-/// Implementations are stateless unit structs; all run parameters come in
-/// through [`Opts`]. `run` returns a `Vec` because a few commands (the
-/// all-to-all sweep) naturally produce several reports from one pass.
-pub trait Experiment: Sync {
-    /// Subcommand name (e.g. `"fig3"`, `"link-failure"`).
-    fn name(&self) -> &'static str;
+/// One runnable experiment from the paper (or an extension). All run
+/// parameters come in through [`Opts`].
+pub struct Experiment {
+    /// Subcommand name (e.g. `"fig3"`, `"link-failure"`). The report it
+    /// produces carries the same name with `-` spelled `_`.
+    pub name: &'static str,
     /// One-line description shown in the usage text.
-    fn describe(&self) -> &'static str;
-    /// Run the experiment.
-    fn run(&self, opts: &Opts) -> Vec<Report>;
+    pub describe: &'static str,
+    /// Run it. The result holds the report named after this row; rows
+    /// that share one sweep (fig3/fig4/ooo) name the same function, which
+    /// returns all of the sweep's reports — see [`run`].
+    pub run: fn(&Opts) -> Vec<Report>,
+    /// The fat-tree this experiment builds, for the rows that honor
+    /// `--shards` (`None`: the experiment is single-threaded). It is the
+    /// function the module itself builds its fabric with, so the CLI's
+    /// shard-count check cannot drift from what actually runs.
+    pub fabric: Option<fn(&Opts) -> FatTreeParams>,
 }
 
-/// Defines a unit struct implementing [`Experiment`] with a closure body.
-macro_rules! experiment {
-    ($ty:ident, $name:expr, $desc:expr, $run:expr) => {
-        struct $ty;
-        impl Experiment for $ty {
-            fn name(&self) -> &'static str {
-                $name
-            }
-            fn describe(&self) -> &'static str {
-                $desc
-            }
-            fn run(&self, opts: &Opts) -> Vec<Report> {
-                #[allow(clippy::redundant_closure_call)]
-                ($run)(opts)
-            }
-        }
-    };
-}
-
-/// The fig3/fig4/ooo commands share one all-to-all sweep; each entry runs
-/// the sweep and keeps its own report.
-fn alltoall_one(name: &str, opts: &Opts) -> Vec<Report> {
-    crate::alltoall::run_all(opts)
-        .into_iter()
-        .filter(|r| r.name == name)
-        .collect()
-}
-
-experiment!(
-    Table1,
-    "table1",
-    "Table 1: 250MB ToR-to-ToR microbenchmark",
-    |opts: &Opts| vec![crate::table1::run(opts)]
-);
-experiment!(
-    Fig3,
-    "fig3",
-    "Fig 3: all-to-all mean latency (runs the fig3/4/ooo sweep)",
-    |opts: &Opts| alltoall_one("fig3", opts)
-);
-experiment!(
-    Fig4,
-    "fig4",
-    "Fig 4: all-to-all p99 latency (same sweep)",
-    |opts: &Opts| { alltoall_one("fig4", opts) }
-);
-experiment!(
-    Ooo,
-    "ooo",
-    "S4.2.3: out-of-order statistics (same sweep)",
-    |opts: &Opts| { alltoall_one("ooo", opts) }
-);
-experiment!(
-    Fig5,
-    "fig5",
-    "Fig 5: partition-aggregate",
-    |opts: &Opts| vec![crate::fig5::run(opts)]
-);
-experiment!(Fig6, "fig6", "Fig 6: sensitivity to N", |opts: &Opts| vec![
-    crate::sensitivity::fig6(opts)
-]);
-experiment!(Fig7, "fig7", "Fig 7: sensitivity to T", |opts: &Opts| vec![
-    crate::sensitivity::fig7(opts)
-]);
-experiment!(
-    Fig8,
-    "fig8",
-    "Fig 8: testbed (simulated)",
-    |opts: &Opts| vec![crate::fig8::run(opts)]
-);
-experiment!(
-    Hotspot,
-    "hotspot",
-    "S4.3.1: UDP hotspot decongestion",
-    |opts: &Opts| vec![crate::hotspot::run(opts)]
-);
-experiment!(
-    TopoDep,
-    "topo-dep",
-    "S4.3.3: path-diversity dependence",
-    |opts: &Opts| vec![crate::topo_dep::run(opts)]
-);
-experiment!(
-    LinkFailure,
-    "link-failure",
-    "S3.3.2: RTO-scale failure recovery",
-    |opts: &Opts| vec![crate::link_failure::run(opts)]
-);
-experiment!(
-    GrayFailure,
-    "gray-failure",
-    "extension: gray failure — silent loss on one agg-core uplink",
-    |opts: &Opts| vec![crate::gray_failure::run(opts)]
-);
-experiment!(
-    Asym,
-    "asym",
-    "S4.3.1: asymmetric links, WCMP, weight misconfiguration",
-    |opts: &Opts| vec![crate::asym::run(opts)]
-);
-experiment!(
-    Buffers,
-    "buffers",
-    "substrate sensitivity: buffer depth vs the ECMP gap",
-    |opts: &Opts| vec![crate::buffers::run(opts)]
-);
-experiment!(
-    FlowletExt,
-    "flowlet",
-    "extension: FlowBender vs flowlet switching",
-    |opts: &Opts| vec![crate::flowlet::run(opts)]
-);
-experiment!(
-    Ablation,
-    "ablation",
-    "S3.4/S5 design refinements",
-    |opts: &Opts| vec![crate::ablation::run(opts)]
-);
-experiment!(
-    RepFlow,
-    "repflow",
-    "extension: RepFlow-style short-flow replication vs rerouting",
-    |opts: &Opts| vec![crate::repflow::run(opts)]
-);
-experiment!(
-    TraceScale,
-    "trace-scale",
-    "extension: million-flow workload engine + streaming FCT sketches",
-    |opts: &Opts| vec![crate::trace_scale::run(opts)]
-);
-experiment!(
-    FabricScale,
-    "fabric-scale",
-    "extension: 1024-host all-to-all on the sharded multi-core engine",
-    |opts: &Opts| vec![crate::fabric_scale::run(opts)]
-);
-experiment!(
-    Chaos,
-    "chaos",
-    "extension: incident-timeline chaos drill with reconvergence SLOs",
-    |opts: &Opts| vec![crate::chaos::run(opts)]
-);
-experiment!(
-    Feedback,
-    "feedback",
-    "extension: switch-assisted feedback — INT telemetry + early CN vs the ECN echo",
-    |opts: &Opts| vec![crate::feedback::run(opts)]
-);
-experiment!(
-    Reordering,
-    "reordering",
-    "extension: reordering cost by routing locus — spraying vs switch-side flowcuts",
-    |opts: &Opts| vec![crate::reordering::run(opts)]
-);
-
-static REGISTRY: [&dyn Experiment; 22] = [
-    &Table1,
-    &Fig3,
-    &Fig4,
-    &Ooo,
-    &Fig5,
-    &Fig6,
-    &Fig7,
-    &Fig8,
-    &Hotspot,
-    &TopoDep,
-    &LinkFailure,
-    &GrayFailure,
-    &Asym,
-    &Buffers,
-    &FlowletExt,
-    &Ablation,
-    &RepFlow,
-    &TraceScale,
-    &FabricScale,
-    &Chaos,
-    &Feedback,
-    &Reordering,
+static REGISTRY: [Experiment; 22] = [
+    Experiment {
+        name: "table1",
+        describe: "Table 1: 250MB ToR-to-ToR microbenchmark",
+        run: |o| vec![table1::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "fig3",
+        describe: "Fig 3: all-to-all mean latency (runs the fig3/4/ooo sweep)",
+        run: alltoall::run_all,
+        fabric: None,
+    },
+    Experiment {
+        name: "fig4",
+        describe: "Fig 4: all-to-all p99 latency (same sweep)",
+        run: alltoall::run_all,
+        fabric: None,
+    },
+    Experiment {
+        name: "ooo",
+        describe: "S4.2.3: out-of-order statistics (same sweep)",
+        run: alltoall::run_all,
+        fabric: None,
+    },
+    Experiment {
+        name: "fig5",
+        describe: "Fig 5: partition-aggregate",
+        run: |o| vec![fig5::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "fig6",
+        describe: "Fig 6: sensitivity to N",
+        run: |o| vec![sensitivity::fig6(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "fig7",
+        describe: "Fig 7: sensitivity to T",
+        run: |o| vec![sensitivity::fig7(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "fig8",
+        describe: "Fig 8: testbed (simulated)",
+        run: |o| vec![fig8::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "hotspot",
+        describe: "S4.3.1: UDP hotspot decongestion",
+        run: |o| vec![hotspot::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "topo-dep",
+        describe: "S4.3.3: path-diversity dependence",
+        run: |o| vec![topo_dep::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "link-failure",
+        describe: "S3.3.2: RTO-scale failure recovery",
+        run: |o| vec![link_failure::run(o)],
+        fabric: Some(paper_fabric),
+    },
+    Experiment {
+        name: "gray-failure",
+        describe: "extension: gray failure — silent loss on one agg-core uplink",
+        run: |o| vec![gray_failure::run(o)],
+        fabric: Some(paper_fabric),
+    },
+    Experiment {
+        name: "asym",
+        describe: "S4.3.1: asymmetric links, WCMP, weight misconfiguration",
+        run: |o| vec![asym::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "buffers",
+        describe: "substrate sensitivity: buffer depth vs the ECMP gap",
+        run: |o| vec![buffers::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "flowlet",
+        describe: "extension: FlowBender vs flowlet switching",
+        run: |o| vec![flowlet::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "ablation",
+        describe: "S3.4/S5 design refinements",
+        run: |o| vec![ablation::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "repflow",
+        describe: "extension: RepFlow-style short-flow replication vs rerouting",
+        run: |o| vec![repflow::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "trace-scale",
+        describe: "extension: million-flow workload engine + streaming FCT sketches",
+        run: |o| vec![trace_scale::run(o)],
+        fabric: None,
+    },
+    Experiment {
+        name: "fabric-scale",
+        describe: "extension: 1024-host all-to-all on the sharded multi-core engine",
+        run: |o| vec![fabric_scale::run(o)],
+        fabric: Some(fabric_scale::fabric),
+    },
+    Experiment {
+        name: "chaos",
+        describe: "extension: incident-timeline chaos drill with reconvergence SLOs",
+        run: |o| vec![chaos::run(o)],
+        fabric: Some(fabric_scale::fabric),
+    },
+    Experiment {
+        name: "feedback",
+        describe: "extension: switch-assisted feedback — INT telemetry + early CN vs the ECN echo",
+        run: |o| vec![feedback::run(o)],
+        fabric: Some(WorkloadSweep::fabric),
+    },
+    Experiment {
+        name: "reordering",
+        describe: "extension: reordering cost by routing locus — spraying vs switch-side flowcuts",
+        run: |o| vec![reordering::run(o)],
+        fabric: Some(WorkloadSweep::fabric),
+    },
 ];
 
 /// All experiments, in the paper's presentation order.
-pub fn registry() -> &'static [&'static dyn Experiment] {
+pub fn registry() -> &'static [Experiment] {
     &REGISTRY
 }
 
 /// Look up an experiment by its subcommand name. Underscores are
 /// accepted as hyphens (`gray_failure` finds `gray-failure`), since the
 /// report files on disk use the underscored spelling.
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
+pub fn find(name: &str) -> Option<&'static Experiment> {
     let canon = name.replace('_', "-");
-    registry().iter().copied().find(|e| e.name() == canon)
+    registry().iter().find(|e| e.name == canon)
+}
+
+/// Run `rows` in order and return one report per row. What a row's `run`
+/// returns is pooled by report name, and a row whose report is already in
+/// the pool does not run again — so the sweep fig3/fig4/ooo share runs
+/// once per call, whether one of them was asked for or all 22 rows.
+pub fn run(rows: &[&Experiment], opts: &Opts) -> Vec<Report> {
+    let mut pool: Vec<Report> = Vec::new();
+    let mut reports = Vec::with_capacity(rows.len());
+    for e in rows {
+        let name = e.name.replace('-', "_");
+        let pooled = |pool: &[Report]| pool.iter().position(|r| r.name == name);
+        if pooled(&pool).is_none() {
+            pool.extend((e.run)(opts));
+        }
+        let i = pooled(&pool).expect("a row's run returns the report named after it");
+        reports.push(pool.remove(i));
+    }
+    reports
+}
+
+/// Check `--shards` against the fabric every one of `rows` that honors it
+/// actually builds: `Err` with [`ShardPlan`]'s explanation (and the
+/// experiment it is about) when one of them cannot be partitioned that
+/// way. Call after [`Opts::check`], which vets `--topo`.
+pub fn check_shards(rows: &[&Experiment], opts: &Opts) -> Result<(), String> {
+    for e in rows {
+        if let Some(fabric) = e.fabric {
+            ShardPlan::new(&fabric(opts), opts.shards)
+                .map_err(|err| format!("{err} (experiment `{}`)", e.name))?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -223,14 +224,10 @@ mod tests {
     fn names_are_unique_and_lookup_works() {
         let mut seen = std::collections::HashSet::new();
         for e in registry() {
-            assert!(
-                seen.insert(e.name()),
-                "duplicate experiment name {}",
-                e.name()
-            );
-            assert!(!e.describe().is_empty());
-            let found = find(e.name()).expect("registered name must resolve");
-            assert_eq!(found.name(), e.name());
+            assert!(seen.insert(e.name), "duplicate experiment name {}", e.name);
+            assert!(!e.describe.is_empty());
+            let found = find(e.name).expect("registered name must resolve");
+            assert_eq!(found.name, e.name);
         }
         assert_eq!(registry().len(), 22);
         assert!(find("no-such-experiment").is_none());
@@ -238,19 +235,50 @@ mod tests {
 
     #[test]
     fn find_accepts_underscored_spellings() {
-        assert_eq!(find("gray_failure").unwrap().name(), "gray-failure");
-        assert_eq!(find("link_failure").unwrap().name(), "link-failure");
-        assert_eq!(find("topo_dep").unwrap().name(), "topo-dep");
+        assert_eq!(find("gray_failure").unwrap().name, "gray-failure");
+        assert_eq!(find("link_failure").unwrap().name, "link-failure");
+        assert_eq!(find("topo_dep").unwrap().name, "topo-dep");
     }
 
+    /// The fig4 row names the shared fig3/fig4/ooo sweep; running it must
+    /// hand back exactly the report named "fig4" — and asking for all
+    /// three must still run the sweep once (each report appears once).
     #[test]
-    fn registry_reports_use_their_own_name() {
-        // Cheap spot check on the shared-sweep filter plumbing: the fig4
-        // entry must hand back exactly the report named "fig4". Running a
-        // real sweep here would be slow, so only check the filter logic
-        // against the registry's naming contract.
-        for name in ["fig3", "fig4", "ooo"] {
-            assert!(find(name).is_some());
+    fn a_shared_sweep_row_yields_exactly_its_own_report() {
+        let opts = Opts {
+            scale: 0.01,
+            schemes: vec!["ecmp".into()],
+            ..Opts::default()
+        };
+        let fig4 = run(&[find("fig4").unwrap()], &opts);
+        assert_eq!(fig4.len(), 1);
+        assert_eq!(fig4[0].name, "fig4");
+        assert_eq!(fig4[0].sections[0].1.len(), 12, "3 loads x 4 size bins");
+
+        let rows: Vec<&Experiment> = ["ooo", "fig3", "fig4"].map(|n| find(n).unwrap()).into();
+        let names: Vec<String> = run(&rows, &opts).into_iter().map(|r| r.name).collect();
+        assert_eq!(names, ["ooo", "fig3", "fig4"]);
+    }
+
+    /// `--shards` is judged against the fabric the experiment builds, not
+    /// a guess: 8 shards suit fabric-scale's smoke fabric (k=8) but not
+    /// feedback's (k=4) or the 4-pod paper fabric of link-failure.
+    #[test]
+    fn shard_counts_are_checked_against_each_rows_own_fabric() {
+        let opts = Opts {
+            shards: 8,
+            smoke: true,
+            ..Opts::default()
+        };
+        let check = |name: &str| check_shards(&[find(name).unwrap()], &opts);
+        assert!(check("fabric-scale").is_ok());
+        assert!(check("fig3").is_ok(), "no fabric row, nothing to check");
+        for name in ["feedback", "reordering", "link-failure", "gray-failure"] {
+            let err = check(name).unwrap_err();
+            assert!(err.contains("4 pods") && err.contains(name), "{err}");
         }
+        let all: Vec<&Experiment> = registry().iter().collect();
+        assert!(check_shards(&all, &opts).is_err(), "`all` checks every row");
+        assert!(check_shards(&all, &Opts::default()).is_ok());
     }
 }

@@ -12,82 +12,50 @@
 //! fits the one-file [`crate::schemes`] recipe.
 
 use netsim::SimTime;
-use stats::{fmt_ratio, fmt_secs, samples, Table};
+use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{all_to_all, FlowSizeDist};
+use workloads::patterns::websearch;
 
+use crate::cell::{baseline, windowed_cell, Cell};
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{parallel_map, run_fat_tree, RunOutput};
 use crate::schemes::{self, SchemeSpec};
 
 /// Flows below this size count as "short" in the report tables — the same
 /// 100 KB cut-off [`schemes::repflow`] replicates under.
 pub const SHORT_BYTES: u64 = 100_000;
 
-/// One scheme's outcome on the short-flow-heavy workload.
-#[derive(Debug)]
-pub struct SchemeResult {
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Mean FCT of short (<100 KB) flows, seconds.
-    pub short_mean_s: f64,
-    /// p99 FCT of short flows, seconds.
-    pub short_p99_s: f64,
-    /// Mean FCT of the remaining (long) flows, seconds.
-    pub long_mean_s: f64,
-    /// Short flows measured in the window.
-    pub short_n: usize,
-    /// Replica flows the scheme injected (0 for non-replicating schemes).
-    pub replicas: usize,
-    /// Extra data the replicas carried, as a fraction of primary bytes.
-    pub overhead_frac: f64,
-    /// The machine-readable summary of the run.
-    pub summary: RunSummary,
-}
-
 /// Run the 40 % web-search all-to-all workload once per scheme.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<SchemeResult> {
+pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
     opts.validate();
     let params = FatTreeParams::paper();
-    let duration = opts.scaled(SimTime::from_ms(60));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-    let dist = FlowSizeDist::web_search();
-
     parallel_map(schemes.to_vec(), |scheme| {
-        let mut rng = netsim::DetRng::new(opts.seed, 0x4EBF);
-        let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-        let primary_bytes: u64 = specs.iter().map(|s| s.bytes).sum();
+        let (specs, window) = windowed_cell(
+            opts,
+            &params,
+            &websearch(),
+            0.4,
+            SimTime::from_ms(60),
+            0x4EBF,
+        );
         let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
-        let replica_bytes: u64 = out
-            .replicas
-            .iter()
-            .map(|&(p, _)| out.flows[p as usize].bytes)
-            .sum();
-        let effective = out.effective_flows();
-        let s = samples(&effective, window.start, window.end);
-        let short: Vec<f64> = s
-            .iter()
-            .filter(|x| x.bytes < SHORT_BYTES)
-            .map(|x| x.fct_s)
-            .collect();
-        let long: Vec<f64> = s
-            .iter()
-            .filter(|x| x.bytes >= SHORT_BYTES)
-            .map(|x| x.fct_s)
-            .collect();
-        let label = format!("{}_seed{}", scheme.slug(), opts.seed);
-        let summary = RunSummary::from_run(label, scheme.name(), opts, opts.seed, &out);
-        SchemeResult {
-            scheme: scheme.name().to_string(),
-            short_mean_s: stats::mean(&short).unwrap_or(0.0),
-            short_p99_s: stats::percentile(&short, 0.99).unwrap_or(0.0),
-            long_mean_s: stats::mean(&long).unwrap_or(0.0),
-            short_n: short.len(),
-            replicas: out.replicas.len(),
-            overhead_frac: replica_bytes as f64 / primary_bytes.max(1) as f64,
-            summary,
-        }
+        Cell::of(out, window)
     })
+}
+
+/// Extra data the replicas carried, as a fraction of the primaries' bytes.
+pub fn overhead_frac(out: &RunOutput) -> f64 {
+    let bytes = |i: usize| out.flows[i].bytes;
+    let replicas: u64 = out.replicas.iter().map(|&(p, _)| bytes(p as usize)).sum();
+    // Replica flows are appended after the primaries (dense ids).
+    let primaries: u64 = (0..out.flows.len() - out.replicas.len()).map(bytes).sum();
+    replicas as f64 / primaries.max(1) as f64
+}
+
+/// The machine-readable summary of one scheme's run.
+fn summary(opts: &Opts, scheme: &SchemeSpec, out: &RunOutput) -> RunSummary {
+    let label = format!("{}_seed{}", scheme.slug(), opts.seed);
+    RunSummary::from_run(label, scheme.name(), opts, opts.seed, out)
 }
 
 /// Produce the replication-vs-rerouting report.
@@ -97,11 +65,11 @@ pub fn run(opts: &Opts) -> Report {
         schemes::flowbender(flowbender::Config::default()),
         schemes::repflow(),
     ]);
-    let results = sweep(opts, &selection);
-    let base = results
-        .iter()
-        .find(|r| r.scheme == "ECMP")
-        .unwrap_or(&results[0]);
+    let cells = sweep(opts, &selection);
+    let short = |c: &Cell| c.fct.only(|s| s.bytes < SHORT_BYTES);
+    let long = |c: &Cell| c.fct.only(|s| s.bytes >= SHORT_BYTES);
+    let base = baseline(&selection);
+    let (base_short, base_long) = (short(&cells[base]), long(&cells[base]));
     let mut table = Table::new(vec![
         "scheme",
         "short mean (norm.)",
@@ -112,23 +80,25 @@ pub fn run(opts: &Opts) -> Report {
         "overhead",
         "short mean abs",
     ]);
-    for r in &results {
-        table.row(vec![
-            r.scheme.clone(),
-            fmt_ratio(r.short_mean_s / base.short_mean_s),
-            fmt_ratio(r.short_p99_s / base.short_p99_s),
-            fmt_ratio(r.long_mean_s / base.long_mean_s),
-            r.short_n.to_string(),
-            r.replicas.to_string(),
-            format!("{:.1}%", r.overhead_frac * 100.0),
-            fmt_secs(r.short_mean_s),
-        ]);
-    }
     let mut report = Report::new("repflow");
+    for (scheme, c) in selection.iter().zip(&cells) {
+        let short = short(c);
+        table.row(vec![
+            scheme.name().to_string(),
+            fmt_ratio(short.mean() / base_short.mean()),
+            fmt_ratio(short.quantile(0.99) / base_short.quantile(0.99)),
+            fmt_ratio(long(c).mean() / base_long.mean()),
+            short.n().to_string(),
+            c.out.replicas.len().to_string(),
+            format!("{:.1}%", overhead_frac(&c.out) * 100.0),
+            fmt_secs(short.mean()),
+        ]);
+        report.run_summary(summary(opts, scheme, &c.out));
+    }
     report.section(
         format!(
             "RepFlow vs rerouting: short-flow (<100KB) FCT on 40% all-to-all, normalized to {}",
-            base.scheme
+            selection[base].name()
         ),
         table,
     );
@@ -136,9 +106,6 @@ pub fn run(opts: &Opts) -> Report {
         "replication buys short-flow tail latency with duplicate bytes; \
          FlowBender buys it with reactive rerouting and zero overhead",
     );
-    for r in results {
-        report.run_summary(r.summary);
-    }
     report
 }
 
@@ -154,25 +121,36 @@ mod tests {
             seed: 7,
             ..Opts::default()
         };
-        let results = sweep(&opts, &[schemes::ecmp(), schemes::repflow()]);
+        let selection = [schemes::ecmp(), schemes::repflow()];
+        let results = sweep(&opts, &selection);
         let (ecmp, rep) = (&results[0], &results[1]);
-        assert_eq!(ecmp.replicas, 0);
-        assert!(rep.replicas > 0, "RepFlow injected no replicas");
-        assert!(rep.overhead_frac > 0.0 && rep.overhead_frac < 1.0);
-        assert!(ecmp.short_n > 50 && rep.short_n > 50, "too few short flows");
+        assert_eq!(ecmp.out.replicas.len(), 0);
+        assert!(!rep.out.replicas.is_empty(), "RepFlow injected no replicas");
+        let overhead = overhead_frac(&rep.out);
+        assert!(overhead > 0.0 && overhead < 1.0);
+        let short = |c: &Cell| c.fct.only(|s| s.bytes < SHORT_BYTES);
+        let (ecmp_short, rep_short) = (short(ecmp), short(rep));
+        assert!(
+            ecmp_short.n() > 50 && rep_short.n() > 50,
+            "too few short flows"
+        );
         // First-finisher-wins can't make the merged completion later than
         // the primary alone up to scheduling noise; on a congested fabric
         // the short tail should not regress materially.
         assert!(
-            rep.short_p99_s <= ecmp.short_p99_s * 1.25,
+            rep_short.quantile(0.99) <= ecmp_short.quantile(0.99) * 1.25,
             "RepFlow p99 {} vs ECMP {}",
-            rep.short_p99_s,
-            ecmp.short_p99_s
+            rep_short.quantile(0.99),
+            ecmp_short.quantile(0.99)
         );
         // The summaries carry the reroute counters for the JSON artifact.
-        assert!(results
+        assert!(selection
             .iter()
-            .all(|r| r.summary.counters.iter().any(|(n, _)| n == "reroutes")));
+            .zip(&results)
+            .all(|(s, c)| summary(&opts, s, &c.out)
+                .counters
+                .iter()
+                .any(|(n, _)| n == "reroutes")));
     }
 
     #[test]

@@ -156,24 +156,21 @@ impl Opts {
                 return Err(crate::workloads_help(name));
             }
         }
-        // `--topo k=K` must describe a buildable fat-tree, and `--shards`
-        // must partition it; both produce actionable errors here so every
-        // CLI path rejects bad combinations before any run starts.
+        // `--topo k=K` must describe a buildable fat-tree. Whether
+        // `--shards N` partitions the fabric depends on which experiment
+        // runs: `registry::check_shards` judges that per registry row.
         if let Some(k) = self.topo_k {
             topology::FatTreeParams::k_ary(k)?;
         }
-        if self.shards != 1 {
-            let params = match self.topo_k {
-                Some(k) => topology::FatTreeParams::k_ary(k)?,
-                // The sharded experiments default to k=16 (1024 hosts),
-                // or k=8 under --smoke; validate against the smaller one
-                // so --smoke --shards combinations are not over-rejected.
-                None => topology::FatTreeParams::k_ary(if self.smoke { 8 } else { 16 })?,
-            };
-            topology::ShardPlan::new(&params, self.shards)?;
-            if !self.trace.is_off() {
-                return Err(crate::scenario::SHARDED_PROBES_ERR.into());
-            }
+        if self.shards == 0 {
+            return Err(
+                "--shards 0: at least one shard is required; use --shards 1 for \
+                 the single-threaded engine (the default)"
+                    .into(),
+            );
+        }
+        if self.shards > 1 && !self.trace.is_off() {
+            return Err(crate::scenario::SHARDED_PROBES_ERR.into());
         }
         Ok(())
     }

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use netsim::{
-    Conservation, FaultPlan, FlowId, FlowSpec, FlowTimeline, Handoff, PortStats, Proto, RunResults,
-    SimTime, Simulator, SloConfig, TelemetryConfig, TraceConfig,
+    Conservation, Counter, FaultPlan, FlowId, FlowSpec, FlowTimeline, Handoff, PortStats, Proto,
+    RunResults, SimTime, Simulator, SloConfig, TelemetryConfig, TraceConfig,
 };
 use topology::{
     build_fat_tree, build_testbed, FatTree, FatTreeParams, ShardPlan, Testbed, TestbedParams,
@@ -119,6 +119,16 @@ impl RunOutput {
             .filter(|f| f.fct().is_none())
             .map(|f| f.flow)
             .collect()
+    }
+
+    /// Out-of-order arrivals as a fraction of the data packets received.
+    pub fn ooo_frac(&self) -> f64 {
+        self.get(Counter::OooPktsRcvd) as f64 / self.get(Counter::DataPktsRcvd).max(1) as f64
+    }
+
+    /// Path changes the end hosts made: congestion- plus timeout-driven.
+    pub fn reroutes(&self) -> u64 {
+        self.get(Counter::Reroutes) + self.get(Counter::TimeoutReroutes)
     }
 }
 
@@ -815,6 +825,14 @@ pub struct Window {
 }
 
 impl Window {
+    /// No trimming: every flow of the run counts. For the fixed flow sets
+    /// (microbenchmarks) that have no arrival process to warm up.
+    pub const WHOLE_RUN: Window = Window {
+        start: SimTime::ZERO,
+        end: SimTime::MAX,
+        drain_until: SimTime::MAX,
+    };
+
     /// A window of `duration` with 10 % warm-up and a generous drain.
     pub fn for_duration(duration: SimTime, drain: SimTime) -> Self {
         Window {
@@ -830,7 +848,6 @@ mod tests {
     use super::*;
     use crate::schemes;
     use flowbender as fb;
-    use netsim::Counter;
 
     /// Kill host 0's NIC outright: nothing it sources can ever finish.
     fn kill_host0(ft: &FatTree) -> FaultPlan {

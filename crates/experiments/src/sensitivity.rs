@@ -9,12 +9,13 @@
 //! beyond 10 % (sluggish response).
 
 use netsim::SimTime;
-use stats::{fmt_secs, samples, Table};
+use stats::{fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{all_to_all, FlowSizeDist};
+use workloads::patterns::websearch;
 
+use crate::cell::{windowed_cell, Digest};
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{parallel_map, run_fat_tree};
 use crate::schemes;
 
 /// N values of Figure 6.
@@ -25,21 +26,17 @@ pub const T_VALUES: [f64; 4] = [0.01, 0.05, 0.10, 0.20];
 /// Mean latency of one FlowBender variant on the fixed workload.
 fn run_variant(opts: &Opts, cfg: flowbender::Config) -> f64 {
     let params = FatTreeParams::paper();
-    let duration = opts.scaled(SimTime::from_ms(60));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-    let dist = FlowSizeDist::web_search();
-    let mut rng = netsim::DetRng::new(opts.seed, 0x5E45);
-    let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-    let out = run_fat_tree(
-        params,
-        &schemes::flowbender(cfg),
-        &specs,
-        window.drain_until,
-        opts.seed,
+    let (specs, window) = windowed_cell(
+        opts,
+        &params,
+        &websearch(),
+        0.4,
+        SimTime::from_ms(60),
+        0x5E45,
     );
-    let s = samples(&out.flows, window.start, window.end);
-    let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-    stats::mean(&fcts).unwrap_or(0.0)
+    let scheme = schemes::flowbender(cfg);
+    let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
+    Digest::of(&out, window).mean()
 }
 
 /// Figure 6: sensitivity to `N`.

@@ -14,8 +14,9 @@ use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
 use workloads::microbench;
 
+use crate::cell::Digest;
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{parallel_map, Run};
+use crate::scenario::{parallel_map, Run, Window};
 use crate::schemes::{self, SchemeSpec};
 
 /// Flow counts evaluated by the paper (1, 2, 3 flows per route on average).
@@ -66,17 +67,12 @@ pub fn run_scheme(
             .telemetry(telemetry.clone())
             .run()
             .expect("one shard partitions every fabric");
-        let fcts: Vec<f64> = out
-            .flows
-            .iter()
-            .filter_map(|f| f.fct())
-            .map(|t| t.as_secs_f64())
-            .collect();
+        let fct = Digest::of(&out, Window::WHOLE_RUN);
         let cell = Cell {
             flows: n,
-            mean_s: stats::mean(&fcts).unwrap_or(0.0),
-            max_s: fcts.iter().cloned().fold(0.0, f64::max),
-            completed: fcts.len(),
+            mean_s: fct.mean(),
+            max_s: fct.max(),
+            completed: fct.n(),
         };
         let label = format!("{slug}_flows{n}_seed{seed}");
         let summary = RunSummary::from_run(label, scheme.name(), opts, seed, &out);

@@ -10,84 +10,53 @@
 //! and compare FlowBender/ECMP mean-latency ratios.
 
 use netsim::SimTime;
-use stats::{fmt_secs, samples, Table};
+use stats::{fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{all_to_all, FlowSizeDist};
+use workloads::patterns::websearch;
 
+use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
-use crate::scenario::{parallel_map, run_fat_tree, Window};
+use crate::scenario::{run_fat_tree, sweep_schemes};
 use crate::schemes;
 
-/// Mean FCT of one (fabric, scheme) run.
-#[derive(Debug)]
-pub struct Cell {
-    /// Fabric label.
-    pub fabric: &'static str,
-    /// Inter-pod path diversity of the fabric.
-    pub paths: usize,
-    /// Scheme display name (parameters included).
-    pub scheme: String,
-    /// Mean FCT (s).
-    pub mean_s: f64,
-}
-
-/// Run both fabrics × {ECMP, FlowBender}.
-pub fn sweep(opts: &Opts) -> Vec<Cell> {
-    opts.validate();
-    let fabrics: [(&'static str, FatTreeParams); 2] = [
+/// The two fabrics compared: the paper's and its doubled-port-density
+/// variant.
+fn fabrics() -> [(&'static str, FatTreeParams); 2] {
+    [
         ("paper (P=8)", FatTreeParams::paper()),
         ("wide (P=32)", FatTreeParams::paper_wide()),
-    ];
-    let duration = opts.scaled(SimTime::from_ms(25));
-    let window = Window::for_duration(duration, SimTime::from_ms(400));
-    let dist = FlowSizeDist::web_search();
+    ]
+}
 
-    let mut jobs = Vec::new();
-    for (label, params) in fabrics {
-        for scheme in [
-            schemes::ecmp(),
-            schemes::flowbender(flowbender::Config::default()),
-        ] {
-            jobs.push((label, params, scheme));
-        }
-    }
-    parallel_map(jobs, |(label, params, scheme)| {
-        let mut rng = netsim::DetRng::new(opts.seed, 0x70D ^ params.n_hosts() as u64);
-        let specs = all_to_all(&params, 0.4, duration, &dist, &mut rng);
-        let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
-        let s = samples(&out.flows, window.start, window.end);
-        let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
-        Cell {
-            fabric: label,
-            paths: params.inter_pod_paths(),
-            scheme: scheme.name().to_string(),
-            mean_s: stats::mean(&fcts).unwrap_or(0.0),
-        }
+/// Run both fabrics × {ECMP, FlowBender}: one row per fabric.
+pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
+    opts.validate();
+    let contenders = [
+        schemes::ecmp(),
+        schemes::flowbender(flowbender::Config::default()),
+    ];
+    sweep_schemes(&contenders, &fabrics(), |scheme, (_, params)| {
+        let tag = 0x70D ^ params.n_hosts() as u64;
+        let (specs, window) =
+            windowed_cell(opts, params, &websearch(), 0.4, SimTime::from_ms(25), tag);
+        let out = run_fat_tree(*params, scheme, &specs, window.drain_until, opts.seed);
+        Cell::of(out, window)
     })
 }
 
 /// Produce the report.
 pub fn run(opts: &Opts) -> Report {
-    let cells = sweep(opts);
-    let find = |fabric: &str, scheme: &str| {
-        cells
-            .iter()
-            .find(|c| c.fabric == fabric && c.scheme == scheme)
-            .unwrap_or_else(|| panic!("missing {scheme} on {fabric}"))
-    };
     let mut table = Table::new(vec!["fabric", "paths", "ECMP mean", "FB mean", "FB/ECMP"]);
     let mut ratios = Vec::new();
-    for fabric in ["paper (P=8)", "wide (P=32)"] {
-        let e = find(fabric, "ECMP");
-        let f = find(fabric, "FlowBender");
-        let ratio = f.mean_s / e.mean_s;
-        ratios.push(ratio);
+    for ((fabric, params), row) in fabrics().iter().zip(sweep(opts)) {
+        let (e, f) = (row[0].fct.mean(), row[1].fct.mean());
+        ratios.push(f / e);
         table.row(vec![
             fabric.to_string(),
-            e.paths.to_string(),
-            fmt_secs(e.mean_s),
-            fmt_secs(f.mean_s),
-            format!("{ratio:.3}"),
+            params.inter_pod_paths().to_string(),
+            fmt_secs(e),
+            fmt_secs(f),
+            format!("{:.3}", f / e),
         ]);
     }
     let mut r = Report::new("topo_dep");

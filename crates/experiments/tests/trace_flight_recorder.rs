@@ -4,9 +4,9 @@
 //! and the gray-failure experiment must attach decision-bearing
 //! timelines when `--trace` is on.
 
-use experiments::gray_failure::{run, run_scheme, GrayResult};
+use experiments::gray_failure::{gray_drops, run, run_scheme};
 use experiments::{slowest_flows, timeline_json, Opts, RunSummary, SchemeSpec, TraceSel};
-use netsim::TraceConfig;
+use netsim::{Counter, TraceConfig};
 
 const BYTES: u64 = 3_000_000;
 const LOSS: f64 = 0.02;
@@ -17,29 +17,30 @@ fn fb() -> SchemeSpec {
 }
 
 /// One gray-failure cell at one shard, traced per `cfg`.
-fn cell(scheme: &SchemeSpec, cfg: TraceConfig) -> (GrayResult, experiments::RunOutput) {
+fn cell(scheme: &SchemeSpec, cfg: TraceConfig) -> experiments::Cell {
     run_scheme(scheme, LOSS, BYTES, SEED, 1, cfg).unwrap()
 }
 
 #[test]
 fn traced_run_leaves_normal_outputs_byte_identical() {
     let scheme = fb();
-    let (r_plain, plain) = cell(&scheme, TraceConfig::off());
+    let r_plain = cell(&scheme, TraceConfig::off());
     let cfg = TraceConfig::flows((0..16).collect());
-    let (r_traced, traced) = cell(&scheme, cfg);
+    let r_traced = cell(&scheme, cfg);
+    let (plain, traced) = (&r_plain.out, &r_traced.out);
 
     // The pinned machine-readable summary — counters, FCT percentiles,
     // drop audit, event count — must not move by a byte.
     let opts = Opts::default();
-    let a = RunSummary::from_run("cell", scheme.name(), &opts, SEED, &plain)
+    let a = RunSummary::from_run("cell", scheme.name(), &opts, SEED, plain)
         .to_json("gray_failure")
         .to_string();
-    let b = RunSummary::from_run("cell", scheme.name(), &opts, SEED, &traced)
+    let b = RunSummary::from_run("cell", scheme.name(), &opts, SEED, traced)
         .to_json("gray_failure")
         .to_string();
     assert_eq!(a, b, "tracing changed the run summary");
-    assert_eq!(r_plain.gray_drops, r_traced.gray_drops);
-    assert_eq!(r_plain.max_fct_s.to_bits(), r_traced.max_fct_s.to_bits());
+    assert_eq!(gray_drops(&r_plain), gray_drops(&r_traced));
+    assert_eq!(r_plain.fct.max().to_bits(), r_traced.fct.max().to_bits());
 
     // Untraced runs carry no timelines; the traced run carries one per
     // selected flow, populated with the event kinds the recorder covers.
@@ -54,7 +55,7 @@ fn traced_run_leaves_normal_outputs_byte_identical() {
     assert!(total("rto_fire") > 0, "RTO fires recorded");
     assert!(total("cwnd") > 0, "cwnd changes recorded");
     assert!(
-        r_traced.timeout_reroutes > 0,
+        traced.get(Counter::TimeoutReroutes) > 0,
         "the escape actually happened"
     );
 }
@@ -62,17 +63,17 @@ fn traced_run_leaves_normal_outputs_byte_identical() {
 #[test]
 fn timeline_json_is_deterministic_across_runs_and_scheme_order() {
     let scheme = fb();
-    let (_, probe) = cell(&scheme, TraceConfig::off());
+    let probe = cell(&scheme, TraceConfig::off()).out;
     let ids = slowest_flows(&probe, 2);
     assert_eq!(ids.len(), 2);
     let cfg = TraceConfig::flows(ids);
 
-    let (_, first) = cell(&scheme, cfg.clone());
+    let first = cell(&scheme, cfg.clone()).out;
     // Interleave an unrelated ECMP run: every run is an independent
     // simulation, so what else ran (and in what order) must not leak
     // into the timelines.
     let _ = cell(&experiments::schemes::ecmp(), TraceConfig::off());
-    let (_, second) = cell(&scheme, cfg);
+    let second = cell(&scheme, cfg).out;
 
     let ser = |out: &experiments::RunOutput| -> Vec<String> {
         out.timelines()
