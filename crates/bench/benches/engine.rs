@@ -289,8 +289,9 @@ fn bench_workload_engine(h: &Harness) {
 /// Every run produces byte-identical results (enforced by the
 /// `sharded_determinism` test), so the three medians are a pure
 /// wall-clock scaling curve for the conservative barrier-epoch engine.
-/// `elements` is the run's event count (identical at every shard count),
-/// so `elems_per_sec` is engine throughput in events/sec.
+/// `elements` is the packets the run delivers (identical at every shard
+/// count, and not something an engine change can move), so `elems_per_sec`
+/// is engine throughput in delivered packets/sec.
 fn bench_sharding(h: &Harness) {
     let params = topology::FatTreeParams::k_ary(16).expect("k=16 is valid");
     let scheme = experiments::schemes::flowbender(Default::default());
@@ -304,12 +305,13 @@ fn bench_sharding(h: &Harness) {
     )
     .collect();
     let until = SimTime::from_ms(25);
-    // One untimed probe run sizes `elements` with the real event count.
+    // One untimed probe run sizes `elements` with the delivered packets.
     let run = experiments::Run::new(params, &scheme, &specs, until, 3);
-    let events = run.run().expect("1 shard always partitions").events;
+    let probe = run.run().expect("1 shard always partitions");
+    let pkts = probe.conservation.delivered;
     for shards in [1usize, 2, 4] {
         let run = run.clone().shards(shards);
-        h.bench(&format!("shard/alltoall_1024h_s{shards}"), events, || {
+        h.bench(&format!("shard/alltoall_1024h_s{shards}"), pkts, || {
             let out = run.run().expect("shard counts divide k=16's 16 pods");
             black_box(out.events)
         });
@@ -322,8 +324,8 @@ fn bench_sharding(h: &Harness) {
 /// reconvergence SLO probe armed — the fault-injection hot paths
 /// (per-port fault RNG draws, directed-fault events, per-epoch
 /// conservation asserts, delivery-probe hook) priced against the healthy
-/// run above. `elements` is the faulted run's own event count, so
-/// `elems_per_sec` stays engine throughput in events/sec.
+/// run above. `elements` is the packets the faulted run delivers, so
+/// `elems_per_sec` stays engine throughput in delivered packets/sec.
 fn bench_chaos(h: &Harness) {
     let params = topology::FatTreeParams::k_ary(16).expect("k=16 is valid");
     let scheme = experiments::schemes::flowbender(Default::default());
@@ -350,9 +352,9 @@ fn bench_chaos(h: &Harness) {
             .run()
             .expect("shard counts divide k=16's 16 pods")
     };
-    let events = run(1).events;
+    let pkts = run(1).conservation.delivered;
     for shards in [1usize, 4] {
-        h.bench(&format!("shard/chaos_1024h_s{shards}"), events, || {
+        h.bench(&format!("shard/chaos_1024h_s{shards}"), pkts, || {
             black_box(run(shards).events)
         });
     }

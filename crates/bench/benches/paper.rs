@@ -7,8 +7,9 @@
 use std::hint::black_box;
 
 use experiments::schemes::{self, SchemeSpec};
-use experiments::{run_fat_tree, run_testbed, Window};
+use experiments::{run_fat_tree, run_testbed, RunOutput, Window};
 use fb_bench::Harness;
+use netsim::event::EventKind;
 use netsim::{DetRng, SimTime, Simulator};
 use topology::{build_fat_tree, degrade_agg_core_link, FatTreeParams, TestbedParams};
 use transport::install_agents;
@@ -20,19 +21,67 @@ fn fb() -> SchemeSpec {
     schemes::flowbender(flowbender::Config::default())
 }
 
-/// Bench a deterministic scenario that returns its event count. One untimed
-/// run up front sizes `elements`, so every row reports events per second.
-fn bench_events(h: &Harness, name: &str, mut run: impl FnMut() -> u64) {
-    let events = run();
-    h.bench(name, events, || black_box(run()));
+/// What one run of a row did: the packets it delivered — the unit the row's
+/// rate is reported in, because an engine change can move how many events a
+/// packet costs but not how many packets the scenario delivers — and the
+/// events it took, by kind.
+struct Work {
+    pkts: u64,
+    mix: [u64; EventKind::COUNT],
+}
+
+impl Work {
+    fn of(out: &RunOutput) -> Work {
+        Work {
+            pkts: out.conservation.delivered,
+            mix: out.event_mix(),
+        }
+    }
+
+    fn of_sim(sim: &Simulator) -> Work {
+        Work {
+            pkts: sim.packets_delivered(),
+            mix: sim.event_mix(),
+        }
+    }
+}
+
+/// Bench a deterministic scenario. One untimed run up front sizes
+/// `elements`, so every row reports delivered packets per second, and says
+/// where the events went.
+fn bench_run(h: &Harness, name: &str, mut run: impl FnMut() -> Work) {
+    if !h.selected(name) {
+        return;
+    }
+    let work = run();
+    h.bench(name, work.pkts, || black_box(run().pkts));
+    let events: u64 = work.mix.iter().sum();
+    let mix: Vec<String> = EventKind::NAMES
+        .iter()
+        .zip(work.mix)
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| format!("{name} {n}"))
+        .collect();
+    println!(
+        "{:<40} {:.2} events/pkt: {}",
+        "",
+        events as f64 / work.pkts.max(1) as f64,
+        mix.join(", ")
+    );
 }
 
 /// Table 1 miniature: 8 x 1 MB ToR-to-ToR flows under FlowBender.
 fn bench_table1(h: &Harness) {
     let params = FatTreeParams::paper();
     let specs = microbench(&params, 8, 1_000_000);
-    bench_events(h, "paper/table1_microbench", || {
-        run_fat_tree(params, &fb(), &specs, SimTime::from_secs(5), 1).events
+    bench_run(h, "paper/table1_microbench", || {
+        Work::of(&run_fat_tree(
+            params,
+            &fb(),
+            &specs,
+            SimTime::from_secs(5),
+            1,
+        ))
     });
 }
 
@@ -54,12 +103,12 @@ fn bench_fig3_fig4(h: &Harness) {
         ("paper/fig3_alltoall_mean_flowbender", fb()),
         ("paper/fig4_alltoall_tail_ecmp", schemes::ecmp()),
     ] {
-        bench_events(h, name, || {
+        bench_run(h, name, || {
             let out = run_fat_tree(params, &scheme, &specs, window.drain_until, 1);
             let s = stats::samples(&out.flows, window.start, window.end);
             let fcts: Vec<f64> = s.iter().map(|x| x.fct_s).collect();
             black_box((stats::mean(&fcts), stats::percentile(&fcts, 0.99)));
-            out.events
+            Work::of(&out)
         });
     }
 }
@@ -69,10 +118,10 @@ fn bench_fig5(h: &Harness) {
     let params = FatTreeParams::paper();
     let mut rng = DetRng::new(1, 2);
     let specs = partition_aggregate(&params, 0.4, 8, 1_000_000, SimTime::from_ms(3), &mut rng);
-    bench_events(h, "paper/fig5_incast", || {
+    bench_run(h, "paper/fig5_incast", || {
         let out = run_fat_tree(params, &fb(), &specs, SimTime::from_ms(200), 1);
         black_box(stats::avg_job_completion(&out.flows));
-        out.events
+        Work::of(&out)
     });
 }
 
@@ -98,15 +147,14 @@ fn bench_fig6_fig7(h: &Harness) {
             flowbender::Config::default().with_t(0.01),
         ),
     ] {
-        bench_events(h, name, || {
-            run_fat_tree(
+        bench_run(h, name, || {
+            Work::of(&run_fat_tree(
                 params,
                 &schemes::flowbender(cfg),
                 &specs,
                 SimTime::from_ms(200),
                 1,
-            )
-            .events
+            ))
         });
     }
 }
@@ -124,8 +172,15 @@ fn bench_fig8(h: &Harness) {
         SimTime::from_ms(10),
         &mut rng,
     );
-    bench_events(h, "paper/fig8_testbed", || {
-        run_testbed(params.clone(), &fb(), &specs, SimTime::from_ms(300), 1, &[]).events
+    bench_run(h, "paper/fig8_testbed", || {
+        Work::of(&run_testbed(
+            params.clone(),
+            &fb(),
+            &specs,
+            SimTime::from_ms(300),
+            1,
+            &[],
+        ))
     });
 }
 
@@ -145,10 +200,10 @@ fn bench_hotspot(h: &Harness) {
         &mut rng,
     );
     let watch: Vec<(usize, usize)> = (0..params.aggs).map(|a| (0usize, a)).collect();
-    bench_events(h, "paper/hotspot_decongest", || {
+    bench_run(h, "paper/hotspot_decongest", || {
         let out = run_testbed(params.clone(), &fb(), &specs, duration, 1, &watch);
         black_box(out.port_stats.iter().map(|p| p.tx_bytes_tcp).sum::<u64>());
-        out.events
+        Work::of(&out)
     });
 }
 
@@ -156,7 +211,7 @@ fn bench_hotspot(h: &Harness) {
 fn bench_link_failure(h: &Harness) {
     let params = FatTreeParams::paper();
     let specs = microbench(&params, 8, 1_000_000);
-    bench_events(h, "paper/link_failure_recovery", || {
+    bench_run(h, "paper/link_failure_recovery", || {
         let mut sim = Simulator::new(9);
         let ft = build_fat_tree(&mut sim, params, fb().switch_config());
         install_agents(&mut sim, &specs, &fb().tcp_config());
@@ -164,7 +219,7 @@ fn bench_link_failure(h: &Harness) {
         sim.schedule_link_state(node, port, false, SimTime::from_us(200));
         sim.run_until(SimTime::from_secs(5));
         black_box(sim.recorder().completed_count());
-        sim.events_processed()
+        Work::of_sim(&sim)
     });
 }
 
@@ -187,33 +242,32 @@ fn bench_ablation(h: &Harness) {
             flowbender::Config::default().with_cooldown(3),
         ),
     ] {
-        bench_events(h, name, || {
-            run_fat_tree(
+        bench_run(h, name, || {
+            Work::of(&run_fat_tree(
                 params,
                 &schemes::flowbender(cfg),
                 &specs,
                 SimTime::from_ms(200),
                 1,
-            )
-            .events
+            ))
         });
     }
 }
 
 /// §4.3.1 asymmetry miniature: one degraded agg->core link under the
 /// microbenchmark with FlowBender compensating (the scenario of
-/// `experiments::asym::run_config`, which does not report its event count).
+/// `experiments::asym::run_config`, which does not hand out its ledger).
 fn bench_asym(h: &Harness) {
     let params = FatTreeParams::paper();
     let specs = microbench(&params, 16, 1_000_000);
-    bench_events(h, "paper/asym_wcmp_compensation", || {
+    bench_run(h, "paper/asym_wcmp_compensation", || {
         let mut sim = Simulator::new(1);
         let ft = build_fat_tree(&mut sim, params, fb().switch_config());
         degrade_agg_core_link(&mut sim, &ft, 0, 0, 0, 5_000_000_000, false);
         install_agents(&mut sim, &specs, &fb().tcp_config());
         sim.run_until(SimTime::from_secs(120));
         black_box(sim.recorder().completed_count());
-        sim.events_processed()
+        Work::of_sim(&sim)
     });
 }
 
@@ -229,8 +283,14 @@ fn bench_topo_dep(h: &Harness) {
         &FlowSizeDist::web_search(),
         &mut rng,
     );
-    bench_events(h, "paper/topo_dep_tiny_fabric", || {
-        run_fat_tree(params, &fb(), &specs, SimTime::from_ms(300), 1).events
+    bench_run(h, "paper/topo_dep_tiny_fabric", || {
+        Work::of(&run_fat_tree(
+            params,
+            &fb(),
+            &specs,
+            SimTime::from_ms(300),
+            1,
+        ))
     });
 }
 

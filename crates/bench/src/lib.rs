@@ -75,8 +75,10 @@ impl Harness {
         }
     }
 
-    fn skip(&self, name: &str) -> bool {
-        self.filter.as_deref().is_some_and(|f| !name.contains(f))
+    /// Does the command-line filter (if any) let `name` run? For callers
+    /// that do work of their own around a benchmark.
+    pub fn selected(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
     /// Time `routine`, reporting the median of several iterations.
@@ -95,7 +97,7 @@ impl Harness {
         mut setup: impl FnMut() -> S,
         mut routine: impl FnMut(S) -> R,
     ) {
-        if self.skip(name) {
+        if !self.selected(name) {
             return;
         }
         // Warm-up (and a first duration estimate to size the sample count).

@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn shallow_buffers_drop_and_deep_buffers_do_not() {
         let opts = Opts {
-            scale: 0.25,
+            scale: 0.04,
             seed: 2,
             ..Opts::default()
         };

@@ -1,12 +1,20 @@
 //! The discrete-event core: compact events and an arena calendar scheduler.
 //!
-//! Events are ordered by `(time, insertion sequence)`. The insertion
-//! sequence breaks ties FIFO, which makes runs fully deterministic: two
-//! events scheduled for the same instant always fire in the order they were
-//! scheduled. Packet-carrying events hold a 4-byte [`PacketId`] into the
-//! simulator's [`crate::slab::PacketSlab`] rather than an inline `Packet`,
-//! so an [`Event`] is a few machine words and moving one through the queue
-//! is cheap.
+//! Events are ordered by `(time, cause, seq)`. `cause` is the instant the
+//! event was decided and `seq` the global insertion sequence; for everything
+//! scheduled through [`Scheduler::schedule`] the two agree (a later instant
+//! draws a larger `seq`), so ties break FIFO and runs are fully
+//! deterministic: two events scheduled for the same instant fire in the
+//! order they were scheduled. The pair exists for the one event that is
+//! scheduled *ahead of its cause*: the simulator books a packet's `Arrive`
+//! when its serialization starts, but keys it ([`Scheduler::schedule_keyed`])
+//! with `cause` = the instant serialization ends — where an engine that
+//! also fired an event at the last bit would have drawn the `seq` — so it
+//! pops exactly where that engine would have popped it (see [`Tie`] and the
+//! `sim` module docs). Packet-carrying events hold a 4-byte [`PacketId`]
+//! into the simulator's [`crate::slab::PacketSlab`] rather than an inline
+//! `Packet`, so an [`Event`] is a few machine words and moving one through
+//! the queue is cheap.
 //!
 //! ## The calendar
 //!
@@ -20,10 +28,11 @@
 //!   holds a few dozen events); scheduling prepends to the bucket's
 //!   unordered list in O(1);
 //! * **`current`**, the bucket being drained: its list is gathered into one
-//!   reused `Vec`, sorted by `(time, seq)` *once*, and read front to back —
-//!   no heap sift per pop. An event scheduled into the bucket being drained
-//!   is inserted in order; it carries the newest `seq`, so equal and later
-//!   times append and a same-instant burst of any size stays O(1) each;
+//!   reused `Vec`, sorted by key *once*, and read front to back — no heap
+//!   sift per pop. An event scheduled into the bucket being drained is
+//!   inserted in order; an ordinary one carries the newest `cause` and
+//!   `seq`, so equal and later times append and a same-instant burst of any
+//!   size stays O(1) each;
 //! * a **far heap** for everything beyond the ring's horizon (≈ 268 µs:
 //!   retransmit timers, far-off administrative events).
 //!
@@ -81,15 +90,17 @@ pub enum EventKind {
         port: PortId,
         pkt: PacketId,
     },
-    /// Serialization of `pkt` on `(node, port)` finished; the packet leaves
-    /// onto the wire and the port may start its next transmission. `epoch`
-    /// stamps the port's serialization epoch at scheduling time: a mid-run
-    /// link-rate change reschedules the in-flight serialization under a
-    /// bumped epoch, and the superseded event is ignored when it fires.
+    /// Serialization on `(node, port)` finished and somebody has to act on
+    /// it: a packet is queued behind the one that just left, or the port
+    /// samples its fault state at the last bit. A transmission nobody waits
+    /// for never schedules this — the port just remembers the key it would
+    /// have had (see the `sim` module docs). `epoch` stamps the port's
+    /// serialization epoch at scheduling time: a mid-run link-rate change
+    /// reschedules the in-flight serialization under a bumped epoch, and the
+    /// superseded event is ignored when it fires.
     TxDone {
         node: NodeId,
         port: PortId,
-        pkt: PacketId,
         epoch: u16,
     },
     /// A host's protocol stack finished processing an outbound packet
@@ -118,21 +129,103 @@ pub enum EventKind {
     Fault { action: u32 },
 }
 
-/// An event: a `kind` firing at `time`, with `seq` as the deterministic
+impl EventKind {
+    /// Number of event kinds.
+    pub const COUNT: usize = 8;
+    /// Kind names, indexed by [`EventKind::index`].
+    pub const NAMES: [&'static str; EventKind::COUNT] = [
+        "arrive",
+        "tx_done",
+        "host_tx",
+        "timer",
+        "pfc",
+        "link_state",
+        "sample",
+        "fault",
+    ];
+
+    /// Dense index of this kind (declaration order), for per-kind tallies.
+    #[inline]
+    pub fn index(&self) -> usize {
+        match self {
+            EventKind::Arrive { .. } => 0,
+            EventKind::TxDone { .. } => 1,
+            EventKind::HostTx { .. } => 2,
+            EventKind::Timer { .. } => 3,
+            EventKind::Pfc { .. } => 4,
+            EventKind::LinkState { .. } => 5,
+            EventKind::Sample { .. } => 6,
+            EventKind::Fault { .. } => 7,
+        }
+    }
+}
+
+/// The tie-break among same-time events: `(cause, seq)` packed into one
+/// word so an [`Event`] stays 32 bytes. Ordered by `cause` ascending, then
+/// `seq` ascending.
+///
+/// `cause` is kept as the distance `time - cause`, saturating at
+/// [`Tie::MAX_DELTA_PS`] (≈ 33.5 µs — beyond every link and host delay the
+/// fabrics use). Saturation loses nothing for ordinary events, whose `seq`
+/// already orders them by cause; it would only matter for an `Arrive`
+/// booked over a link whose propagation-plus-processing delay exceeds the
+/// limit, which then ties on `seq` alone. `seq` has [`Tie::SEQ_BITS`] bits
+/// (5 × 10¹¹ events; [`Scheduler::draw_seq`] panics past that).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Tie(u64);
+
+impl Tie {
+    /// Bits of `seq`.
+    pub const SEQ_BITS: u32 = 39;
+    /// Largest `time - cause` kept exactly, in picoseconds.
+    pub const MAX_DELTA_PS: u64 = (1 << (64 - Tie::SEQ_BITS)) - 1;
+    /// Sorts before, or equal to, every tie an event can carry.
+    pub const MIN: Tie = Tie(0);
+    /// Sorts after every tie an event can carry.
+    pub const MAX: Tie = Tie(u64::MAX);
+
+    /// The tie of an event firing at `at`, decided at `cause`, with
+    /// insertion sequence `seq`.
+    #[inline]
+    pub fn new(at: SimTime, cause: SimTime, seq: u64) -> Tie {
+        debug_assert!(seq >> Tie::SEQ_BITS == 0);
+        // wrapping_sub: a (release-mode-only) past-time event wraps to a
+        // huge distance and saturates like any old cause.
+        let delta = at.as_ps().wrapping_sub(cause.as_ps());
+        // A later cause is a smaller delta and must sort later.
+        Tie((Tie::MAX_DELTA_PS.saturating_sub(delta) << Tie::SEQ_BITS) | seq)
+    }
+
+    /// The insertion sequence.
+    #[inline]
+    pub fn seq(self) -> u64 {
+        self.0 & ((1 << Tie::SEQ_BITS) - 1)
+    }
+}
+
+/// An event: a `kind` firing at `time`, with `tie` as the deterministic
 /// tie-breaker.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// When the event fires.
     pub time: SimTime,
-    /// Deterministic FIFO tie-breaker among same-time events.
-    pub seq: u64,
+    /// Deterministic tie-breaker among same-time events.
+    pub tie: Tie,
     /// What fires.
     pub kind: EventKind,
 }
 
+impl Event {
+    /// The full ordering key; unique per event.
+    #[inline]
+    pub fn key(&self) -> (SimTime, Tie) {
+        (self.time, self.tie)
+    }
+}
+
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Event {}
@@ -146,11 +239,8 @@ impl PartialOrd for Event {
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event on
-        // top. Compare (time, seq) descending.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // top.
+        other.key().cmp(&self.key())
     }
 }
 
@@ -176,7 +266,7 @@ pub struct Scheduler {
     /// Watermark: the time of the last popped event. Scheduling before this
     /// is time travel and trips a debug assertion.
     now: SimTime,
-    /// The bucket being drained, ascending by `(time, seq)`;
+    /// The bucket being drained, ascending by [`Event::key`];
     /// `current[head..]` is still pending.
     current: Vec<Event>,
     head: usize,
@@ -229,25 +319,44 @@ impl Scheduler {
         }
     }
 
-    /// Schedule `kind` to fire at absolute time `at`.
+    /// Schedule `kind` to fire at absolute time `at`, after everything
+    /// already scheduled for that instant (`cause` = the watermark, a fresh
+    /// `seq`).
     ///
     /// Debug builds reject time travel: scheduling before the last popped
     /// event's time is always a logic error (the event could never fire in
     /// order) and panics immediately instead of corrupting the run.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let tie = Tie::new(at, self.now, self.draw_seq());
+        self.schedule_keyed(at, tie, kind);
+    }
+
+    /// Draw the next insertion sequence number without scheduling anything:
+    /// the caller builds [`Tie`]s from it for [`Scheduler::schedule_keyed`].
+    #[inline]
+    pub fn draw_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        assert!(seq >> Tie::SEQ_BITS == 0, "event sequence space exhausted");
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `kind` at `at` under an explicit tie-break. The key
+    /// `(at, tie)` must be unique and must sort after the last popped
+    /// event's.
+    #[inline]
+    pub fn schedule_keyed(&mut self, at: SimTime, tie: Tie, kind: EventKind) {
         debug_assert!(
             at >= self.now,
             "time travel: scheduling an event at {at} but the clock is already at {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.scheduled += 1;
         self.len += 1;
         let ev = Event {
             time: at,
-            seq,
+            tie,
             kind,
         };
         // saturating_sub guards the (release-mode-only) past-time case: such
@@ -275,20 +384,20 @@ impl Scheduler {
         }
     }
 
-    /// Insert into the bucket being drained. `ev` carries the highest `seq`
-    /// so far, so it belongs after every pending event with `time <= at`:
-    /// equal and later times — a burst at one instant, however large —
-    /// append; only an earlier time pays a shift, of one bucket's tail.
+    /// Insert into the bucket being drained, in key order. An ordinary
+    /// event carries the newest cause and `seq`, so equal and later times —
+    /// a burst at one instant, however large — append; only a key below the
+    /// bucket's last pays a shift, of one bucket's tail.
     fn insert_current(&mut self, ev: Event) {
         if self.head == self.current.len() {
             // Everything was read: restart the buffer instead of growing it.
             self.current.clear();
             self.head = 0;
         }
-        if self.current.last().is_none_or(|last| last.time <= ev.time) {
+        if self.current.last().is_none_or(|last| last.key() < ev.key()) {
             self.current.push(ev);
         } else {
-            let at = self.head + self.current[self.head..].partition_point(|e| e.time <= ev.time);
+            let at = self.head + self.current[self.head..].partition_point(|e| e.key() < ev.key());
             self.current.insert(at, ev);
         }
     }
@@ -391,7 +500,7 @@ impl Scheduler {
             let ev = self.far.pop().expect("peeked event must pop");
             self.current.push(ev);
         }
-        self.current.sort_unstable_by_key(|e| (e.time, e.seq));
+        self.current.sort_unstable_by_key(Event::key);
         true
     }
 
@@ -443,6 +552,13 @@ impl Scheduler {
     pub fn now(&self) -> SimTime {
         self.now
     }
+
+    /// Raise the watermark to `t`: the caller has popped everything up to
+    /// `t` and will schedule nothing earlier. What it schedules next is then
+    /// caused at `t`, not at the last event that happened to pop.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
+    }
 }
 
 #[cfg(test)]
@@ -493,6 +609,39 @@ mod tests {
         }
         tokens.extend(drain_tokens(&mut s));
         assert_eq!(tokens, (0..N).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tie_orders_by_cause_then_seq() {
+        let (at, us) = (SimTime::from_us(100), SimTime::from_us);
+        // An earlier cause wins whatever the seqs say...
+        assert!(Tie::new(at, us(98), 9) < Tie::new(at, us(99), 1));
+        // ...the seq decides among equal causes...
+        assert!(Tie::new(at, us(99), 1) < Tie::new(at, us(99), 2));
+        // ...and causes further back than the limit count as equally old.
+        assert!(Tie::new(at, us(10), 2) > Tie::new(at, us(50), 1));
+        assert_eq!(Tie::new(at, us(10), 7).seq(), 7);
+        assert!(Tie::MIN <= Tie::new(at, SimTime::ZERO, 0) && Tie::new(at, at, 7) < Tie::MAX);
+    }
+
+    /// An event booked ahead of its cause pops among its same-time peers
+    /// where the cause puts it, not where its (old) seq would.
+    #[test]
+    fn keyed_event_pops_by_cause_not_by_insertion() {
+        let mut s = Scheduler::new();
+        let at = SimTime::from_us(10);
+        // Booked first, but caused at 9 us.
+        let seq = s.draw_seq();
+        s.schedule_keyed(at, Tie::new(at, SimTime::from_us(9), seq), timer(2));
+        s.schedule(SimTime::from_us(8), timer(0));
+        assert_eq!(token_of(s.pop().unwrap()), 0);
+        // Scheduled at 8 us for the same instant: the earlier cause.
+        s.schedule(at, timer(1));
+        s.schedule(SimTime::from_us(9), timer(9));
+        assert_eq!(token_of(s.pop().unwrap()), 9);
+        // Scheduled at 9 us — the booked event's cause — with a newer seq.
+        s.schedule(at, timer(3));
+        assert_eq!(drain_tokens(&mut s), vec![1, 2, 3]);
     }
 
     #[test]

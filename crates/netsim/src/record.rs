@@ -15,6 +15,7 @@
 //!   `stats` and `experiments` crates once a run finishes
 //!   ([`Recorder::finish`]).
 
+use crate::event::EventKind;
 use crate::hashing::DetHashMap;
 use crate::packet::{FlowId, HostId, NodeId, PortId, Proto};
 use crate::telemetry::{ProbeKind, Series, SeriesKey, Telemetry, TelemetryConfig};
@@ -640,6 +641,7 @@ impl Recorder {
                     goodput_bins: p.goodput_bins,
                 }
             }),
+            event_mix: [0; EventKind::COUNT],
         }
     }
 }
@@ -679,6 +681,9 @@ pub struct RunResults {
     series: Vec<Series>,
     timelines: Vec<FlowTimeline>,
     slo: Option<SloResults>,
+    /// Engine events processed, by [`EventKind::index`]
+    /// ([`crate::Simulator::into_results`] fills it in).
+    pub(crate) event_mix: [u64; EventKind::COUNT],
 }
 
 impl RunResults {
@@ -720,6 +725,9 @@ impl RunResults {
             }
         }
         self.drops.merge(&other.drops);
+        for (a, b) in self.event_mix.iter_mut().zip(other.event_mix) {
+            *a += b;
+        }
         self.series.extend(other.series);
         match (&mut self.slo, other.slo) {
             (Some(mine), Some(theirs)) => mine.merge(theirs),
@@ -751,6 +759,13 @@ impl RunResults {
     /// Per-port, per-reason drop tallies for the run.
     pub fn drops(&self) -> &DropAudit {
         &self.drops
+    }
+
+    /// What the engine did to produce the run: events processed per kind,
+    /// indexed by [`EventKind::index`] (names in [`EventKind::NAMES`]),
+    /// summed over the shards of a sharded run.
+    pub fn event_mix(&self) -> [u64; EventKind::COUNT] {
+        self.event_mix
     }
 
     /// All collected time series, in order of first recording.

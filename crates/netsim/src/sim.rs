@@ -11,20 +11,76 @@
 //! 1. An agent calls [`crate::agent::Ctx::send`]; after the host TX stack
 //!    delay the packet is enqueued at the host NIC ([`EventKind::HostTx`]).
 //! 2. When a port is idle (not serializing, not PFC-paused) it dequeues the
-//!    head packet and schedules [`EventKind::TxDone`] one serialization time
-//!    later.
-//! 3. `TxDone` puts the packet on the wire: it arrives at the peer after the
-//!    link's propagation delay plus the peer's ingress processing delay
-//!    ([`EventKind::Arrive`]).
-//! 4. At a switch, `Arrive` runs the forwarding scheme (ECMP hash / RPS /
+//!    head packet and, in the same step, books its arrival at the peer
+//!    ([`EventKind::Arrive`]) one serialization time plus the link's
+//!    propagation delay plus the peer's ingress processing delay later.
+//! 3. At a switch, `Arrive` runs the forwarding scheme (ECMP hash / RPS /
 //!    adaptive), enqueues at the chosen egress (drop-tail + ECN marking),
 //!    and performs PFC accounting. At a host, `Arrive` is delivered to the
 //!    agent.
+//!
+//! One event per hop, then — not a `TxDone` at the last bit *and* an
+//! `Arrive` a propagation delay later. At datacenter loads most
+//! transmissions have nothing queued behind them, so nobody needs to be
+//! told that the last bit left.
+//!
+//! ## The virtual `TxDone`
+//!
+//! Every transmission still *has* a [`EventKind::TxDone`]: the port records
+//! its key, `(tx_end, cause = tx_start, seq)`, with the one `seq` the
+//! transmission draws at tx-start. Whether the port is still serializing is
+//! answered lazily, by comparing that key with the key of the event being
+//! handled: the port is busy for exactly the events that would have popped
+//! before its `TxDone`, and free for those after. The `TxDone` becomes a
+//! real event — scheduled under that same key, so it pops exactly where it
+//! always would have — only when something must happen at the last bit:
+//!
+//! * a packet is waiting behind the transmission (scheduled at tx-start if
+//!   the queue is already non-empty, otherwise by the first
+//!   `try_start_tx` that finds the port busy with a packet queued), and
+//!   the `TxDone` starts it;
+//! * the port is **faultable**: some fault, link-state or mid-run rate API
+//!   has named its link (`install_faults` — on every shard, owner or not
+//!   —, `schedule_link_state`, `set_gray_loss`, `set_corruption`,
+//!   `set_link_rate` once the run has started; both directions). Such a
+//!   port must read `up` / `loss_rate` / `ber` / the rate epoch when the
+//!   last bit leaves, so its `TxDone` is always scheduled and it — not
+//!   tx-start — books the `Arrive` or drops the packet. Same handler, one
+//!   branch.
+//!
+//! **Why the order is the classic one.** The engine that fired two events
+//! per hop ordered them by `(time, seq)`, `seq` being the global insertion
+//! order. Booking the `Arrive` early changes which instant draws its `seq`,
+//! and one flipped same-instant tie is enough to diverge a whole TCP run.
+//! So the key is `(time, cause, seq)` ([`crate::event::Tie`]): `cause` is
+//! the instant the classic engine would have drawn the `seq` — "now" for
+//! everything scheduled the ordinary way (where it adds nothing: a later
+//! instant draws a larger `seq`), `tx_end` for a booked `Arrive`, `tx_start`
+//! for the `TxDone`. Among events caused at the same instant the shared
+//! `seq` keeps the classic order too: two `TxDone`s at one instant popped in
+//! tx-start order and drew their `Arrive` seqs in that order. The fused and
+//! the faultable path build the same `Arrive` key from the same port fields
+//! (`launch`), so they cannot diverge (the differential property test
+//! `fused_and_tx_end_sampling_paths_are_indistinguishable` runs both).
+//!
+//! One residual: an *ordinary* event whose own delay equals a link's
+//! `arrive_delay` to the picosecond — a 1375-byte packet's 1.1 µs
+//! serialization next to the default 1.1 µs switch hop — ties with a booked
+//! `Arrive` on `(time, cause)` and falls through to `seq`, which the booked
+//! event drew a serialization earlier than the classic engine would have.
+//! The order is still a pure function of `(config, seed)`; it can differ
+//! from the two-event engine's at that one tie. (Likewise past
+//! [`crate::event::Tie::MAX_DELTA_PS`], where causes saturate.)
+//!
+//! **A fault API call that finds a packet in flight** on a port not yet
+//! faultable leaves that packet alone — it was launched healthy and keeps
+//! the arrival it was booked with; the port samples at the last bit from
+//! its next tx-start.
 
 use std::fmt;
 
 use crate::agent::{Agent, Ctx, NullAgent};
-use crate::event::{EventKind, Scheduler};
+use crate::event::{EventKind, Scheduler, Tie};
 use crate::faults::{DirectedFault, FaultAction, FaultPlan};
 use crate::hashing::{EcmpHasher, HashConfig};
 use crate::packet::{Flags, IntHop, NodeId, Packet, PortId, Proto, INGRESS_NONE};
@@ -138,10 +194,13 @@ struct Port {
     /// reading the peer node on every hop.
     arrive_delay: SimTime,
     up: bool,
-    /// A packet is currently being serialized on this port.
-    busy: bool,
     /// The downstream ingress has PFC-paused us.
     paused: bool,
+    /// Some fault, link-state or mid-run rate API has named this port (or
+    /// its peer): from its next tx-start on it samples `up` / `loss_rate` /
+    /// `ber` / the rate epoch at the last bit instead of booking the arrival
+    /// at the first. Never cleared.
+    faultable: bool,
     /// Gray-failure loss probability per departing packet (0 = healthy).
     loss_rate: f64,
     /// Bit error rate: a departing packet of `b` bits is corrupted (and
@@ -158,14 +217,49 @@ struct Port {
     /// the in-flight `TxDone`; a pending `TxDone` carrying a stale epoch is
     /// ignored when it fires.
     tx_epoch: u16,
-    /// While `busy`: when the current serialization completes.
+    /// `(tx_end, tx_tie)` is the key of the latest transmission's `TxDone`,
+    /// scheduled or not: the port is busy for exactly the events that sort
+    /// before it (see [`Simulator::try_start_tx`]). `tx_end` is when the
+    /// serialization completes.
     tx_end: SimTime,
-    /// While `busy`: the packet being serialized.
+    /// Tie-break half of the `TxDone` key: caused at tx-start, with the one
+    /// `seq` the transmission drew — which its `Arrive` shares.
+    tx_tie: Tie,
+    /// The latest transmission's `TxDone` is in the scheduler (and has not
+    /// fired).
+    wake_pending: bool,
+    /// The latest transmission was started on a `faultable` port: its
+    /// `TxDone` decides the packet's fate and schedules its `Arrive`.
+    tx_sampled: bool,
+    /// The packet of the latest transmission (read only while `tx_sampled`;
+    /// a fused packet may already have left the slab for another shard).
     tx_pkt: PacketId,
     /// Transmitted wire bytes by protocol ([Tcp, Udp]).
     tx_bytes: [u64; 2],
     /// Transmitted packets.
     tx_pkts: u64,
+}
+
+impl Port {
+    /// Is the latest transmission still on the port, as seen by the event
+    /// with key `now`? True for exactly the events that sort before its
+    /// `TxDone`.
+    #[inline]
+    fn serializing(&self, now: (SimTime, Tie)) -> bool {
+        (self.tx_end, self.tx_tie) > now
+    }
+
+    /// Put the latest transmission's `TxDone` in the scheduler, under the
+    /// key recorded for it. `(node, port)` is this port's own address.
+    fn schedule_tx_done(&mut self, sched: &mut Scheduler, node: NodeId, port: PortId) {
+        self.wake_pending = true;
+        let epoch = self.tx_epoch;
+        sched.schedule_keyed(
+            self.tx_end,
+            self.tx_tie,
+            EventKind::TxDone { node, port, epoch },
+        );
+    }
 }
 
 /// Observable per-port statistics.
@@ -335,6 +429,10 @@ pub enum Handoff {
     Arrive {
         /// Arrival time (link propagation + receiver processing delay).
         at: SimTime,
+        /// The arrival's tie-break cause — the instant the last bit left
+        /// the exporting port (a CN's emission instant) — so the importer
+        /// orders it among same-time events as a one-shard run would.
+        cause: SimTime,
         /// Receiving node.
         node: NodeId,
         /// Receiving port on `node`.
@@ -446,6 +544,10 @@ impl fmt::Display for Conservation {
 /// The discrete-event network simulator.
 pub struct Simulator {
     now: SimTime,
+    /// With `now`, the key of the event being handled ([`Tie::MAX`] between
+    /// events): what a port compares its `TxDone` key against to know
+    /// whether it is still serializing.
+    now_tie: Tie,
     sched: Scheduler,
     /// Every in-flight packet, referenced by [`PacketId`] from events and
     /// queues. Packets enter in [`Ctx::send`] and leave on delivery or drop.
@@ -471,6 +573,8 @@ pub struct Simulator {
     delivered: u64,
     started: bool,
     events_processed: u64,
+    /// Events processed, by [`EventKind::index`].
+    event_mix: [u64; EventKind::COUNT],
     host_ids: Vec<NodeId>,
     watchers: Vec<QueueWatcher>,
     /// Sharded-engine ownership mask, indexed by node id: `None` (the
@@ -495,6 +599,7 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Simulator {
             now: SimTime::ZERO,
+            now_tie: Tie::MAX,
             sched: Scheduler::new(),
             packets: PacketSlab::new(),
             nodes: Vec::new(),
@@ -507,6 +612,7 @@ impl Simulator {
             delivered: 0,
             started: false,
             events_processed: 0,
+            event_mix: [0; EventKind::COUNT],
             host_ids: Vec::new(),
             watchers: Vec::new(),
             owned: None,
@@ -581,13 +687,16 @@ impl Simulator {
                 delay: spec.delay,
                 arrive_delay,
                 up: true,
-                busy: false,
                 paused: false,
+                faultable: false,
                 loss_rate: 0.0,
                 ber: 0.0,
                 fault_rng: None,
                 tx_epoch: 0,
                 tx_end: SimTime::ZERO,
+                tx_tie: Tie::MIN,
+                wake_pending: false,
+                tx_sampled: false,
                 tx_pkt: 0,
                 tx_bytes: [0; 2],
                 tx_pkts: 0,
@@ -623,6 +732,7 @@ impl Simulator {
     /// Schedule an administrative link state change (both directions) for
     /// the link attached at `(node, port)`.
     pub fn schedule_link_state(&mut self, node: NodeId, port: PortId, up: bool, at: SimTime) {
+        self.mark_faultable(node, port);
         self.sched
             .schedule(at, EventKind::LinkState { node, port, up });
     }
@@ -630,24 +740,40 @@ impl Simulator {
     /// Change the rate of the link attached at `(node, port)` — both
     /// directions. Models heterogeneous or degraded links (partial
     /// upgrades, the §4.3.1 WCMP discussion) and mid-run renegotiation
-    /// (fault injection). Legal at any time: a packet being serialized when
-    /// the rate changes has its remaining bits rescaled to the new rate and
-    /// its completion event rescheduled.
+    /// (fault injection). Legal at any time. Before the run starts this
+    /// only sets the rate; once it has, the link's two ports sample at the
+    /// last bit from their next tx-start on, and a packet such a port is
+    /// serializing when the rate changes has its remaining bits rescaled to
+    /// the new rate and its completion event rescheduled. A packet launched
+    /// before the port was first named by a fault API keeps the arrival it
+    /// was booked with.
     pub fn set_link_rate(&mut self, node: NodeId, port: PortId, rate_bps: u64) {
         assert!(rate_bps > 0, "link rate must be positive");
+        if self.started {
+            self.mark_faultable(node, port);
+        }
         let (peer, peer_port) = self.peer_of(node, port);
         self.apply_rate(node, port, rate_bps);
         self.apply_rate(peer, peer_port, rate_bps);
     }
 
+    /// Mark both directions of the link at `(node, port)` as sampling their
+    /// fault state at the last bit of every transmission started from now
+    /// on. Every API that can change what such a sample reads calls this.
+    fn mark_faultable(&mut self, node: NodeId, port: PortId) {
+        let (peer, peer_port) = self.peer_of(node, port);
+        self.nodes[node as usize].ports[port as usize].faultable = true;
+        self.nodes[peer as usize].ports[peer_port as usize].faultable = true;
+    }
+
     /// Apply a rate change to one directed port, rescheduling the in-flight
-    /// serialization if there is one.
+    /// serialization if there is one whose `TxDone` decides its arrival.
     fn apply_rate(&mut self, node: NodeId, port: PortId, rate_bps: u64) {
         let now = self.now;
         let p = &mut self.nodes[node as usize].ports[port as usize];
         let old = p.rate_bps;
         p.rate_bps = rate_bps;
-        if old == rate_bps || !p.busy {
+        if old == rate_bps || !p.tx_sampled || !p.serializing((now, self.now_tie)) {
             return;
         }
         // Rescale the un-serialized remainder: `remaining * old / new` bits
@@ -657,20 +783,15 @@ impl Simulator {
         let new_rem = (rem_ps * old as u128 / rate_bps as u128) as u64;
         p.tx_epoch = p.tx_epoch.wrapping_add(1);
         p.tx_end = now + SimTime::from_ps(new_rem);
-        let ev = EventKind::TxDone {
-            node,
-            port,
-            pkt: p.tx_pkt,
-            epoch: p.tx_epoch,
-        };
-        let at = p.tx_end;
-        self.sched.schedule(at, ev);
+        p.tx_tie = Tie::new(p.tx_end, now, self.sched.draw_seq());
+        p.schedule_tx_done(&mut self.sched, node, port);
     }
 
     /// Set the gray-failure loss probability on the directed egress
     /// `(node, port)`, effective immediately. `0.0` restores a healthy link.
     pub fn set_gray_loss(&mut self, node: NodeId, port: PortId, loss: f64) {
         assert!((0.0..=1.0).contains(&loss), "loss {loss} outside [0, 1]");
+        self.mark_faultable(node, port);
         self.nodes[node as usize].ports[port as usize].loss_rate = loss;
     }
 
@@ -678,6 +799,7 @@ impl Simulator {
     /// effective immediately. `0.0` restores a healthy link.
     pub fn set_corruption(&mut self, node: NodeId, port: PortId, ber: f64) {
         assert!((0.0..=1.0).contains(&ber), "ber {ber} outside [0, 1]");
+        self.mark_faultable(node, port);
         self.nodes[node as usize].ports[port as usize].ber = ber;
     }
 
@@ -694,7 +816,9 @@ impl Simulator {
     /// are scheduled locally, the rest are pushed into the outbox as
     /// [`Handoff::Fault`] for their owners to import before the run starts
     /// (or before the next window, mid-run). Every worker still validates
-    /// every step, so a bad plan panics identically on every shard.
+    /// every step, so a bad plan panics identically on every shard — and
+    /// marks every link a step names as sampling at the last bit, owner or
+    /// not, so the ports' tx-starts do not depend on when the mail arrives.
     ///
     /// Caveat: two *different* steps targeting the *same* directed egress
     /// at the *same* instant from *different* anchor nodes may apply in a
@@ -709,15 +833,22 @@ impl Simulator {
                 (node as usize) < self.nodes.len(),
                 "fault plan references nonexistent node {node}"
             );
-            if let FaultAction::LinkState { port, .. }
-            | FaultAction::LinkRate { port, .. }
-            | FaultAction::GrayLoss { port, .. }
-            | FaultAction::Corruption { port, .. } = action
-            {
-                assert!(
-                    (port as usize) < self.nodes[node as usize].ports.len(),
-                    "fault plan references nonexistent port ({node}, {port})"
-                );
+            match action {
+                FaultAction::LinkState { port, .. }
+                | FaultAction::LinkRate { port, .. }
+                | FaultAction::GrayLoss { port, .. }
+                | FaultAction::Corruption { port, .. } => {
+                    assert!(
+                        (port as usize) < self.nodes[node as usize].ports.len(),
+                        "fault plan references nonexistent port ({node}, {port})"
+                    );
+                    self.mark_faultable(node, port);
+                }
+                FaultAction::SwitchDown { .. } | FaultAction::SwitchUp { .. } => {
+                    for port in 0..self.nodes[node as usize].ports.len() as PortId {
+                        self.mark_faultable(node, port);
+                    }
+                }
             }
             if !self.is_owned(node) {
                 continue;
@@ -847,7 +978,9 @@ impl Simulator {
     /// Consume the simulator, returning the read-side view of the run
     /// (flow records, counters, telemetry series).
     pub fn into_results(self) -> RunResults {
-        self.recorder.finish()
+        let mut results = self.recorder.finish();
+        results.event_mix = self.event_mix;
+        results
     }
 
     /// Configure telemetry collection. Call before the run starts; with
@@ -906,6 +1039,14 @@ impl Simulator {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Events processed so far by kind, indexed by [`EventKind::index`]
+    /// (names in [`EventKind::NAMES`]); sums to
+    /// [`Simulator::events_processed`]. `tx_done` per transmitted packet is
+    /// the share of transmissions that had something queued behind them.
+    pub fn event_mix(&self) -> [u64; EventKind::COUNT] {
+        self.event_mix
     }
 
     /// Packets delivered to destination agents so far.
@@ -1049,14 +1190,17 @@ impl Simulator {
         match h {
             Handoff::Arrive {
                 at,
+                cause,
                 node,
                 port,
                 pkt,
             } => {
                 let id = self.packets.insert(pkt);
                 self.imported += 1;
-                self.sched.schedule(
+                let tie = Tie::new(at, cause, self.sched.draw_seq());
+                self.sched.schedule_keyed(
                     at,
+                    tie,
                     EventKind::Arrive {
                         node,
                         port,
@@ -1103,9 +1247,16 @@ impl Simulator {
     fn run_core(&mut self, deadline: SimTime) {
         self.start_agents();
         while let Some(ev) = self.sched.pop_before(deadline) {
-            self.now = ev.time;
+            (self.now, self.now_tie) = ev.key();
             self.events_processed += 1;
+            self.event_mix[ev.kind.index()] += 1;
             self.dispatch(ev.kind);
+        }
+        // Between events: everything up to `deadline` has fired, whatever
+        // is scheduled next is caused no earlier.
+        self.now_tie = Tie::MAX;
+        if deadline != SimTime::MAX {
+            self.sched.advance_to(deadline);
         }
         debug_assert!(
             self.conservation().holds(),
@@ -1127,12 +1278,7 @@ impl Simulator {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { node, port, pkt } => self.handle_arrive(node, port, pkt),
-            EventKind::TxDone {
-                node,
-                port,
-                pkt,
-                epoch,
-            } => self.handle_tx_done(node, port, pkt, epoch),
+            EventKind::TxDone { node, port, epoch } => self.handle_tx_done(node, port, epoch),
             EventKind::HostTx { host, pkt } => self.handle_host_tx(host, pkt),
             EventKind::Timer { host, token } => {
                 self.with_agent(host, |agent, ctx| agent.on_timer(token, ctx));
@@ -1464,6 +1610,7 @@ impl Simulator {
                 self.exported += 1;
                 self.outbox.push(Handoff::Arrive {
                     at,
+                    cause: self.now,
                     node: sender,
                     port: 0,
                     pkt,
@@ -1579,11 +1726,23 @@ impl Simulator {
 
     /// If `(node, port)` is idle and unpaused, start serializing the next
     /// queued packet. Packets destined for a dead link are black-holed.
+    ///
+    /// Idle is decided lazily: the port is serializing for exactly the
+    /// events that sort before its latest `TxDone` key, whether or not that
+    /// `TxDone` was ever scheduled. A call that finds the port serializing
+    /// with packets waiting makes sure the `TxDone` is in the scheduler — it
+    /// is what will start the next one.
     fn try_start_tx(&mut self, node: NodeId, port: PortId) {
         loop {
             let (entry, link_up) = {
                 let p = &mut self.nodes[node as usize].ports[port as usize];
-                if p.busy || p.paused {
+                if p.paused {
+                    return;
+                }
+                if p.serializing((self.now, self.now_tie)) {
+                    if !p.wake_pending && !p.queue.is_empty() {
+                        p.schedule_tx_done(&mut self.sched, node, port);
+                    }
                     return;
                 }
                 let Some(entry) = p.queue.dequeue_entry() else {
@@ -1620,32 +1779,66 @@ impl Simulator {
                     .trace_event(self.now, flow, TraceEvent::Dequeue { node, port });
             }
             let now = self.now;
-            let (at, epoch) = {
-                let p = &mut self.nodes[node as usize].ports[port as usize];
-                p.busy = true;
-                p.tx_bytes[proto_index(entry.proto())] += size;
-                p.tx_pkts += 1;
-                let ser = SimTime::serialization(size, p.rate_bps);
-                p.tx_end = now + ser;
-                p.tx_pkt = id;
-                (p.tx_end, p.tx_epoch)
-            };
+            // One seq per transmission, drawn where the classic engine drew
+            // its TxDone's; the TxDone key and the Arrive key both use it.
+            let seq = self.sched.draw_seq();
+            let p = &mut self.nodes[node as usize].ports[port as usize];
+            p.tx_bytes[proto_index(entry.proto())] += size;
+            p.tx_pkts += 1;
+            p.tx_end = now + SimTime::serialization(size, p.rate_bps);
+            p.tx_tie = Tie::new(p.tx_end, now, seq);
+            p.tx_pkt = id;
+            p.tx_sampled = p.faultable;
+            // The TxDone is a real event only if someone needs it: the
+            // fault sample at the last bit, or a packet already waiting.
+            debug_assert!(!p.wake_pending, "the previous TxDone is still pending");
+            if p.tx_sampled || !p.queue.is_empty() {
+                p.schedule_tx_done(&mut self.sched, node, port);
+            }
+            let fused = !p.tx_sampled;
             if self.recorder.wants(ProbeKind::LinkUtil) {
-                let p = &self.nodes[node as usize].ports[port as usize];
                 let total = p.tx_bytes[0] + p.tx_bytes[1];
                 self.recorder
                     .probe(self.now, SeriesKey::LinkUtil { node, port }, total as f64);
             }
-            self.sched.schedule(
+            if fused {
+                self.launch(node, port);
+            }
+            return;
+        }
+    }
+
+    /// Put the packet of `(node, port)`'s latest transmission on the wire:
+    /// it arrives at the peer one `arrive_delay` after its last bit. The
+    /// `Arrive` is keyed as caused at `tx_end` with the transmission's `seq`
+    /// — read off the port, so it is the identical event whether this runs
+    /// at tx-start (healthy port) or from the `TxDone` at `tx_end` (sampling
+    /// port).
+    fn launch(&mut self, node: NodeId, port: PortId) {
+        let p = &self.nodes[node as usize].ports[port as usize];
+        let (peer, peer_port, id, tx_end) = (p.peer, p.peer_port, p.tx_pkt, p.tx_end);
+        let at = tx_end + p.arrive_delay;
+        if self.is_owned(peer) {
+            self.sched.schedule_keyed(
                 at,
-                EventKind::TxDone {
-                    node,
-                    port,
+                Tie::new(at, tx_end, p.tx_tie.seq()),
+                EventKind::Arrive {
+                    node: peer,
+                    port: peer_port,
                     pkt: id,
-                    epoch,
                 },
             );
-            return;
+        } else {
+            // Shard boundary: the peer's owner schedules the arrival.
+            let pkt = self.packets.remove(id);
+            self.exported += 1;
+            self.outbox.push(Handoff::Arrive {
+                at,
+                cause: tx_end,
+                node: peer,
+                port: peer_port,
+                pkt,
+            });
         }
     }
 
@@ -1690,24 +1883,28 @@ impl Simulator {
         }
     }
 
-    fn handle_tx_done(&mut self, node: NodeId, port: PortId, id: PacketId, epoch: u16) {
-        let (peer, peer_port, arrive_delay, link_up, loss_rate, ber) = {
-            let p = &mut self.nodes[node as usize].ports[port as usize];
-            if epoch != p.tx_epoch {
-                // Superseded by a mid-run rate change; the rescheduled
-                // TxDone (current epoch) is still pending.
-                return;
-            }
-            p.busy = false;
-            (
-                p.peer,
-                p.peer_port,
-                p.arrive_delay,
-                p.up,
-                p.loss_rate,
-                p.ber,
-            )
-        };
+    /// The last bit of the latest transmission left `(node, port)`. On a
+    /// sampling port this decides the packet's fate; on every port it
+    /// starts the next queued packet.
+    fn handle_tx_done(&mut self, node: NodeId, port: PortId, epoch: u16) {
+        let p = &mut self.nodes[node as usize].ports[port as usize];
+        if epoch != p.tx_epoch {
+            // Superseded by a mid-run rate change; the rescheduled
+            // TxDone (current epoch) is still pending.
+            return;
+        }
+        p.wake_pending = false;
+        if p.tx_sampled {
+            self.sample_and_launch(node, port);
+        }
+        self.try_start_tx(node, port);
+    }
+
+    /// At the last bit on a sampling port: drop the packet if the link's
+    /// state says so, put it on the wire otherwise.
+    fn sample_and_launch(&mut self, node: NodeId, port: PortId) {
+        let p = &self.nodes[node as usize].ports[port as usize];
+        let (id, link_up, loss_rate, ber) = (p.tx_pkt, p.up, p.loss_rate, p.ber);
         // Fault checks, in severity order. Each consults the departing
         // port's private fault stream only when its fault is actually
         // configured, so healthy runs make no draws at all — and since a
@@ -1735,29 +1932,8 @@ impl Simulator {
             }
             self.recorder.drop_packet(self.now, reason, node, port);
         } else {
-            let arrive_at = self.now + arrive_delay;
-            if self.is_owned(peer) {
-                self.sched.schedule(
-                    arrive_at,
-                    EventKind::Arrive {
-                        node: peer,
-                        port: peer_port,
-                        pkt: id,
-                    },
-                );
-            } else {
-                // Shard boundary: the peer's owner schedules the arrival.
-                let pkt = self.packets.remove(id);
-                self.exported += 1;
-                self.outbox.push(Handoff::Arrive {
-                    at: arrive_at,
-                    node: peer,
-                    port: peer_port,
-                    pkt,
-                });
-            }
+            self.launch(node, port);
         }
-        self.try_start_tx(node, port);
     }
 
     /// Draw from `(node, port)`'s private fault stream, splitting it off
@@ -2258,5 +2434,215 @@ mod tests {
             "rate limiter must pace per (port, flow): {sent}"
         );
         sim.assert_conservation();
+    }
+
+    /// Sends one data packet per `(at, dst, payload)` entry, at exactly
+    /// `at` on a host without stack delay.
+    struct Timed {
+        sends: Vec<(SimTime, HostId, u32)>,
+    }
+
+    impl Agent for Timed {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (i, &(at, _, _)) in self.sends.iter().enumerate() {
+                ctx.set_timer(at, i as u64);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            let (_, dst, payload) = self.sends[token as usize];
+            let key = FlowKey {
+                src: ctx.host(),
+                dst,
+                sport: 1,
+                dport: 2,
+                proto: Proto::Tcp,
+            };
+            ctx.send(Packet::data(ctx.host(), key, 0, token, payload, ctx.now()));
+        }
+    }
+
+    /// `h0` and `h1` (no stack delays) each send one packet through one
+    /// switch to `h2`, timed so that `h1`'s reaches the shared egress in the
+    /// very picosecond `h0`'s finishes serializing there. Returns the
+    /// simulator and the two delivery times at `h2`.
+    fn tie_at_tx_end(first_payload: u32) -> (Simulator, Vec<(SimTime, u32, u64)>) {
+        let mut sim = Simulator::new(1);
+        let hosts: Vec<NodeId> = (0..3)
+            .map(|_| sim.add_host(SimTime::ZERO, SimTime::ZERO))
+            .collect();
+        let sw = sim.add_switch(SwitchConfig::commodity(HashConfig::FiveTuple));
+        let mut rt = RoutingTable::new(3);
+        for &h in &hosts {
+            let (_, sw_port) = sim.connect(h, sw, LinkSpec::host_10g());
+            rt.set(h, vec![sw_port]);
+        }
+        sim.set_routes(sw, rt);
+        let ser = |payload| SimTime::serialization((payload + 40) as u64, 10_000_000_000);
+        // h0's packet is at the egress at t0 + ser + 1.1 us and leaves it one
+        // ser later; h1's (MSS) must arrive then.
+        let t0 = SimTime::from_us(5);
+        let t1 = t0 + ser(first_payload) + ser(first_payload) - ser(MSS);
+        sim.set_agent(
+            hosts[0],
+            Box::new(Timed {
+                sends: vec![(t0, hosts[2], first_payload)],
+            }),
+        );
+        sim.set_agent(
+            hosts[1],
+            Box::new(Timed {
+                sends: vec![(t1, hosts[2], MSS)],
+            }),
+        );
+        let log = crate::testutil::RxLog::shared();
+        sim.set_agent(
+            hosts[2],
+            Box::new(crate::testutil::CountingSink { log: log.clone() }),
+        );
+        sim.run_to_quiescence();
+        sim.assert_conservation();
+        let hop = SimTime::from_ns(1_100);
+        let at_egress = t0 + ser(first_payload) + hop;
+        let arrivals = log.borrow().arrivals.clone();
+        // FIFO, back to back, exactly as an engine with a real TxDone.
+        let first_out = at_egress + ser(first_payload);
+        assert_eq!(
+            arrivals,
+            vec![
+                (first_out + SimTime::from_ns(100), hosts[0], 0),
+                (first_out + ser(MSS) + SimTime::from_ns(100), hosts[1], 0),
+            ]
+        );
+        let egress = sim.port_stats(sw, 2);
+        assert_eq!((egress.tx_pkts, egress.queue.enqueued), (2, 2));
+        assert_eq!(egress.queue.max_bytes, 1500, "never two packets queued");
+        (sim, arrivals)
+    }
+
+    const TX_DONE: usize = 1;
+
+    /// The port's virtual TxDone is keyed (tx_end, cause tx_start): a 1.2 us
+    /// serialization started before the 1.1 us-hop arrival was caused, so it
+    /// sorts first and the arriving packet finds the port free — no TxDone
+    /// event anywhere in the run.
+    #[test]
+    fn arrival_at_tx_end_after_the_virtual_tx_done_starts_at_once() {
+        let (sim, _) = tie_at_tx_end(MSS);
+        assert_eq!(EventKind::NAMES[TX_DONE], "tx_done");
+        assert_eq!(sim.event_mix()[TX_DONE], 0);
+        // 2 timers, 2 HostTx, 2 arrivals at the switch, 2 at the sink.
+        assert_eq!(sim.events_processed(), 8);
+    }
+
+    /// A 0.8 us serialization started *after* the arrival was caused: the
+    /// classic TxDone would have popped second, so the packet must find the
+    /// port busy, queue, and be started by a wake-up at the same instant.
+    #[test]
+    fn arrival_at_tx_end_before_the_virtual_tx_done_queues_behind_it() {
+        let (sim, _) = tie_at_tx_end(960);
+        assert_eq!(sim.event_mix()[TX_DONE], 1, "the one wake-up");
+        assert_eq!(sim.events_processed(), 9);
+    }
+
+    /// A PFC pause lands on a host NIC 0.3 us into a fused serialization
+    /// that began at 25 us (20 us TX stack), a second packet is handed to the
+    /// NIC at 0.6 us, the resume comes at `resume_ns`. The in-flight packet is unaffected; the second starts
+    /// at the later of resume and the first one's last bit.
+    fn pause_during_fused_tx(resume_ns: u64) -> (Vec<SimTime>, u64) {
+        let (mut sim, h0, h1, _sw) = two_hosts_one_switch();
+        let t0 = SimTime::from_us(25);
+        sim.set_agent(
+            h0,
+            Box::new(Timed {
+                sends: vec![
+                    (t0 - SimTime::from_us(20), h1, MSS),
+                    (t0 - SimTime::from_us(20) + SimTime::from_ns(600), h1, MSS),
+                ],
+            }),
+        );
+        let log = crate::testutil::RxLog::shared();
+        sim.set_agent(
+            h1,
+            Box::new(crate::testutil::CountingSink { log: log.clone() }),
+        );
+        for (ns, pause) in [(300, true), (resume_ns, false)] {
+            sim.sched.schedule(
+                t0 + SimTime::from_ns(ns),
+                EventKind::Pfc {
+                    node: h0,
+                    port: 0,
+                    pause,
+                },
+            );
+        }
+        sim.run_to_quiescence();
+        sim.assert_conservation();
+        let times = log.borrow().arrivals.iter().map(|a| a.0).collect();
+        (times, sim.event_mix()[TX_DONE])
+    }
+
+    #[test]
+    fn pfc_pause_during_a_fused_serialization() {
+        // NIC 1.2 + hop 1.1 + egress 1.2 + wire 0.1 + RX stack 20 us.
+        let path = SimTime::from_ns(3_600) + SimTime::from_us(20);
+        let t0 = SimTime::from_us(25);
+        // Resumed while still serializing: the resume finds a packet waiting
+        // behind a busy port and books the wake-up; back-to-back departure.
+        let (times, wakeups) = pause_during_fused_tx(900);
+        assert_eq!(times, vec![t0 + path, t0 + path + SimTime::from_ns(1_200)]);
+        assert_eq!(wakeups, 1);
+        // Resumed after the last bit: the resume itself starts the packet.
+        let (times, wakeups) = pause_during_fused_tx(2_000);
+        assert_eq!(times, vec![t0 + path, t0 + path + SimTime::from_ns(2_000)]);
+        assert_eq!(wakeups, 0);
+    }
+
+    /// The rule for a fault API call that finds a fused packet in flight:
+    /// that packet was launched healthy and keeps the arrival it was booked
+    /// with; the port samples at the last bit from its next tx-start.
+    #[test]
+    fn midrun_fault_api_spares_the_fused_packet_in_flight() {
+        let run = |fault: &dyn Fn(&mut Simulator, NodeId)| {
+            let mut sim = Simulator::new(1);
+            let h0 = sim.add_host(SimTime::ZERO, SimTime::ZERO);
+            let h1 = sim.add_host(SimTime::ZERO, SimTime::ZERO);
+            let sw = sim.add_switch(SwitchConfig::commodity(HashConfig::FiveTuple));
+            sim.connect(h0, sw, LinkSpec::host_10g());
+            sim.connect(h1, sw, LinkSpec::host_10g());
+            let mut rt = RoutingTable::new(2);
+            rt.set(h0, vec![0]);
+            rt.set(h1, vec![1]);
+            sim.set_routes(sw, rt);
+            sim.set_agent(
+                h0,
+                Box::new(Timed {
+                    sends: vec![(SimTime::ZERO, h1, MSS), (SimTime::from_us(10), h1, MSS)],
+                }),
+            );
+            let log = crate::testutil::RxLog::shared();
+            sim.set_agent(
+                h1,
+                Box::new(crate::testutil::CountingSink { log: log.clone() }),
+            );
+            // Half-way through the first packet's serialization on the NIC.
+            sim.run_until(SimTime::from_ns(600));
+            fault(&mut sim, h0);
+            sim.run_to_quiescence();
+            sim.assert_conservation();
+            let times: Vec<SimTime> = log.borrow().arrivals.iter().map(|a| a.0).collect();
+            (
+                times,
+                sim.recorder().drops().by_reason(DropReason::GrayLoss),
+            )
+        };
+        let healthy = SimTime::from_ns(1_200 + 1_100 + 1_200 + 100);
+        // Rate: the first packet is not rescaled, the second serializes at 1G.
+        let (times, _) = run(&|sim, h0| sim.set_link_rate(h0, 0, 1_000_000_000));
+        let slow = SimTime::from_us(10) + SimTime::from_ns(12_000 + 1_100 + 1_200 + 100);
+        assert_eq!(times, vec![healthy, slow]);
+        // Certain loss: the first packet survives, the second is sampled.
+        let (times, lost) = run(&|sim, h0| sim.set_gray_loss(h0, 0, 1.0));
+        assert_eq!((times, lost), (vec![healthy], 1));
     }
 }

@@ -77,24 +77,24 @@ impl Table {
         out
     }
 
-    /// Render as CSV (no quoting; cells must not contain commas).
+    /// Render as CSV, quoting per RFC 4180: a cell containing a comma, a
+    /// double quote or a line break is wrapped in double quotes, with inner
+    /// quotes doubled (the FCT bin label `[1KB,10KB]` is such a cell).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let esc = |s: &str| {
-            debug_assert!(!s.contains(','), "CSV cell contains a comma: {s}");
-            s.to_string()
-        };
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, cell) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if cell.contains([',', '"', '\n', '\r']) {
+                    out.push('"');
+                    out.push_str(&cell.replace('"', "\"\""));
+                    out.push('"');
+                } else {
+                    out.push_str(cell);
+                }
+            }
             out.push('\n');
         }
         out
@@ -154,6 +154,20 @@ mod tests {
         t.row(vec!["1", "2"]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn csv_quotes_cells_that_need_it() {
+        let mut t = Table::new(vec!["bin", "mean"]);
+        for bin in crate::fct::paper_bins() {
+            t.row(vec![bin.label.to_string(), "1.0".to_string()]);
+        }
+        t.row(vec!["say \"hi\"", "a\nb"]);
+        assert_eq!(
+            t.to_csv(),
+            "bin,mean\n\"[1KB,10KB]\",1.0\n\"(10KB,128KB]\",1.0\n\"(128KB,1MB]\",1.0\n\
+             >1MB,1.0\n\"say \"\"hi\"\"\",\"a\nb\"\n"
+        );
     }
 
     #[test]
