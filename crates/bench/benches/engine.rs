@@ -266,7 +266,7 @@ fn bench_flowcut_pin(h: &Harness) {
 /// Workload-engine throughput: the trace-scale generation+aggregation
 /// curve. Each iteration streams `flows` websearch-CDF flows out of the
 /// registry workload, scores them with the analytic FCT model, and feeds
-/// the mergeable quantile sketch — the exact pipeline the `trace-scale`
+/// the quantile sketch — the exact pipeline the `trace-scale`
 /// experiment runs. `elements` is the flow count, so the recorded
 /// `elems_per_sec` *is* the flows/sec figure, commit over commit.
 fn bench_workload_engine(h: &Harness) {
@@ -284,48 +284,14 @@ fn bench_workload_engine(h: &Harness) {
     }
 }
 
-/// Sharded-engine scaling: the same fig3-style Poisson all-to-all on a
-/// k=16 fat-tree (1024 hosts), executed by 1, 2, and 4 worker shards.
-/// Every run produces byte-identical results (enforced by the
-/// `sharded_determinism` test), so the three medians are a pure
-/// wall-clock scaling curve for the conservative barrier-epoch engine.
-/// `elements` is the packets the run delivers (identical at every shard
-/// count, and not something an engine change can move), so `elems_per_sec`
+/// Chaos-engine overhead: a fig3-style Poisson all-to-all on a k=16
+/// fat-tree (1024 hosts; flowbench's `fabric1024` is the healthy
+/// harness at that size) with the chaos experiment's scripted incident
+/// (gray ramp → core crash → flap storm → recovery) and the reconvergence
+/// SLO probe armed — the fault-injection hot paths (per-port fault RNG
+/// draws, directed-fault events, last-bit sampling, delivery-probe hook).
+/// `elements` is the packets the faulted run delivers, so `elems_per_sec`
 /// is engine throughput in delivered packets/sec.
-fn bench_sharding(h: &Harness) {
-    let params = topology::FatTreeParams::k_ary(16).expect("k=16 is valid");
-    let scheme = experiments::schemes::flowbender(Default::default());
-    let rng = DetRng::new(3, 0xFAB);
-    let specs: Vec<netsim::FlowSpec> = workloads::PoissonStream::new(
-        &params,
-        0.3,
-        SimTime::from_ms(1),
-        workloads::FlowSizeDist::web_search(),
-        &rng,
-    )
-    .collect();
-    let until = SimTime::from_ms(25);
-    // One untimed probe run sizes `elements` with the delivered packets.
-    let run = experiments::Run::new(params, &scheme, &specs, until, 3);
-    let probe = run.run().expect("1 shard always partitions");
-    let pkts = probe.conservation.delivered;
-    for shards in [1usize, 2, 4] {
-        let run = run.clone().shards(shards);
-        h.bench(&format!("shard/alltoall_1024h_s{shards}"), pkts, || {
-            let out = run.run().expect("shard counts divide k=16's 16 pods");
-            black_box(out.events)
-        });
-    }
-}
-
-/// Chaos-engine overhead: the same 1024-host Poisson all-to-all as
-/// `shard/alltoall_1024h_s4`, but with the chaos experiment's scripted
-/// incident (gray ramp → core crash → flap storm → recovery) and the
-/// reconvergence SLO probe armed — the fault-injection hot paths
-/// (per-port fault RNG draws, directed-fault events, per-epoch
-/// conservation asserts, delivery-probe hook) priced against the healthy
-/// run above. `elements` is the packets the faulted run delivers, so
-/// `elems_per_sec` stays engine throughput in delivered packets/sec.
 fn bench_chaos(h: &Harness) {
     let params = topology::FatTreeParams::k_ary(16).expect("k=16 is valid");
     let scheme = experiments::schemes::flowbender(Default::default());
@@ -344,20 +310,13 @@ fn bench_chaos(h: &Harness) {
         fail_at: incident.fail_at,
         bin: SimTime::from_us(50),
     };
-    let run = |shards: usize| {
-        experiments::Run::new(params, &scheme, &specs, until, 3)
-            .shards(shards)
-            .slo(slo)
-            .faults(&|ft| incident.plan(ft))
-            .run()
-            .expect("shard counts divide k=16's 16 pods")
-    };
-    let pkts = run(1).conservation.delivered;
-    for shards in [1usize, 4] {
-        h.bench(&format!("shard/chaos_1024h_s{shards}"), pkts, || {
-            black_box(run(shards).events)
-        });
-    }
+    let plan = |ft: &topology::FatTree| incident.plan(ft);
+    let run = experiments::Run::new(params, &scheme, &specs, until, 3)
+        .slo(slo)
+        .faults(&plan);
+    // One untimed probe run sizes `elements` with the delivered packets.
+    let pkts = run.run().conservation.delivered;
+    h.bench("chaos/1024h", pkts, || black_box(run.run().events));
 }
 
 /// Sketch ingestion alone: 1M pre-drawn FCT values into a fresh
@@ -388,7 +347,6 @@ fn main() {
     bench_int_stamp(&h);
     bench_flowcut_pin(&h);
     bench_workload_engine(&h);
-    bench_sharding(&h);
     bench_chaos(&h);
     bench_sketch(&h);
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");

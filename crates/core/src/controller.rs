@@ -278,8 +278,7 @@ impl PathController for FlowcutGap {
 /// bend. The new V is a **deterministic** function of the current V and
 /// the blamed hop — a hash of `(node, port)` picks the step — so the flow
 /// re-hashes *around that port* consistently, and the controller draws
-/// **zero** RNG (pinned by test): byte-identical runs at every shard
-/// count come for free. After a bend the controller holds its path for
+/// **zero** RNG (pinned by test). After a bend the controller holds its path for
 /// `hold_ps` (one RTT-ish) so in-flight feedback from the *old* path
 /// cannot trigger a second bend before the first takes effect.
 #[derive(Debug, Clone)]
@@ -538,7 +537,7 @@ mod tests {
         for t in [40, 50, 60, 70] {
             assert_eq!(b.on_feedback(cn(5, 2), t, &mut rng), Decision::Stay);
         }
-        // Zero RNG draws throughout: shard-count invariance for free.
+        // Zero RNG draws throughout.
         assert_eq!(rng.next_u32(), before);
     }
 

@@ -13,9 +13,8 @@
 
 use netsim::SimTime;
 use stats::{fmt_secs, BinSpec, BinStats, FctAccumulator, Table};
-use topology::FatTreeParams;
 
-use crate::cell::{baseline, ratio_cell, windowed_cell, Cell, Digest};
+use crate::cell::{baseline, paper_fabric, ratio_cell, windowed_cell, Cell, Digest};
 use crate::report::{Opts, Report};
 use crate::scenario::sweep_schemes;
 use crate::schemes::{self, SchemeSpec};
@@ -34,7 +33,7 @@ pub const LOADS: [f64; 3] = [0.2, 0.4, 0.6];
 /// lists byte for byte.
 pub fn sweep(opts: &Opts, schemes: &[SchemeSpec], loads: &[f64]) -> Vec<Vec<Cell>> {
     opts.validate();
-    let params = FatTreeParams::paper();
+    let params = paper_fabric(opts);
     let workload = opts.workload_or("websearch");
     sweep_schemes(schemes, loads, |scheme, &load| {
         let tag = 0xA2A ^ (load * 1000.0) as u64;

@@ -18,7 +18,7 @@ use topology::FatTreeParams;
 use workloads::{FlowSizeDist, PoissonStream, Workload};
 
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{sweep_schemes_sharded, Run, RunOutput, Window};
+use crate::scenario::{sweep_schemes, Run, RunOutput, Window};
 use crate::schemes::SchemeSpec;
 
 /// The FCT statistics of one run: the completed TCP flows that arrived
@@ -149,7 +149,7 @@ pub fn windowed_cell(
 
 /// The fat-tree a k-ary experiment builds: `--topo k=K` if given, else
 /// k = `full` — or `full / 2` under `--smoke`. Registry rows name this as
-/// the fabric `--shards` is checked against.
+/// the fabric `--workload` is checked against.
 pub fn kary_fabric(opts: &Opts, full: usize) -> FatTreeParams {
     let k = opts
         .topo_k
@@ -163,8 +163,8 @@ pub fn kary_window(opts: &Opts, full: SimTime, smoke: SimTime, drain: SimTime) -
     Window::for_duration(opts.scaled(if opts.smoke { smoke } else { full }), drain)
 }
 
-/// Web-search all-to-all from the streaming per-source Poisson generator
-/// (identical however the fabric is partitioned), stream `(opts.seed, tag)`.
+/// Web-search all-to-all from the streaming per-source Poisson generator,
+/// stream `(opts.seed, tag)`.
 pub fn poisson_websearch(
     opts: &Opts,
     params: &FatTreeParams,
@@ -176,10 +176,10 @@ pub fn poisson_websearch(
     PoissonStream::new(params, load, duration, FlowSizeDist::web_search(), &rng).collect()
 }
 
-/// A (scheme × workload) sweep on a k=8 fat-tree (k=4 under `--smoke`)
-/// through the sharded engine — `feedback` and `reordering` are two of
-/// these, differing in this description, their default scheme and
-/// workload sets, and the table row they print per cell.
+/// A (scheme × workload) sweep on a k=8 fat-tree (k=4 under `--smoke`) —
+/// `feedback` and `reordering` are two of these, differing in this
+/// description, their default scheme and workload sets, and the table row
+/// they print per cell.
 pub struct WorkloadSweep {
     /// Report name.
     pub name: &'static str,
@@ -201,10 +201,9 @@ impl WorkloadSweep {
         kary_fabric(opts, 8)
     }
 
-    /// Run one (scheme, workload) cell on `opts.shards` engine threads,
-    /// with the flight recorder on for the flows `trace` selects. The
-    /// flow list is deterministic in `(seed, slug)`, independent of scheme
-    /// and shard count.
+    /// Run one (scheme, workload) cell with the flight recorder on for
+    /// the flows `trace` selects. The flow list is deterministic in
+    /// `(seed, slug)`, independent of scheme.
     pub fn cell(
         &self,
         opts: &Opts,
@@ -225,10 +224,8 @@ impl WorkloadSweep {
         let mut rng = DetRng::new(opts.seed, self.tag);
         let specs = wl.generate(&params, Self::LOAD, window.end, &mut rng);
         let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
-            .shards(opts.shards)
             .trace(trace)
-            .run()
-            .expect("--shards and --trace checked by the CLI");
+            .run();
         Cell::of(out, window)
     }
 
@@ -247,7 +244,7 @@ impl WorkloadSweep {
         let params = Self::fabric(opts);
         let selection = opts.scheme_selection(schemes);
         let wl_slugs = opts.workload.clone().map_or(workloads, |w| vec![w]);
-        let grid = sweep_schemes_sharded(&selection, &wl_slugs, opts.shards, |scheme, wl| {
+        let grid = sweep_schemes(&selection, &wl_slugs, |scheme, wl| {
             self.cell(opts, scheme, wl, TraceConfig::off())
         });
 
@@ -256,13 +253,7 @@ impl WorkloadSweep {
             let wl = workloads::find(wl_slug).expect("resolved by cell()");
             let mut table = Table::new(self.headers.to_vec());
             for (scheme, cell) in selection.iter().zip(cells) {
-                let label = format!(
-                    "{}_{}_shards{}_seed{}",
-                    wl.slug(),
-                    scheme.slug(),
-                    opts.shards,
-                    opts.seed
-                );
+                let label = format!("{}_{}_seed{}", wl.slug(), scheme.slug(), opts.seed);
                 table.row(row(&mut report, &label, scheme, wl_slug, cell));
                 report.run_summary(RunSummary::from_run(
                     label,
@@ -274,13 +265,12 @@ impl WorkloadSweep {
             }
             report.section(
                 format!(
-                    "{} on {}: k={} fat-tree ({} hosts) at {:.0}% load, {} shard(s)",
+                    "{} on {}: k={} fat-tree ({} hosts) at {:.0}% load",
                     self.title,
                     wl.name(),
                     params.pods,
                     params.n_hosts(),
-                    Self::LOAD * 100.0,
-                    opts.shards
+                    Self::LOAD * 100.0
                 ),
                 table,
             );
@@ -289,9 +279,8 @@ impl WorkloadSweep {
     }
 }
 
-/// The fabric [`faulted_microbench`] builds — the paper fat-tree, whatever
-/// the options say — as the registry rows of the failure microbenchmarks
-/// name it.
+/// The paper fat-tree, whatever the options say, as the registry rows of
+/// the experiments that build it and honor `--workload` name it.
 pub fn paper_fabric(_: &Opts) -> FatTreeParams {
     FatTreeParams::paper()
 }
@@ -299,25 +288,18 @@ pub fn paper_fabric(_: &Opts) -> FatTreeParams {
 /// The failure microbenchmark: 16 cross-pod flows of `bytes` (two per
 /// host pair between ToR0/pod0 and ToR0/pod1) on the paper fat-tree, with
 /// `fault` scripted onto agg 0 of pod 0's first core uplink — one of the 8
-/// inter-pod paths. Runs on `shards` engine threads with the flight
-/// recorder on for the flows `trace` selects; every flow counts (no
-/// window). The synchronized flows tie at shared switches, so a sharded
-/// run is a reproducible parallel execution of the same experiment rather
-/// than a byte-replica of `shards == 1` (see [`Run`]). Errors on what
-/// [`Run::run`] rejects — shard counts the 4-pod fabric cannot host, or
-/// tracing with `shards > 1`.
+/// inter-pod paths. Runs with the flight recorder on for the flows `trace`
+/// selects; every flow counts (no window).
 pub fn faulted_microbench(
     scheme: &SchemeSpec,
     bytes: u64,
     seed: u64,
-    shards: usize,
     trace: TraceConfig,
     fault: &(dyn Fn(&mut FaultPlan, NodeId, PortId) + Sync),
-) -> Result<Cell, String> {
+) -> Cell {
     let params = FatTreeParams::paper();
     let specs = workloads::microbench(&params, 16, bytes);
     let out = Run::new(params, scheme, &specs, SimTime::from_secs(60), seed)
-        .shards(shards)
         .trace(trace)
         .faults(&|ft| {
             let (node, port) = ft.agg_core_link(0, 0);
@@ -325,8 +307,8 @@ pub fn faulted_microbench(
             fault(&mut plan, node, port);
             plan
         })
-        .run()?;
-    Ok(Cell::of(out, Window::WHOLE_RUN))
+        .run();
+    Cell::of(out, Window::WHOLE_RUN)
 }
 
 /// The failure microbenchmarks' shared table cells for one run:

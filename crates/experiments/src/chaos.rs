@@ -1,8 +1,7 @@
-//! `chaos` — fabric-scale incident drill on the sharded engine: a
-//! scripted timeline (gray-loss ramp → whole-core crash → flap storm →
-//! recovery) hits a k=16 / 1024-host fat-tree while a Poisson all-to-all
-//! runs, and every scheme is graded on *degradation SLOs* against its own
-//! healthy baseline:
+//! `chaos` — fabric-scale incident drill: a scripted timeline (gray-loss
+//! ramp → whole-core crash → flap storm → recovery) hits a k=16 /
+//! 1024-host fat-tree while a Poisson all-to-all runs, and every scheme is
+//! graded on *degradation SLOs* against its own healthy baseline:
 //!
 //! * **p99 inflation** — chaos-run p99 FCT over healthy-run p99 FCT;
 //! * **reconvergence latency** — per flow in flight at the crash instant,
@@ -14,15 +13,10 @@
 //! * **goodput dip** — depth and duration of the delivered-bytes trough,
 //!   binned identically in both runs and compared bin-by-bin.
 //!
-//! The timeline deliberately stresses the sharded fault machinery: its
-//! targets are agg↔core links — the only links that cross shard
-//! boundaries under pod-granular partitioning (see
-//! [`topology::ShardPlan::crosses`]) — so every fault transition of the
-//! crash and storm travels through the epoch mailbox when `--shards > 1`,
-//! and the per-epoch conservation assert audits the books through the
-//! whole incident. Traffic comes from [`workloads::PoissonStream`]
-//! (tie-free arrivals, see [`Run`]), so reports are byte-identical across
-//! shard counts.
+//! The timeline targets agg↔core links and a whole core switch — the
+//! tier every inter-pod path crosses — and the conservation ledger is
+//! asserted at the end of both runs. Traffic comes from
+//! [`workloads::PoissonStream`].
 
 use netsim::{FaultPlan, SimTime, SloConfig};
 use stats::{fmt_secs, percentile, Table};
@@ -48,7 +42,7 @@ const GOODPUT_BINS: u64 = 20;
 
 /// The scripted incident, expressed in absolute simulation times derived
 /// from the arrival-window `duration`. Pure function of the duration, so
-/// every shard (and every scheme) sees the identical script.
+/// every scheme sees the identical script.
 #[derive(Debug, Clone, Copy)]
 pub struct Incident {
     /// Gray loss begins (1 %) on one agg→core uplink.
@@ -80,7 +74,7 @@ impl Incident {
     }
 
     /// Compile the timeline into a [`FaultPlan`] against a concrete
-    /// fabric. Targets are agg↔core elements (the cross-shard tier):
+    /// fabric. Targets are agg↔core elements:
     ///
     /// * gray ramp on agg 0's uplink 0;
     /// * whole-switch crash of the core behind agg 0's uplink 1 — every
@@ -93,9 +87,7 @@ impl Incident {
         let p = &ft.params;
         let (agg0, up0) = ft.agg_core_link(0, 0);
         let (_, up1) = ft.agg_core_link(0, 1);
-        // Core index 1: attached to agg position 0, and — because cores
-        // are dealt round-robin — owned by shard 1 whenever shards > 1,
-        // so its crash always crosses the shard boundary.
+        // Core index 1: attached to agg position 0.
         let sick_core = ft.cores[1];
         let far_agg = p.aggs_per_pod * (p.pods - 1);
         let (agg_far, far_up0) = ft.agg_core_link(far_agg, 0);
@@ -191,11 +183,9 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOu
     let s = setup(opts);
     let run = |plan_fn: PlanFn| {
         Run::new(s.params, scheme, &s.specs, s.window.drain_until, opts.seed)
-            .shards(opts.shards)
             .slo(s.slo)
             .faults(plan_fn)
             .run()
-            .expect("--shards checked by the CLI")
     };
     // The healthy run arms the same SLO probe: its goodput bins are the
     // dip baseline, and its "reconvergence" samples (first delivery after
@@ -287,12 +277,7 @@ pub fn run(opts: &Opts) -> Report {
         let (r, healthy, chaos) = run_one(opts, scheme);
         for (tag, out) in [("healthy", &healthy), ("chaos", &chaos)] {
             summaries.push(RunSummary::from_run(
-                format!(
-                    "{}_{tag}_k{k}_shards{}_seed{}",
-                    scheme.slug(),
-                    opts.shards,
-                    opts.seed
-                ),
+                format!("{}_{tag}_k{k}_seed{}", scheme.slug(), opts.seed),
                 scheme.name(),
                 opts,
                 opts.seed,
@@ -318,13 +303,11 @@ pub fn run(opts: &Opts) -> Report {
     }
     report.section(
         format!(
-            "Chaos drill on a k={k} fat-tree ({} hosts), {} flows at {:.0}% load, \
-             {} shard(s): gray ramp at {} -> core crash at {} -> flap storm -> \
-             recovery at {}",
+            "Chaos drill on a k={k} fat-tree ({} hosts), {} flows at {:.0}% load: \
+             gray ramp at {} -> core crash at {} -> flap storm -> recovery at {}",
             s.params.n_hosts(),
             s.specs.len(),
             LOAD * 100.0,
-            opts.shards,
             fmt_secs(s.incident.gray_onset.as_secs_f64()),
             fmt_secs(s.incident.fail_at.as_secs_f64()),
             fmt_secs(s.incident.recovery_at.as_secs_f64()),
@@ -339,9 +322,9 @@ pub fn run(opts: &Opts) -> Report {
         (RTO_MIN_S * 1e3) as u64
     ));
     report.note(
-        "the incident targets agg<->core links — the only cross-shard tier — so every \
-         crash/storm transition exercises the epoch-mailbox fault handoff under \
-         --shards N, with packet conservation asserted every epoch",
+        "the incident targets agg<->core links and one whole core — the tier every \
+         inter-pod path crosses — with packet conservation asserted at the end of \
+         both runs",
     );
     report
 }
@@ -350,11 +333,10 @@ pub fn run(opts: &Opts) -> Report {
 mod tests {
     use super::*;
 
-    fn opts(shards: usize) -> Opts {
+    fn opts() -> Opts {
         Opts {
             seed: 3,
             topo_k: Some(4),
-            shards,
             smoke: true,
             schemes: vec!["flowbender".into()],
             ..Opts::default()
@@ -363,7 +345,7 @@ mod tests {
 
     #[test]
     fn smoke_run_reports_degradation_slos() {
-        let r = run(&opts(2));
+        let r = run(&opts());
         assert_eq!(r.name, "chaos");
         assert!(r.sections[0].0.contains("core crash"));
         assert_eq!(r.sections[0].1.len(), 1, "one scheme row");
@@ -382,29 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn chaos_digest_is_identical_across_shard_counts() {
-        let scheme = schemes::flowbender(Default::default());
-        let (a, ah, ac) = run_one(&opts(1), &scheme);
-        let (b, bh, bc) = run_one(&opts(2), &scheme);
-        // The Poisson workload is tie-free, so the sharded incident run is
-        // byte-identical to the classic engine — compare through the
-        // exact-float digest and both conservation ledgers.
-        assert_eq!(a.completion, b.completion);
-        assert_eq!(a.p99_inflation.to_bits(), b.p99_inflation.to_bits());
-        assert_eq!(a.recon_p50_s.to_bits(), b.recon_p50_s.to_bits());
-        assert_eq!(a.recon_p99_s.to_bits(), b.recon_p99_s.to_bits());
-        assert_eq!(a.recon_samples, b.recon_samples);
-        assert_eq!(a.timeout_dominated, b.timeout_dominated);
-        assert_eq!(a.dip_depth.to_bits(), b.dip_depth.to_bits());
-        assert_eq!(ah.events, bh.events, "healthy runs identical");
-        assert_eq!(ac.events, bc.events, "chaos runs identical");
-        assert_eq!(ac.conservation.delivered, bc.conservation.delivered);
-    }
-
-    #[test]
     fn incident_clears_and_flows_still_complete() {
         let scheme = schemes::flowbender(Default::default());
-        let (r, _, chaos) = run_one(&opts(2), &scheme);
+        let (r, _, chaos) = run_one(&opts(), &scheme);
         assert!(r.recon_samples > 0, "crash must leave flows to reconverge");
         assert!(
             r.completion > 0.5,

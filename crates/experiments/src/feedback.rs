@@ -8,20 +8,15 @@
 //! hop, FastCC cutting cwnd on CN arrival) — on the two workloads where
 //! early feedback should matter most: incast (deep, short-lived queue
 //! spikes at the fan-in port) and a Zipf hotspot (persistent congestion
-//! on a few downlinks). `--shards N` works; the Poisson workloads
-//! (hotspot, websearch, ...) are byte-identical across shard counts, while
-//! incast's *synchronized* workers tie at shared switches, so its numbers
-//! (ECMP's included) shift by a serialization quantum between shard
-//! counts — see [`crate::Run`] for the tie-free caveat. Each shard count is
-//! individually deterministic either way.
+//! on a few downlinks).
 //!
 //! The headline `lead` column is measured, not modeled: the sender opens
 //! a timer at the first CN of a congestion window and closes it when the
 //! first ECE-marked ACK of that window arrives ([`Counter::FeedbackLeadPs`]
-//! summed over [`Counter::FeedbackLeadSamples`] windows). With `--trace`
-//! (single-shard), the CN arrivals are cross-checked against the flight
-//! recorder: a traced replay must log exactly [`Counter::CnDelivered`]
-//! `cn_arrive` timeline events, at timestamps consistent with the lead.
+//! summed over [`Counter::FeedbackLeadSamples`] windows). With `--trace`,
+//! the CN arrivals are cross-checked against the flight recorder: a traced
+//! replay must log exactly [`Counter::CnDelivered`] `cn_arrive` timeline
+//! events, at timestamps consistent with the lead.
 
 use netsim::{Counter, FlowTimeline};
 
@@ -209,60 +204,6 @@ mod tests {
             "most in-window flows complete: {}",
             c.fct.completion
         );
-    }
-
-    /// Feedback-enabled schemes are byte-identical across shard counts:
-    /// CN delivery crosses shard boundaries through the handoff protocol
-    /// without perturbing the schedule. Checked on the hotspot workload —
-    /// Poisson arrivals, so no exact-timestamp ties; incast's synchronized
-    /// senders tie constantly and are not shard-count-invariant for *any*
-    /// scheme, ECMP included (see the module docs). Uses the full
-    /// (non-smoke) 2 ms window: the smoke hotspot cell carries only a
-    /// single flow, which would make invariance vacuous — the full window
-    /// pushes ~1M events and double-digit flow counts through the shard
-    /// handoffs.
-    #[test]
-    fn feedback_cells_are_identical_across_shard_counts() {
-        let dense = Opts {
-            smoke: false,
-            ..smoke_opts()
-        };
-        for scheme in [schemes::bender_int(), schemes::fastcc()] {
-            let base = SWEEP.cell(&dense, &scheme, "hotspot", TraceConfig::off());
-            for shards in [2, 4] {
-                let opts = Opts {
-                    shards,
-                    ..dense.clone()
-                };
-                let c = SWEEP.cell(&opts, &scheme, "hotspot", TraceConfig::off());
-                assert_eq!(
-                    base.fct.quantile(0.99),
-                    c.fct.quantile(0.99),
-                    "{} x{shards}",
-                    scheme.name()
-                );
-                assert_eq!(base.fct.completion, c.fct.completion);
-                for counter in [
-                    Counter::CnSent,
-                    Counter::CnDelivered,
-                    Counter::IntStamps,
-                    Counter::FeedbackLeadSamples,
-                ] {
-                    assert_eq!(base.out.get(counter), c.out.get(counter));
-                }
-                assert_eq!(lead_us(&base), lead_us(&c));
-                assert_eq!(base.out.flows.len(), c.out.flows.len());
-                assert!(
-                    base.out
-                        .flows
-                        .iter()
-                        .zip(c.out.flows.iter())
-                        .all(|(a, b)| a.end == b.end),
-                    "{} x{shards}: per-flow completion times must match",
-                    scheme.name()
-                );
-            }
-        }
     }
 
     /// Flight-recorder verification of the lead: a traced replay logs

@@ -35,10 +35,9 @@ pub fn run_scheme(
     loss: f64,
     bytes: u64,
     seed: u64,
-    shards: usize,
     trace: TraceConfig,
-) -> Result<Cell, String> {
-    faulted_microbench(scheme, bytes, seed, shards, trace, &|plan, node, port| {
+) -> Cell {
+    faulted_microbench(scheme, bytes, seed, trace, &|plan, node, port| {
         plan.gray_loss(node, port, loss, SimTime::ZERO);
     })
 }
@@ -58,10 +57,7 @@ pub fn run(opts: &Opts) -> Report {
         schemes::flowbender(flowbender::Config::default()),
     ];
     let grid = sweep_schemes(&contenders, &LOSS_RATES, |scheme, &loss| {
-        let cell = |trace| {
-            run_scheme(scheme, loss, bytes, opts.seed, opts.shards, trace)
-                .unwrap_or_else(|e| panic!("{e}"))
-        };
+        let cell = |trace| run_scheme(scheme, loss, bytes, opts.seed, trace);
         let c = cell(TraceConfig::off());
         let timelines = traced_replay(&opts.trace, &c.out, |cfg| cell(cfg).out);
         (c, timelines)
@@ -89,17 +85,11 @@ pub fn run(opts: &Opts) -> Report {
                 gray_drops(&c).to_string(),
                 max_fct,
             ]);
-            // `--shards 1` keeps the historical labels (and so the committed
-            // JSON file names); parallel runs are tagged with their shard
-            // count even though the bytes inside are identical.
-            let mut label = format!(
+            let label = format!(
                 "{}_pm{}",
                 scheme.name().to_lowercase(),
                 (loss * 1000.0).round() as u32
             );
-            if opts.shards > 1 {
-                label.push_str(&format!("_shards{}", opts.shards));
-            }
             rep.run_summary(RunSummary::from_run(
                 label.clone(),
                 scheme.name(),
@@ -124,21 +114,20 @@ mod tests {
     use super::*;
     use netsim::Counter;
 
-    fn plain(scheme: &SchemeSpec, loss: f64, bytes: u64, seed: u64, shards: usize) -> Cell {
-        run_scheme(scheme, loss, bytes, seed, shards, TraceConfig::off()).unwrap()
+    fn plain(scheme: &SchemeSpec, loss: f64, bytes: u64, seed: u64) -> Cell {
+        run_scheme(scheme, loss, bytes, seed, TraceConfig::off())
     }
 
     #[test]
     fn flowbender_escapes_gray_link_ecmp_suffers() {
         let bytes = 3_000_000;
         let loss = 0.04;
-        let ecmp = plain(&schemes::ecmp(), loss, bytes, 11, 1);
+        let ecmp = plain(&schemes::ecmp(), loss, bytes, 11);
         let fb = plain(
             &schemes::flowbender(flowbender::Config::default()),
             loss,
             bytes,
             11,
-            1,
         );
         let ecmp_out = &ecmp.out;
         assert!(gray_drops(&ecmp) > 0, "the gray link must actually drop");
@@ -172,41 +161,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_gray_run_is_audited_and_reproducible() {
-        // This microbenchmark's 16 synchronized flows produce same-instant
-        // arrival ties at shared switches, whose resolution order is
-        // engine-specific (see `scenario::Run`), so shards
-        // > 1 is parallel execution of the same experiment rather than a
-        // byte-replica of the classic run. What must hold: the behavioral
-        // outcome, the conservation audit, and exact reproducibility at a
-        // fixed shard count. (Byte-identity across shard counts is pinned
-        // by the Poisson-workload property suite in tests/sharded_faults.)
-        let bytes = 500_000;
-        let a = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
-        for shards in [2, 4] {
-            let b = plain(&schemes::ecmp(), 0.01, bytes, 7, shards);
-            assert_eq!(a.fct.n(), b.fct.n(), "shards={shards}");
-            assert_eq!(a.out.flows.len(), b.out.flows.len(), "shards={shards}");
-            assert!(gray_drops(&b) > 0, "shards={shards}: the gray link drops");
-            assert!(b.out.conservation.holds(), "shards={shards}");
-            let b2 = plain(&schemes::ecmp(), 0.01, bytes, 7, shards);
-            assert_eq!(
-                b.fct.max().to_bits(),
-                b2.fct.max().to_bits(),
-                "shards={shards}"
-            );
-            assert_eq!(b.out.events, b2.out.events, "shards={shards}");
-            assert_eq!(b.out.conservation, b2.out.conservation, "shards={shards}");
-        }
-        let err = run_scheme(&schemes::ecmp(), 0.01, bytes, 7, 8, TraceConfig::off()).unwrap_err();
-        assert!(err.contains("4 pods"), "paper fabric has 4 pods: {err}");
-    }
-
-    #[test]
     fn same_seed_reproduces_exactly() {
         let bytes = 500_000;
-        let a = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
-        let b = plain(&schemes::ecmp(), 0.01, bytes, 7, 1);
+        let a = plain(&schemes::ecmp(), 0.01, bytes, 7);
+        let b = plain(&schemes::ecmp(), 0.01, bytes, 7);
+        assert!(gray_drops(&a) > 0, "the gray link drops");
+        assert!(a.out.conservation.holds());
         assert_eq!(gray_drops(&a), gray_drops(&b));
         assert_eq!(a.out.get(Counter::Timeouts), b.out.get(Counter::Timeouts));
         assert_eq!(a.fct.max().to_bits(), b.fct.max().to_bits());

@@ -23,7 +23,7 @@
 //! | [`ablation`] | §3.4/§5 design refinements |
 //! | [`repflow`] | extension: RepFlow-style short-flow replication vs rerouting |
 //! | [`trace_scale`] | extension: million-flow workload engine + streaming FCT sketches |
-//! | [`fabric_scale`] | extension: 1024-host all-to-all on the sharded multi-core engine |
+//! | [`fabric_scale`] | extension: 1024-host all-to-all on a k=16 fat-tree |
 //! | [`chaos`] | extension: incident-timeline chaos drill with reconvergence SLOs |
 //! | [`feedback`] | extension: switch-assisted feedback — INT telemetry + early CN |
 //! | [`reordering`] | extension: reordering cost by routing locus, incl. switch-side flowcuts |
@@ -88,9 +88,8 @@ pub use cell::{Cell, Digest};
 pub use registry::{find, registry, Experiment};
 pub use report::{timeline_json, Opts, Report, RunSummary, TraceSel};
 pub use scenario::{
-    parallel_map, parallel_map_capped, run_fat_tree, run_fat_tree_sharded, run_testbed,
-    slowest_flows, sweep_cap, sweep_schemes, sweep_schemes_sharded, traced_replay, Run, RunOutput,
-    ShardStats, Window,
+    parallel_map, run_fat_tree, run_fat_tree_sharded, run_testbed, slowest_flows, sweep_schemes,
+    traced_replay, Run, RunOutput, ShardStats, Window,
 };
 pub use schemes::{Replication, SchemeSpec};
 
@@ -117,7 +116,7 @@ pub fn workloads_help(unknown: &str) -> String {
         .join(", ");
     format!(
         "unknown workload `{unknown}`; registered workloads: {known} \
-         (parameterized forms like incast:1000 or hotspot:1.5 also work; \
-         try the `workloads` subcommand)"
+         (parameterized forms: {}; try the `workloads` subcommand)",
+        workloads::PARAM_FORMS
     )
 }

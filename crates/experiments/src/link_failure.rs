@@ -20,17 +20,11 @@ use crate::schemes::{self, SchemeSpec};
 /// Run the failure experiment for one scheme: the
 /// [`faulted_microbench`] with both directions of the uplink dying at
 /// `fail_at` — packets already hashed onto it black-hole.
-pub fn run_scheme(
-    scheme: &SchemeSpec,
-    bytes: u64,
-    fail_at: SimTime,
-    seed: u64,
-    shards: usize,
-) -> Result<Cell, String> {
+pub fn run_scheme(scheme: &SchemeSpec, bytes: u64, fail_at: SimTime, seed: u64) -> Cell {
     let kill = |plan: &mut netsim::FaultPlan, node, port| {
         plan.kill(node, port, fail_at);
     };
-    faulted_microbench(scheme, bytes, seed, shards, TraceConfig::off(), &kill)
+    faulted_microbench(scheme, bytes, seed, TraceConfig::off(), &kill)
 }
 
 /// Produce the report.
@@ -43,8 +37,7 @@ pub fn run(opts: &Opts) -> Report {
         schemes::flowbender(flowbender::Config::default()),
     ];
     let results = parallel_map(contenders, |s| {
-        let c = run_scheme(&s, bytes, fail_at, opts.seed, opts.shards)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let c = run_scheme(&s, bytes, fail_at, opts.seed);
         (s, c)
     });
 
@@ -80,15 +73,13 @@ mod tests {
     #[test]
     fn flowbender_survives_failure_ecmp_strands_flows() {
         let bytes = 3_000_000;
-        let ecmp = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, 1).unwrap();
+        let ecmp = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21);
         let fb = run_scheme(
             &schemes::flowbender(flowbender::Config::default()),
             bytes,
             SimTime::from_ms(2),
             21,
-            1,
-        )
-        .unwrap();
+        );
         assert_eq!(
             fb.fct.n(),
             fb.out.flows.len(),
@@ -105,27 +96,5 @@ mod tests {
         // Recovery is RTO-scale: with a 10ms RTO floor the whole 3MB flow
         // set still finishes far faster than any routing reconvergence.
         assert!(fb.fct.max() < 5.0, "max fct = {}", fb.fct.max());
-    }
-
-    #[test]
-    fn sharded_failure_run_strands_the_same_flows() {
-        // Like the gray-failure microbenchmark, the synchronized flows
-        // here tie at shared switches, so shards > 1 is not a byte-replica
-        // of the classic engine — but the *experiment's* outcome (which
-        // hash buckets black-hole) is topology-determined and must agree,
-        // and a fixed shard count must reproduce exactly.
-        let bytes = 400_000;
-        let one = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, 1).unwrap();
-        for shards in [2, 4] {
-            let n = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, shards).unwrap();
-            assert_eq!(one.fct.n(), n.fct.n(), "shards={shards}");
-            let again =
-                run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21, shards).unwrap();
-            assert_eq!(
-                n.fct.max().to_bits(),
-                again.fct.max().to_bits(),
-                "shards={shards}"
-            );
-        }
     }
 }

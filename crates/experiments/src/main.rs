@@ -3,7 +3,7 @@
 //! ```text
 //! experiments <command> [--scale F] [--seed N] [--scheme A,B] [--workload W]
 //!                       [--out DIR] [--json DIR] [--trace flow=ID[,ID..]|slowest=K]
-//!                       [--shards N] [--topo k=K] [--smoke]
+//!                       [--topo k=K] [--smoke]
 //! ```
 //!
 //! The command list and descriptions come from the experiment registry
@@ -16,25 +16,14 @@
 //! machine-readable JSON file per instrumented run plus a
 //! `BENCH_run.json` wall-clock record for the whole invocation.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use experiments::{registry, report::Opts, Experiment};
+use experiments::{registry, report::Cli, Experiment};
 use stats::Json;
-
-/// The names of the experiments that honor `--shards`, from the registry.
-fn sharded_names() -> String {
-    let names: Vec<&str> = experiments::registry()
-        .iter()
-        .filter(|e| e.fabric.is_some())
-        .map(|e| e.name)
-        .collect();
-    names.join(", ")
-}
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <command> [--scale F] [--seed N] [--scheme A,B] [--workload W] [--out DIR] [--json DIR] [--trace SEL] [--shards N] [--topo k=K] [--smoke]"
+        "usage: experiments <command> [--scale F] [--seed N] [--scheme A,B] [--workload W] [--out DIR] [--json DIR] [--trace SEL] [--topo k=K] [--smoke]"
     );
     eprintln!();
     eprintln!("commands:");
@@ -64,12 +53,7 @@ fn usage() -> ! {
     eprintln!("  --json DIR   write per-run JSON summaries and BENCH_run.json there");
     eprintln!("  --trace SEL  flight recorder: flow=<id>[,<id>...] traces those flows,");
     eprintln!("               slowest=<k> traces the k slowest TCP flows (found by an");
-    eprintln!("               untraced probe run); one timeline JSON per flow under --json;");
-    eprintln!("               needs --shards 1");
-    eprintln!("  --shards N   worker threads for the sharded engine (default 1 — the");
-    eprintln!("               classic single-threaded engine; Poisson-workload results");
-    eprintln!("               are identical at any N). honored by:");
-    eprintln!("               {}", sharded_names());
+    eprintln!("               untraced probe run); one timeline JSON per flow under --json");
     eprintln!("  --topo k=K   k-ary fat-tree arity for fabric-building experiments");
     eprintln!("               (hosts = k^3/4: k=8 -> 128, k=16 -> 1024, k=32 -> 8192)");
     eprintln!("  --smoke      CI-sized run: smaller fabric and shorter windows");
@@ -127,89 +111,18 @@ fn main() -> ExitCode {
         print_workloads();
         return ExitCode::SUCCESS;
     }
-    let mut opts = Opts::default();
-    let mut out_dir = PathBuf::from("results");
-    let mut json_dir: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                opts.scale = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--seed" => {
-                opts.seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--out" => {
-                out_dir = PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--json" => {
-                json_dir = Some(PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage())));
-                i += 2;
-            }
-            "--scheme" => {
-                let list = args.get(i + 1).unwrap_or_else(|| usage());
-                opts.schemes
-                    .extend(list.split(',').map(|s| s.trim().to_string()));
-                i += 2;
-            }
-            "--workload" => {
-                let w = args.get(i + 1).unwrap_or_else(|| usage());
-                opts.workload = Some(w.trim().to_string());
-                i += 2;
-            }
-            "--trace" => {
-                let sel = args.get(i + 1).unwrap_or_else(|| usage());
-                match experiments::TraceSel::parse(sel) {
-                    Ok(t) => opts.trace = t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            "--shards" => {
-                let n = args.get(i + 1).unwrap_or_else(|| usage());
-                match n.parse::<usize>() {
-                    Ok(n) => opts.shards = n,
-                    Err(_) => {
-                        eprintln!("error: --shards {n}: pass a whole number of worker shards");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            "--topo" => {
-                let spec = args.get(i + 1).unwrap_or_else(|| usage());
-                let Some(k) = spec
-                    .strip_prefix("k=")
-                    .and_then(|v| v.parse::<usize>().ok())
-                else {
-                    eprintln!(
-                        "error: --topo {spec}: expected k=<even K>, e.g. --topo k=16 \
-                         for a 1024-host fat-tree"
-                    );
-                    return ExitCode::from(2);
-                };
-                opts.topo_k = Some(k);
-                i += 2;
-            }
-            "--smoke" => {
-                opts.smoke = true;
-                i += 1;
-            }
-            _ => usage(),
+    let Cli {
+        opts,
+        out_dir,
+        json_dir,
+    } = match Cli::parse(&args[1..]) {
+        Ok(cli) => cli,
+        Err(None) => usage(),
+        Err(Some(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
         }
-    }
+    };
     let rows: Vec<&Experiment> = if command == "all" {
         experiments::registry().iter().collect()
     } else if let Some(exp) = experiments::find(&command) {
@@ -222,18 +135,10 @@ fn main() -> ExitCode {
     };
     if let Err(e) = opts
         .check()
-        .and_then(|()| registry::check_shards(&rows, &opts))
+        .and_then(|()| registry::check_workload(&rows, &opts))
     {
         eprintln!("error: {e}");
         return ExitCode::from(2);
-    }
-    if opts.shards > 1 && rows.iter().all(|e| e.fabric.is_none()) {
-        eprintln!(
-            "warning: --shards {} ignored: `{command}` runs on the single-threaded \
-             engine (the sharded engine is wired into: {})",
-            opts.shards,
-            sharded_names()
-        );
     }
 
     let started = std::time::Instant::now();

@@ -1,12 +1,12 @@
 //! The experiment registry: every paper artifact as one row of a table —
-//! name, description, how to run it, and (when it honors `--shards`) the
+//! name, description, how to run it, and (when it honors `--workload`) the
 //! fabric it builds.
 //!
-//! The CLI's usage text, dispatch, `all`, and `--shards` validation all
+//! The CLI's usage text, dispatch, `all`, and `--workload` validation all
 //! read [`registry`], so adding an experiment is one row here plus its
 //! module. Rows appear in the paper's presentation order.
 
-use topology::{FatTreeParams, ShardPlan};
+use topology::FatTreeParams;
 
 use crate::cell::{paper_fabric, WorkloadSweep};
 use crate::report::{Opts, Report};
@@ -29,9 +29,10 @@ pub struct Experiment {
     /// returns all of the sweep's reports — see [`run`].
     pub run: fn(&Opts) -> Vec<Report>,
     /// The fat-tree this experiment builds, for the rows that honor
-    /// `--shards` (`None`: the experiment is single-threaded). It is the
-    /// function the module itself builds its fabric with, so the CLI's
-    /// shard-count check cannot drift from what actually runs.
+    /// `--workload` (`None`: the experiment generates its own traffic). It
+    /// is the function the module itself builds its fabric with, so the
+    /// CLI's check that the workload fits ([`check_workload`]) cannot
+    /// drift from what actually runs.
     pub fabric: Option<fn(&Opts) -> FatTreeParams>,
 }
 
@@ -46,19 +47,19 @@ static REGISTRY: [Experiment; 22] = [
         name: "fig3",
         describe: "Fig 3: all-to-all mean latency (runs the fig3/4/ooo sweep)",
         run: alltoall::run_all,
-        fabric: None,
+        fabric: Some(paper_fabric),
     },
     Experiment {
         name: "fig4",
         describe: "Fig 4: all-to-all p99 latency (same sweep)",
         run: alltoall::run_all,
-        fabric: None,
+        fabric: Some(paper_fabric),
     },
     Experiment {
         name: "ooo",
         describe: "S4.2.3: out-of-order statistics (same sweep)",
         run: alltoall::run_all,
-        fabric: None,
+        fabric: Some(paper_fabric),
     },
     Experiment {
         name: "fig5",
@@ -100,13 +101,13 @@ static REGISTRY: [Experiment; 22] = [
         name: "link-failure",
         describe: "S3.3.2: RTO-scale failure recovery",
         run: |o| vec![link_failure::run(o)],
-        fabric: Some(paper_fabric),
+        fabric: None,
     },
     Experiment {
         name: "gray-failure",
         describe: "extension: gray failure — silent loss on one agg-core uplink",
         run: |o| vec![gray_failure::run(o)],
-        fabric: Some(paper_fabric),
+        fabric: None,
     },
     Experiment {
         name: "asym",
@@ -142,19 +143,19 @@ static REGISTRY: [Experiment; 22] = [
         name: "trace-scale",
         describe: "extension: million-flow workload engine + streaming FCT sketches",
         run: |o| vec![trace_scale::run(o)],
-        fabric: None,
+        fabric: Some(paper_fabric),
     },
     Experiment {
         name: "fabric-scale",
-        describe: "extension: 1024-host all-to-all on the sharded multi-core engine",
+        describe: "extension: 1024-host all-to-all on a k=16 fat-tree",
         run: |o| vec![fabric_scale::run(o)],
-        fabric: Some(fabric_scale::fabric),
+        fabric: None,
     },
     Experiment {
         name: "chaos",
         describe: "extension: incident-timeline chaos drill with reconvergence SLOs",
         run: |o| vec![chaos::run(o)],
-        fabric: Some(fabric_scale::fabric),
+        fabric: None,
     },
     Experiment {
         name: "feedback",
@@ -202,15 +203,28 @@ pub fn run(rows: &[&Experiment], opts: &Opts) -> Vec<Report> {
     reports
 }
 
-/// Check `--shards` against the fabric every one of `rows` that honors it
-/// actually builds: `Err` with [`ShardPlan`]'s explanation (and the
-/// experiment it is about) when one of them cannot be partitioned that
-/// way. Call after [`Opts::check`], which vets `--topo`.
-pub fn check_shards(rows: &[&Experiment], opts: &Opts) -> Result<(), String> {
+/// Check that the `--workload` selection fits the fabric every one of
+/// `rows` that honors it actually builds: `Err` naming the experiment and
+/// its host count when the workload needs more hosts than that. Call after
+/// [`Opts::check`], which vets `--topo` and the workload's name.
+pub fn check_workload(rows: &[&Experiment], opts: &Opts) -> Result<(), String> {
+    let Some(name) = &opts.workload else {
+        return Ok(());
+    };
+    let wl = workloads::find(name).ok_or_else(|| crate::workloads_help(name))?;
     for e in rows {
         if let Some(fabric) = e.fabric {
-            ShardPlan::new(&fabric(opts), opts.shards)
-                .map_err(|err| format!("{err} (experiment `{}`)", e.name))?;
+            let hosts = fabric(opts).n_hosts();
+            wl.check_hosts(hosts).map_err(|err| {
+                let smoke = if opts.smoke { " --smoke" } else { "" };
+                let topo = opts
+                    .topo_k
+                    .map_or(String::new(), |k| format!(" --topo k={k}"));
+                format!(
+                    "--workload {name}: {err}; `{}{smoke}{topo}` builds {hosts}",
+                    e.name
+                )
+            })?;
         }
     }
     Ok(())
@@ -260,25 +274,44 @@ mod tests {
         assert_eq!(names, ["ooo", "fig3", "fig4"]);
     }
 
-    /// `--shards` is judged against the fabric the experiment builds, not
-    /// a guess: 8 shards suit fabric-scale's smoke fabric (k=8) but not
-    /// feedback's (k=4) or the 4-pod paper fabric of link-failure.
+    /// `--workload` is judged against the fabric the experiment builds:
+    /// 32:1 incast fits the 128-host paper fabric and feedback's k=8, not
+    /// the 16-host smoke fabric — and rows that ignore `--workload` have
+    /// nothing to check.
     #[test]
-    fn shard_counts_are_checked_against_each_rows_own_fabric() {
-        let opts = Opts {
-            shards: 8,
-            smoke: true,
+    fn workloads_are_checked_against_each_rows_own_fabric() {
+        let opts = |workload: &str, smoke| Opts {
+            workload: Some(workload.into()),
+            smoke,
             ..Opts::default()
         };
-        let check = |name: &str| check_shards(&[find(name).unwrap()], &opts);
-        assert!(check("fabric-scale").is_ok());
-        assert!(check("fig3").is_ok(), "no fabric row, nothing to check");
-        for name in ["feedback", "reordering", "link-failure", "gray-failure"] {
-            let err = check(name).unwrap_err();
-            assert!(err.contains("4 pods") && err.contains(name), "{err}");
+        let check = |name: &str, o: &Opts| check_workload(&[find(name).unwrap()], o);
+        for name in ["fig3", "trace-scale", "feedback", "reordering", "chaos"] {
+            assert!(check(name, &opts("incast_32_1", false)).is_ok(), "{name}");
+            assert!(check(name, &opts("websearch", true)).is_ok(), "{name}");
         }
+        for name in ["feedback", "reordering"] {
+            let err = check(name, &opts("incast_32_1", true)).unwrap_err();
+            assert!(
+                err.contains("more than 32 hosts")
+                    && err.contains(&format!("`{name} --smoke` builds 16")),
+                "{err}"
+            );
+            assert!(
+                check(name, &opts("incast:15", true)).is_ok(),
+                "15 senders fit 16 hosts"
+            );
+        }
+        assert!(check("fig3", &opts("incast:128", false)).is_err());
+        assert!(
+            check("chaos", &opts("incast:128", true)).is_ok(),
+            "ignores --workload"
+        );
         let all: Vec<&Experiment> = registry().iter().collect();
-        assert!(check_shards(&all, &opts).is_err(), "`all` checks every row");
-        assert!(check_shards(&all, &Opts::default()).is_ok());
+        assert!(
+            check_workload(&all, &opts("incast:128", false)).is_err(),
+            "`all` checks every row"
+        );
+        assert!(check_workload(&all, &Opts::default()).is_ok());
     }
 }

@@ -12,15 +12,12 @@
 //! The metric suite is the receiver's and sender's own accounting, not a
 //! model: out-of-order arrivals ([`Counter::OooPktsRcvd`]), duplicate wire
 //! bytes ([`Counter::DupBytes`]), the reassembly buffer's high-water mark
-//! ([`Counter::OooBytesMax`] — max-merged across shards), and the sender's
+//! ([`Counter::OooBytesMax`]), and the sender's
 //! misfires — spurious fast retransmits proven by DSACKs
 //! ([`Counter::SpuriousRetransmits`]) and the cwnd undos they trigger
 //! ([`Counter::DsackUndos`]). For the flowcut fabric the pin/boundary
 //! counters ([`Counter::FlowcutPinned`], [`Counter::FlowcutReroutes`])
 //! show how often re-routing actually happened.
-//!
-//! Runs go through the sharded engine, so `--shards N` works; the default
-//! Poisson workloads are byte-identical across shard counts.
 
 use netsim::{Counter, SimTime};
 
@@ -46,8 +43,7 @@ pub const SWEEP: WorkloadSweep = WorkloadSweep {
     ],
 };
 
-/// Workload slugs swept by default. Both are Poisson (no synchronized
-/// ties), so every cell is byte-identical across shard counts.
+/// Workload slugs swept by default.
 pub fn default_workloads() -> Vec<String> {
     vec!["websearch".into(), "hotspot".into()]
 }
@@ -96,7 +92,7 @@ pub fn run(opts: &Opts) -> Report {
          (receiver accounting, % of data received); spurious rtx = fast \
          retransmits the receiver proved unnecessary via DSACK; dup bytes = \
          wire bytes delivered twice; ooo buf max = peak bytes parked in a \
-         reassembly buffer (max-merged across shards)",
+         reassembly buffer",
     );
     report.note(
         "Flowcut-SW re-routes only at boundaries where the flow's in-flight \
@@ -199,51 +195,5 @@ mod tests {
             out.get(Counter::OooBytesMax) > 0,
             "reordering must park bytes in the reassembly buffer"
         );
-    }
-
-    /// Switch flowcuts are byte-identical across shard counts: the pin
-    /// table is driven purely by per-switch local arrival order, so the
-    /// partition cannot perturb it. (The ISSUE's shards {1,2,4} gate; 8
-    /// is covered by the registry-wide sharded_determinism test.)
-    #[test]
-    fn flowcut_sw_cells_are_identical_across_shard_counts() {
-        let dense = Opts {
-            smoke: false,
-            ..smoke_opts()
-        };
-        let scheme = schemes::flowcut_sw(SimTime::from_us(100));
-        let base = SWEEP.cell(&dense, &scheme, "hotspot", TraceConfig::off());
-        for shards in [2, 4] {
-            let opts = Opts {
-                shards,
-                ..dense.clone()
-            };
-            let c = SWEEP.cell(&opts, &scheme, "hotspot", TraceConfig::off());
-            assert_eq!(base.fct.quantile(0.99), c.fct.quantile(0.99), "x{shards}");
-            assert_eq!(base.fct.completion, c.fct.completion, "x{shards}");
-            for counter in [
-                Counter::OooPktsRcvd,
-                Counter::SpuriousRetransmits,
-                Counter::DupBytes,
-                Counter::OooBytesMax,
-                Counter::FlowcutReroutes,
-            ] {
-                assert_eq!(
-                    base.out.get(counter),
-                    c.out.get(counter),
-                    "x{shards}: {}",
-                    counter.name()
-                );
-            }
-            assert_eq!(base.out.flows.len(), c.out.flows.len());
-            assert!(
-                base.out
-                    .flows
-                    .iter()
-                    .zip(c.out.flows.iter())
-                    .all(|(a, b)| a.end == b.end),
-                "x{shards}: per-flow completion times must match"
-            );
-        }
     }
 }

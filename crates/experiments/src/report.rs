@@ -4,7 +4,7 @@
 
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use netsim::{Counter, Emit, FlowId, FlowTimeline, TraceConfig, TraceEvent};
 use stats::{Json, Table};
@@ -98,10 +98,6 @@ pub struct Opts {
     /// Flight-recorder selection (`--trace`). Experiments that don't
     /// support tracing ignore it (the CLI warns).
     pub trace: TraceSel,
-    /// Worker shards for experiments that support the sharded engine
-    /// (`--shards N`). Defaults to 1 — the classic single-threaded engine;
-    /// parallelism is never switched on implicitly.
-    pub shards: usize,
     /// Fat-tree arity override (`--topo k=K`) for experiments that build
     /// k-ary fabrics (hosts = k³/4, so k=16 → 1024 hosts). `None` means
     /// each experiment's own default.
@@ -120,7 +116,6 @@ impl Default for Opts {
             schemes: Vec::new(),
             workload: None,
             trace: TraceSel::Off,
-            shards: 1,
             topo_k: None,
             smoke: false,
         }
@@ -156,21 +151,11 @@ impl Opts {
                 return Err(crate::workloads_help(name));
             }
         }
-        // `--topo k=K` must describe a buildable fat-tree. Whether
-        // `--shards N` partitions the fabric depends on which experiment
-        // runs: `registry::check_shards` judges that per registry row.
+        // `--topo k=K` must describe a buildable fat-tree. Whether the
+        // workload fits the fabric depends on which experiment runs:
+        // `registry::check_workload` judges that per registry row.
         if let Some(k) = self.topo_k {
             topology::FatTreeParams::k_ary(k)?;
-        }
-        if self.shards == 0 {
-            return Err(
-                "--shards 0: at least one shard is required; use --shards 1 for \
-                 the single-threaded engine (the default)"
-                    .into(),
-            );
-        }
-        if self.shards > 1 && !self.trace.is_off() {
-            return Err(crate::scenario::SHARDED_PROBES_ERR.into());
         }
         Ok(())
     }
@@ -217,6 +202,62 @@ impl Opts {
     /// A duration scaled by `self.scale`.
     pub fn scaled(&self, base: netsim::SimTime) -> netsim::SimTime {
         netsim::SimTime::from_secs_f64(base.as_secs_f64() * self.scale)
+    }
+}
+
+/// Everything the command line says after the experiment name.
+#[derive(Debug)]
+pub struct Cli {
+    /// The experiment options (not yet [`Opts::check`]ed).
+    pub opts: Opts,
+    /// `--out DIR` (default `results`).
+    pub out_dir: PathBuf,
+    /// `--json DIR`.
+    pub json_dir: Option<PathBuf>,
+}
+
+impl Cli {
+    /// Parse the arguments that follow the command. `Err(None)` asks for
+    /// the usage text (unknown option, missing or unparsable number);
+    /// `Err(Some(msg))` is an `error: msg` / exit 2. Never panics, whatever
+    /// the strings hold.
+    pub fn parse(args: &[String]) -> Result<Cli, Option<String>> {
+        let mut cli = Cli {
+            opts: Opts::default(),
+            out_dir: PathBuf::from("results"),
+            json_dir: None,
+        };
+        let opts = &mut cli.opts;
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            if flag == "--smoke" {
+                opts.smoke = true;
+                continue;
+            }
+            let value = args.next().ok_or(None)?;
+            match flag.as_str() {
+                "--scale" => opts.scale = value.parse().map_err(|_| None)?,
+                "--seed" => opts.seed = value.parse().map_err(|_| None)?,
+                "--out" => cli.out_dir = PathBuf::from(value),
+                "--json" => cli.json_dir = Some(PathBuf::from(value)),
+                "--scheme" => opts
+                    .schemes
+                    .extend(value.split(',').map(|s| s.trim().to_string())),
+                "--workload" => opts.workload = Some(value.trim().to_string()),
+                "--trace" => opts.trace = TraceSel::parse(value)?,
+                "--topo" => {
+                    let k = value.strip_prefix("k=").and_then(|v| v.parse().ok());
+                    opts.topo_k = Some(k.ok_or_else(|| {
+                        format!(
+                            "--topo {value}: expected k=<even K>, e.g. --topo k=16 \
+                             for a 1024-host fat-tree"
+                        )
+                    })?);
+                }
+                _ => return Err(None),
+            }
+        }
+        Ok(cli)
     }
 }
 
@@ -277,7 +318,7 @@ pub struct ReconSummary {
     /// Reconvergence-latency percentiles in seconds, as `(name, value)`;
     /// empty when no flow reconverged.
     pub latency_percentiles: Vec<(String, f64)>,
-    /// Delivered payload bytes per goodput bin, summed across shards.
+    /// Delivered payload bytes per goodput bin.
     pub goodput_bytes: Vec<u64>,
 }
 

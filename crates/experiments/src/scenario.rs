@@ -8,17 +8,13 @@
 //! a bounded worker pool.
 
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use netsim::{
-    Conservation, Counter, FaultPlan, FlowId, FlowSpec, FlowTimeline, Handoff, PortStats, Proto,
-    RunResults, SimTime, Simulator, SloConfig, TelemetryConfig, TraceConfig,
+    Counter, FaultPlan, FlowId, FlowSpec, FlowTimeline, PortStats, Proto, RunResults, SimTime,
+    Simulator, SloConfig, TelemetryConfig, TraceConfig,
 };
-use topology::{
-    build_fat_tree, build_testbed, FatTree, FatTreeParams, ShardPlan, Testbed, TestbedParams,
-};
-use transport::{install_agents, install_agents_on};
+use topology::{build_fat_tree, build_testbed, FatTree, FatTreeParams, Testbed, TestbedParams};
+use transport::install_agents;
 
 use crate::report::TraceSel;
 use crate::schemes::SchemeSpec;
@@ -43,24 +39,9 @@ pub struct RunOutput {
     /// appear in `flows` like any other; use [`RunOutput::effective_flows`]
     /// for the first-finisher-wins view.
     pub replicas: Vec<(FlowId, FlowId)>,
-    /// Cross-shard accounting of a sharded run (`None` at one shard and
-    /// for testbed runs).
+    /// Always `None` from [`Run`]; part of the shim the frozen `benchmark/`
+    /// package compiles against (see [`run_fat_tree_sharded`]).
     pub shard_stats: Option<ShardStats>,
-}
-
-/// What the sharded engine did, summed over workers — exported/imported
-/// are verified equal before results are handed out.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardStats {
-    /// Worker (shard) count.
-    pub shards: usize,
-    /// Packets handed off across shard boundaries (sum over shards; equals
-    /// the verified import count).
-    pub handoffs: u64,
-    /// Synchronization epochs the coordinator ran.
-    pub rounds: u64,
-    /// The conservative lookahead every epoch granted, in picoseconds.
-    pub lookahead_ps: u64,
 }
 
 impl Deref for RunOutput {
@@ -191,117 +172,9 @@ fn expand_replicas(
     (all, pairs)
 }
 
-/// The synchronization state shared by all workers of one sharded run.
-///
-/// The engine is a conservative barrier-epoch parallel DES. Each epoch:
-///
-/// 1. every shard publishes its next pending event time (`fetch_min` into
-///    `round_min`) and hits barrier A;
-/// 2. the barrier leader computes the global minimum `M` and opens the
-///    window `[M, min(M + L - 1, until)]`, where `L` is the lookahead —
-///    the minimum latency any message needs to *cross* a shard boundary;
-///    barrier B publishes it;
-/// 3. every shard runs its local events inside the window. Any message a
-///    shard generates for another lands at `>= t + L >= M + L`, i.e.
-///    strictly after the window, so nothing processed this epoch could
-///    have been affected by a message still in transit;
-/// 4. outboxes are posted into per-destination mailboxes, barrier C, and
-///    each shard imports its mail sorted by source shard — a fixed merge
-///    order, so event seq numbers (the tie-breakers) are reproducible
-///    regardless of thread scheduling.
-///
-/// The run ends when the global minimum is beyond `until` (or no events
-/// remain anywhere).
-struct ShardCoord {
-    barrier: Barrier,
-    /// `fetch_min` target for the epoch's next-event agreement.
-    round_min: AtomicU64,
-    /// Global lookahead `L` in ps (`fetch_min` over shards before epoch 0).
-    lookahead: AtomicU64,
-    /// The agreed window deadline (inclusive, ps); `u64::MAX` = done.
-    window: AtomicU64,
-    rounds: AtomicU64,
-    /// `mailboxes[dst]` collects `(src, messages)` posted this epoch.
-    mailboxes: Vec<Mailbox>,
-}
-
-/// One shard's incoming mail for the epoch: `(source shard, messages)`.
-type Mailbox = Mutex<Vec<(usize, Vec<Handoff>)>>;
-
-const DONE: u64 = u64::MAX;
-
-impl ShardCoord {
-    fn new(shards: usize) -> Self {
-        ShardCoord {
-            barrier: Barrier::new(shards),
-            round_min: AtomicU64::new(u64::MAX),
-            lookahead: AtomicU64::new(u64::MAX),
-            window: AtomicU64::new(DONE),
-            rounds: AtomicU64::new(0),
-            mailboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Publish this shard's next event time and agree on the epoch window.
-    /// Returns the inclusive deadline to run, or `None` when the run is
-    /// over everywhere.
-    fn agree(&self, next_ps: u64, until_ps: u64) -> Option<SimTime> {
-        self.round_min.fetch_min(next_ps, Ordering::SeqCst);
-        if self.barrier.wait().is_leader() {
-            let m = self.round_min.swap(u64::MAX, Ordering::SeqCst);
-            let l = self.lookahead.load(Ordering::SeqCst);
-            let w = if m == u64::MAX || m > until_ps {
-                DONE
-            } else {
-                // Process [m, m + l - 1]: messages generated at t >= m
-                // arrive at >= m + l, strictly outside the window.
-                m.saturating_add(l).saturating_sub(1).min(until_ps)
-            };
-            self.window.store(w, Ordering::SeqCst);
-            self.rounds.fetch_add(1, Ordering::Relaxed);
-        }
-        self.barrier.wait();
-        let w = self.window.load(Ordering::SeqCst);
-        (w != DONE).then_some(SimTime::from_ps(w))
-    }
-
-    /// Post this shard's outbox into the destination mailboxes, then wait
-    /// for every shard to do the same (barrier C).
-    fn post(&self, from: usize, outbox: Vec<Handoff>, plan: &ShardPlan) {
-        if !outbox.is_empty() {
-            let n = self.mailboxes.len();
-            let mut per: Vec<Vec<Handoff>> = vec![Vec::new(); n];
-            for h in outbox {
-                per[plan.owner_of(h.node())].push(h);
-            }
-            for (dst, msgs) in per.into_iter().enumerate() {
-                if !msgs.is_empty() {
-                    self.mailboxes[dst].lock().unwrap().push((from, msgs));
-                }
-            }
-        }
-        self.barrier.wait();
-    }
-
-    /// Drain this shard's mailbox in source-shard order.
-    fn collect(&self, me: usize) -> Vec<Handoff> {
-        let mut entries = std::mem::take(&mut *self.mailboxes[me].lock().unwrap());
-        entries.sort_by_key(|&(src, _)| src);
-        entries.into_iter().flat_map(|(_, v)| v).collect()
-    }
-}
-
 /// Builds a [`netsim::FaultPlan`] against the constructed topology, so a
-/// plan can target specific fabric links. Called once per worker, each on
-/// its own copy of the fabric: it must be a pure function of the
-/// [`FatTree`].
+/// plan can target specific fabric links.
 pub type PlanFn<'a> = &'a (dyn Fn(&FatTree) -> FaultPlan + Sync);
-
-/// What [`Run::run`] answers when telemetry or the flight recorder is
-/// asked of a multi-shard run (`Opts::check` rejects the CLI form with the
-/// same text).
-pub(crate) const SHARDED_PROBES_ERR: &str = "--trace and telemetry series need --shards 1: \
-     their probe streams are keyed to one event ladder";
 
 /// The one way to run a fat-tree simulation: `specs` on a fat-tree of
 /// `params` under `scheme`, until `until` (which should cover the arrival
@@ -312,68 +185,34 @@ pub(crate) const SHARDED_PROBES_ERR: &str = "--trace and telemetry series need -
 /// use netsim::{Counter, FaultPlan, FlowSpec, SimTime};
 /// use topology::FatTreeParams;
 ///
-/// // Eight cross-pod flows on the 16-host fabric, under FlowBender, on two
-/// // engine threads, with one agg->core uplink silently losing packets.
+/// // Eight cross-pod flows on the 16-host fabric, under FlowBender, with
+/// // one agg->core uplink silently losing packets.
 /// let specs: Vec<FlowSpec> = (0..8)
 ///     .map(|i| FlowSpec::tcp(i, i, 8 + i, 200_000, SimTime::ZERO))
 ///     .collect();
 /// let scheme = schemes::flowbender(Default::default());
 /// let out = Run::new(FatTreeParams::tiny(), &scheme, &specs, SimTime::from_secs(5), 42)
-///     .shards(2)
 ///     .faults(&|ft| {
 ///         let (agg, port) = ft.agg_core_link(0, 0);
 ///         let mut plan = FaultPlan::new();
 ///         plan.gray_loss(agg, port, 0.02, SimTime::ZERO);
 ///         plan
 ///     })
-///     .run()?;
+///     .run();
 /// assert!(out.flows.iter().all(|f| f.fct().is_some()));
 /// println!("{} events, {} reroutes", out.events, out.get(Counter::Reroutes));
-/// # Ok::<(), String>(())
 /// ```
 ///
-/// **One set-up sequence.** Every simulator — the only one of a 1-shard
-/// run, or each worker's of a sharded one — is built by the same private
-/// function: `Simulator::new` → `set_telemetry` → `set_trace` → `set_slo`
-/// → `build_fat_tree` → `set_owned` (sharded only) → `install_faults`.
-/// An off telemetry/trace config, an unarmed SLO probe and an empty fault
-/// plan are all no-ops, so the plain run *is* the instrumented run with
-/// nothing switched on: tracing and telemetry are read-only, and a traced
-/// run's flow records, counters and event count are byte-identical to the
-/// untraced run at the same seed. Agents are installed after the faults,
-/// so fault events carry seq numbers below every flow event.
-///
-/// **Sharding.** With `shards > 1` the fabric is partitioned
-/// pod-granularly per [`ShardPlan`]; each worker thread simulates its
-/// partition over a private event ladder and packet slab, and workers
-/// synchronize through the conservative barrier-epoch protocol of
-/// `ShardCoord`. Results merge in fixed shard order, so a run is
-/// reproducible for a given `(seed, shards)` however the OS schedules the
-/// workers. Fault plans shard cleanly: gray-loss and corruption draws come
-/// from per-directed-port RNG streams (a function of the port's own
-/// departure order, which sharding does not change), and each plan step
-/// is compiled by the shard owning its anchor node, the directions owned
-/// elsewhere crossing the mailbox as [`Handoff::Fault`] in a round-0
-/// exchange *before* any traffic is installed. One caveat carried over
-/// from [`Simulator::install_faults`]: two same-instant plan steps from
-/// different anchor nodes targeting the same directed egress may apply in
-/// source-shard order rather than plan order. Every worker asserts packet
-/// conservation after **every** epoch's import phase and at quiesce, and
-/// the merged ledger must show exported == imported.
-///
-/// **Byte-identity across shard counts needs a tie-free workload.** When
-/// two packets arrive at one switch in the same picosecond from different
-/// ingress ports, their service order is the event insertion order, which
-/// a partitioned run reaches differently. Poisson-arrival workloads
-/// (fabric-scale, chaos, feedback's hotspot, the property suites) never
-/// tie in practice and are byte-identical at every shard count; the
-/// synchronized `microbench` / incast flow sets (gray-failure,
-/// link-failure, feedback's incast) tie constantly and are reproducible
-/// per shard count but not across counts.
-///
-/// **What `run()` rejects** (as `Err`, never a panic): a shard count the
-/// fabric cannot host (the [`ShardPlan`] message), and telemetry or
-/// tracing with `shards > 1` ("... need --shards 1").
+/// **One set-up sequence:** `Simulator::new` → `set_telemetry` →
+/// `set_trace` → `set_slo` → `build_fat_tree` → `install_faults` →
+/// `install_agents`. An off telemetry/trace config, an unarmed SLO probe
+/// and an empty fault plan are all no-ops, so the plain run *is* the
+/// instrumented run with nothing switched on: tracing and telemetry are
+/// read-only, and a traced run's flow records, counters and event count
+/// are byte-identical to the untraced run at the same seed. Agents are
+/// installed after the faults, so fault events carry seq numbers below
+/// every flow event. Packet conservation is asserted before results are
+/// handed out, in every build profile.
 #[derive(Clone)]
 pub struct Run<'a> {
     params: FatTreeParams,
@@ -381,34 +220,14 @@ pub struct Run<'a> {
     specs: &'a [FlowSpec],
     until: SimTime,
     seed: u64,
-    shards: usize,
     telemetry: TelemetryConfig,
     trace: TraceConfig,
     slo: Option<SloConfig>,
     faults: Option<PlanFn<'a>>,
 }
 
-/// One worker's place in a sharded run.
-struct Shard<'a> {
-    id: usize,
-    plan: &'a ShardPlan,
-    coord: &'a ShardCoord,
-}
-
-impl Shard<'_> {
-    /// Post `sim`'s outbox, wait for every shard's, import this shard's
-    /// mail.
-    fn exchange(&self, sim: &mut Simulator) {
-        self.coord.post(self.id, sim.take_outbox(), self.plan);
-        for h in self.coord.collect(self.id) {
-            sim.import(h);
-        }
-    }
-}
-
 impl<'a> Run<'a> {
-    /// A plain single-threaded run: no telemetry, no tracing, no SLO
-    /// probe, no faults.
+    /// A plain run: no telemetry, no tracing, no SLO probe, no faults.
     pub fn new(
         params: FatTreeParams,
         scheme: &'a SchemeSpec,
@@ -422,7 +241,6 @@ impl<'a> Run<'a> {
             specs,
             until,
             seed,
-            shards: 1,
             telemetry: TelemetryConfig::off(),
             trace: TraceConfig::off(),
             slo: None,
@@ -430,28 +248,21 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Run on `n` worker threads (the sharded engine); 1 is the default.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Collect telemetry time series (single-shard only).
+    /// Collect telemetry time series.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = cfg;
         self
     }
 
     /// Record flight-recorder timelines for the flows `cfg` selects; they
-    /// come back in [`RunResults::timelines`] (single-shard only).
+    /// come back in [`RunResults::timelines`].
     pub fn trace(mut self, cfg: TraceConfig) -> Self {
         self.trace = cfg;
         self
     }
 
-    /// Arm the reconvergence / goodput SLO probe. Every worker arms the
-    /// same probe; per-shard [`netsim::SloResults`] merge with the flow
-    /// records.
+    /// Arm the reconvergence / goodput SLO probe
+    /// ([`RunResults::slo`]).
     pub fn slo(mut self, cfg: SloConfig) -> Self {
         self.slo = Some(cfg);
         self
@@ -463,8 +274,8 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// The one set-up sequence (see the type docs).
-    fn set_up(&self, shard: Option<&Shard>) -> Simulator {
+    /// Run it (the set-up sequence of the type docs, then `run_until`).
+    pub fn run(&self) -> RunOutput {
         let mut sim = Simulator::new(self.seed);
         sim.set_telemetry(self.telemetry.clone());
         sim.set_trace(self.trace.clone());
@@ -472,141 +283,28 @@ impl<'a> Run<'a> {
             sim.set_slo(cfg);
         }
         let ft = build_fat_tree(&mut sim, self.params, self.scheme.switch_config());
-        if let Some(s) = shard {
-            sim.set_owned(s.plan.owned_mask(s.id));
-        }
         if let Some(plan_fn) = self.faults {
             sim.install_faults(&plan_fn(&ft));
         }
-        sim
-    }
-
-    /// Simulate one partition of the fabric (all of it when `shard` is
-    /// `None`) and audit its books.
-    fn simulate(
-        &self,
-        specs: &[FlowSpec],
-        shard: Option<&Shard>,
-    ) -> (RunResults, u64, Conservation) {
-        let mut sim = self.set_up(shard);
-        if let Some(s) = shard {
-            // Round 0: cross-shard fault directions cross the mailbox
-            // before any traffic exists, so their event seqs sit below
-            // every flow event — the single-shard install order.
-            s.exchange(&mut sim);
-        }
-        install_agents_on(&mut sim, specs, &self.scheme.tcp_config(), |h| {
-            shard.is_none_or(|s| s.plan.owner_of(h) == s.id)
-        });
-        match shard {
-            None => sim.run_until(self.until),
-            Some(s) => {
-                let lookahead = sim
-                    .lookahead()
-                    .expect("a multi-shard plan must produce cross-shard links");
-                s.coord
-                    .lookahead
-                    .fetch_min(lookahead.as_ps(), Ordering::SeqCst);
-                loop {
-                    let next = sim.next_event_time().map_or(u64::MAX, |t| t.as_ps());
-                    let Some(deadline) = s.coord.agree(next, self.until.as_ps()) else {
-                        break;
-                    };
-                    sim.run_window(deadline);
-                    s.exchange(&mut sim);
-                    // Every epoch keeps the books balanced, not just the
-                    // quiesced end state — a fault that leaks or double
-                    // counts a packet is caught in the epoch it happens.
-                    sim.assert_conservation();
-                }
-            }
-        }
+        let (specs, replicas) = expand_replicas(self.specs, self.scheme);
+        install_agents(&mut sim, &specs, &self.scheme.tcp_config());
+        sim.run_until(self.until);
         // Every run passes the conservation audit, in every build profile
         // (the simulator itself only debug-asserts it).
         sim.assert_conservation();
         let (events, conservation) = (sim.events_processed(), sim.conservation());
-        (sim.into_results(), events, conservation)
-    }
-
-    /// Run it. Errors (rather than panics) on what the type docs list —
-    /// the CLI surfaces these directly.
-    pub fn run(&self) -> Result<RunOutput, String> {
-        let shards = self.shards;
-        let plan = ShardPlan::new(&self.params, shards)?;
-        if shards > 1 && (self.telemetry.enabled || self.trace.enabled) {
-            return Err(SHARDED_PROBES_ERR.to_string());
-        }
-        let (specs, replicas) = expand_replicas(self.specs, self.scheme);
-        let coord = ShardCoord::new(shards);
-        let worker_out = if shards == 1 {
-            vec![self.simulate(&specs, None)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|id| {
-                        let shard = Shard {
-                            id,
-                            plan: &plan,
-                            coord: &coord,
-                        };
-                        let specs = &specs[..];
-                        scope.spawn(move || self.simulate(specs, Some(&shard)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Deterministic merge in shard order, then the cross-shard ledger:
-        // every packet exported by one shard must have been imported by
-        // another, and the global invariant must balance once handoffs
-        // cancel.
-        let mut it = worker_out.into_iter();
-        let (mut results, mut events, mut c) = it.next().expect("at least one shard");
-        for (r, e, o) in it {
-            results.merge(r);
-            events += e;
-            c.injected += o.injected;
-            c.delivered += o.delivered;
-            c.in_flight += o.in_flight;
-            for (a, b) in c.dropped.iter_mut().zip(o.dropped) {
-                *a += b;
-            }
-            c.exported += o.exported;
-            c.imported += o.imported;
-        }
-        let handoffs = c.exported;
-        assert_eq!(
-            c.exported, c.imported,
-            "cross-shard handoff imbalance at quiesce: {handoffs} exported vs {} imported",
-            c.imported
-        );
-        // Imports re-insert packets that already counted at their source
-        // shard; subtract them so `injected` means true injections.
-        c.injected -= c.imported;
-        c.exported = 0;
-        c.imported = 0;
-        assert!(c.holds(), "packet conservation violated across shards: {c}");
-        Ok(RunOutput {
-            results,
+        RunOutput {
+            results: sim.into_results(),
             port_stats: Vec::new(),
             events,
-            conservation: c,
+            conservation,
             replicas,
-            shard_stats: (shards > 1).then(|| ShardStats {
-                shards,
-                handoffs,
-                rounds: coord.rounds.load(Ordering::Relaxed),
-                lookahead_ps: coord.lookahead.load(Ordering::Relaxed),
-            }),
-        })
+            shard_stats: None,
+        }
     }
 }
 
-/// The five-argument short form of [`Run`]: a plain single-threaded run.
+/// The five-argument short form of [`Run`]: a plain run.
 pub fn run_fat_tree(
     params: FatTreeParams,
     scheme: &SchemeSpec,
@@ -614,13 +312,31 @@ pub fn run_fat_tree(
     until: SimTime,
     seed: u64,
 ) -> RunOutput {
-    Run::new(params, scheme, specs, until, seed)
-        .run()
-        .expect("one shard partitions every fabric")
+    Run::new(params, scheme, specs, until, seed).run()
 }
 
-/// [`Run`] with only a shard count set, for callers that predate the
-/// builder.
+// ---- Shim for the frozen `benchmark/` package -------------------------
+// flowbench's shard probe (benchmark/src/probes.rs) still compiles against
+// `RunOutput::shard_stats`, `ShardStats` and `run_fat_tree_sharded`, and
+// unwraps the 2-shard result's stats. There is one engine (DESIGN §12), so
+// this reports what actually happens: one worker, one window spanning the
+// horizon, nothing handed off. The `benchmark` PR that drops the probe
+// deletes this block and the `shard_stats` field.
+
+/// What a run asked for with more than one shard reports (see above).
+#[derive(Debug, Clone, Copy)]
+pub struct ShardStats {
+    /// Workers that simulated the fabric: always 1.
+    pub shards: usize,
+    /// Packets handed between workers: always 0.
+    pub handoffs: u64,
+    /// Synchronization windows: always 1.
+    pub rounds: u64,
+    /// Width of that one window, in picoseconds: the run's horizon.
+    pub lookahead_ps: u64,
+}
+
+/// [`Run`] on the calling thread whatever `shards` says (0 is an error).
 pub fn run_fat_tree_sharded(
     params: FatTreeParams,
     scheme: &SchemeSpec,
@@ -629,10 +345,19 @@ pub fn run_fat_tree_sharded(
     seed: u64,
     shards: usize,
 ) -> Result<RunOutput, String> {
-    Run::new(params, scheme, specs, until, seed)
-        .shards(shards)
-        .run()
+    if shards == 0 {
+        return Err("--shards 0: at least one shard is required".to_string());
+    }
+    let mut out = Run::new(params, scheme, specs, until, seed).run();
+    out.shard_stats = (shards > 1).then_some(ShardStats {
+        shards: 1,
+        handoffs: 0,
+        rounds: 1,
+        lookahead_ps: until.as_ps(),
+    });
+    Ok(out)
 }
+// ---- end of the shim ---------------------------------------------------
 
 /// Run `specs` on a testbed of `params` under `scheme`. `watch_uplinks`
 /// selects `(tor_index, uplink_index)` ports to snapshot (for the hotspot
@@ -669,38 +394,16 @@ pub fn run_testbed(
 
 /// Map `f` over `inputs` on a bounded worker pool (runs are
 /// single-threaded and independent; sweeps parallelize across
-/// configurations). Workers are capped at the machine's available
-/// parallelism and pull indices from a shared queue, so a sweep of any
-/// size never oversubscribes the host. Output order matches input order.
+/// configurations — the only parallelism there is, see DESIGN §12).
+/// Workers are capped at the machine's available parallelism and pull
+/// indices from a shared queue, so a sweep of any size never
+/// oversubscribes the host. Output order matches input order.
 ///
 /// Each call of `f` runs under `catch_unwind`: a panic is captured
 /// per-index and re-raised from the calling thread as one panic naming
 /// *which* inputs failed, instead of poisoning the shared result slots and
 /// surfacing as an unrelated mutex error.
 pub fn parallel_map<I, T, F>(inputs: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    parallel_map_capped(inputs, usize::MAX, f)
-}
-
-/// The sweep-worker budget for jobs that each run `shards` engine threads
-/// of their own: one sweep worker per `shards` cores of available
-/// parallelism, never below one. `sweep_cap(1)` is the full machine —
-/// [`parallel_map`]'s classic behavior.
-pub fn sweep_cap(shards: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-    (avail / shards.max(1)).max(1)
-}
-
-/// [`parallel_map`] with an explicit ceiling on concurrent workers
-/// (effective worker count: `min(cap, available parallelism, inputs)`).
-/// Sweeps whose jobs are themselves multi-threaded — sharded engine runs
-/// with `--shards N` — pass [`sweep_cap`]`(N)` so scheme × load points
-/// still run concurrently without oversubscribing the shard workers.
-pub fn parallel_map_capped<I, T, F>(inputs: Vec<I>, cap: usize, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
@@ -716,8 +419,7 @@ where
     }
     let workers = std::thread::available_parallelism()
         .map_or(1, |p| p.get())
-        .min(n)
-        .min(cap.max(1));
+        .min(n);
     let next = AtomicUsize::new(0);
     let inputs: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let results: Vec<Mutex<Option<std::thread::Result<T>>>> =
@@ -769,30 +471,11 @@ where
     T: Send,
     F: Fn(&SchemeSpec, &P) -> T + Sync,
 {
-    sweep_schemes_sharded(schemes, params, 1, f)
-}
-
-/// [`sweep_schemes`] for jobs that each run the sharded engine with
-/// `shards` worker threads: the sweep pool is capped at
-/// [`sweep_cap`]`(shards)` so `sweep workers × shards` never exceeds the
-/// machine's available parallelism. `shards = 1` is exactly
-/// [`sweep_schemes`].
-pub fn sweep_schemes_sharded<P, T, F>(
-    schemes: &[SchemeSpec],
-    params: &[P],
-    shards: usize,
-    f: F,
-) -> Vec<Vec<T>>
-where
-    P: Clone + Send + Sync,
-    T: Send,
-    F: Fn(&SchemeSpec, &P) -> T + Sync,
-{
     let jobs: Vec<(SchemeSpec, P)> = params
         .iter()
         .flat_map(|p| schemes.iter().map(|s| (s.clone(), p.clone())))
         .collect();
-    let flat = parallel_map_capped(jobs, sweep_cap(shards), |(s, p)| f(&s, &p));
+    let flat = parallel_map(jobs, |(s, p)| f(&s, &p));
     let mut flat = flat.into_iter();
     params
         .iter()
@@ -857,18 +540,17 @@ mod tests {
     }
 
     /// Every `Run` option is read-only or a no-op when it has nothing to
-    /// do: each one, switched on alone at 1 shard, leaves flow records,
-    /// counters and the event count of the plain run untouched — and the
-    /// combinations `run()` cannot serve are an `Err`, not a panic.
+    /// do: each one, switched on alone, leaves flow records, counters and
+    /// the event count of the plain run untouched.
     #[test]
-    fn run_options_do_not_perturb_and_bad_combinations_are_errors() {
+    fn run_options_do_not_perturb() {
         let params = FatTreeParams::tiny();
         let specs: Vec<FlowSpec> = (0..8)
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 300_000, SimTime::ZERO))
             .collect();
         let scheme = schemes::flowbender(fb::Config::default());
         let base = Run::new(params, &scheme, &specs, SimTime::from_secs(5), 1);
-        let plain = base.run().unwrap();
+        let plain = base.run();
         assert!(plain.flows.iter().all(|f| f.fct().is_some()));
         let slo = SloConfig {
             fail_at: SimTime::from_ms(1),
@@ -879,13 +561,13 @@ mod tests {
             .telemetry(TelemetryConfig::all(SimTime::from_us(100)));
         let trace = base.clone().trace(TraceConfig::flows((0..8).collect()));
         let variants = [
-            ("telemetry", telemetry.clone()),
-            ("trace", trace.clone()),
+            ("telemetry", telemetry),
+            ("trace", trace),
             ("slo", base.clone().slo(slo)),
             ("empty plan", base.clone().faults(&|_| FaultPlan::new())),
         ];
         for (what, run) in variants {
-            let out = run.run().unwrap();
+            let out = run.run();
             assert_eq!(out.events, plain.events, "{what}: events");
             assert_eq!(
                 format!("{:?}", out.flows),
@@ -896,7 +578,6 @@ mod tests {
                 assert_eq!(out.get(c), plain.get(c), "{what}: {}", c.name());
             }
             assert_eq!(out.conservation, plain.conservation, "{what}: ledger");
-            assert!(out.shard_stats.is_none(), "{what}: one shard");
             // ...while the option itself did its job.
             match what {
                 "telemetry" => assert!(!out.series().is_empty()),
@@ -905,13 +586,28 @@ mod tests {
                 _ => {}
             }
         }
-        for (what, run) in [("telemetry", telemetry), ("trace", trace)] {
-            let err = run.shards(2).run().unwrap_err();
-            assert_eq!(err, SHARDED_PROBES_ERR, "{what} x 2 shards");
-        }
-        assert!(base.clone().shards(2).run().is_ok(), "2 pods host 2 shards");
-        let err = base.shards(3).run().unwrap_err();
-        assert!(err.contains("does not divide"), "ShardPlan's error: {err}");
+    }
+
+    /// The benchmark shim: whatever shard count is asked for, the run is
+    /// the plain run, and more than one reports the single window it was.
+    #[test]
+    fn shard_shim_runs_one_engine_and_says_so() {
+        let params = FatTreeParams::tiny();
+        let specs: Vec<FlowSpec> = (0..8)
+            .map(|i| FlowSpec::tcp(i, i, 8 + i, 100_000, SimTime::ZERO))
+            .collect();
+        let until = SimTime::from_secs(5);
+        let run = |shards| run_fat_tree_sharded(params, &schemes::ecmp(), &specs, until, 1, shards);
+        assert!(run(0).is_err());
+        let (one, two) = (run(1).unwrap(), run(2).unwrap());
+        assert!(one.shard_stats.is_none());
+        assert_eq!(two.events, one.events);
+        assert_eq!(format!("{:?}", two.flows), format!("{:?}", one.flows));
+        let st = two.shard_stats.unwrap();
+        assert_eq!(
+            (st.shards, st.handoffs, st.rounds, st.lookahead_ps),
+            (1, 0, 1, until.as_ps())
+        );
     }
 
     #[test]
@@ -1008,8 +704,7 @@ mod tests {
             3,
         )
         .faults(&kill_host0)
-        .run()
-        .unwrap();
+        .run();
         let eff = out.effective_flows();
         assert_eq!(eff.len(), 2, "replicas fold away even when incomplete");
         let incomplete = out.incomplete_flows();
@@ -1028,8 +723,7 @@ mod tests {
         ];
         let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_ms(200), 3)
             .faults(&kill_host0)
-            .run()
-            .unwrap();
+            .run();
         let slow = slowest_flows(&out, 2);
         assert_eq!(slow.len(), 2);
         assert_eq!(slow[0], 0, "the flow that never finished ranks slowest");
@@ -1089,50 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_capped_bounds_concurrency_and_preserves_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let out = parallel_map_capped((0..64).collect::<Vec<_>>(), 2, |i| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            live.fetch_sub(1, Ordering::SeqCst);
-            i * 3
-        });
-        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "cap=2 exceeded: peak {}",
-            peak.load(Ordering::SeqCst)
-        );
-        // A zero cap is clamped to one worker, never a deadlock.
-        let out = parallel_map_capped(vec![1, 2, 3], 0, |i| i);
-        assert_eq!(out, [1, 2, 3]);
-    }
-
-    #[test]
-    fn sweep_cap_divides_the_machine_between_sweep_and_shards() {
-        let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(sweep_cap(1), avail.max(1));
-        assert!(sweep_cap(avail * 2) >= 1, "never starves the sweep");
-        assert!(
-            sweep_cap(2).saturating_mul(2) <= avail.max(2),
-            "cap x shards stays within the machine"
-        );
-        assert_eq!(sweep_cap(0), sweep_cap(1), "0 shards treated as 1");
-    }
-
-    #[test]
-    fn sweep_schemes_sharded_matches_the_unsharded_sweep() {
-        let schemes = vec![schemes::ecmp(), schemes::rps()];
-        let f = |s: &SchemeSpec, p: &u64| format!("{}@{p}", s.name());
-        let a = sweep_schemes(&schemes, &[10u64, 20u64], f);
-        let b = sweep_schemes_sharded(&schemes, &[10u64, 20u64], 4, f);
-        assert_eq!(a, b, "the cap changes scheduling, never results");
-    }
-
-    #[test]
     fn sweep_schemes_groups_by_param_in_registry_order() {
         let schemes = vec![schemes::ecmp(), schemes::rps()];
         let out = sweep_schemes(&schemes, &[10u64, 20u64], |s, p| {
@@ -1160,8 +810,7 @@ mod tests {
                 plan.gray_loss(agg, port, 0.05, SimTime::ZERO);
                 plan
             })
-            .run()
-            .unwrap();
+            .run();
         assert!(out.conservation.holds());
         assert_eq!(
             out.conservation.injected,
@@ -1180,8 +829,7 @@ mod tests {
         let scheme = schemes::flowbender(fb::Config::default());
         let out = Run::new(params, &scheme, &specs, SimTime::from_secs(5), 1)
             .telemetry(TelemetryConfig::all(SimTime::from_us(100)))
-            .run()
-            .unwrap();
+            .run();
         assert!(
             out.series()
                 .iter()

@@ -2,9 +2,9 @@
 //! the registry workloads and the streaming FCT machinery at trace scale,
 //! where holding one `Sample` per flow is no longer an option.
 //!
-//! This experiment deliberately does **not** run the packet simulator —
-//! at 10^6+ flows that is the sharded engine's job (ROADMAP item 1). It
-//! proves out the two layers that engine will stand on:
+//! This experiment deliberately does **not** run the packet simulator
+//! (`fabric-scale` does, at 10^4 flows). It proves out the two layers a
+//! 10^6-flow run stands on:
 //!
 //! 1. **Generation**: the selected workload (websearch by default) is
 //!    produced through [`workloads::PoissonStream`] when it advertises a
@@ -134,7 +134,7 @@ pub fn run_point(p: &FatTreeParams, wl: &dyn Workload, target: u64, seed: u64) -
 /// Run the scale curve and build the report.
 pub fn run(opts: &Opts) -> Report {
     opts.validate();
-    let params = FatTreeParams::paper();
+    let params = crate::cell::paper_fabric(opts);
     let wl = opts.workload_or("websearch");
     let target = ((TARGET_FLOWS as f64 * opts.scale).round() as u64).max(8);
     // Quarter/half/full curve, deduped for tiny targets.
@@ -229,7 +229,7 @@ pub fn run(opts: &Opts) -> Report {
     );
     r.note(
         "FCTs are an analytic pipeline-throughput proxy (no packet simulation); \
-         scheme-fidelity at this scale is ROADMAP item 1 (sharded engine)",
+         for scheme fidelity at the largest packet-simulated size see fabric-scale",
     );
     r
 }

@@ -16,9 +16,9 @@ fn fb() -> SchemeSpec {
     experiments::schemes::flowbender(flowbender::Config::default())
 }
 
-/// One gray-failure cell at one shard, traced per `cfg`.
+/// One gray-failure cell, traced per `cfg`.
 fn cell(scheme: &SchemeSpec, cfg: TraceConfig) -> experiments::Cell {
-    run_scheme(scheme, LOSS, BYTES, SEED, 1, cfg).unwrap()
+    run_scheme(scheme, LOSS, BYTES, SEED, cfg)
 }
 
 #[test]

@@ -58,11 +58,10 @@
 //!
 //! **The window never passes a deadline.** [`Scheduler::pop_before`] does
 //! not move the window to a bucket that starts after its deadline, and
-//! [`Scheduler::next_time`] does not move it at all. The sharded engine
-//! asks an idle shard for its next event (possibly milliseconds away), then
-//! imports traffic from its peers for just after the deadline; had the
-//! window jumped ahead, all of that would funnel through ordered inserts
-//! into `current`.
+//! [`Scheduler::peek_time`] does not move it at all: a caller that stops at
+//! a deadline and then schedules just past it (a fault API call between
+//! two `run_until`s) still finds that bucket ahead of the window instead
+//! of funnelling through ordered inserts into `current`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -405,8 +404,7 @@ impl Scheduler {
     /// Remove and return the earliest event, if its time is `<= deadline`.
     /// Events beyond the deadline stay queued, and the window never moves to
     /// a bucket that starts after `deadline`: whatever the caller schedules
-    /// next (the sharded engine imports events just past its window's
-    /// deadline) still finds its own bucket ahead of the window.
+    /// next still finds its own bucket ahead of the window.
     #[inline]
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
         loop {
@@ -524,13 +522,6 @@ impl Scheduler {
             }
         }
         best
-    }
-
-    /// [`Scheduler::peek_time`] under the name the sharded engine asks by,
-    /// once per synchronization epoch. It must not move the window: the
-    /// epoch's imports may land long before this shard's own next event.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.peek_time()
     }
 
     /// Number of pending events.
@@ -735,7 +726,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule(SimTime::from_us(200), timer(2));
         assert!(s.pop_before(SimTime::from_us(50)).is_none());
-        assert_eq!(s.next_time(), Some(SimTime::from_us(200)));
+        assert_eq!(s.peek_time(), Some(SimTime::from_us(200)));
         s.schedule(SimTime::from_us(100), timer(1));
         assert_eq!(s.near, 2, "both events are ring residents");
         assert_eq!(drain_tokens(&mut s), vec![1, 2]);

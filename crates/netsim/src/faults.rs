@@ -91,9 +91,7 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    /// The *anchor* node the action names. In a sharded run the shard
-    /// owning this node compiles the step into directed transitions and
-    /// hands the non-owned directions to their owners.
+    /// The node the action names.
     pub fn node(&self) -> NodeId {
         match *self {
             FaultAction::LinkState { node, .. }
@@ -109,10 +107,7 @@ impl FaultAction {
 /// One *directed* fault transition: the single-`(node, port)` unit a
 /// [`FaultAction`] compiles into. Both-direction actions (`LinkState`,
 /// `LinkRate`, `SwitchDown`/`SwitchUp`) expand to one `DirectedFault` per
-/// affected direction; in a sharded run each direction is applied by the
-/// shard owning its node — directions whose owner differs from the
-/// action's anchor travel through the epoch mailbox as
-/// `Handoff::Fault` so both sides commit them in the same window.
+/// affected direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DirectedFault {
     /// Set the administrative state of the `(node, port)` egress.
@@ -154,7 +149,7 @@ pub enum DirectedFault {
 }
 
 impl DirectedFault {
-    /// The node whose egress this transition touches (its owner applies it).
+    /// The node whose egress this transition touches.
     pub fn node(&self) -> NodeId {
         match *self {
             DirectedFault::LinkState { node, .. }

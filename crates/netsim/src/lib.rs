@@ -79,11 +79,11 @@ pub use packet::{
 };
 pub use queue::{EcnQueue, EnqueueResult, QueueStats};
 pub use record::{
-    Counter, DropAudit, DropReason, Emit, FlowRecord, Merge, Recorder, RunResults, Sink, SloConfig,
+    Counter, DropAudit, DropReason, Emit, FlowRecord, Recorder, RunResults, Sink, SloConfig,
     SloResults,
 };
 pub use rng::DetRng;
-pub use sim::{Conservation, Handoff, LinkSpec, PortStats, QueueSpec, Simulator, SwitchConfig};
+pub use sim::{Conservation, LinkSpec, PortStats, QueueSpec, Simulator, SwitchConfig};
 pub use slab::{PacketId, PacketSlab};
 pub use switch::{
     CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme, PfcConfig,

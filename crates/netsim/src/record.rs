@@ -51,15 +51,6 @@ impl FlowRecord {
     }
 }
 
-/// How a counter combines when results merge (shards of one run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Merge {
-    /// An event count: merges add.
-    Sum,
-    /// A high-water mark: merges take the maximum.
-    Max,
-}
-
 /// Whether a counter appears in a run's JSON summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Emit {
@@ -73,10 +64,10 @@ pub enum Emit {
 }
 
 /// The one table every per-counter fact comes from: variant, JSON name,
-/// [`Merge`] rule, [`Emit`] rule. Generates [`Counter`], its `COUNT`,
+/// [`Emit`] rule. Generates [`Counter`], its `COUNT`,
 /// `all()` (table order = JSON order = `repr` order) and the accessors.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $variant:ident = $name:literal, $merge:ident, $emit:ident;)*) => {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $emit:ident;)*) => {
         /// Global event counters. Extend the `counters!` table freely; the
         /// array in [`Recorder`] sizes itself from [`Counter::COUNT`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,13 +92,6 @@ macro_rules! counters {
                 }
             }
 
-            /// How this counter merges across shards.
-            pub fn merge(self) -> Merge {
-                match self {
-                    $(Counter::$variant => Merge::$merge,)*
-                }
-            }
-
             /// Whether summaries omit this counter while it is zero.
             pub fn emit(self) -> Emit {
                 match self {
@@ -120,72 +104,71 @@ macro_rules! counters {
 
 counters! {
     /// Data packets delivered to receivers.
-    DataPktsRcvd = "data_pkts_rcvd", Sum, Always;
+    DataPktsRcvd = "data_pkts_rcvd", Always;
     /// Data packets that arrived out of order (seq below the highest seq
     /// already seen for the flow).
-    OooPktsRcvd = "ooo_pkts_rcvd", Sum, Always;
+    OooPktsRcvd = "ooo_pkts_rcvd", Always;
     /// ACK packets delivered to senders.
-    AcksRcvd = "acks_rcvd", Sum, Always;
+    AcksRcvd = "acks_rcvd", Always;
     /// ACKs carrying the ECN echo.
-    MarkedAcksRcvd = "marked_acks_rcvd", Sum, Always;
+    MarkedAcksRcvd = "marked_acks_rcvd", Always;
     /// Segments retransmitted (fast retransmit or RTO).
-    Retransmits = "retransmits", Sum, Always;
+    Retransmits = "retransmits", Always;
     /// Retransmission timeouts fired.
-    Timeouts = "timeouts", Sum, Always;
+    Timeouts = "timeouts", Always;
     /// FlowBender reroutes triggered by congestion (F > T for N RTTs).
-    Reroutes = "reroutes", Sum, Always;
+    Reroutes = "reroutes", Always;
     /// FlowBender reroutes triggered by an RTO.
-    TimeoutReroutes = "timeout_reroutes", Sum, Always;
+    TimeoutReroutes = "timeout_reroutes", Always;
     /// Packets dropped at a full queue.
-    QueueDrops = "queue_drops", Sum, Always;
+    QueueDrops = "queue_drops", Always;
     /// Packets black-holed on a failed link.
-    LinkDrops = "link_drops", Sum, Always;
+    LinkDrops = "link_drops", Always;
     /// PFC pause frames sent.
-    PfcPauses = "pfc_pauses", Sum, Always;
+    PfcPauses = "pfc_pauses", Always;
     /// PFC resume frames sent.
-    PfcResumes = "pfc_resumes", Sum, Always;
+    PfcResumes = "pfc_resumes", Always;
     /// Duplicate ACKs observed by senders.
-    DupAcks = "dup_acks", Sum, Always;
+    DupAcks = "dup_acks", Always;
     /// Fast retransmits entered.
-    FastRetransmits = "fast_retransmits", Sum, Always;
+    FastRetransmits = "fast_retransmits", Always;
     /// DSACKs received by senders (spurious retransmissions detected).
-    DsacksRcvd = "dsacks_rcvd", Sum, Always;
+    DsacksRcvd = "dsacks_rcvd", Always;
     /// Switch-generated congestion notifications emitted.
-    CnSent = "cn_sent", Sum, NonZero;
+    CnSent = "cn_sent", NonZero;
     /// Congestion notifications delivered back to their senders.
-    CnDelivered = "cn_delivered", Sum, NonZero;
+    CnDelivered = "cn_delivered", NonZero;
     /// Congestion notifications suppressed by the per-(port, flow) rate
     /// limiter.
-    CnSuppressed = "cn_suppressed", Sum, NonZero;
+    CnSuppressed = "cn_suppressed", NonZero;
     /// INT per-hop telemetry records stamped into forwarded packets.
-    IntStamps = "int_stamps", Sum, NonZero;
+    IntStamps = "int_stamps", NonZero;
     /// Summed lead time (picoseconds) by which a CN beat the end-to-end
     /// ECN echo for the same congestion window. Divide by
     /// [`Counter::FeedbackLeadSamples`] for the mean.
-    FeedbackLeadPs = "feedback_lead_ps", Sum, NonZero;
+    FeedbackLeadPs = "feedback_lead_ps", NonZero;
     /// Number of CN-vs-ECN-echo lead samples in
     /// [`Counter::FeedbackLeadPs`].
-    FeedbackLeadSamples = "feedback_lead_samples", Sum, NonZero;
+    FeedbackLeadSamples = "feedback_lead_samples", NonZero;
     /// Retransmissions proven spurious by a DSACK: the "lost" segment's
     /// original copy arrived after all (the reordering tax of spraying).
-    SpuriousRetransmits = "spurious_retransmits", Sum, NonZero;
+    SpuriousRetransmits = "spurious_retransmits", NonZero;
     /// Congestion-state undos driven by DSACKs: the sender restored the
     /// cwnd/ssthresh it cut on entering a recovery that turned out to be
     /// spurious.
-    DsackUndos = "dsack_undos", Sum, NonZero;
+    DsackUndos = "dsack_undos", NonZero;
     /// Payload bytes delivered more than once to receivers (segments the
     /// reassembly buffer already held in full).
-    DupBytes = "dup_bytes", Sum, NonZero;
+    DupBytes = "dup_bytes", NonZero;
     /// High-water mark, in bytes, of any single receiver's out-of-order
-    /// reassembly buffer. Merges by maximum, not sum (see
-    /// [`RunResults::merge`]).
-    OooBytesMax = "ooo_bytes_max", Max, NonZero;
+    /// reassembly buffer (written with [`Recorder::record_max`]).
+    OooBytesMax = "ooo_bytes_max", NonZero;
     /// Flowcut boundaries at which a switch actually re-routed a pinned
     /// flow to a different egress (switch-side flowcut switching).
-    FlowcutReroutes = "flowcut_reroutes", Sum, NonZero;
+    FlowcutReroutes = "flowcut_reroutes", NonZero;
     /// Packets forwarded on an already-pinned flowcut egress (the sticky
     /// fast path of switch-side flowcut switching).
-    FlowcutPinned = "flowcut_pinned", Sum, NonZero;
+    FlowcutPinned = "flowcut_pinned", NonZero;
 }
 
 /// Why a packet left the simulation without being delivered.
@@ -290,34 +273,6 @@ impl SloResults {
     pub fn samples(&self) -> usize {
         self.first_after.len()
     }
-
-    /// Fold another shard's SLO view into this one. A flow delivers at
-    /// exactly one shard (its destination's owner), so the per-flow maps
-    /// are disjoint; the earliest instant is kept anyway for safety.
-    /// Goodput bins sum elementwise, padding to the longer histogram.
-    pub fn merge(&mut self, other: SloResults) {
-        assert_eq!(
-            (self.fail_at, self.bin),
-            (other.fail_at, other.bin),
-            "shards must share one SLO config"
-        );
-        for (flow, at) in other.first_after {
-            match self.first_after.binary_search_by_key(&flow, |&(f, _)| f) {
-                Ok(i) => {
-                    if at < self.first_after[i].1 {
-                        self.first_after[i].1 = at;
-                    }
-                }
-                Err(i) => self.first_after.insert(i, (flow, at)),
-            }
-        }
-        if other.goodput_bins.len() > self.goodput_bins.len() {
-            self.goodput_bins.resize(other.goodput_bins.len(), 0);
-        }
-        for (slot, n) in self.goodput_bins.iter_mut().zip(other.goodput_bins) {
-            *slot += n;
-        }
-    }
 }
 
 /// Per-port, per-reason drop tallies for one run.
@@ -369,25 +324,6 @@ impl DropAudit {
         let mut rows = self.rows.clone();
         rows.sort_unstable_by_key(|&(k, _)| k);
         rows
-    }
-
-    /// Fold another audit into this one (sharded-run aggregation). Ports
-    /// first seen in `other` append in `other`'s first-drop order, so
-    /// merging shards in a fixed order keeps the row order deterministic.
-    pub fn merge(&mut self, other: &DropAudit) {
-        for &((node, port), counts) in &other.rows {
-            let rows = &mut self.rows;
-            let idx = *self.index.entry((node, port)).or_insert_with(|| {
-                rows.push(((node, port), [0; DropReason::COUNT]));
-                rows.len() - 1
-            });
-            for (slot, &n) in self.rows[idx].1.iter_mut().zip(counts.iter()) {
-                *slot += n;
-            }
-        }
-        for (slot, &n) in self.totals.iter_mut().zip(other.totals.iter()) {
-            *slot += n;
-        }
     }
 }
 
@@ -692,60 +628,6 @@ impl RunResults {
         &self.flows
     }
 
-    /// Fold another shard's results into this one. Every shard of a
-    /// sharded run registers the *same* dense flow list (only the owner of
-    /// a flow's endpoints completes it), so flow records merge by taking
-    /// the earliest completion; counters and drop audits sum; telemetry
-    /// series concatenate (each series key lives in exactly one shard);
-    /// timelines of a flow traced across shards merge-sort by timestamp.
-    /// Merging shards in a fixed order (0, 1, 2, ...) makes the combined
-    /// view deterministic regardless of worker scheduling.
-    pub fn merge(&mut self, other: RunResults) {
-        assert_eq!(
-            self.flows.len(),
-            other.flows.len(),
-            "shards must register identical flow lists"
-        );
-        for (a, b) in self.flows.iter_mut().zip(other.flows) {
-            debug_assert_eq!(
-                (a.flow, a.src, a.dst, a.start),
-                (b.flow, b.src, b.dst, b.start)
-            );
-            if b.end < a.end {
-                a.end = b.end;
-            }
-        }
-        for (c, (a, b)) in Counter::all()
-            .iter()
-            .zip(self.counters.iter_mut().zip(other.counters))
-        {
-            match c.merge() {
-                Merge::Sum => *a += b,
-                Merge::Max => *a = (*a).max(b),
-            }
-        }
-        self.drops.merge(&other.drops);
-        for (a, b) in self.event_mix.iter_mut().zip(other.event_mix) {
-            *a += b;
-        }
-        self.series.extend(other.series);
-        match (&mut self.slo, other.slo) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (mine @ None, theirs) => *mine = theirs,
-            (_, None) => {}
-        }
-        for tl in other.timelines {
-            match self.timelines.iter_mut().find(|t| t.flow == tl.flow) {
-                None => self.timelines.push(tl),
-                Some(mine) => {
-                    mine.truncated += tl.truncated;
-                    mine.events.extend(tl.events);
-                    mine.events.sort_by_key(|&(t, _)| t);
-                }
-            }
-        }
-    }
-
     /// Read counter `c`.
     pub fn get(&self, c: Counter) -> u64 {
         self.counters[c as usize]
@@ -762,8 +644,7 @@ impl RunResults {
     }
 
     /// What the engine did to produce the run: events processed per kind,
-    /// indexed by [`EventKind::index`] (names in [`EventKind::NAMES`]),
-    /// summed over the shards of a sharded run.
+    /// indexed by [`EventKind::index`] (names in [`EventKind::NAMES`]).
     pub fn event_mix(&self) -> [u64; EventKind::COUNT] {
         self.event_mix
     }
@@ -949,32 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_merge_unions_flows_and_sums_bins() {
-        let mut a = SloResults {
-            fail_at: SimTime::from_us(100),
-            bin: SimTime::from_us(50),
-            first_after: vec![(0, SimTime::from_us(120)), (2, SimTime::from_us(150))],
-            goodput_bins: vec![100, 200],
-        };
-        let b = SloResults {
-            fail_at: SimTime::from_us(100),
-            bin: SimTime::from_us(50),
-            first_after: vec![(1, SimTime::from_us(110)), (2, SimTime::from_us(140))],
-            goodput_bins: vec![10, 20, 30],
-        };
-        a.merge(b);
-        assert_eq!(
-            a.first_after,
-            vec![
-                (0, SimTime::from_us(120)),
-                (1, SimTime::from_us(110)),
-                (2, SimTime::from_us(140)),
-            ]
-        );
-        assert_eq!(a.goodput_bins, vec![110, 220, 30]);
-    }
-
-    #[test]
     fn drop_reason_names_unique_and_complete() {
         let all = DropReason::all();
         assert_eq!(all.len(), DropReason::COUNT);
@@ -1001,21 +856,5 @@ mod tests {
         r.record_max(Counter::OooBytesMax, 2920);
         r.record_max(Counter::OooBytesMax, 2000);
         assert_eq!(r.get(Counter::OooBytesMax), 2920);
-    }
-
-    #[test]
-    fn merge_sums_counts_but_maxes_high_water_marks() {
-        assert_eq!(Counter::OooBytesMax.merge(), Merge::Max);
-        assert_eq!(Counter::DupBytes.merge(), Merge::Sum);
-        let mut a = Recorder::new();
-        a.add(Counter::DupBytes, 100);
-        a.record_max(Counter::OooBytesMax, 5000);
-        let mut b = Recorder::new();
-        b.add(Counter::DupBytes, 50);
-        b.record_max(Counter::OooBytesMax, 3000);
-        let mut out = a.finish();
-        out.merge(b.finish());
-        assert_eq!(out.get(Counter::DupBytes), 150, "event counts sum");
-        assert_eq!(out.get(Counter::OooBytesMax), 5000, "high-water maxes");
     }
 }

@@ -40,9 +40,9 @@
 //!   `try_start_tx` that finds the port busy with a packet queued), and
 //!   the `TxDone` starts it;
 //! * the port is **faultable**: some fault, link-state or mid-run rate API
-//!   has named its link (`install_faults` — on every shard, owner or not
-//!   —, `schedule_link_state`, `set_gray_loss`, `set_corruption`,
-//!   `set_link_rate` once the run has started; both directions). Such a
+//!   has named its link (`install_faults`, `schedule_link_state`,
+//!   `set_gray_loss`, `set_corruption`, `set_link_rate` once the run has
+//!   started; both directions). Such a
 //!   port must read `up` / `loss_rate` / `ber` / the rate epoch when the
 //!   last bit leaves, so its `TxDone` is always scheduled and it — not
 //!   tx-start — books the `Arrive` or drops the packet. Same handler, one
@@ -209,8 +209,8 @@ struct Port {
     /// Lazily-split per-port fault RNG stream: gray-loss and corruption
     /// draws for packets departing this egress come from here, so the
     /// sequence of draws a port sees depends only on its own departure
-    /// order — which every shard count reproduces identically — never on
-    /// the global interleaving of faulted ports. `None` until the first
+    /// order, never on the global interleaving of faulted ports. `None`
+    /// until the first
     /// draw; fault-free ports never split a stream at all.
     fault_rng: Option<DetRng>,
     /// Serialization epoch. Bumped when a mid-run rate change reschedules
@@ -232,7 +232,7 @@ struct Port {
     /// `TxDone` decides the packet's fate and schedules its `Arrive`.
     tx_sampled: bool,
     /// The packet of the latest transmission (read only while `tx_sampled`;
-    /// a fused packet may already have left the slab for another shard).
+    /// a fused packet may already have been delivered or dropped).
     tx_pkt: PacketId,
     /// Transmitted wire bytes by protocol ([Tcp, Udp]).
     tx_bytes: [u64; 2],
@@ -413,78 +413,12 @@ struct QueueWatcher {
     samples: Vec<(SimTime, u64)>,
 }
 
-/// A message crossing a shard boundary in the sharded engine: the owning
-/// simulator of the source node produced it during a synchronization
-/// window; the owning simulator of `node` schedules it at `at` (which the
-/// conservative lookahead guarantees lies beyond every window already
-/// processed).
-#[derive(Debug, Clone)]
-pub enum Handoff {
-    /// A packet finishing propagation towards non-owned `node`; the owner
-    /// re-inserts it into its slab and schedules the arrival. Also carries
-    /// switch-generated CNs to a non-owned sender host: they skip the
-    /// fabric (delivered a fixed `cn_delay` after emission, see
-    /// [`crate::switch::FeedbackConfig`]) and land on `port: 0`, exactly
-    /// what the emitting shard would have scheduled locally.
-    Arrive {
-        /// Arrival time (link propagation + receiver processing delay).
-        at: SimTime,
-        /// The arrival's tie-break cause — the instant the last bit left
-        /// the exporting port (a CN's emission instant) — so the importer
-        /// orders it among same-time events as a one-shard run would.
-        cause: SimTime,
-        /// Receiving node.
-        node: NodeId,
-        /// Receiving port on `node`.
-        port: PortId,
-        /// The packet itself, lifted out of the exporting shard's slab.
-        pkt: Packet,
-    },
-    /// A PFC pause/resume frame towards non-owned `node`'s egress port.
-    Pfc {
-        /// Frame arrival time (link propagation only).
-        at: SimTime,
-        /// Node whose egress port is being paused/resumed.
-        node: NodeId,
-        /// The egress port.
-        port: PortId,
-        /// `true` = pause, `false` = resume.
-        pause: bool,
-    },
-    /// One directed fault transition whose `(node, port)` egress is owned
-    /// by another shard. Fault-plan steps that span a shard boundary — a
-    /// `LinkState`/`LinkRate` on a cross-shard link, a `SwitchDown` whose
-    /// peers live elsewhere — are compiled by the shard owning the action's
-    /// anchor node; the directions it does not own travel through the epoch
-    /// mailbox as this variant, so both owners commit the transition in the
-    /// same synchronization window and at the same instant.
-    Fault {
-        /// When the transition fires.
-        at: SimTime,
-        /// The directed transition; its [`DirectedFault::node`] is the
-        /// destination the coordinator routes on.
-        fault: DirectedFault,
-    },
-}
-
-impl Handoff {
-    /// The destination node — what the coordinator routes on.
-    pub fn node(&self) -> NodeId {
-        match self {
-            Handoff::Arrive { node, .. } | Handoff::Pfc { node, .. } => *node,
-            Handoff::Fault { fault, .. } => fault.node(),
-        }
-    }
-}
-
 /// The packet-conservation ledger: every packet the slab ever issued must
-/// be delivered to an agent, dropped with a [`DropReason`], exported to
-/// another shard, or still in flight. Produced by
-/// [`Simulator::conservation`].
+/// be delivered to an agent, dropped with a [`DropReason`], or still in
+/// flight. Produced by [`Simulator::conservation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conservation {
-    /// Packets ever inserted into the slab ([`Ctx::send`] injections plus
-    /// cross-shard imports).
+    /// Packets ever inserted into the slab ([`Ctx::send`] injections).
     pub injected: u64,
     /// Packets handed to destination agents.
     pub delivered: u64,
@@ -492,12 +426,6 @@ pub struct Conservation {
     pub dropped: [u64; DropReason::COUNT],
     /// Packets still parked in the slab.
     pub in_flight: u64,
-    /// Packets exported to other shards (0 in single-shard runs).
-    pub exported: u64,
-    /// Packets imported from other shards (0 in single-shard runs; a
-    /// subset of `injected`, reported so the coordinator can check that
-    /// `Σ exported == Σ imported` across shards at quiesce).
-    pub imported: u64,
 }
 
 impl Conservation {
@@ -506,11 +434,9 @@ impl Conservation {
         self.dropped.iter().sum()
     }
 
-    /// Does `injected == delivered + dropped + in-flight + exported`
-    /// hold? (Imports count inside `injected`; `exported` is 0 outside
-    /// sharded runs, reducing to the classic single-engine invariant.)
+    /// Does `injected == delivered + dropped + in-flight` hold?
     pub fn holds(&self) -> bool {
-        self.injected == self.delivered + self.dropped_total() + self.in_flight + self.exported
+        self.injected == self.delivered + self.dropped_total() + self.in_flight
     }
 }
 
@@ -529,15 +455,7 @@ impl fmt::Display for Conservation {
             }
             write!(f, "{} {}", reason.name(), self.dropped[i])?;
         }
-        write!(f, ") + in-flight {}", self.in_flight)?;
-        if self.exported != 0 || self.imported != 0 {
-            write!(
-                f,
-                " + exported {} (imported {})",
-                self.exported, self.imported
-            )?;
-        }
-        Ok(())
+        write!(f, ") + in-flight {}", self.in_flight)
     }
 }
 
@@ -561,12 +479,10 @@ pub struct Simulator {
     /// lazily splits its own child stream off this root ([`Port::fault_rng`])
     /// on its first gray-loss/corruption draw, keyed by `(node, port)` —
     /// so draw sequences are a pure function of each port's own departure
-    /// order, identical for every shard count, and fault-free runs never
-    /// touch any fault stream at all.
+    /// order, and fault-free runs never touch any fault stream at all.
     faults_rng: DetRng,
     /// Installed directed fault transitions; `EventKind::Fault` events
-    /// index into this (indices are local to this simulator — in a sharded
-    /// run each worker compiles its own subset).
+    /// index into this.
     fault_actions: Vec<DirectedFault>,
     /// Packets handed to destination agents (the conservation audit's
     /// "delivered" term).
@@ -577,20 +493,6 @@ pub struct Simulator {
     event_mix: [u64; EventKind::COUNT],
     host_ids: Vec<NodeId>,
     watchers: Vec<QueueWatcher>,
-    /// Sharded-engine ownership mask, indexed by node id: `None` (the
-    /// default) means this simulator owns every node — the classic
-    /// single-threaded engine with zero extra work on the hot path. When
-    /// set, packets leaving an owned node towards a non-owned peer are
-    /// diverted into `outbox` instead of being scheduled locally.
-    owned: Option<Vec<bool>>,
-    /// Cross-shard messages generated by the current window, drained by
-    /// the shard coordinator via [`Simulator::take_outbox`].
-    outbox: Vec<Handoff>,
-    /// Packets exported to other shards (conservation ledger term).
-    exported: u64,
-    /// Packets imported from other shards (already counted in the slab's
-    /// `total_inserted`).
-    imported: u64,
 }
 
 impl Simulator {
@@ -615,10 +517,6 @@ impl Simulator {
             event_mix: [0; EventKind::COUNT],
             host_ids: Vec::new(),
             watchers: Vec::new(),
-            owned: None,
-            outbox: Vec::new(),
-            exported: 0,
-            imported: 0,
         }
     }
 
@@ -805,27 +703,13 @@ impl Simulator {
 
     /// Install a [`FaultPlan`]: validate every referenced node/port,
     /// compile each step into its [`DirectedFault`] transitions, and
-    /// schedule each owned transition as an [`EventKind::Fault`] event at
-    /// its time. May be called repeatedly (plans accumulate) and mid-run
-    /// for future times.
+    /// schedule each transition as an [`EventKind::Fault`] event at its
+    /// time. May be called repeatedly (plans accumulate) and mid-run for
+    /// future times.
     ///
     /// Both-direction steps (`LinkState`, `LinkRate`, `SwitchDown/Up`)
-    /// expand to one directed transition per affected egress. In a sharded
-    /// run, only the shard owning a step's *anchor* node
-    /// ([`FaultAction::node`]) compiles it: transitions on egresses it owns
-    /// are scheduled locally, the rest are pushed into the outbox as
-    /// [`Handoff::Fault`] for their owners to import before the run starts
-    /// (or before the next window, mid-run). Every worker still validates
-    /// every step, so a bad plan panics identically on every shard — and
-    /// marks every link a step names as sampling at the last bit, owner or
-    /// not, so the ports' tx-starts do not depend on when the mail arrives.
-    ///
-    /// Caveat: two *different* steps targeting the *same* directed egress
-    /// at the *same* instant from *different* anchor nodes may apply in a
-    /// different relative order than the classic engine (imports land after
-    /// locally-anchored steps). Transitions on distinct egresses commute,
-    /// so plans without such same-instant/same-egress conflicts — any plan
-    /// [`FaultPlan::randomized`] can produce — are exactly reproduced.
+    /// expand to one directed transition per affected egress, and every
+    /// link a step names samples at the last bit from then on.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
         for &(at, action) in plan.steps() {
             let node = action.node();
@@ -849,9 +733,6 @@ impl Simulator {
                         self.mark_faultable(node, port);
                     }
                 }
-            }
-            if !self.is_owned(node) {
-                continue;
             }
             let mut directed: Vec<DirectedFault> = Vec::new();
             match action {
@@ -901,20 +782,11 @@ impl Simulator {
                 }
             }
             for d in directed {
-                if self.is_owned(d.node()) {
-                    self.schedule_directed_fault(at, d);
-                } else {
-                    self.outbox.push(Handoff::Fault { at, fault: d });
-                }
+                let idx = self.fault_actions.len() as u32;
+                self.fault_actions.push(d);
+                self.sched.schedule(at, EventKind::Fault { action: idx });
             }
         }
-    }
-
-    /// Register one owned directed transition and schedule its event.
-    fn schedule_directed_fault(&mut self, at: SimTime, fault: DirectedFault) {
-        let idx = self.fault_actions.len() as u32;
-        self.fault_actions.push(fault);
-        self.sched.schedule(at, EventKind::Fault { action: idx });
     }
 
     /// The current rate of the directed link out of `(node, port)`.
@@ -1064,8 +936,6 @@ impl Simulator {
             delivered: self.delivered,
             dropped: self.recorder.drops().totals(),
             in_flight: self.packets.len() as u64,
-            exported: self.exported,
-            imported: self.imported,
         }
     }
 
@@ -1080,149 +950,6 @@ impl Simulator {
     /// High-water mark of simultaneously in-flight packets.
     pub fn packets_peak(&self) -> usize {
         self.packets.peak()
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded engine
-    // ------------------------------------------------------------------
-
-    /// Declare which nodes this simulator owns (sharded engine). `mask`
-    /// is indexed by node id and must cover every node; call after the
-    /// topology is built. Packets leaving an owned node towards a
-    /// non-owned peer are diverted to the [`Simulator::take_outbox`]
-    /// buffer instead of being scheduled locally, and non-owned nodes
-    /// never process events. Without this call (the default) every node
-    /// is owned and the engine behaves exactly as it always has.
-    pub fn set_owned(&mut self, mask: Vec<bool>) {
-        assert_eq!(
-            mask.len(),
-            self.nodes.len(),
-            "ownership mask must cover every node"
-        );
-        self.owned = Some(mask);
-    }
-
-    #[inline]
-    fn is_owned(&self, node: NodeId) -> bool {
-        match &self.owned {
-            None => true,
-            Some(m) => m[node as usize],
-        }
-    }
-
-    /// The conservative lookahead this shard grants the others: the
-    /// minimum latency any message needs to cross *into* this shard
-    /// (minimum over links from a non-owned node to an owned one of
-    /// propagation delay, plus the receiver's ingress processing delay —
-    /// unless any switch runs PFC, whose pause frames skip ingress
-    /// processing). `None` when no cross-shard link exists (single-shard)
-    /// or ownership was never set.
-    pub fn lookahead(&self) -> Option<SimTime> {
-        let owned = self.owned.as_ref()?;
-        let any_pfc = self
-            .nodes
-            .iter()
-            .any(|n| matches!(&n.kind, NodeKind::Switch(m) if m.pfc.is_some()));
-        let mut best: Option<SimTime> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if owned[i] {
-                continue;
-            }
-            for p in &n.ports {
-                if !owned[p.peer as usize] {
-                    continue;
-                }
-                let lat = if any_pfc { p.delay } else { p.arrive_delay };
-                if best.is_none_or(|b| lat < b) {
-                    best = Some(lat);
-                }
-            }
-        }
-        // Switch-generated CNs skip the fabric entirely: one emitted by a
-        // non-owned switch lands on an owned host exactly `cn_delay` after
-        // emission, so it bounds the crossing latency alongside the link
-        // terms above.
-        for (i, n) in self.nodes.iter().enumerate() {
-            if owned[i] {
-                continue;
-            }
-            if let NodeKind::Switch(m) = &n.kind {
-                if let Some(fb) = m.feedback {
-                    if fb.cn_threshold.is_some() && best.is_none_or(|b| fb.cn_delay < b) {
-                        best = Some(fb.cn_delay);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Time of the earliest pending event, or `None` when quiescent. The
-    /// shard coordinator publishes this each epoch to agree on the next
-    /// safe window. Starts the agents on first call — their initial sends
-    /// must be visible before the first window is negotiated, or an
-    /// untouched shard would report quiescence and end the run early.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.start_agents();
-        self.sched.next_time()
-    }
-
-    /// Run every event with `time <= deadline` without parking the clock
-    /// at the deadline afterwards — one synchronization window of a
-    /// sharded run. The coordinator guarantees every cross-shard message
-    /// generated anywhere during this window arrives strictly after
-    /// `deadline`, so importing between windows never travels back in
-    /// time.
-    pub fn run_window(&mut self, deadline: SimTime) {
-        self.run_core(deadline);
-    }
-
-    /// Drain the cross-shard messages generated since the last call, in
-    /// generation order.
-    pub fn take_outbox(&mut self) -> Vec<Handoff> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Accept a message exported by another shard. Must target an owned
-    /// node at a time beyond the last processed window.
-    pub fn import(&mut self, h: Handoff) {
-        debug_assert!(self.is_owned(h.node()), "import for non-owned node");
-        match h {
-            Handoff::Arrive {
-                at,
-                cause,
-                node,
-                port,
-                pkt,
-            } => {
-                let id = self.packets.insert(pkt);
-                self.imported += 1;
-                let tie = Tie::new(at, cause, self.sched.draw_seq());
-                self.sched.schedule_keyed(
-                    at,
-                    tie,
-                    EventKind::Arrive {
-                        node,
-                        port,
-                        pkt: id,
-                    },
-                );
-            }
-            Handoff::Pfc {
-                at,
-                node,
-                port,
-                pause,
-            } => {
-                self.sched
-                    .schedule(at, EventKind::Pfc { node, port, pause });
-            }
-            // A directed fault transition compiled by the anchor's owner.
-            // Not a packet, so the imported/exported ledger is untouched
-            // (those two terms count packets only, and must stay equal
-            // across shards at quiesce).
-            Handoff::Fault { at, fault } => self.schedule_directed_fault(at, fault),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1588,34 +1315,22 @@ impl Simulator {
             // Emit the back-to-sender CN: a first-class slab packet (the
             // conservation ledger counts it as injected here) delivered
             // straight to the sender host `cn_delay` later — no queues,
-            // no fabric, so every shard count reproduces it identically.
+            // no fabric.
             self.recorder.bump(Counter::CnSent);
             let cn = Packet::cn(flow, data_key, vfield, blame, self.now);
             let sender = cn.dst();
             let at = self.now + cn_delay;
             let cn_id = self.packets.insert(cn);
-            // Port 0 is cosmetic either way: hosts have one NIC and the
-            // arrival handler ignores the port for host nodes.
-            if self.is_owned(sender) {
-                self.sched.schedule(
-                    at,
-                    EventKind::Arrive {
-                        node: sender,
-                        port: 0,
-                        pkt: cn_id,
-                    },
-                );
-            } else {
-                let pkt = self.packets.remove(cn_id);
-                self.exported += 1;
-                self.outbox.push(Handoff::Arrive {
-                    at,
-                    cause: self.now,
+            // Port 0 is cosmetic: hosts have one NIC and the arrival
+            // handler ignores the port for host nodes.
+            self.sched.schedule(
+                at,
+                EventKind::Arrive {
                     node: sender,
                     port: 0,
-                    pkt,
-                });
-            }
+                    pkt: cn_id,
+                },
+            );
         }
         match enq {
             EnqueueResult::Dropped => {
@@ -1636,23 +1351,14 @@ impl Simulator {
                 }
                 if let Some((peer, peer_port, delay, pause)) = pfc_send {
                     self.recorder.bump(Counter::PfcPauses);
-                    if self.is_owned(peer) {
-                        self.sched.schedule(
-                            self.now + delay,
-                            EventKind::Pfc {
-                                node: peer,
-                                port: peer_port,
-                                pause,
-                            },
-                        );
-                    } else {
-                        self.outbox.push(Handoff::Pfc {
-                            at: self.now + delay,
+                    self.sched.schedule(
+                        self.now + delay,
+                        EventKind::Pfc {
                             node: peer,
                             port: peer_port,
                             pause,
-                        });
-                    }
+                        },
+                    );
                 }
                 self.try_start_tx(sw, egress);
             }
@@ -1818,28 +1524,15 @@ impl Simulator {
         let p = &self.nodes[node as usize].ports[port as usize];
         let (peer, peer_port, id, tx_end) = (p.peer, p.peer_port, p.tx_pkt, p.tx_end);
         let at = tx_end + p.arrive_delay;
-        if self.is_owned(peer) {
-            self.sched.schedule_keyed(
-                at,
-                Tie::new(at, tx_end, p.tx_tie.seq()),
-                EventKind::Arrive {
-                    node: peer,
-                    port: peer_port,
-                    pkt: id,
-                },
-            );
-        } else {
-            // Shard boundary: the peer's owner schedules the arrival.
-            let pkt = self.packets.remove(id);
-            self.exported += 1;
-            self.outbox.push(Handoff::Arrive {
-                at,
-                cause: tx_end,
+        self.sched.schedule_keyed(
+            at,
+            Tie::new(at, tx_end, p.tx_tie.seq()),
+            EventKind::Arrive {
                 node: peer,
                 port: peer_port,
-                pkt,
-            });
-        }
+                pkt: id,
+            },
+        );
     }
 
     /// Decrement PFC ingress accounting for a departing packet; send RESUME
@@ -1863,23 +1556,14 @@ impl Simulator {
         };
         if let Some((peer, peer_port, delay)) = resume {
             self.recorder.bump(Counter::PfcResumes);
-            if self.is_owned(peer) {
-                self.sched.schedule(
-                    self.now + delay,
-                    EventKind::Pfc {
-                        node: peer,
-                        port: peer_port,
-                        pause: false,
-                    },
-                );
-            } else {
-                self.outbox.push(Handoff::Pfc {
-                    at: self.now + delay,
+            self.sched.schedule(
+                self.now + delay,
+                EventKind::Pfc {
                     node: peer,
                     port: peer_port,
                     pause: false,
-                });
-            }
+                },
+            );
         }
     }
 
@@ -1907,9 +1591,7 @@ impl Simulator {
         let (id, link_up, loss_rate, ber) = (p.tx_pkt, p.up, p.loss_rate, p.ber);
         // Fault checks, in severity order. Each consults the departing
         // port's private fault stream only when its fault is actually
-        // configured, so healthy runs make no draws at all — and since a
-        // port's departure order is identical for every shard count, so is
-        // its draw sequence.
+        // configured, so healthy runs make no draws at all.
         let dropped = if !link_up {
             Some(DropReason::LinkDown)
         } else if loss_rate > 0.0 && self.fault_rng_draw(node, port) < loss_rate {
@@ -1938,8 +1620,8 @@ impl Simulator {
 
     /// Draw from `(node, port)`'s private fault stream, splitting it off
     /// the never-advanced root on first use. The split label is the
-    /// directed port identity, so every worker derives the same stream for
-    /// the same egress no matter which other ports are faulted.
+    /// directed port identity, so an egress draws the same stream no matter
+    /// which other ports are faulted.
     fn fault_rng_draw(&mut self, node: NodeId, port: PortId) -> f64 {
         let root = &self.faults_rng;
         let p = &mut self.nodes[node as usize].ports[port as usize];
@@ -1959,14 +1641,11 @@ impl Simulator {
         let (peer, peer_port) = self.peer_of(node, port);
         self.nodes[node as usize].ports[port as usize].up = up;
         self.nodes[peer as usize].ports[peer_port as usize].up = up;
-        if up {
-            self.try_start_tx(node, port);
-            self.try_start_tx(peer, peer_port);
-        } else {
-            // Black-hole anything already queued towards the dead link.
-            self.try_start_tx(node, port);
-            self.try_start_tx(peer, peer_port);
-        }
+        // Going up restarts both queues; going down black-holes anything
+        // already queued towards the dead link (each transmission then
+        // drops at its last bit).
+        self.try_start_tx(node, port);
+        self.try_start_tx(peer, peer_port);
     }
 }
 

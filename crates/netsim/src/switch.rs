@@ -123,10 +123,9 @@ pub enum FlowcutDecision {
 ///
 /// Entries are never evicted — at simulation scale the table stays small,
 /// and evicting one would turn a held boundary into a fresh start. The
-/// table is driven purely by the switch's local arrival order — which
-/// sharding does not change — so runs are byte-identical across shard
-/// counts by construction. Backed by a [`DetHashMap`]: the lookup runs
-/// once per packet, where SipHash would dominate the whole selection.
+/// table is driven purely by the switch's local arrival order. Backed by
+/// a [`DetHashMap`]: the lookup runs once per packet, where SipHash would
+/// dominate the whole selection.
 #[derive(Debug, Default)]
 pub struct PinTable {
     table: DetHashMap<u64, (SimTime, PortId)>,
@@ -269,8 +268,7 @@ pub struct FeedbackConfig {
     pub cn_min_gap: SimTime,
     /// Fixed delivery latency of a CN back to the source host. Modeled as
     /// a constant (the CN skips data queues, like a priority-queued
-    /// control frame) so feedback timing is independent of fabric load —
-    /// and of how the fabric is sharded.
+    /// control frame) so feedback timing is independent of fabric load.
     pub cn_delay: SimTime,
 }
 

@@ -131,13 +131,14 @@ fn scheduler_is_a_stable_priority_queue() {
 
 /// The calendar scheduler and a plain binary heap ordered by
 /// `(time, cause, seq)` agree on every answer (`pop`, `pop_before`,
-/// `next_time`, `peek_time`, `len`), under random interleavings that
+/// `peek_time`, `len`), under random interleavings that
 /// alternate growing and draining phases: same-instant ties, sub-bucket and
 /// in-ring deltas, beyond-ring spills that later sit between occupied ring
 /// buckets, deep far-future jumps over an empty ring, thousands of events in
 /// one bucket, and enough elapsed time to wrap the ring many times.
-/// Scheduling right after a `pop_before` that stopped at its deadline is the
-/// sharded engine's access pattern. Mixed in are the simulator's two keyed
+/// Scheduling right after a `pop_before` that stopped at its deadline is what
+/// a fault API call between two `run_until`s does. Mixed in are the
+/// simulator's two keyed
 /// patterns: an event booked ahead of its cause (the fused `Arrive`: seq
 /// drawn now, cause one serialization later), and a seq drawn now whose
 /// event is inserted late or never (the lazy `TxDone` wake-up) — by then
@@ -226,7 +227,6 @@ fn scheduler_matches_reference_heap() {
             let seed = self.seed;
             let want = self.reference.peek().map(|r| SimTime::from_ps(r.0 .0 .0));
             assert_eq!(self.s.peek_time(), want, "seed {seed}: peek_time");
-            assert_eq!(self.s.next_time(), want, "seed {seed}: next_time");
             assert_eq!(self.s.len(), self.reference.len(), "seed {seed}: len");
         }
     }
@@ -336,7 +336,7 @@ fn scheduler_matches_reference_heap() {
             p.s.pop().is_none(),
             "seed {seed}: scheduler has extra events"
         );
-        assert!(p.s.is_empty() && p.s.next_time().is_none(), "seed {seed}");
+        assert!(p.s.is_empty() && p.s.peek_time().is_none(), "seed {seed}");
         inserts_behind_cursor += p.inserts_behind_cursor;
     }
     assert!(

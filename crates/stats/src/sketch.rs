@@ -1,7 +1,7 @@
 //! Streaming quantile sketches for flow-completion-time statistics at
 //! millions of flows.
 //!
-//! [`QuantileSketch`] is a hand-rolled DDSketch-style mergeable quantile
+//! [`QuantileSketch`] is a hand-rolled DDSketch-style quantile
 //! summary: values are counted into logarithmically spaced buckets with
 //! relative width `gamma = (1 + alpha) / (1 - alpha)`, so any quantile is
 //! answered with relative error at most `alpha` using memory proportional
@@ -25,7 +25,7 @@ use crate::fct::{BinSpec, BinStats, Sample};
 /// One picosecond is far below any representable simulated FCT.
 const MIN_TRACKED: f64 = 1e-12;
 
-/// A mergeable, deterministic DDSketch-style quantile summary of
+/// A deterministic DDSketch-style quantile summary of
 /// non-negative values.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
@@ -91,24 +91,6 @@ impl QuantileSketch {
         } else {
             let idx = (v.ln() / self.ln_gamma).ceil() as i32;
             *self.buckets.entry(idx).or_insert(0) += 1;
-        }
-    }
-
-    /// Fold `other` into `self`. Both sketches must share an `alpha`
-    /// (merging across accuracies would silently lose the guarantee).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert_eq!(
-            self.alpha.to_bits(),
-            other.alpha.to_bits(),
-            "merging sketches with different accuracies"
-        );
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.underflow += other.underflow;
-        for (&idx, &c) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += c;
         }
     }
 
@@ -182,8 +164,7 @@ impl QuantileSketch {
 ///
 /// Feed it one completed flow at a time; ask for the same [`BinStats`]
 /// rows the exact path produces (counts and means exact, tail percentiles
-/// within the sketch's `alpha`). Accumulators over the same `BinSpec` and
-/// accuracy merge, so shards can aggregate independently.
+/// within the sketch's `alpha`).
 #[derive(Debug, Clone)]
 pub struct FctAccumulator {
     bins: BinSpec,
@@ -222,15 +203,6 @@ impl FctAccumulator {
     /// [`FctAccumulator::record`] from a [`Sample`].
     pub fn record_sample(&mut self, s: &Sample) {
         self.record(s.bytes, s.fct_s);
-    }
-
-    /// Fold `other` into `self` (same `BinSpec`, same accuracy).
-    pub fn merge(&mut self, other: &FctAccumulator) {
-        assert_eq!(self.bins, other.bins, "merging different bin specs");
-        self.overall.merge(&other.overall);
-        for (a, b) in self.per_bin.iter_mut().zip(&other.per_bin) {
-            a.merge(b);
-        }
     }
 
     /// Flows recorded (all sizes).
@@ -348,29 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_bulk_feed() {
-        let xs = synth_fcts(5_000, 3);
-        let mut whole = QuantileSketch::for_fct();
-        let mut a = QuantileSketch::for_fct();
-        let mut b = QuantileSketch::for_fct();
-        for (i, &v) in xs.iter().enumerate() {
-            whole.add(v);
-            if i % 2 == 0 {
-                a.add(v)
-            } else {
-                b.add(v)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.bucket_count(), whole.bucket_count());
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), whole.quantile(q), "q={q}");
-        }
-        assert!((a.sum() - whole.sum()).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_and_singleton_sketches() {
         let mut sk = QuantileSketch::for_fct();
         assert_eq!(sk.count(), 0);
@@ -403,14 +352,6 @@ mod tests {
     #[should_panic]
     fn rejects_nan() {
         QuantileSketch::for_fct().add(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_merge_across_accuracies() {
-        let mut a = QuantileSketch::new(0.01);
-        let b = QuantileSketch::new(0.02);
-        a.merge(&b);
     }
 
     #[test]
@@ -447,31 +388,6 @@ mod tests {
                     assert!((a - b).abs() / a < 0.01, "{}: {a} vs {b}", e.bin.label);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn accumulator_merges_across_shards() {
-        let spec = BinSpec::paper();
-        let mut whole = FctAccumulator::new(spec.clone());
-        let mut shard_a = FctAccumulator::new(spec.clone());
-        let mut shard_b = FctAccumulator::new(spec);
-        for i in 0..2_000u64 {
-            let bytes = 500 + i * 700;
-            let fct = 1e-4 + i as f64 * 3e-7;
-            whole.record(bytes, fct);
-            if i % 2 == 0 {
-                shard_a.record(bytes, fct)
-            } else {
-                shard_b.record(bytes, fct)
-            }
-        }
-        shard_a.merge(&shard_b);
-        assert_eq!(shard_a.count(), whole.count());
-        let (a, w) = (shard_a.binned(), whole.binned());
-        for (x, y) in a.iter().zip(&w) {
-            assert_eq!(x.count, y.count);
-            assert_eq!(x.p99_s, y.p99_s);
         }
     }
 }

@@ -99,7 +99,7 @@ impl FatTreeParams {
     /// ToRs and `k/2` aggs, `k/2` hosts per ToR, `(k/2)^2` cores, one
     /// link per (ToR, agg) pair — `k^3/4` hosts total with full bisection
     /// bandwidth (k=8 → 128 hosts, k=16 → 1024, k=32 → 8192). This is the
-    /// `--topo k=<K>` fabric of the sharded-engine experiments.
+    /// `--topo k=<K>` fabric of the scale experiments.
     ///
     /// Returns an actionable error for a `k` that does not describe a
     /// fat-tree (odd, too small) or is beyond what a simulation can hold.

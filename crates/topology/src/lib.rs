@@ -12,8 +12,7 @@
 //!   4 aggregation switches, 4 equal-cost paths between ToRs.
 //!
 //! [`fat_tree::FatTreeParams::k_ary`] generalizes the fat-tree to the
-//! canonical k-ary form (k=8..32 → 128–8192 hosts), and [`shard`] maps its
-//! nodes onto event-engine shards for the multi-core simulator.
+//! canonical k-ary form (k=8..32 → 128–8192 hosts).
 //!
 //! Both builders create hosts first so host `NodeId`s are dense from 0,
 //! which is what routing tables and the flow recorder index by.
@@ -22,9 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod fat_tree;
-pub mod shard;
 pub mod testbed;
 
 pub use fat_tree::{build_fat_tree, degrade_agg_core_link, FatTree, FatTreeParams};
-pub use shard::ShardPlan;
 pub use testbed::{build_testbed, Testbed, TestbedParams};

@@ -138,8 +138,7 @@ impl HostAgent {
     }
 
     /// A switch-generated congestion notification landed: route it to the
-    /// flow's sender so it can react mid-RTT. CNs for completed (or not
-    /// yet started, after a shard-crossing race with the FIN) flows are
+    /// flow's sender so it can react mid-RTT. CNs for completed flows are
     /// silently dropped — they are advisory, never reliable.
     fn on_cn(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
         let Some(sender) = self.senders.get_mut(&pkt.flow) else {
@@ -250,21 +249,6 @@ impl Agent for HostAgent {
 ///
 /// Specs must have dense ids `0..n` (workload generators guarantee this).
 pub fn install_agents(sim: &mut Simulator, specs: &[FlowSpec], cfg: &TcpConfig) {
-    install_agents_on(sim, specs, cfg, |_| true);
-}
-
-/// [`install_agents`] restricted to the hosts `owned` selects: *every*
-/// spec still registers with the recorder (the flow table must be dense
-/// and identical in every shard of a sharded run), but only owned hosts
-/// get a protocol stack — the rest keep the inert default agent and
-/// never source traffic. Single-shard callers pass `|_| true` and get the
-/// classic behavior.
-pub fn install_agents_on(
-    sim: &mut Simulator,
-    specs: &[FlowSpec],
-    cfg: &TcpConfig,
-    owned: impl Fn(HostId) -> bool,
-) {
     register_flows(sim.recorder_mut(), specs);
     let hosts: Vec<HostId> = sim.hosts().to_vec();
     let mut outgoing: DetHashMap<HostId, Vec<FlowSpec>> = DetHashMap::default();
@@ -274,9 +258,6 @@ pub fn install_agents_on(
         incoming.entry(s.dst).or_default().push(s.clone());
     }
     for h in hosts {
-        if !owned(h) {
-            continue;
-        }
         let agent = HostAgent::new(
             cfg.clone(),
             outgoing.remove(&h).unwrap_or_default(),

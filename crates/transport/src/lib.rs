@@ -27,7 +27,7 @@ pub mod rtt;
 pub mod sender;
 pub mod udp;
 
-pub use agent::{install_agents, install_agents_on, HostAgent};
+pub use agent::{install_agents, HostAgent};
 pub use config::{DctcpConfig, PathSpec, TcpConfig};
 pub use receiver::{DelAckConfig, Receiver};
 pub use rtt::{RttEstimator, RTO_MAX};

@@ -35,6 +35,17 @@ impl Workload for Incast {
         )
     }
 
+    /// An aggregator and `fan_in` distinct workers.
+    fn check_hosts(&self, n_hosts: usize) -> Result<(), String> {
+        if (self.fan_in as usize) < n_hosts {
+            return Ok(());
+        }
+        Err(format!(
+            "incast fan-in {} needs more than {} hosts",
+            self.fan_in, self.fan_in
+        ))
+    }
+
     fn generate(
         &self,
         p: &FatTreeParams,

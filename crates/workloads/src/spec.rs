@@ -13,9 +13,12 @@
 //! | `websearch` | Poisson all-to-all, web-search flow sizes |
 //! | `datamining` | Poisson all-to-all, data-mining flow sizes |
 //! | `alltoall` | Poisson all-to-all, fixed 1 MB flows |
-//! | `incast:<fanin>` | partition-aggregate jobs, `<fanin>`:1 (to 1000:1) |
+//! | `incast:<fanin>` | partition-aggregate jobs, `<fanin>`:1 (to 1000:1 and beyond) |
 //! | `hotspot:<skew>` | Zipf(`<skew>`)-skewed destination matrix |
 //! | `onoff:<burst>` | ON/OFF bursty senders at `<burst>`× peak rate |
+//!
+//! Parameters are bounded to what the generators can meaningfully take
+//! ([`PARAM_FORMS`]).
 
 use netsim::{DetRng, FlowSpec, SimTime};
 use topology::FatTreeParams;
@@ -45,6 +48,14 @@ pub trait Workload: Sync + Send {
         duration: SimTime,
         rng: &mut DetRng,
     ) -> Vec<FlowSpec>;
+
+    /// Whether a fabric of `n_hosts` can carry this workload; `Err` says
+    /// what it needs. Checked by the CLI before anything runs, so
+    /// [`Workload::generate`] may assert it.
+    fn check_hosts(&self, n_hosts: usize) -> Result<(), String> {
+        let _ = n_hosts;
+        Ok(())
+    }
 
     /// For workloads that are memory-less Poisson all-to-all processes:
     /// the size distribution, enabling the O(hosts)-memory streaming path
@@ -85,12 +96,22 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
     ]
 }
 
+/// The parameterized forms [`find`] accepts, with their bounds — for error
+/// messages. Fan-in stops at the largest buildable fabric (k=64: 65 536
+/// hosts); past skew 10 every flow targets host 0, and below 0.001 the
+/// matrix is uniform (write 0); past burst 1000 a source is silent for
+/// seconds between squalls. The bounds also keep [`Workload::slug`] a
+/// usable file name.
+pub const PARAM_FORMS: &str =
+    "incast:<fan-in 1..=65535>, hotspot:<skew 0 or 0.001..=10>, onoff:<burst 1..=1000>";
+
 /// Look a workload up by slug, case-insensitively, with optional
 /// parameter: `incast:1000`, `hotspot:1.2`, `onoff:8` (also accepted as
 /// `incast(1000)`). Matches the full display name, the base name, the
 /// slug, and common underscore aliases (`web_search`, `data_mining`,
-/// `all_to_all`, `on_off`). `None` for unknown names or bad parameters —
-/// callers should print the registry, like the scheme CLI does.
+/// `all_to_all`, `on_off`). `None` for unknown names or parameters outside
+/// [`PARAM_FORMS`] — callers should print the registry, like the scheme
+/// CLI does.
 pub fn find(name: &str) -> Option<Box<dyn Workload>> {
     let want = name.trim().to_ascii_lowercase();
     // Split `base:param` / `base(param)` forms.
@@ -116,7 +137,7 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
         "alltoall" => param.is_none().then(|| Box::new(patterns::alltoall()) as _),
         "incast" => {
             let fan_in = match param {
-                Some(p) => p.parse::<u32>().ok().filter(|&f| f >= 1)?,
+                Some(p) => p.parse::<u32>().ok().filter(|f| (1..=65_535).contains(f))?,
                 None => 32,
             };
             Some(Box::new(patterns::incast(fan_in)))
@@ -126,7 +147,7 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
                 Some(p) => p
                     .parse::<f64>()
                     .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)?,
+                    .filter(|s| *s == 0.0 || (0.001..=10.0).contains(s))?,
                 None => 1.0,
             };
             Some(Box::new(patterns::zipf_hotspot(skew)))
@@ -136,7 +157,7 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
                 Some(p) => p
                     .parse::<f64>()
                     .ok()
-                    .filter(|b| b.is_finite() && *b >= 1.0)?,
+                    .filter(|b| (1.0..=1000.0).contains(b))?,
                 None => 5.0,
             };
             Some(Box::new(patterns::onoff(burst)))
@@ -187,6 +208,44 @@ mod tests {
         assert!(find("incast:zero").is_none(), "bad parameter is an error");
         assert!(find("incast:0").is_none(), "fan-in must be >= 1");
         assert!(find("onoff:0.5").is_none(), "burst must be >= 1");
+    }
+
+    /// Parameters are bounded ([`PARAM_FORMS`]): non-finite, huge and
+    /// vanishing values are refused, the edges are accepted, and no
+    /// accepted value makes a label too long for a file name.
+    #[test]
+    fn find_bounds_every_parameter() {
+        for bad in [
+            "incast:65536",
+            "incast:4294967296",
+            "incast:-1",
+            "hotspot:1e308",
+            "hotspot:10.5",
+            "hotspot:1e-300",
+            "hotspot:-0.5",
+            "hotspot:nan",
+            "hotspot:inf",
+            "onoff:1e30",
+            "onoff:1001",
+            "onoff:inf",
+            "onoff:nan",
+        ] {
+            assert!(find(bad).is_none(), "{bad} must be refused");
+        }
+        for ok in [
+            "incast:1",
+            "incast:65535",
+            "hotspot:0",
+            "hotspot:0.001",
+            "hotspot:10",
+            "hotspot:1.0000000000000002",
+            "onoff:1",
+            "onoff:1000",
+            "onoff:999.9999999999999",
+        ] {
+            let w = find(ok).unwrap_or_else(|| panic!("{ok} must be accepted"));
+            assert!(w.slug().len() <= 64, "{ok}: slug {}", w.slug());
+        }
     }
 
     #[test]

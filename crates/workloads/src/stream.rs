@@ -10,9 +10,7 @@
 //!
 //! Per-source randomness comes from [`DetRng::split`], so the stream is
 //! deterministic in `(seed, host count)` and — unlike the batch path —
-//! each source's sequence is independent of every other's, which is what
-//! lets a future sharded engine partition sources across workers without
-//! replaying the global draw order.
+//! each source's sequence is independent of every other's.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -76,29 +74,6 @@ impl PoissonStream {
     /// Flows yielded so far.
     pub fn emitted(&self) -> u32 {
         self.next_id
-    }
-
-    /// A stream restricted to the sources accepted by `filter` — what one
-    /// worker of a sharded run generates locally. Per-source RNG splits
-    /// make the subsequence *identical* to the full stream's flows from
-    /// those sources (no cross-source draws to replay), so shards can feed
-    /// themselves without any generation coordination.
-    ///
-    /// Flow ids are renumbered densely over the emitted subset; a caller
-    /// that needs globally consistent ids (e.g. to compare per-flow
-    /// records across shard counts) should generate the full stream and
-    /// filter it instead.
-    pub fn for_sources(
-        p: &FatTreeParams,
-        load: f64,
-        duration: SimTime,
-        dist: FlowSizeDist,
-        base: &DetRng,
-        filter: impl Fn(u32) -> bool,
-    ) -> Self {
-        let mut stream = Self::new(p, load, duration, dist, base);
-        stream.heap.retain(|&Reverse((_, src))| filter(src));
-        stream
     }
 }
 
@@ -196,40 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn for_sources_equals_the_filtered_full_stream() {
-        // The sharded-engine feeding property: a worker generating only
-        // its own pod's sources gets byte-for-byte the flows the full
-        // stream attributes to those sources — same arrival times, sizes,
-        // and destinations, in the same relative order.
-        let p = FatTreeParams::paper();
-        let dur = SimTime::from_ms(50);
-        let dist = FlowSizeDist::web_search;
-        let hosts_per_pod = (p.tors_per_pod * p.hosts_per_tor) as u32;
-        let owns = |pod: u32| move |src: u32| src / hosts_per_pod == pod;
-        let full: Vec<_> = PoissonStream::new(&p, 0.3, dur, dist(), &base())
-            .map(|s| (s.src, s.dst, s.bytes, s.start))
-            .collect();
-        let mut union = 0usize;
-        for pod in 0..p.pods as u32 {
-            let local: Vec<_> =
-                PoissonStream::for_sources(&p, 0.3, dur, dist(), &base(), owns(pod))
-                    .map(|s| (s.src, s.dst, s.bytes, s.start))
-                    .collect();
-            let filtered: Vec<_> = full
-                .iter()
-                .copied()
-                .filter(|&(src, ..)| owns(pod)(src))
-                .collect();
-            assert_eq!(local, filtered, "pod {pod}");
-            union += local.len();
-        }
-        assert_eq!(union, full.len(), "pods partition the stream");
-    }
-
-    #[test]
     fn per_source_sequences_are_split_independent() {
-        // Dropping a source's flows does not perturb any other source's:
-        // the defining property for future sharding.
+        // Each source's subsequence repeats, whatever the others drew.
         let p = FatTreeParams::paper();
         let all: Vec<_> = PoissonStream::new(
             &p,

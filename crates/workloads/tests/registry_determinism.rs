@@ -2,7 +2,7 @@
 //! workload, at every probed seed, must generate byte-identical flow
 //! lists across two runs and keep flow ids dense and arrival-sorted.
 //! These are the invariants downstream consumers (agent installation,
-//! the flight recorder, sharding) silently rely on.
+//! the flight recorder) silently rely on.
 
 use netsim::{DetRng, FlowSpec, SimTime};
 use topology::FatTreeParams;
