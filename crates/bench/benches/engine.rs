@@ -1,15 +1,17 @@
-//! Simulator-engine microbenchmarks: the hot paths every experiment leans
-//! on (event scheduling, ECMP hashing, queue operations, RNG, and raw
-//! packet-forwarding throughput through the full simulator).
+//! Simulator-engine microbenchmarks with no flowbench counterpart: bulk
+//! event scheduling, the RNG, raw packet-forwarding throughput through the
+//! full simulator (plain, traced, INT-stamped, flowcut-pinned), workload
+//! generation, and the chaos incident. The per-operation probes — scheduler
+//! hold model, ECMP select, queue enqueue/dequeue, sketch add — are
+//! flowbench's (`benchmark/`, `netsim.event.push_pop_ns_d*`,
+//! `netsim.hashing.select_ns`, `netsim.queue.enq_deq_ns`,
+//! `stats.sketch.add_ns`): one harness per question.
 
 use std::hint::black_box;
 
 use fb_bench::Harness;
 use netsim::testutil::{Blaster, CountingSink, RxLog};
-use netsim::{
-    DetRng, EcmpHasher, EcnQueue, FlowKey, HashConfig, LinkSpec, Packet, Proto, RoutingTable,
-    SimTime, Simulator, SwitchConfig, MSS, MTU,
-};
+use netsim::{DetRng, HashConfig, LinkSpec, RoutingTable, SimTime, Simulator, SwitchConfig};
 
 fn bench_scheduler(h: &Harness) {
     h.bench_with_setup(
@@ -24,85 +26,6 @@ fn bench_scheduler(h: &Harness) {
             }
             while let Some(e) = s.pop() {
                 black_box(e.time);
-            }
-        },
-    );
-}
-
-/// The simulator's own access pattern (the hold model): `depth` events stay
-/// resident and every popped event is replaced by one a little later. The
-/// increments are the delays the simulator schedules with — an ACK's and an
-/// MTU's serialization at 10 Gbps plus 100 ns of wire, a switch's 1 µs
-/// processing delay, a host's 20 µs stack delay — so most events land just
-/// ahead of "now" (the same mix flowbench's `push_pop_ns_d*` probe uses).
-/// `elements` is pop+schedule pairs, so ns/pair = 1e9 / `elems_per_sec`.
-fn bench_scheduler_hold(h: &Harness) {
-    use netsim::event::{EventKind, Scheduler};
-    const OPS: u64 = 200_000;
-    const SPAN_PS: u64 = 20_000_000;
-    const STEPS_PS: [u64; 5] = [151_200, 1_000_000, 1_200_000, 1_300_000, 20_000_000];
-    for (name, depth) in [
-        ("scheduler/hold_1k", 1_000u64),
-        ("scheduler/hold_64k", 64_000),
-    ] {
-        let mut rng = DetRng::new(1, depth);
-        // Drawn ahead of time: the loop times the scheduler, not the RNG.
-        let deltas: Vec<SimTime> = (0..4096)
-            .map(|_| SimTime::from_ps(STEPS_PS[rng.gen_index(STEPS_PS.len())]))
-            .collect();
-        h.bench_with_setup(
-            name,
-            OPS,
-            || {
-                let mut s = Scheduler::new();
-                for token in 0..depth {
-                    let at = SimTime::from_ps(rng.next_u64() % SPAN_PS);
-                    s.schedule(at, EventKind::Timer { host: 0, token });
-                }
-                s
-            },
-            |mut s| {
-                for i in 0..OPS as usize {
-                    let e = s.pop().expect("hold model never drains");
-                    let at = e.time + deltas[i & 4095];
-                    s.schedule(at, EventKind::Timer { host: 0, token: 0 });
-                }
-                black_box(s.now())
-            },
-        );
-    }
-}
-
-fn bench_hashing(h: &Harness) {
-    let hasher = EcmpHasher::new(HashConfig::FiveTupleAndVField, 0xDEADBEEF);
-    let key = FlowKey {
-        src: 17,
-        dst: 99,
-        sport: 5555,
-        dport: 80,
-        proto: Proto::Tcp,
-    };
-    let pkt = Packet::data(0, key, 3, 0, MSS, SimTime::ZERO);
-    h.bench("hashing/ecmp_select_8way_1k", 1_000, || {
-        let mut acc = 0usize;
-        for _ in 0..1_000 {
-            acc ^= hasher.select(black_box(&pkt), 8);
-        }
-        black_box(acc)
-    });
-}
-
-fn bench_queue(h: &Harness) {
-    h.bench_with_setup(
-        "queue/enqueue_dequeue_1k",
-        1_000,
-        || EcnQueue::new(10_000_000, 90_000),
-        |mut q| {
-            for i in 0..1_000u32 {
-                q.enqueue(i, MTU, true);
-            }
-            while let Some(id) = q.dequeue() {
-                black_box(id);
             }
         },
     );
@@ -289,7 +212,8 @@ fn bench_workload_engine(h: &Harness) {
 /// harness at that size) with the chaos experiment's scripted incident
 /// (gray ramp → core crash → flap storm → recovery) and the reconvergence
 /// SLO probe armed — the fault-injection hot paths (per-port fault RNG
-/// draws, directed-fault events, last-bit sampling, delivery-probe hook).
+/// draws, one fault event per plan step, last-bit sampling, delivery-probe
+/// hook).
 /// `elements` is the packets the faulted run delivers, so `elems_per_sec`
 /// is engine throughput in delivered packets/sec.
 fn bench_chaos(h: &Harness) {
@@ -319,28 +243,9 @@ fn bench_chaos(h: &Harness) {
     h.bench("chaos/1024h", pkts, || black_box(run.run().events));
 }
 
-/// Sketch ingestion alone: 1M pre-drawn FCT values into a fresh
-/// [`stats::QuantileSketch`], isolating aggregation from generation.
-fn bench_sketch(h: &Harness) {
-    let mut rng = DetRng::new(9, 9);
-    let values: Vec<f64> = (0..1_000_000)
-        .map(|_| 1e-5 * (1e6f64).powf(rng.gen_f64()))
-        .collect();
-    h.bench("stats/sketch_add_1m", 1_000_000, || {
-        let mut sk = stats::QuantileSketch::for_fct();
-        for &v in &values {
-            sk.add(v);
-        }
-        black_box(sk.quantile(0.99))
-    });
-}
-
 fn main() {
     let h = Harness::from_args();
     bench_scheduler(&h);
-    bench_scheduler_hold(&h);
-    bench_hashing(&h);
-    bench_queue(&h);
     bench_rng(&h);
     bench_forwarding(&h);
     bench_forwarding_traced(&h);
@@ -348,7 +253,6 @@ fn main() {
     bench_flowcut_pin(&h);
     bench_workload_engine(&h);
     bench_chaos(&h);
-    bench_sketch(&h);
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     h.write_json(out).expect("write BENCH_engine.json");
 }

@@ -10,7 +10,7 @@ use experiments::schemes::{self, SchemeSpec};
 use experiments::{run_fat_tree, run_testbed, RunOutput, Window};
 use fb_bench::Harness;
 use netsim::event::EventKind;
-use netsim::{DetRng, SimTime, Simulator};
+use netsim::{DetRng, FaultPlan, SimTime, Simulator};
 use topology::{build_fat_tree, degrade_agg_core_link, FatTreeParams, TestbedParams};
 use transport::install_agents;
 use workloads::{
@@ -216,7 +216,7 @@ fn bench_link_failure(h: &Harness) {
         let ft = build_fat_tree(&mut sim, params, fb().switch_config());
         install_agents(&mut sim, &specs, &fb().tcp_config());
         let (node, port) = ft.agg_core_link(0, 0);
-        sim.schedule_link_state(node, port, false, SimTime::from_us(200));
+        sim.install_faults(FaultPlan::new().kill(node, port, SimTime::from_us(200)));
         sim.run_until(SimTime::from_secs(5));
         black_box(sim.recorder().completed_count());
         Work::of_sim(&sim)

@@ -114,34 +114,44 @@ pub enum EventKind {
         port: PortId,
         pause: bool,
     },
-    /// Administratively change the state of the link attached to
-    /// `(node, port)` (affects both directions).
-    LinkState {
+    /// One step of an installed [`crate::FaultPlan`] is due: set `set` on
+    /// the link attached at `(node, port)` (every link of switch `node` for
+    /// [`FaultSet::SwitchState`]) to the value in `bits`, through the same
+    /// immediate setter a caller can use between two `run_until`s (see
+    /// [`crate::Simulator::install_faults`]). One event per step,
+    /// whichever directions it touches. The step is carried flat, its value
+    /// as raw bits, because a [`crate::FaultAction`] is 16 bytes on its own
+    /// and would grow every [`Event`] from 32 bytes to 40.
+    Fault {
         node: NodeId,
         port: PortId,
-        up: bool,
+        set: FaultSet,
+        bits: u64,
     },
-    /// Take one sample for the queue watcher with this index.
-    Sample { watcher: usize },
-    /// Apply the fault action at this index in the simulator's installed
-    /// fault table (see [`crate::Simulator::install_faults`]).
-    Fault { action: u32 },
+}
+
+/// What an [`EventKind::Fault`] sets, and how its `bits` read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultSet {
+    /// Administrative link state, both directions; `bits != 0` is up.
+    LinkState,
+    /// Link rate in bits per second, both directions.
+    LinkRate,
+    /// Gray-loss probability of the `(node, port)` egress, as
+    /// [`f64::to_bits`].
+    GrayLoss,
+    /// Bit error rate of the `(node, port)` egress, as [`f64::to_bits`].
+    Corruption,
+    /// Administrative state of every link of the switch; `bits != 0` is up.
+    SwitchState,
 }
 
 impl EventKind {
     /// Number of event kinds.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
     /// Kind names, indexed by [`EventKind::index`].
-    pub const NAMES: [&'static str; EventKind::COUNT] = [
-        "arrive",
-        "tx_done",
-        "host_tx",
-        "timer",
-        "pfc",
-        "link_state",
-        "sample",
-        "fault",
-    ];
+    pub const NAMES: [&'static str; EventKind::COUNT] =
+        ["arrive", "tx_done", "host_tx", "timer", "pfc", "fault"];
 
     /// Dense index of this kind (declaration order), for per-kind tallies.
     #[inline]
@@ -152,9 +162,7 @@ impl EventKind {
             EventKind::HostTx { .. } => 2,
             EventKind::Timer { .. } => 3,
             EventKind::Pfc { .. } => 4,
-            EventKind::LinkState { .. } => 5,
-            EventKind::Sample { .. } => 6,
-            EventKind::Fault { .. } => 7,
+            EventKind::Fault { .. } => 5,
         }
     }
 }

@@ -1,15 +1,19 @@
 //! Deterministic fault injection: gray failures, link flaps, mid-run
 //! degradation, and corruption loss.
 //!
-//! Real datacenter incidents are rarely the clean binary link death that
-//! [`crate::Simulator::schedule_link_state`] models. The cases FlowBender's
-//! robustness story (§1, §3.3.2, §4.6 of the paper) actually has to survive
-//! are *gray*: a link that silently drops 1% of packets, a port that flaps,
-//! an optic that renegotiates down to a fraction of its rate. This module
-//! provides a [`FaultPlan`] — a declarative, seeded schedule of
-//! [`FaultAction`]s — that the simulator compiles into ordinary events
-//! ([`crate::event::EventKind::Fault`]), so fault timing participates in the
-//! same deterministic `(time, seq)` order as everything else.
+//! Real datacenter incidents are rarely a clean binary link death
+//! ([`FaultPlan::kill`]). The cases FlowBender's robustness story (§1,
+//! §3.3.2, §4.6 of the paper) actually has to survive are *gray*: a link
+//! that silently drops 1% of packets, a port that flaps, an optic that
+//! renegotiates down to a fraction of its rate. This module provides a
+//! [`FaultPlan`] — a declarative, seeded schedule of [`FaultAction`]s — that
+//! [`crate::Simulator::install_faults`] turns into ordinary events, one
+//! [`crate::event::EventKind::Fault`] per step, so fault timing participates
+//! in the same deterministic `(time, cause, seq)` order as everything else.
+//! A step that fires calls the simulator's immediate setters
+//! ([`crate::Simulator::set_link_state`], `set_link_rate`, `set_gray_loss`,
+//! `set_corruption`): scheduling a fault and applying one by hand between
+//! two `run_until`s are the same code.
 //!
 //! ## Determinism guarantees
 //!
@@ -30,13 +34,13 @@ use crate::packet::{NodeId, PortId};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
-/// One scheduled fault transition, applied to the egress `(node, port)`
-/// direction of a link (link-state and rate changes affect both directions,
-/// matching their non-fault counterparts; loss rates are directional).
+/// One scheduled fault transition, naming a link by one of its ends
+/// `(node, port)`. Link-state and rate changes affect both directions of
+/// that link; loss rates are directional (the `(node, port)` egress only).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Administratively set the link attached to `(node, port)` up or down
-    /// (both directions, like [`crate::Simulator::schedule_link_state`]).
+    /// (both directions, like [`crate::Simulator::set_link_state`]).
     LinkState {
         /// Node owning the port.
         node: NodeId,
@@ -100,72 +104,6 @@ impl FaultAction {
             | FaultAction::Corruption { node, .. }
             | FaultAction::SwitchDown { node }
             | FaultAction::SwitchUp { node } => node,
-        }
-    }
-}
-
-/// One *directed* fault transition: the single-`(node, port)` unit a
-/// [`FaultAction`] compiles into. Both-direction actions (`LinkState`,
-/// `LinkRate`, `SwitchDown`/`SwitchUp`) expand to one `DirectedFault` per
-/// affected direction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DirectedFault {
-    /// Set the administrative state of the `(node, port)` egress.
-    LinkState {
-        /// Node owning the port.
-        node: NodeId,
-        /// Port index on that node.
-        port: PortId,
-        /// New administrative state.
-        up: bool,
-    },
-    /// Set the serialization rate of the `(node, port)` egress.
-    Rate {
-        /// Node owning the port.
-        node: NodeId,
-        /// Port index on that node.
-        port: PortId,
-        /// New rate in bits per second.
-        rate_bps: u64,
-    },
-    /// Set the gray-loss probability on the `(node, port)` egress.
-    GrayLoss {
-        /// Node owning the port.
-        node: NodeId,
-        /// Port index on that node.
-        port: PortId,
-        /// Per-packet loss probability in `[0, 1]`.
-        loss: f64,
-    },
-    /// Set the bit error rate on the `(node, port)` egress.
-    Corruption {
-        /// Node owning the port.
-        node: NodeId,
-        /// Port index on that node.
-        port: PortId,
-        /// Per-bit error probability in `[0, 1]`.
-        ber: f64,
-    },
-}
-
-impl DirectedFault {
-    /// The node whose egress this transition touches.
-    pub fn node(&self) -> NodeId {
-        match *self {
-            DirectedFault::LinkState { node, .. }
-            | DirectedFault::Rate { node, .. }
-            | DirectedFault::GrayLoss { node, .. }
-            | DirectedFault::Corruption { node, .. } => node,
-        }
-    }
-
-    /// The port index on [`DirectedFault::node`].
-    pub fn port(&self) -> PortId {
-        match *self {
-            DirectedFault::LinkState { port, .. }
-            | DirectedFault::Rate { port, .. }
-            | DirectedFault::GrayLoss { port, .. }
-            | DirectedFault::Corruption { port, .. } => port,
         }
     }
 }
@@ -464,16 +402,6 @@ mod tests {
             ]
         );
         assert_eq!(plan.steps()[0].1.node(), 7);
-    }
-
-    #[test]
-    fn directed_fault_accessors() {
-        let d = DirectedFault::Rate {
-            node: 5,
-            port: 3,
-            rate_bps: 1,
-        };
-        assert_eq!((d.node(), d.port()), (5, 3));
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod time;
 pub mod trace;
 
 pub use agent::{Agent, Ctx, NullAgent};
-pub use faults::{DirectedFault, FaultAction, FaultPlan};
+pub use faults::{FaultAction, FaultPlan};
 pub use flow::{register_flows, FlowSpec};
 pub use hashing::{DetHashMap, EcmpHasher, FxBuildHasher, FxHasher, HashConfig};
 pub use packet::{
@@ -79,8 +79,7 @@ pub use packet::{
 };
 pub use queue::{EcnQueue, EnqueueResult, QueueStats};
 pub use record::{
-    Counter, DropAudit, DropReason, Emit, FlowRecord, Recorder, RunResults, Sink, SloConfig,
-    SloResults,
+    Counter, DropAudit, DropReason, Emit, FlowRecord, Recorder, RunResults, SloConfig, SloResults,
 };
 pub use rng::DetRng;
 pub use sim::{Conservation, LinkSpec, PortStats, QueueSpec, Simulator, SwitchConfig};

@@ -6,14 +6,11 @@
 //! arrivals, retransmissions, timeouts, reroutes, drops, PFC pauses, ...),
 //! and — when enabled via [`TelemetryConfig`] — named time-series probes.
 //!
-//! The API is split along the write/read boundary:
-//!
-//! * [`Sink`] is the narrow *write-side* interface the simulator core and
-//!   transports report through; [`Recorder`] is its standard
-//!   implementation (tests can substitute their own).
-//! * [`RunResults`] is the immutable *read-side* view handed to the
-//!   `stats` and `experiments` crates once a run finishes
-//!   ([`Recorder::finish`]).
+//! The API is split along the write/read boundary: the simulator core and
+//! the transports (through [`crate::agent::Ctx`]) write into the
+//! [`Recorder`]; [`RunResults`] is the immutable *read-side* view handed to
+//! the `stats` and `experiments` crates once a run finishes
+//! ([`Recorder::finish`]).
 
 use crate::event::EventKind;
 use crate::hashing::DetHashMap;
@@ -173,8 +170,8 @@ counters! {
 
 /// Why a packet left the simulation without being delivered.
 ///
-/// Every drop site in the simulator reports through
-/// [`Sink::drop_packet`] with one of these reasons; the per-port tallies
+/// Every drop in the simulator is reported through
+/// [`Recorder::drop_packet`] with one of these reasons; the per-port tallies
 /// feed the end-of-run conservation audit
 /// (`injected == delivered + dropped(reason) + in-flight`). The first two
 /// reasons mirror the legacy [`Counter::QueueDrops`] / [`Counter::LinkDrops`]
@@ -325,41 +322,6 @@ impl DropAudit {
         rows.sort_unstable_by_key(|&(k, _)| k);
         rows
     }
-}
-
-/// The write-side interface to run-wide measurement collection.
-///
-/// The simulator core and transports report through this trait; they never
-/// read results back. [`Recorder`] is the standard implementation. The
-/// probe methods must be cheap no-ops when the corresponding telemetry
-/// family is disabled — call sites on hot paths rely on that.
-pub trait Sink {
-    /// Register a flow at its start.
-    fn flow_started(&mut self, rec: FlowRecord);
-    /// Mark a flow complete at `end` (receiver has all bytes).
-    fn flow_completed(&mut self, flow: FlowId, end: SimTime);
-    /// Increment counter `c` by `n`.
-    fn add(&mut self, c: Counter, n: u64);
-    /// Increment counter `c` by one.
-    fn bump(&mut self, c: Counter) {
-        self.add(c, 1);
-    }
-    /// Record one packet dropped at `(node, port)` for `reason`. Every drop
-    /// site must report here (the conservation audit counts on it); the
-    /// default implementation also feeds the legacy aggregate counters.
-    fn drop_packet(&mut self, now: SimTime, reason: DropReason, node: NodeId, port: PortId) {
-        let _ = (now, node, port);
-        match reason {
-            DropReason::QueueFull => self.bump(Counter::QueueDrops),
-            DropReason::LinkDown => self.bump(Counter::LinkDrops),
-            DropReason::GrayLoss | DropReason::Corruption => {}
-        }
-    }
-    /// Is the probe family of `kind` being collected? Lets call sites skip
-    /// value computation entirely when telemetry is off.
-    fn wants(&self, kind: ProbeKind) -> bool;
-    /// Record `value` for the time series `key` at `now`.
-    fn probe(&mut self, now: SimTime, key: SeriesKey, value: f64);
 }
 
 /// Collects flow records, counters, and telemetry for one simulation run.
@@ -582,27 +544,6 @@ impl Recorder {
     }
 }
 
-impl Sink for Recorder {
-    fn flow_started(&mut self, rec: FlowRecord) {
-        Recorder::flow_started(self, rec);
-    }
-    fn flow_completed(&mut self, flow: FlowId, end: SimTime) {
-        Recorder::flow_completed(self, flow, end);
-    }
-    fn add(&mut self, c: Counter, n: u64) {
-        Recorder::add(self, c, n);
-    }
-    fn drop_packet(&mut self, now: SimTime, reason: DropReason, node: NodeId, port: PortId) {
-        Recorder::drop_packet(self, now, reason, node, port);
-    }
-    fn wants(&self, kind: ProbeKind) -> bool {
-        Recorder::wants(self, kind)
-    }
-    fn probe(&mut self, now: SimTime, key: SeriesKey, value: f64) {
-        Recorder::probe(self, now, key, value);
-    }
-}
-
 /// The immutable read-side view of one finished run: every flow record,
 /// every counter, and every collected time series.
 ///
@@ -729,19 +670,6 @@ mod tests {
         let s = out.series_named("vfield.f0").unwrap();
         assert_eq!(s.points(), &[(SimTime::from_us(5), 3.0)]);
         assert!(out.series_named("cwnd.f0").is_none());
-    }
-
-    #[test]
-    fn sink_trait_dispatches_to_recorder() {
-        fn use_sink(s: &mut dyn Sink) {
-            s.bump(Counter::Timeouts);
-            s.probe(SimTime::ZERO, SeriesKey::Cwnd { flow: 0 }, 1.0);
-            assert!(!s.wants(ProbeKind::Cwnd), "telemetry defaults to off");
-        }
-        let mut r = Recorder::new();
-        use_sink(&mut r);
-        assert_eq!(r.get(Counter::Timeouts), 1);
-        assert!(r.telemetry().series().is_empty());
     }
 
     #[test]

@@ -15,9 +15,19 @@
 //!    ([`EventKind::Arrive`]) one serialization time plus the link's
 //!    propagation delay plus the peer's ingress processing delay later.
 //! 3. At a switch, `Arrive` runs the forwarding scheme (ECMP hash / RPS /
-//!    adaptive), enqueues at the chosen egress (drop-tail + ECN marking),
-//!    and performs PFC accounting. At a host, `Arrive` is delivered to the
-//!    agent.
+//!    adaptive / flowlet / flowcut), enqueues at the chosen egress, then
+//!    does the switch-only work — INT stamp and early CN, PFC accounting —
+//!    and kicks the egress. At a host, `Arrive` is delivered to the agent.
+//!
+//! There is one of each step. Host NIC and switch egress enqueue through the
+//! same `Port::enqueue` (drop-tail, ECN mark, `Enqueue` / `EcnMark` trace);
+//! every undelivered packet leaves the slab through `drop_packet` (queue
+//! full, link down, gray loss, corruption); every transmission starts in
+//! `try_start_tx`. Within a hop the order of scheduler calls (CN arrival,
+//! PFC pause, then the tx-start `seq`) and of trace events (`Hop`,
+//! `Enqueue`, `EcnMark`, `IntStamp`, `CnEmit`) is part of the
+//! determinism contract: reordering either changes same-instant ties or
+//! timeline files.
 //!
 //! One event per hop, then — not a `TxDone` at the last bit *and* an
 //! `Arrive` a propagation delay later. At datacenter loads most
@@ -39,14 +49,16 @@
 //!   the queue is already non-empty, otherwise by the first
 //!   `try_start_tx` that finds the port busy with a packet queued), and
 //!   the `TxDone` starts it;
-//! * the port is **faultable**: some fault, link-state or mid-run rate API
-//!   has named its link (`install_faults`, `schedule_link_state`,
-//!   `set_gray_loss`, `set_corruption`, `set_link_rate` once the run has
-//!   started; both directions). Such a
-//!   port must read `up` / `loss_rate` / `ber` / the rate epoch when the
-//!   last bit leaves, so its `TxDone` is always scheduled and it — not
-//!   tx-start — books the `Arrive` or drops the packet. Same handler, one
-//!   branch.
+//! * the port is **faultable**: a link-change API has named its link —
+//!   [`Simulator::install_faults`] for every link of every step, at install
+//!   time, or one of the four immediate setters a firing step calls and
+//!   anyone may call between two `run_until`s: [`Simulator::set_link_state`],
+//!   [`Simulator::set_gray_loss`], [`Simulator::set_corruption`], and
+//!   [`Simulator::set_link_rate`] once the run has started (both directions
+//!   of the link, never cleared). Such a port must read `up` / `loss_rate` /
+//!   `ber` / the rate epoch when the last bit leaves, so its `TxDone` is
+//!   always scheduled and it — not tx-start — books the `Arrive` or drops
+//!   the packet. Same handler, one branch.
 //!
 //! **Why the order is the classic one.** The engine that fired two events
 //! per hop ordered them by `(time, seq)`, `seq` being the global insertion
@@ -72,7 +84,7 @@
 //! from the two-event engine's at that one tie. (Likewise past
 //! [`crate::event::Tie::MAX_DELTA_PS`], where causes saturate.)
 //!
-//! **A fault API call that finds a packet in flight** on a port not yet
+//! **A link-change call that finds a packet in flight** on a port not yet
 //! faultable leaves that packet alone — it was launched healthy and keeps
 //! the arrival it was booked with; the port samples at the last bit from
 //! its next tx-start.
@@ -80,8 +92,8 @@
 use std::fmt;
 
 use crate::agent::{Agent, Ctx, NullAgent};
-use crate::event::{EventKind, Scheduler, Tie};
-use crate::faults::{DirectedFault, FaultAction, FaultPlan};
+use crate::event::{EventKind, FaultSet, Scheduler, Tie};
+use crate::faults::{FaultAction, FaultPlan};
 use crate::hashing::{EcmpHasher, HashConfig};
 use crate::packet::{Flags, IntHop, NodeId, Packet, PortId, Proto, INGRESS_NONE};
 use crate::queue::{EcnQueue, EnqueueResult, Entry, QueueStats};
@@ -249,6 +261,38 @@ impl Port {
         (self.tx_end, self.tx_tie) > now
     }
 
+    /// The one enqueue step, shared by host NICs and switch egresses: queue
+    /// `pkt` (slab id `id`, which came in through `in_port` — `INGRESS_NONE`
+    /// at its own host) at this egress, whose address is `at`; set CE if the
+    /// queue marked it; trace the outcome. `Some(marked)` when queued; on
+    /// `None` the queue was full and the caller drops the packet.
+    #[inline]
+    fn enqueue(
+        &mut self,
+        id: PacketId,
+        pkt: &mut Packet,
+        in_port: PortId,
+        at: (NodeId, PortId),
+        now: SimTime,
+        recorder: &mut Recorder,
+    ) -> Option<bool> {
+        let entry = Entry::new(id, pkt.size, in_port, pkt.key.proto);
+        let EnqueueResult::Queued { marked } = self.queue.enqueue_entry(entry, pkt.ecn_capable())
+        else {
+            return None;
+        };
+        if marked {
+            pkt.flags.set(Flags::CE);
+        }
+        let (node, port) = at;
+        let qbytes = self.queue.bytes();
+        recorder.trace_event(now, pkt.flow, TraceEvent::Enqueue { node, port, qbytes });
+        if marked {
+            recorder.trace_event(now, pkt.flow, TraceEvent::EcnMark { node, port });
+        }
+        Some(marked)
+    }
+
     /// Put the latest transmission's `TxDone` in the scheduler, under the
     /// key recorded for it. `(node, port)` is this port's own address.
     fn schedule_tx_done(&mut self, sched: &mut Scheduler, node: NodeId, port: PortId) {
@@ -403,16 +447,6 @@ impl SwitchConfig {
     }
 }
 
-/// A periodic queue-occupancy sampler (see [`Simulator::watch_queue`]).
-#[derive(Debug)]
-struct QueueWatcher {
-    node: NodeId,
-    port: PortId,
-    every: SimTime,
-    until: SimTime,
-    samples: Vec<(SimTime, u64)>,
-}
-
 /// The packet-conservation ledger: every packet the slab ever issued must
 /// be delivered to an agent, dropped with a [`DropReason`], or still in
 /// flight. Produced by [`Simulator::conservation`].
@@ -481,9 +515,6 @@ pub struct Simulator {
     /// so draw sequences are a pure function of each port's own departure
     /// order, and fault-free runs never touch any fault stream at all.
     faults_rng: DetRng,
-    /// Installed directed fault transitions; `EventKind::Fault` events
-    /// index into this.
-    fault_actions: Vec<DirectedFault>,
     /// Packets handed to destination agents (the conservation audit's
     /// "delivered" term).
     delivered: u64,
@@ -492,7 +523,6 @@ pub struct Simulator {
     /// Events processed, by [`EventKind::index`].
     event_mix: [u64; EventKind::COUNT],
     host_ids: Vec<NodeId>,
-    watchers: Vec<QueueWatcher>,
 }
 
 impl Simulator {
@@ -510,13 +540,11 @@ impl Simulator {
             recorder: Recorder::new(),
             master_rng: DetRng::new(seed, 0xF10B),
             faults_rng: DetRng::new(seed, 0xF10B).split(0xFA17_5EED),
-            fault_actions: Vec::new(),
             delivered: 0,
             started: false,
             events_processed: 0,
             event_mix: [0; EventKind::COUNT],
             host_ids: Vec::new(),
-            watchers: Vec::new(),
         }
     }
 
@@ -627,12 +655,17 @@ impl Simulator {
         self.agents[host as usize] = Some(agent);
     }
 
-    /// Schedule an administrative link state change (both directions) for
-    /// the link attached at `(node, port)`.
-    pub fn schedule_link_state(&mut self, node: NodeId, port: PortId, up: bool, at: SimTime) {
+    /// Set the administrative state of the link attached at `(node, port)`
+    /// — both directions — effective immediately. Going down black-holes
+    /// whatever is queued towards the dead link (and every later packet, at
+    /// its last bit); going up restarts both queues.
+    pub fn set_link_state(&mut self, node: NodeId, port: PortId, up: bool) {
         self.mark_faultable(node, port);
-        self.sched
-            .schedule(at, EventKind::LinkState { node, port, up });
+        let (peer, peer_port) = self.peer_of(node, port);
+        for (n, p) in [(node, port), (peer, peer_port)] {
+            self.nodes[n as usize].ports[p as usize].up = up;
+            self.try_start_tx(n, p);
+        }
     }
 
     /// Change the rate of the link attached at `(node, port)` — both
@@ -701,126 +734,68 @@ impl Simulator {
         self.nodes[node as usize].ports[port as usize].ber = ber;
     }
 
-    /// Install a [`FaultPlan`]: validate every referenced node/port,
-    /// compile each step into its [`DirectedFault`] transitions, and
-    /// schedule each transition as an [`EventKind::Fault`] event at its
-    /// time. May be called repeatedly (plans accumulate) and mid-run for
-    /// future times.
+    /// Install a [`FaultPlan`]: validate every step (node, port, time),
+    /// mark the links it names faultable — now, so they sample at the last
+    /// bit from their next tx-start, not only once the step fires — and
+    /// schedule one [`EventKind::Fault`] per step. May be called repeatedly
+    /// (plans accumulate) and mid-run, for steps at or after [`Self::now`].
     ///
-    /// Both-direction steps (`LinkState`, `LinkRate`, `SwitchDown/Up`)
-    /// expand to one directed transition per affected egress, and every
-    /// link a step names samples at the last bit from then on.
+    /// A step that fires calls the immediate setter of its kind
+    /// ([`Self::set_link_state`], [`Self::set_link_rate`],
+    /// [`Self::set_gray_loss`], [`Self::set_corruption`]); `SwitchDown/Up`
+    /// is `set_link_state` on every port the switch has when it fires.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
-        for &(at, action) in plan.steps() {
+        for (i, &(at, action)) in plan.steps().iter().enumerate() {
             let node = action.node();
             assert!(
                 (node as usize) < self.nodes.len(),
                 "fault plan references nonexistent node {node}"
             );
-            match action {
-                FaultAction::LinkState { port, .. }
-                | FaultAction::LinkRate { port, .. }
-                | FaultAction::GrayLoss { port, .. }
-                | FaultAction::Corruption { port, .. } => {
-                    assert!(
-                        (port as usize) < self.nodes[node as usize].ports.len(),
-                        "fault plan references nonexistent port ({node}, {port})"
-                    );
-                    self.mark_faultable(node, port);
+            assert!(
+                at >= self.now,
+                "fault plan step {i} ({action:?}) is due at {at}, before the current time {}",
+                self.now
+            );
+            let n_ports = self.nodes[node as usize].ports.len() as PortId;
+            let (port, set, bits) = match action {
+                FaultAction::LinkState { port, up, .. } => (port, FaultSet::LinkState, up as u64),
+                FaultAction::LinkRate { port, rate_bps, .. } => {
+                    (port, FaultSet::LinkRate, rate_bps)
                 }
-                FaultAction::SwitchDown { .. } | FaultAction::SwitchUp { .. } => {
-                    for port in 0..self.nodes[node as usize].ports.len() as PortId {
-                        self.mark_faultable(node, port);
-                    }
+                FaultAction::GrayLoss { port, loss, .. } => {
+                    (port, FaultSet::GrayLoss, loss.to_bits())
                 }
+                FaultAction::Corruption { port, ber, .. } => {
+                    (port, FaultSet::Corruption, ber.to_bits())
+                }
+                FaultAction::SwitchDown { .. } => (0, FaultSet::SwitchState, 0),
+                FaultAction::SwitchUp { .. } => (0, FaultSet::SwitchState, 1),
+            };
+            let named = if set == FaultSet::SwitchState {
+                0..n_ports
+            } else {
+                assert!(
+                    port < n_ports,
+                    "fault plan references nonexistent port ({node}, {port})"
+                );
+                port..port + 1
+            };
+            for port in named {
+                self.mark_faultable(node, port);
             }
-            let mut directed: Vec<DirectedFault> = Vec::new();
-            match action {
-                FaultAction::LinkState { node, port, up } => {
-                    let (peer, peer_port) = self.peer_of(node, port);
-                    directed.push(DirectedFault::LinkState { node, port, up });
-                    directed.push(DirectedFault::LinkState {
-                        node: peer,
-                        port: peer_port,
-                        up,
-                    });
-                }
-                FaultAction::LinkRate {
-                    node,
-                    port,
-                    rate_bps,
-                } => {
-                    let (peer, peer_port) = self.peer_of(node, port);
-                    directed.push(DirectedFault::Rate {
-                        node,
-                        port,
-                        rate_bps,
-                    });
-                    directed.push(DirectedFault::Rate {
-                        node: peer,
-                        port: peer_port,
-                        rate_bps,
-                    });
-                }
-                FaultAction::GrayLoss { node, port, loss } => {
-                    directed.push(DirectedFault::GrayLoss { node, port, loss });
-                }
-                FaultAction::Corruption { node, port, ber } => {
-                    directed.push(DirectedFault::Corruption { node, port, ber });
-                }
-                FaultAction::SwitchDown { node } | FaultAction::SwitchUp { node } => {
-                    let up = matches!(action, FaultAction::SwitchUp { .. });
-                    for port in 0..self.nodes[node as usize].ports.len() as PortId {
-                        let (peer, peer_port) = self.peer_of(node, port);
-                        directed.push(DirectedFault::LinkState { node, port, up });
-                        directed.push(DirectedFault::LinkState {
-                            node: peer,
-                            port: peer_port,
-                            up,
-                        });
-                    }
-                }
-            }
-            for d in directed {
-                let idx = self.fault_actions.len() as u32;
-                self.fault_actions.push(d);
-                self.sched.schedule(at, EventKind::Fault { action: idx });
-            }
+            let step = EventKind::Fault {
+                node,
+                port,
+                set,
+                bits,
+            };
+            self.sched.schedule(at, step);
         }
     }
 
     /// The current rate of the directed link out of `(node, port)`.
     pub fn link_rate(&self, node: NodeId, port: PortId) -> u64 {
         self.nodes[node as usize].ports[port as usize].rate_bps
-    }
-
-    /// Sample the byte occupancy of `(node, port)`'s egress queue every
-    /// `every`, from now until `until` (bounded so the simulation can
-    /// still quiesce). Returns a watcher id for [`Simulator::queue_samples`].
-    pub fn watch_queue(
-        &mut self,
-        node: NodeId,
-        port: PortId,
-        every: SimTime,
-        until: SimTime,
-    ) -> usize {
-        assert!(every.as_ps() > 0, "sampling period must be positive");
-        let id = self.watchers.len();
-        self.watchers.push(QueueWatcher {
-            node,
-            port,
-            every,
-            until,
-            samples: Vec::new(),
-        });
-        self.sched
-            .schedule(self.now, EventKind::Sample { watcher: id });
-        id
-    }
-
-    /// The `(time, bytes)` series collected by watcher `id`.
-    pub fn queue_samples(&self, id: usize) -> &[(SimTime, u64)] {
-        &self.watchers[id].samples
     }
 
     // ------------------------------------------------------------------
@@ -1011,45 +986,30 @@ impl Simulator {
                 self.with_agent(host, |agent, ctx| agent.on_timer(token, ctx));
             }
             EventKind::Pfc { node, port, pause } => self.handle_pfc(node, port, pause),
-            EventKind::LinkState { node, port, up } => self.handle_link_state(node, port, up),
-            EventKind::Sample { watcher } => self.handle_sample(watcher),
-            EventKind::Fault { action } => self.apply_fault(action),
-        }
-    }
-
-    fn apply_fault(&mut self, idx: u32) {
-        match self.fault_actions[idx as usize] {
-            DirectedFault::LinkState { node, port, up } => self.apply_link_dir(node, port, up),
-            DirectedFault::Rate {
+            EventKind::Fault {
                 node,
                 port,
-                rate_bps,
-            } => self.apply_rate(node, port, rate_bps),
-            DirectedFault::GrayLoss { node, port, loss } => self.set_gray_loss(node, port, loss),
-            DirectedFault::Corruption { node, port, ber } => self.set_corruption(node, port, ber),
+                set,
+                bits,
+            } => self.apply_fault(node, port, set, bits),
         }
     }
 
-    /// Apply a link-state change to one directed egress. The other
-    /// direction is a separate [`DirectedFault`] applied by its own owner
-    /// at the same instant; together they reproduce
-    /// [`Simulator::schedule_link_state`]'s both-direction semantics.
-    fn apply_link_dir(&mut self, node: NodeId, port: PortId, up: bool) {
-        self.nodes[node as usize].ports[port as usize].up = up;
-        // Down: black-hole anything already queued towards the dead
-        // egress. Up: restart serialization if the queue has backlog.
-        self.try_start_tx(node, port);
-    }
-
-    fn handle_sample(&mut self, id: usize) {
-        let w = &mut self.watchers[id];
-        let bytes = self.nodes[w.node as usize].ports[w.port as usize]
-            .queue
-            .bytes();
-        w.samples.push((self.now, bytes));
-        let next = self.now + w.every;
-        if next <= w.until {
-            self.sched.schedule(next, EventKind::Sample { watcher: id });
+    /// A plan step fires: call the immediate setter of its kind. Cold — a
+    /// run sees a handful of these — so the setters stay out of the
+    /// dispatch loop's code (inlined there they cost `udp-forward` 2–4 %).
+    #[cold]
+    fn apply_fault(&mut self, node: NodeId, port: PortId, set: FaultSet, bits: u64) {
+        match set {
+            FaultSet::LinkState => self.set_link_state(node, port, bits != 0),
+            FaultSet::LinkRate => self.set_link_rate(node, port, bits),
+            FaultSet::GrayLoss => self.set_gray_loss(node, port, f64::from_bits(bits)),
+            FaultSet::Corruption => self.set_corruption(node, port, f64::from_bits(bits)),
+            FaultSet::SwitchState => {
+                for port in 0..self.nodes[node as usize].ports.len() as PortId {
+                    self.set_link_state(node, port, bits != 0);
+                }
+            }
         }
     }
 
@@ -1105,264 +1065,137 @@ impl Simulator {
         }
     }
 
-    /// Switch forwarding: scheme-based egress selection, enqueue with
-    /// AQM, PFC accounting, and TX kick.
+    /// Switch forwarding, in the order the trace and the scheduler see it:
+    /// egress selection (`FlowcutReroute`, `Hop`), the shared enqueue step
+    /// (`Enqueue`, `EcnMark`), switch-assisted feedback (`IntStamp`,
+    /// `CnEmit` and the CN's arrival), PFC accounting (the pause frame),
+    /// then the TX kick. The slab, the node table, the recorder and the
+    /// scheduler are disjoint fields, so the packet and the switch stay
+    /// borrowed while the hop is traced and its events are scheduled.
     fn forward(&mut self, sw: NodeId, in_port: PortId, id: PacketId) {
-        // Phase 1: pick egress and enqueue, collecting any PFC action.
-        // The slab and the node table are disjoint fields, so the packet
-        // can be read while the switch is mutably borrowed.
-        let (enq, egress, pfc_send, qbytes, flow, int_stamped, cn_send, cn_suppressed, flowcut) = {
-            let pkt = self.packets.get_mut(id);
-            let size = pkt.size as u64;
-            let node = &mut self.nodes[sw as usize];
-            let NodeKind::Switch(meta) = &mut node.kind else {
-                unreachable!()
-            };
-            let ports = &node.ports;
-            let eligible = meta.routes.eligible(pkt.dst());
-            let weights = meta.routes.weights(pkt.dst());
-            let mut flowcut = None;
-            let egress = match meta.scheme {
-                ForwardingScheme::Flowlet { gap } => meta.pins.flowlet(
-                    self.now,
-                    gap,
-                    meta.hasher.hash(pkt),
-                    eligible,
-                    &mut meta.rng,
-                ),
-                ForwardingScheme::Flowcut { cfg } => {
-                    let (port, decision) = meta.pins.flowcut(
-                        self.now,
-                        cfg,
-                        meta.hasher.hash(pkt),
-                        eligible,
-                        &mut meta.rng,
-                        |p| ports[p as usize].queue.bytes(),
-                        |p| ports[p as usize].up,
-                    );
-                    flowcut = Some(decision);
-                    port
+        let now = self.now;
+        let pkt = self.packets.get_mut(id);
+        let (flow, size) = (pkt.flow, pkt.size as u64);
+        let node = &mut self.nodes[sw as usize];
+        let NodeKind::Switch(meta) = &mut node.kind else {
+            unreachable!("only switches forward")
+        };
+        let ports = &mut node.ports;
+        let eligible = meta.routes.eligible(pkt.dst());
+        let queued = |p: PortId| ports[p as usize].queue.bytes();
+        let up = |p: PortId| ports[p as usize].up;
+        let egress = match meta.scheme {
+            ForwardingScheme::Flowlet { gap } => {
+                let hash = meta.hasher.hash(pkt);
+                meta.pins.flowlet(now, gap, hash, eligible, &mut meta.rng)
+            }
+            ForwardingScheme::Flowcut { cfg } => {
+                let hash = meta.hasher.hash(pkt);
+                let (port, decision) =
+                    meta.pins
+                        .flowcut(now, cfg, hash, eligible, &mut meta.rng, queued, up);
+                match decision {
+                    FlowcutDecision::Pinned => self.recorder.bump(Counter::FlowcutPinned),
+                    FlowcutDecision::Rerouted => {
+                        self.recorder.bump(Counter::FlowcutReroutes);
+                        let ev = TraceEvent::FlowcutReroute { node: sw, port };
+                        self.recorder.trace_event(now, flow, ev);
+                    }
+                    _ => {}
                 }
-                scheme => select_port(
+                port
+            }
+            scheme => {
+                let weights = meta.routes.weights(pkt.dst());
+                select_port(
                     scheme,
                     &meta.hasher,
                     &mut meta.rng,
                     pkt,
                     eligible,
                     weights,
-                    |p| ports[p as usize].queue.bytes(),
-                    |p| ports[p as usize].up,
-                ),
-            };
-            let entry = Entry::new(id, pkt.size, in_port, pkt.key.proto);
-            let enq = node.ports[egress as usize]
-                .queue
-                .enqueue_entry(entry, pkt.ecn_capable());
-            if let EnqueueResult::Queued { marked: true } = enq {
-                pkt.flags.set(Flags::CE);
+                    queued,
+                    up,
+                )
             }
-            let qbytes = node.ports[egress as usize].queue.bytes();
-            // Feedback layer: INT stamping and the CN decision both look
-            // at the post-enqueue occupancy of the chosen egress. The CN
-            // packet itself is built after this borrow block (it needs
-            // the slab), so phase 1 only collects what it will carry.
-            let mut int_stamped = false;
-            let mut cn_send = None;
-            let mut cn_suppressed = false;
-            if let EnqueueResult::Queued { marked } = enq {
-                if let NodeKind::Switch(meta) = &mut node.kind {
-                    if let Some(fb) = meta.feedback {
-                        let hop = IntHop {
-                            node: sw,
-                            port: egress,
-                            qbytes,
-                            marked,
-                        };
-                        if fb.int_stamp {
-                            pkt.int.get_or_insert_with(Default::default).hops.push(hop);
-                            int_stamped = true;
-                        }
-                        if let Some(threshold) = fb.cn_threshold {
-                            if qbytes > threshold {
-                                if meta
-                                    .cn_limiter
-                                    .allow(self.now, fb.cn_min_gap, egress, pkt.flow)
-                                {
-                                    cn_send = Some((pkt.key, pkt.vfield, hop, fb.cn_delay));
-                                } else {
-                                    cn_suppressed = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // PFC: account the buffered packet against its ingress.
-            let mut pfc_send = None;
-            if matches!(enq, EnqueueResult::Queued { .. }) {
-                if let NodeKind::Switch(meta) = &mut node.kind {
-                    if let Some(pfc) = &mut meta.pfc {
-                        if pfc.on_buffered(in_port, size) == PfcAction::SendPause {
-                            let ip = &node.ports[in_port as usize];
-                            pfc_send = Some((ip.peer, ip.peer_port, ip.delay, true));
-                        }
-                    }
-                }
-            }
-            (
-                enq,
-                egress,
-                pfc_send,
-                qbytes,
-                pkt.flow,
-                int_stamped,
-                cn_send,
-                cn_suppressed,
-                flowcut,
-            )
         };
-        match flowcut {
-            Some(FlowcutDecision::Pinned) => self.recorder.bump(Counter::FlowcutPinned),
-            Some(FlowcutDecision::Rerouted) => {
-                self.recorder.bump(Counter::FlowcutReroutes);
-                if self.recorder.trace_wants(flow) {
-                    self.recorder.trace_event(
-                        self.now,
-                        flow,
-                        TraceEvent::FlowcutReroute {
-                            node: sw,
-                            port: egress,
-                        },
-                    );
-                }
-            }
-            _ => {}
-        }
-        if self.recorder.trace_wants(flow) {
-            self.recorder.trace_event(
-                self.now,
-                flow,
-                TraceEvent::Hop {
+        let ev = TraceEvent::Hop {
+            node: sw,
+            in_port,
+            out_port: egress,
+        };
+        self.recorder.trace_event(now, flow, ev);
+        let out = &mut ports[egress as usize];
+        let Some(marked) = out.enqueue(id, pkt, in_port, (sw, egress), now, &mut self.recorder)
+        else {
+            return self.drop_packet(id, DropReason::QueueFull, sw, egress);
+        };
+        // INT stamping and the CN decision both read the post-enqueue
+        // occupancy of the chosen egress.
+        let qbytes = out.queue.bytes();
+        if let Some(fb) = meta.feedback {
+            let hop = IntHop {
+                node: sw,
+                port: egress,
+                qbytes,
+                marked,
+            };
+            if fb.int_stamp {
+                pkt.int.get_or_insert_with(Default::default).hops.push(hop);
+                self.recorder.bump(Counter::IntStamps);
+                let ev = TraceEvent::IntStamp {
                     node: sw,
-                    in_port,
-                    out_port: egress,
-                },
-            );
-            match enq {
-                EnqueueResult::Queued { marked } => {
-                    self.recorder.trace_event(
-                        self.now,
-                        flow,
-                        TraceEvent::Enqueue {
-                            node: sw,
-                            port: egress,
-                            qbytes,
-                        },
-                    );
-                    if marked {
-                        self.recorder.trace_event(
-                            self.now,
-                            flow,
-                            TraceEvent::EcnMark {
-                                node: sw,
-                                port: egress,
-                            },
-                        );
-                    }
-                }
-                EnqueueResult::Dropped => {
-                    self.recorder.trace_event(
-                        self.now,
-                        flow,
-                        TraceEvent::Drop {
-                            reason: DropReason::QueueFull,
-                            node: sw,
-                            port: egress,
-                        },
-                    );
-                }
+                    port: egress,
+                    qbytes,
+                };
+                self.recorder.trace_event(now, flow, ev);
             }
-            if int_stamped {
-                self.recorder.trace_event(
-                    self.now,
-                    flow,
-                    TraceEvent::IntStamp {
-                        node: sw,
-                        port: egress,
-                        qbytes,
-                    },
-                );
-            }
-            if cn_send.is_some() {
-                self.recorder.trace_event(
-                    self.now,
-                    flow,
-                    TraceEvent::CnEmit {
-                        node: sw,
-                        port: egress,
-                        qbytes,
-                    },
-                );
-            }
-        }
-        if int_stamped {
-            self.recorder.bump(Counter::IntStamps);
-        }
-        if cn_suppressed {
-            self.recorder.bump(Counter::CnSuppressed);
-        }
-        if let Some((data_key, vfield, blame, cn_delay)) = cn_send {
-            // Emit the back-to-sender CN: a first-class slab packet (the
-            // conservation ledger counts it as injected here) delivered
-            // straight to the sender host `cn_delay` later — no queues,
-            // no fabric.
-            self.recorder.bump(Counter::CnSent);
-            let cn = Packet::cn(flow, data_key, vfield, blame, self.now);
-            let sender = cn.dst();
-            let at = self.now + cn_delay;
-            let cn_id = self.packets.insert(cn);
-            // Port 0 is cosmetic: hosts have one NIC and the arrival
-            // handler ignores the port for host nodes.
-            self.sched.schedule(
-                at,
-                EventKind::Arrive {
-                    node: sender,
+            let over = fb.cn_threshold.is_some_and(|threshold| qbytes > threshold);
+            if over && !meta.cn_limiter.allow(now, fb.cn_min_gap, egress, flow) {
+                self.recorder.bump(Counter::CnSuppressed);
+            } else if over {
+                // The back-to-sender CN is a first-class slab packet (the
+                // conservation ledger counts it as injected here) delivered
+                // straight to the sender host `cn_delay` later — no queues,
+                // no fabric. Port 0 is cosmetic: hosts have one NIC and the
+                // arrival handler ignores the port for host nodes.
+                self.recorder.bump(Counter::CnSent);
+                let ev = TraceEvent::CnEmit {
+                    node: sw,
+                    port: egress,
+                    qbytes,
+                };
+                self.recorder.trace_event(now, flow, ev);
+                let cn = Packet::cn(flow, pkt.key, pkt.vfield, hop, now);
+                let arrive = EventKind::Arrive {
+                    node: cn.dst(),
                     port: 0,
-                    pkt: cn_id,
-                },
-            );
-        }
-        match enq {
-            EnqueueResult::Dropped => {
-                self.packets.remove(id);
-                self.recorder
-                    .drop_packet(self.now, DropReason::QueueFull, sw, egress);
-            }
-            EnqueueResult::Queued { .. } => {
-                if self.recorder.wants(ProbeKind::QueueDepth) {
-                    self.recorder.probe(
-                        self.now,
-                        SeriesKey::QueueDepth {
-                            node: sw,
-                            port: egress,
-                        },
-                        qbytes as f64,
-                    );
-                }
-                if let Some((peer, peer_port, delay, pause)) = pfc_send {
-                    self.recorder.bump(Counter::PfcPauses);
-                    self.sched.schedule(
-                        self.now + delay,
-                        EventKind::Pfc {
-                            node: peer,
-                            port: peer_port,
-                            pause,
-                        },
-                    );
-                }
-                self.try_start_tx(sw, egress);
+                    pkt: self.packets.insert(cn),
+                };
+                self.sched.schedule(now + fb.cn_delay, arrive);
             }
         }
+        // PFC: account the buffered packet against its ingress.
+        if let Some(pfc) = &mut meta.pfc {
+            if pfc.on_buffered(in_port, size) == PfcAction::SendPause {
+                let ingress = &ports[in_port as usize];
+                let pause = EventKind::Pfc {
+                    node: ingress.peer,
+                    port: ingress.peer_port,
+                    pause: true,
+                };
+                self.recorder.bump(Counter::PfcPauses);
+                self.sched.schedule(now + ingress.delay, pause);
+            }
+        }
+        if self.recorder.wants(ProbeKind::QueueDepth) {
+            let key = SeriesKey::QueueDepth {
+                node: sw,
+                port: egress,
+            };
+            self.recorder.probe(now, key, qbytes as f64);
+        }
+        self.try_start_tx(sw, egress);
     }
 
     fn handle_host_tx(&mut self, host: NodeId, id: PacketId) {
@@ -1370,64 +1203,23 @@ impl Simulator {
             !self.nodes[host as usize].ports.is_empty(),
             "host {host} has no NIC link"
         );
-        let (entry, ect, flow) = {
-            let pkt = self.packets.get(id);
-            let entry = Entry::new(id, pkt.size, INGRESS_NONE, pkt.key.proto);
-            (entry, pkt.ecn_capable(), pkt.flow)
-        };
-        let enq = self.nodes[host as usize].ports[0]
-            .queue
-            .enqueue_entry(entry, ect);
-        if self.recorder.trace_wants(flow) {
-            match enq {
-                EnqueueResult::Queued { marked } => {
-                    let qbytes = self.nodes[host as usize].ports[0].queue.bytes();
-                    self.recorder.trace_event(
-                        self.now,
-                        flow,
-                        TraceEvent::Enqueue {
-                            node: host,
-                            port: 0,
-                            qbytes,
-                        },
-                    );
-                    if marked {
-                        self.recorder.trace_event(
-                            self.now,
-                            flow,
-                            TraceEvent::EcnMark {
-                                node: host,
-                                port: 0,
-                            },
-                        );
-                    }
-                }
-                EnqueueResult::Dropped => {
-                    self.recorder.trace_event(
-                        self.now,
-                        flow,
-                        TraceEvent::Drop {
-                            reason: DropReason::QueueFull,
-                            node: host,
-                            port: 0,
-                        },
-                    );
-                }
-            }
+        let pkt = self.packets.get_mut(id);
+        let nic = &mut self.nodes[host as usize].ports[0];
+        let at = (host, 0);
+        match nic.enqueue(id, pkt, INGRESS_NONE, at, self.now, &mut self.recorder) {
+            Some(_) => self.try_start_tx(host, 0),
+            None => self.drop_packet(id, DropReason::QueueFull, host, 0),
         }
-        match enq {
-            EnqueueResult::Dropped => {
-                self.packets.remove(id);
-                self.recorder
-                    .drop_packet(self.now, DropReason::QueueFull, host, 0);
-            }
-            EnqueueResult::Queued { marked } => {
-                if marked {
-                    self.packets.get_mut(id).flags.set(Flags::CE);
-                }
-                self.try_start_tx(host, 0);
-            }
-        }
+    }
+
+    /// Packet `id` dies at the egress `(node, port)` for `reason`: the one
+    /// place a packet leaves the slab undelivered, so the flight recorder,
+    /// the per-port audit and the conservation ledger cannot disagree.
+    fn drop_packet(&mut self, id: PacketId, reason: DropReason, node: NodeId, port: PortId) {
+        let flow = self.packets.remove(id).flow;
+        let ev = TraceEvent::Drop { reason, node, port };
+        self.recorder.trace_event(self.now, flow, ev);
+        self.recorder.drop_packet(self.now, reason, node, port);
     }
 
     /// If `(node, port)` is idle and unpaused, start serializing the next
@@ -1461,20 +1253,7 @@ impl Simulator {
             // PFC release: the packet left this switch's buffer.
             self.pfc_release(node, entry.ingress(), size);
             if !link_up {
-                let flow = self.packets.remove(id).flow;
-                if self.recorder.trace_wants(flow) {
-                    self.recorder.trace_event(
-                        self.now,
-                        flow,
-                        TraceEvent::Drop {
-                            reason: DropReason::LinkDown,
-                            node,
-                            port,
-                        },
-                    );
-                }
-                self.recorder
-                    .drop_packet(self.now, DropReason::LinkDown, node, port);
+                self.drop_packet(id, DropReason::LinkDown, node, port);
                 continue;
             }
             // The queue entry carried everything tx-start needs; only the
@@ -1605,16 +1384,9 @@ impl Simulator {
         } else {
             None
         };
-        if let Some(reason) = dropped {
-            let flow = self.packets.get(id).flow;
-            self.packets.remove(id);
-            if self.recorder.trace_wants(flow) {
-                self.recorder
-                    .trace_event(self.now, flow, TraceEvent::Drop { reason, node, port });
-            }
-            self.recorder.drop_packet(self.now, reason, node, port);
-        } else {
-            self.launch(node, port);
+        match dropped {
+            Some(reason) => self.drop_packet(id, reason, node, port),
+            None => self.launch(node, port),
         }
     }
 
@@ -1635,17 +1407,6 @@ impl Simulator {
         if !pause {
             self.try_start_tx(node, port);
         }
-    }
-
-    fn handle_link_state(&mut self, node: NodeId, port: PortId, up: bool) {
-        let (peer, peer_port) = self.peer_of(node, port);
-        self.nodes[node as usize].ports[port as usize].up = up;
-        self.nodes[peer as usize].ports[peer_port as usize].up = up;
-        // Going up restarts both queues; going down black-holes anything
-        // already queued towards the dead link (each transmission then
-        // drops at its last bit).
-        self.try_start_tx(node, port);
-        self.try_start_tx(peer, peer_port);
     }
 }
 
@@ -1854,7 +1615,7 @@ mod tests {
             }),
         );
         // Kill the switch->h1 link before anything is sent.
-        sim.schedule_link_state(sw, 1, false, SimTime::ZERO);
+        sim.set_link_state(sw, 1, false);
         sim.run_to_quiescence();
         assert_eq!(sink.get(), 0);
         assert_eq!(sim.recorder().get(Counter::LinkDrops), 5);
@@ -1931,7 +1692,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_watcher_samples_on_schedule_and_stops() {
+    fn queue_depth_series_follows_switch_egresses_only() {
         let (mut sim, h0, h1, sw) = two_hosts_one_switch();
         sim.set_agent(
             h0,
@@ -1942,20 +1703,28 @@ mod tests {
                 echo: false,
             }),
         );
-        let w = sim.watch_queue(sw, 1, SimTime::from_us(10), SimTime::from_us(100));
+        let mut cfg = TelemetryConfig::off();
+        (cfg.enabled, cfg.queue_depth) = (true, true);
+        cfg.sample_every = SimTime::from_us(10);
+        sim.set_telemetry(cfg);
         sim.run_to_quiescence();
-        let samples = sim.queue_samples(w);
-        // One sample at t=0 plus one every 10us through t=100us inclusive.
-        assert_eq!(samples.len(), 11);
-        assert_eq!(samples[0].0, SimTime::ZERO);
-        assert_eq!(samples[10].0, SimTime::from_us(100));
+        // One series: the switch egress the burst crosses. Host NICs queue
+        // (all 200 packets sit in h0's at 20 us) but are not probed.
+        let series = sim.recorder().telemetry().series();
+        assert_eq!(series.len(), 1);
+        let key = SeriesKey::QueueDepth { node: sw, port: 1 };
+        assert_eq!(series[0].key(), key);
+        // 200 x 1.2 us of enqueues, at most one point per 10 us.
+        let points = series[0].points();
+        assert_eq!(points.len(), 23);
+        assert!(points
+            .windows(2)
+            .all(|w| w[1].0 >= w[0].0 + SimTime::from_us(10)));
         // 200 back-to-back packets from a single 10G sender drain at line
-        // rate: the switch queue stays empty at every sampling instant
-        // (store-and-forward, equal rates) — the watcher must report that
-        // faithfully rather than inventing occupancy.
-        assert!(samples.iter().all(|&(_, b)| b <= 3000), "{samples:?}");
-        // And the simulation still quiesced (bounded watcher).
-        assert!(sim.events_processed() > 0);
+        // rate (store-and-forward, equal rates): the post-enqueue depth is
+        // the arriving packet alone, and the series must say so rather than
+        // inventing occupancy.
+        assert!(points.iter().all(|&(_, b)| b == 1500.0), "{points:?}");
     }
 
     #[test]

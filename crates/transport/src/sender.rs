@@ -214,14 +214,27 @@ impl TcpSender {
         self.ctrl.vfield()
     }
 
-    /// Bookkeeping shared by every reroute site: counter, the skip fence
-    /// excluding old-path ACKs, and the V-field telemetry probe.
-    fn note_reroute(&mut self, counter: Counter, ctx: &mut Ctx<'_>) {
+    /// Act on a path-controller decision. `Stay` — every ordinary ACK — is
+    /// a no-op; a reroute gets `counter`, the skip fence excluding old-path
+    /// ACKs, the V-field telemetry probe and a flight-recorder entry
+    /// (old V → new V).
+    #[inline]
+    fn note_reroute(&mut self, d: Decision, counter: Counter, ctx: &mut Ctx<'_>) {
+        let Decision::Reroute { from, to } = d else {
+            return;
+        };
         ctx.recorder().bump(counter);
         self.skip_until = self.snd_nxt;
         let (now, v) = (ctx.now(), self.ctrl.vfield());
         ctx.recorder()
             .probe(now, SeriesKey::Vfield { flow: self.flow }, v as f64);
+        self.trace(
+            TraceEvent::Decision {
+                from_v: from,
+                to_v: to,
+            },
+            ctx,
+        );
     }
 
     /// Flight-recorder hook: one branch when this flow is untraced.
@@ -230,22 +243,6 @@ impl TcpSender {
         if ctx.recorder().trace_wants(self.flow) {
             let now = ctx.now();
             ctx.recorder().trace_event(now, self.flow, ev);
-        }
-    }
-
-    /// Record a path-controller reroute decision (old V → new V) in the
-    /// flight recorder. `Stay` decisions are not recorded — they happen
-    /// on every ACK and carry no information.
-    #[inline]
-    fn trace_decision(&self, d: Decision, ctx: &mut Ctx<'_>) {
-        if let Decision::Reroute { from, to } = d {
-            self.trace(
-                TraceEvent::Decision {
-                    from_v: from,
-                    to_v: to,
-                },
-                ctx,
-            );
         }
     }
 
@@ -343,22 +340,31 @@ impl TcpSender {
             if !self.cwr && self.cn_at.is_none() {
                 self.cn_at = Some(ctx.now());
             }
-            if self.cfg.cn_fast_cc && !self.cwr {
-                if self.cfg.dctcp.is_some() {
-                    self.cwnd *= 1.0 - self.alpha / 2.0;
-                    self.cwnd = self.cwnd.max(self.cfg.mss as f64);
-                    self.ssthresh = self.ssthresh.min(self.cwnd);
-                    self.trace_cwnd(ctx);
-                }
-                self.cwr = true;
+            if self.cfg.cn_fast_cc {
+                self.ecn_cut(ctx);
             }
         }
         let now_ps = ctx.now().as_ps();
         let d = self.ctrl.on_feedback(fb, now_ps, ctx.rng());
-        if d.rerouted() {
-            self.note_reroute(Counter::Reroutes, ctx);
-            self.trace_decision(d, ctx);
+        self.note_reroute(d, Counter::Reroutes, ctx);
+    }
+
+    /// The window reduction a congestion signal earns — the first ECN echo
+    /// of a window or, with [`TcpConfig::cn_fast_cc`], a CN that beat it —
+    /// at most once per window (`cwr`). Under DCTCP `cwnd *= 1 − alpha/2`,
+    /// floored at one MSS, with ssthresh kept at the reduced level so growth
+    /// continues additively rather than re-entering slow start.
+    fn ecn_cut(&mut self, ctx: &mut Ctx<'_>) {
+        if self.cwr {
+            return;
         }
+        if self.cfg.dctcp.is_some() {
+            self.cwnd *= 1.0 - self.alpha / 2.0;
+            self.cwnd = self.cwnd.max(self.cfg.mss as f64);
+            self.ssthresh = self.ssthresh.min(self.cwnd);
+            self.trace_cwnd(ctx);
+        }
+        self.cwr = true;
     }
 
     /// Handle an incoming cumulative ACK. Returns a timer deadline to arm,
@@ -376,12 +382,9 @@ impl TcpSender {
         }
         if ack > self.skip_until {
             let now_ps = ctx.now().as_ps();
+            // Mid-window reroute (gap-based controllers).
             let d = self.ctrl.on_ack(ece, now_ps, ctx.rng());
-            if d.rerouted() {
-                // Mid-window reroute (gap-based controllers).
-                self.note_reroute(Counter::Reroutes, ctx);
-                self.trace_decision(d, ctx);
-            }
+            self.note_reroute(d, Counter::Reroutes, ctx);
             // INT echo: the receiver mirrored the data packet's per-hop
             // telemetry onto this ACK. Hand the deepest-queue hop to the
             // controller so it can bend away from the blamed port
@@ -394,10 +397,7 @@ impl TcpSender {
                     marked: hop.marked,
                 };
                 let d = self.ctrl.on_feedback(fb, now_ps, ctx.rng());
-                if d.rerouted() {
-                    self.note_reroute(Counter::Reroutes, ctx);
-                    self.trace_decision(d, ctx);
-                }
+                self.note_reroute(d, Counter::Reroutes, ctx);
             }
         }
         self.peer_high = self.peer_high.max(pkt.rcv_high);
@@ -428,16 +428,8 @@ impl TcpSender {
 
         // DCTCP reduction: at most once per window, on the first ECN echo
         // (duplicate or not — reordering must not mask congestion).
-        if ece && !self.cwr {
-            if self.cfg.dctcp.is_some() {
-                self.cwnd *= 1.0 - self.alpha / 2.0;
-                self.cwnd = self.cwnd.max(self.cfg.mss as f64);
-                // Keep ssthresh at the reduced level so growth continues
-                // additively rather than re-entering slow start.
-                self.ssthresh = self.ssthresh.min(self.cwnd);
-                self.trace_cwnd(ctx);
-            }
-            self.cwr = true;
+        if ece {
+            self.ecn_cut(ctx);
         }
 
         if ack > self.snd_una {
@@ -498,10 +490,7 @@ impl TcpSender {
             self.cn_at = None;
             self.window_end = self.snd_nxt;
             let d = self.ctrl.on_rtt_end(ctx.rng());
-            if d.rerouted() {
-                self.note_reroute(Counter::Reroutes, ctx);
-                self.trace_decision(d, ctx);
-            }
+            self.note_reroute(d, Counter::Reroutes, ctx);
         }
 
         // --- New Reno recovery bookkeeping ---
@@ -545,10 +534,11 @@ impl TcpSender {
         }
         let extent =
             ((self.peer_high.saturating_sub(self.snd_una)) / self.cfg.mss as u64) as u32 + 1;
-        const REORDER_CAP: u32 = 300; // Linux's default sysctl cap
-                                      // Repeated DSACKs mean the estimate is still too low; grow
-                                      // multiplicatively so persistent reordering (packet spraying)
-                                      // converges in a few events.
+        // Linux's default sysctl cap.
+        const REORDER_CAP: u32 = 300;
+        // Repeated DSACKs mean the estimate is still too low; grow
+        // multiplicatively so persistent reordering (packet spraying)
+        // converges in a few events.
         self.reorder_threshold = self
             .reorder_threshold
             .max(extent)
@@ -631,10 +621,7 @@ impl TcpSender {
 
         // FlowBender §3.3.2: an RTO is the failure signal — reroute now.
         let d = self.ctrl.on_timeout(ctx.rng());
-        if d.rerouted() {
-            self.note_reroute(Counter::TimeoutReroutes, ctx);
-            self.trace_decision(d, ctx);
-        }
+        self.note_reroute(d, Counter::TimeoutReroutes, ctx);
 
         // Go-back-N: resume sending from the hole.
         self.snd_nxt = self.snd_una;

@@ -2,7 +2,7 @@
 //! FlowBender actually bend?
 
 use flowbender as fb;
-use netsim::{Counter, FlowSpec, HashConfig, SimTime, Simulator, SwitchConfig};
+use netsim::{Counter, FaultPlan, FlowSpec, HashConfig, SimTime, Simulator, SwitchConfig};
 use topology::{build_testbed, TestbedParams};
 use transport::{install_agents, TcpConfig};
 
@@ -107,12 +107,8 @@ fn flowbender_routes_around_link_failure_within_rto_scale() {
             );
             let specs = vec![FlowSpec::tcp(0, 0, 2, bytes, SimTime::ZERO)];
             install_agents(&mut sim, &specs, &cfg);
-            sim.schedule_link_state(
-                tb.tors[0],
-                tb.tor_uplinks[0][dead_uplink as usize],
-                false,
-                SimTime::from_ms(2),
-            );
+            let uplink = tb.tor_uplinks[0][dead_uplink as usize];
+            sim.install_faults(FaultPlan::new().kill(tb.tors[0], uplink, SimTime::from_ms(2)));
             sim.run_until(SimTime::from_secs(20));
             let done = sim.recorder().completed_count() == 1;
             if is_bender {

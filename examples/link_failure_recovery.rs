@@ -13,7 +13,7 @@
 //! ```
 
 use flowbender::Config;
-use netsim::{Counter, SimTime, Simulator};
+use netsim::{Counter, FaultPlan, SimTime, Simulator};
 use topology::{build_fat_tree, FatTreeParams};
 use transport::{install_agents, TcpConfig};
 use workloads::microbench;
@@ -31,7 +31,7 @@ fn run(label: &str, tcp: TcpConfig) {
     install_agents(&mut sim, &specs, &tcp);
     // At t = 2ms, agg0 of pod0 loses its first core uplink.
     let (node, port) = ft.agg_core_link(0, 0);
-    sim.schedule_link_state(node, port, false, SimTime::from_ms(2));
+    sim.install_faults(FaultPlan::new().kill(node, port, SimTime::from_ms(2)));
     sim.run_until(SimTime::from_secs(30));
 
     let rec = sim.recorder();

@@ -9,7 +9,10 @@
 //! cargo run --release --example queue_occupancy
 //! ```
 
-use netsim::{FlowSpec, HashConfig, LinkSpec, RoutingTable, SimTime, Simulator, SwitchConfig};
+use netsim::{
+    FlowSpec, HashConfig, LinkSpec, RoutingTable, SeriesKey, SimTime, Simulator, SwitchConfig,
+    TelemetryConfig,
+};
 use transport::{install_agents, TcpConfig};
 
 fn main() {
@@ -34,11 +37,25 @@ fn main() {
         .collect();
     install_agents(&mut sim, &specs, &TcpConfig::default());
 
-    // Sample the bottleneck queue every 100 us for 60 ms.
-    let watcher = sim.watch_queue(sw, 4, SimTime::from_us(100), SimTime::from_ms(60));
+    // Record the bottleneck queue's depth, at most one point per 100 us
+    // (the series holds the post-enqueue occupancy, so it ends when the
+    // flows do, a little before 70 ms).
+    let mut telemetry = TelemetryConfig::off();
+    (telemetry.enabled, telemetry.queue_depth) = (true, true);
+    telemetry.sample_every = SimTime::from_us(100);
+    sim.set_telemetry(telemetry);
     sim.run_until(SimTime::from_ms(80));
 
-    let samples = sim.queue_samples(watcher);
+    let bottleneck = SeriesKey::QueueDepth { node: sw, port: 4 };
+    let series = sim.recorder().telemetry().series();
+    let samples: Vec<(SimTime, u64)> = series
+        .iter()
+        .find(|s| s.key() == bottleneck)
+        .expect("the bottleneck egress queued packets")
+        .points()
+        .iter()
+        .map(|&(t, b)| (t, b as u64))
+        .collect();
     let k = 90_000u64;
     let max = samples.iter().map(|&(_, b)| b).max().unwrap_or(0).max(k);
     println!("bottleneck queue occupancy, 4-way DCTCP share of one 10G link");
