@@ -19,18 +19,11 @@ const HOLD: SimTime = SimTime::from_us(100);
 /// deterministic function of the blamed (switch, port), so the flow
 /// rehashes around that specific port rather than to a random neighbor.
 pub fn bender_int() -> SchemeSpec {
-    let v_range = flowbender::Config::default().v_range;
-    let path = PathSpec::custom(
-        format!("bender-int(v={v_range},n={CONFIRM},hold={}us)", 100),
-        move |vhint, _rng| {
-            Box::new(flowbender::BenderInt::new(
-                v_range,
-                vhint % v_range,
-                CONFIRM,
-                HOLD.as_ps(),
-            ))
-        },
-    );
+    let path = PathSpec::BenderInt {
+        v_range: flowbender::Config::default().v_range,
+        confirm: CONFIRM,
+        hold: HOLD,
+    };
     SchemeSpec::new(
         "Bender-INT",
         SwitchConfig::commodity(HashConfig::FiveTupleAndVField)

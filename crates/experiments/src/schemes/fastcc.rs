@@ -1,5 +1,7 @@
 //! FastCC: DCTCP whose congestion cut is triggered by switch-generated
-//! early feedback instead of the end-to-end ECN echo.
+//! early feedback instead of the end-to-end ECN echo. The host half is
+//! the stock stack: every sender cuts cwnd on a CN, and this is the one
+//! scheme whose fabric sends them.
 
 use netsim::{FeedbackConfig, HashConfig, SwitchConfig};
 use transport::TcpConfig;
@@ -13,18 +15,15 @@ const CN_THRESHOLD: u64 = 90_000;
 
 /// ECMP fabric whose switches send a congestion notification (CN)
 /// straight back to the sender when an egress queue crosses
-/// `CN_THRESHOLD` (rate-limited per port/flow), plus a DCTCP host that
-/// cuts cwnd the moment the CN lands ([`TcpConfig::cn_fast_cc`]) rather
-/// than half an RTT later when the receiver's echo arrives.
+/// `CN_THRESHOLD` (rate-limited per port/flow), plus the stock DCTCP host,
+/// which cuts cwnd the moment the CN lands rather than half an RTT later
+/// when the receiver's echo arrives.
 pub fn fastcc() -> SchemeSpec {
     SchemeSpec::new(
         "FastCC",
         SwitchConfig::commodity(HashConfig::FiveTupleAndVField)
             .with_feedback(FeedbackConfig::cn(CN_THRESHOLD)),
-        TcpConfig {
-            cn_fast_cc: true,
-            ..TcpConfig::default()
-        },
+        TcpConfig::default(),
     )
     .fabric("static 5-tuple+V hash + early CN at the ECN mark point")
     .host("DCTCP cutting cwnd on CN arrival, not on the echoed ACK")

@@ -13,10 +13,10 @@ pub fn flowcut(gap: SimTime) -> SchemeSpec {
     SchemeSpec::new(
         format!("Flowcut({})", super::fmt_gap(gap)),
         SwitchConfig::commodity(HashConfig::FiveTupleAndVField),
-        TcpConfig::with_path(PathSpec::flowcut(
+        TcpConfig::with_path(PathSpec::Flowcut {
             gap,
-            flowbender::Config::default().v_range,
-        )),
+            v_range: flowbender::Config::default().v_range,
+        }),
     )
     .fabric("static 5-tuple+V hash")
     .host("DCTCP + V re-draw after idle ACK gaps")

@@ -1,7 +1,8 @@
 //! The scheme registry: every evaluated load-balancing design as one
 //! [`SchemeSpec`] — fabric side ([`netsim::SwitchConfig`]) and host side
-//! ([`transport::TcpConfig`], which carries the per-flow
-//! [`flowbender::PathController`] factory) bundled under a display name.
+//! ([`transport::TcpConfig`], whose [`transport::PathSpec`] names the
+//! per-flow [`flowbender::PathController`] and its parameters) bundled
+//! under a display name. Both halves are plain `Copy` data.
 //!
 //! One file per scheme. Adding a scheme is: write one new `spec()` file
 //! next to the existing ones, add one line to [`registry`] — nothing
@@ -18,7 +19,7 @@
 //! | Flowcut-SW(gap) | switch flowcut tables, boundary-only re-route | DCTCP |
 //! | RepFlow | 5-tuple+V hash | DCTCP; short flows sent twice |
 //! | Bender-INT | 5-tuple+V hash + INT stamping | DCTCP + bend away from blamed hop |
-//! | FastCC | 5-tuple+V hash + early CN | DCTCP cutting cwnd on CN arrival |
+//! | FastCC | 5-tuple+V hash + early CN | DCTCP (cuts cwnd on CN arrival) |
 
 mod bender;
 mod bender_int;
@@ -137,7 +138,7 @@ impl SchemeSpec {
 
     /// The host TCP configuration this scheme needs.
     pub fn tcp_config(&self) -> TcpConfig {
-        self.tcp.clone()
+        self.tcp
     }
 
     /// The fabric-side one-line description.
@@ -323,21 +324,22 @@ mod tests {
                     assert!(fb.int_stamp);
                     assert!(fb.cn_threshold.is_none(), "Bender-INT is INT-only");
                     assert!(!tcp.path.is_none());
-                    assert!(!tcp.cn_fast_cc);
                 }
                 "FastCC" => {
                     let fb = sw.feedback.expect("FastCC needs CN feedback");
                     assert!(!fb.int_stamp);
                     assert_eq!(fb.cn_threshold, Some(90_000));
-                    assert!(tcp.path.is_none());
-                    assert!(tcp.cn_fast_cc);
+                    assert_eq!(tcp, TcpConfig::default(), "FastCC runs the stock stack");
                 }
-                _ => {
-                    assert!(sw.feedback.is_none(), "{}: unexpected feedback", s.name());
-                    assert!(!tcp.cn_fast_cc, "{}: unexpected FastCC", s.name());
-                }
+                _ => assert!(sw.feedback.is_none(), "{}: unexpected feedback", s.name()),
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "T must be a fraction")]
+    fn flowbender_scheme_rejects_a_bad_config_at_construction() {
+        flowbender(::flowbender::Config::default().with_t(1.5));
     }
 
     #[test]

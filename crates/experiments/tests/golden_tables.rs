@@ -6,15 +6,21 @@
 //! run-summary JSON has had a golden since `golden_json`; this pins the
 //! *tables* (titles, column sets, normalization, number formatting), so a
 //! refactor of the sweep → digest → table path cannot move a byte
-//! unnoticed. Regenerate with
+//! unnoticed. The stdout of `experiments schemes` is pinned the same way,
+//! so a rewrite of either half of a scheme cannot silently change the
+//! registry it prints. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p experiments --test golden_tables`.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use experiments::{Opts, Report};
 
 fn check(file: &str, report: Report) {
-    let text = report.render();
+    check_text(file, report.render());
+}
+
+fn check_text(file: &str, text: String) {
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", file]
         .iter()
         .collect();
@@ -32,7 +38,7 @@ fn check(file: &str, report: Report) {
     assert_eq!(
         text,
         golden,
-        "rendered report drifted from {}; if intentional, regenerate with UPDATE_GOLDEN=1",
+        "rendered text drifted from {}; if intentional, regenerate with UPDATE_GOLDEN=1",
         path.display()
     );
 }
@@ -79,4 +85,14 @@ fn reordering_smoke_tables_match_the_golden() {
         "reordering_smoke.txt",
         experiments::reordering::run(&smoke(1)),
     );
+}
+
+#[test]
+fn scheme_registry_table_matches_the_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("schemes")
+        .output()
+        .expect("experiments binary runs");
+    assert!(out.status.success());
+    check_text("schemes.txt", String::from_utf8(out.stdout).unwrap());
 }

@@ -1,198 +1,120 @@
 //! Transport configuration.
 //!
-//! One [`TcpConfig`] describes the whole stack of a run: the base TCP
-//! New Reno parameters, the DCTCP congestion-control layer (the paper runs
-//! *every* scheme over DCTCP, §4.2), and the host-side path-control policy
-//! — a [`PathSpec`] naming which [`flowbender::PathController`] each flow
-//! gets (FlowBender when evaluating the paper's scheme, a static no-op for
-//! the oblivious baselines).
+//! The paper runs every scheme over one host stack (§4.2): TCP New Reno
+//! under DCTCP (g = 1/16), RTO_min = 10 ms, an initial window of ten
+//! segments. Those fixed values are the constants below. A [`TcpConfig`]
+//! holds only what a scheme varies: the duplicate-ACK threshold (DeTail
+//! turns fast retransmit off), delayed ACKs, and the [`PathSpec`] naming
+//! which [`flowbender::PathController`] each flow runs (FlowBender for the
+//! paper's scheme, a static no-op for the oblivious baselines).
 
-use std::sync::Arc;
-
-use flowbender::{FlowBender, FlowcutGap, PathController, Rng, StaticPath};
+use flowbender::{BenderInt, FlowBender, FlowcutGap, PathController, Rng, StaticPath};
 use netsim::{SimTime, MSS};
 
 use crate::receiver::DelAckConfig;
 
-/// DCTCP parameters (Alizadeh et al., SIGCOMM'10), as fixed by the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DctcpConfig {
-    /// `g`, the gain of the exponentially weighted `alpha` estimate.
-    /// Paper: 1/16.
-    pub g: f64,
-}
+/// Initial congestion window in bytes: ten segments (IW = 10).
+pub const INIT_CWND: f64 = (10 * MSS) as f64;
+/// Lower bound on the retransmission timeout (paper: 10 ms); also the RTO
+/// before any RTT sample exists, as on the paper's testbed.
+pub const RTO_MIN: SimTime = SimTime::from_ms(10);
+/// Upper bound on the congestion window in bytes, modelling the receiver's
+/// advertised window (Linux auto-tunes to a few MB). Keeps in-flight data
+/// bounded even when no congestion signal arrives (e.g. a PFC-paused
+/// lossless fabric never marks).
+pub const MAX_CWND: u64 = 1_000_000;
+/// `g`, the gain of DCTCP's exponentially weighted `alpha` estimate
+/// (Alizadeh et al., SIGCOMM'10; paper: 1/16).
+pub const DCTCP_G: f64 = 1.0 / 16.0;
 
-impl Default for DctcpConfig {
-    fn default() -> Self {
-        DctcpConfig { g: 1.0 / 16.0 }
-    }
-}
-
-/// The per-flow path-controller factory of a [`TcpConfig`].
-///
-/// A `PathSpec` is a label plus a closure building one
-/// [`PathController`] per flow. The closure receives the flow's V-hint
-/// (the initial V a replication scheme assigned it; 0 for ordinary
-/// flows) and the host's deterministic RNG, in case the controller draws
-/// a random initial V the way FlowBender does.
-///
-/// Equality and `Debug` go through the label, so two configs compare
-/// equal exactly when they would build identically configured
-/// controllers — constructors embed every parameter in the label.
-#[derive(Clone)]
-pub struct PathSpec {
-    label: String,
-    #[allow(clippy::type_complexity)]
-    build: Arc<dyn Fn(u8, &mut dyn Rng) -> Box<dyn PathController> + Send + Sync>,
+/// The host-side path-control policy: which [`PathController`] each flow
+/// of a [`TcpConfig`] runs, with its parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum PathSpec {
+    /// The no-op controller: every flow keeps its V-hint forever (ECMP,
+    /// RPS, DeTail — and the pinned halves of replication schemes).
+    #[default]
+    Static,
+    /// FlowBender with the given configuration, initial V drawn from the
+    /// host RNG.
+    FlowBender(flowbender::Config),
+    /// Host-side flowcut switching: re-draw V after `gap` of ACK silence,
+    /// over `v_range` path options.
+    Flowcut {
+        /// ACK silence that proves the pipe drained.
+        gap: SimTime,
+        /// Number of V options.
+        v_range: u8,
+    },
+    /// Bender-INT: bend away from the blamed hop after `confirm`
+    /// consecutive same-hop blames, then hold the new path for `hold`.
+    BenderInt {
+        /// Number of V options; the flow starts at `vhint % v_range`.
+        v_range: u8,
+        /// Consecutive same-hop blames required before bending.
+        confirm: u32,
+        /// Post-bend hold-off.
+        hold: SimTime,
+    },
 }
 
 impl PathSpec {
-    /// The no-op controller: every flow keeps its V-hint forever (ECMP,
-    /// RPS, DeTail — and the pinned halves of replication schemes).
-    pub fn none() -> Self {
-        PathSpec {
-            label: "static".to_string(),
-            build: Arc::new(|vhint, _rng| Box::new(StaticPath::new(vhint))),
-        }
-    }
-
-    /// FlowBender with the given configuration (initial V drawn from the
-    /// host RNG, exactly as [`FlowBender::new`] does).
-    pub fn flowbender(cfg: flowbender::Config) -> Self {
-        cfg.validate();
-        PathSpec {
-            label: format!("flowbender({cfg:?})"),
-            build: Arc::new(move |_vhint, rng| Box::new(FlowBender::new(cfg, rng))),
-        }
-    }
-
-    /// Host-side flowcut/flowlet-gap switching: re-draw V after `gap` of
-    /// ACK silence, over `v_range` path options.
-    pub fn flowcut(gap: SimTime, v_range: u8) -> Self {
-        assert!(gap.as_ps() > 0, "flowcut gap must be positive");
-        assert!(v_range >= 1, "v_range must be at least 1");
-        PathSpec {
-            label: format!("flowcut(gap={}ps,v={v_range})", gap.as_ps()),
-            build: Arc::new(move |_vhint, rng| {
-                Box::new(FlowcutGap::new(gap.as_ps(), v_range, rng))
-            }),
-        }
-    }
-
-    /// A custom controller factory, for schemes defined outside this
-    /// crate. `label` must uniquely describe the configuration (it is the
-    /// equality key).
-    pub fn custom(
-        label: impl Into<String>,
-        build: impl Fn(u8, &mut dyn Rng) -> Box<dyn PathController> + Send + Sync + 'static,
-    ) -> Self {
-        PathSpec {
-            label: label.into(),
-            build: Arc::new(build),
-        }
-    }
-
-    /// Build the controller for one flow.
+    /// Build the controller for one flow from its V-hint (0 for ordinary
+    /// flows; replication schemes pin duplicates elsewhere) and the host's
+    /// deterministic RNG, which FlowBender and Flowcut draw their initial V
+    /// from.
     pub fn build(&self, vhint: u8, rng: &mut dyn Rng) -> Box<dyn PathController> {
-        (self.build)(vhint, rng)
-    }
-
-    /// The configuration label (the identity of this spec).
-    pub fn label(&self) -> &str {
-        &self.label
+        match *self {
+            PathSpec::Static => Box::new(StaticPath::new(vhint)),
+            PathSpec::FlowBender(cfg) => Box::new(FlowBender::new(cfg, rng)),
+            PathSpec::Flowcut { gap, v_range } => {
+                Box::new(FlowcutGap::new(gap.as_ps(), v_range, rng))
+            }
+            PathSpec::BenderInt {
+                v_range,
+                confirm,
+                hold,
+            } => {
+                let v = vhint % v_range;
+                Box::new(BenderInt::new(v_range, v, confirm, hold.as_ps()))
+            }
+        }
     }
 
     /// Whether this is the no-op (static) controller.
     pub fn is_none(&self) -> bool {
-        self.label == "static"
+        matches!(self, PathSpec::Static)
     }
 }
 
-impl std::fmt::Debug for PathSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("PathSpec").field(&self.label).finish()
-    }
-}
-
-impl PartialEq for PathSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.label == other.label
-    }
-}
-
-impl Default for PathSpec {
-    fn default() -> Self {
-        PathSpec::none()
-    }
-}
-
-/// Configuration of the TCP (New Reno + optional DCTCP + path control)
-/// stack.
-#[derive(Debug, Clone, PartialEq)]
+/// What a scheme varies in the TCP New Reno + DCTCP + path-control stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
-    /// Maximum segment size in bytes.
-    pub mss: u32,
-    /// Initial congestion window, in segments.
-    pub init_cwnd_segs: u32,
-    /// Lower bound on the retransmission timeout. Paper: 10 ms.
-    pub rto_min: SimTime,
-    /// RTO before any RTT sample exists. Datacenter stacks set this near
-    /// `rto_min`; we default to `rto_min` as the paper's testbed did.
-    pub rto_initial: SimTime,
     /// Duplicate-ACK threshold for fast retransmit (`None` disables fast
     /// retransmit entirely — the DeTail configuration). Linux default 3;
     /// the §4.3 testbed re-ran with 30 as a reordering sanity check.
     pub dupack_threshold: Option<u32>,
-    /// DCTCP layer; `None` degrades to plain New Reno over ECN-blind TCP
-    /// (marks are then ignored for congestion control, though path
-    /// controllers still see them).
-    pub dctcp: Option<DctcpConfig>,
-    /// The host-side path-control policy each flow runs
-    /// ([`PathSpec::none`] for the oblivious ECMP/RPS/DeTail baselines).
-    pub path: PathSpec,
     /// Delayed acknowledgments (the DCTCP paper's receiver state machine);
     /// `None` = per-packet ACKs, the exact-echo default used throughout
     /// the experiments.
     pub delack: Option<DelAckConfig>,
-    /// Upper bound on the congestion window in bytes, modelling the
-    /// receiver's advertised window (Linux auto-tunes to a few MB). Keeps
-    /// in-flight data bounded even when no congestion signal arrives
-    /// (e.g. a PFC-paused lossless fabric never marks).
-    pub max_cwnd: u64,
-    /// React to switch-generated congestion notifications (CN packets,
-    /// [`netsim::FeedbackConfig`]) with an immediate DCTCP-style cwnd cut
-    /// instead of waiting for the ECN echo to travel receiver-to-sender —
-    /// the "FastCC" stack. The cut shares the once-per-window gate with
-    /// the ordinary ECE reduction, so a CN followed by its echo cuts once.
-    pub cn_fast_cc: bool,
+    /// The host-side path-control policy each flow runs
+    /// ([`PathSpec::Static`] for the oblivious ECMP/RPS/DeTail baselines).
+    pub path: PathSpec,
 }
 
 impl Default for TcpConfig {
-    /// The paper's base stack: DCTCP (g = 1/16), RTO_min = 10 ms, dupack
-    /// threshold 3, no path control.
+    /// The paper's base stack: dupack threshold 3, per-packet ACKs, no
+    /// path control.
     fn default() -> Self {
-        TcpConfig {
-            mss: MSS,
-            init_cwnd_segs: 10,
-            rto_min: SimTime::from_ms(10),
-            rto_initial: SimTime::from_ms(10),
-            dupack_threshold: Some(3),
-            dctcp: Some(DctcpConfig::default()),
-            path: PathSpec::none(),
-            delack: None,
-            max_cwnd: 1_000_000,
-            cn_fast_cc: false,
-        }
+        TcpConfig::with_path(PathSpec::Static)
     }
 }
 
 impl TcpConfig {
     /// The FlowBender stack: DCTCP plus FlowBender with the given config.
     pub fn flowbender(fb: flowbender::Config) -> Self {
-        TcpConfig {
-            path: PathSpec::flowbender(fb),
-            ..TcpConfig::default()
-        }
+        TcpConfig::with_path(PathSpec::FlowBender(fb))
     }
 
     /// The DeTail host stack: DCTCP with fast retransmit disabled (the
@@ -205,41 +127,34 @@ impl TcpConfig {
         }
     }
 
-    /// A stack running an arbitrary path controller.
+    /// The paper's base stack running the given path controller.
     pub fn with_path(path: PathSpec) -> Self {
         TcpConfig {
+            dupack_threshold: Some(3),
+            delack: None,
             path,
-            ..TcpConfig::default()
         }
     }
 
-    /// Initial congestion window in bytes.
-    pub fn init_cwnd_bytes(&self) -> f64 {
-        (self.init_cwnd_segs * self.mss) as f64
-    }
-
-    /// Validate invariants.
+    /// Validate invariants, naming the offending field (the receiver checks
+    /// [`TcpConfig::delack`] when it adopts it).
     ///
     /// # Panics
     /// On out-of-range values.
     pub fn validate(&self) {
-        assert!(self.mss > 0, "MSS must be positive");
-        assert!(self.init_cwnd_segs > 0, "initial cwnd must be positive");
-        assert!(self.rto_min.as_ps() > 0, "RTO_min must be positive");
         if let Some(th) = self.dupack_threshold {
             assert!(th >= 1, "dupack threshold must be >= 1");
         }
-        if let Some(d) = self.dctcp {
-            assert!(d.g > 0.0 && d.g <= 1.0, "DCTCP g must be in (0,1]");
+        match self.path {
+            PathSpec::FlowBender(cfg) => cfg.validate(),
+            PathSpec::Flowcut {
+                gap: SimTime::ZERO, ..
+            } => panic!("Flowcut gap must be positive"),
+            PathSpec::Flowcut { v_range: 0, .. } => panic!("Flowcut v_range must be >= 1"),
+            PathSpec::BenderInt { v_range: 0, .. } => panic!("BenderInt v_range must be >= 1"),
+            PathSpec::BenderInt { confirm: 0, .. } => panic!("BenderInt confirm must be >= 1"),
+            _ => {}
         }
-        if let Some(d) = self.delack {
-            assert!(d.every >= 1, "delack count must be >= 1");
-            assert!(d.timeout.as_ps() > 0, "delack timeout must be positive");
-        }
-        assert!(
-            self.max_cwnd >= 2 * self.mss as u64,
-            "max_cwnd must hold at least two segments"
-        );
     }
 }
 
@@ -249,14 +164,14 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
+        assert_eq!(MSS, 1460);
+        assert_eq!(INIT_CWND, 14_600.0);
+        assert_eq!(RTO_MIN, SimTime::from_ms(10));
+        assert_eq!(DCTCP_G, 0.0625);
         let c = TcpConfig::default();
-        assert_eq!(c.mss, 1460);
-        assert_eq!(c.rto_min, SimTime::from_ms(10));
         assert_eq!(c.dupack_threshold, Some(3));
-        let d = c.dctcp.unwrap();
-        assert!((d.g - 0.0625).abs() < 1e-12);
+        assert_eq!(c.delack, None);
         assert!(c.path.is_none());
-        assert!(!c.cn_fast_cc, "FastCC is strictly opt-in");
         c.validate();
     }
 
@@ -264,7 +179,7 @@ mod tests {
     fn detail_disables_fast_retransmit() {
         let c = TcpConfig::detail();
         assert_eq!(c.dupack_threshold, None);
-        assert!(c.dctcp.is_some());
+        assert!(c.path.is_none());
         c.validate();
     }
 
@@ -274,52 +189,102 @@ mod tests {
         assert!(!c.path.is_none());
         assert_eq!(
             c.path,
-            PathSpec::flowbender(flowbender::Config::default().with_t(0.01))
+            PathSpec::FlowBender(flowbender::Config::default().with_t(0.01))
         );
-        assert_ne!(c.path, PathSpec::flowbender(flowbender::Config::default()));
+        assert_ne!(c.path, PathSpec::FlowBender(flowbender::Config::default()));
         c.validate();
     }
 
     #[test]
     fn path_spec_builds_the_advertised_controller() {
         let mut rng = flowbender::SplitMix64::new(1);
-        let c = PathSpec::none().build(5, &mut rng);
+        let c = PathSpec::Static.build(5, &mut rng);
         assert_eq!(c.vfield(), 5);
         assert!(!c.active());
-        let c = PathSpec::flowbender(flowbender::Config::default()).build(0, &mut rng);
+        let c = PathSpec::FlowBender(flowbender::Config::default()).build(0, &mut rng);
         assert!(c.active());
         assert!(c.as_flowbender().is_some());
-        let c = PathSpec::flowcut(SimTime::from_us(100), 8).build(0, &mut rng);
+        let flowcut = PathSpec::Flowcut {
+            gap: SimTime::from_us(100),
+            v_range: 8,
+        };
+        let c = flowcut.build(0, &mut rng);
         assert!(c.active());
         assert!(c.as_flowbender().is_none());
+        let bender_int = PathSpec::BenderInt {
+            v_range: 8,
+            confirm: 3,
+            hold: SimTime::from_us(100),
+        };
+        let c = bender_int.build(13, &mut rng);
+        assert!(c.active());
+        assert_eq!(c.vfield(), 13 % 8, "Bender-INT starts at vhint % v_range");
     }
 
     #[test]
-    fn path_spec_equality_is_by_label() {
-        assert_eq!(PathSpec::none(), PathSpec::none());
-        assert_eq!(
-            PathSpec::flowcut(SimTime::from_us(100), 8),
-            PathSpec::flowcut(SimTime::from_us(100), 8)
-        );
-        assert_ne!(
-            PathSpec::flowcut(SimTime::from_us(100), 8),
-            PathSpec::flowcut(SimTime::from_us(500), 8)
-        );
+    fn path_spec_equality_is_by_parameters() {
+        let bender_int = |hold_us| PathSpec::BenderInt {
+            v_range: 8,
+            confirm: 3,
+            hold: SimTime::from_us(hold_us),
+        };
+        let flowcut = |gap_us| PathSpec::Flowcut {
+            gap: SimTime::from_us(gap_us),
+            v_range: 8,
+        };
+        assert_eq!(PathSpec::Static, PathSpec::default());
+        assert_eq!(flowcut(100), flowcut(100));
+        assert_ne!(flowcut(100), flowcut(500));
+        assert_eq!(bender_int(100), bender_int(100));
+        assert_ne!(bender_int(100), bender_int(200), "hold is a parameter");
+        assert_ne!(PathSpec::Static, flowcut(100));
     }
 
     #[test]
-    #[should_panic]
-    fn zero_mss_rejected() {
-        TcpConfig {
-            mss: 0,
-            ..TcpConfig::default()
-        }
+    #[should_panic(expected = "T must be a fraction")]
+    fn invalid_flowbender_config_rejected_at_construction() {
+        TcpConfig::flowbender(flowbender::Config::default().with_t(1.5)).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "Flowcut gap must be positive")]
+    fn flowcut_zero_gap_rejected() {
+        TcpConfig::with_path(PathSpec::Flowcut {
+            gap: SimTime::ZERO,
+            v_range: 8,
+        })
         .validate();
     }
 
     #[test]
-    #[should_panic]
-    fn invalid_flowbender_config_rejected_at_construction() {
-        PathSpec::flowbender(flowbender::Config::default().with_t(1.5));
+    #[should_panic(expected = "Flowcut v_range must be >= 1")]
+    fn flowcut_zero_v_range_rejected() {
+        TcpConfig::with_path(PathSpec::Flowcut {
+            gap: SimTime::from_us(100),
+            v_range: 0,
+        })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "BenderInt v_range must be >= 1")]
+    fn bender_int_zero_v_range_rejected() {
+        TcpConfig::with_path(PathSpec::BenderInt {
+            v_range: 0,
+            confirm: 3,
+            hold: SimTime::from_us(100),
+        })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "BenderInt confirm must be >= 1")]
+    fn bender_int_zero_confirm_rejected() {
+        TcpConfig::with_path(PathSpec::BenderInt {
+            v_range: 8,
+            confirm: 0,
+            hold: SimTime::from_us(100),
+        })
+        .validate();
     }
 }

@@ -8,7 +8,8 @@
 //!   with exponential backoff and a 10 ms RTO floor;
 //! * **DCTCP** on top (all evaluated schemes run over DCTCP): per-window
 //!   `alpha` estimation with gain 1/16 from per-packet ECN echoes, and the
-//!   `cwnd *= 1 - alpha/2` multiplicative decrease;
+//!   `cwnd *= 1 - alpha/2` multiplicative decrease — also triggered by a
+//!   switch CN when the fabric sends them;
 //! * **FlowBender** (from the `flowbender` crate) attached per flow when
 //!   configured: DCTCP's window rounds double as FlowBender's RTT epochs;
 //! * **UDP** constant-bit-rate sources for the hotspot experiment.
@@ -28,7 +29,7 @@ pub mod sender;
 pub mod udp;
 
 pub use agent::{install_agents, HostAgent};
-pub use config::{DctcpConfig, PathSpec, TcpConfig};
+pub use config::{PathSpec, TcpConfig};
 pub use receiver::{DelAckConfig, Receiver};
 pub use rtt::{RttEstimator, RTO_MAX};
 pub use sender::{TcpSender, TimerOutcome};

@@ -96,6 +96,7 @@ impl Receiver {
     /// Enable DCTCP-style delayed ACKs.
     pub fn with_delack(mut self, cfg: DelAckConfig) -> Self {
         assert!(cfg.every >= 1, "delack count must be >= 1");
+        assert!(cfg.timeout.as_ps() > 0, "delack timeout must be positive");
         self.delack = Some(cfg);
         self
     }

@@ -2,13 +2,17 @@
 //!
 //! One [`TcpSender`] per flow. The layering mirrors the paper's stack:
 //!
-//! * **New Reno** provides reliability and loss response: slow start,
-//!   congestion avoidance, fast retransmit / fast recovery on three
-//!   duplicate ACKs, go-back-N on retransmission timeout with exponential
-//!   backoff (RTO_min = 10 ms, §4.2).
-//! * **DCTCP** rides on the ECN echo: the sender estimates `alpha`, the
-//!   smoothed fraction of marked bytes per window (`g` = 1/16), and scales
-//!   cwnd by `1 - alpha/2` at most once per window when marks arrive.
+//! * **New Reno** provides reliability and loss response: slow start from
+//!   [`INIT_CWND`], congestion avoidance up to [`MAX_CWND`], fast
+//!   retransmit / fast recovery on three duplicate ACKs, go-back-N on
+//!   retransmission timeout with exponential backoff ([`RTO_MIN`] = 10 ms,
+//!   §4.2).
+//! * **DCTCP** (always on) rides on the ECN echo: the sender estimates
+//!   `alpha`, the smoothed fraction of marked bytes per window
+//!   ([`DCTCP_G`] = 1/16), and scales cwnd by `1 - alpha/2` at most once
+//!   per window when a congestion signal arrives — the first ECN echo or
+//!   a switch CN, whichever lands first. CNs reach a sender only on a
+//!   fabric built with [`netsim::FeedbackConfig::cn`] (the FastCC scheme).
 //! * a **path controller** ([`flowbender::PathController`], chosen by
 //!   [`TcpConfig::path`]) observes the same ACK stream: each
 //!   congestion-window "round" doubles as its RTT epoch (both end when
@@ -21,10 +25,10 @@
 
 use flowbender::{Decision, Feedback, FlowBender, PathController};
 use netsim::{
-    Counter, Ctx, Flags, FlowId, FlowKey, Packet, ProbeKind, SeriesKey, SimTime, TraceEvent,
+    Counter, Ctx, Flags, FlowId, FlowKey, Packet, ProbeKind, SeriesKey, SimTime, TraceEvent, MSS,
 };
 
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, DCTCP_G, INIT_CWND, MAX_CWND, RTO_MIN};
 use crate::rtt::RttEstimator;
 
 /// Outcome of handling a timer for this sender.
@@ -93,10 +97,6 @@ pub struct TcpSender {
     /// controller (otherwise every reroute would be judged by the path it
     /// just left and cascade into a second reroute).
     skip_until: u64,
-
-    // --- Statistics ---
-    retransmits: u64,
-    timeouts: u64,
 }
 
 impl TcpSender {
@@ -122,8 +122,7 @@ impl TcpSender {
     ) -> Self {
         cfg.validate();
         let ctrl = cfg.path.build(vhint, ctx.rng());
-        let cwnd = cfg.init_cwnd_bytes();
-        let rtt = RttEstimator::new(cfg.rto_min, cfg.rto_initial);
+        let rtt = RttEstimator::new(RTO_MIN, RTO_MIN);
         let reorder_threshold = match cfg.dupack_threshold {
             Some(base) => base.max(cached_reorder.unwrap_or(0)),
             None => 0,
@@ -135,7 +134,7 @@ impl TcpSender {
             cfg,
             snd_una: 0,
             snd_nxt: 0,
-            cwnd,
+            cwnd: INIT_CWND,
             ssthresh: f64::INFINITY,
             dup_acks: 0,
             recover: None,
@@ -158,8 +157,6 @@ impl TcpSender {
             cn_at: None,
             ctrl,
             skip_until: 0,
-            retransmits: 0,
-            timeouts: 0,
         }
     }
 
@@ -181,21 +178,6 @@ impl TcpSender {
     /// The FlowBender instance, if this sender's path controller is one.
     pub fn flowbender(&self) -> Option<&FlowBender> {
         self.ctrl.as_flowbender()
-    }
-
-    /// The path controller this sender runs.
-    pub fn path_controller(&self) -> &dyn PathController {
-        self.ctrl.as_ref()
-    }
-
-    /// Segments retransmitted so far.
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Timeouts so far.
-    pub fn timeout_count(&self) -> u64 {
-        self.timeouts
     }
 
     /// The current reordering (duplicate-ACK) threshold, for persisting
@@ -273,11 +255,11 @@ impl TcpSender {
     }
 
     /// Send as much new data as the window allows (cwnd is additionally
-    /// clamped by the receiver window `max_cwnd`).
+    /// clamped by the receiver window [`MAX_CWND`]).
     fn transmit_window(&mut self, ctx: &mut Ctx<'_>) {
-        self.cwnd = self.cwnd.min(self.cfg.max_cwnd as f64);
+        self.cwnd = self.cwnd.min(MAX_CWND as f64);
         while self.snd_nxt < self.size && (self.snd_nxt - self.snd_una) < self.cwnd as u64 {
-            let payload = (self.size - self.snd_nxt).min(self.cfg.mss as u64) as u32;
+            let payload = (self.size - self.snd_nxt).min(MSS as u64) as u32;
             self.send_segment(self.snd_nxt, payload, ctx);
             self.snd_nxt += payload as u64;
         }
@@ -292,8 +274,7 @@ impl TcpSender {
     }
 
     fn retransmit_una(&mut self, ctx: &mut Ctx<'_>) {
-        let payload = (self.size - self.snd_una).min(self.cfg.mss as u64) as u32;
-        self.retransmits += 1;
+        let payload = (self.size - self.snd_una).min(MSS as u64) as u32;
         ctx.recorder().bump(Counter::Retransmits);
         self.send_segment(self.snd_una, payload, ctx);
         if self.snd_nxt < self.snd_una + payload as u64 {
@@ -324,9 +305,9 @@ impl TcpSender {
     ///
     /// Two independent reactions:
     ///
-    /// * with [`TcpConfig::cn_fast_cc`], a DCTCP-style cwnd cut *now*,
-    ///   sharing the once-per-window `cwr` gate with the ordinary ECN
-    ///   echo — whichever signal arrives first cuts, the other is a no-op;
+    /// * a CN earns the DCTCP cwnd cut *now*, sharing the once-per-window
+    ///   `cwr` gate with the ordinary ECN echo — whichever signal arrives
+    ///   first cuts, the other is a no-op;
     /// * the path controller's [`PathController::on_feedback`] hook, so
     ///   feedback-aware controllers (Bender-INT) can reroute mid-window.
     pub fn on_feedback(&mut self, fb: Feedback, ctx: &mut Ctx<'_>) {
@@ -340,9 +321,7 @@ impl TcpSender {
             if !self.cwr && self.cn_at.is_none() {
                 self.cn_at = Some(ctx.now());
             }
-            if self.cfg.cn_fast_cc {
-                self.ecn_cut(ctx);
-            }
+            self.ecn_cut(ctx);
         }
         let now_ps = ctx.now().as_ps();
         let d = self.ctrl.on_feedback(fb, now_ps, ctx.rng());
@@ -350,20 +329,18 @@ impl TcpSender {
     }
 
     /// The window reduction a congestion signal earns — the first ECN echo
-    /// of a window or, with [`TcpConfig::cn_fast_cc`], a CN that beat it —
-    /// at most once per window (`cwr`). Under DCTCP `cwnd *= 1 − alpha/2`,
-    /// floored at one MSS, with ssthresh kept at the reduced level so growth
-    /// continues additively rather than re-entering slow start.
+    /// of a window or a CN that beat it — at most once per window (`cwr`):
+    /// `cwnd *= 1 − alpha/2`, floored at one MSS, with ssthresh kept at the
+    /// reduced level so growth continues additively rather than re-entering
+    /// slow start.
     fn ecn_cut(&mut self, ctx: &mut Ctx<'_>) {
         if self.cwr {
             return;
         }
-        if self.cfg.dctcp.is_some() {
-            self.cwnd *= 1.0 - self.alpha / 2.0;
-            self.cwnd = self.cwnd.max(self.cfg.mss as f64);
-            self.ssthresh = self.ssthresh.min(self.cwnd);
-            self.trace_cwnd(ctx);
-        }
+        self.cwnd *= 1.0 - self.alpha / 2.0;
+        self.cwnd = self.cwnd.max(MSS as f64);
+        self.ssthresh = self.ssthresh.min(self.cwnd);
+        self.trace_cwnd(ctx);
         self.cwr = true;
     }
 
@@ -470,9 +447,7 @@ impl TcpSender {
             } else {
                 0.0
             };
-            if let Some(d) = self.cfg.dctcp {
-                self.alpha = (1.0 - d.g) * self.alpha + d.g * f;
-            }
+            self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
             if ctx.recorder().wants(ProbeKind::Cwnd) {
                 let (now, cwnd) = (ctx.now(), self.cwnd);
                 ctx.recorder()
@@ -500,7 +475,7 @@ impl TcpSender {
                 self.recover = None;
                 self.undo = None;
                 self.dup_acks = 0;
-                self.cwnd = self.ssthresh.max(self.cfg.mss as f64);
+                self.cwnd = self.ssthresh.max(MSS as f64);
                 self.trace(TraceEvent::FastRetransmitExit, ctx);
                 self.trace_cwnd(ctx);
             }
@@ -508,16 +483,15 @@ impl TcpSender {
                 // Partial ACK: the next hole is lost too. Retransmit it and
                 // deflate.
                 self.retransmit_una(ctx);
-                self.cwnd =
-                    (self.cwnd - newly_acked as f64 + self.cfg.mss as f64).max(self.cfg.mss as f64);
+                self.cwnd = (self.cwnd - newly_acked as f64 + MSS as f64).max(MSS as f64);
             }
             None => {
                 self.dup_acks = 0;
                 // Normal growth.
                 if self.cwnd < self.ssthresh {
-                    self.cwnd += newly_acked.min(self.cfg.mss as u64) as f64;
+                    self.cwnd += newly_acked.min(MSS as u64) as f64;
                 } else {
-                    self.cwnd += (self.cfg.mss as f64) * (self.cfg.mss as f64) / self.cwnd;
+                    self.cwnd += (MSS as f64) * (MSS as f64) / self.cwnd;
                 }
             }
         }
@@ -532,8 +506,7 @@ impl TcpSender {
         if self.cfg.dupack_threshold.is_none() {
             return;
         }
-        let extent =
-            ((self.peer_high.saturating_sub(self.snd_una)) / self.cfg.mss as u64) as u32 + 1;
+        let extent = ((self.peer_high.saturating_sub(self.snd_una)) / MSS as u64) as u32 + 1;
         // Linux's default sysctl cap.
         const REORDER_CAP: u32 = 300;
         // Repeated DSACKs mean the estimate is still too low; grow
@@ -560,7 +533,7 @@ impl TcpSender {
         ctx.recorder().bump(Counter::DupAcks);
         if self.recover.is_some() {
             // Inflate during recovery; each dup ACK signals a departure.
-            self.cwnd += self.cfg.mss as f64;
+            self.cwnd += MSS as f64;
             self.transmit_window(ctx);
             return;
         }
@@ -573,8 +546,8 @@ impl TcpSender {
             ctx.recorder().bump(Counter::FastRetransmits);
             self.recover = Some(self.snd_nxt);
             self.undo = Some((self.cwnd, self.ssthresh));
-            self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-            self.cwnd = self.ssthresh + 3.0 * self.cfg.mss as f64;
+            self.ssthresh = (self.cwnd / 2.0).max(2.0 * MSS as f64);
+            self.cwnd = self.ssthresh + 3.0 * MSS as f64;
             self.dup_acks = 0;
             self.trace(TraceEvent::FastRetransmitEnter, ctx);
             self.trace_cwnd(ctx);
@@ -600,10 +573,9 @@ impl TcpSender {
         }
 
         // --- Genuine retransmission timeout ---
-        self.timeouts += 1;
         ctx.recorder().bump(Counter::Timeouts);
-        self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-        self.cwnd = self.cfg.mss as f64;
+        self.ssthresh = (self.cwnd / 2.0).max(2.0 * MSS as f64);
+        self.cwnd = MSS as f64;
         self.recover = None;
         self.undo = None;
         self.dup_acks = 0;
@@ -631,11 +603,7 @@ impl TcpSender {
         self.cwr = false;
         self.cn_at = None;
         self.window_end = self.snd_una;
-        self.retransmits += 1;
-        ctx.recorder().bump(Counter::Retransmits);
-        let payload = (self.size - self.snd_una).min(self.cfg.mss as u64) as u32;
-        self.send_segment(self.snd_una, payload, ctx);
-        self.snd_nxt = self.snd_una + payload as u64;
+        self.retransmit_una(ctx);
 
         match self.arm_timer(ctx.now()) {
             Some(deadline) => TimerOutcome::Rearm(deadline),
@@ -651,7 +619,6 @@ mod tests {
     //! reachable without a simulator context.
 
     use super::*;
-    use crate::config::TcpConfig;
 
     #[test]
     fn timer_outcome_equality() {
@@ -664,7 +631,6 @@ mod tests {
 
     #[test]
     fn config_defaults_produce_ten_segment_window() {
-        let cfg = TcpConfig::default();
-        assert_eq!(cfg.init_cwnd_bytes() as u64, 14_600);
+        assert_eq!(INIT_CWND as u64, 14_600);
     }
 }

@@ -1,13 +1,15 @@
-//! Randomized tests of the transport's pure components: the receiver's
-//! reassembly (against a bitmap reference model) and the RTT estimator.
-//! Arrival orders are generated from seeded [`DetRng`] streams so every
-//! failure reproduces exactly.
+//! Randomized tests of the transport: the receiver's reassembly (against
+//! a bitmap reference model), the RTT estimator, and the sender's
+//! invariants under adversarial ACK schedules. Every schedule is generated
+//! from a seeded [`DetRng`] stream so every failure reproduces exactly.
 
+use netsim::testutil::CtxHarness;
 use netsim::{
-    DetRng, FlowKey, HashConfig, LinkSpec, Packet, Proto, RoutingTable, SimTime, Simulator,
-    SwitchConfig,
+    DetRng, Flags, FlowKey, HashConfig, LinkSpec, Packet, Proto, RoutingTable, SimTime, Simulator,
+    SwitchConfig, MSS,
 };
-use transport::{Receiver, RttEstimator};
+use transport::config::MAX_CWND;
+use transport::{Receiver, RttEstimator, TcpConfig, TcpSender, TimerOutcome, RTO_MAX};
 
 /// Drive a real `Receiver` inside a minimal simulation so it has a `Ctx`:
 /// one host delivers a scripted segment arrival order to another.
@@ -177,4 +179,228 @@ fn rtt_backoff_is_monotone() {
             prev = now;
         }
     }
+}
+
+/// The network and receiver one [`TcpSender`] talks to in
+/// [`sender_invariants_hold_under_adversarial_schedules`]: data and ACKs in
+/// flight, a per-segment model of what the receiver holds, and the
+/// retransmit timer the host agent would have armed.
+struct Wire {
+    size: u64,
+    data: Vec<Packet>,
+    acks: Vec<Packet>,
+    held: Vec<bool>,
+    /// First segment the receiver is missing (its cumulative ACK / MSS).
+    next_missing: usize,
+    /// Highest byte the receiver has seen (the ACKs' `rcv_high`).
+    high: u64,
+    /// Highest cumulative ACK the sender has been handed (its `snd_una`).
+    una: u64,
+    timer: Option<SimTime>,
+}
+
+impl Wire {
+    fn new(size: u64) -> Self {
+        Wire {
+            size,
+            data: Vec::new(),
+            acks: Vec::new(),
+            held: vec![false; size.div_ceil(MSS as u64) as usize],
+            next_missing: 0,
+            high: 0,
+            una: 0,
+            timer: None,
+        }
+    }
+
+    /// Take what the sender just sent, checking every segment on the way.
+    fn collect(&mut self, h: &mut CtxHarness, seed: u64) {
+        let (pkts, timers) = h.drain();
+        assert!(
+            timers.is_empty(),
+            "seed {seed}: the sender arms no timers itself"
+        );
+        for p in pkts {
+            let end = p.seq + p.payload as u64;
+            assert!(p.payload > 0 && end <= self.size, "seed {seed}: {p:?}");
+            assert_eq!(p.seq % MSS as u64, 0, "seed {seed}: off the MSS grid");
+            assert_eq!(
+                p.flags.has(Flags::FIN),
+                end == self.size,
+                "seed {seed}: FIN on the last segment only"
+            );
+            // The receive window: no segment starts MAX_CWND or more past
+            // the cumulative ACK, so bytes in flight stay capped.
+            assert!(
+                p.seq < self.una + MAX_CWND,
+                "seed {seed}: {} in flight",
+                p.seq - self.una
+            );
+            self.data.push(p);
+        }
+    }
+
+    /// The receiver takes one data segment and answers with a cumulative
+    /// ACK — DSACK when it already held the segment, ECE and spurious
+    /// DSACK flags at the given odds.
+    fn receive(&mut self, p: &Packet, p_ece: f64, p_dsack: f64, rng: &mut DetRng) {
+        let seg = (p.seq / MSS as u64) as usize;
+        let dup = std::mem::replace(&mut self.held[seg], true);
+        while self.held.get(self.next_missing) == Some(&true) {
+            self.next_missing += 1;
+        }
+        self.high = self.high.max(p.seq + p.payload as u64);
+        let cum = (self.next_missing as u64 * MSS as u64).min(self.size);
+        let mut a = Packet::ack_packet(p.flow, p.key, 0, cum, p.tstamp);
+        a.rcv_high = self.high;
+        if dup || rng.gen_f64() < p_dsack {
+            a.flags.set(Flags::DSACK);
+        }
+        if rng.gen_f64() < p_ece {
+            a.flags.set(Flags::ECE);
+        }
+        self.acks.push(a);
+    }
+
+    fn ack(&mut self, s: &mut TcpSender, a: &Packet, h: &mut CtxHarness) {
+        if let Some(deadline) = s.on_ack(a, &mut h.ctx()) {
+            self.timer = Some(deadline);
+        }
+        self.una = self.una.max(a.ack);
+    }
+
+    fn fire(&mut self, s: &mut TcpSender, h: &mut CtxHarness) {
+        self.timer = match s.on_timer(&mut h.ctx()) {
+            TimerOutcome::Rearm(deadline) => Some(deadline),
+            TimerOutcome::Quiet => None,
+        };
+    }
+}
+
+fn check_window(s: &TcpSender, seed: u64) {
+    assert!(s.cwnd() >= MSS as f64, "seed {seed}: cwnd {}", s.cwnd());
+    assert!(
+        (0.0..=1.0).contains(&s.alpha()),
+        "seed {seed}: alpha {}",
+        s.alpha()
+    );
+}
+
+/// The sender against a hostile network. Each seed picks a flow size, a
+/// host stack and the odds of every perturbation, then runs a schedule
+/// built from what the sender actually sent: data and ACKs delivered out
+/// of order, duplicated or dropped, ECE and DSACK flags (spurious ones
+/// too), switch CNs in between, and retransmit-timer events fired both
+/// before and after their deadline. After every step: cwnd ≥ one MSS,
+/// `alpha` ∈ [0, 1], and every segment lies in `[0, size)` on the MSS grid,
+/// carries FIN only at the end and starts within `MAX_CWND` of the
+/// cumulative ACK. Then the network turns reliable and the sender must
+/// complete. Every fifth seed sends 2–3 MB over the reliable network
+/// alone: the one schedule that grows cwnd into the `MAX_CWND` cap.
+#[test]
+fn sender_invariants_hold_under_adversarial_schedules() {
+    let odds = [0.0, 0.02, 0.1, 0.4];
+    let mut capped = 0;
+    for seed in 0..40u64 {
+        let mut rng = DetRng::new(seed, 0x22);
+        let (size, steps) = if seed % 5 == 0 {
+            (2_000_000 + rng.gen_range(1_000_000) as u64, 0)
+        } else {
+            // Any order of magnitude, down to single-segment flows.
+            let bytes = rng.gen_range(2_500_000) >> rng.gen_range(16);
+            (1 + bytes as u64, 3_000)
+        };
+        let cfg = match seed % 4 {
+            2 => TcpConfig::detail(),
+            3 => TcpConfig::flowbender(flowbender::Config::default()),
+            _ => TcpConfig::default(),
+        };
+        let (p_drop, p_dup) = (*rng.choose(&odds), *rng.choose(&odds));
+        let (p_ece, p_dsack) = (*rng.choose(&odds), *rng.choose(&odds) / 4.0);
+        let key = FlowKey {
+            src: 0,
+            dst: 1,
+            sport: 1000,
+            dport: 80,
+            proto: Proto::Tcp,
+        };
+        let mut h = CtxHarness::new(seed);
+        let mut w = Wire::new(size);
+        let mut s = TcpSender::new(0, key, size, cfg, None, 0, &mut h.ctx());
+        w.timer = s.start(&mut h.ctx());
+        w.collect(&mut h, seed);
+        for _ in 0..steps {
+            h.now += SimTime::from_ns(rng.gen_range(20_000) as u64);
+            match rng.gen_range(100) {
+                0..=39 if !w.data.is_empty() => {
+                    let p = w.data.swap_remove(rng.gen_index(w.data.len()));
+                    if rng.gen_f64() < p_dup {
+                        w.data.push(p.clone());
+                    }
+                    if rng.gen_f64() >= p_drop {
+                        w.receive(&p, p_ece, p_dsack, &mut rng);
+                    }
+                }
+                40..=79 if !w.acks.is_empty() => {
+                    let a = w.acks.swap_remove(rng.gen_index(w.acks.len()));
+                    if rng.gen_f64() < p_dup {
+                        w.acks.push(a.clone());
+                    }
+                    if rng.gen_f64() >= p_drop {
+                        w.ack(&mut s, &a, &mut h);
+                    }
+                }
+                80..=87 => {
+                    let fb = flowbender::Feedback::Cn {
+                        node: 9,
+                        port: rng.gen_range(4) as u16,
+                        qbytes: 100_000,
+                    };
+                    s.on_feedback(fb, &mut h.ctx());
+                }
+                // A stale timer event, whatever its deadline.
+                88..=93 => w.fire(&mut s, &mut h),
+                // The armed timer at (or after) its deadline.
+                94..=99 => {
+                    if let Some(t) = w.timer {
+                        h.now = h.now.max(t);
+                    }
+                    w.fire(&mut s, &mut h);
+                }
+                _ => {}
+            }
+            w.collect(&mut h, seed);
+            check_window(&s, seed);
+        }
+        // The network turns reliable: deliver everything in order and let
+        // the retransmit timer cover what the schedule lost.
+        w.acks.clear();
+        for _ in 0..100_000 {
+            if s.is_complete() {
+                break;
+            }
+            if w.data.is_empty() {
+                h.now += RTO_MAX;
+                w.fire(&mut s, &mut h);
+            } else {
+                h.now += SimTime::from_us(50);
+                let mut data = std::mem::take(&mut w.data);
+                data.sort_by_key(|p| p.seq);
+                for p in &data {
+                    w.receive(p, 0.0, 0.0, &mut rng);
+                }
+                for a in std::mem::take(&mut w.acks) {
+                    w.ack(&mut s, &a, &mut h);
+                }
+            }
+            w.collect(&mut h, seed);
+            check_window(&s, seed);
+            if s.cwnd() >= MAX_CWND as f64 {
+                capped += 1;
+            }
+        }
+        assert!(s.is_complete(), "seed {seed}: never completed");
+        assert!(w.held.iter().all(|&b| b), "seed {seed}: receiver has holes");
+    }
+    assert!(capped > 0, "no seed grew cwnd to MAX_CWND");
 }

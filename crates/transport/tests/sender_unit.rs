@@ -1,7 +1,8 @@
 //! Direct unit tests of the TCP sender state machine, driven through a
 //! [`netsim::testutil::CtxHarness`] — no network, just the protocol logic:
-//! window growth, fast retransmit entry, DCTCP's alpha arithmetic, DSACK
-//! undo, go-back-N timeouts, and FlowBender V-field stamping.
+//! window growth, fast retransmit entry, DCTCP's alpha arithmetic, the
+//! once-per-window cut shared by switch CNs and ECN echoes, DSACK undo,
+//! go-back-N timeouts, and FlowBender V-field stamping.
 
 use netsim::testutil::CtxHarness;
 use netsim::{Counter, Flags, FlowKey, Packet, Proto, SimTime, MSS};
@@ -124,7 +125,7 @@ fn three_dupacks_trigger_fast_retransmit() {
     // Exactly one retransmission of the first segment.
     assert_eq!(pkts.len(), 1);
     assert_eq!(pkts[0].seq, 0);
-    assert_eq!(s.retransmit_count(), 1);
+    assert_eq!(h.recorder().get(Counter::Retransmits), 1);
 }
 
 #[test]
@@ -172,7 +173,7 @@ fn dsack_bumps_spurious_retransmit_and_undo_counters() {
         let mut ctx = h.ctx();
         s.on_ack(&ack(0, false, d * MSS as u64, SimTime::ZERO), &mut ctx);
     }
-    assert_eq!(s.retransmit_count(), 1);
+    assert_eq!(h.recorder().get(Counter::Retransmits), 1);
     assert_eq!(h.recorder().get(Counter::SpuriousRetransmits), 0);
     assert_eq!(h.recorder().get(Counter::DsackUndos), 0);
     // The receiver reports the retransmission as a duplicate: one spurious
@@ -245,7 +246,7 @@ fn rto_goes_back_n_and_halves_to_one_segment() {
         s.on_timer(&mut ctx)
     };
     assert!(matches!(outcome, TimerOutcome::Rearm(_)));
-    assert_eq!(s.timeout_count(), 1);
+    assert_eq!(h.recorder().get(Counter::Timeouts), 1);
     assert!(
         (s.cwnd() - MSS as f64).abs() < 1.0,
         "cwnd collapses to 1 MSS"
@@ -279,7 +280,7 @@ fn early_timer_rearms_quietly() {
         TimerOutcome::Rearm(deadline) => assert_eq!(deadline, SimTime::from_ms(15)),
         other => panic!("expected rearm, got {other:?}"),
     }
-    assert_eq!(s.timeout_count(), 0);
+    assert_eq!(h.recorder().get(Counter::Timeouts), 0);
 }
 
 #[test]
@@ -313,14 +314,14 @@ fn completed_sender_ignores_stray_acks() {
         s.on_ack(&ack(2_000, false, 0, SimTime::ZERO), &mut ctx);
     }
     assert!(s.is_complete());
-    let before = s.retransmit_count();
+    let before = h.recorder().get(Counter::Retransmits);
     {
         let mut ctx = h.ctx();
         s.on_ack(&ack(2_000, false, 0, SimTime::ZERO), &mut ctx);
         let outcome = s.on_timer(&mut ctx);
         assert_eq!(outcome, TimerOutcome::Quiet);
     }
-    assert_eq!(s.retransmit_count(), before);
+    assert_eq!(h.recorder().get(Counter::Retransmits), before);
     let (pkts, _) = h.drain();
     assert!(pkts.is_empty());
 }
@@ -356,4 +357,93 @@ fn cached_reorder_metric_raises_initial_threshold() {
     );
     let s2 = TcpSender::new(1, key(), 1_000_000, TcpConfig::default(), None, 0, &mut ctx);
     assert_eq!(s2.reorder_threshold(), 3);
+}
+
+/// A switch CN for this flow (the blamed hop is irrelevant to the cut).
+fn cn(s: &mut TcpSender, h: &mut CtxHarness) {
+    let fb = flowbender::Feedback::Cn {
+        node: 5,
+        port: 2,
+        qbytes: 100_000,
+    };
+    s.on_feedback(fb, &mut h.ctx());
+}
+
+#[test]
+fn cn_then_echo_in_one_window_cut_once() {
+    let mut h = CtxHarness::new(1);
+    let (mut s, _) = mk_sender(&mut h, 100_000_000, TcpConfig::default());
+    h.drain();
+    let w0 = s.cwnd();
+    h.now = SimTime::from_us(10);
+    cn(&mut s, &mut h);
+    // alpha starts at 1: the CN halves cwnd on the spot.
+    assert_eq!(s.cwnd(), w0 / 2.0);
+    h.now = SimTime::from_us(60);
+    s.on_ack(&ack(MSS as u64, true, 0, SimTime::ZERO), &mut h.ctx());
+    // The echo of the same window is gated by `cwr`: only additive growth.
+    let grown = w0 / 2.0 + (MSS as f64) * (MSS as f64) / (w0 / 2.0);
+    assert_eq!(s.cwnd(), grown);
+}
+
+#[test]
+fn echo_then_cn_in_one_window_cut_once() {
+    let mut h = CtxHarness::new(1);
+    let (mut s, _) = mk_sender(&mut h, 100_000_000, TcpConfig::default());
+    h.drain();
+    let w0 = s.cwnd();
+    h.now = SimTime::from_us(60);
+    s.on_ack(&ack(MSS as u64, true, 0, SimTime::ZERO), &mut h.ctx());
+    let after_echo = s.cwnd();
+    assert!(after_echo < w0 * 0.6, "the echo cuts: {after_echo} vs {w0}");
+    h.now = SimTime::from_us(70);
+    cn(&mut s, &mut h);
+    assert_eq!(
+        s.cwnd(),
+        after_echo,
+        "a CN after the echo must not cut again"
+    );
+}
+
+#[test]
+fn cn_in_the_next_window_cuts_again() {
+    let mut h = CtxHarness::new(1);
+    let (mut s, _) = mk_sender(&mut h, 100_000_000, TcpConfig::default());
+    h.drain();
+    h.now = SimTime::from_us(10);
+    cn(&mut s, &mut h);
+    // ACK the whole initial window unmarked: the window closes, `cwr`
+    // clears and alpha decays below 1.
+    h.now = SimTime::from_us(60);
+    for i in 1..=10u64 {
+        s.on_ack(&ack(i * MSS as u64, false, 0, SimTime::ZERO), &mut h.ctx());
+    }
+    let (before, alpha) = (s.cwnd(), s.alpha());
+    assert!(alpha < 1.0);
+    h.now = SimTime::from_us(70);
+    cn(&mut s, &mut h);
+    assert_eq!(s.cwnd(), (before * (1.0 - alpha / 2.0)).max(MSS as f64));
+}
+
+#[test]
+fn feedback_lead_opens_on_the_cn_and_closes_on_the_echo() {
+    let mut h = CtxHarness::new(1);
+    let (mut s, _) = mk_sender(&mut h, 100_000_000, TcpConfig::default());
+    h.drain();
+    h.now = SimTime::from_us(10);
+    cn(&mut s, &mut h);
+    // A second CN of the same window keeps the first timestamp.
+    h.now = SimTime::from_us(20);
+    cn(&mut s, &mut h);
+    assert_eq!(h.recorder().get(Counter::FeedbackLeadSamples), 0);
+    h.now = SimTime::from_us(60);
+    s.on_ack(&ack(MSS as u64, true, 0, SimTime::ZERO), &mut h.ctx());
+    assert_eq!(h.recorder().get(Counter::FeedbackLeadSamples), 1);
+    assert_eq!(
+        h.recorder().get(Counter::FeedbackLeadPs),
+        SimTime::from_us(50).as_ps()
+    );
+    // Later echoes of the window measure nothing more.
+    s.on_ack(&ack(2 * MSS as u64, true, 0, SimTime::ZERO), &mut h.ctx());
+    assert_eq!(h.recorder().get(Counter::FeedbackLeadSamples), 1);
 }
