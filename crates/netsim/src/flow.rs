@@ -148,6 +148,7 @@ impl FlowSpec {
 /// Register every spec with the recorder (specs must be sorted by id and
 /// dense from 0 — workload generators guarantee this).
 pub fn register_flows(recorder: &mut crate::record::Recorder, specs: &[FlowSpec]) {
+    recorder.reserve_flows(specs.len());
     for s in specs {
         recorder.flow_started(s.record());
     }

@@ -366,6 +366,11 @@ impl Recorder {
         self.flows.push(rec);
     }
 
+    /// Make room for exactly `n` more flow records.
+    pub(crate) fn reserve_flows(&mut self, n: usize) {
+        self.flows.reserve_exact(n);
+    }
+
     /// Mark a flow complete at `end` (receiver has all bytes).
     pub fn flow_completed(&mut self, flow: FlowId, end: SimTime) {
         let rec = &mut self.flows[flow as usize];

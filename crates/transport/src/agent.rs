@@ -10,6 +10,23 @@
 //! * demultiplexes arriving packets to the right endpoint by flow id,
 //! * services retransmit-timer events (deadline-based, so stale timer
 //!   events are cheap no-ops).
+//!
+//! Its state is sized by the flows in flight, not the flows offered. A
+//! sender exists from its flow's arrival to its last ACK. On the receive
+//! side each incoming TCP flow goes through three stages:
+//!
+//! * **not started** — a 16-byte `Dormant` record (the flow's size) in
+//!   an exact-capacity table sorted by flow id;
+//! * **live** — from the first data segment until it completes, a
+//!   [`Receiver`] held inline in the demux map, so a data segment costs one
+//!   lookup;
+//! * **retired** — the receiver is dropped and its `Dormant` record keeps
+//!   the size and the highest segment start seen, which is all a late
+//!   duplicate's answer needs (`Dormant::on_data`). A delayed-ACK timer
+//!   firing for it finds no receiver and does nothing.
+//!
+//! UDP sinks keep no per-flow state at all: a datagram is counted and
+//! dropped.
 
 use netsim::{
     register_flows, Agent, Ctx, DetHashMap, Flags, FlowId, FlowSpec, HostId, Packet, Proto,
@@ -17,7 +34,7 @@ use netsim::{
 };
 
 use crate::config::TcpConfig;
-use crate::receiver::Receiver;
+use crate::receiver::{Dormant, Receiver};
 use crate::sender::{TcpSender, TimerOutcome};
 use crate::udp::UdpSender;
 
@@ -43,9 +60,13 @@ pub struct HostAgent {
     next_out: usize,
     senders: DetHashMap<FlowId, TcpSender>,
     udp_senders: DetHashMap<FlowId, UdpSender>,
+    /// Live receivers: incoming TCP flows between their first data segment
+    /// and completion.
     receivers: DetHashMap<FlowId, Receiver>,
-    /// Bytes received per incoming UDP flow (UDP has no reassembly).
-    udp_rx_bytes: DetHashMap<FlowId, u64>,
+    /// Every incoming TCP flow, ascending; `dormant[i]` is the record of
+    /// `incoming[i]` while it has no live receiver.
+    incoming: Box<[FlowId]>,
+    dormant: Box<[Dormant]>,
     /// Per-destination reordering estimate, persisted across connections
     /// like Linux's `tcp_metrics` cache.
     reorder_cache: DetHashMap<HostId, u32>,
@@ -54,34 +75,43 @@ pub struct HostAgent {
 impl HostAgent {
     /// Build the stack for one host from the flows it originates
     /// (`outgoing`) and terminates (`incoming`).
-    pub fn new(cfg: TcpConfig, mut outgoing: Vec<FlowSpec>, incoming: &[FlowSpec]) -> Self {
+    pub fn new<'a>(
+        cfg: TcpConfig,
+        mut outgoing: Vec<FlowSpec>,
+        incoming: impl IntoIterator<Item = &'a FlowSpec>,
+    ) -> Self {
         cfg.validate();
         outgoing.sort_by_key(|f| (f.start, f.id));
-        let mut receivers = DetHashMap::default();
-        let mut udp_rx_bytes = DetHashMap::default();
-        for f in incoming {
-            match f.proto {
-                Proto::Tcp => {
-                    let mut rx = Receiver::new(f.id, f.bytes);
-                    if let Some(d) = cfg.delack {
-                        rx = rx.with_delack(d);
-                    }
-                    receivers.insert(f.id, rx);
-                }
-                Proto::Udp => {
-                    udp_rx_bytes.insert(f.id, 0);
-                }
-            }
-        }
+        let mut tcp_in: Vec<(FlowId, Dormant)> = incoming
+            .into_iter()
+            .filter(|f| f.proto == Proto::Tcp)
+            .map(|f| (f.id, Dormant::new(f.bytes)))
+            .collect();
+        tcp_in.sort_unstable_by_key(|&(id, _)| id);
+        debug_assert!(
+            tcp_in.windows(2).all(|w| w[0].0 < w[1].0),
+            "duplicate flow id"
+        );
+        let (incoming, dormant): (Vec<FlowId>, Vec<Dormant>) = tcp_in.into_iter().unzip();
         HostAgent {
             cfg,
             outgoing,
             next_out: 0,
             senders: DetHashMap::default(),
             udp_senders: DetHashMap::default(),
-            receivers,
-            udp_rx_bytes,
+            receivers: DetHashMap::default(),
+            incoming: incoming.into_boxed_slice(),
+            dormant: dormant.into_boxed_slice(),
             reorder_cache: DetHashMap::default(),
+        }
+    }
+
+    /// The dormant record of incoming TCP flow `flow`; panics if this host
+    /// does not terminate it.
+    fn dormant_mut(&mut self, flow: FlowId, host: HostId) -> &mut Dormant {
+        match self.incoming.binary_search(&flow) {
+            Ok(i) => &mut self.dormant[i],
+            Err(_) => panic!("host {host}: data for unknown flow {flow}"),
         }
     }
 
@@ -96,7 +126,6 @@ impl HostAgent {
             if spec.start > ctx.now() {
                 break;
             }
-            let spec = spec.clone();
             self.next_out += 1;
             match spec.proto {
                 Proto::Tcp => {
@@ -164,21 +193,46 @@ impl HostAgent {
     }
 
     fn on_data(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        match pkt.key.proto {
-            Proto::Tcp => {
-                let rx = self.receivers.get_mut(&pkt.flow).unwrap_or_else(|| {
-                    panic!("host {}: data for unknown flow {}", ctx.host(), pkt.flow)
-                });
-                if let Some(deadline) = rx.on_data(pkt, ctx) {
-                    ctx.set_timer(deadline, token(pkt.flow, KIND_DELACK));
-                }
+        let flow = pkt.flow;
+        if pkt.key.proto == Proto::Udp {
+            ctx.recorder().bump(netsim::Counter::DataPktsRcvd);
+            return;
+        }
+        if let Some(rx) = self.receivers.get_mut(&flow) {
+            if let Some(deadline) = rx.on_data(pkt, ctx) {
+                ctx.set_timer(deadline, token(flow, KIND_DELACK));
             }
-            Proto::Udp => {
-                ctx.recorder().bump(netsim::Counter::DataPktsRcvd);
-                let bytes = self.udp_rx_bytes.get_mut(&pkt.flow).unwrap_or_else(|| {
-                    panic!("host {}: UDP for unknown flow {}", ctx.host(), pkt.flow)
-                });
-                *bytes += pkt.payload as u64;
+            if let Some(done) = rx.retire() {
+                self.receivers.remove(&flow);
+                // An aggregator between incast bursts gives its table back
+                // rather than keep one sized by its busiest moment. (Sender
+                // tables stay: freeing a one-flow table per flow costs wall
+                // time for no memory worth having.)
+                if self.receivers.is_empty() {
+                    self.receivers.shrink_to_fit();
+                }
+                *self.dormant_mut(flow, ctx.host()) = done;
+            }
+            return;
+        }
+        let delack = self.cfg.delack;
+        let rest = self.dormant_mut(flow, ctx.host());
+        if rest.is_retired() {
+            rest.on_data(flow, delack.is_none(), pkt, ctx);
+            return;
+        }
+        // The flow's first segment.
+        let mut rx = Receiver::new(flow, rest.size());
+        if let Some(d) = delack {
+            rx = rx.with_delack(d);
+        }
+        if let Some(deadline) = rx.on_data(pkt, ctx) {
+            ctx.set_timer(deadline, token(flow, KIND_DELACK));
+        }
+        match rx.retire() {
+            Some(done) => *rest = done,
+            None => {
+                self.receivers.insert(flow, rx);
             }
         }
     }
@@ -239,21 +293,26 @@ impl Agent for HostAgent {
 /// host of `sim`, each primed with its outgoing and incoming flows.
 ///
 /// Specs must have dense ids `0..n` (workload generators guarantee this).
+/// Each spec is copied once, into its source's schedule; the receive side
+/// reads specs in place.
 pub fn install_agents(sim: &mut Simulator, specs: &[FlowSpec], cfg: &TcpConfig) {
     register_flows(sim.recorder_mut(), specs);
-    let hosts: Vec<HostId> = sim.hosts().to_vec();
-    let mut outgoing: DetHashMap<HostId, Vec<FlowSpec>> = DetHashMap::default();
-    let mut incoming: DetHashMap<HostId, Vec<FlowSpec>> = DetHashMap::default();
+    // Per-node lists, indexed by node id and sized exactly.
+    let nodes = sim.node_count();
+    let (mut n_out, mut n_in) = (vec![0; nodes], vec![0; nodes]);
     for s in specs {
-        outgoing.entry(s.src).or_default().push(s.clone());
-        incoming.entry(s.dst).or_default().push(s.clone());
+        n_out[s.src as usize] += 1;
+        n_in[s.dst as usize] += 1;
     }
-    for h in hosts {
-        let agent = HostAgent::new(
-            *cfg,
-            outgoing.remove(&h).unwrap_or_default(),
-            incoming.get(&h).map_or(&[][..], |v| &v[..]),
-        );
+    let mut outgoing: Vec<Vec<FlowSpec>> = n_out.into_iter().map(Vec::with_capacity).collect();
+    let mut incoming: Vec<Vec<&FlowSpec>> = n_in.into_iter().map(Vec::with_capacity).collect();
+    for s in specs {
+        outgoing[s.src as usize].push(s.clone());
+        incoming[s.dst as usize].push(s);
+    }
+    for h in sim.hosts().to_vec() {
+        let out = std::mem::take(&mut outgoing[h as usize]);
+        let agent = HostAgent::new(*cfg, out, incoming[h as usize].iter().copied());
         sim.set_agent(h, Box::new(agent));
     }
 }
@@ -505,6 +564,48 @@ mod tests {
         assert_eq!(rec.completed_count(), 1);
         assert_eq!(rec.get(Counter::Reroutes), 0);
         assert_eq!(rec.get(Counter::TimeoutReroutes), 0);
+    }
+
+    /// Data segment `seq` of `spec`, as a host's agent receives it.
+    fn segment(spec: &FlowSpec, seq: u64) -> Packet {
+        Packet::data(spec.id, spec.key(), 0, seq, netsim::MSS, SimTime::ZERO)
+    }
+
+    #[test]
+    fn a_receiver_lives_from_first_segment_to_completion() {
+        let mut h = netsim::testutil::CtxHarness::new(1);
+        let spec = FlowSpec::tcp(0, 1, 0, 2 * netsim::MSS as u64, SimTime::ZERO);
+        register_flows(h.recorder_mut(), std::slice::from_ref(&spec));
+        let mut agent = HostAgent::new(TcpConfig::default(), Vec::new(), [&spec]);
+        assert!(agent.receivers.is_empty() && !agent.dormant[0].is_retired());
+        agent.on_packet(segment(&spec, netsim::MSS as u64), &mut h.ctx());
+        assert_eq!(agent.receivers.len(), 1);
+        agent.on_packet(segment(&spec, 0), &mut h.ctx());
+        assert!(agent.dormant[0].is_retired());
+        assert_eq!(agent.receivers.capacity(), 0, "an idle host keeps no table");
+        // A late duplicate is answered from the dormant record alone.
+        agent.on_packet(segment(&spec, 0), &mut h.ctx());
+        assert!(agent.receivers.is_empty());
+        let (acks, timers) = h.drain();
+        let seen: Vec<_> = acks
+            .iter()
+            .map(|a| (a.ack, a.flags.has(Flags::DSACK)))
+            .collect();
+        let size = spec.bytes;
+        assert_eq!(seen, [(0, false), (size, false), (size, true)]);
+        assert!(timers.is_empty());
+        assert_eq!(h.recorder().completed_count(), 1);
+        assert_eq!(h.recorder().get(Counter::DupBytes), netsim::MSS as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "data for unknown flow 1")]
+    fn data_for_a_flow_the_host_never_registered_panics() {
+        let mut h = netsim::testutil::CtxHarness::new(1);
+        let spec = FlowSpec::tcp(0, 1, 0, 10_000, SimTime::ZERO);
+        let mut agent = HostAgent::new(TcpConfig::default(), Vec::new(), [&spec]);
+        let stranger = FlowSpec::tcp(1, 1, 0, 10_000, SimTime::ZERO);
+        agent.on_packet(segment(&stranger, 0), &mut h.ctx());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!
 //! [`install_agents`] wires a full simulator: give it the run's
 //! [`netsim::FlowSpec`]s and a [`TcpConfig`], and every host gets a
-//! [`HostAgent`] owning its senders and receivers.
+//! [`HostAgent`] owning its senders and receivers — each endpoint only
+//! while its flow is in flight, a 16-byte record otherwise.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

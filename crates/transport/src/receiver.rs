@@ -17,10 +17,20 @@
 //!   arrival or hole-fill (so dupacks and recovery behave), and on FIN.
 //!   A host-armed delayed-ACK timer flushes a pending ACK so the last
 //!   sub-`m` segments of a window can't stall the sender.
+//!
+//! A [`Receiver`] is only needed while a flow is in progress. Once every
+//! byte has arrived the completing segment has been acknowledged at once,
+//! nothing is pending and the reassembly map is empty: all a complete
+//! receiver still reads is the flow's size and the highest segment start it
+//! has seen. `Receiver::retire` hands those over as a 16-byte `Dormant`
+//! record, and `Dormant::on_data` is the one code path that answers a late
+//! duplicate, whether the receiver is still around or long dropped. The
+//! host agent keeps a `Dormant` per flow it terminates and a `Receiver` only
+//! from the first segment to completion (see [`crate::agent`]).
 
 use std::collections::BTreeMap;
 
-use netsim::{Counter, Ctx, Flags, FlowId, FlowKey, Packet, SimTime};
+use netsim::{Counter, Ctx, Flags, FlowId, FlowKey, IntStack, Packet, SimTime};
 
 /// Delayed-ACK configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +50,128 @@ impl Default for DelAckConfig {
     }
 }
 
+/// The fields of a data segment its ACK mirrors.
+#[derive(Debug, Clone, Copy)]
+struct Mirror {
+    key: FlowKey,
+    vfield: u8,
+    tstamp: SimTime,
+}
+
+impl Mirror {
+    fn of(pkt: &Packet) -> Self {
+        Mirror {
+            key: pkt.key,
+            vfield: pkt.vfield,
+            tstamp: pkt.tstamp,
+        }
+    }
+}
+
+/// Build and send one cumulative ACK at `ack_num` for `flow`. `int` is the
+/// INT stack to echo back to the sender (per-packet mode only).
+#[allow(clippy::too_many_arguments)]
+fn send_ack(
+    flow: FlowId,
+    rcv_high: u64,
+    m: Mirror,
+    ece: bool,
+    dsack: bool,
+    ack_num: u64,
+    int: Option<Box<IntStack>>,
+    ctx: &mut Ctx<'_>,
+) {
+    // The ACK mirrors the data packet's V-field; ACK paths are
+    // load-balanced independently and carry negligible load.
+    let mut ack = Packet::ack_packet(flow, m.key, m.vfield, ack_num, m.tstamp);
+    if ece {
+        ack.flags.set(Flags::ECE);
+    }
+    if dsack {
+        ack.flags.set(Flags::DSACK);
+    }
+    ack.rcv_high = rcv_high;
+    ack.int = int;
+    ctx.send(ack);
+}
+
+/// The receive side of a flow while no [`Receiver`] is live for it: before
+/// its first segment, and after it has retired. Sixteen bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dormant {
+    /// Total application bytes the flow carries: the ACK of every late
+    /// duplicate.
+    size: u64,
+    /// Highest segment start seen: what each ACK reports as `rcv_high` and
+    /// what the §4.2.3 statistic compares a late segment against.
+    /// [`Dormant::UNSTARTED`] before the first segment.
+    max_seen: u64,
+}
+
+impl Dormant {
+    /// `max_seen` of a flow no segment has reached yet (a segment start is
+    /// below the flow's size, so never this).
+    const UNSTARTED: u64 = u64::MAX;
+
+    /// A flow of `size` bytes that has not started.
+    pub(crate) fn new(size: u64) -> Self {
+        Dormant {
+            size,
+            max_seen: Self::UNSTARTED,
+        }
+    }
+
+    /// Total application bytes of the flow.
+    pub(crate) fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// True once the flow has completed and its receiver retired.
+    pub(crate) fn is_retired(&self) -> bool {
+        self.max_seen != Self::UNSTARTED
+    }
+
+    /// A data segment for a flow whose every byte has already arrived: count
+    /// it (a reordered arrival if it starts below `max_seen`, all of its
+    /// payload duplicate bytes) and answer at once with `ack = size`, DSACK
+    /// and the segment's CE bit echoed — with its INT stack too when
+    /// `echo_int` (per-packet ACK mode). No delayed-ACK timer is ever
+    /// needed. A complete [`Receiver`] runs exactly this.
+    pub(crate) fn on_data(
+        &mut self,
+        flow: FlowId,
+        echo_int: bool,
+        pkt: &Packet,
+        ctx: &mut Ctx<'_>,
+    ) {
+        debug_assert!(self.is_retired(), "flow {flow} has not completed");
+        debug_assert!(
+            pkt.seq + pkt.payload as u64 <= self.size,
+            "data past the end of flow {flow}"
+        );
+        ctx.recorder().bump(Counter::DataPktsRcvd);
+        if pkt.seq < self.max_seen {
+            ctx.recorder().bump(Counter::OooPktsRcvd);
+        }
+        self.max_seen = self.max_seen.max(pkt.seq);
+        if pkt.payload > 0 {
+            ctx.recorder().add(Counter::DupBytes, pkt.payload as u64);
+        }
+        let int = if echo_int { pkt.int.clone() } else { None };
+        let ce = pkt.flags.has(Flags::CE);
+        send_ack(
+            flow,
+            self.max_seen,
+            Mirror::of(pkt),
+            ce,
+            true,
+            self.size,
+            int,
+            ctx,
+        );
+    }
+}
+
 /// Per-flow receive state.
 #[derive(Debug)]
 pub struct Receiver {
@@ -54,12 +186,6 @@ pub struct Receiver {
     ooo: BTreeMap<u64, u64>,
     /// Set once all `size` bytes have arrived.
     complete: bool,
-    /// Data packets received (including duplicates).
-    pkts_rcvd: u64,
-    /// Packets that arrived out of order.
-    ooo_rcvd: u64,
-    /// Bytes received that were already present (spurious retransmits).
-    dup_bytes: u64,
     /// Bytes currently buffered out of order (sum over `ooo` ranges).
     ooo_bytes: u64,
     /// Delayed-ACK mode, if enabled.
@@ -68,8 +194,8 @@ pub struct Receiver {
     ce_state: bool,
     /// In-order segments received since the last ACK.
     pending: u32,
-    /// Template for a deferred ACK: (key, vfield, tstamp, dsack).
-    pending_ack: Option<(FlowKey, u8, SimTime, bool)>,
+    /// Template for a deferred ACK, and whether it must carry DSACK.
+    pending_ack: Option<(Mirror, bool)>,
 }
 
 impl Receiver {
@@ -82,9 +208,6 @@ impl Receiver {
             max_seen: 0,
             ooo: BTreeMap::new(),
             complete: false,
-            pkts_rcvd: 0,
-            ooo_rcvd: 0,
-            dup_bytes: 0,
             ooo_bytes: 0,
             delack: None,
             ce_state: false,
@@ -111,9 +234,15 @@ impl Receiver {
         self.expected
     }
 
-    /// Out-of-order arrivals so far.
-    pub fn ooo_count(&self) -> u64 {
-        self.ooo_rcvd
+    /// Once every byte has arrived, the record that answers the flow's late
+    /// duplicates exactly as this receiver would, so it can be dropped;
+    /// `None` before.
+    pub(crate) fn retire(&self) -> Option<Dormant> {
+        debug_assert!(!self.complete || (self.pending == 0 && self.ooo.is_empty()));
+        self.complete.then_some(Dormant {
+            size: self.size,
+            max_seen: self.max_seen,
+        })
     }
 
     /// Handle an arriving data segment: update reassembly state, record
@@ -123,14 +252,17 @@ impl Receiver {
     /// this flow (the host agent owns timers); `None` otherwise.
     pub fn on_data(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> Option<SimTime> {
         debug_assert!(!pkt.flags.has(Flags::ACK), "receiver got an ACK");
-        self.pkts_rcvd += 1;
+        if let Some(mut rest) = self.retire() {
+            rest.on_data(self.flow, self.delack.is_none(), pkt, ctx);
+            self.max_seen = rest.max_seen;
+            return None;
+        }
         ctx.recorder().bump(Counter::DataPktsRcvd);
 
         // §4.2.3 metric: a packet is out-of-order if a later sequence was
         // already seen when it arrives.
         let arrived_in_order = pkt.seq == self.expected;
         if pkt.seq < self.max_seen {
-            self.ooo_rcvd += 1;
             ctx.recorder().bump(Counter::OooPktsRcvd);
         }
         self.max_seen = self.max_seen.max(pkt.seq);
@@ -141,22 +273,20 @@ impl Receiver {
         let duplicate = end <= self.expected || self.holds(pkt.seq, end);
 
         let expected_before = self.expected;
-        let dup_before = self.dup_bytes;
-        self.insert_range(pkt.seq, end);
+        let dup_bytes = self.insert_range(pkt.seq, end);
         // A hole was filled if the cumulative point jumped past this
         // segment's own contribution.
         let filled_hole = self.expected > end.max(expected_before);
 
         // Reordering cost telemetry: wasted wire bytes and the reassembly
         // buffer's high-water mark (how much memory spraying costs the NIC).
-        let dup_delta = self.dup_bytes - dup_before;
-        if dup_delta > 0 {
-            ctx.recorder().add(Counter::DupBytes, dup_delta);
+        if dup_bytes > 0 {
+            ctx.recorder().add(Counter::DupBytes, dup_bytes);
         }
         ctx.recorder()
             .record_max(Counter::OooBytesMax, self.ooo_bytes);
 
-        if !self.complete && self.expected >= self.size {
+        if self.expected >= self.size {
             self.complete = true;
             let now = ctx.now();
             ctx.recorder().flow_completed(self.flow, now);
@@ -169,11 +299,8 @@ impl Receiver {
             // telemetry, so the sender's controller can blame a hop.
             // (Delayed-ACK mode coalesces segments and drops the stacks;
             // INT-driven schemes run per-packet ACKs.)
-            let up_to = self.expected;
             let int = pkt.int.clone();
-            self.emit_ack(
-                pkt.key, pkt.vfield, pkt.tstamp, ce, duplicate, up_to, int, ctx,
-            );
+            self.emit_ack(Mirror::of(pkt), ce, duplicate, self.expected, int, ctx);
             return None;
         };
 
@@ -185,16 +312,16 @@ impl Receiver {
             // arrived *before* this segment), then switch state.
             if self.pending > 0 {
                 let old = self.ce_state;
-                if let Some((key, v, ts, ds)) = self.pending_ack.take() {
-                    self.emit_ack(key, v, ts, old, ds, expected_before, None, ctx);
+                if let Some((m, ds)) = self.pending_ack.take() {
+                    self.emit_ack(m, old, ds, expected_before, None, ctx);
                 }
                 self.pending = 0;
             }
             self.ce_state = ce;
         }
         self.pending += 1;
-        let dsack = duplicate || self.pending_ack.as_ref().is_some_and(|&(_, _, _, d)| d);
-        self.pending_ack = Some((pkt.key, pkt.vfield, pkt.tstamp, dsack));
+        let dsack = duplicate || self.pending_ack.is_some_and(|(_, d)| d);
+        self.pending_ack = Some((Mirror::of(pkt), dsack));
 
         let must_ack_now = !arrived_in_order          // dup-ACK or OOO
             || filled_hole                            // recovery progress
@@ -220,40 +347,22 @@ impl Receiver {
     }
 
     fn flush_ack(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((key, v, ts, dsack)) = self.pending_ack.take() {
-            let ce = self.ce_state;
-            let up_to = self.expected;
-            self.emit_ack(key, v, ts, ce, dsack, up_to, None, ctx);
+        if let Some((m, dsack)) = self.pending_ack.take() {
+            self.emit_ack(m, self.ce_state, dsack, self.expected, None, ctx);
         }
         self.pending = 0;
     }
 
-    /// Build and send one cumulative ACK at `ack_num`. `int` is the INT
-    /// stack to echo back to the sender (per-packet mode only).
-    #[allow(clippy::too_many_arguments)]
     fn emit_ack(
-        &mut self,
-        data_key: FlowKey,
-        vfield: u8,
-        tstamp: SimTime,
+        &self,
+        m: Mirror,
         ece: bool,
         dsack: bool,
         ack_num: u64,
-        int: Option<Box<netsim::IntStack>>,
+        int: Option<Box<IntStack>>,
         ctx: &mut Ctx<'_>,
     ) {
-        // The ACK mirrors the data packet's V-field; ACK paths are
-        // load-balanced independently and carry negligible load.
-        let mut ack = Packet::ack_packet(self.flow, data_key, vfield, ack_num, tstamp);
-        if ece {
-            ack.flags.set(Flags::ECE);
-        }
-        if dsack {
-            ack.flags.set(Flags::DSACK);
-        }
-        ack.rcv_high = self.max_seen;
-        ack.int = int;
-        ctx.send(ack);
+        send_ack(self.flow, self.max_seen, m, ece, dsack, ack_num, int, ctx);
     }
 
     /// True if `[lo, hi)` is already fully covered by buffered OOO data.
@@ -265,10 +374,11 @@ impl Receiver {
     }
 
     /// Merge `[lo, hi)` into the reassembly state and advance `expected`.
-    fn insert_range(&mut self, lo: u64, hi: u64) {
+    /// Returns the duplicate bytes: all of them when the whole range was
+    /// already acknowledged, else none.
+    fn insert_range(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= self.expected {
-            self.dup_bytes += hi - lo;
-            return;
+            return hi - lo;
         }
         let lo = lo.max(self.expected);
         if lo > self.expected {
@@ -290,7 +400,7 @@ impl Receiver {
             }
             self.ooo.insert(new_lo, new_hi);
             self.ooo_bytes += new_hi - new_lo;
-            return;
+            return 0;
         }
         // In-order: advance, then drain any now-contiguous stashed ranges.
         self.expected = hi;
@@ -304,6 +414,7 @@ impl Receiver {
                 self.expected = e;
             }
         }
+        0
     }
 }
 
@@ -343,10 +454,9 @@ mod tests {
     #[test]
     fn duplicate_data_is_counted_not_harmful() {
         let mut r = rx(2000);
-        r.insert_range(0, 1000);
-        r.insert_range(0, 1000);
+        assert_eq!(r.insert_range(0, 1000), 0);
+        assert_eq!(r.insert_range(0, 1000), 1000);
         assert_eq!(r.expected(), 1000);
-        assert_eq!(r.dup_bytes, 1000);
     }
 
     #[test]
@@ -390,8 +500,7 @@ mod tests {
         assert_eq!(r.expected(), 8000);
         assert_eq!(r.ooo_bytes, 0);
         // Fully-stale retransmit: counted as dup, no occupancy change.
-        r.insert_range(0, 1000);
-        assert_eq!(r.dup_bytes, 1000);
+        assert_eq!(r.insert_range(0, 1000), 1000);
         assert_eq!(r.ooo_bytes, 0);
     }
 
@@ -402,5 +511,11 @@ mod tests {
         // Retransmit covering old + new data.
         r.insert_range(1000, 2500);
         assert_eq!(r.expected(), 2500);
+    }
+
+    #[test]
+    fn a_dormant_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Dormant>(), 16);
+        assert!(!Dormant::new(1).is_retired());
     }
 }

@@ -1,15 +1,18 @@
 //! Randomized tests of the transport: the receiver's reassembly (against
-//! a bitmap reference model), the RTT estimator, and the sender's
+//! a bitmap reference model), the receiver's ACK stream under adversarial
+//! data schedules (live and retired), the RTT estimator, and the sender's
 //! invariants under adversarial ACK schedules. Every schedule is generated
 //! from a seeded [`DetRng`] stream so every failure reproduces exactly.
 
 use netsim::testutil::CtxHarness;
 use netsim::{
-    DetRng, Flags, FlowKey, HashConfig, LinkSpec, Packet, Proto, RoutingTable, SimTime, Simulator,
-    SwitchConfig, MSS,
+    register_flows, Agent, Counter, DetRng, Flags, FlowKey, FlowSpec, HashConfig, IntHop, IntStack,
+    LinkSpec, Packet, Proto, RoutingTable, SimTime, Simulator, SwitchConfig, MSS,
 };
 use transport::config::MAX_CWND;
-use transport::{Receiver, RttEstimator, TcpConfig, TcpSender, TimerOutcome, RTO_MAX};
+use transport::{
+    DelAckConfig, HostAgent, Receiver, RttEstimator, TcpConfig, TcpSender, TimerOutcome, RTO_MAX,
+};
 
 /// Drive a real `Receiver` inside a minimal simulation so it has a `Ctx`:
 /// one host delivers a scripted segment arrival order to another.
@@ -139,6 +142,292 @@ fn reassembly_matches_bitmap_model() {
         // All segments present at least once -> must be complete.
         assert!(log.last().unwrap().1, "seed {seed}: flow never completed");
     }
+}
+
+/// One data segment of a receiver schedule: its place in the flow, its CE
+/// mark, whether a switch stamped INT on it, and how long after the
+/// previous arrival it lands.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    seq: u64,
+    len: u32,
+    ce: bool,
+    int: bool,
+    gap: SimTime,
+}
+
+impl Arrival {
+    fn packet(&self, size: u64, now: SimTime) -> Packet {
+        let key = FlowKey {
+            src: 1,
+            dst: 0,
+            sport: 1024,
+            dport: 9000,
+            proto: Proto::Tcp,
+        };
+        let mut p = Packet::data(0, key, self.seq as u8, self.seq, self.len, now);
+        if self.ce {
+            p.flags.set(Flags::CE);
+        }
+        if self.seq + self.len as u64 == size {
+            p.flags.set(Flags::FIN);
+        }
+        if self.int {
+            let hop = IntHop {
+                node: 9,
+                port: (self.seq / MSS as u64) as u16,
+                qbytes: self.seq,
+                marked: self.ce,
+            };
+            p.int = Some(Box::new(IntStack { hops: vec![hop] }));
+        }
+        p
+    }
+}
+
+/// A flow of random size cut into MSS segments, delivered adversarially:
+/// segments dropped and retransmitted later, duplicated anywhere,
+/// reordered locally, and duplicated again after the flow has completed.
+/// Gaps sometimes exceed the delayed-ACK timeout.
+fn receiver_schedule(rng: &mut DetRng) -> (u64, Vec<Arrival>) {
+    let mss = MSS as u64;
+    let size = 1 + rng.gen_range(40 * MSS) as u64;
+    let n = size.div_ceil(mss) as usize;
+    let odds = [0.0, 0.1, 0.3];
+    let (p_drop, p_dup) = (*rng.choose(&odds), *rng.choose(&odds));
+    let mut order: Vec<usize> = (0..n).collect();
+    for seg in 0..n {
+        if rng.gen_f64() < p_drop {
+            // The first copy is lost; the retransmission lands later.
+            let at = order.iter().position(|&s| s == seg).expect("present");
+            order.remove(at);
+            order.insert(at + rng.gen_index(order.len() - at + 1), seg);
+        }
+    }
+    for _ in 0..n {
+        if rng.gen_f64() < p_dup {
+            order.insert(rng.gen_index(order.len() + 1), rng.gen_index(n));
+        }
+    }
+    for _ in 0..rng.gen_index(n + 1) {
+        let i = rng.gen_index(order.len());
+        let j = (i + 1 + rng.gen_index(4)).min(order.len() - 1);
+        order.swap(i, j);
+    }
+    for _ in 0..1 + rng.gen_index(4) {
+        order.push(rng.gen_index(n));
+    }
+    let arrivals = order
+        .into_iter()
+        .map(|seg| {
+            let seq = seg as u64 * mss;
+            Arrival {
+                seq,
+                len: (size - seq).min(mss) as u32,
+                ce: rng.gen_f64() < 0.3,
+                int: rng.gen_f64() < 0.5,
+                gap: SimTime::from_us(if rng.gen_f64() < 0.1 {
+                    600
+                } else {
+                    rng.gen_range(20) as u64
+                }),
+            }
+        })
+        .collect();
+    (size, arrivals)
+}
+
+/// What one schedule produced: every ACK with the last arrival delivered
+/// before it and whether a delayed-ACK timer sent it, the counters, and the
+/// flow's recorded end.
+struct Replayed {
+    acks: Vec<(usize, bool, Packet)>,
+    counters: Vec<u64>,
+    end: SimTime,
+    completed: usize,
+    /// When each delayed-ACK timer fired.
+    fired: Vec<SimTime>,
+}
+
+/// Run `arrivals` through a bare [`Receiver`] that is kept after
+/// completion, or through a [`HostAgent`] terminating the flow, which
+/// builds its receiver on the first segment and retires it at completion.
+/// Delayed-ACK timers due by an arrival's instant fire, in deadline order,
+/// just before it lands.
+fn replay_schedule(
+    size: u64,
+    arrivals: &[Arrival],
+    delack: Option<DelAckConfig>,
+    via_host: bool,
+) -> Replayed {
+    let mut h = CtxHarness::new(1);
+    let spec = FlowSpec::tcp(0, 1, 0, size, SimTime::ZERO);
+    register_flows(h.recorder_mut(), std::slice::from_ref(&spec));
+    let cfg = TcpConfig {
+        delack,
+        ..TcpConfig::default()
+    };
+    let mut host = HostAgent::new(cfg, Vec::new(), [&spec]);
+    let mut live = Receiver::new(0, size);
+    if let Some(d) = delack {
+        live = live.with_delack(d);
+    }
+    let (mut acks, mut fired) = (Vec::new(), Vec::new());
+    let mut now = SimTime::ZERO;
+    for (i, a) in arrivals.iter().map(Some).chain([None]).enumerate() {
+        // Past the last arrival: long enough for every armed timer.
+        let until = now + a.map_or(SimTime::from_secs(1), |a| a.gap);
+        let (sent, due) = h.drain_until(until);
+        assert!(sent.is_empty(), "every ACK was collected when sent");
+        h.now = until;
+        for (t, tok) in due {
+            fired.push(t);
+            if via_host {
+                host.on_timer(tok, &mut h.ctx());
+            } else {
+                live.on_delack_timer(&mut h.ctx());
+            }
+        }
+        let (sent, _) = h.drain_until(until);
+        acks.extend(sent.into_iter().map(|p| (i.saturating_sub(1), true, p)));
+        let Some(a) = a else { break };
+        now = until;
+        let pkt = a.packet(size, now);
+        if via_host {
+            host.on_packet(pkt, &mut h.ctx());
+        } else if let Some(t) = live.on_data(&pkt, &mut h.ctx()) {
+            h.ctx().set_timer(t, 0);
+        }
+        let (sent, _) = h.drain_until(now);
+        acks.extend(sent.into_iter().map(|p| (i, false, p)));
+    }
+    let rec = h.recorder();
+    Replayed {
+        acks,
+        counters: Counter::all().iter().map(|&c| rec.get(c)).collect(),
+        end: rec.flows()[0].end,
+        completed: rec.completed_count(),
+        fired,
+    }
+}
+
+/// The receiver against hostile delivery, in per-packet and delayed-ACK
+/// mode, with INT stamps and CE marks on random segments:
+/// * completion is recorded exactly once, at the arrival that covers the
+///   last missing byte;
+/// * the cumulative ACK never decreases and ends at the flow size, so no
+///   byte is delivered twice;
+/// * per-packet mode answers every segment at once with the model's
+///   cumulative ACK and the segment's CE bit;
+/// * every ACK reports the highest segment start seen so far (`rcv_high`);
+/// * every segment after completion is answered with `ack = size`, DSACK,
+///   its own CE bit and — per-packet — its own INT stack;
+/// * data and reordering counters match the model.
+///
+/// The same schedule through a [`HostAgent`], which retires its receiver
+/// at completion and answers late duplicates from a 16-byte record, and
+/// through a receiver kept live yields the same ACKs and counters.
+#[test]
+fn receiver_acks_hold_under_adversarial_schedules() {
+    let modes = [
+        None,
+        Some(DelAckConfig::default()),
+        Some(DelAckConfig {
+            every: 3,
+            ..DelAckConfig::default()
+        }),
+    ];
+    let (mut late, mut retired_timers) = (0, 0);
+    for seed in 0..150u64 {
+        let mut rng = DetRng::new(seed, 0x23);
+        let (size, arrivals) = receiver_schedule(&mut rng);
+        let delack = modes[seed as usize % modes.len()];
+        let host = replay_schedule(size, &arrivals, delack, true);
+        let live = replay_schedule(size, &arrivals, delack, false);
+
+        // The model: cumulative point, highest start and completion instant.
+        let mut held = vec![false; size.div_ceil(MSS as u64) as usize];
+        let (mut high, mut ooo) = (0u64, 0u64);
+        let mut done_at: Option<usize> = None;
+        let mut after: Vec<(u64, u64)> = Vec::new(); // (expected, high) per arrival
+        let mut now = SimTime::ZERO;
+        let mut end = SimTime::MAX;
+        for (i, a) in arrivals.iter().enumerate() {
+            now += a.gap;
+            if a.seq < high {
+                ooo += 1;
+            }
+            high = high.max(a.seq);
+            held[(a.seq / MSS as u64) as usize] = true;
+            let first_missing = held.iter().position(|&h| !h).unwrap_or(held.len());
+            let expected = (first_missing as u64 * MSS as u64).min(size);
+            if expected == size && done_at.is_none() {
+                done_at = Some(i);
+                end = now;
+            }
+            after.push((expected, high));
+        }
+        let done_at = done_at.expect("every segment arrives");
+
+        for r in [&host, &live] {
+            assert_eq!(r.completed, 1, "seed {seed}");
+            assert_eq!(r.end, end, "seed {seed}: completion instant");
+            assert_eq!(
+                r.counters[Counter::DataPktsRcvd as usize],
+                arrivals.len() as u64
+            );
+            assert_eq!(
+                r.counters[Counter::OooPktsRcvd as usize],
+                ooo,
+                "seed {seed}"
+            );
+            let mut prev = 0;
+            for &(i, timer, ref ack) in &r.acks {
+                assert!(ack.flags.has(Flags::ACK));
+                assert!(ack.ack >= prev, "seed {seed}: cumulative ACK went back");
+                prev = ack.ack;
+                let (exp, hi) = after[i];
+                assert!(ack.ack <= exp, "seed {seed}: ACK beyond the data");
+                assert_eq!(ack.rcv_high, hi, "seed {seed}: rcv_high");
+                if timer {
+                    continue;
+                }
+                let a = &arrivals[i];
+                if delack.is_none() {
+                    assert_eq!(ack.ack, exp, "seed {seed}: per-packet ACK");
+                    assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: echo");
+                }
+                if i > done_at {
+                    late += 1;
+                    assert_eq!(ack.ack, size, "seed {seed}: late ACK");
+                    assert!(ack.flags.has(Flags::DSACK), "seed {seed}: late DSACK");
+                    assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: late echo");
+                    let echoed = ack.int.as_ref().map(|s| s.hops[0].qbytes);
+                    let sent = (a.int && delack.is_none()).then_some(a.seq);
+                    assert_eq!(echoed, sent, "seed {seed}: late INT echo");
+                }
+            }
+            assert_eq!(prev, size, "seed {seed}: never acknowledged everything");
+            if delack.is_none() {
+                assert_eq!(r.acks.len(), arrivals.len(), "seed {seed}");
+            }
+        }
+
+        let render =
+            |r: &Replayed| -> Vec<String> { r.acks.iter().map(|a| format!("{a:?}")).collect() };
+        assert_eq!(
+            render(&host),
+            render(&live),
+            "seed {seed}: ACK streams differ"
+        );
+        assert_eq!(host.counters, live.counters, "seed {seed}: counters differ");
+        retired_timers += host.fired.iter().filter(|&&t| t > end).count();
+    }
+    assert!(late > 100, "only {late} ACKs after completion");
+    assert!(
+        retired_timers > 0,
+        "no delayed-ACK timer fired for a retired flow"
+    );
 }
 
 /// RTO is always >= the floor, and SRTT stays within the sample range.
