@@ -199,7 +199,7 @@ fn bench_hotspot(h: &Harness) {
         duration,
         &mut rng,
     );
-    let watch: Vec<(usize, usize)> = (0..params.aggs).map(|a| (0usize, a)).collect();
+    let watch: Vec<(usize, usize)> = (0..TestbedParams::AGGS).map(|a| (0usize, a)).collect();
     bench_run(h, "paper/hotspot_decongest", || {
         let out = run_testbed(params.clone(), &fb(), &specs, duration, 1, &watch);
         black_box(out.port_stats.iter().map(|p| p.tx_bytes_tcp).sum::<u64>());

@@ -20,24 +20,8 @@
 //! code" the paper advertises (plus configuration, statistics, and the
 //! optional refinements of §3.4/§5).
 
-use std::collections::VecDeque;
-
 use crate::config::Config;
 use crate::rng::Rng;
-
-/// How many closed epochs [`FlowBender::history`] retains.
-pub const HISTORY_CAP: usize = 64;
-
-/// One closed RTT epoch, for diagnostics and analysis tooling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochRecord {
-    /// The (possibly EWMA-smoothed) marked fraction the decision used.
-    pub f: f64,
-    /// Whether this epoch ended in a reroute.
-    pub rerouted: bool,
-    /// The V value in effect *after* the decision.
-    pub v_after: u8,
-}
 
 /// What the state machine decided at an epoch boundary or timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +90,6 @@ pub struct FlowBender {
     f_smooth: f64,
     /// Epochs remaining in the post-reroute cooldown.
     cooldown_left: u32,
-    /// Ring buffer of the most recent closed epochs.
-    history: VecDeque<EpochRecord>,
     stats: BenderStats,
 }
 
@@ -138,7 +120,6 @@ impl FlowBender {
             n_target: cfg.n,
             f_smooth: 0.0,
             cooldown_left: 0,
-            history: VecDeque::with_capacity(HISTORY_CAP),
             stats: BenderStats::default(),
         }
     }
@@ -158,24 +139,6 @@ impl FlowBender {
     /// Lifetime statistics.
     pub fn stats(&self) -> BenderStats {
         self.stats
-    }
-
-    /// The most recent closed epochs (oldest first, capped at
-    /// [`HISTORY_CAP`]); a debugging/analysis aid, not part of the
-    /// algorithm.
-    pub fn history(&self) -> impl Iterator<Item = &EpochRecord> {
-        self.history.iter()
-    }
-
-    fn record_epoch(&mut self, f: f64, rerouted: bool) {
-        if self.history.len() == HISTORY_CAP {
-            self.history.pop_front();
-        }
-        self.history.push_back(EpochRecord {
-            f,
-            rerouted,
-            v_after: self.v,
-        });
     }
 
     /// Count one received ACK (and whether it carried the ECN echo) into
@@ -222,7 +185,6 @@ impl FlowBender {
             // reflects the old path; hold off.
             self.cooldown_left -= 1;
             self.num_congested_rtts = 0;
-            self.record_epoch(f, false);
             return Decision::Stay;
         }
 
@@ -231,14 +193,11 @@ impl FlowBender {
             self.num_congested_rtts += 1;
             if self.num_congested_rtts >= self.n_target {
                 self.num_congested_rtts = 0;
-                let d = self.reroute(rng, Cause::Congestion);
-                self.record_epoch(f, true);
-                return d;
+                return self.reroute(rng, Cause::Congestion);
             }
         } else {
             self.num_congested_rtts = 0;
         }
-        self.record_epoch(f, false);
         Decision::Stay
     }
 
@@ -498,32 +457,6 @@ mod tests {
         fb.on_ack(false);
         fb.on_ack(false);
         assert_eq!(fb.current_fraction(), Some(0.25));
-    }
-
-    #[test]
-    fn history_records_epochs_with_decisions() {
-        let mut rng = det_rng();
-        let mut fb = FlowBender::with_initial_v(Config::default(), 0);
-        run_epoch(&mut fb, 0, 100, &mut rng); // clean
-        run_epoch(&mut fb, 50, 50, &mut rng); // congested -> reroute (N=1)
-        let h: Vec<_> = fb.history().cloned().collect();
-        assert_eq!(h.len(), 2);
-        assert!(!h[0].rerouted);
-        assert_eq!(h[0].f, 0.0);
-        assert_eq!(h[0].v_after, 0);
-        assert!(h[1].rerouted);
-        assert_eq!(h[1].f, 0.5);
-        assert_eq!(h[1].v_after, fb.vfield());
-    }
-
-    #[test]
-    fn history_is_capped() {
-        let mut rng = det_rng();
-        let mut fb = FlowBender::with_initial_v(Config::default(), 0);
-        for _ in 0..(HISTORY_CAP + 10) {
-            run_epoch(&mut fb, 0, 10, &mut rng);
-        }
-        assert_eq!(fb.history().count(), HISTORY_CAP);
     }
 
     #[test]

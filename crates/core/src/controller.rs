@@ -118,7 +118,7 @@ pub trait PathController: std::fmt::Debug {
     fn on_timeout(&mut self, rng: &mut dyn Rng) -> Decision;
 
     /// Downcast to the FlowBender state machine, when this controller is
-    /// one (diagnostics: per-flow reroute statistics and epoch history).
+    /// one (diagnostics: per-flow reroute statistics).
     fn as_flowbender(&self) -> Option<&FlowBender> {
         None
     }

@@ -63,7 +63,7 @@ mod config;
 mod controller;
 mod rng;
 
-pub use bender::{BenderStats, Decision, EpochRecord, FlowBender, HISTORY_CAP};
+pub use bender::{BenderStats, Decision, FlowBender};
 pub use config::Config;
 pub use controller::{BenderInt, Feedback, FlowcutGap, PathController, StaticPath};
 pub use rng::{Rng, SplitMix64};

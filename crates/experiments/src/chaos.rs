@@ -25,7 +25,7 @@ use topology::{FatTree, FatTreeParams};
 use crate::cell::{kary_window, poisson_websearch, Digest};
 use crate::fabric_scale::{fabric, LOAD};
 use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{PlanFn, Run, RunOutput, Window};
+use crate::scenario::{parallel_map, PlanFn, Run, RunOutput, Window};
 use crate::schemes;
 
 /// RNG stream tag for the per-source Poisson streams (distinct from
@@ -137,8 +137,8 @@ pub struct ChaosResult {
 }
 
 /// The chaos run's shape for one invocation: fabric, workload, window,
-/// incident. Shared by the healthy and chaos runs so the only difference
-/// between them is the fault plan.
+/// incident. Built once and shared by every scheme's healthy and chaos
+/// runs, so the only difference between them is the fault plan.
 struct Setup {
     params: FatTreeParams,
     specs: Vec<netsim::FlowSpec>,
@@ -176,11 +176,14 @@ fn setup(opts: &Opts) -> Setup {
     }
 }
 
-/// Run one scheme twice — healthy baseline, then the scripted incident —
-/// and digest the degradation SLOs. Returns the digest plus both full
-/// run outputs `(healthy, chaos)` for JSON export.
-pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (ChaosResult, RunOutput, RunOutput) {
-    let s = setup(opts);
+/// Run one scheme twice on `s` — healthy baseline, then the scripted
+/// incident — and digest the degradation SLOs. Returns the digest plus
+/// both full run outputs `(healthy, chaos)` for JSON export.
+fn run_one(
+    s: &Setup,
+    opts: &Opts,
+    scheme: &schemes::SchemeSpec,
+) -> (ChaosResult, RunOutput, RunOutput) {
     let run = |plan_fn: PlanFn| {
         Run::new(s.params, scheme, &s.specs, s.window.drain_until, opts.seed)
             .slo(s.slo)
@@ -272,9 +275,10 @@ pub fn run(opts: &Opts) -> Report {
         "dip duration",
     ]);
     let mut summaries = Vec::new();
-    let mut results = Vec::with_capacity(selection.len());
-    for scheme in &selection {
-        let (r, healthy, chaos) = run_one(opts, scheme);
+    let runs = parallel_map(selection.iter().collect(), |scheme| {
+        run_one(&s, opts, scheme)
+    });
+    for (scheme, (r, healthy, chaos)) in selection.iter().zip(runs) {
         for (tag, out) in [("healthy", &healthy), ("chaos", &chaos)] {
             summaries.push(RunSummary::from_run(
                 format!("{}_{tag}_k{k}_seed{}", scheme.slug(), opts.seed),
@@ -294,7 +298,6 @@ pub fn run(opts: &Opts) -> Report {
             format!("{:.0}%", r.dip_depth * 100.0),
             fmt_secs(r.dip_duration_s),
         ]);
-        results.push(r);
     }
 
     let mut report = Report::new("chaos");
@@ -366,7 +369,8 @@ mod tests {
     #[test]
     fn incident_clears_and_flows_still_complete() {
         let scheme = schemes::flowbender(Default::default());
-        let (r, _, chaos) = run_one(&opts(), &scheme);
+        let opts = opts();
+        let (r, _, chaos) = run_one(&setup(&opts), &opts, &scheme);
         assert!(r.recon_samples > 0, "crash must leave flows to reconverge");
         assert!(
             r.completion > 0.5,

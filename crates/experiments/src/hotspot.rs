@@ -64,7 +64,7 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<PathLoads> {
             &mut rng,
         );
         debug_assert!(specs.iter().any(|s| s.proto == Proto::Udp));
-        let watch: Vec<(usize, usize)> = (0..params.aggs).map(|a| (0usize, a)).collect();
+        let watch: Vec<(usize, usize)> = (0..TestbedParams::AGGS).map(|a| (0usize, a)).collect();
         // No drain: throughput is measured over exactly `duration`.
         let out = run_testbed(params.clone(), &scheme, &specs, duration, opts.seed, &watch);
         let secs = duration.as_secs_f64();

@@ -915,7 +915,10 @@ mod tests {
         assert!(cfg.wants(2) && cfg.wants(4) && !cfg.wants(3));
         let cfg = TraceSel::Slowest(2).config_with(|k| (0..k as u32).collect());
         assert!(cfg.wants(0) && cfg.wants(1) && !cfg.wants(2));
-        assert!(!TraceSel::Off.config_with(|_| unreachable!()).enabled);
+        assert_eq!(
+            TraceSel::Off.config_with(|_| unreachable!()),
+            TraceConfig::off()
+        );
     }
 
     #[test]

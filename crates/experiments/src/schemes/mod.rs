@@ -116,19 +116,10 @@ impl SchemeSpec {
         &self.name
     }
 
-    /// File-system/JSON-label-safe form of the name: lowercase, with
-    /// every run of non-alphanumerics collapsed to one underscore
-    /// (`FlowBender` → `flowbender`, `Flowlet(100us)` → `flowlet_100us`).
+    /// The [`workloads::slug`] of the name (`FlowBender` → `flowbender`,
+    /// `Flowlet(100us)` → `flowlet_100us`).
     pub fn slug(&self) -> String {
-        let mut out = String::with_capacity(self.name.len());
-        for c in self.name.chars() {
-            if c.is_ascii_alphanumeric() {
-                out.push(c.to_ascii_lowercase());
-            } else if !out.ends_with('_') {
-                out.push('_');
-            }
-        }
-        out.trim_matches('_').to_string()
+        workloads::slug(&self.name)
     }
 
     /// The switch configuration this scheme needs.

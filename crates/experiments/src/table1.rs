@@ -40,13 +40,7 @@ pub struct Cell {
 /// these runs simulate minutes of traffic — fine-grained queue series
 /// belong to purpose-built probes, not a table experiment.
 fn telemetry() -> TelemetryConfig {
-    TelemetryConfig {
-        enabled: true,
-        sample_every: SimTime::from_ms(10),
-        queue_depth: true,
-        reroutes: true,
-        ..TelemetryConfig::off()
-    }
+    TelemetryConfig::every(SimTime::from_ms(10))
 }
 
 /// Run the microbenchmark for one scheme across all flow counts under
@@ -64,7 +58,7 @@ pub fn run_scheme(
     parallel_map(FLOW_COUNTS.to_vec(), |n| {
         let specs = microbench(&params, n, bytes);
         let out = Run::new(params, scheme, &specs, SimTime::from_secs(120), seed)
-            .telemetry(telemetry.clone())
+            .telemetry(telemetry)
             .run();
         let fct = Digest::of(&out, Window::WHOLE_RUN);
         let cell = Cell {

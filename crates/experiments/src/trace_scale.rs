@@ -24,7 +24,7 @@
 //! tracked as a flows/sec curve in `BENCH_engine.json` via the bench
 //! crate); the report files stay byte-deterministic.
 
-use netsim::{DetRng, FlowRecord, Proto, SimTime};
+use netsim::{DetRng, FlowRecord, Proto, SimTime, LINK_BPS, LINK_DELAY};
 use stats::{fmt_secs, job_completion, BinSpec, FctAccumulator, JobStats, Table};
 use topology::FatTreeParams;
 use workloads::{load, PoissonStream, Workload};
@@ -44,10 +44,10 @@ const STREAM_TAG: u64 = 0x57AE;
 /// edge-link serialization, inflated by the M/M/1-style `1/(1-load)`
 /// congestion factor. Not a scheme simulation — a stand-in that gives the
 /// sketches a realistic heavy-tailed input at zero per-flow state.
-pub fn model_fct_s(p: &FatTreeParams, load: f64, bytes: u64) -> f64 {
+pub fn model_fct_s(load: f64, bytes: u64) -> f64 {
     // Six store-and-forward links each way: host-ToR-agg-core-agg-ToR-host.
-    let base_rtt_s = 12.0 * p.link_delay.as_secs_f64();
-    let serialize_s = bytes as f64 * 8.0 / p.link_bps as f64;
+    let base_rtt_s = 12.0 * LINK_DELAY.as_secs_f64();
+    let serialize_s = bytes as f64 * 8.0 / LINK_BPS as f64;
     (base_rtt_s + serialize_s) / (1.0 - load.min(0.95))
 }
 
@@ -83,7 +83,7 @@ pub fn run_point(p: &FatTreeParams, wl: &dyn Workload, target: u64, seed: u64) -
         let stream = PoissonStream::new(p, LOAD, duration, dist, &base);
         let mut n = 0u64;
         for spec in stream.take(target as usize) {
-            acc.record(spec.bytes, model_fct_s(p, LOAD, spec.bytes));
+            acc.record(spec.bytes, model_fct_s(LOAD, spec.bytes));
             n += 1;
         }
         PointResult {
@@ -107,7 +107,7 @@ pub fn run_point(p: &FatTreeParams, wl: &dyn Workload, target: u64, seed: u64) -
         specs.truncate(target as usize);
         let mut records = Vec::with_capacity(specs.len());
         for s in &specs {
-            let fct = model_fct_s(p, LOAD, s.bytes);
+            let fct = model_fct_s(LOAD, s.bytes);
             acc.record(s.bytes, fct);
             records.push(FlowRecord {
                 flow: s.id,

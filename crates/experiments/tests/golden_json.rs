@@ -19,13 +19,7 @@ const BYTES: u64 = 2_000_000;
 const SEED: u64 = 3;
 
 fn telemetry() -> TelemetryConfig {
-    TelemetryConfig {
-        enabled: true,
-        sample_every: SimTime::from_ms(10),
-        queue_depth: true,
-        reroutes: true,
-        ..TelemetryConfig::off()
-    }
+    TelemetryConfig::every(SimTime::from_ms(10))
 }
 
 fn render_once() -> String {

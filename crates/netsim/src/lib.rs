@@ -20,8 +20,8 @@
 //!   bit-error corruption — with per-port drop-reason accounting and an
 //!   end-of-run conservation audit ([`Simulator::conservation`]),
 //! * a run-wide [`Recorder`] of flow completions, event counters, and
-//!   (opt-in, via [`TelemetryConfig`]) named time-series probes — queue
-//!   depths, link utilization, per-flow cwnd/`F`, V-field reroute traces,
+//!   (opt-in, via [`TelemetryConfig`]) named time-series probes — switch
+//!   queue depths and V-field reroute traces,
 //! * an opt-in per-flow flight recorder ([`TraceConfig`]) that captures
 //!   ring-buffered event timelines — hops, enqueues, ECN marks, drops,
 //!   sender state transitions — for post-mortem diagnosis of tail flows.
@@ -82,12 +82,14 @@ pub use record::{
     Counter, DropAudit, DropReason, Emit, FlowRecord, Recorder, RunResults, SloConfig, SloResults,
 };
 pub use rng::DetRng;
-pub use sim::{Conservation, LinkSpec, PortStats, QueueSpec, Simulator, SwitchConfig};
+pub use sim::{
+    Conservation, LinkSpec, PortStats, QueueSpec, Simulator, SwitchConfig, LINK_BPS, LINK_DELAY,
+};
 pub use slab::{PacketId, PacketSlab};
 pub use switch::{
     CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme, PfcConfig,
-    PinTable, PortSetId, RoutingTable,
+    PinTable, PortSetId, RoutingTable, CN_DELAY, CN_MIN_GAP,
 };
-pub use telemetry::{ProbeKind, Series, SeriesKey, Telemetry, TelemetryConfig};
+pub use telemetry::{Series, SeriesKey, Telemetry, TelemetryConfig};
 pub use time::SimTime;
 pub use trace::{FlowTimeline, Trace, TraceConfig, TraceEvent};

@@ -15,7 +15,7 @@
 use crate::event::EventKind;
 use crate::hashing::DetHashMap;
 use crate::packet::{FlowId, HostId, NodeId, PortId, Proto};
-use crate::telemetry::{ProbeKind, Series, SeriesKey, Telemetry, TelemetryConfig};
+use crate::telemetry::{Series, SeriesKey, Telemetry, TelemetryConfig};
 use crate::time::SimTime;
 use crate::trace::{FlowTimeline, Trace, TraceConfig, TraceEvent};
 
@@ -406,17 +406,13 @@ impl Recorder {
     }
 
     /// Record one dropped packet at `(node, port)` for `reason`, updating
-    /// both the per-port audit and the legacy aggregate counters. Emits a
-    /// `drops.*` trace point when that telemetry family is enabled.
-    pub fn drop_packet(&mut self, now: SimTime, reason: DropReason, node: NodeId, port: PortId) {
+    /// both the per-port audit and the legacy aggregate counters.
+    pub fn drop_packet(&mut self, reason: DropReason, node: NodeId, port: PortId) {
         self.drops.record(reason, node, port);
         match reason {
             DropReason::QueueFull => self.bump(Counter::QueueDrops),
             DropReason::LinkDown => self.bump(Counter::LinkDrops),
             DropReason::GrayLoss | DropReason::Corruption => {}
-        }
-        if self.wants(ProbeKind::Drops) {
-            self.probe(now, SeriesKey::Drops { node, port }, reason as usize as f64);
         }
     }
 
@@ -445,14 +441,8 @@ impl Recorder {
         &self.telemetry
     }
 
-    /// Is the probe family of `kind` being collected?
-    #[inline]
-    pub fn wants(&self, kind: ProbeKind) -> bool {
-        self.telemetry.wants(kind)
-    }
-
     /// Record `value` for the time series `key` at `now`. A single branch
-    /// when the key's family is disabled.
+    /// when telemetry is off.
     #[inline]
     pub fn probe(&mut self, now: SimTime, key: SeriesKey, value: f64) {
         self.telemetry.record(now, key, value);
@@ -662,7 +652,7 @@ mod tests {
     #[test]
     fn finish_hands_everything_to_the_read_side() {
         let mut r = Recorder::new();
-        r.set_telemetry(TelemetryConfig::all(SimTime::from_us(1)));
+        r.set_telemetry(TelemetryConfig::every(SimTime::from_us(1)));
         r.flow_started(rec(0));
         r.flow_completed(0, SimTime::from_us(20));
         r.bump(Counter::Reroutes);
@@ -674,17 +664,17 @@ mod tests {
         assert_eq!(out.series().len(), 1);
         let s = out.series_named("vfield.f0").unwrap();
         assert_eq!(s.points(), &[(SimTime::from_us(5), 3.0)]);
-        assert!(out.series_named("cwnd.f0").is_none());
+        assert!(out.series_named("vfield.f1").is_none());
     }
 
     #[test]
     fn drop_audit_tallies_per_port_and_reason() {
         let mut r = Recorder::new();
-        r.drop_packet(SimTime::ZERO, DropReason::QueueFull, 5, 1);
-        r.drop_packet(SimTime::ZERO, DropReason::QueueFull, 5, 1);
-        r.drop_packet(SimTime::ZERO, DropReason::GrayLoss, 5, 1);
-        r.drop_packet(SimTime::ZERO, DropReason::LinkDown, 2, 0);
-        r.drop_packet(SimTime::ZERO, DropReason::Corruption, 9, 3);
+        r.drop_packet(DropReason::QueueFull, 5, 1);
+        r.drop_packet(DropReason::QueueFull, 5, 1);
+        r.drop_packet(DropReason::GrayLoss, 5, 1);
+        r.drop_packet(DropReason::LinkDown, 2, 0);
+        r.drop_packet(DropReason::Corruption, 9, 3);
         let audit = r.drops();
         assert_eq!(audit.total(), 5);
         assert_eq!(audit.by_reason(DropReason::QueueFull), 2);

@@ -77,7 +77,7 @@
 //!
 //! One residual: an *ordinary* event whose own delay equals a link's
 //! `arrive_delay` to the picosecond — a 1375-byte packet's 1.1 µs
-//! serialization next to the default 1.1 µs switch hop — ties with a booked
+//! serialization next to the 1.1 µs switch hop — ties with a booked
 //! `Arrive` on `(time, cause)` and falls through to `seq`, which the booked
 //! event drew a serialization earlier than the classic engine would have.
 //! The order is still a pure function of `(config, seed)`; it can differ
@@ -102,11 +102,20 @@ use crate::rng::DetRng;
 use crate::slab::{PacketId, PacketSlab};
 use crate::switch::{
     select_port, CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme,
-    PfcAction, PfcConfig, PfcState, PinTable, RoutingTable,
+    PfcAction, PfcConfig, PfcState, PinTable, RoutingTable, CN_DELAY,
 };
-use crate::telemetry::{ProbeKind, SeriesKey, TelemetryConfig};
+use crate::telemetry::{SeriesKey, TelemetryConfig};
 use crate::time::SimTime;
 use crate::trace::{TraceConfig, TraceEvent};
+
+/// Rate of every link of the paper's fabrics (§4.2), bits per second.
+pub const LINK_BPS: u64 = 10_000_000_000;
+
+/// Propagation delay of every link of the paper's fabrics.
+pub const LINK_DELAY: SimTime = SimTime::from_ns(100);
+
+/// Ingress processing delay of every switch (hosts set their own).
+const SWITCH_PROC_DELAY: SimTime = SimTime::from_us(1);
 
 /// Egress queue parameters for one side of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +175,8 @@ impl LinkSpec {
     /// A symmetric 10 Gbps fabric link with switch queues on both ends.
     pub fn fabric_10g() -> Self {
         LinkSpec {
-            rate_bps: 10_000_000_000,
-            delay: SimTime::from_ns(100),
+            rate_bps: LINK_BPS,
+            delay: LINK_DELAY,
             a_queue: QueueSpec::switch_10g(),
             b_queue: QueueSpec::switch_10g(),
         }
@@ -177,8 +186,8 @@ impl LinkSpec {
     /// queue on the ToR side.
     pub fn host_10g() -> Self {
         LinkSpec {
-            rate_bps: 10_000_000_000,
-            delay: SimTime::from_ns(100),
+            rate_bps: LINK_BPS,
+            delay: LINK_DELAY,
             a_queue: QueueSpec::host_nic(),
             b_queue: QueueSpec::switch_10g(),
         }
@@ -362,8 +371,6 @@ pub struct SwitchConfig {
     pub scheme: ForwardingScheme,
     /// Which fields the ECMP hash covers (only meaningful for `EcmpHash`).
     pub hash: HashConfig,
-    /// Ingress processing delay.
-    pub proc_delay: SimTime,
     /// PFC configuration, if this switch generates pause frames.
     pub pfc: Option<PfcConfig>,
     /// Switch-assisted feedback (INT per-hop stamping and/or early CN
@@ -373,13 +380,12 @@ pub struct SwitchConfig {
 }
 
 impl SwitchConfig {
-    /// ECMP switch hashing the 5-tuple plus the FlowBender V-field, 1 µs
-    /// processing delay, no PFC — the commodity switch of the paper.
+    /// ECMP switch hashing the 5-tuple plus the FlowBender V-field, no PFC
+    /// — the commodity switch of the paper.
     pub fn commodity(hash: HashConfig) -> Self {
         SwitchConfig {
             scheme: ForwardingScheme::EcmpHash,
             hash,
-            proc_delay: SimTime::from_us(1),
             pfc: None,
             feedback: None,
         }
@@ -390,7 +396,6 @@ impl SwitchConfig {
         SwitchConfig {
             scheme: ForwardingScheme::Rps,
             hash: HashConfig::FiveTuple,
-            proc_delay: SimTime::from_us(1),
             pfc: None,
             feedback: None,
         }
@@ -402,7 +407,6 @@ impl SwitchConfig {
         SwitchConfig {
             scheme: ForwardingScheme::Adaptive,
             hash: HashConfig::FiveTuple,
-            proc_delay: SimTime::from_us(1),
             pfc: Some(PfcConfig::detail_defaults()),
             feedback: None,
         }
@@ -416,7 +420,6 @@ impl SwitchConfig {
         SwitchConfig {
             scheme: ForwardingScheme::Flowlet { gap },
             hash: HashConfig::FiveTuple,
-            proc_delay: SimTime::from_us(1),
             pfc: None,
             feedback: None,
         }
@@ -431,7 +434,6 @@ impl SwitchConfig {
         SwitchConfig {
             scheme: ForwardingScheme::Flowcut { cfg },
             hash: HashConfig::FiveTuple,
-            proc_delay: SimTime::from_us(1),
             pfc: None,
             feedback: None,
         }
@@ -590,7 +592,7 @@ impl Simulator {
                 cn_limiter: CnLimiter::new(),
             }),
             ports: Vec::new(),
-            proc_delay: cfg.proc_delay,
+            proc_delay: SWITCH_PROC_DELAY,
         });
         self.agents.push(None);
         self.host_rngs.push(self.master_rng.split(0));
@@ -1151,12 +1153,12 @@ impl Simulator {
                 self.recorder.trace_event(now, flow, ev);
             }
             let over = fb.cn_threshold.is_some_and(|threshold| qbytes > threshold);
-            if over && !meta.cn_limiter.allow(now, fb.cn_min_gap, egress, flow) {
+            if over && !meta.cn_limiter.allow(now, egress, flow) {
                 self.recorder.bump(Counter::CnSuppressed);
             } else if over {
                 // The back-to-sender CN is a first-class slab packet (the
                 // conservation ledger counts it as injected here) delivered
-                // straight to the sender host `cn_delay` later — no queues,
+                // straight to the sender host `CN_DELAY` later — no queues,
                 // no fabric. Port 0 is cosmetic: hosts have one NIC and the
                 // arrival handler ignores the port for host nodes.
                 self.recorder.bump(Counter::CnSent);
@@ -1172,7 +1174,7 @@ impl Simulator {
                     port: 0,
                     pkt: self.packets.insert(cn),
                 };
-                self.sched.schedule(now + fb.cn_delay, arrive);
+                self.sched.schedule(now + CN_DELAY, arrive);
             }
         }
         // PFC: account the buffered packet against its ingress.
@@ -1188,13 +1190,11 @@ impl Simulator {
                 self.sched.schedule(now + ingress.delay, pause);
             }
         }
-        if self.recorder.wants(ProbeKind::QueueDepth) {
-            let key = SeriesKey::QueueDepth {
-                node: sw,
-                port: egress,
-            };
-            self.recorder.probe(now, key, qbytes as f64);
-        }
+        let key = SeriesKey::QueueDepth {
+            node: sw,
+            port: egress,
+        };
+        self.recorder.probe(now, key, qbytes as f64);
         self.try_start_tx(sw, egress);
     }
 
@@ -1219,7 +1219,7 @@ impl Simulator {
         let flow = self.packets.remove(id).flow;
         let ev = TraceEvent::Drop { reason, node, port };
         self.recorder.trace_event(self.now, flow, ev);
-        self.recorder.drop_packet(self.now, reason, node, port);
+        self.recorder.drop_packet(reason, node, port);
     }
 
     /// If `(node, port)` is idle and unpaused, start serializing the next
@@ -1280,13 +1280,7 @@ impl Simulator {
             if p.tx_sampled || !p.queue.is_empty() {
                 p.schedule_tx_done(&mut self.sched, node, port);
             }
-            let fused = !p.tx_sampled;
-            if self.recorder.wants(ProbeKind::LinkUtil) {
-                let total = p.tx_bytes[0] + p.tx_bytes[1];
-                self.recorder
-                    .probe(self.now, SeriesKey::LinkUtil { node, port }, total as f64);
-            }
-            if fused {
+            if !p.tx_sampled {
                 self.launch(node, port);
             }
             return;
@@ -1703,10 +1697,7 @@ mod tests {
                 echo: false,
             }),
         );
-        let mut cfg = TelemetryConfig::off();
-        (cfg.enabled, cfg.queue_depth) = (true, true);
-        cfg.sample_every = SimTime::from_us(10);
-        sim.set_telemetry(cfg);
+        sim.set_telemetry(TelemetryConfig::every(SimTime::from_us(10)));
         sim.run_to_quiescence();
         // One series: the switch egress the burst crosses. Host NICs queue
         // (all 200 packets sit in h0's at 20 us) but are not probed.

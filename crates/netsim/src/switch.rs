@@ -14,9 +14,15 @@
 //!
 //! Routing tables map destination host → the set of eligible egress ports,
 //! as computed by the `topology` crate.
+//!
+//! The configs here carry only what a scheme varies. What the paper fixes
+//! is a constant: a flowcut boundary re-routes only off an egress holding
+//! more than one [`MTU`], and the feedback layer paces CNs at
+//! [`CN_MIN_GAP`] per (port, flow) and delivers them [`CN_DELAY`] after
+//! emission. (The switch's 1 µs ingress delay lives in `sim`.)
 
 use crate::hashing::{DetHashMap, EcmpHasher};
-use crate::packet::{FlowId, Packet, PortId};
+use crate::packet::{FlowId, Packet, PortId, MTU};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
@@ -58,7 +64,9 @@ pub enum ForwardingScheme {
 }
 
 /// Parameters of switch-side flowcut switching
-/// ([`ForwardingScheme::Flowcut`]).
+/// ([`ForwardingScheme::Flowcut`]). The boundary load trigger is fixed:
+/// a flow leaves its pinned egress only if that queue holds more than one
+/// [`MTU`], so a quiet path is never abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowcutConfig {
     /// Idle gap that ends a flowcut. Re-routing is only permitted after
@@ -67,27 +75,12 @@ pub struct FlowcutConfig {
     /// path-delay skew and every packet of the previous flowcut has
     /// drained before the next one can take a different path.
     pub gap: SimTime,
-    /// Load trigger: at a boundary, re-route only if the pinned egress
-    /// queue holds more than this many bytes. `None` re-evaluates the
-    /// path at every boundary regardless of load.
-    pub load_threshold: Option<u64>,
 }
 
 impl FlowcutConfig {
-    /// Flowcut detection with idle gap `gap` and the default load trigger
-    /// (re-route at a boundary only when the pinned egress queue exceeds
-    /// one MTU — a quiet path is never abandoned).
+    /// Flowcut detection with idle gap `gap`.
     pub fn new(gap: SimTime) -> Self {
-        FlowcutConfig {
-            gap,
-            load_threshold: Some(crate::packet::MTU as u64),
-        }
-    }
-
-    /// Override the load trigger (`None` = re-evaluate at every boundary).
-    pub fn with_load_threshold(mut self, threshold: Option<u64>) -> Self {
-        self.load_threshold = threshold;
-        self
+        FlowcutConfig { gap }
     }
 
     /// Validate invariants.
@@ -196,9 +189,9 @@ impl PinTable {
     }
 
     /// Flowcut switching: a pinned port must also be locally up; at an
-    /// idle-gap boundary the load trigger holds an uncongested pinned
-    /// egress, and every other boundary takes the least-queued live
-    /// eligible port.
+    /// idle-gap boundary a pinned egress holding at most one [`MTU`] is
+    /// kept, and every other boundary takes the least-queued live eligible
+    /// port.
     #[allow(clippy::too_many_arguments)]
     pub fn flowcut(
         &mut self,
@@ -213,7 +206,7 @@ impl PinTable {
         debug_assert!(!eligible.is_empty());
         let usable = |p| eligible.contains(&p) && link_up(p);
         self.select(now, cfg.gap, flow_hash, usable, |pinned| match pinned {
-            Some(p) if cfg.load_threshold.is_some_and(|t| queue_bytes(p) <= t) => p,
+            Some(p) if queue_bytes(p) <= MTU as u64 => p,
             _ => adaptive_pick(eligible, rng, &queue_bytes, &link_up),
         })
     }
@@ -250,10 +243,23 @@ impl PfcConfig {
     }
 }
 
+/// Minimum spacing between two CNs per (egress port, flow): one
+/// outstanding notification per RTT (~100 µs), so a congested queue can't
+/// storm the sender.
+pub const CN_MIN_GAP: SimTime = SimTime::from_us(100);
+
+/// Delivery latency of a CN back to its source host. A constant (the CN
+/// skips data queues, like a priority-queued control frame) so feedback
+/// timing is independent of fabric load: roughly the reverse-path wire +
+/// host-RX-stack time, and several times faster than the ~86 µs
+/// end-to-end echo it pre-empts.
+pub const CN_DELAY: SimTime = SimTime::from_us(20);
+
 /// Switch-assisted feedback: opt-in INT per-hop telemetry stamping and
 /// switch-generated early congestion notifications (CN), the P4-style
 /// fast-feedback layer. Entirely off by default — a fabric without a
 /// `FeedbackConfig` forwards byte-identically to one that predates it.
+/// CNs are paced by [`CN_MIN_GAP`] and arrive [`CN_DELAY`] after emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeedbackConfig {
     /// Stamp an [`crate::IntHop`] (node, egress port, queue bytes, ECN
@@ -262,14 +268,6 @@ pub struct FeedbackConfig {
     /// Emit a CN packet back to the sender when the egress queue exceeds
     /// this many bytes at enqueue; `None` disables CN generation.
     pub cn_threshold: Option<u64>,
-    /// Minimum spacing between CNs per (egress port, flow): one
-    /// outstanding notification per RTT, so a congested queue can't storm
-    /// the sender.
-    pub cn_min_gap: SimTime,
-    /// Fixed delivery latency of a CN back to the source host. Modeled as
-    /// a constant (the CN skips data queues, like a priority-queued
-    /// control frame) so feedback timing is independent of fabric load.
-    pub cn_delay: SimTime,
 }
 
 impl FeedbackConfig {
@@ -278,30 +276,14 @@ impl FeedbackConfig {
         FeedbackConfig {
             int_stamp: true,
             cn_threshold: None,
-            cn_min_gap: SimTime::from_us(100),
-            cn_delay: SimTime::from_us(20),
         }
     }
 
-    /// CN generation at `threshold` bytes of egress queue, with the
-    /// default pacing (one CN per (port, flow) per ~RTT of 100 µs) and a
-    /// 20 µs constant return latency — roughly the reverse-path wire +
-    /// host-RX-stack time, and several times faster than the ~86 µs
-    /// end-to-end echo it pre-empts.
+    /// CN generation at `threshold` bytes of egress queue.
     pub fn cn(threshold: u64) -> Self {
         FeedbackConfig {
             int_stamp: false,
             cn_threshold: Some(threshold),
-            cn_min_gap: SimTime::from_us(100),
-            cn_delay: SimTime::from_us(20),
-        }
-    }
-
-    /// Both INT stamping and CN generation.
-    pub fn full(threshold: u64) -> Self {
-        FeedbackConfig {
-            int_stamp: true,
-            ..FeedbackConfig::cn(threshold)
         }
     }
 
@@ -312,14 +294,12 @@ impl FeedbackConfig {
     pub fn validate(&self) {
         if let Some(t) = self.cn_threshold {
             assert!(t > 0, "CN threshold must be positive");
-            assert!(self.cn_min_gap.as_ps() > 0, "CN min gap must be positive");
-            assert!(self.cn_delay.as_ps() > 0, "CN delay must be positive");
         }
     }
 }
 
 /// Per-switch CN pacing state: at most one notification per
-/// (egress port, flow) per [`FeedbackConfig::cn_min_gap`].
+/// (egress port, flow) per [`CN_MIN_GAP`].
 ///
 /// Pure bookkeeping (no simulator types beyond ids and time), so the
 /// "never more than one outstanding CN per (port, flow) per gap"
@@ -338,16 +318,16 @@ impl CnLimiter {
 
     /// Whether a CN may be emitted at `now` for `(port, flow)`. When it
     /// may, the emission is registered and the next one is blocked until
-    /// `now + min_gap`.
-    pub fn allow(&mut self, now: SimTime, min_gap: SimTime, port: PortId, flow: FlowId) -> bool {
+    /// `now + CN_MIN_GAP`.
+    pub fn allow(&mut self, now: SimTime, port: PortId, flow: FlowId) -> bool {
         match self.next_allowed.get_mut(&(port, flow)) {
             Some(next) if now < *next => false,
             Some(next) => {
-                *next = now + min_gap;
+                *next = now + CN_MIN_GAP;
                 true
             }
             None => {
-                self.next_allowed.insert((port, flow), now + min_gap);
+                self.next_allowed.insert((port, flow), now + CN_MIN_GAP);
                 true
             }
         }
@@ -933,26 +913,28 @@ mod tests {
         assert_eq!((p2, d2), (free, FlowcutDecision::Rerouted));
     }
 
+    /// The boundary load trigger is exactly one MTU: a pinned egress
+    /// holding `MTU` bytes keeps the flow, one byte more moves it.
     #[test]
-    fn flowcut_always_reevaluates_without_load_trigger() {
+    fn flowcut_load_trigger_is_one_mtu() {
         let mut fc = PinTable::new();
         let mut rng = DetRng::new(6, 6);
-        let cfg = FlowcutConfig::new(SimTime::from_us(100)).with_load_threshold(None);
+        let cfg = FlowcutConfig::new(SimTime::from_us(100));
         let elig = vec![0u16, 1];
         let (p0, _) = fc.flowcut(SimTime::ZERO, cfg, 1, &elig, &mut rng, |_| 0, |_| true);
-        // Boundary with equal queues: re-evaluation may keep the port, in
-        // which case the decision is Held, not Rerouted.
-        let other = 1 - p0;
-        let (p1, d1) = fc.flowcut(
-            SimTime::from_ms(1),
-            cfg,
-            1,
-            &elig,
-            &mut rng,
-            |q| if q == p0 { 1 } else { 0 },
-            |_| true,
+        // A boundary (1 ms idle > gap) with `pinned` bytes at the pinned
+        // egress and an empty alternative.
+        let mut boundary = |ms, pinned: u64| {
+            let load = move |q: PortId| if q == p0 { pinned } else { 0 };
+            fc.flowcut(SimTime::from_ms(ms), cfg, 1, &elig, &mut rng, load, |_| {
+                true
+            })
+        };
+        assert_eq!(boundary(1, MTU as u64), (p0, FlowcutDecision::Held));
+        assert_eq!(
+            boundary(2, MTU as u64 + 1),
+            (1 - p0, FlowcutDecision::Rerouted)
         );
-        assert_eq!((p1, d1), (other, FlowcutDecision::Rerouted));
     }
 
     #[test]
@@ -980,7 +962,6 @@ mod tests {
     fn flowcut_config_defaults_and_validation() {
         let cfg = FlowcutConfig::new(SimTime::from_us(100));
         assert_eq!(cfg.gap, SimTime::from_us(100));
-        assert_eq!(cfg.load_threshold, Some(crate::packet::MTU as u64));
         cfg.validate();
     }
 
@@ -997,19 +978,64 @@ mod tests {
         assert_eq!(d.resume_threshold, 10_000);
     }
 
+    /// The presets, and the CN delivery constant: on a congested egress
+    /// every CN reaches its sender exactly `CN_DELAY` after the switch
+    /// emitted it.
     #[test]
     fn feedback_config_presets() {
+        use crate::sim::{LinkSpec, Simulator, SwitchConfig};
+        use crate::testutil::{Blaster, RxLog};
+        use crate::trace::{TraceConfig, TraceEvent};
+
         let i = FeedbackConfig::int_only();
         assert!(i.int_stamp && i.cn_threshold.is_none());
         i.validate();
-        let c = FeedbackConfig::cn(64_000);
+        let c = FeedbackConfig::cn(3000);
         assert!(!c.int_stamp);
-        assert_eq!(c.cn_threshold, Some(64_000));
-        assert!(c.cn_delay < SimTime::from_us(86), "CN beats the e2e echo");
+        assert_eq!(c.cn_threshold, Some(3000));
+        assert!(CN_DELAY < SimTime::from_us(86), "CN beats the e2e echo");
         c.validate();
-        let f = FeedbackConfig::full(64_000);
-        assert!(f.int_stamp && f.cn_threshold == Some(64_000));
-        f.validate();
+
+        // Two line-rate senders (flows 0 and 1) into one egress towards h2.
+        let mut sim = Simulator::new(7);
+        let hosts: Vec<_> = (0..3).map(|_| sim.add_host_default()).collect();
+        let sw = sim.add_switch(SwitchConfig::commodity(HashConfig::FiveTuple).with_feedback(c));
+        let mut rt = RoutingTable::new(3);
+        for (port, &h) in hosts.iter().enumerate() {
+            sim.connect(h, sw, LinkSpec::host_10g());
+            rt.set(h, vec![port as PortId]);
+        }
+        sim.set_routes(sw, rt);
+        sim.set_trace(TraceConfig::flows(vec![0, 1]));
+        for flow in 0..2 {
+            let mut b = Blaster::new(hosts[2], 30, RxLog::shared());
+            b.flow = flow;
+            b.sport = 10 + flow as u16;
+            sim.set_agent(hosts[flow as usize], Box::new(b));
+        }
+        sim.run_to_quiescence();
+        for tl in sim.into_results().timelines() {
+            let at = |pick: fn(&TraceEvent) -> bool| -> Vec<SimTime> {
+                tl.events
+                    .iter()
+                    .filter(|(_, e)| pick(e))
+                    .map(|&(t, _)| t)
+                    .collect()
+            };
+            let emitted = at(|e| matches!(e, TraceEvent::CnEmit { .. }));
+            let landed = at(|e| matches!(e, TraceEvent::CnArrive { .. }));
+            assert!(
+                !emitted.is_empty(),
+                "flow {}: the queue must emit CNs",
+                tl.flow
+            );
+            let due: Vec<SimTime> = emitted.iter().map(|&t| t + CN_DELAY).collect();
+            assert_eq!(
+                landed, due,
+                "flow {}: a CN lands CN_DELAY after emission",
+                tl.flow
+            );
+        }
     }
 
     #[test]
@@ -1021,29 +1047,28 @@ mod tests {
     #[test]
     fn cn_limiter_paces_per_port_flow() {
         let mut lim = CnLimiter::new();
-        let gap = SimTime::from_us(100);
-        assert!(lim.allow(SimTime::ZERO, gap, 1, 7));
+        assert_eq!(CN_MIN_GAP, SimTime::from_us(100));
+        assert!(lim.allow(SimTime::ZERO, 1, 7));
         // Within the gap: suppressed, repeatedly.
-        assert!(!lim.allow(SimTime::from_us(10), gap, 1, 7));
-        assert!(!lim.allow(SimTime::from_us(99), gap, 1, 7));
+        assert!(!lim.allow(SimTime::from_us(10), 1, 7));
+        assert!(!lim.allow(SimTime::from_us(99), 1, 7));
         // Other (port, flow) pairs are independent.
-        assert!(lim.allow(SimTime::from_us(10), gap, 2, 7));
-        assert!(lim.allow(SimTime::from_us(10), gap, 1, 8));
+        assert!(lim.allow(SimTime::from_us(10), 2, 7));
+        assert!(lim.allow(SimTime::from_us(10), 1, 8));
         // At/after the gap: allowed again.
-        assert!(lim.allow(SimTime::from_us(100), gap, 1, 7));
-        assert!(!lim.allow(SimTime::from_us(150), gap, 1, 7));
+        assert!(lim.allow(SimTime::from_us(100), 1, 7));
+        assert!(!lim.allow(SimTime::from_us(150), 1, 7));
         assert_eq!(lim.len(), 3);
     }
 
     /// Property: over a long randomized query stream, no (port, flow)
-    /// pair is ever granted two CNs less than `min_gap` apart — the "one
-    /// outstanding CN per (port, flow) per RTT" guarantee.
+    /// pair is ever granted two CNs less than [`CN_MIN_GAP`] apart — the
+    /// "one outstanding CN per (port, flow) per RTT" guarantee.
     #[test]
     fn cn_limiter_never_exceeds_one_per_gap_property() {
         for seed in 0..8u64 {
             let mut rng = DetRng::new(seed, 0xC0FFEE);
             let mut lim = CnLimiter::new();
-            let gap = SimTime::from_us(100);
             let mut now = SimTime::ZERO;
             let mut last_granted: DetHashMap<(PortId, FlowId), SimTime> = DetHashMap::default();
             for _ in 0..5_000 {
@@ -1052,10 +1077,10 @@ mod tests {
                 now += SimTime::from_ps(rng.gen_range(20_000_000) as u64);
                 let port = rng.gen_range(4) as PortId;
                 let flow = rng.gen_range(8);
-                if lim.allow(now, gap, port, flow) {
+                if lim.allow(now, port, flow) {
                     if let Some(&prev) = last_granted.get(&(port, flow)) {
                         assert!(
-                            now.saturating_sub(prev) >= gap,
+                            now.saturating_sub(prev) >= CN_MIN_GAP,
                             "seed {seed}: CNs {prev:?} and {now:?} within the gap"
                         );
                     }

@@ -1,15 +1,15 @@
 //! Named time-series probes collected alongside counters and flow records.
 //!
-//! The simulator core and the transport layer carry cheap, always-compiled
-//! probe hooks (egress queue depth, cumulative link bytes, per-flow cwnd,
-//! per-epoch marked-ACK fraction `F`, and V-field reroute traces). Each
-//! hook forwards to [`Telemetry::record`], which is a single branch when
-//! telemetry is disabled — the default — so the hot path stays
-//! unmeasurably close to a probe-free build. A [`TelemetryConfig`] turns
-//! individual probe families on and rate-limits the *sampled* families to
-//! one point per [`TelemetryConfig::sample_every`] per series; *trace*
-//! families (V-field reroutes) record every event, because each one is a
-//! routing decision.
+//! There are two probe families, hooked where the paper's mechanism lives:
+//! the occupancy of a switch egress queue after each enqueue
+//! (`queue_depth.n{node}.p{port}`, sampled) and the V-field of a
+//! path-controlled flow at its start and after every reroute
+//! (`vfield.f{flow}`, a trace: every point is a routing decision, so none
+//! is rate-limited). Each hook forwards to [`Telemetry::record`], which is
+//! a single branch when telemetry is off — the default — so the hot path
+//! stays unmeasurably close to a probe-free build. A [`TelemetryConfig`]
+//! holds one value, the sampling period: setting it collects both
+//! families, with queue-depth series limited to one point per period.
 //!
 //! Series live inside the run's `Recorder` and come out through
 //! `RunResults` for the `stats`/`experiments` crates to serialize.
@@ -19,97 +19,26 @@ use crate::hashing::DetHashMap;
 use crate::packet::{FlowId, NodeId, PortId};
 use crate::time::SimTime;
 
-/// Which probe families a run collects, and the sampling period for the
-/// rate-limited ones. The default is fully disabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Whether a run collects telemetry, and how densely. The default is off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch; when false every probe is a single cold branch.
-    pub enabled: bool,
-    /// Minimum spacing between two recorded points of one sampled series.
-    pub sample_every: SimTime,
-    /// Egress queue occupancy (bytes) after each successful enqueue.
-    pub queue_depth: bool,
-    /// Cumulative transmitted bytes per port (the slope is utilization).
-    pub link_util: bool,
-    /// Per-flow congestion window (bytes) at each RTT-epoch boundary.
-    pub cwnd: bool,
-    /// Per-flow marked-ACK fraction `F` at each RTT-epoch boundary.
-    pub f_fraction: bool,
-    /// Per-flow V-field value at start and after every reroute (a trace:
-    /// never rate-limited).
-    pub reroutes: bool,
-    /// Per-port drop trace: one point per dropped packet, valued by its
-    /// [`crate::record::DropReason`] index (a trace: never rate-limited).
-    pub drops: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig::off()
-    }
+    /// Minimum spacing between two recorded points of one queue-depth
+    /// series; `None` collects nothing.
+    pub sample_every: Option<SimTime>,
 }
 
 impl TelemetryConfig {
-    /// Fully disabled collection (the default).
+    /// No collection (the default).
     pub fn off() -> Self {
+        TelemetryConfig::default()
+    }
+
+    /// Collect both families, queue depths at most once per `period`.
+    pub fn every(period: SimTime) -> Self {
         TelemetryConfig {
-            enabled: false,
-            sample_every: SimTime::from_us(100),
-            queue_depth: false,
-            link_util: false,
-            cwnd: false,
-            f_fraction: false,
-            reroutes: false,
-            drops: false,
+            sample_every: Some(period),
         }
     }
-
-    /// Every probe family on, sampled series limited to one point per
-    /// `sample_every`.
-    pub fn all(sample_every: SimTime) -> Self {
-        TelemetryConfig {
-            enabled: true,
-            sample_every,
-            queue_depth: true,
-            link_util: true,
-            cwnd: true,
-            f_fraction: true,
-            reroutes: true,
-            drops: true,
-        }
-    }
-
-    /// Is the family of `kind` enabled (and the master switch on)?
-    #[inline]
-    pub fn wants(&self, kind: ProbeKind) -> bool {
-        self.enabled
-            && match kind {
-                ProbeKind::QueueDepth => self.queue_depth,
-                ProbeKind::LinkUtil => self.link_util,
-                ProbeKind::Cwnd => self.cwnd,
-                ProbeKind::FFraction => self.f_fraction,
-                ProbeKind::Vfield => self.reroutes,
-                ProbeKind::Drops => self.drops,
-            }
-    }
-}
-
-/// The probe families, used for enablement checks without constructing a
-/// full [`SeriesKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeKind {
-    /// Egress queue occupancy in bytes.
-    QueueDepth,
-    /// Cumulative transmitted bytes on a port.
-    LinkUtil,
-    /// Per-flow congestion window in bytes.
-    Cwnd,
-    /// Per-flow marked-ACK fraction per epoch.
-    FFraction,
-    /// Per-flow V-field trace.
-    Vfield,
-    /// Per-port packet-drop trace.
-    Drops,
 }
 
 /// The identity of one time series.
@@ -122,68 +51,20 @@ pub enum SeriesKey {
         /// Egress port index on that node.
         port: PortId,
     },
-    /// Cumulative bytes transmitted by `(node, port)`.
-    LinkUtil {
-        /// Owning node.
-        node: NodeId,
-        /// Egress port index on that node.
-        port: PortId,
-    },
-    /// Congestion window of `flow`.
-    Cwnd {
-        /// Flow id.
-        flow: FlowId,
-    },
-    /// Marked-ACK fraction `F` of `flow`, one point per RTT epoch.
-    FFraction {
-        /// Flow id.
-        flow: FlowId,
-    },
     /// V-field of `flow`: initial value plus one point per reroute.
     Vfield {
         /// Flow id.
         flow: FlowId,
     },
-    /// Drops at the egress `(node, port)`: one point per dropped packet,
-    /// valued by the [`crate::record::DropReason`] index.
-    Drops {
-        /// Owning node.
-        node: NodeId,
-        /// Egress port index on that node.
-        port: PortId,
-    },
 }
 
 impl SeriesKey {
-    /// The family this key belongs to.
-    #[inline]
-    pub fn kind(&self) -> ProbeKind {
-        match self {
-            SeriesKey::QueueDepth { .. } => ProbeKind::QueueDepth,
-            SeriesKey::LinkUtil { .. } => ProbeKind::LinkUtil,
-            SeriesKey::Cwnd { .. } => ProbeKind::Cwnd,
-            SeriesKey::FFraction { .. } => ProbeKind::FFraction,
-            SeriesKey::Vfield { .. } => ProbeKind::Vfield,
-            SeriesKey::Drops { .. } => ProbeKind::Drops,
-        }
-    }
-
-    /// Whether this series is rate-limited (`true`) or an exhaustive event
-    /// trace (`false`).
-    fn sampled(&self) -> bool {
-        !matches!(self, SeriesKey::Vfield { .. } | SeriesKey::Drops { .. })
-    }
-
     /// Stable dotted name, used in reports and JSON output
-    /// (e.g. `queue_depth.n3.p2`, `cwnd.f17`).
+    /// (e.g. `queue_depth.n3.p2`, `vfield.f17`).
     pub fn name(&self) -> String {
         match self {
             SeriesKey::QueueDepth { node, port } => format!("queue_depth.n{node}.p{port}"),
-            SeriesKey::LinkUtil { node, port } => format!("link_util.n{node}.p{port}"),
-            SeriesKey::Cwnd { flow } => format!("cwnd.f{flow}"),
-            SeriesKey::FFraction { flow } => format!("f_fraction.f{flow}"),
             SeriesKey::Vfield { flow } => format!("vfield.f{flow}"),
-            SeriesKey::Drops { node, port } => format!("drops.n{node}.p{port}"),
         }
     }
 }
@@ -233,31 +114,20 @@ impl Telemetry {
         self.cfg = cfg;
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
-    /// Is the family of `kind` being collected?
-    #[inline]
-    pub fn wants(&self, kind: ProbeKind) -> bool {
-        self.cfg.wants(kind)
-    }
-
-    /// Record `value` for `key` at `now`. A no-op (one branch) when the
-    /// key's family is disabled; sampled families additionally drop points
-    /// closer than [`TelemetryConfig::sample_every`] to the series' last.
+    /// Record `value` for `key` at `now`. A no-op (one branch) when
+    /// telemetry is off; queue-depth points closer than
+    /// [`TelemetryConfig::sample_every`] to the series' last are dropped.
     #[inline]
     pub fn record(&mut self, now: SimTime, key: SeriesKey, value: f64) {
-        if !self.cfg.wants(key.kind()) {
+        let Some(every) = self.cfg.sample_every else {
             return;
-        }
-        self.record_slow(now, key, value);
+        };
+        self.record_slow(now, key, value, every);
     }
 
     /// The enabled-path tail of [`Telemetry::record`], kept out of line so
     /// the disabled path inlines to a single test.
-    fn record_slow(&mut self, now: SimTime, key: SeriesKey, value: f64) {
+    fn record_slow(&mut self, now: SimTime, key: SeriesKey, value: f64, every: SimTime) {
         let idx = match self.index.get(&key) {
             Some(&i) => i,
             None => {
@@ -272,11 +142,9 @@ impl Telemetry {
             }
         };
         let s = &mut self.series[idx];
-        if key.sampled() {
-            if let Some(&(last, _)) = s.points.last() {
-                if now < last + self.cfg.sample_every {
-                    return;
-                }
+        if let (SeriesKey::QueueDepth { .. }, Some(&(last, _))) = (key, s.points.last()) {
+            if now < last + every {
+                return;
             }
         }
         s.points.push((now, value));
@@ -300,32 +168,19 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut t = Telemetry::new();
-        t.record(SimTime::ZERO, SeriesKey::Cwnd { flow: 1 }, 1.0);
-        assert!(t.series().is_empty());
-        assert!(!t.wants(ProbeKind::Cwnd));
-    }
-
-    #[test]
-    fn per_family_enablement() {
-        let mut cfg = TelemetryConfig::off();
-        cfg.enabled = true;
-        cfg.queue_depth = true;
-        let mut t = Telemetry::new();
-        t.set_config(cfg);
+        t.record(SimTime::ZERO, SeriesKey::Vfield { flow: 1 }, 1.0);
         t.record(
             SimTime::ZERO,
             SeriesKey::QueueDepth { node: 0, port: 0 },
-            5.0,
+            1.0,
         );
-        t.record(SimTime::ZERO, SeriesKey::Cwnd { flow: 1 }, 1.0);
-        assert_eq!(t.series().len(), 1);
-        assert_eq!(t.series()[0].name(), "queue_depth.n0.p0");
+        assert!(t.series().is_empty());
     }
 
     #[test]
     fn sampling_rate_limits_but_traces_do_not() {
         let mut t = Telemetry::new();
-        t.set_config(TelemetryConfig::all(SimTime::from_us(10)));
+        t.set_config(TelemetryConfig::every(SimTime::from_us(10)));
         let q = SeriesKey::QueueDepth { node: 1, port: 2 };
         let v = SeriesKey::Vfield { flow: 3 };
         for us in 0..100 {
@@ -341,16 +196,16 @@ mod tests {
     #[test]
     fn series_order_is_first_recording_order() {
         let mut t = Telemetry::new();
-        t.set_config(TelemetryConfig::all(SimTime::ZERO));
-        t.record(SimTime::ZERO, SeriesKey::Cwnd { flow: 9 }, 1.0);
+        t.set_config(TelemetryConfig::every(SimTime::ZERO));
+        t.record(SimTime::ZERO, SeriesKey::Vfield { flow: 9 }, 1.0);
         t.record(
             SimTime::ZERO,
             SeriesKey::QueueDepth { node: 0, port: 1 },
             2.0,
         );
-        t.record(SimTime::from_us(1), SeriesKey::Cwnd { flow: 9 }, 3.0);
+        t.record(SimTime::from_us(1), SeriesKey::Vfield { flow: 9 }, 3.0);
         let names: Vec<_> = t.series().iter().map(|s| s.name().to_string()).collect();
-        assert_eq!(names, ["cwnd.f9", "queue_depth.n0.p1"]);
+        assert_eq!(names, ["vfield.f9", "queue_depth.n0.p1"]);
         assert_eq!(t.series()[0].points().len(), 2);
     }
 
@@ -360,13 +215,6 @@ mod tests {
             SeriesKey::QueueDepth { node: 3, port: 2 }.name(),
             "queue_depth.n3.p2"
         );
-        assert_eq!(
-            SeriesKey::LinkUtil { node: 0, port: 7 }.name(),
-            "link_util.n0.p7"
-        );
-        assert_eq!(SeriesKey::Cwnd { flow: 17 }.name(), "cwnd.f17");
-        assert_eq!(SeriesKey::FFraction { flow: 1 }.name(), "f_fraction.f1");
         assert_eq!(SeriesKey::Vfield { flow: 0 }.name(), "vfield.f0");
-        assert_eq!(SeriesKey::Drops { node: 4, port: 1 }.name(), "drops.n4.p1");
     }
 }

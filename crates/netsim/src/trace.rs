@@ -7,12 +7,13 @@
 //!
 //! Design mirrors [`crate::telemetry`]:
 //!
-//! * A [`TraceConfig`] selects the traced flows up front. The default is
-//!   disabled; every hook in the hot path is then a single branch
-//!   ([`Recorder::trace_wants`](crate::Recorder::trace_wants) reads one
-//!   `bool`), so an untraced run pays nothing measurable (see
+//! * A [`TraceConfig`] is the list of traced flows, nothing else: tracing
+//!   is on exactly when the list is non-empty. The default list is empty;
+//!   every hook in the hot path is then a single branch
+//!   ([`Recorder::trace_wants`](crate::Recorder::trace_wants) tests one
+//!   length), so an untraced run pays nothing measurable (see
 //!   `BENCH_engine.json`, `forward_5k_pkts` vs `forward_5k_pkts_traced`).
-//! * Each traced flow owns a fixed-capacity ring of
+//! * Each traced flow owns a ring of [`RING_CAPACITY`]
 //!   `(SimTime, TraceEvent)` pairs. When the ring is full the *oldest*
 //!   events are overwritten and counted in
 //!   [`FlowTimeline::truncated`] — the tail of a timeline (the part that
@@ -31,67 +32,43 @@ use crate::packet::{FlowId, NodeId, PortId};
 use crate::record::DropReason;
 use crate::time::SimTime;
 
-/// Default per-flow ring capacity (events retained per traced flow).
+/// Per-flow ring capacity (events retained per traced flow).
 ///
 /// Large enough to hold every event of a multi-megabyte flow at paper
 /// scale; small enough that tracing a handful of flows costs a few
-/// hundred KiB. Override with [`TraceConfig::with_capacity`].
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+/// hundred KiB.
+pub const RING_CAPACITY: usize = 65_536;
 
-/// Selects which flows the flight recorder follows.
+/// Selects which flows the flight recorder follows; tracing is on exactly
+/// when the selection is non-empty.
 ///
 /// Construct with [`TraceConfig::off`] (the default) or
 /// [`TraceConfig::flows`]; install via `Simulator::set_trace` before the
 /// run starts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch; `false` makes every trace hook a single branch.
-    pub enabled: bool,
     /// Traced flow ids, sorted and deduplicated.
-    pub flows: Vec<FlowId>,
-    /// Per-flow ring capacity in events.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
-    }
+    flows: Vec<FlowId>,
 }
 
 impl TraceConfig {
     /// Tracing disabled (the default).
     pub fn off() -> Self {
-        TraceConfig {
-            enabled: false,
-            flows: Vec::new(),
-            ring_capacity: DEFAULT_RING_CAPACITY,
-        }
+        TraceConfig::default()
     }
 
     /// Trace exactly the given flows (order and duplicates are
-    /// normalized away). An empty selection is equivalent to
-    /// [`TraceConfig::off`].
+    /// normalized away). An empty selection is [`TraceConfig::off`].
     pub fn flows(mut ids: Vec<FlowId>) -> Self {
         ids.sort_unstable();
         ids.dedup();
-        TraceConfig {
-            enabled: !ids.is_empty(),
-            flows: ids,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-        }
-    }
-
-    /// Override the per-flow ring capacity (minimum 1).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity.max(1);
-        self
+        TraceConfig { flows: ids }
     }
 
     /// Is `flow` selected?
     #[inline]
     pub fn wants(&self, flow: FlowId) -> bool {
-        self.enabled && self.flows.binary_search(&flow).is_ok()
+        self.flows.binary_search(&flow).is_ok()
     }
 }
 
@@ -231,10 +208,10 @@ impl TraceEvent {
     }
 }
 
-/// Fixed-capacity ring of timestamped events; oldest overwritten first.
-#[derive(Debug)]
+/// Ring of at most [`RING_CAPACITY`] timestamped events; oldest
+/// overwritten first.
+#[derive(Debug, Default)]
 struct Ring {
-    cap: usize,
     /// Index of the oldest event once the ring has wrapped.
     head: usize,
     /// Events overwritten because the ring was full.
@@ -243,21 +220,12 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(cap: usize) -> Self {
-        Ring {
-            cap,
-            head: 0,
-            truncated: 0,
-            events: Vec::new(),
-        }
-    }
-
     fn push(&mut self, at: SimTime, ev: TraceEvent) {
-        if self.events.len() < self.cap {
+        if self.events.len() < RING_CAPACITY {
             self.events.push((at, ev));
         } else {
             self.events[self.head] = (at, ev);
-            self.head = (self.head + 1) % self.cap;
+            self.head = (self.head + 1) % RING_CAPACITY;
             self.truncated += 1;
         }
     }
@@ -293,9 +261,9 @@ impl FlowTimeline {
 /// it through `Recorder::trace_wants` / `Recorder::trace_event`.
 #[derive(Debug, Default)]
 pub struct Trace {
-    cfg: TraceConfig,
     /// One `(flow, ring)` pair per selected flow, sorted by flow id
-    /// (selections are small; lookup is a binary search).
+    /// (selections are small; lookup is a binary search). Empty when
+    /// tracing is off.
     buffers: Vec<(FlowId, Ring)>,
 }
 
@@ -310,34 +278,28 @@ impl Trace {
     pub fn set_config(&mut self, cfg: TraceConfig) {
         self.buffers = cfg
             .flows
-            .iter()
-            .map(|&f| (f, Ring::new(cfg.ring_capacity)))
+            .into_iter()
+            .map(|f| (f, Ring::default()))
             .collect();
-        self.cfg = cfg;
-    }
-
-    /// The installed configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
     }
 
     /// Is any flow being traced? A single load; hot paths branch on this.
     #[inline]
     pub fn active(&self) -> bool {
-        self.cfg.enabled
+        !self.buffers.is_empty()
     }
 
     /// Is `flow` being traced? One branch when tracing is disabled.
     #[inline]
     pub fn wants(&self, flow: FlowId) -> bool {
-        self.cfg.enabled && self.buffers.binary_search_by_key(&flow, |b| b.0).is_ok()
+        self.active() && self.buffers.binary_search_by_key(&flow, |b| b.0).is_ok()
     }
 
     /// Record `ev` for `flow` at `at`. A no-op (one branch) when the flow
     /// is not selected.
     #[inline]
     pub fn record(&mut self, at: SimTime, flow: FlowId, ev: TraceEvent) {
-        if !self.cfg.enabled {
+        if !self.active() {
             return;
         }
         self.record_slow(at, flow, ev);
@@ -391,11 +353,10 @@ mod tests {
     #[test]
     fn config_normalizes_selection() {
         let cfg = TraceConfig::flows(vec![7, 3, 7, 1]);
-        assert!(cfg.enabled);
-        assert_eq!(cfg.flows, vec![1, 3, 7]);
+        assert_eq!(cfg.flows, [1, 3, 7]);
         assert!(cfg.wants(3));
         assert!(!cfg.wants(2));
-        assert!(!TraceConfig::flows(vec![]).enabled);
+        assert_eq!(TraceConfig::flows(vec![]), TraceConfig::off());
     }
 
     #[test]
@@ -424,12 +385,14 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_counts_truncation() {
         let mut t = Trace::new();
-        t.set_config(TraceConfig::flows(vec![0]).with_capacity(3));
-        for i in 0..5u64 {
-            t.record(SimTime::from_us(i), 0, hop(i as NodeId));
+        t.set_config(TraceConfig::flows(vec![0]));
+        let pushed = RING_CAPACITY + 2;
+        for i in 0..pushed {
+            t.record(SimTime::from_us(i as u64), 0, hop(i as NodeId));
         }
         let tl = t.into_timelines().remove(0);
         assert_eq!(tl.truncated, 2);
+        assert_eq!(tl.events.len(), RING_CAPACITY);
         // Oldest two (hops via nodes 0, 1) were overwritten; the rest are
         // chronological.
         let nodes: Vec<NodeId> = tl
@@ -440,7 +403,7 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(nodes, vec![2, 3, 4]);
+        assert_eq!(nodes, (2..pushed as NodeId).collect::<Vec<_>>());
         assert!(tl.events.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 

@@ -98,10 +98,7 @@ fn watcher_sees_the_queue_grow_and_drain_around_an_outage() {
     sim.set_agent(h0, Box::new(b));
     // Outage 1..2ms: the egress queue to h1 piles up during it.
     sim.install_faults(FaultPlan::new().flap(sw, 1, SimTime::from_ms(1), SimTime::from_ms(2)));
-    let mut cfg = TelemetryConfig::off();
-    (cfg.enabled, cfg.queue_depth) = (true, true);
-    cfg.sample_every = SimTime::from_us(50);
-    sim.set_telemetry(cfg);
+    sim.set_telemetry(TelemetryConfig::every(SimTime::from_us(50)));
     sim.run_to_quiescence();
     let key = SeriesKey::QueueDepth { node: sw, port: 1 };
     let series = sim.recorder().telemetry().series();

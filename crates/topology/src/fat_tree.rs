@@ -11,13 +11,15 @@
 //! simultaneous cross-pod flows can each own a full 10 Gbps route.
 //!
 //! [`FatTreeParams`] generalizes all of these counts so the §4.3.3
-//! path-diversity experiment can scale the fabric up.
+//! path-diversity experiment can scale the fabric up. Links are always the
+//! paper's ([`LinkSpec::host_10g`], [`LinkSpec::fabric_10g`]); only the
+//! fabric egress queue is a parameter, for the buffer-size sweep.
 
 use netsim::{
-    LinkSpec, NodeId, PortId, PortSetId, QueueSpec, RoutingTable, SimTime, Simulator, SwitchConfig,
+    LinkSpec, NodeId, PortId, PortSetId, QueueSpec, RoutingTable, Simulator, SwitchConfig, LINK_BPS,
 };
 
-/// Dimensions and link parameters of a fat-tree fabric.
+/// Dimensions and fabric queue of a fat-tree fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FatTreeParams {
     /// Number of pods.
@@ -35,10 +37,6 @@ pub struct FatTreeParams {
     /// needs 2 so that a ToR's 8 hosts see 8 uplinks (Table 1's "one flow
     /// per route" at full line rate).
     pub links_per_tor_agg: usize,
-    /// Rate of every link, bits per second.
-    pub link_bps: u64,
-    /// Propagation delay of every link.
-    pub link_delay: SimTime,
     /// Egress queue of every fabric port (ignored — replaced by a large
     /// lossless queue — when the switch config enables PFC).
     pub fabric_queue: QueueSpec,
@@ -55,8 +53,6 @@ impl FatTreeParams {
             hosts_per_tor: 8,
             core_links_per_agg: 2,
             links_per_tor_agg: 2,
-            link_bps: 10_000_000_000,
-            link_delay: SimTime::from_ns(100),
             fabric_queue: QueueSpec::switch_10g(),
         }
     }
@@ -71,8 +67,6 @@ impl FatTreeParams {
             hosts_per_tor: 4,
             core_links_per_agg: 2,
             links_per_tor_agg: 2,
-            link_bps: 10_000_000_000,
-            link_delay: SimTime::from_ns(100),
             fabric_queue: QueueSpec::switch_10g(),
         }
     }
@@ -89,8 +83,6 @@ impl FatTreeParams {
             hosts_per_tor: 16,
             core_links_per_agg: 4,
             links_per_tor_agg: 2,
-            link_bps: 10_000_000_000,
-            link_delay: SimTime::from_ns(100),
             fabric_queue: QueueSpec::switch_10g(),
         }
     }
@@ -117,8 +109,6 @@ impl FatTreeParams {
             hosts_per_tor: k / 2,
             core_links_per_agg: k / 2,
             links_per_tor_agg: 1,
-            link_bps: 10_000_000_000,
-            link_delay: SimTime::from_ns(100),
             fabric_queue: QueueSpec::switch_10g(),
         })
     }
@@ -141,7 +131,7 @@ impl FatTreeParams {
     /// Core-facing capacity of one pod in bits per second (the basis for
     /// the paper's "load relative to bisection bandwidth").
     pub fn pod_uplink_bps(&self) -> u64 {
-        (self.aggs_per_pod * self.core_links_per_agg) as u64 * self.link_bps
+        (self.aggs_per_pod * self.core_links_per_agg) as u64 * LINK_BPS
     }
 }
 
@@ -207,24 +197,16 @@ pub fn build_fat_tree(
     switch_cfg: SwitchConfig,
 ) -> FatTree {
     let n_hosts = params.n_hosts();
-    let lossless = switch_cfg.pfc.is_some();
-    let fabric_queue = if lossless {
+    let fabric_queue = if switch_cfg.pfc.is_some() {
         QueueSpec::lossless()
     } else {
         params.fabric_queue
     };
     let host_link = LinkSpec {
-        rate_bps: params.link_bps,
-        delay: params.link_delay,
-        a_queue: QueueSpec::host_nic(),
         b_queue: fabric_queue,
+        ..LinkSpec::host_10g()
     };
-    let fabric_link = LinkSpec {
-        rate_bps: params.link_bps,
-        delay: params.link_delay,
-        a_queue: fabric_queue,
-        b_queue: fabric_queue,
-    };
+    let fabric_link = LinkSpec::fabric_10g().with_queues(fabric_queue);
 
     // Hosts first: ids 0..n_hosts.
     let hosts: Vec<NodeId> = (0..n_hosts).map(|_| sim.add_host_default()).collect();
@@ -330,7 +312,7 @@ pub fn degrade_agg_core_link(
         if a == ai && kk == k {
             new_rate
         } else {
-            p.link_bps
+            LINK_BPS
         }
     };
     // Agg `ai`: weight its core uplinks by their rates (inter-pod only).
@@ -589,7 +571,7 @@ mod tests {
             base.tors_per_pod / base.core_links_per_agg
         );
         // Overall servers-to-core stays 4:1.
-        let total_host_bw = p.n_hosts() as u64 * p.link_bps;
+        let total_host_bw = p.n_hosts() as u64 * LINK_BPS;
         let total_core_bw = p.pods as u64 * p.pod_uplink_bps();
         assert_eq!(total_host_bw / total_core_bw, 4);
     }

@@ -6,47 +6,38 @@
 //! cost paths. We rebuild the same leaf-spine shape in the simulator; per
 //! the paper itself, testbed numbers are only *qualitatively* comparable to
 //! simulation (§4.3), which is exactly the comparison EXPERIMENTS.md makes.
+//! Only the ToR sizes vary: the spine is always [`TestbedParams::AGGS`]
+//! switches, every link is the paper's ([`LinkSpec::host_10g`],
+//! [`LinkSpec::fabric_10g`]), and PFC switches get lossless queues.
 
-use netsim::{LinkSpec, NodeId, PortId, QueueSpec, RoutingTable, SimTime, Simulator, SwitchConfig};
+use netsim::{
+    LinkSpec, NodeId, PortId, QueueSpec, RoutingTable, Simulator, SwitchConfig, LINK_BPS,
+};
 
-/// Dimensions and link parameters of the leaf-spine testbed.
+/// Dimensions of the leaf-spine testbed.
 #[derive(Debug, Clone)]
 pub struct TestbedParams {
     /// Servers attached to each ToR (the paper had 12–16; one entry per
     /// ToR).
     pub servers_per_tor: Vec<usize>,
-    /// Number of aggregation (spine) switches.
-    pub aggs: usize,
-    /// Rate of every link, bits per second.
-    pub link_bps: u64,
-    /// Propagation delay of every link.
-    pub link_delay: SimTime,
-    /// Egress queue of every fabric port (ignored — replaced by a large
-    /// lossless queue — when the switch config enables PFC).
-    pub fabric_queue: QueueSpec,
 }
 
 impl TestbedParams {
+    /// Number of aggregation (spine) switches, as in the paper's testbed.
+    pub const AGGS: usize = 4;
+
     /// The paper's testbed: 15 ToRs with 12–16 servers (alternating 12, 14,
-    /// 16 for an average of 14), 4 aggs, 10 Gbps links.
+    /// 16 for an average of 14).
     pub fn paper() -> Self {
         TestbedParams {
             servers_per_tor: (0..15).map(|i| 12 + (i % 3) * 2).collect(),
-            aggs: 4,
-            link_bps: 10_000_000_000,
-            link_delay: SimTime::from_ns(100),
-            fabric_queue: QueueSpec::switch_10g(),
         }
     }
 
-    /// A scaled-down testbed for fast tests: 3 ToRs × 4 servers, 4 aggs.
+    /// A scaled-down testbed for fast tests: 3 ToRs × 4 servers.
     pub fn tiny() -> Self {
         TestbedParams {
             servers_per_tor: vec![4; 3],
-            aggs: 4,
-            link_bps: 10_000_000_000,
-            link_delay: SimTime::from_ns(100),
-            fabric_queue: QueueSpec::switch_10g(),
         }
     }
 
@@ -63,7 +54,7 @@ impl TestbedParams {
     /// Uplink capacity of one ToR in bits per second (the denominator of
     /// the §4.3 "bisectional" load figures).
     pub fn tor_uplink_bps(&self) -> u64 {
-        self.aggs as u64 * self.link_bps
+        Self::AGGS as u64 * LINK_BPS
     }
 }
 
@@ -115,30 +106,22 @@ pub fn build_testbed(
     switch_cfg: SwitchConfig,
 ) -> Testbed {
     let n_hosts = params.n_hosts();
-    let lossless = switch_cfg.pfc.is_some();
-    let fabric_queue = if lossless {
+    let fabric_queue = if switch_cfg.pfc.is_some() {
         QueueSpec::lossless()
     } else {
-        params.fabric_queue
+        QueueSpec::switch_10g()
     };
     let host_link = LinkSpec {
-        rate_bps: params.link_bps,
-        delay: params.link_delay,
-        a_queue: QueueSpec::host_nic(),
         b_queue: fabric_queue,
+        ..LinkSpec::host_10g()
     };
-    let fabric_link = LinkSpec {
-        rate_bps: params.link_bps,
-        delay: params.link_delay,
-        a_queue: fabric_queue,
-        b_queue: fabric_queue,
-    };
+    let fabric_link = LinkSpec::fabric_10g().with_queues(fabric_queue);
 
     let hosts: Vec<NodeId> = (0..n_hosts).map(|_| sim.add_host_default()).collect();
     let tors: Vec<NodeId> = (0..params.n_tors())
         .map(|_| sim.add_switch(switch_cfg))
         .collect();
-    let aggs: Vec<NodeId> = (0..params.aggs)
+    let aggs: Vec<NodeId> = (0..TestbedParams::AGGS)
         .map(|_| sim.add_switch(switch_cfg))
         .collect();
 
@@ -161,7 +144,7 @@ pub fn build_testbed(
     let mut tor_uplinks = vec![Vec::new(); tors.len()];
     let mut agg_tor_ports = vec![Vec::new(); aggs.len()];
     for t in 0..params.n_tors() {
-        for a in 0..params.aggs {
+        for a in 0..TestbedParams::AGGS {
             let (tp, ap) = sim.connect(tors[t], aggs[a], fabric_link);
             tor_uplinks[t].push(tp);
             agg_tor_ports[a].push(ap);
@@ -218,7 +201,7 @@ mod tests {
     fn paper_dimensions() {
         let p = TestbedParams::paper();
         assert_eq!(p.n_tors(), 15);
-        assert_eq!(p.aggs, 4);
+        assert_eq!(TestbedParams::AGGS, 4);
         // 12..=16 servers per ToR, total 15 * 14 = 210.
         assert!(p.servers_per_tor.iter().all(|&n| (12..=16).contains(&n)));
         assert_eq!(p.n_hosts(), 210);

@@ -527,7 +527,7 @@ mod tests {
         let samples = rec.get(Counter::FeedbackLeadSamples);
         assert!(samples > 0, "no CN ever pre-empted an ECN echo");
         let mean_lead_ps = rec.get(Counter::FeedbackLeadPs) / samples;
-        // The CN takes cn_delay (20us default); the echo takes the rest of
+        // The CN takes CN_DELAY (20us); the echo takes the rest of
         // the data packet's journey plus the ACK's return (~40us+ here).
         assert!(
             mean_lead_ps > SimTime::from_us(5).as_ps(),

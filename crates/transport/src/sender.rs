@@ -24,9 +24,7 @@
 //!   the RNG and never reroutes.
 
 use flowbender::{Decision, Feedback, FlowBender, PathController};
-use netsim::{
-    Counter, Ctx, Flags, FlowId, FlowKey, Packet, ProbeKind, SeriesKey, SimTime, TraceEvent, MSS,
-};
+use netsim::{Counter, Ctx, Flags, FlowId, FlowKey, Packet, SeriesKey, SimTime, TraceEvent, MSS};
 
 use crate::config::{TcpConfig, DCTCP_G, INIT_CWND, MAX_CWND, RTO_MIN};
 use crate::rtt::RttEstimator;
@@ -448,16 +446,6 @@ impl TcpSender {
                 0.0
             };
             self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
-            if ctx.recorder().wants(ProbeKind::Cwnd) {
-                let (now, cwnd) = (ctx.now(), self.cwnd);
-                ctx.recorder()
-                    .probe(now, SeriesKey::Cwnd { flow: self.flow }, cwnd);
-            }
-            if ctx.recorder().wants(ProbeKind::FFraction) {
-                let now = ctx.now();
-                ctx.recorder()
-                    .probe(now, SeriesKey::FFraction { flow: self.flow }, f);
-            }
             self.win_bytes_acked = 0;
             self.win_bytes_marked = 0;
             self.cwr = false;

@@ -96,7 +96,6 @@ fn delack_with_flowbender_still_bends() {
         &mut sim,
         topology::TestbedParams {
             servers_per_tor: vec![4; 2],
-            ..topology::TestbedParams::tiny()
         },
         SwitchConfig::commodity(HashConfig::FiveTupleAndVField),
     );

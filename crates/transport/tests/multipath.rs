@@ -14,8 +14,6 @@ fn cross_tor_run(cfg: TcpConfig, n: u32, bytes: u64, seed: u64) -> (netsim::Reco
         &mut sim,
         TestbedParams {
             servers_per_tor: vec![8; 2],
-            aggs: 4,
-            ..TestbedParams::tiny()
         },
         SwitchConfig::commodity(HashConfig::FiveTupleAndVField),
     );
@@ -100,8 +98,6 @@ fn flowbender_routes_around_link_failure_within_rto_scale() {
                 &mut sim,
                 TestbedParams {
                     servers_per_tor: vec![2; 2],
-                    aggs: 4,
-                    ..TestbedParams::tiny()
                 },
                 SwitchConfig::commodity(HashConfig::FiveTupleAndVField),
             );
@@ -144,8 +140,6 @@ fn detail_stack_is_lossless_and_completes() {
         &mut sim,
         TestbedParams {
             servers_per_tor: vec![8; 2],
-            aggs: 4,
-            ..TestbedParams::tiny()
         },
         SwitchConfig::detail(),
     );
@@ -175,8 +169,6 @@ fn rps_sprays_and_reorders() {
         &mut sim,
         TestbedParams {
             servers_per_tor: vec![4; 2],
-            aggs: 4,
-            ..TestbedParams::tiny()
         },
         SwitchConfig::rps(),
     );
@@ -212,8 +204,6 @@ fn ecmp_without_vfield_ignores_bending() {
         &mut sim,
         TestbedParams {
             servers_per_tor: vec![4; 2],
-            aggs: 4,
-            ..TestbedParams::tiny()
         },
         SwitchConfig::commodity(HashConfig::FiveTuple),
     );

@@ -36,5 +36,5 @@ pub use gen::{
     all_to_all, hotspot, jobs_by_id, microbench, partition_aggregate, permutation, stride,
     testbed_one_tor,
 };
-pub use spec::{find, registry, Workload, PARAM_FORMS};
+pub use spec::{find, registry, slug, Workload, PARAM_FORMS};
 pub use stream::PoissonStream;

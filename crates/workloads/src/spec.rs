@@ -66,21 +66,26 @@ pub trait Workload: Sync + Send {
         None
     }
 
-    /// File-system/JSON-label-safe form of the name: lowercase, with
-    /// every run of non-alphanumerics collapsed to one underscore
-    /// (`Incast(32:1)` → `incast_32_1`).
+    /// The [`slug`] of the name (`Incast(32:1)` → `incast_32_1`).
     fn slug(&self) -> String {
-        let name = self.name();
-        let mut out = String::with_capacity(name.len());
-        for c in name.chars() {
-            if c.is_ascii_alphanumeric() {
-                out.push(c.to_ascii_lowercase());
-            } else if !out.ends_with('_') {
-                out.push('_');
-            }
-        }
-        out.trim_matches('_').to_string()
+        slug(&self.name())
     }
+}
+
+/// File-system/JSON-label-safe form of a display name: lowercase, with
+/// every run of non-alphanumerics collapsed to one underscore
+/// (`Incast(32:1)` → `incast_32_1`, `Flowlet(100us)` → `flowlet_100us`).
+/// Workloads and the experiments crate's schemes both label runs with it.
+pub fn slug(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        if c.is_ascii_alphanumeric() {
+            out.push(c.to_ascii_lowercase());
+        } else if !out.ends_with('_') {
+            out.push('_');
+        }
+    }
+    out.trim_matches('_').to_string()
 }
 
 /// Every registered workload with default parameters, in deterministic

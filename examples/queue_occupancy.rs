@@ -40,10 +40,7 @@ fn main() {
     // Record the bottleneck queue's depth, at most one point per 100 us
     // (the series holds the post-enqueue occupancy, so it ends when the
     // flows do, a little before 70 ms).
-    let mut telemetry = TelemetryConfig::off();
-    (telemetry.enabled, telemetry.queue_depth) = (true, true);
-    telemetry.sample_every = SimTime::from_us(100);
-    sim.set_telemetry(telemetry);
+    sim.set_telemetry(TelemetryConfig::every(SimTime::from_us(100)));
     sim.run_until(SimTime::from_ms(80));
 
     let bottleneck = SeriesKey::QueueDepth { node: sw, port: 4 };
