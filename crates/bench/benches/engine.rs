@@ -200,7 +200,7 @@ fn bench_workload_engine(h: &Harness) {
             &format!("workload/websearch_gen_agg_{label}"),
             flows,
             || {
-                let pt = experiments::trace_scale::run_point(&p, wl.as_ref(), flows, 3);
+                let pt = experiments::trace_scale::run_point(&p, wl, flows, 3);
                 black_box((pt.flows, pt.acc.bucket_count()))
             },
         );

@@ -120,7 +120,7 @@ fn bench_fig5(h: &Harness) {
     let specs = partition_aggregate(&params, 0.4, 8, 1_000_000, SimTime::from_ms(3), &mut rng);
     bench_run(h, "paper/fig5_incast", || {
         let out = run_fat_tree(params, &fb(), &specs, SimTime::from_ms(200), 1);
-        black_box(stats::avg_job_completion(&out.flows));
+        black_box(stats::job_completion(&out.flows));
         Work::of(&out)
     });
 }

@@ -17,8 +17,8 @@
 //! ECMP path at every switch that includes the field in its hash.
 //!
 //! This file is, deliberately, about as long as the "50 lines of kernel
-//! code" the paper advertises (plus configuration, statistics, and the
-//! optional refinements of §3.4/§5).
+//! code" the paper advertises (plus configuration and the optional
+//! refinements of §3.4/§5).
 
 use crate::config::Config;
 use crate::rng::Rng;
@@ -45,33 +45,6 @@ impl Decision {
     }
 }
 
-/// Why a reroute happened (for statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cause {
-    Congestion,
-    Timeout,
-}
-
-/// Lifetime statistics of one FlowBender instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BenderStats {
-    /// RTT epochs observed (with at least one ACK).
-    pub rtts: u64,
-    /// Epochs whose (possibly smoothed) marked fraction exceeded `T`.
-    pub congested_rtts: u64,
-    /// Reroutes triggered by congestion.
-    pub congestion_reroutes: u64,
-    /// Reroutes triggered by retransmission timeouts.
-    pub timeout_reroutes: u64,
-}
-
-impl BenderStats {
-    /// Total reroutes from all causes.
-    pub fn total_reroutes(&self) -> u64 {
-        self.congestion_reroutes + self.timeout_reroutes
-    }
-}
-
 /// Per-flow FlowBender state. See the module docs for the protocol.
 #[derive(Debug, Clone)]
 pub struct FlowBender {
@@ -90,7 +63,6 @@ pub struct FlowBender {
     f_smooth: f64,
     /// Epochs remaining in the post-reroute cooldown.
     cooldown_left: u32,
-    stats: BenderStats,
 }
 
 impl FlowBender {
@@ -120,7 +92,6 @@ impl FlowBender {
             n_target: cfg.n,
             f_smooth: 0.0,
             cooldown_left: 0,
-            stats: BenderStats::default(),
         }
     }
 
@@ -131,16 +102,6 @@ impl FlowBender {
         self.v
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> BenderStats {
-        self.stats
-    }
-
     /// Count one received ACK (and whether it carried the ECN echo) into
     /// the current RTT epoch.
     #[inline]
@@ -149,12 +110,6 @@ impl FlowBender {
         if ecn_echo {
             self.marked_acks += 1;
         }
-    }
-
-    /// The marked-ACK fraction accumulated in the current (incomplete)
-    /// epoch; `None` if no ACK has arrived yet.
-    pub fn current_fraction(&self) -> Option<f64> {
-        (self.total_acks > 0).then(|| self.marked_acks as f64 / self.total_acks as f64)
     }
 
     /// Close the current RTT epoch: evaluate `F` against `T`, update the
@@ -170,7 +125,6 @@ impl FlowBender {
         let f_raw = self.marked_acks as f64 / self.total_acks as f64;
         self.total_acks = 0;
         self.marked_acks = 0;
-        self.stats.rtts += 1;
 
         let f = match self.cfg.ewma_gamma {
             Some(g) => {
@@ -189,11 +143,10 @@ impl FlowBender {
         }
 
         if f > self.cfg.t {
-            self.stats.congested_rtts += 1;
             self.num_congested_rtts += 1;
             if self.num_congested_rtts >= self.n_target {
                 self.num_congested_rtts = 0;
-                return self.reroute(rng, Cause::Congestion);
+                return self.reroute(rng);
             }
         } else {
             self.num_congested_rtts = 0;
@@ -213,18 +166,14 @@ impl FlowBender {
         if !self.cfg.reroute_on_timeout {
             return Decision::Stay;
         }
-        self.reroute(rng, Cause::Timeout)
+        self.reroute(rng)
     }
 
-    fn reroute<R: Rng + ?Sized>(&mut self, rng: &mut R, cause: Cause) -> Decision {
+    fn reroute<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Decision {
         let from = self.v;
         let to = self.pick_new_v(rng);
         self.v = to;
         self.cooldown_left = self.cfg.cooldown_rtts;
-        match cause {
-            Cause::Congestion => self.stats.congestion_reroutes += 1,
-            Cause::Timeout => self.stats.timeout_reroutes += 1,
-        }
         if self.cfg.randomize_n {
             // Draw the next countdown target from {N-1, N, N+1}, floor 1.
             let lo = self.cfg.n.saturating_sub(1).max(1);
@@ -289,9 +238,7 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(run_epoch(&mut fb, 4, 96, &mut rng), Decision::Stay);
         }
-        assert_eq!(fb.stats().total_reroutes(), 0);
-        assert_eq!(fb.stats().rtts, 50);
-        assert_eq!(fb.stats().congested_rtts, 0);
+        assert_eq!(fb.vfield(), 0);
     }
 
     #[test]
@@ -301,7 +248,6 @@ mod tests {
         let d = run_epoch(&mut fb, 10, 90, &mut rng); // 10% > 5%
         assert!(d.rerouted());
         assert_ne!(fb.vfield(), 0);
-        assert_eq!(fb.stats().congestion_reroutes, 1);
     }
 
     #[test]
@@ -331,7 +277,6 @@ mod tests {
         assert_eq!(run_epoch(&mut fb, 50, 50, &mut rng), Decision::Stay);
         // Epoch with zero ACKs: neither congested nor clean.
         assert_eq!(fb.on_rtt_end(&mut rng), Decision::Stay);
-        assert_eq!(fb.stats().rtts, 1);
         // The consecutive count survives the empty epoch.
         assert!(run_epoch(&mut fb, 50, 50, &mut rng).rerouted());
     }
@@ -340,13 +285,14 @@ mod tests {
     fn timeout_reroutes_and_counts_separately() {
         let mut rng = det_rng();
         let mut fb = FlowBender::with_initial_v(Config::default(), 0);
-        fb.on_ack(false);
+        for _ in 0..10 {
+            fb.on_ack(true);
+        }
         let d = fb.on_timeout(&mut rng);
         assert!(d.rerouted());
-        assert_eq!(fb.stats().timeout_reroutes, 1);
-        assert_eq!(fb.stats().congestion_reroutes, 0);
-        // The partial epoch was discarded.
-        assert_eq!(fb.current_fraction(), None);
+        // The partial, fully marked epoch was discarded: closing it now
+        // is an empty epoch, not a second (congestion) reroute.
+        assert_eq!(fb.on_rtt_end(&mut rng), Decision::Stay);
     }
 
     #[test]
@@ -358,7 +304,7 @@ mod tests {
         };
         let mut fb = FlowBender::with_initial_v(cfg, 0);
         assert_eq!(fb.on_timeout(&mut rng), Decision::Stay);
-        assert_eq!(fb.stats().total_reroutes(), 0);
+        assert_eq!(fb.vfield(), 0);
     }
 
     #[test]
@@ -398,7 +344,6 @@ mod tests {
         assert_eq!(run_epoch(&mut fb, 100, 0, &mut rng), Decision::Stay);
         // ...then rerouting resumes.
         assert!(run_epoch(&mut fb, 100, 0, &mut rng).rerouted());
-        assert_eq!(fb.stats().congestion_reroutes, 2);
     }
 
     #[test]
@@ -446,17 +391,6 @@ mod tests {
             }
             assert!((2..=4).contains(&epochs), "took {epochs} epochs");
         }
-    }
-
-    #[test]
-    fn current_fraction_tracks_partial_epoch() {
-        let mut fb = FlowBender::with_initial_v(Config::default(), 0);
-        assert_eq!(fb.current_fraction(), None);
-        fb.on_ack(true);
-        fb.on_ack(false);
-        fb.on_ack(false);
-        fb.on_ack(false);
-        assert_eq!(fb.current_fraction(), Some(0.25));
     }
 
     #[test]

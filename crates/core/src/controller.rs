@@ -1,31 +1,25 @@
-//! The host-side path-control abstraction.
+//! The other host-side path controllers.
 //!
 //! The paper's framing (§3.3) is that FlowBender is *one* member of a
 //! family of end-host policies that steer a flow by rewriting a flexible
 //! header field ("the V-field") that commodity ECMP switches fold into
-//! their hash. [`PathController`] captures the seam those policies share:
-//! the transport reports ACKs, RTT-epoch boundaries, and retransmission
-//! timeouts; the controller answers with a [`Decision`] and exposes the
-//! V-field value to stamp into every outgoing packet.
+//! their hash. Each policy is a plain state machine: the transport reports
+//! the events it reacts to, and it answers with a [`Decision`] and the
+//! V-field value to stamp into every outgoing packet. Besides
+//! [`FlowBender`](crate::FlowBender), two live here:
 //!
-//! Three controllers live here:
-//!
-//! * [`FlowBender`] — the paper's algorithm (the trait impl simply
-//!   delegates to the state machine);
-//! * [`StaticPath`] — the no-op ECMP controller: a fixed V, never any
-//!   reroute, never any RNG draw. With a non-zero V it doubles as the
-//!   building block for replication schemes (RepFlow-style duplicates
-//!   that differ from their primary only in V);
 //! * [`FlowcutGap`] — host-side flowlet/"flowcut" switching (Bonato et
 //!   al. style): when the ACK stream goes idle for longer than a
 //!   configured gap, the pipe has drained and the flow can re-hash onto
-//!   a new path without risking reordering.
+//!   a new path without risking reordering;
+//! * [`BenderInt`] — FlowBender with per-hop blame from switch-assisted
+//!   [`Feedback`].
 //!
-//! The trait is object-safe — transports hold a `Box<dyn PathController>`
-//! — which is why the hooks take `&mut dyn Rng` rather than a generic
-//! parameter.
+//! The set is closed: the `transport` crate holds one flow's controller
+//! as an enum over these (plus a fixed V for the oblivious schemes) and
+//! dispatches each event with one `match`.
 
-use crate::bender::{Decision, FlowBender};
+use crate::bender::Decision;
 use crate::rng::Rng;
 
 /// A switch-assisted congestion signal delivered to the sender, carrying
@@ -79,114 +73,6 @@ impl Feedback {
     }
 }
 
-/// A host-side path-control policy for one flow.
-///
-/// All time arguments are picoseconds since simulation start (a plain
-/// `u64`, so this crate stays free of any simulator's time type).
-pub trait PathController: std::fmt::Debug {
-    /// The value the transport must stamp into the flexible header field
-    /// of every outgoing packet of this flow.
-    fn vfield(&self) -> u8;
-
-    /// Whether this controller can ever change the path. Passive
-    /// controllers (fixed-V) return `false`, letting transports skip
-    /// per-flow telemetry anchors for them.
-    fn active(&self) -> bool {
-        true
-    }
-
-    /// One ACK arrived (`ecn_echo` = it carried the ECN echo) at
-    /// `now_ps`. Controllers that react between RTT boundaries (e.g.
-    /// gap-based flowlet switching) may return a reroute here; pure
-    /// per-epoch controllers accumulate and return [`Decision::Stay`].
-    fn on_ack(&mut self, ecn_echo: bool, now_ps: u64, rng: &mut dyn Rng) -> Decision;
-
-    /// A switch-assisted feedback signal (INT echo or CN) arrived at
-    /// `now_ps`, mid-RTT. Controllers that exploit per-hop blame react
-    /// here; the default ignores the signal — existing controllers keep
-    /// their exact behavior (and RNG draw sequence) with feedback on.
-    fn on_feedback(&mut self, fb: Feedback, now_ps: u64, rng: &mut dyn Rng) -> Decision {
-        let _ = (fb, now_ps, rng);
-        Decision::Stay
-    }
-
-    /// The current RTT epoch closed (the transport's congestion-window
-    /// round ended).
-    fn on_rtt_end(&mut self, rng: &mut dyn Rng) -> Decision;
-
-    /// A retransmission timeout fired.
-    fn on_timeout(&mut self, rng: &mut dyn Rng) -> Decision;
-
-    /// Downcast to the FlowBender state machine, when this controller is
-    /// one (diagnostics: per-flow reroute statistics).
-    fn as_flowbender(&self) -> Option<&FlowBender> {
-        None
-    }
-}
-
-impl PathController for FlowBender {
-    fn vfield(&self) -> u8 {
-        FlowBender::vfield(self)
-    }
-
-    fn on_ack(&mut self, ecn_echo: bool, _now_ps: u64, _rng: &mut dyn Rng) -> Decision {
-        FlowBender::on_ack(self, ecn_echo);
-        Decision::Stay
-    }
-
-    fn on_rtt_end(&mut self, rng: &mut dyn Rng) -> Decision {
-        FlowBender::on_rtt_end(self, rng)
-    }
-
-    fn on_timeout(&mut self, rng: &mut dyn Rng) -> Decision {
-        FlowBender::on_timeout(self, rng)
-    }
-
-    fn as_flowbender(&self) -> Option<&FlowBender> {
-        Some(self)
-    }
-}
-
-/// The no-op ECMP controller: the flow keeps whatever V it was born with.
-///
-/// This is what every oblivious scheme (ECMP, RPS, DeTail) runs — the
-/// V-field stays constant so the switches' hash never re-maps the flow.
-/// Replication schemes reuse it with distinct initial values to pin a
-/// primary and its duplicate onto independently hashed paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticPath {
-    v: u8,
-}
-
-impl StaticPath {
-    /// A controller pinned to `v`.
-    pub fn new(v: u8) -> Self {
-        StaticPath { v }
-    }
-}
-
-impl PathController for StaticPath {
-    fn vfield(&self) -> u8 {
-        self.v
-    }
-
-    fn active(&self) -> bool {
-        false
-    }
-
-    fn on_ack(&mut self, _ecn_echo: bool, _now_ps: u64, _rng: &mut dyn Rng) -> Decision {
-        Decision::Stay
-    }
-
-    fn on_rtt_end(&mut self, _rng: &mut dyn Rng) -> Decision {
-        Decision::Stay
-    }
-
-    fn on_timeout(&mut self, _rng: &mut dyn Rng) -> Decision {
-        Decision::Stay
-    }
-}
-
 /// Host-side flowlet/"flowcut" switching: re-draw V whenever the ACK
 /// stream has been idle for longer than `gap_ps`.
 ///
@@ -202,13 +88,11 @@ pub struct FlowcutGap {
     v: u8,
     /// Time of the last observed ACK (or the last reroute), ps.
     last_seen_ps: Option<u64>,
-    /// Gap-triggered path switches so far.
-    switches: u64,
 }
 
 impl FlowcutGap {
     /// A gap controller with `v_range` path options and a uniformly
-    /// random initial V, like [`FlowBender::new`].
+    /// random initial V, like [`FlowBender::new`](crate::FlowBender::new).
     pub fn new<R: Rng + ?Sized>(gap_ps: u64, v_range: u8, rng: &mut R) -> Self {
         assert!(gap_ps > 0, "flowcut gap must be positive");
         assert!(v_range >= 1, "v_range must be at least 1");
@@ -218,33 +102,17 @@ impl FlowcutGap {
             v_range,
             v,
             last_seen_ps: None,
-            switches: 0,
         }
     }
 
-    /// Gap-triggered path switches so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    fn redraw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Decision {
-        let from = self.v;
-        let range = self.v_range as u32;
-        if range > 1 {
-            let step = 1 + rng.gen_range(range - 1);
-            self.v = ((self.v as u32 + step) % range) as u8;
-        }
-        self.switches += 1;
-        Decision::Reroute { from, to: self.v }
-    }
-}
-
-impl PathController for FlowcutGap {
-    fn vfield(&self) -> u8 {
+    /// The V-field value for this flow's outgoing packets.
+    pub fn vfield(&self) -> u8 {
         self.v
     }
 
-    fn on_ack(&mut self, _ecn_echo: bool, now_ps: u64, rng: &mut dyn Rng) -> Decision {
+    /// One ACK arrived at `now_ps`: re-draw V if the stream was idle for
+    /// longer than the gap since the previous one.
+    pub fn on_ack<R: Rng + ?Sized>(&mut self, now_ps: u64, rng: &mut R) -> Decision {
         let idle = self
             .last_seen_ps
             .map(|last| now_ps.saturating_sub(last) > self.gap_ps);
@@ -255,16 +123,23 @@ impl PathController for FlowcutGap {
         }
     }
 
-    fn on_rtt_end(&mut self, _rng: &mut dyn Rng) -> Decision {
-        Decision::Stay
-    }
-
-    fn on_timeout(&mut self, rng: &mut dyn Rng) -> Decision {
-        // An RTO is a longer silence than any gap threshold: the pipe is
-        // certainly drained (and possibly broken) — switch immediately,
-        // measuring the next gap from the reroute itself.
+    /// A retransmission timeout fired. An RTO is a longer silence than
+    /// any gap threshold: the pipe is certainly drained (and possibly
+    /// broken) — switch immediately, measuring the next gap from the
+    /// reroute itself.
+    pub fn on_timeout<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Decision {
         self.last_seen_ps = None;
         self.redraw(rng)
+    }
+
+    fn redraw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Decision {
+        let from = self.v;
+        let range = self.v_range as u32;
+        if range > 1 {
+            let step = 1 + rng.gen_range(range - 1);
+            self.v = ((self.v as u32 + step) % range) as u8;
+        }
+        Decision::Reroute { from, to: self.v }
     }
 }
 
@@ -277,10 +152,10 @@ impl PathController for FlowcutGap {
 /// `(node, port)` grows a streak; `confirm` consecutive signals trigger a
 /// bend. The new V is a **deterministic** function of the current V and
 /// the blamed hop — a hash of `(node, port)` picks the step — so the flow
-/// re-hashes *around that port* consistently, and the controller draws
-/// **zero** RNG (pinned by test). After a bend the controller holds its path for
-/// `hold_ps` (one RTT-ish) so in-flight feedback from the *old* path
-/// cannot trigger a second bend before the first takes effect.
+/// re-hashes *around that port* consistently, and the controller takes no
+/// RNG at all. After a bend the controller holds its path for `hold_ps`
+/// (one RTT-ish) so in-flight feedback from the *old* path cannot trigger
+/// a second bend before the first takes effect.
 #[derive(Debug, Clone)]
 pub struct BenderInt {
     v_range: u8,
@@ -292,7 +167,6 @@ pub struct BenderInt {
     streak: Option<((u32, u16), u32)>,
     /// End of the post-bend hold-down, ps.
     hold_until_ps: u64,
-    bends: u64,
 }
 
 impl BenderInt {
@@ -310,52 +184,17 @@ impl BenderInt {
             hold_ps,
             streak: None,
             hold_until_ps: 0,
-            bends: 0,
         }
     }
 
-    /// Blame-triggered bends so far.
-    pub fn bends(&self) -> u64 {
-        self.bends
-    }
-
-    /// Deterministic step away from `hop`: a SplitMix64-style finalizer
-    /// of the hop identity picks how far around the V ring to jump, so
-    /// the same blamed port always produces the same re-hash and no RNG
-    /// is ever consulted.
-    fn hop_step(&self, hop: (u32, u16)) -> u32 {
-        let range = self.v_range as u32;
-        if range <= 1 {
-            return 0;
-        }
-        let x = ((hop.0 as u64) << 16) | hop.1 as u64;
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        1 + (z as u32 % (range - 1))
-    }
-
-    fn bend(&mut self, hop: (u32, u16), now_ps: u64) -> Decision {
-        let from = self.v;
-        self.v = ((self.v as u32 + self.hop_step(hop)) % self.v_range as u32) as u8;
-        self.streak = None;
-        self.hold_until_ps = now_ps.saturating_add(self.hold_ps);
-        self.bends += 1;
-        Decision::Reroute { from, to: self.v }
-    }
-}
-
-impl PathController for BenderInt {
-    fn vfield(&self) -> u8 {
+    /// The V-field value for this flow's outgoing packets.
+    pub fn vfield(&self) -> u8 {
         self.v
     }
 
-    fn on_ack(&mut self, _ecn_echo: bool, _now_ps: u64, _rng: &mut dyn Rng) -> Decision {
-        Decision::Stay
-    }
-
-    fn on_feedback(&mut self, fb: Feedback, now_ps: u64, _rng: &mut dyn Rng) -> Decision {
+    /// A switch-assisted feedback signal (INT echo or CN) arrived at
+    /// `now_ps`, mid-RTT.
+    pub fn on_feedback(&mut self, fb: Feedback, now_ps: u64) -> Decision {
         if !fb.congested() {
             // A clean echo breaks the streak: blame must be consecutive,
             // mirroring FlowBender's N-consecutive-RTTs guard.
@@ -380,20 +219,39 @@ impl PathController for BenderInt {
         }
     }
 
-    fn on_rtt_end(&mut self, _rng: &mut dyn Rng) -> Decision {
-        Decision::Stay
-    }
-
-    fn on_timeout(&mut self, _rng: &mut dyn Rng) -> Decision {
-        // An RTO is the strongest congestion signal there is; bend
-        // immediately like FlowBender does. With no hop to blame, step
-        // one slot — deterministic, still RNG-free.
+    /// A retransmission timeout fired. An RTO is the strongest congestion
+    /// signal there is; bend immediately like FlowBender does. With no hop
+    /// to blame, step one slot.
+    pub fn on_timeout(&mut self) -> Decision {
         let from = self.v;
         if self.v_range > 1 {
             self.v = ((self.v as u32 + 1) % self.v_range as u32) as u8;
         }
         self.streak = None;
-        self.bends += 1;
+        Decision::Reroute { from, to: self.v }
+    }
+
+    /// Deterministic step away from `hop`: a SplitMix64-style finalizer
+    /// of the hop identity picks how far around the V ring to jump, so
+    /// the same blamed port always produces the same re-hash.
+    fn hop_step(&self, hop: (u32, u16)) -> u32 {
+        let range = self.v_range as u32;
+        if range <= 1 {
+            return 0;
+        }
+        let x = ((hop.0 as u64) << 16) | hop.1 as u64;
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        1 + (z as u32 % (range - 1))
+    }
+
+    fn bend(&mut self, hop: (u32, u16), now_ps: u64) -> Decision {
+        let from = self.v;
+        self.v = ((self.v as u32 + self.hop_step(hop)) % self.v_range as u32) as u8;
+        self.streak = None;
+        self.hold_until_ps = now_ps.saturating_add(self.hold_ps);
         Decision::Reroute { from, to: self.v }
     }
 }
@@ -401,40 +259,7 @@ impl PathController for BenderInt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::rng::SplitMix64;
-
-    #[test]
-    fn static_path_never_moves_and_never_draws() {
-        let mut rng = SplitMix64::new(7);
-        let before = rng.next_u32();
-        let mut rng = SplitMix64::new(7);
-        let mut p = StaticPath::new(3);
-        assert_eq!(p.vfield(), 3);
-        assert!(!p.active());
-        assert_eq!(p.on_ack(true, 100, &mut rng), Decision::Stay);
-        assert_eq!(p.on_rtt_end(&mut rng), Decision::Stay);
-        assert_eq!(p.on_timeout(&mut rng), Decision::Stay);
-        assert_eq!(p.vfield(), 3);
-        assert!(p.as_flowbender().is_none());
-        // The RNG was never advanced: byte-identity for oblivious schemes.
-        assert_eq!(rng.next_u32(), before);
-    }
-
-    #[test]
-    fn flowbender_impl_delegates_through_the_trait() {
-        let mut rng = SplitMix64::new(1);
-        let mut ctrl: Box<dyn PathController> =
-            Box::new(FlowBender::with_initial_v(Config::default(), 0));
-        for _ in 0..9 {
-            assert_eq!(ctrl.on_ack(true, 0, &mut rng), Decision::Stay);
-        }
-        ctrl.on_ack(false, 0, &mut rng);
-        let d = ctrl.on_rtt_end(&mut rng);
-        assert!(d.rerouted(), "90% marked must reroute");
-        assert_eq!(ctrl.as_flowbender().unwrap().stats().congestion_reroutes, 1);
-        assert!(ctrl.active());
-    }
 
     #[test]
     fn flowcut_switches_only_after_an_idle_gap() {
@@ -443,15 +268,20 @@ mod tests {
         let mut fc = FlowcutGap::new(gap, 8, &mut rng);
         // A steady ACK clock: never switches.
         for t in (0..20u64).map(|i| i * 100_000) {
-            assert_eq!(fc.on_ack(false, t, &mut rng), Decision::Stay);
+            assert_eq!(fc.on_ack(t, &mut rng), Decision::Stay);
         }
-        assert_eq!(fc.switches(), 0);
-        // A 2 µs silence: the next ACK triggers a switch.
-        let d = fc.on_ack(false, 20 * 100_000 + 2_000_000, &mut rng);
-        assert!(d.rerouted());
-        assert_eq!(fc.switches(), 1);
-        // And the one after that (no new gap) does not.
-        let d = fc.on_ack(false, 20 * 100_000 + 2_100_000, &mut rng);
+        // A 2 µs silence: the next ACK triggers a switch...
+        let v = fc.vfield();
+        let d = fc.on_ack(20 * 100_000 + 2_000_000, &mut rng);
+        assert_eq!(
+            d,
+            Decision::Reroute {
+                from: v,
+                to: fc.vfield()
+            }
+        );
+        // ...and the one after that (no new gap) does not.
+        let d = fc.on_ack(20 * 100_000 + 2_100_000, &mut rng);
         assert_eq!(d, Decision::Stay);
     }
 
@@ -476,11 +306,11 @@ mod tests {
     fn flowcut_timeout_resets_the_gap_clock() {
         let mut rng = SplitMix64::new(4);
         let mut fc = FlowcutGap::new(1_000, 8, &mut rng);
-        assert_eq!(fc.on_ack(false, 0, &mut rng), Decision::Stay);
+        assert_eq!(fc.on_ack(0, &mut rng), Decision::Stay);
         assert!(fc.on_timeout(&mut rng).rerouted());
         // First ACK after the timeout re-anchors instead of re-triggering,
         // however late it is.
-        assert_eq!(fc.on_ack(false, 1_000_000_000, &mut rng), Decision::Stay);
+        assert_eq!(fc.on_ack(1_000_000_000, &mut rng), Decision::Stay);
     }
 
     #[test]
@@ -515,41 +345,34 @@ mod tests {
 
     #[test]
     fn bender_int_bends_after_confirmed_blame_without_any_rng_draw() {
-        let mut rng = SplitMix64::new(7);
-        let before = rng.next_u32();
-        let mut rng = SplitMix64::new(7);
+        // No method takes an RNG: the bend is a function of the blamed hop.
         let mut b = BenderInt::new(8, 3, 3, 100_000_000);
         assert_eq!(b.vfield(), 3);
-        assert!(b.active());
         // Two blames: not confirmed yet.
-        assert_eq!(b.on_feedback(cn(5, 2), 10, &mut rng), Decision::Stay);
-        assert_eq!(b.on_feedback(cn(5, 2), 20, &mut rng), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(5, 2), 10), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(5, 2), 20), Decision::Stay);
         // Third consecutive same-hop blame: bend, away from V=3.
-        let d = b.on_feedback(cn(5, 2), 30, &mut rng);
+        let d = b.on_feedback(cn(5, 2), 30);
         let Decision::Reroute { from, to } = d else {
             panic!("confirmed blame must bend")
         };
         assert_eq!(from, 3);
         assert_ne!(from, to);
         assert_eq!(b.vfield(), to);
-        assert_eq!(b.bends(), 1);
         // Hold-down: feedback racing the bend cannot re-bend.
         for t in [40, 50, 60, 70] {
-            assert_eq!(b.on_feedback(cn(5, 2), t, &mut rng), Decision::Stay);
+            assert_eq!(b.on_feedback(cn(5, 2), t), Decision::Stay);
         }
-        // Zero RNG draws throughout.
-        assert_eq!(rng.next_u32(), before);
     }
 
     #[test]
     fn bender_int_streak_requires_consecutive_same_hop_blame() {
-        let mut rng = SplitMix64::new(8);
         let mut b = BenderInt::new(8, 0, 3, 0);
-        assert_eq!(b.on_feedback(cn(5, 2), 1, &mut rng), Decision::Stay);
-        assert_eq!(b.on_feedback(cn(5, 2), 2, &mut rng), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(5, 2), 1), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(5, 2), 2), Decision::Stay);
         // A different hop restarts the streak...
-        assert_eq!(b.on_feedback(cn(9, 0), 3, &mut rng), Decision::Stay);
-        assert_eq!(b.on_feedback(cn(9, 0), 4, &mut rng), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(9, 0), 3), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(9, 0), 4), Decision::Stay);
         // ...and a clean INT echo clears it entirely.
         let clean = Feedback::IntEcho {
             node: 9,
@@ -557,19 +380,17 @@ mod tests {
             qbytes: 10,
             marked: false,
         };
-        assert_eq!(b.on_feedback(clean, 5, &mut rng), Decision::Stay);
-        assert_eq!(b.on_feedback(cn(9, 0), 6, &mut rng), Decision::Stay);
-        assert_eq!(b.on_feedback(cn(9, 0), 7, &mut rng), Decision::Stay);
-        assert!(b.on_feedback(cn(9, 0), 8, &mut rng).rerouted());
+        assert_eq!(b.on_feedback(clean, 5), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(9, 0), 6), Decision::Stay);
+        assert_eq!(b.on_feedback(cn(9, 0), 7), Decision::Stay);
+        assert!(b.on_feedback(cn(9, 0), 8).rerouted());
     }
 
     #[test]
     fn bender_int_jump_is_deterministic_per_blamed_hop() {
-        let mut rng = SplitMix64::new(9);
         let run = |hop: Feedback| {
             let mut b = BenderInt::new(16, 5, 1, 0);
-            let mut rng2 = SplitMix64::new(10);
-            match b.on_feedback(hop, 1, &mut rng2) {
+            match b.on_feedback(hop, 1) {
                 Decision::Reroute { to, .. } => to,
                 Decision::Stay => panic!("confirm=1 must bend"),
             }
@@ -578,8 +399,8 @@ mod tests {
         assert_eq!(run(cn(5, 2)), run(cn(5, 2)));
         // The step is hop-dependent (these two differ for this finalizer).
         assert_ne!(run(cn(5, 2)), run(cn(6, 3)));
-        // And an RTO bends immediately, RNG-free.
+        // And an RTO bends immediately, one slot on.
         let mut b = BenderInt::new(8, 7, 3, 0);
-        assert_eq!(b.on_timeout(&mut rng), Decision::Reroute { from: 7, to: 0 });
+        assert_eq!(b.on_timeout(), Decision::Reroute { from: 7, to: 0 });
     }
 }

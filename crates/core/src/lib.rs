@@ -32,9 +32,11 @@
 //! [`FlowBender`] is the per-flow state machine, deliberately decoupled
 //! from any particular transport or simulator: you feed it ACK/mark counts,
 //! epoch boundaries, and timeouts; it hands back [`Decision`]s and the
-//! current [`FlowBender::vfield`]. The companion `transport` crate wires it
-//! into a packet-level DCTCP implementation, and the `netsim`/`topology`
-//! crates provide fabrics whose ECMP hash covers the V-field.
+//! current [`FlowBender::vfield`]. [`FlowcutGap`] and [`BenderInt`] are the
+//! two other host-side controllers the evaluation compares, shaped the same
+//! way. The companion `transport` crate wires them into a packet-level
+//! DCTCP implementation, and the `netsim`/`topology` crates provide fabrics
+//! whose ECMP hash covers the V-field.
 //!
 //! ```
 //! use flowbender::{Config, Decision, FlowBender, SplitMix64};
@@ -63,7 +65,7 @@ mod config;
 mod controller;
 mod rng;
 
-pub use bender::{BenderStats, Decision, FlowBender};
+pub use bender::{Decision, FlowBender};
 pub use config::Config;
-pub use controller::{BenderInt, Feedback, FlowcutGap, PathController, StaticPath};
+pub use controller::{BenderInt, Feedback, FlowcutGap};
 pub use rng::{Rng, SplitMix64};

@@ -13,7 +13,7 @@
 use netsim::SimTime;
 use stats::{fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::patterns::websearch;
+use workloads::Workload;
 
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
@@ -74,7 +74,7 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
         let (specs, window) = windowed_cell(
             opts,
             &params,
-            &websearch(),
+            Workload::Websearch,
             0.4,
             SimTime::from_ms(60),
             0xAB1A,

@@ -37,14 +37,8 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec], loads: &[f64]) -> Vec<Vec<Cell
     let workload = opts.workload_or("websearch");
     sweep_schemes(schemes, loads, |scheme, &load| {
         let tag = 0xA2A ^ (load * 1000.0) as u64;
-        let (specs, window) = windowed_cell(
-            opts,
-            &params,
-            workload.as_ref(),
-            load,
-            SimTime::from_ms(100),
-            tag,
-        );
+        let (specs, window) =
+            windowed_cell(opts, &params, workload, load, SimTime::from_ms(100), tag);
         let out = crate::run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
         Cell::of(out, window)
     })

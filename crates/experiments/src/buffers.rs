@@ -10,7 +10,7 @@
 use netsim::{Counter, QueueSpec, SimTime};
 use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::patterns::websearch;
+use workloads::Workload;
 
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
@@ -41,7 +41,7 @@ pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
         let (specs, window) = windowed_cell(
             opts,
             &params,
-            &websearch(),
+            Workload::Websearch,
             0.6,
             SimTime::from_ms(60),
             0xB0FF,

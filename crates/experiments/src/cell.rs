@@ -136,7 +136,7 @@ pub fn secs_or_dash(s: f64) -> String {
 pub fn windowed_cell(
     opts: &Opts,
     params: &FatTreeParams,
-    wl: &dyn Workload,
+    wl: Workload,
     load: f64,
     base: SimTime,
     tag: u64,

@@ -27,7 +27,7 @@ pub fn run_cell(opts: &Opts, scheme: &SchemeSpec, fan_in: u32) -> JobStats {
     let (specs, window) = windowed_cell(
         opts,
         &params,
-        &workloads::patterns::incast(fan_in),
+        workloads::patterns::incast(fan_in),
         0.4,
         SimTime::from_ms(60),
         0xF165 ^ fan_in as u64,

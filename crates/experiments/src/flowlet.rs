@@ -11,7 +11,7 @@
 use netsim::SimTime;
 use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::{microbench, patterns::websearch};
+use workloads::{microbench, Workload};
 
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
@@ -43,8 +43,14 @@ pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
     let params = FatTreeParams::paper();
     sweep_schemes(&contenders(), &LOADS, |scheme, &load| {
         let tag = 0xF10E ^ (load * 1000.0) as u64;
-        let (specs, window) =
-            windowed_cell(opts, &params, &websearch(), load, SimTime::from_ms(60), tag);
+        let (specs, window) = windowed_cell(
+            opts,
+            &params,
+            Workload::Websearch,
+            load,
+            SimTime::from_ms(60),
+            tag,
+        );
         let out = run_fat_tree(params, scheme, &specs, window.drain_until, opts.seed);
         Cell::of(out, window)
     })

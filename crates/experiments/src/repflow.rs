@@ -14,7 +14,7 @@
 use netsim::SimTime;
 use stats::{fmt_ratio, fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::patterns::websearch;
+use workloads::Workload;
 
 use crate::cell::{baseline, windowed_cell, Cell};
 use crate::report::{Opts, Report, RunSummary};
@@ -33,7 +33,7 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
         let (specs, window) = windowed_cell(
             opts,
             &params,
-            &websearch(),
+            Workload::Websearch,
             0.4,
             SimTime::from_ms(60),
             0x4EBF,

@@ -187,7 +187,7 @@ impl Opts {
     /// # Panics
     /// On unknown names — [`Opts::check`] reports them gracefully first
     /// on every CLI path.
-    pub fn workload_or(&self, default: &str) -> Box<dyn workloads::Workload> {
+    pub fn workload_or(&self, default: &str) -> workloads::Workload {
         let slug = self.workload.as_deref().unwrap_or(default);
         workloads::find(slug).unwrap_or_else(|| panic!("unknown workload `{slug}`"))
     }

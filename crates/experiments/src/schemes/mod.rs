@@ -1,7 +1,7 @@
 //! The scheme registry: every evaluated load-balancing design as one
 //! [`SchemeSpec`] — fabric side ([`netsim::SwitchConfig`]) and host side
 //! ([`transport::TcpConfig`], whose [`transport::PathSpec`] names the
-//! per-flow [`flowbender::PathController`] and its parameters) bundled
+//! per-flow [`transport::PathControl`] and its parameters) bundled
 //! under a display name. Both halves are plain `Copy` data.
 //!
 //! One file per scheme. Adding a scheme is: write one new `spec()` file

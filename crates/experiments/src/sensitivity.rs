@@ -11,7 +11,7 @@
 use netsim::SimTime;
 use stats::{fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::patterns::websearch;
+use workloads::Workload;
 
 use crate::cell::{windowed_cell, Digest};
 use crate::report::{Opts, Report};
@@ -29,7 +29,7 @@ fn run_variant(opts: &Opts, cfg: flowbender::Config) -> f64 {
     let (specs, window) = windowed_cell(
         opts,
         &params,
-        &websearch(),
+        Workload::Websearch,
         0.4,
         SimTime::from_ms(60),
         0x5E45,

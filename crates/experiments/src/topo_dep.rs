@@ -12,7 +12,7 @@
 use netsim::SimTime;
 use stats::{fmt_secs, Table};
 use topology::FatTreeParams;
-use workloads::patterns::websearch;
+use workloads::Workload;
 
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
@@ -37,8 +37,14 @@ pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
     ];
     sweep_schemes(&contenders, &fabrics(), |scheme, (_, params)| {
         let tag = 0x70D ^ params.n_hosts() as u64;
-        let (specs, window) =
-            windowed_cell(opts, params, &websearch(), 0.4, SimTime::from_ms(25), tag);
+        let (specs, window) = windowed_cell(
+            opts,
+            params,
+            Workload::Websearch,
+            0.4,
+            SimTime::from_ms(25),
+            tag,
+        );
         let out = run_fat_tree(*params, scheme, &specs, window.drain_until, opts.seed);
         Cell::of(out, window)
     })

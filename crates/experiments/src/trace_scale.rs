@@ -73,7 +73,7 @@ fn duration_for(p: &FatTreeParams, target: u64, mean_bytes: f64) -> SimTime {
 }
 
 /// Generate + aggregate one curve point at `target` flows.
-pub fn run_point(p: &FatTreeParams, wl: &dyn Workload, target: u64, seed: u64) -> PointResult {
+pub fn run_point(p: &FatTreeParams, wl: Workload, target: u64, seed: u64) -> PointResult {
     let started = std::time::Instant::now();
     let mut acc = FctAccumulator::new(BinSpec::paper());
     if let Some(dist) = wl.stream_dist() {
@@ -154,7 +154,7 @@ pub fn run(opts: &Opts) -> Report {
     ]);
     let mut last: Option<PointResult> = None;
     for &f in &curve {
-        let pt = run_point(&params, wl.as_ref(), f, opts.seed);
+        let pt = run_point(&params, wl, f, opts.seed);
         let sk = pt.acc.overall();
         table.row(vec![
             pt.flows.to_string(),
@@ -245,7 +245,7 @@ mod tests {
         // not the flow count.
         let p = FatTreeParams::paper();
         let wl = workloads::find("websearch").unwrap();
-        let pt = run_point(&p, wl.as_ref(), TARGET_FLOWS, 3);
+        let pt = run_point(&p, wl, TARGET_FLOWS, 3);
         assert!(pt.streamed, "websearch must take the streaming path");
         assert_eq!(pt.flows, 1_000_000);
         assert_eq!(pt.acc.count(), 1_000_000);
@@ -268,9 +268,9 @@ mod tests {
     fn points_are_deterministic_in_the_seed() {
         let p = FatTreeParams::paper();
         let wl = workloads::find("websearch").unwrap();
-        let a = run_point(&p, wl.as_ref(), 20_000, 7);
-        let b = run_point(&p, wl.as_ref(), 20_000, 7);
-        let c = run_point(&p, wl.as_ref(), 20_000, 8);
+        let a = run_point(&p, wl, 20_000, 7);
+        let b = run_point(&p, wl, 20_000, 7);
+        let c = run_point(&p, wl, 20_000, 8);
         assert_eq!(
             a.acc.overall().quantile(0.99),
             b.acc.overall().quantile(0.99)
@@ -283,7 +283,7 @@ mod tests {
     fn batch_workloads_report_job_completion() {
         let p = FatTreeParams::paper();
         let wl = workloads::find("incast:8").unwrap();
-        let pt = run_point(&p, wl.as_ref(), 10_000, 3);
+        let pt = run_point(&p, wl, 10_000, 3);
         assert!(!pt.streamed, "incast has cross-flow structure");
         assert!(pt.flows > 0);
         let js = pt.jobs.expect("incast tags jobs");

@@ -51,7 +51,7 @@ fn traced_run_leaves_normal_outputs_byte_identical() {
     assert!(total("hop") > 0, "hop traversals recorded");
     assert!(total("enqueue") > 0, "enqueues recorded");
     assert!(total("ecn_mark") > 0, "ECN marks recorded");
-    assert!(total("decision") > 0, "PathController reroutes recorded");
+    assert!(total("decision") > 0, "path-controller reroutes recorded");
     assert!(total("rto_fire") > 0, "RTO fires recorded");
     assert!(total("cwnd") > 0, "cwnd changes recorded");
     assert!(

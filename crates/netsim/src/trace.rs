@@ -24,7 +24,7 @@
 //!
 //! Network-side events (hops, queue occupancy, ECN marks, drops) are
 //! hooked from the simulator core; sender-side events (cwnd changes,
-//! fast-retransmit entry/exit, RTO fires, `PathController` decisions)
+//! fast-retransmit entry/exit, RTO fires, path-controller decisions)
 //! from the transport crate. All of them funnel through
 //! [`crate::Recorder::trace_event`].
 
@@ -135,7 +135,7 @@ pub enum TraceEvent {
         /// Exponential-backoff exponent *after* this timeout.
         backoff_exp: u32,
     },
-    /// The flow's `PathController` decided to bend to a new path.
+    /// The flow's path controller decided to bend to a new path.
     Decision {
         /// V-field value before the decision.
         from_v: u8,

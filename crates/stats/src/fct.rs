@@ -239,8 +239,9 @@ pub struct JobStats {
     pub max_s: Option<f64>,
 }
 
-/// Full job/coflow completion-time statistics from `jobs_by_id`-style
+/// Full job/coflow completion-time statistics from `FlowSpec::job`
 /// tagging (the paper's partition-aggregate jobs; RepNet-style coflows).
+/// Untagged flows are ignored.
 pub fn job_completion(records: &[FlowRecord]) -> JobStats {
     use std::collections::HashMap;
     let mut jobs: HashMap<u32, (SimTime, SimTime, bool)> = HashMap::new();
@@ -266,14 +267,6 @@ pub fn job_completion(records: &[FlowRecord]) -> JobStats {
         p99_s: percentile(&jcts, 0.99),
         max_s: percentile(&jcts, 1.0),
     }
-}
-
-/// Average job completion time in seconds, as `(avg_jct, jobs_counted)`.
-/// Thin wrapper over [`job_completion`] kept for the original call sites;
-/// note it reports `0.0` (not `None`) when no job completed.
-pub fn avg_job_completion(records: &[FlowRecord]) -> (f64, usize) {
-    let js = job_completion(records);
-    (js.mean_s.unwrap_or(0.0), js.jobs_complete)
 }
 
 #[cfg(test)]
@@ -517,10 +510,6 @@ mod tests {
             // Non-job flow ignored.
             rec(5, 1000, 0, Some(999), None),
         ];
-        let (avg, n) = avg_job_completion(&records);
-        assert_eq!(n, 1);
-        assert!((avg - 300e-6).abs() < 1e-12);
-        // The full summary agrees and adds the tail view.
         let js = job_completion(&records);
         assert_eq!(js.jobs_total, 2);
         assert_eq!(js.jobs_complete, 1);
@@ -551,7 +540,6 @@ mod tests {
         assert_eq!(js.jobs_complete, 0);
         assert_eq!(js.mean_s, None);
         assert_eq!(js.p99_s, None);
-        let (avg, n) = avg_job_completion(&[]);
-        assert_eq!((avg, n), (0.0, 0));
+        assert_eq!(job_completion(&[]).jobs_total, 0);
     }
 }

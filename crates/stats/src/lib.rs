@@ -15,8 +15,8 @@ pub mod sketch;
 pub mod table;
 
 pub use fct::{
-    avg_job_completion, binned, cdf_points, completion_fraction, job_completion, mean, paper_bins,
-    percentile, samples, BinSpec, BinStats, JobStats, Sample, SizeBin,
+    binned, cdf_points, completion_fraction, job_completion, mean, paper_bins, percentile, samples,
+    BinSpec, BinStats, JobStats, Sample, SizeBin,
 };
 pub use json::Json;
 pub use sketch::{FctAccumulator, QuantileSketch};

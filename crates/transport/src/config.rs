@@ -5,10 +5,15 @@
 //! segments. Those fixed values are the constants below. A [`TcpConfig`]
 //! holds only what a scheme varies: the duplicate-ACK threshold (DeTail
 //! turns fast retransmit off), delayed ACKs, and the [`PathSpec`] naming
-//! which [`flowbender::PathController`] each flow runs (FlowBender for the
-//! paper's scheme, a static no-op for the oblivious baselines).
+//! which path controller each flow runs (FlowBender for the paper's
+//! scheme, a fixed V for the oblivious baselines).
+//!
+//! The set of controllers is closed here: [`PathSpec::build`] turns the
+//! shared spec into one flow's [`PathControl`], an enum over the
+//! `flowbender` crate's state machines that the sender holds inline and
+//! drives with one `match` per event.
 
-use flowbender::{BenderInt, FlowBender, FlowcutGap, PathController, Rng, StaticPath};
+use flowbender::{BenderInt, Decision, Feedback, FlowBender, FlowcutGap, Rng};
 use netsim::{SimTime, MSS};
 
 use crate::receiver::DelAckConfig;
@@ -27,8 +32,8 @@ pub const MAX_CWND: u64 = 1_000_000;
 /// (Alizadeh et al., SIGCOMM'10; paper: 1/16).
 pub const DCTCP_G: f64 = 1.0 / 16.0;
 
-/// The host-side path-control policy: which [`PathController`] each flow
-/// of a [`TcpConfig`] runs, with its parameters.
+/// The host-side path-control policy: which [`PathControl`] each flow of
+/// a [`TcpConfig`] runs, with its parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PathSpec {
     /// The no-op controller: every flow keeps its V-hint forever (ECMP,
@@ -63,12 +68,12 @@ impl PathSpec {
     /// flows; replication schemes pin duplicates elsewhere) and the host's
     /// deterministic RNG, which FlowBender and Flowcut draw their initial V
     /// from.
-    pub fn build(&self, vhint: u8, rng: &mut dyn Rng) -> Box<dyn PathController> {
+    pub fn build<R: Rng + ?Sized>(&self, vhint: u8, rng: &mut R) -> PathControl {
         match *self {
-            PathSpec::Static => Box::new(StaticPath::new(vhint)),
-            PathSpec::FlowBender(cfg) => Box::new(FlowBender::new(cfg, rng)),
+            PathSpec::Static => PathControl::Static(vhint),
+            PathSpec::FlowBender(cfg) => PathControl::FlowBender(FlowBender::new(cfg, rng)),
             PathSpec::Flowcut { gap, v_range } => {
-                Box::new(FlowcutGap::new(gap.as_ps(), v_range, rng))
+                PathControl::Flowcut(FlowcutGap::new(gap.as_ps(), v_range, rng))
             }
             PathSpec::BenderInt {
                 v_range,
@@ -76,7 +81,7 @@ impl PathSpec {
                 hold,
             } => {
                 let v = vhint % v_range;
-                Box::new(BenderInt::new(v_range, v, confirm, hold.as_ps()))
+                PathControl::BenderInt(BenderInt::new(v_range, v, confirm, hold.as_ps()))
             }
         }
     }
@@ -84,6 +89,87 @@ impl PathSpec {
     /// Whether this is the no-op (static) controller.
     pub fn is_none(&self) -> bool {
         matches!(self, PathSpec::Static)
+    }
+}
+
+/// One flow's path controller: the state [`PathSpec::build`] makes.
+///
+/// Each event the sender reports goes to the one controller that reacts to
+/// it; every other arm answers [`Decision::Stay`] and draws no RNG, so a
+/// scheme's draw sequence is exactly its own controller's. All times are
+/// picoseconds since simulation start.
+#[derive(Debug, Clone)]
+pub enum PathControl {
+    /// A fixed V for the flow's whole life: the oblivious schemes (ECMP,
+    /// RPS, DeTail) and the pinned duplicates of replication schemes.
+    Static(u8),
+    /// The paper's algorithm.
+    FlowBender(FlowBender),
+    /// Host-side flowcut switching.
+    Flowcut(FlowcutGap),
+    /// FlowBender with per-hop blame.
+    BenderInt(BenderInt),
+}
+
+impl PathControl {
+    /// The value to stamp into the flexible header field of every outgoing
+    /// packet of this flow.
+    #[inline]
+    pub fn vfield(&self) -> u8 {
+        match self {
+            PathControl::Static(v) => *v,
+            PathControl::FlowBender(fb) => fb.vfield(),
+            PathControl::Flowcut(fc) => fc.vfield(),
+            PathControl::BenderInt(b) => b.vfield(),
+        }
+    }
+
+    /// One ACK arrived (`ecn_echo` = it carried the ECN echo) at `now_ps`.
+    /// FlowBender counts it into the epoch; Flowcut may reroute on a gap.
+    #[inline]
+    pub fn on_ack<R: Rng + ?Sized>(
+        &mut self,
+        ecn_echo: bool,
+        now_ps: u64,
+        rng: &mut R,
+    ) -> Decision {
+        match self {
+            PathControl::FlowBender(fb) => {
+                fb.on_ack(ecn_echo);
+                Decision::Stay
+            }
+            PathControl::Flowcut(fc) => fc.on_ack(now_ps, rng),
+            PathControl::Static(_) | PathControl::BenderInt(_) => Decision::Stay,
+        }
+    }
+
+    /// A switch-assisted feedback signal arrived at `now_ps`, mid-RTT;
+    /// only Bender-INT reacts.
+    pub fn on_feedback(&mut self, fb: Feedback, now_ps: u64) -> Decision {
+        match self {
+            PathControl::BenderInt(b) => b.on_feedback(fb, now_ps),
+            _ => Decision::Stay,
+        }
+    }
+
+    /// The RTT epoch (the congestion-window round) closed; only
+    /// FlowBender reacts.
+    pub fn on_rtt_end<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Decision {
+        match self {
+            PathControl::FlowBender(fb) => fb.on_rtt_end(rng),
+            _ => Decision::Stay,
+        }
+    }
+
+    /// A retransmission timeout fired; every controller but the static
+    /// one may reroute.
+    pub fn on_timeout<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Decision {
+        match self {
+            PathControl::Static(_) => Decision::Stay,
+            PathControl::FlowBender(fb) => fb.on_timeout(rng),
+            PathControl::Flowcut(fc) => fc.on_timeout(rng),
+            PathControl::BenderInt(b) => b.on_timeout(),
+        }
     }
 }
 
@@ -161,6 +247,7 @@ impl TcpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowbender::SplitMix64;
 
     #[test]
     fn defaults_match_paper() {
@@ -197,28 +284,70 @@ mod tests {
 
     #[test]
     fn path_spec_builds_the_advertised_controller() {
-        let mut rng = flowbender::SplitMix64::new(1);
+        let mut rng = SplitMix64::new(1);
         let c = PathSpec::Static.build(5, &mut rng);
-        assert_eq!(c.vfield(), 5);
-        assert!(!c.active());
+        assert!(matches!(c, PathControl::Static(5)));
         let c = PathSpec::FlowBender(flowbender::Config::default()).build(0, &mut rng);
-        assert!(c.active());
-        assert!(c.as_flowbender().is_some());
+        assert!(matches!(c, PathControl::FlowBender(_)));
         let flowcut = PathSpec::Flowcut {
             gap: SimTime::from_us(100),
             v_range: 8,
         };
-        let c = flowcut.build(0, &mut rng);
-        assert!(c.active());
-        assert!(c.as_flowbender().is_none());
+        assert!(matches!(
+            flowcut.build(0, &mut rng),
+            PathControl::Flowcut(_)
+        ));
         let bender_int = PathSpec::BenderInt {
             v_range: 8,
             confirm: 3,
             hold: SimTime::from_us(100),
         };
         let c = bender_int.build(13, &mut rng);
-        assert!(c.active());
+        assert!(matches!(c, PathControl::BenderInt(_)));
         assert_eq!(c.vfield(), 13 % 8, "Bender-INT starts at vhint % v_range");
+    }
+
+    /// The oblivious schemes' byte-identity rests on this: a static path
+    /// keeps its V through every event and never advances the RNG.
+    #[test]
+    fn static_path_never_moves_and_never_draws() {
+        let before = SplitMix64::new(7).next_u32();
+        let mut rng = SplitMix64::new(7);
+        let mut p = PathSpec::Static.build(3, &mut rng);
+        let fb = Feedback::Cn {
+            node: 1,
+            port: 2,
+            qbytes: 100_000,
+        };
+        assert_eq!(p.on_ack(true, 100, &mut rng), Decision::Stay);
+        assert_eq!(p.on_feedback(fb, 100), Decision::Stay);
+        assert_eq!(p.on_rtt_end(&mut rng), Decision::Stay);
+        assert_eq!(p.on_timeout(&mut rng), Decision::Stay);
+        assert_eq!(p.vfield(), 3);
+        assert_eq!(rng.next_u32(), before);
+    }
+
+    /// The FlowBender arm feeds ACKs into the epoch and hands the epoch's
+    /// verdict back unchanged.
+    #[test]
+    fn flowbender_arm_counts_acks_and_reroutes_at_epoch_end() {
+        let mut rng = SplitMix64::new(1);
+        let mut p = PathSpec::FlowBender(flowbender::Config::default()).build(0, &mut rng);
+        let v = p.vfield();
+        for _ in 0..9 {
+            assert_eq!(p.on_ack(true, 0, &mut rng), Decision::Stay);
+        }
+        p.on_ack(false, 0, &mut rng);
+        let d = p.on_rtt_end(&mut rng);
+        assert_eq!(
+            d,
+            Decision::Reroute {
+                from: v,
+                to: p.vfield()
+            },
+            "90% marked"
+        );
+        assert!(p.on_timeout(&mut rng).rerouted());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod sender;
 pub mod udp;
 
 pub use agent::{install_agents, HostAgent};
-pub use config::{PathSpec, TcpConfig};
+pub use config::{PathControl, PathSpec, TcpConfig};
 pub use receiver::{DelAckConfig, Receiver};
 pub use rtt::{RttEstimator, RTO_MAX};
 pub use sender::{TcpSender, TimerOutcome};

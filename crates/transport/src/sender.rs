@@ -13,20 +13,20 @@
 //!   per window when a congestion signal arrives — the first ECN echo or
 //!   a switch CN, whichever lands first. CNs reach a sender only on a
 //!   fabric built with [`netsim::FeedbackConfig::cn`] (the FastCC scheme).
-//! * a **path controller** ([`flowbender::PathController`], chosen by
+//! * a **path controller** ([`PathControl`], built from
 //!   [`TcpConfig::path`]) observes the same ACK stream: each
 //!   congestion-window "round" doubles as its RTT epoch (both end when
 //!   the cumulative ACK passes the epoch's starting `snd_nxt`), and every
 //!   decision to change `V` immediately affects all future packets of the
 //!   flow — including retransmissions, which is exactly what routes
 //!   around failures. FlowBender is one such controller; the oblivious
-//!   baselines run the no-op static controller, which never draws from
-//!   the RNG and never reroutes.
+//!   baselines run a static V, which never draws from the RNG and never
+//!   reroutes.
 
-use flowbender::{Decision, Feedback, FlowBender, PathController};
+use flowbender::{Decision, Feedback};
 use netsim::{Counter, Ctx, Flags, FlowId, FlowKey, Packet, SeriesKey, SimTime, TraceEvent, MSS};
 
-use crate::config::{TcpConfig, DCTCP_G, INIT_CWND, MAX_CWND, RTO_MIN};
+use crate::config::{PathControl, TcpConfig, DCTCP_G, INIT_CWND, MAX_CWND, RTO_MIN};
 use crate::rtt::RttEstimator;
 
 /// Outcome of handling a timer for this sender.
@@ -44,7 +44,8 @@ pub struct TcpSender {
     flow: FlowId,
     key: FlowKey,
     size: u64,
-    cfg: TcpConfig,
+    /// Fast retransmit on duplicate ACKs (off in the DeTail stack).
+    fast_retransmit: bool,
 
     // --- New Reno ---
     snd_una: u64,
@@ -89,7 +90,7 @@ pub struct TcpSender {
     cn_at: Option<SimTime>,
 
     // --- Path control ---
-    ctrl: Box<dyn PathController>,
+    ctrl: PathControl,
     /// ACKs at or below this sequence acknowledge data sent before the
     /// last reroute; they measure the *old* path and are hidden from the
     /// controller (otherwise every reroute would be judged by the path it
@@ -129,7 +130,7 @@ impl TcpSender {
             flow,
             key,
             size,
-            cfg,
+            fast_retransmit: cfg.dupack_threshold.is_some(),
             snd_una: 0,
             snd_nxt: 0,
             cwnd: INIT_CWND,
@@ -171,11 +172,6 @@ impl TcpSender {
     /// Current DCTCP `alpha` (for tests/diagnostics).
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// The FlowBender instance, if this sender's path controller is one.
-    pub fn flowbender(&self) -> Option<&FlowBender> {
-        self.ctrl.as_flowbender()
     }
 
     /// The current reordering (duplicate-ACK) threshold, for persisting
@@ -240,7 +236,7 @@ impl TcpSender {
     /// Start the flow: open the window and arm the timer. Returns the
     /// deadline the caller must arm a timer for, if any.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        if self.ctrl.active() {
+        if !matches!(self.ctrl, PathControl::Static(_)) {
             // Anchor the reroute trace: where did this flow start hashing?
             let (now, v) = (ctx.now(), self.ctrl.vfield());
             ctx.recorder()
@@ -306,7 +302,7 @@ impl TcpSender {
     /// * a CN earns the DCTCP cwnd cut *now*, sharing the once-per-window
     ///   `cwr` gate with the ordinary ECN echo — whichever signal arrives
     ///   first cuts, the other is a no-op;
-    /// * the path controller's [`PathController::on_feedback`] hook, so
+    /// * the path controller's [`PathControl::on_feedback`], so
     ///   feedback-aware controllers (Bender-INT) can reroute mid-window.
     pub fn on_feedback(&mut self, fb: Feedback, ctx: &mut Ctx<'_>) {
         if self.is_complete() {
@@ -321,8 +317,7 @@ impl TcpSender {
             }
             self.ecn_cut(ctx);
         }
-        let now_ps = ctx.now().as_ps();
-        let d = self.ctrl.on_feedback(fb, now_ps, ctx.rng());
+        let d = self.ctrl.on_feedback(fb, ctx.now().as_ps());
         self.note_reroute(d, Counter::Reroutes, ctx);
     }
 
@@ -371,7 +366,7 @@ impl TcpSender {
                     qbytes: hop.qbytes,
                     marked: hop.marked,
                 };
-                let d = self.ctrl.on_feedback(fb, now_ps, ctx.rng());
+                let d = self.ctrl.on_feedback(fb, now_ps);
                 self.note_reroute(d, Counter::Reroutes, ctx);
             }
         }
@@ -491,7 +486,7 @@ impl TcpSender {
     /// the receiver has demonstrably seen past the hole, and undo the
     /// spurious recovery if one is in progress (Linux `tcp_undo_cwnd`).
     fn on_reordering_detected(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cfg.dupack_threshold.is_none() {
+        if !self.fast_retransmit {
             return;
         }
         let extent = ((self.peer_high.saturating_sub(self.snd_una)) / MSS as u64) as u32 + 1;
@@ -525,8 +520,8 @@ impl TcpSender {
             self.transmit_window(ctx);
             return;
         }
-        if self.cfg.dupack_threshold.is_none() {
-            return; // fast retransmit disabled (DeTail stack)
+        if !self.fast_retransmit {
+            return; // DeTail stack
         }
         self.dup_acks += 1;
         if self.dup_acks >= self.reorder_threshold {

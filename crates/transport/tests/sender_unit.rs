@@ -301,7 +301,8 @@ fn flowbender_vfield_changes_after_marked_window() {
     assert!(!pkts.is_empty());
     let v1 = pkts.last().unwrap().vfield;
     assert_ne!(v1, v0, "flow must have bent to a new V");
-    assert_eq!(s.flowbender().unwrap().stats().congestion_reroutes, 1);
+    assert_eq!(h.recorder().get(Counter::Reroutes), 1);
+    assert_eq!(h.recorder().get(Counter::TimeoutReroutes), 0);
 }
 
 #[test]

@@ -1,4 +1,6 @@
-//! Workload generators: one function per paper experiment family.
+//! Workload generators: one function per paper experiment family, plus
+//! the Zipf-hotspot and ON/OFF loops behind the registry's extension
+//! workloads ([`crate::Workload`]).
 //!
 //! Every generator returns a `Vec<FlowSpec>` with dense flow ids `0..n`,
 //! ready for `transport::install_agents`-style consumption, and draws all
@@ -49,18 +51,121 @@ pub fn all_to_all(
                 dst += 1;
             }
             let bytes = dist.sample(rng);
-            // Flow ids assigned after the loop to keep them dense & sorted.
             specs.push((t, src, dst, bytes));
             t += SimTime::from_secs_f64(rng.gen_exp(mean_gap_secs));
         }
     }
-    // Sort by arrival time for reproducible, time-ordered ids.
-    specs.sort_by_key(|&(t, src, _, _)| (t, src));
-    specs
+    dense_ids(specs)
+}
+
+/// Flow ids assigned after generation keep them dense and arrival-sorted:
+/// stable-sort the `(start, src, dst, bytes)` arrivals by `(start, src)`,
+/// then number them `0..n`.
+fn dense_ids(mut arrivals: Vec<(SimTime, HostId, HostId, u64)>) -> Vec<FlowSpec> {
+    arrivals.sort_by_key(|&(t, src, _, _)| (t, src));
+    arrivals
         .into_iter()
         .enumerate()
         .map(|(id, (t, src, dst, bytes))| FlowSpec::tcp(id as u32, src, dst, bytes, t))
         .collect()
+}
+
+/// Zipf-skewed all-to-all (the `hotspot:<skew>` workload): every host
+/// Poisson-generates web-search flows as in [`all_to_all`], but the
+/// destination with rank `j` (0-based, by host id) is drawn with weight
+/// `1/(j+1)^skew`; `skew = 0` is the uniform matrix.
+pub(crate) fn zipf_hotspot(
+    p: &FatTreeParams,
+    load: f64,
+    duration: SimTime,
+    skew: f64,
+    rng: &mut DetRng,
+) -> Vec<FlowSpec> {
+    let n = p.n_hosts() as u32;
+    assert!(n >= 2);
+    let dist = FlowSizeDist::web_search();
+    let rate = load::fat_tree_flow_rate_per_host(p, load, dist.mean_bytes());
+    let mean_gap_secs = 1.0 / rate;
+    // Cumulative Zipf weights over host ids; a destination is picked by
+    // binary search on a uniform draw scaled to the total mass.
+    let mut cum = Vec::with_capacity(n as usize);
+    let mut total = 0.0f64;
+    for j in 0..n {
+        total += 1.0 / ((j + 1) as f64).powf(skew);
+        cum.push(total);
+    }
+    let mut specs = Vec::new();
+    for src in 0..n {
+        let mut t = SimTime::from_secs_f64(rng.gen_exp(mean_gap_secs));
+        while t < duration {
+            // Rejection on self-sends keeps the marginal Zipf shape over
+            // the remaining hosts.
+            let dst = loop {
+                let u = rng.gen_f64() * total;
+                let d = cum.partition_point(|&c| c < u) as u32;
+                let d = d.min(n - 1);
+                if d != src {
+                    break d;
+                }
+            };
+            let bytes = dist.sample(rng);
+            specs.push((t, src, dst, bytes));
+            t += SimTime::from_secs_f64(rng.gen_exp(mean_gap_secs));
+        }
+    }
+    dense_ids(specs)
+}
+
+/// Mean ON-period length of [`onoff`]. A couple of milliseconds is long
+/// against the fabric RTT (~40 µs) and short against run durations, so
+/// queues see genuine squalls rather than a slightly-modulated Poisson
+/// process.
+const ON_MEAN_S: f64 = 2e-3;
+
+/// ON/OFF bursty all-to-all (the `onoff:<burst>` workload): ON periods
+/// exp(2 ms), OFF periods scaled so the duty cycle is `1/burst`, in-ON
+/// arrival rate `burst`× the average — the load calibration of
+/// [`all_to_all`] with arrivals concentrated into squalls. Web-search
+/// sizes.
+pub(crate) fn onoff(
+    p: &FatTreeParams,
+    load: f64,
+    duration: SimTime,
+    burst: f64,
+    rng: &mut DetRng,
+) -> Vec<FlowSpec> {
+    let n = p.n_hosts() as u32;
+    let dist = FlowSizeDist::web_search();
+    let avg_rate = load::fat_tree_flow_rate_per_host(p, load, dist.mean_bytes());
+    let on_gap_secs = 1.0 / (avg_rate * burst);
+    let off_mean_s = ON_MEAN_S * (burst - 1.0);
+    let mut specs = Vec::new();
+    for src in 0..n {
+        let mut t = 0.0f64;
+        // Desynchronize sources: start each at a random phase of its first
+        // OFF period.
+        if off_mean_s > 0.0 {
+            t += rng.gen_f64() * (ON_MEAN_S + off_mean_s);
+        }
+        while t < duration.as_secs_f64() {
+            let on_end = t + rng.gen_exp(ON_MEAN_S);
+            let mut s = t + rng.gen_exp(on_gap_secs);
+            while s < on_end && s < duration.as_secs_f64() {
+                let mut dst = rng.gen_range(n - 1);
+                if dst >= src {
+                    dst += 1;
+                }
+                let bytes = dist.sample(rng);
+                specs.push((SimTime::from_secs_f64(s), src, dst, bytes));
+                s += rng.gen_exp(on_gap_secs);
+            }
+            t = on_end;
+            if off_mean_s > 0.0 {
+                t += rng.gen_exp(off_mean_s);
+            }
+        }
+    }
+    dense_ids(specs)
 }
 
 /// §4.2.4 partition-aggregate workload (Figure 5): jobs arrive Poisson with
@@ -136,16 +241,11 @@ pub fn testbed_one_tor(
             if dst >= src {
                 dst += 1;
             }
-            specs.push((t, src, dst));
+            specs.push((t, src, dst, flow_bytes));
             t += SimTime::from_secs_f64(rng.gen_exp(mean_gap_secs));
         }
     }
-    specs.sort_by_key(|&(t, src, _)| (t, src));
-    specs
-        .into_iter()
-        .enumerate()
-        .map(|(id, (t, src, dst))| FlowSpec::tcp(id as u32, src, dst, flow_bytes, t))
-        .collect()
+    dense_ids(specs)
 }
 
 /// §4.3.1 hotspot workload: a random shuffle of `flow_bytes` TCP flows from
@@ -188,70 +288,6 @@ pub fn hotspot(
         SimTime::ZERO,
     ));
     specs
-}
-
-/// Permutation traffic: every host sends one `bytes` flow to a distinct
-/// partner (a random derangement — no host sends to itself and no two
-/// flows share a destination), all starting at `start`. The classic
-/// worst-case-for-static-hashing benchmark: offered load is perfectly
-/// balanceable, so any residual slowdown is pure collision damage.
-pub fn permutation(n_hosts: usize, bytes: u64, start: SimTime, rng: &mut DetRng) -> Vec<FlowSpec> {
-    assert!(n_hosts >= 2);
-    // Fisher-Yates a candidate mapping until it is a derangement on every
-    // index (retry whole shuffles; expected ~e tries).
-    let mut dst: Vec<u32> = (0..n_hosts as u32).collect();
-    loop {
-        for i in (1..n_hosts).rev() {
-            let j = rng.gen_index(i + 1);
-            dst.swap(i, j);
-        }
-        if dst.iter().enumerate().all(|(i, &d)| i as u32 != d) {
-            break;
-        }
-    }
-    dst.iter()
-        .enumerate()
-        .map(|(src, &d)| FlowSpec::tcp(src as u32, src as u32, d, bytes, start))
-        .collect()
-}
-
-/// Stride traffic: host `i` sends one `bytes` flow to host
-/// `(i + stride) mod n`, all starting at `start`. With `stride` = hosts
-/// per pod this is the canonical all-cross-pod pattern that stresses the
-/// core tier maximally.
-pub fn stride(n_hosts: usize, stride: usize, bytes: u64, start: SimTime) -> Vec<FlowSpec> {
-    assert!(n_hosts >= 2);
-    assert!(
-        !stride.is_multiple_of(n_hosts),
-        "stride must move traffic off-host"
-    );
-    (0..n_hosts)
-        .map(|i| {
-            let d = ((i + stride) % n_hosts) as u32;
-            FlowSpec::tcp(i as u32, i as u32, d, bytes, start)
-        })
-        .collect()
-}
-
-/// Group flows by partition-aggregate job id, skipping untagged flows.
-///
-/// Workloads may legally mix job-tagged flows (partition-aggregate) with
-/// untagged background traffic (e.g. an all-to-all sharing the fabric);
-/// analysis code that assumed `spec.job` was always `Some` panicked on
-/// such mixes. Returns `(groups sorted by job id, untagged_count)` so
-/// callers can both iterate deterministically and surface how many flows
-/// were outside any job.
-pub fn jobs_by_id(specs: &[FlowSpec]) -> (Vec<(u32, Vec<&FlowSpec>)>, usize) {
-    let mut jobs: std::collections::BTreeMap<u32, Vec<&FlowSpec>> =
-        std::collections::BTreeMap::new();
-    let mut untagged = 0usize;
-    for s in specs {
-        match s.job {
-            Some(j) => jobs.entry(j).or_default().push(s),
-            None => untagged += 1,
-        }
-    }
-    (jobs.into_iter().collect(), untagged)
 }
 
 #[cfg(test)]
@@ -330,9 +366,13 @@ mod tests {
         }
         // Group by job: every job has exactly 8 flows of 125KB to one
         // aggregator, all starting together.
-        let (jobs, untagged) = jobs_by_id(&specs);
-        assert_eq!(untagged, 0, "pure partition-aggregate has no strays");
-        for (_, flows) in &jobs {
+        let mut jobs: std::collections::BTreeMap<u32, Vec<&FlowSpec>> = Default::default();
+        for s in &specs {
+            jobs.entry(s.job.expect("every flow is in a job"))
+                .or_default()
+                .push(s);
+        }
+        for flows in jobs.values() {
             assert_eq!(flows.len(), 8);
             let agg = flows[0].dst;
             let t0 = flows[0].start;
@@ -348,33 +388,6 @@ mod tests {
             srcs.dedup();
             assert_eq!(srcs.len(), 8);
         }
-    }
-
-    #[test]
-    fn mixed_tagged_and_untagged_flows_group_without_panicking() {
-        // Regression: grouping used `s.job.unwrap()`, so a workload mixing
-        // partition-aggregate jobs with untagged background flows aborted.
-        let p = FatTreeParams::paper();
-        let mut specs =
-            partition_aggregate(&p, 0.2, 8, 1_000_000, SimTime::from_ms(50), &mut rng());
-        let tagged = specs.len();
-        // Append untagged background flows with continuing dense ids.
-        let next = specs.len() as u32;
-        for k in 0..5u32 {
-            specs.push(FlowSpec::tcp(
-                next + k,
-                k,
-                64 + k,
-                100_000,
-                SimTime::from_us(k as u64),
-            ));
-        }
-        let (jobs, untagged) = jobs_by_id(&specs);
-        assert_eq!(untagged, 5, "strays are counted, not fatal");
-        let grouped: usize = jobs.iter().map(|(_, f)| f.len()).sum();
-        assert_eq!(grouped, tagged, "every tagged flow lands in its job");
-        // Groups come back sorted by job id for deterministic iteration.
-        assert!(jobs.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -422,32 +435,6 @@ mod tests {
         // TCP aggregate ~14Gbps over 50ms = 87.5MB = ~87 flows.
         let tcp_count = specs.len() - 1;
         assert!((60..120).contains(&tcp_count), "tcp flows = {tcp_count}");
-    }
-
-    #[test]
-    fn permutation_is_a_derangement_with_unique_destinations() {
-        let mut r = rng();
-        for n in [2usize, 3, 16, 128] {
-            let specs = permutation(n, 1_000_000, SimTime::ZERO, &mut r);
-            assert_eq!(specs.len(), n);
-            let mut seen = vec![false; n];
-            for (i, s) in specs.iter().enumerate() {
-                assert_eq!(s.src as usize, i);
-                assert_ne!(s.src, s.dst, "derangement violated");
-                assert!(!seen[s.dst as usize], "duplicate destination");
-                seen[s.dst as usize] = true;
-            }
-        }
-    }
-
-    #[test]
-    fn stride_wraps_and_rejects_degenerate() {
-        let specs = stride(8, 3, 500, SimTime::from_us(2));
-        assert_eq!(specs.len(), 8);
-        assert_eq!(specs[7].dst, 2);
-        assert!(specs.iter().all(|s| s.start == SimTime::from_us(2)));
-        let r = std::panic::catch_unwind(|| stride(8, 8, 500, SimTime::ZERO));
-        assert!(r.is_err(), "stride == n must panic");
     }
 
     #[test]

@@ -7,19 +7,18 @@
 //!   heavy-tailed [`dist::FlowSizeDist::web_search`] sizes;
 //! * [`gen::partition_aggregate`] — Figure 5's synchronized incast jobs;
 //! * [`gen::testbed_one_tor`] — Figure 8's one-ToR-sources workload;
-//! * [`gen::hotspot`] — §4.3.1's 14 Gbps TCP shuffle + 6 Gbps UDP pin;
-//! * [`gen::permutation`] / [`gen::stride`] — classic synthetic matrices
-//!   for load-balancer stress tests beyond the paper's workloads.
+//! * [`gen::hotspot`] — §4.3.1's 14 Gbps TCP shuffle + 6 Gbps UDP pin.
 //!
 //! The [`load`] module converts the paper's "% of bisection bandwidth"
 //! into per-host arrival rates.
 //!
 //! On top of the free-function generators sits the [`spec`] registry: every
-//! traffic pattern as a named, parameterized [`Workload`] selectable by
+//! traffic pattern as one variant of the [`Workload`] enum, selectable by
 //! slug (`websearch`, `datamining`, `alltoall`, `incast:<fanin>`,
 //! `hotspot:<zipf-skew>`, `onoff:<burst>`) — the traffic-side twin of the
-//! experiments crate's scheme registry — and [`stream::PoissonStream`],
-//! the O(hosts)-memory streaming generator for trace-scale runs.
+//! experiments crate's scheme registry; [`patterns`] builds the
+//! parameterized ones. [`stream::PoissonStream`] is the O(hosts)-memory
+//! streaming generator for trace-scale runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,9 +31,6 @@ pub mod spec;
 pub mod stream;
 
 pub use dist::FlowSizeDist;
-pub use gen::{
-    all_to_all, hotspot, jobs_by_id, microbench, partition_aggregate, permutation, stride,
-    testbed_one_tor,
-};
+pub use gen::{all_to_all, hotspot, microbench, partition_aggregate, testbed_one_tor};
 pub use spec::{find, registry, slug, Workload, PARAM_FORMS};
 pub use stream::PoissonStream;

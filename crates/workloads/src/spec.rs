@@ -2,11 +2,12 @@
 //! parameterized [`Workload`] selectable by slug — the traffic-side twin
 //! of the experiments crate's `SchemeSpec` registry.
 //!
-//! One file per workload under [`crate::patterns`]. Adding a workload is:
-//! write one new file next to the existing ones, add one line to
-//! [`registry`] (and, if it takes a parameter, one arm to [`find`]) —
-//! nothing else. Experiments select a generator with `--workload <slug>`
-//! instead of hard-coding free functions.
+//! The set is closed: [`Workload`] is an enum with one variant per
+//! pattern, and each operation is one `match`. Adding a workload is one
+//! variant, one arm per operation, one line in [`registry`] and one arm in
+//! [`find`]; its generator goes in [`crate::gen`]. Experiments select a
+//! generator with `--workload <slug>` instead of hard-coding free
+//! functions.
 //!
 //! | slug | pattern |
 //! |------|---------|
@@ -24,37 +25,126 @@ use netsim::{DetRng, FlowSpec, SimTime};
 use topology::FatTreeParams;
 
 use crate::dist::FlowSizeDist;
+use crate::gen;
 use crate::patterns;
+
+/// Each incast job's total payload: 1 MB split evenly across the workers,
+/// the paper's Figure 5 configuration.
+const INCAST_JOB_BYTES: u64 = 1_000_000;
 
 /// One named traffic pattern: everything a runner needs to generate the
 /// offered load, plus how to present it.
 ///
 /// `load` is the same unit everywhere: average pod-uplink utilization
 /// (the paper's "% of bisection bandwidth"), so workloads are swappable
-/// under a fixed load point. Generators must return dense, arrival-sorted
-/// flow ids `0..n` and draw all randomness from the caller's [`DetRng`].
-pub trait Workload: Sync + Send {
+/// under a fixed load point. Generators return dense, arrival-sorted flow
+/// ids `0..n` and draw all randomness from the caller's [`DetRng`].
+/// Build the parameterized variants through [`crate::patterns`], which
+/// validates the parameter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Workload {
+    /// The paper's §4.2.2 evaluation workload (Figures 3/4): Poisson
+    /// all-to-all with [`FlowSizeDist::web_search`] sizes.
+    Websearch,
+    /// Poisson all-to-all with [`FlowSizeDist::data_mining`] sizes: ≈80 %
+    /// of flows under 10 KB, ≈95 % of bytes in the >1 MB tail.
+    Datamining,
+    /// Poisson all-to-all with every flow exactly 1 MB: the constant-size
+    /// control for separating size-distribution effects from routing.
+    AllToAll,
+    /// The paper's §4.2.4 partition-aggregate jobs: Poisson job arrivals,
+    /// each `fan_in` synchronized workers sending to one random aggregator.
+    Incast {
+        /// Workers per job.
+        fan_in: u32,
+    },
+    /// Zipf-skewed all-to-all: the destination with rank `j` (by host id)
+    /// is drawn with weight `1/(j+1)^skew`, so a few hosts soak up most of
+    /// the traffic and the links around them become persistent hotspots.
+    /// Web-search sizes.
+    Hotspot {
+        /// Zipf exponent; 0 is the uniform all-to-all.
+        skew: f64,
+    },
+    /// ON/OFF bursty senders: each host alternates exponential ON and OFF
+    /// periods, sending only while ON at `burst`× the calibrated average
+    /// rate. The time-average load matches the uniform all-to-all, but
+    /// arrivals come in squalls. Web-search sizes.
+    OnOff {
+        /// Peak-to-average rate ratio (the inverse duty cycle).
+        burst: f64,
+    },
+}
+
+impl Workload {
     /// Display name, parameters included (e.g. `Incast(32:1)`).
-    fn name(&self) -> String;
+    pub fn name(&self) -> String {
+        match *self {
+            Workload::Websearch => "Websearch".into(),
+            Workload::Datamining => "Datamining".into(),
+            Workload::AllToAll => "AllToAll(1MB)".into(),
+            Workload::Incast { fan_in } => format!("Incast({fan_in}:1)"),
+            Workload::Hotspot { skew } => format!("Hotspot(z={skew})"),
+            Workload::OnOff { burst } => format!("OnOff(burst={burst})"),
+        }
+    }
 
     /// One-line description for the registry table.
-    fn brief(&self) -> String;
+    pub fn brief(&self) -> String {
+        match *self {
+            Workload::Websearch => {
+                "Poisson all-to-all, heavy-tailed web-search flow sizes (Fig. 3/4)".into()
+            }
+            Workload::Datamining => {
+                "Poisson all-to-all, extreme-tailed data-mining flow sizes (VL2)".into()
+            }
+            Workload::AllToAll => {
+                "Poisson all-to-all, fixed 1 MB flows (size-distribution control)".into()
+            }
+            Workload::Incast { fan_in } => format!(
+                "partition-aggregate jobs, {fan_in} synchronized senders per aggregator (Fig. 5)"
+            ),
+            Workload::Hotspot { skew } => {
+                format!("Poisson senders, Zipf(s={skew}) destination skew pinning hotspots")
+            }
+            Workload::OnOff { burst } => {
+                format!("ON/OFF bursty senders, {burst}x peak rate at 1/{burst} duty cycle")
+            }
+        }
+    }
 
     /// Generate the flow list for one run.
-    fn generate(
+    pub fn generate(
         &self,
         p: &FatTreeParams,
         load: f64,
         duration: SimTime,
         rng: &mut DetRng,
-    ) -> Vec<FlowSpec>;
+    ) -> Vec<FlowSpec> {
+        match *self {
+            Workload::Websearch | Workload::Datamining | Workload::AllToAll => {
+                let dist = self.stream_dist().expect("a Poisson all-to-all streams");
+                gen::all_to_all(p, load, duration, &dist, rng)
+            }
+            Workload::Incast { fan_in } => {
+                gen::partition_aggregate(p, load, fan_in, INCAST_JOB_BYTES, duration, rng)
+            }
+            Workload::Hotspot { skew } => gen::zipf_hotspot(p, load, duration, skew, rng),
+            Workload::OnOff { burst } => gen::onoff(p, load, duration, burst, rng),
+        }
+    }
 
     /// Whether a fabric of `n_hosts` can carry this workload; `Err` says
     /// what it needs. Checked by the CLI before anything runs, so
     /// [`Workload::generate`] may assert it.
-    fn check_hosts(&self, n_hosts: usize) -> Result<(), String> {
-        let _ = n_hosts;
-        Ok(())
+    pub fn check_hosts(&self, n_hosts: usize) -> Result<(), String> {
+        match *self {
+            // An aggregator and `fan_in` distinct workers.
+            Workload::Incast { fan_in } if fan_in as usize >= n_hosts => Err(format!(
+                "incast fan-in {fan_in} needs more than {fan_in} hosts"
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// For workloads that are memory-less Poisson all-to-all processes:
@@ -62,12 +152,17 @@ pub trait Workload: Sync + Send {
     /// ([`crate::stream::PoissonStream`]) at millions of flows. `None`
     /// for patterns with cross-flow structure (jobs, bursts, pinned
     /// hotspots) that need the batch generator.
-    fn stream_dist(&self) -> Option<FlowSizeDist> {
-        None
+    pub fn stream_dist(&self) -> Option<FlowSizeDist> {
+        match *self {
+            Workload::Websearch => Some(FlowSizeDist::web_search()),
+            Workload::Datamining => Some(FlowSizeDist::data_mining()),
+            Workload::AllToAll => Some(FlowSizeDist::Fixed(1_000_000)),
+            Workload::Incast { .. } | Workload::Hotspot { .. } | Workload::OnOff { .. } => None,
+        }
     }
 
     /// The [`slug`] of the name (`Incast(32:1)` → `incast_32_1`).
-    fn slug(&self) -> String {
+    pub fn slug(&self) -> String {
         slug(&self.name())
     }
 }
@@ -90,14 +185,14 @@ pub fn slug(name: &str) -> String {
 
 /// Every registered workload with default parameters, in deterministic
 /// presentation order: the paper's patterns first, then the extensions.
-pub fn registry() -> Vec<Box<dyn Workload>> {
+pub fn registry() -> Vec<Workload> {
     vec![
-        Box::new(patterns::websearch()),
-        Box::new(patterns::datamining()),
-        Box::new(patterns::alltoall()),
-        Box::new(patterns::incast(32)),
-        Box::new(patterns::zipf_hotspot(1.0)),
-        Box::new(patterns::onoff(5.0)),
+        Workload::Websearch,
+        Workload::Datamining,
+        Workload::AllToAll,
+        patterns::incast(32),
+        patterns::zipf_hotspot(1.0),
+        patterns::onoff(5.0),
     ]
 }
 
@@ -117,7 +212,7 @@ pub const PARAM_FORMS: &str =
 /// `all_to_all`, `on_off`). `None` for unknown names or parameters outside
 /// [`PARAM_FORMS`] — callers should print the registry, like the scheme
 /// CLI does.
-pub fn find(name: &str) -> Option<Box<dyn Workload>> {
+pub fn find(name: &str) -> Option<Workload> {
     let want = name.trim().to_ascii_lowercase();
     // Split `base:param` / `base(param)` forms.
     let (base, param) = match want.split_once(':') {
@@ -133,19 +228,15 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
     // Collapse separators so `web_search` and `web-search` hit `websearch`.
     let canon: String = base.chars().filter(|c| c.is_ascii_alphanumeric()).collect();
     match canon.as_str() {
-        "websearch" => param
-            .is_none()
-            .then(|| Box::new(patterns::websearch()) as _),
-        "datamining" => param
-            .is_none()
-            .then(|| Box::new(patterns::datamining()) as _),
-        "alltoall" => param.is_none().then(|| Box::new(patterns::alltoall()) as _),
+        "websearch" => param.is_none().then_some(Workload::Websearch),
+        "datamining" => param.is_none().then_some(Workload::Datamining),
+        "alltoall" => param.is_none().then_some(Workload::AllToAll),
         "incast" => {
             let fan_in = match param {
                 Some(p) => p.parse::<u32>().ok().filter(|f| (1..=65_535).contains(f))?,
                 None => 32,
             };
-            Some(Box::new(patterns::incast(fan_in)))
+            Some(patterns::incast(fan_in))
         }
         "hotspot" => {
             let skew = match param {
@@ -155,7 +246,7 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
                     .filter(|s| *s == 0.0 || (0.001..=10.0).contains(s))?,
                 None => 1.0,
             };
-            Some(Box::new(patterns::zipf_hotspot(skew)))
+            Some(patterns::zipf_hotspot(skew))
         }
         "onoff" => {
             let burst = match param {
@@ -165,7 +256,7 @@ pub fn find(name: &str) -> Option<Box<dyn Workload>> {
                     .filter(|b| (1.0..=1000.0).contains(b))?,
                 None => 5.0,
             };
-            Some(Box::new(patterns::onoff(burst)))
+            Some(patterns::onoff(burst))
         }
         // Fall through to exact full-name/slug matches against the
         // registry defaults (`incast_32_1`, `Hotspot(z=1)`, ...).

@@ -4,7 +4,9 @@
 //! These are the invariants downstream consumers (agent installation,
 //! the flight recorder) silently rely on.
 
-use netsim::{DetRng, FlowSpec, SimTime};
+use std::hash::{Hash, Hasher};
+
+use netsim::{DetRng, FlowSpec, FxHasher, SimTime};
 use topology::FatTreeParams;
 use workloads::{registry, PoissonStream};
 
@@ -70,6 +72,49 @@ fn every_workload_yields_dense_sorted_ids_and_sane_flows() {
             );
         }
     }
+}
+
+/// One `FxHasher` digest over a flow list's `(id, src, dst, bytes, start,
+/// job)` tuples, in order.
+fn digest(specs: &[FlowSpec]) -> u64 {
+    let mut h = FxHasher::default();
+    for s in specs {
+        key(s).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Every registered workload's flow list at seeds 1 and 42, by slug. The
+/// determinism tests above compare two runs of one build; these digests
+/// compare against the flow lists the generators produced when they were
+/// pinned, so a refactor that reorders an RNG draw or a sort fails here.
+const PINNED: [(&str, u64, u64); 6] = [
+    ("websearch", 11285411337837387366, 15970933469247740087),
+    ("datamining", 7541966564270528662, 1706985280474068511),
+    ("alltoall_1mb", 13555233367091188031, 6129491810689353718),
+    ("incast_32_1", 11047800309600622327, 16695011739631536332),
+    ("hotspot_z_1", 7275477028373411010, 6143869812712555160),
+    ("onoff_burst_5", 15964206817017335324, 2849692881765570760),
+];
+
+#[test]
+fn every_workload_matches_its_pinned_flow_list_digest() {
+    let p = FatTreeParams::paper();
+    let got: Vec<(String, u64, u64)> = registry()
+        .iter()
+        .map(|w| {
+            let at = |seed: u64| {
+                let mut rng = DetRng::new(seed, 0x3017);
+                digest(&w.generate(&p, LOAD, DURATION, &mut rng))
+            };
+            (w.slug(), at(1), at(42))
+        })
+        .collect();
+    let want: Vec<(String, u64, u64)> = PINNED
+        .iter()
+        .map(|&(slug, a, b)| (slug.to_string(), a, b))
+        .collect();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -13,7 +13,7 @@
 
 use flowbender::Config;
 use netsim::{DetRng, SimTime};
-use stats::avg_job_completion;
+use stats::job_completion;
 use topology::FatTreeParams;
 use transport::TcpConfig;
 use workloads::partition_aggregate;
@@ -29,7 +29,8 @@ fn run(fan_in: u32, tcp: &TcpConfig, seed: u64) -> (f64, usize) {
     topology::build_fat_tree(&mut sim, params, scheme_cfg);
     transport::install_agents(&mut sim, &specs, tcp);
     sim.run_until(duration + SimTime::from_ms(300));
-    avg_job_completion(sim.recorder().flows())
+    let jobs = job_completion(sim.recorder().flows());
+    (jobs.mean_s.unwrap_or(0.0), jobs.jobs_complete)
 }
 
 fn main() {

@@ -22,7 +22,6 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use netsim::{DetRng, SimTime, Simulator};
 use topology::{build_fat_tree, FatTreeParams};
 use transport::install_agents;
-use workloads::Workload as _;
 
 /// Live heap bytes, and the most there have been since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
