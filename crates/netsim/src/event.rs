@@ -93,15 +93,8 @@ pub enum EventKind {
     /// it: a packet is queued behind the one that just left, or the port
     /// samples its fault state at the last bit. A transmission nobody waits
     /// for never schedules this — the port just remembers the key it would
-    /// have had (see the `sim` module docs). `epoch` stamps the port's
-    /// serialization epoch at scheduling time: a mid-run link-rate change
-    /// reschedules the in-flight serialization under a bumped epoch, and the
-    /// superseded event is ignored when it fires.
-    TxDone {
-        node: NodeId,
-        port: PortId,
-        epoch: u16,
-    },
+    /// have had (see the `sim` module docs).
+    TxDone { node: NodeId, port: PortId },
     /// A host's protocol stack finished processing an outbound packet
     /// (models the 20 µs host delay); enqueue it at the NIC.
     HostTx { host: NodeId, pkt: PacketId },
@@ -135,8 +128,6 @@ pub enum EventKind {
 pub enum FaultSet {
     /// Administrative link state, both directions; `bits != 0` is up.
     LinkState,
-    /// Link rate in bits per second, both directions.
-    LinkRate,
     /// Gray-loss probability of the `(node, port)` egress, as
     /// [`f64::to_bits`].
     GrayLoss,

@@ -1,17 +1,19 @@
-//! Deterministic fault injection: gray failures, link flaps, mid-run
-//! degradation, and corruption loss.
+//! Deterministic fault injection: gray failures, link flaps, switch
+//! outages, and corruption loss.
 //!
 //! Real datacenter incidents are rarely a clean binary link death
 //! ([`FaultPlan::kill`]). The cases FlowBender's robustness story (§1,
 //! §3.3.2, §4.6 of the paper) actually has to survive are *gray*: a link
-//! that silently drops 1% of packets, a port that flaps, an optic that
-//! renegotiates down to a fraction of its rate. This module provides a
+//! that silently drops 1% of packets, a port that flaps, a switch that
+//! crashes and comes back. (A link's rate is not a fault: it is fixed when
+//! the fabric is built, by [`crate::Simulator::set_link_rate`].) This
+//! module provides a
 //! [`FaultPlan`] — a declarative, seeded schedule of [`FaultAction`]s — that
 //! [`crate::Simulator::install_faults`] turns into ordinary events, one
 //! [`crate::event::EventKind::Fault`] per step, so fault timing participates
 //! in the same deterministic `(time, cause, seq)` order as everything else.
 //! A step that fires calls the simulator's immediate setters
-//! ([`crate::Simulator::set_link_state`], `set_link_rate`, `set_gray_loss`,
+//! ([`crate::Simulator::set_link_state`], `set_gray_loss`,
 //! `set_corruption`): scheduling a fault and applying one by hand between
 //! two `run_until`s are the same code.
 //!
@@ -35,8 +37,8 @@ use crate::rng::DetRng;
 use crate::time::SimTime;
 
 /// One scheduled fault transition, naming a link by one of its ends
-/// `(node, port)`. Link-state and rate changes affect both directions of
-/// that link; loss rates are directional (the `(node, port)` egress only).
+/// `(node, port)`. Link-state changes affect both directions of that link;
+/// loss rates are directional (the `(node, port)` egress only).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Administratively set the link attached to `(node, port)` up or down
@@ -48,16 +50,6 @@ pub enum FaultAction {
         port: PortId,
         /// New administrative state.
         up: bool,
-    },
-    /// Change the link's rate (both directions). An in-flight serialization
-    /// is rescheduled to finish under the new rate.
-    LinkRate {
-        /// Node owning the port.
-        node: NodeId,
-        /// Port index on that node.
-        port: PortId,
-        /// New rate in bits per second.
-        rate_bps: u64,
     },
     /// Set the probability that a packet leaving `(node, port)` is silently
     /// lost (a gray failure). `0.0` disables.
@@ -99,7 +91,6 @@ impl FaultAction {
     pub fn node(&self) -> NodeId {
         match *self {
             FaultAction::LinkState { node, .. }
-            | FaultAction::LinkRate { node, .. }
             | FaultAction::GrayLoss { node, .. }
             | FaultAction::Corruption { node, .. }
             | FaultAction::SwitchDown { node }
@@ -120,7 +111,7 @@ impl FaultAction {
 /// let mut plan = FaultPlan::new();
 /// plan.gray_loss(4, 1, 0.02, SimTime::ZERO); // 2% loss from t=0
 /// plan.flap(4, 0, SimTime::from_ms(5), SimTime::from_ms(8));
-/// plan.degrade(4, 2, 1_000_000_000, SimTime::from_ms(10));
+/// plan.kill(4, 2, SimTime::from_ms(10));
 /// assert_eq!(plan.len(), 4); // a flap is two steps
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -150,10 +141,9 @@ impl FaultPlan {
     ///
     /// Out-of-range values are **rejected, never clamped**: a gray-loss
     /// probability or BER must lie in `[0, 1]` (NaN and negative values
-    /// fail the range check), and a link rate must be positive. Catching
-    /// these at construction keeps garbage out of the per-port RNG draw
-    /// path, where a NaN would silently poison every subsequent
-    /// loss decision.
+    /// fail the range check). Catching these at construction keeps garbage
+    /// out of the per-port RNG draw path, where a NaN would silently poison
+    /// every subsequent loss decision.
     pub fn try_at(&mut self, at: SimTime, action: FaultAction) -> Result<&mut Self, String> {
         if let FaultAction::GrayLoss { loss: p, .. } | FaultAction::Corruption { ber: p, .. } =
             action
@@ -163,15 +153,6 @@ impl FaultPlan {
                     "probability {p} outside [0, 1]: fault probabilities are rejected, \
                      not clamped (NaN and negative values included)"
                 ));
-            }
-        }
-        if let FaultAction::LinkRate { rate_bps, .. } = action {
-            if rate_bps == 0 {
-                return Err(
-                    "link rate must be positive: use LinkState { up: false } (or \
-                     FaultPlan::kill) to take a link down, not a zero rate"
-                        .to_string(),
-                );
             }
         }
         self.steps.push((at, action));
@@ -226,19 +207,6 @@ impl FaultPlan {
                 node,
                 port,
                 up: false,
-            },
-        )
-    }
-
-    /// Mid-run capacity degradation: at `at`, renegotiate the link attached
-    /// to `(node, port)` to `rate_bps` (both directions).
-    pub fn degrade(&mut self, node: NodeId, port: PortId, rate_bps: u64, at: SimTime) -> &mut Self {
-        self.at(
-            at,
-            FaultAction::LinkRate {
-                node,
-                port,
-                rate_bps,
             },
         )
     }
@@ -320,10 +288,9 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.gray_loss(1, 2, 0.05, SimTime::from_ms(1))
             .corruption(1, 3, 1e-6, SimTime::ZERO)
-            .degrade(2, 0, 1_000_000_000, SimTime::from_ms(2))
             .kill(3, 0, SimTime::from_ms(4))
             .flap(4, 0, SimTime::from_ms(5), SimTime::from_ms(6));
-        assert_eq!(plan.len(), 6);
+        assert_eq!(plan.len(), 5);
         assert_eq!(
             plan.steps()[0],
             (
@@ -336,7 +303,7 @@ mod tests {
             )
         );
         assert!(matches!(
-            plan.steps()[5].1,
+            plan.steps()[4].1,
             FaultAction::LinkState { up: true, .. }
         ));
     }
@@ -368,15 +335,6 @@ mod tests {
             },
         );
         assert!(neg.unwrap_err().contains("outside [0, 1]"));
-        let zero = plan.try_at(
-            SimTime::ZERO,
-            FaultAction::LinkRate {
-                node: 0,
-                port: 0,
-                rate_bps: 0,
-            },
-        );
-        assert!(zero.unwrap_err().contains("FaultPlan::kill"));
         assert!(plan.is_empty(), "rejected steps must not be recorded");
         plan.try_at(
             SimTime::ZERO,

@@ -16,9 +16,9 @@
 //! * administrative link failures (black-holing until "routing reconverges",
 //!   which in these experiments never happens — that is the point),
 //! * deterministic fault injection via [`FaultPlan`] — gray (probabilistic)
-//!   loss, link flaps, whole-switch outages, mid-run rate degradation, and
-//!   bit-error corruption — with per-port drop-reason accounting and an
-//!   end-of-run conservation audit ([`Simulator::conservation`]),
+//!   loss, link flaps, whole-switch outages and bit-error corruption — with
+//!   per-port drop-reason accounting and an end-of-run conservation audit
+//!   ([`Simulator::conservation`]),
 //! * a run-wide [`Recorder`] of flow completions, event counters, and
 //!   (opt-in, via [`TelemetryConfig`]) named time-series probes — switch
 //!   queue depths and V-field reroute traces,

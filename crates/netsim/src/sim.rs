@@ -51,14 +51,17 @@
 //!   the `TxDone` starts it;
 //! * the port is **faultable**: a link-change API has named its link —
 //!   [`Simulator::install_faults`] for every link of every step, at install
-//!   time, or one of the four immediate setters a firing step calls and
+//!   time, or one of the three immediate setters a firing step calls and
 //!   anyone may call between two `run_until`s: [`Simulator::set_link_state`],
-//!   [`Simulator::set_gray_loss`], [`Simulator::set_corruption`], and
-//!   [`Simulator::set_link_rate`] once the run has started (both directions
-//!   of the link, never cleared). Such a port must read `up` / `loss_rate` /
-//!   `ber` / the rate epoch when the last bit leaves, so its `TxDone` is
+//!   [`Simulator::set_gray_loss`] and [`Simulator::set_corruption`] (both
+//!   directions of the link, never cleared). Such a port must read `up` /
+//!   `loss_rate` / `ber` when the last bit leaves, so its `TxDone` is
 //!   always scheduled and it — not tx-start — books the `Arrive` or drops
 //!   the packet. Same handler, one branch.
+//!
+//! Link rates are fixed once the run starts ([`Simulator::set_link_rate`]
+//! is a build-time call), so a transmission's `tx_end` never moves and a
+//! scheduled `TxDone` is never superseded.
 //!
 //! **Why the order is the classic one.** The engine that fired two events
 //! per hop ordered them by `(time, seq)`, `seq` being the global insertion
@@ -217,10 +220,9 @@ struct Port {
     up: bool,
     /// The downstream ingress has PFC-paused us.
     paused: bool,
-    /// Some fault, link-state or mid-run rate API has named this port (or
-    /// its peer): from its next tx-start on it samples `up` / `loss_rate` /
-    /// `ber` / the rate epoch at the last bit instead of booking the arrival
-    /// at the first. Never cleared.
+    /// Some fault or link-state API has named this port (or its peer): from
+    /// its next tx-start on it samples `up` / `loss_rate` / `ber` at the
+    /// last bit instead of booking the arrival at the first. Never cleared.
     faultable: bool,
     /// Gray-failure loss probability per departing packet (0 = healthy).
     loss_rate: f64,
@@ -234,10 +236,6 @@ struct Port {
     /// until the first
     /// draw; fault-free ports never split a stream at all.
     fault_rng: Option<DetRng>,
-    /// Serialization epoch. Bumped when a mid-run rate change reschedules
-    /// the in-flight `TxDone`; a pending `TxDone` carrying a stale epoch is
-    /// ignored when it fires.
-    tx_epoch: u16,
     /// `(tx_end, tx_tie)` is the key of the latest transmission's `TxDone`,
     /// scheduled or not: the port is busy for exactly the events that sort
     /// before it (see [`Simulator::try_start_tx`]). `tx_end` is when the
@@ -247,7 +245,8 @@ struct Port {
     /// `seq` the transmission drew — which its `Arrive` shares.
     tx_tie: Tie,
     /// The latest transmission's `TxDone` is in the scheduler (and has not
-    /// fired).
+    /// fired). A `TxDone` is scheduled only while this is false, so a port
+    /// has at most one in the scheduler.
     wake_pending: bool,
     /// The latest transmission was started on a `faultable` port: its
     /// `TxDone` decides the packet's fate and schedules its `Arrive`.
@@ -306,12 +305,7 @@ impl Port {
     /// key recorded for it. `(node, port)` is this port's own address.
     fn schedule_tx_done(&mut self, sched: &mut Scheduler, node: NodeId, port: PortId) {
         self.wake_pending = true;
-        let epoch = self.tx_epoch;
-        sched.schedule_keyed(
-            self.tx_end,
-            self.tx_tie,
-            EventKind::TxDone { node, port, epoch },
-        );
+        sched.schedule_keyed(self.tx_end, self.tx_tie, EventKind::TxDone { node, port });
     }
 }
 
@@ -620,7 +614,6 @@ impl Simulator {
                 loss_rate: 0.0,
                 ber: 0.0,
                 fault_rng: None,
-                tx_epoch: 0,
                 tx_end: SimTime::ZERO,
                 tx_tie: Tie::MIN,
                 wake_pending: false,
@@ -670,24 +663,23 @@ impl Simulator {
         }
     }
 
-    /// Change the rate of the link attached at `(node, port)` — both
-    /// directions. Models heterogeneous or degraded links (partial
-    /// upgrades, the §4.3.1 WCMP discussion) and mid-run renegotiation
-    /// (fault injection). Legal at any time. Before the run starts this
-    /// only sets the rate; once it has, the link's two ports sample at the
-    /// last bit from their next tx-start on, and a packet such a port is
-    /// serializing when the rate changes has its remaining bits rescaled to
-    /// the new rate and its completion event rescheduled. A packet launched
-    /// before the port was first named by a fault API keeps the arrival it
-    /// was booked with.
+    /// Set the rate of the link attached at `(node, port)` — both
+    /// directions — before the run starts. Models heterogeneous or degraded
+    /// links (partial upgrades, the §4.3.1 WCMP discussion).
+    ///
+    /// # Panics
+    /// Once the run has started: link rates are fixed for the whole run. A
+    /// link fails through [`FaultPlan::kill`] or [`FaultPlan::flap`].
     pub fn set_link_rate(&mut self, node: NodeId, port: PortId, rate_bps: u64) {
         assert!(rate_bps > 0, "link rate must be positive");
-        if self.started {
-            self.mark_faultable(node, port);
-        }
+        assert!(
+            !self.started,
+            "set_link_rate({node}, {port}): link rates are fixed once the run has started; \
+             fail a link with FaultPlan::kill or FaultPlan::flap"
+        );
         let (peer, peer_port) = self.peer_of(node, port);
-        self.apply_rate(node, port, rate_bps);
-        self.apply_rate(peer, peer_port, rate_bps);
+        self.nodes[node as usize].ports[port as usize].rate_bps = rate_bps;
+        self.nodes[peer as usize].ports[peer_port as usize].rate_bps = rate_bps;
     }
 
     /// Mark both directions of the link at `(node, port)` as sampling their
@@ -697,27 +689,6 @@ impl Simulator {
         let (peer, peer_port) = self.peer_of(node, port);
         self.nodes[node as usize].ports[port as usize].faultable = true;
         self.nodes[peer as usize].ports[peer_port as usize].faultable = true;
-    }
-
-    /// Apply a rate change to one directed port, rescheduling the in-flight
-    /// serialization if there is one whose `TxDone` decides its arrival.
-    fn apply_rate(&mut self, node: NodeId, port: PortId, rate_bps: u64) {
-        let now = self.now;
-        let p = &mut self.nodes[node as usize].ports[port as usize];
-        let old = p.rate_bps;
-        p.rate_bps = rate_bps;
-        if old == rate_bps || !p.tx_sampled || !p.serializing((now, self.now_tie)) {
-            return;
-        }
-        // Rescale the un-serialized remainder: `remaining * old / new` bits
-        // take the same wire time expressed under the new rate. u128 keeps
-        // the product exact for any sane rate pair.
-        let rem_ps = (p.tx_end.as_ps().saturating_sub(now.as_ps())) as u128;
-        let new_rem = (rem_ps * old as u128 / rate_bps as u128) as u64;
-        p.tx_epoch = p.tx_epoch.wrapping_add(1);
-        p.tx_end = now + SimTime::from_ps(new_rem);
-        p.tx_tie = Tie::new(p.tx_end, now, self.sched.draw_seq());
-        p.schedule_tx_done(&mut self.sched, node, port);
     }
 
     /// Set the gray-failure loss probability on the directed egress
@@ -743,9 +714,9 @@ impl Simulator {
     /// (plans accumulate) and mid-run, for steps at or after [`Self::now`].
     ///
     /// A step that fires calls the immediate setter of its kind
-    /// ([`Self::set_link_state`], [`Self::set_link_rate`],
-    /// [`Self::set_gray_loss`], [`Self::set_corruption`]); `SwitchDown/Up`
-    /// is `set_link_state` on every port the switch has when it fires.
+    /// ([`Self::set_link_state`], [`Self::set_gray_loss`],
+    /// [`Self::set_corruption`]); `SwitchDown/Up` is `set_link_state` on
+    /// every port the switch has when it fires.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
         for (i, &(at, action)) in plan.steps().iter().enumerate() {
             let node = action.node();
@@ -761,9 +732,6 @@ impl Simulator {
             let n_ports = self.nodes[node as usize].ports.len() as PortId;
             let (port, set, bits) = match action {
                 FaultAction::LinkState { port, up, .. } => (port, FaultSet::LinkState, up as u64),
-                FaultAction::LinkRate { port, rate_bps, .. } => {
-                    (port, FaultSet::LinkRate, rate_bps)
-                }
                 FaultAction::GrayLoss { port, loss, .. } => {
                     (port, FaultSet::GrayLoss, loss.to_bits())
                 }
@@ -982,7 +950,7 @@ impl Simulator {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { node, port, pkt } => self.handle_arrive(node, port, pkt),
-            EventKind::TxDone { node, port, epoch } => self.handle_tx_done(node, port, epoch),
+            EventKind::TxDone { node, port } => self.handle_tx_done(node, port),
             EventKind::HostTx { host, pkt } => self.handle_host_tx(host, pkt),
             EventKind::Timer { host, token } => {
                 self.with_agent(host, |agent, ctx| agent.on_timer(token, ctx));
@@ -1004,7 +972,6 @@ impl Simulator {
     fn apply_fault(&mut self, node: NodeId, port: PortId, set: FaultSet, bits: u64) {
         match set {
             FaultSet::LinkState => self.set_link_state(node, port, bits != 0),
-            FaultSet::LinkRate => self.set_link_rate(node, port, bits),
             FaultSet::GrayLoss => self.set_gray_loss(node, port, f64::from_bits(bits)),
             FaultSet::Corruption => self.set_corruption(node, port, f64::from_bits(bits)),
             FaultSet::SwitchState => {
@@ -1343,13 +1310,8 @@ impl Simulator {
     /// The last bit of the latest transmission left `(node, port)`. On a
     /// sampling port this decides the packet's fate; on every port it
     /// starts the next queued packet.
-    fn handle_tx_done(&mut self, node: NodeId, port: PortId, epoch: u16) {
+    fn handle_tx_done(&mut self, node: NodeId, port: PortId) {
         let p = &mut self.nodes[node as usize].ports[port as usize];
-        if epoch != p.tx_epoch {
-            // Superseded by a mid-run rate change; the rescheduled
-            // TxDone (current epoch) is still pending.
-            return;
-        }
         p.wake_pending = false;
         if p.tx_sampled {
             self.sample_and_launch(node, port);
@@ -2070,18 +2032,19 @@ mod tests {
             sim.run_to_quiescence();
             sim.assert_conservation();
             let times: Vec<SimTime> = log.borrow().arrivals.iter().map(|a| a.0).collect();
-            (
-                times,
-                sim.recorder().drops().by_reason(DropReason::GrayLoss),
-            )
+            (times, sim.recorder().drops().totals())
         };
         let healthy = SimTime::from_ns(1_200 + 1_100 + 1_200 + 100);
-        // Rate: the first packet is not rescaled, the second serializes at 1G.
-        let (times, _) = run(&|sim, h0| sim.set_link_rate(h0, 0, 1_000_000_000));
-        let slow = SimTime::from_us(10) + SimTime::from_ns(12_000 + 1_100 + 1_200 + 100);
-        assert_eq!(times, vec![healthy, slow]);
+        let one = |reason: DropReason| {
+            let mut by_reason = [0; DropReason::COUNT];
+            by_reason[reason as usize] = 1;
+            by_reason
+        };
+        // Link down: the first packet arrives, the second dies at tx-start.
+        let (times, lost) = run(&|sim, h0| sim.set_link_state(h0, 0, false));
+        assert_eq!((times, lost), (vec![healthy], one(DropReason::LinkDown)));
         // Certain loss: the first packet survives, the second is sampled.
         let (times, lost) = run(&|sim, h0| sim.set_gray_loss(h0, 0, 1.0));
-        assert_eq!((times, lost), (vec![healthy], 1));
+        assert_eq!((times, lost), (vec![healthy], one(DropReason::GrayLoss)));
     }
 }

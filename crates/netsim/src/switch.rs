@@ -422,13 +422,6 @@ impl RoutingTable {
         self.assign(dst, id);
     }
 
-    /// Set eligible ports towards `dst` with WCMP weights; see
-    /// [`RoutingTable::add_weighted_set`].
-    pub fn set_weighted(&mut self, dst: u32, ports: Vec<PortId>, weights: Vec<u32>) {
-        let id = self.add_weighted_set(ports, weights);
-        self.assign(dst, id);
-    }
-
     #[inline]
     fn set_for(&self, dst: u32) -> &PortSet {
         &self.sets[self.set_of[dst as usize] as usize]

@@ -157,16 +157,9 @@ impl CtxHarness {
     /// `(fire_time, sent_packet_or_timer_token)` pairs, splitting packets
     /// from timers. Sent packets are pulled back out of the harness slab.
     pub fn drain(&mut self) -> (Vec<Packet>, Vec<(SimTime, u64)>) {
-        self.drain_until(SimTime::MAX)
-    }
-
-    /// [`CtxHarness::drain`], but only what is due by `until`: timers armed
-    /// for later stay queued, so the harness clock never runs ahead of them.
-    pub fn drain_until(&mut self, until: SimTime) -> (Vec<Packet>, Vec<(SimTime, u64)>) {
         let mut pkts = Vec::new();
         let mut timers = Vec::new();
-        while self.sched.peek_time().is_some_and(|t| t <= until) {
-            let ev = self.sched.pop().expect("an event was peeked");
+        while let Some(ev) = self.sched.pop() {
             match ev.kind {
                 crate::event::EventKind::HostTx { pkt, .. } => {
                     pkts.push(self.packets.remove(pkt));

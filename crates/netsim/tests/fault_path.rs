@@ -1,7 +1,8 @@
 //! The single fault path: one `Fault` event per plan step, applied through
 //! the immediate setters — both directions of the link where the action is
 //! both-direction, the named egress only where it is directional, every
-//! port of the switch for `SwitchDown/Up` — and never into the past.
+//! port of the switch for `SwitchDown/Up` — and never into the past. Link
+//! rates are set before the run and fixed once it has started.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -103,16 +104,32 @@ fn link_down_black_holes_both_directions() {
 #[test]
 fn link_rate_changes_both_directions() {
     let (node, port, rate_bps) = (2, 1, 1_000_000_000);
-    let (mut sim, _sw, _logs) = ring_on_a_star(2);
+    let (mut sim, _sw, logs) = ring_on_a_star(2);
     let (peer, peer_port) = sim.peer_of(node, port);
-    let at = QUARTER;
-    sim.install_faults(FaultPlan::new().degrade(node, port, rate_bps, at));
-    sim.run_until(at - SimTime::from_ps(1));
-    let rates = |sim: &Simulator| [sim.link_rate(node, port), sim.link_rate(peer, peer_port)];
-    assert_eq!(rates(&sim), [10_000_000_000; 2], "not before the step");
-    sim.run_until(at);
-    assert_eq!(rates(&sim), [rate_bps; 2], "one step, both ports");
+    sim.set_link_rate(node, port, rate_bps);
+    let rates = [sim.link_rate(node, port), sim.link_rate(peer, peer_port)];
+    assert_eq!(rates, [rate_bps; 2], "one call, both ports");
     assert_eq!(sim.link_rate(0, 0), 10_000_000_000, "other link untouched");
+    sim.run_to_quiescence();
+    // Each host's first packet crosses one 10G and one 1G serialization:
+    // h0 -> h1 leaves the switch on the slow egress, h1 -> h0 leaves h1 on
+    // the slow NIC.
+    let (fast, slow) = (
+        SimTime::serialization(1500, 10_000_000_000),
+        SimTime::serialization(1500, rate_bps),
+    );
+    let hops = SimTime::from_ns(100 + 1_000 + 100); // wire, switch, wire
+    for log in &logs {
+        assert_eq!(log.borrow().arrivals[0].0, fast + slow + hops);
+    }
+}
+
+#[test]
+#[should_panic(expected = "link rates are fixed once the run has started")]
+fn a_rate_change_once_the_run_has_started_is_rejected() {
+    let (mut sim, sw, _logs) = ring_on_a_star(2);
+    sim.run_until(QUARTER);
+    sim.set_link_rate(sw, 1, 1_000_000_000);
 }
 
 #[test]

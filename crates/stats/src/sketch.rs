@@ -215,11 +215,6 @@ impl FctAccumulator {
         &self.overall
     }
 
-    /// The bins this accumulator splits on.
-    pub fn bin_spec(&self) -> &BinSpec {
-        &self.bins
-    }
-
     /// Per-bin summary rows, shaped exactly like [`crate::fct::binned`]:
     /// counts and means are exact; p99/p99.9 carry the sketch guarantee.
     pub fn binned(&self) -> Vec<BinStats> {

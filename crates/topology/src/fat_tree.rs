@@ -289,6 +289,7 @@ pub fn build_fat_tree(
 /// by rate. Downward (reverse) tables keep equal weights: they carry only
 /// ACK traffic in these experiments, and leaving them untouched also
 /// mirrors the paper's point that WCMP tables are coarse in practice.
+/// Call it before the run: link rates are fixed once the run has started.
 pub fn degrade_agg_core_link(
     sim: &mut Simulator,
     ft: &FatTree,

@@ -22,8 +22,7 @@
 //!   lookup;
 //! * **retired** — the receiver is dropped and its `Dormant` record keeps
 //!   the size and the highest segment start seen, which is all a late
-//!   duplicate's answer needs (`Dormant::on_data`). A delayed-ACK timer
-//!   firing for it finds no receiver and does nothing.
+//!   duplicate's answer needs (`Dormant::on_data`).
 //!
 //! UDP sinks keep no per-flow state at all: a datagram is counted and
 //! dropped.
@@ -42,7 +41,6 @@ use crate::udp::UdpSender;
 const SCHED_TOKEN: u64 = u64::MAX;
 const KIND_RTO: u64 = 1;
 const KIND_UDP: u64 = 2;
-const KIND_DELACK: u64 = 3;
 
 fn token(flow: FlowId, kind: u64) -> u64 {
     ((flow as u64) << 8) | kind
@@ -199,9 +197,7 @@ impl HostAgent {
             return;
         }
         if let Some(rx) = self.receivers.get_mut(&flow) {
-            if let Some(deadline) = rx.on_data(pkt, ctx) {
-                ctx.set_timer(deadline, token(flow, KIND_DELACK));
-            }
+            rx.on_data(pkt, ctx);
             if let Some(done) = rx.retire() {
                 self.receivers.remove(&flow);
                 // An aggregator between incast bursts gives its table back
@@ -215,20 +211,14 @@ impl HostAgent {
             }
             return;
         }
-        let delack = self.cfg.delack;
         let rest = self.dormant_mut(flow, ctx.host());
         if rest.is_retired() {
-            rest.on_data(flow, delack.is_none(), pkt, ctx);
+            rest.on_data(flow, pkt, ctx);
             return;
         }
         // The flow's first segment.
         let mut rx = Receiver::new(flow, rest.size());
-        if let Some(d) = delack {
-            rx = rx.with_delack(d);
-        }
-        if let Some(deadline) = rx.on_data(pkt, ctx) {
-            ctx.set_timer(deadline, token(flow, KIND_DELACK));
-        }
+        rx.on_data(pkt, ctx);
         match rx.retire() {
             Some(done) => *rest = done,
             None => {
@@ -277,11 +267,6 @@ impl Agent for HostAgent {
                             self.udp_senders.remove(&flow);
                         }
                     }
-                }
-            }
-            KIND_DELACK => {
-                if let Some(rx) = self.receivers.get_mut(&flow) {
-                    rx.on_delack_timer(ctx);
                 }
             }
             other => panic!("unknown timer kind {other}"),
@@ -540,11 +525,7 @@ mod tests {
         // INT-only fabric: every forwarded packet is stamped, the receiver
         // echoes the stack, and the Bender-INT controller bends away from
         // the blamed hop once congestion is confirmed on consecutive ACKs.
-        let cfg = TcpConfig::with_path(crate::config::PathSpec::BenderInt {
-            v_range: 8,
-            confirm: 2,
-            hold: SimTime::from_us(100),
-        });
+        let cfg = TcpConfig::with_path(crate::config::PathSpec::BenderInt);
         let rec = run_star_fb(8, 500_000, cfg, netsim::FeedbackConfig::int_only(), 12);
         assert_eq!(rec.completed_count(), 8);
         assert!(rec.get(Counter::IntStamps) > 0, "fabric stamped nothing");

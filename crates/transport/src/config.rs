@@ -2,11 +2,13 @@
 //!
 //! The paper runs every scheme over one host stack (§4.2): TCP New Reno
 //! under DCTCP (g = 1/16), RTO_min = 10 ms, an initial window of ten
-//! segments. Those fixed values are the constants below. A [`TcpConfig`]
-//! holds only what a scheme varies: the duplicate-ACK threshold (DeTail
-//! turns fast retransmit off), delayed ACKs, and the [`PathSpec`] naming
-//! which path controller each flow runs (FlowBender for the paper's
-//! scheme, a fixed V for the oblivious baselines).
+//! segments, and a receiver that acknowledges every segment at once. Those
+//! fixed values are the constants below, as are Bender-INT's parameters,
+//! which only one scheme uses. A [`TcpConfig`] holds only what a scheme
+//! varies: the duplicate-ACK threshold (DeTail turns fast retransmit off)
+//! and the [`PathSpec`] naming which path controller each flow runs
+//! (FlowBender for the paper's scheme, a fixed V for the oblivious
+//! baselines).
 //!
 //! The set of controllers is closed here: [`PathSpec::build`] turns the
 //! shared spec into one flow's [`PathControl`], an enum over the
@@ -15,8 +17,6 @@
 
 use flowbender::{BenderInt, Decision, Feedback, FlowBender, FlowcutGap, Rng};
 use netsim::{SimTime, MSS};
-
-use crate::receiver::DelAckConfig;
 
 /// Initial congestion window in bytes: ten segments (IW = 10).
 pub const INIT_CWND: f64 = (10 * MSS) as f64;
@@ -31,6 +31,12 @@ pub const MAX_CWND: u64 = 1_000_000;
 /// `g`, the gain of DCTCP's exponentially weighted `alpha` estimate
 /// (Alizadeh et al., SIGCOMM'10; paper: 1/16).
 pub const DCTCP_G: f64 = 1.0 / 16.0;
+/// Bender-INT's number of V options: FlowBender's default range.
+pub const BENDER_INT_V_RANGE: u8 = 8;
+/// Consecutive same-hop blames Bender-INT requires before bending.
+pub const BENDER_INT_CONFIRM: u32 = 3;
+/// Bender-INT's hold-off after a bend before it judges the new path.
+pub const BENDER_INT_HOLD: SimTime = SimTime::from_us(100);
 
 /// The host-side path-control policy: which [`PathControl`] each flow of
 /// a [`TcpConfig`] runs, with its parameters.
@@ -51,16 +57,11 @@ pub enum PathSpec {
         /// Number of V options.
         v_range: u8,
     },
-    /// Bender-INT: bend away from the blamed hop after `confirm`
-    /// consecutive same-hop blames, then hold the new path for `hold`.
-    BenderInt {
-        /// Number of V options; the flow starts at `vhint % v_range`.
-        v_range: u8,
-        /// Consecutive same-hop blames required before bending.
-        confirm: u32,
-        /// Post-bend hold-off.
-        hold: SimTime,
-    },
+    /// Bender-INT: bend away from the blamed hop after
+    /// [`BENDER_INT_CONFIRM`] consecutive same-hop blames, then hold the
+    /// new path for [`BENDER_INT_HOLD`]. The flow starts at
+    /// `vhint % BENDER_INT_V_RANGE`.
+    BenderInt,
 }
 
 impl PathSpec {
@@ -75,14 +76,12 @@ impl PathSpec {
             PathSpec::Flowcut { gap, v_range } => {
                 PathControl::Flowcut(FlowcutGap::new(gap.as_ps(), v_range, rng))
             }
-            PathSpec::BenderInt {
-                v_range,
-                confirm,
-                hold,
-            } => {
-                let v = vhint % v_range;
-                PathControl::BenderInt(BenderInt::new(v_range, v, confirm, hold.as_ps()))
-            }
+            PathSpec::BenderInt => PathControl::BenderInt(BenderInt::new(
+                BENDER_INT_V_RANGE,
+                vhint % BENDER_INT_V_RANGE,
+                BENDER_INT_CONFIRM,
+                BENDER_INT_HOLD.as_ps(),
+            )),
         }
     }
 
@@ -180,18 +179,13 @@ pub struct TcpConfig {
     /// retransmit entirely — the DeTail configuration). Linux default 3;
     /// the §4.3 testbed re-ran with 30 as a reordering sanity check.
     pub dupack_threshold: Option<u32>,
-    /// Delayed acknowledgments (the DCTCP paper's receiver state machine);
-    /// `None` = per-packet ACKs, the exact-echo default used throughout
-    /// the experiments.
-    pub delack: Option<DelAckConfig>,
     /// The host-side path-control policy each flow runs
     /// ([`PathSpec::Static`] for the oblivious ECMP/RPS/DeTail baselines).
     pub path: PathSpec,
 }
 
 impl Default for TcpConfig {
-    /// The paper's base stack: dupack threshold 3, per-packet ACKs, no
-    /// path control.
+    /// The paper's base stack: dupack threshold 3, no path control.
     fn default() -> Self {
         TcpConfig::with_path(PathSpec::Static)
     }
@@ -217,13 +211,11 @@ impl TcpConfig {
     pub fn with_path(path: PathSpec) -> Self {
         TcpConfig {
             dupack_threshold: Some(3),
-            delack: None,
             path,
         }
     }
 
-    /// Validate invariants, naming the offending field (the receiver checks
-    /// [`TcpConfig::delack`] when it adopts it).
+    /// Validate invariants, naming the offending field.
     ///
     /// # Panics
     /// On out-of-range values.
@@ -237,8 +229,6 @@ impl TcpConfig {
                 gap: SimTime::ZERO, ..
             } => panic!("Flowcut gap must be positive"),
             PathSpec::Flowcut { v_range: 0, .. } => panic!("Flowcut v_range must be >= 1"),
-            PathSpec::BenderInt { v_range: 0, .. } => panic!("BenderInt v_range must be >= 1"),
-            PathSpec::BenderInt { confirm: 0, .. } => panic!("BenderInt confirm must be >= 1"),
             _ => {}
         }
     }
@@ -255,9 +245,9 @@ mod tests {
         assert_eq!(INIT_CWND, 14_600.0);
         assert_eq!(RTO_MIN, SimTime::from_ms(10));
         assert_eq!(DCTCP_G, 0.0625);
+        assert_eq!(BENDER_INT_V_RANGE, flowbender::Config::default().v_range);
         let c = TcpConfig::default();
         assert_eq!(c.dupack_threshold, Some(3));
-        assert_eq!(c.delack, None);
         assert!(c.path.is_none());
         c.validate();
     }
@@ -297,12 +287,7 @@ mod tests {
             flowcut.build(0, &mut rng),
             PathControl::Flowcut(_)
         ));
-        let bender_int = PathSpec::BenderInt {
-            v_range: 8,
-            confirm: 3,
-            hold: SimTime::from_us(100),
-        };
-        let c = bender_int.build(13, &mut rng);
+        let c = PathSpec::BenderInt.build(13, &mut rng);
         assert!(matches!(c, PathControl::BenderInt(_)));
         assert_eq!(c.vfield(), 13 % 8, "Bender-INT starts at vhint % v_range");
     }
@@ -352,11 +337,6 @@ mod tests {
 
     #[test]
     fn path_spec_equality_is_by_parameters() {
-        let bender_int = |hold_us| PathSpec::BenderInt {
-            v_range: 8,
-            confirm: 3,
-            hold: SimTime::from_us(hold_us),
-        };
         let flowcut = |gap_us| PathSpec::Flowcut {
             gap: SimTime::from_us(gap_us),
             v_range: 8,
@@ -364,9 +344,8 @@ mod tests {
         assert_eq!(PathSpec::Static, PathSpec::default());
         assert_eq!(flowcut(100), flowcut(100));
         assert_ne!(flowcut(100), flowcut(500));
-        assert_eq!(bender_int(100), bender_int(100));
-        assert_ne!(bender_int(100), bender_int(200), "hold is a parameter");
         assert_ne!(PathSpec::Static, flowcut(100));
+        assert_ne!(PathSpec::BenderInt, PathSpec::Static);
     }
 
     #[test]
@@ -391,28 +370,6 @@ mod tests {
         TcpConfig::with_path(PathSpec::Flowcut {
             gap: SimTime::from_us(100),
             v_range: 0,
-        })
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "BenderInt v_range must be >= 1")]
-    fn bender_int_zero_v_range_rejected() {
-        TcpConfig::with_path(PathSpec::BenderInt {
-            v_range: 0,
-            confirm: 3,
-            hold: SimTime::from_us(100),
-        })
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "BenderInt confirm must be >= 1")]
-    fn bender_int_zero_confirm_rejected() {
-        TcpConfig::with_path(PathSpec::BenderInt {
-            v_range: 8,
-            confirm: 0,
-            hold: SimTime::from_us(100),
         })
         .validate();
     }

@@ -31,7 +31,7 @@ pub mod udp;
 
 pub use agent::{install_agents, HostAgent};
 pub use config::{PathControl, PathSpec, TcpConfig};
-pub use receiver::{DelAckConfig, Receiver};
+pub use receiver::Receiver;
 pub use rtt::{RttEstimator, RTO_MAX};
 pub use sender::{TcpSender, TimerOutcome};
 pub use udp::UdpSender;

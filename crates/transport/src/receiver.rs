@@ -5,93 +5,47 @@
 //! cumulative ACKs with a DCTCP-accurate ECN echo, and counts out-of-order
 //! arrivals for the §4.2.3 statistic.
 //!
-//! Two acknowledgment modes:
-//!
-//! * **per-packet** (default): every data segment triggers an ACK whose
-//!   `ECE` mirrors that segment's CE bit — the exact-echo configuration
-//!   most DCTCP simulations use;
-//! * **delayed** (`with_delack`): the DCTCP paper's receiver state
-//!   machine — ACK every `m` in-order segments with `ECE` = the current CE
-//!   state, but ACK *immediately* whenever the CE state flips (so the
-//!   sender's marked-byte accounting stays exact), on any out-of-order
-//!   arrival or hole-fill (so dupacks and recovery behave), and on FIN.
-//!   A host-armed delayed-ACK timer flushes a pending ACK so the last
-//!   sub-`m` segments of a window can't stall the sender.
+//! Every data segment is acknowledged at once, by an ACK whose `ECE`
+//! mirrors that segment's CE bit — the exact-echo configuration most DCTCP
+//! simulations use — and which carries the segment's INT stack back when
+//! the fabric stamps one, so an INT-driven sender can blame a hop.
 //!
 //! A [`Receiver`] is only needed while a flow is in progress. Once every
-//! byte has arrived the completing segment has been acknowledged at once,
-//! nothing is pending and the reassembly map is empty: all a complete
-//! receiver still reads is the flow's size and the highest segment start it
-//! has seen. `Receiver::retire` hands those over as a 16-byte `Dormant`
-//! record, and `Dormant::on_data` is the one code path that answers a late
-//! duplicate, whether the receiver is still around or long dropped. The
-//! host agent keeps a `Dormant` per flow it terminates and a `Receiver` only
-//! from the first segment to completion (see [`crate::agent`]).
+//! byte has arrived the completing segment has been acknowledged and the
+//! reassembly map is empty: all a complete receiver still reads is the
+//! flow's size and the highest segment start it has seen.
+//! `Receiver::retire` hands those over as a 16-byte `Dormant` record, and
+//! `Dormant::on_data` is the one code path that answers a late duplicate,
+//! whether the receiver is still around or long dropped. The host agent
+//! keeps a `Dormant` per flow it terminates and a `Receiver` only from the
+//! first segment to completion (see [`crate::agent`]).
 
 use std::collections::BTreeMap;
 
-use netsim::{Counter, Ctx, Flags, FlowId, FlowKey, IntStack, Packet, SimTime};
+use netsim::{Counter, Ctx, Flags, FlowId, Packet};
 
-/// Delayed-ACK configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelAckConfig {
-    /// ACK every `every` in-order data segments (Linux: 2).
-    pub every: u32,
-    /// Flush a pending ACK after this long without further data.
-    pub timeout: SimTime,
-}
-
-impl Default for DelAckConfig {
-    fn default() -> Self {
-        DelAckConfig {
-            every: 2,
-            timeout: SimTime::from_us(500),
-        }
-    }
-}
-
-/// The fields of a data segment its ACK mirrors.
-#[derive(Debug, Clone, Copy)]
-struct Mirror {
-    key: FlowKey,
-    vfield: u8,
-    tstamp: SimTime,
-}
-
-impl Mirror {
-    fn of(pkt: &Packet) -> Self {
-        Mirror {
-            key: pkt.key,
-            vfield: pkt.vfield,
-            tstamp: pkt.tstamp,
-        }
-    }
-}
-
-/// Build and send one cumulative ACK at `ack_num` for `flow`. `int` is the
-/// INT stack to echo back to the sender (per-packet mode only).
-#[allow(clippy::too_many_arguments)]
+/// Acknowledge data segment `pkt` of `flow` at once: cumulative `ack_num`,
+/// the segment's CE bit as `ECE`, DSACK when `dsack`, and its INT stack.
+/// `rcv_high` is the highest segment start seen.
 fn send_ack(
     flow: FlowId,
+    pkt: &Packet,
     rcv_high: u64,
-    m: Mirror,
-    ece: bool,
     dsack: bool,
     ack_num: u64,
-    int: Option<Box<IntStack>>,
     ctx: &mut Ctx<'_>,
 ) {
     // The ACK mirrors the data packet's V-field; ACK paths are
     // load-balanced independently and carry negligible load.
-    let mut ack = Packet::ack_packet(flow, m.key, m.vfield, ack_num, m.tstamp);
-    if ece {
+    let mut ack = Packet::ack_packet(flow, pkt.key, pkt.vfield, ack_num, pkt.tstamp);
+    if pkt.flags.has(Flags::CE) {
         ack.flags.set(Flags::ECE);
     }
     if dsack {
         ack.flags.set(Flags::DSACK);
     }
     ack.rcv_high = rcv_high;
-    ack.int = int;
+    ack.int = pkt.int.clone();
     ctx.send(ack);
 }
 
@@ -133,17 +87,10 @@ impl Dormant {
 
     /// A data segment for a flow whose every byte has already arrived: count
     /// it (a reordered arrival if it starts below `max_seen`, all of its
-    /// payload duplicate bytes) and answer at once with `ack = size`, DSACK
-    /// and the segment's CE bit echoed — with its INT stack too when
-    /// `echo_int` (per-packet ACK mode). No delayed-ACK timer is ever
-    /// needed. A complete [`Receiver`] runs exactly this.
-    pub(crate) fn on_data(
-        &mut self,
-        flow: FlowId,
-        echo_int: bool,
-        pkt: &Packet,
-        ctx: &mut Ctx<'_>,
-    ) {
+    /// payload duplicate bytes) and answer at once with `ack = size`, DSACK,
+    /// and the segment's CE bit and INT stack echoed. A complete
+    /// [`Receiver`] runs exactly this.
+    pub(crate) fn on_data(&mut self, flow: FlowId, pkt: &Packet, ctx: &mut Ctx<'_>) {
         debug_assert!(self.is_retired(), "flow {flow} has not completed");
         debug_assert!(
             pkt.seq + pkt.payload as u64 <= self.size,
@@ -157,18 +104,7 @@ impl Dormant {
         if pkt.payload > 0 {
             ctx.recorder().add(Counter::DupBytes, pkt.payload as u64);
         }
-        let int = if echo_int { pkt.int.clone() } else { None };
-        let ce = pkt.flags.has(Flags::CE);
-        send_ack(
-            flow,
-            self.max_seen,
-            Mirror::of(pkt),
-            ce,
-            true,
-            self.size,
-            int,
-            ctx,
-        );
+        send_ack(flow, pkt, self.max_seen, true, self.size, ctx);
     }
 }
 
@@ -188,14 +124,6 @@ pub struct Receiver {
     complete: bool,
     /// Bytes currently buffered out of order (sum over `ooo` ranges).
     ooo_bytes: u64,
-    /// Delayed-ACK mode, if enabled.
-    delack: Option<DelAckConfig>,
-    /// DCTCP receiver CE state (only meaningful with delayed ACKs).
-    ce_state: bool,
-    /// In-order segments received since the last ACK.
-    pending: u32,
-    /// Template for a deferred ACK, and whether it must carry DSACK.
-    pending_ack: Option<(Mirror, bool)>,
 }
 
 impl Receiver {
@@ -209,19 +137,7 @@ impl Receiver {
             ooo: BTreeMap::new(),
             complete: false,
             ooo_bytes: 0,
-            delack: None,
-            ce_state: false,
-            pending: 0,
-            pending_ack: None,
         }
-    }
-
-    /// Enable DCTCP-style delayed ACKs.
-    pub fn with_delack(mut self, cfg: DelAckConfig) -> Self {
-        assert!(cfg.every >= 1, "delack count must be >= 1");
-        assert!(cfg.timeout.as_ps() > 0, "delack timeout must be positive");
-        self.delack = Some(cfg);
-        self
     }
 
     /// True once every byte has arrived.
@@ -238,7 +154,7 @@ impl Receiver {
     /// duplicates exactly as this receiver would, so it can be dropped;
     /// `None` before.
     pub(crate) fn retire(&self) -> Option<Dormant> {
-        debug_assert!(!self.complete || (self.pending == 0 && self.ooo.is_empty()));
+        debug_assert!(!self.complete || self.ooo.is_empty());
         self.complete.then_some(Dormant {
             size: self.size,
             max_seen: self.max_seen,
@@ -246,22 +162,18 @@ impl Receiver {
     }
 
     /// Handle an arriving data segment: update reassembly state, record
-    /// completion if this was the last missing byte, and acknowledge.
-    ///
-    /// Returns `Some(deadline)` when a delayed-ACK timer must be armed for
-    /// this flow (the host agent owns timers); `None` otherwise.
-    pub fn on_data(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> Option<SimTime> {
+    /// completion if this was the last missing byte, and acknowledge it.
+    pub fn on_data(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
         debug_assert!(!pkt.flags.has(Flags::ACK), "receiver got an ACK");
         if let Some(mut rest) = self.retire() {
-            rest.on_data(self.flow, self.delack.is_none(), pkt, ctx);
+            rest.on_data(self.flow, pkt, ctx);
             self.max_seen = rest.max_seen;
-            return None;
+            return;
         }
         ctx.recorder().bump(Counter::DataPktsRcvd);
 
         // §4.2.3 metric: a packet is out-of-order if a later sequence was
         // already seen when it arrives.
-        let arrived_in_order = pkt.seq == self.expected;
         if pkt.seq < self.max_seen {
             ctx.recorder().bump(Counter::OooPktsRcvd);
         }
@@ -271,12 +183,7 @@ impl Receiver {
         // sender's retransmission was spurious. Tell it so (Linux's DSACK).
         let end = pkt.seq + pkt.payload as u64;
         let duplicate = end <= self.expected || self.holds(pkt.seq, end);
-
-        let expected_before = self.expected;
         let dup_bytes = self.insert_range(pkt.seq, end);
-        // A hole was filled if the cumulative point jumped past this
-        // segment's own contribution.
-        let filled_hole = self.expected > end.max(expected_before);
 
         // Reordering cost telemetry: wasted wire bytes and the reassembly
         // buffer's high-water mark (how much memory spraying costs the NIC).
@@ -291,78 +198,7 @@ impl Receiver {
             let now = ctx.now();
             ctx.recorder().flow_completed(self.flow, now);
         }
-
-        let ce = pkt.flags.has(Flags::CE);
-        let Some(cfg) = self.delack else {
-            // Per-packet mode: ACK now, echoing this segment's CE bit and
-            // — when the fabric stamps INT — the segment's per-hop
-            // telemetry, so the sender's controller can blame a hop.
-            // (Delayed-ACK mode coalesces segments and drops the stacks;
-            // INT-driven schemes run per-packet ACKs.)
-            let int = pkt.int.clone();
-            self.emit_ack(Mirror::of(pkt), ce, duplicate, self.expected, int, ctx);
-            return None;
-        };
-
-        // --- DCTCP delayed-ACK state machine ---
-        let ce_flip = ce != self.ce_state;
-        if ce_flip {
-            // Acknowledge everything received under the old CE state first
-            // (immediate ACK with the old echo, covering only bytes that
-            // arrived *before* this segment), then switch state.
-            if self.pending > 0 {
-                let old = self.ce_state;
-                if let Some((m, ds)) = self.pending_ack.take() {
-                    self.emit_ack(m, old, ds, expected_before, None, ctx);
-                }
-                self.pending = 0;
-            }
-            self.ce_state = ce;
-        }
-        self.pending += 1;
-        let dsack = duplicate || self.pending_ack.is_some_and(|(_, d)| d);
-        self.pending_ack = Some((Mirror::of(pkt), dsack));
-
-        let must_ack_now = !arrived_in_order          // dup-ACK or OOO
-            || filled_hole                            // recovery progress
-            || duplicate                              // DSACK must not wait
-            || self.complete
-            || pkt.flags.has(Flags::FIN)
-            || self.pending >= cfg.every
-            || ce_flip; // state already acked, but
-                        // echo the new state promptly
-        if must_ack_now {
-            self.flush_ack(ctx);
-            None
-        } else {
-            Some(ctx.now() + cfg.timeout)
-        }
-    }
-
-    /// Delayed-ACK timer fired: flush any pending ACK.
-    pub fn on_delack_timer(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending > 0 {
-            self.flush_ack(ctx);
-        }
-    }
-
-    fn flush_ack(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((m, dsack)) = self.pending_ack.take() {
-            self.emit_ack(m, self.ce_state, dsack, self.expected, None, ctx);
-        }
-        self.pending = 0;
-    }
-
-    fn emit_ack(
-        &self,
-        m: Mirror,
-        ece: bool,
-        dsack: bool,
-        ack_num: u64,
-        int: Option<Box<IntStack>>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        send_ack(self.flow, self.max_seen, m, ece, dsack, ack_num, int, ctx);
+        send_ack(self.flow, pkt, self.max_seen, duplicate, self.expected, ctx);
     }
 
     /// True if `[lo, hi)` is already fully covered by buffered OOO data.

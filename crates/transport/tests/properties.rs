@@ -10,9 +10,7 @@ use netsim::{
     LinkSpec, Packet, Proto, RoutingTable, SimTime, Simulator, SwitchConfig, MSS,
 };
 use transport::config::MAX_CWND;
-use transport::{
-    DelAckConfig, HostAgent, Receiver, RttEstimator, TcpConfig, TcpSender, TimerOutcome, RTO_MAX,
-};
+use transport::{HostAgent, Receiver, RttEstimator, TcpConfig, TcpSender, TimerOutcome, RTO_MAX};
 
 /// Drive a real `Receiver` inside a minimal simulation so it has a `Ctx`:
 /// one host delivers a scripted segment arrival order to another.
@@ -188,7 +186,6 @@ impl Arrival {
 /// A flow of random size cut into MSS segments, delivered adversarially:
 /// segments dropped and retransmitted later, duplicated anywhere,
 /// reordered locally, and duplicated again after the flow has completed.
-/// Gaps sometimes exceed the delayed-ACK timeout.
 fn receiver_schedule(rng: &mut DetRng) -> (u64, Vec<Arrival>) {
     let mss = MSS as u64;
     let size = 1 + rng.gen_range(40 * MSS) as u64;
@@ -226,80 +223,43 @@ fn receiver_schedule(rng: &mut DetRng) -> (u64, Vec<Arrival>) {
                 len: (size - seq).min(mss) as u32,
                 ce: rng.gen_f64() < 0.3,
                 int: rng.gen_f64() < 0.5,
-                gap: SimTime::from_us(if rng.gen_f64() < 0.1 {
-                    600
-                } else {
-                    rng.gen_range(20) as u64
-                }),
+                gap: SimTime::from_us(rng.gen_range(20) as u64),
             }
         })
         .collect();
     (size, arrivals)
 }
 
-/// What one schedule produced: every ACK with the last arrival delivered
-/// before it and whether a delayed-ACK timer sent it, the counters, and the
-/// flow's recorded end.
+/// What one schedule produced: every ACK with the index of the arrival it
+/// answers, the counters, and the flow's recorded end.
 struct Replayed {
-    acks: Vec<(usize, bool, Packet)>,
+    acks: Vec<(usize, Packet)>,
     counters: Vec<u64>,
     end: SimTime,
     completed: usize,
-    /// When each delayed-ACK timer fired.
-    fired: Vec<SimTime>,
 }
 
 /// Run `arrivals` through a bare [`Receiver`] that is kept after
 /// completion, or through a [`HostAgent`] terminating the flow, which
 /// builds its receiver on the first segment and retires it at completion.
-/// Delayed-ACK timers due by an arrival's instant fire, in deadline order,
-/// just before it lands.
-fn replay_schedule(
-    size: u64,
-    arrivals: &[Arrival],
-    delack: Option<DelAckConfig>,
-    via_host: bool,
-) -> Replayed {
+fn replay_schedule(size: u64, arrivals: &[Arrival], via_host: bool) -> Replayed {
     let mut h = CtxHarness::new(1);
     let spec = FlowSpec::tcp(0, 1, 0, size, SimTime::ZERO);
     register_flows(h.recorder_mut(), std::slice::from_ref(&spec));
-    let cfg = TcpConfig {
-        delack,
-        ..TcpConfig::default()
-    };
-    let mut host = HostAgent::new(cfg, Vec::new(), [&spec]);
+    let mut host = HostAgent::new(TcpConfig::default(), Vec::new(), [&spec]);
     let mut live = Receiver::new(0, size);
-    if let Some(d) = delack {
-        live = live.with_delack(d);
-    }
-    let (mut acks, mut fired) = (Vec::new(), Vec::new());
-    let mut now = SimTime::ZERO;
-    for (i, a) in arrivals.iter().map(Some).chain([None]).enumerate() {
-        // Past the last arrival: long enough for every armed timer.
-        let until = now + a.map_or(SimTime::from_secs(1), |a| a.gap);
-        let (sent, due) = h.drain_until(until);
-        assert!(sent.is_empty(), "every ACK was collected when sent");
-        h.now = until;
-        for (t, tok) in due {
-            fired.push(t);
-            if via_host {
-                host.on_timer(tok, &mut h.ctx());
-            } else {
-                live.on_delack_timer(&mut h.ctx());
-            }
-        }
-        let (sent, _) = h.drain_until(until);
-        acks.extend(sent.into_iter().map(|p| (i.saturating_sub(1), true, p)));
-        let Some(a) = a else { break };
-        now = until;
-        let pkt = a.packet(size, now);
+    let mut acks = Vec::new();
+    for (i, a) in arrivals.iter().enumerate() {
+        h.now += a.gap;
+        let pkt = a.packet(size, h.now);
         if via_host {
             host.on_packet(pkt, &mut h.ctx());
-        } else if let Some(t) = live.on_data(&pkt, &mut h.ctx()) {
-            h.ctx().set_timer(t, 0);
+        } else {
+            live.on_data(&pkt, &mut h.ctx());
         }
-        let (sent, _) = h.drain_until(now);
-        acks.extend(sent.into_iter().map(|p| (i, false, p)));
+        let (sent, timers) = h.drain();
+        assert!(timers.is_empty(), "an ACK arms no timer");
+        acks.extend(sent.into_iter().map(|p| (i, p)));
     }
     let rec = h.recorder();
     Replayed {
@@ -307,21 +267,20 @@ fn replay_schedule(
         counters: Counter::all().iter().map(|&c| rec.get(c)).collect(),
         end: rec.flows()[0].end,
         completed: rec.completed_count(),
-        fired,
     }
 }
 
-/// The receiver against hostile delivery, in per-packet and delayed-ACK
-/// mode, with INT stamps and CE marks on random segments:
+/// The receiver against hostile delivery, with INT stamps and CE marks on
+/// random segments:
 /// * completion is recorded exactly once, at the arrival that covers the
 ///   last missing byte;
+/// * every segment is answered at once by one ACK carrying the model's
+///   cumulative ACK, the highest segment start seen so far (`rcv_high`),
+///   and the segment's own CE bit and INT stack;
 /// * the cumulative ACK never decreases and ends at the flow size, so no
 ///   byte is delivered twice;
-/// * per-packet mode answers every segment at once with the model's
-///   cumulative ACK and the segment's CE bit;
-/// * every ACK reports the highest segment start seen so far (`rcv_high`);
-/// * every segment after completion is answered with `ack = size`, DSACK,
-///   its own CE bit and — per-packet — its own INT stack;
+/// * every segment after completion is answered with `ack = size` and
+///   DSACK;
 /// * data and reordering counters match the model.
 ///
 /// The same schedule through a [`HostAgent`], which retires its receiver
@@ -329,21 +288,12 @@ fn replay_schedule(
 /// through a receiver kept live yields the same ACKs and counters.
 #[test]
 fn receiver_acks_hold_under_adversarial_schedules() {
-    let modes = [
-        None,
-        Some(DelAckConfig::default()),
-        Some(DelAckConfig {
-            every: 3,
-            ..DelAckConfig::default()
-        }),
-    ];
-    let (mut late, mut retired_timers) = (0, 0);
+    let mut late = 0;
     for seed in 0..150u64 {
         let mut rng = DetRng::new(seed, 0x23);
         let (size, arrivals) = receiver_schedule(&mut rng);
-        let delack = modes[seed as usize % modes.len()];
-        let host = replay_schedule(size, &arrivals, delack, true);
-        let live = replay_schedule(size, &arrivals, delack, false);
+        let host = replay_schedule(size, &arrivals, true);
+        let live = replay_schedule(size, &arrivals, false);
 
         // The model: cumulative point, highest start and completion instant.
         let mut held = vec![false; size.div_ceil(MSS as u64) as usize];
@@ -381,36 +331,29 @@ fn receiver_acks_hold_under_adversarial_schedules() {
                 ooo,
                 "seed {seed}"
             );
+            assert!(
+                r.acks.iter().map(|&(i, _)| i).eq(0..arrivals.len()),
+                "seed {seed}: one ACK per segment, at once"
+            );
             let mut prev = 0;
-            for &(i, timer, ref ack) in &r.acks {
+            for &(i, ref ack) in &r.acks {
+                let a = &arrivals[i];
                 assert!(ack.flags.has(Flags::ACK));
                 assert!(ack.ack >= prev, "seed {seed}: cumulative ACK went back");
                 prev = ack.ack;
                 let (exp, hi) = after[i];
-                assert!(ack.ack <= exp, "seed {seed}: ACK beyond the data");
+                assert_eq!(ack.ack, exp, "seed {seed}: cumulative ACK");
                 assert_eq!(ack.rcv_high, hi, "seed {seed}: rcv_high");
-                if timer {
-                    continue;
-                }
-                let a = &arrivals[i];
-                if delack.is_none() {
-                    assert_eq!(ack.ack, exp, "seed {seed}: per-packet ACK");
-                    assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: echo");
-                }
+                assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: echo");
+                let echoed = ack.int.as_ref().map(|s| s.hops[0].qbytes);
+                assert_eq!(echoed, a.int.then_some(a.seq), "seed {seed}: INT echo");
                 if i > done_at {
                     late += 1;
                     assert_eq!(ack.ack, size, "seed {seed}: late ACK");
                     assert!(ack.flags.has(Flags::DSACK), "seed {seed}: late DSACK");
-                    assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: late echo");
-                    let echoed = ack.int.as_ref().map(|s| s.hops[0].qbytes);
-                    let sent = (a.int && delack.is_none()).then_some(a.seq);
-                    assert_eq!(echoed, sent, "seed {seed}: late INT echo");
                 }
             }
             assert_eq!(prev, size, "seed {seed}: never acknowledged everything");
-            if delack.is_none() {
-                assert_eq!(r.acks.len(), arrivals.len(), "seed {seed}");
-            }
         }
 
         let render =
@@ -421,13 +364,8 @@ fn receiver_acks_hold_under_adversarial_schedules() {
             "seed {seed}: ACK streams differ"
         );
         assert_eq!(host.counters, live.counters, "seed {seed}: counters differ");
-        retired_timers += host.fired.iter().filter(|&&t| t > end).count();
     }
     assert!(late > 100, "only {late} ACKs after completion");
-    assert!(
-        retired_timers > 0,
-        "no delayed-ACK timer fired for a retired flow"
-    );
 }
 
 /// RTO is always >= the floor, and SRTT stays within the sample range.

@@ -1,9 +1,10 @@
-//! Direct unit tests of the receiver — per-packet and delayed-ACK modes —
-//! through a [`netsim::testutil::CtxHarness`].
+//! Direct unit tests of the receiver — live, and once complete, when it
+//! answers as its retired record would — through a
+//! [`netsim::testutil::CtxHarness`].
 
 use netsim::testutil::CtxHarness;
 use netsim::{Counter, Flags, FlowKey, FlowRecord, Packet, Proto, SimTime, MSS};
-use transport::{DelAckConfig, Receiver};
+use transport::Receiver;
 
 fn key() -> FlowKey {
     FlowKey {
@@ -42,11 +43,10 @@ fn per_packet_mode_acks_every_segment_with_exact_echo() {
     register(&mut h, 10 * MSS as u64);
     let mut rx = Receiver::new(0, 10 * MSS as u64);
     for (i, ce) in [false, true, false, true].iter().enumerate() {
-        let mut ctx = h.ctx();
-        let r = rx.on_data(&data(i as u64 * MSS as u64, *ce), &mut ctx);
-        assert_eq!(r, None, "per-packet mode never needs a delack timer");
+        rx.on_data(&data(i as u64 * MSS as u64, *ce), &mut h.ctx());
     }
-    let (pkts, _) = h.drain();
+    let (pkts, timers) = h.drain();
+    assert!(timers.is_empty(), "acknowledging arms no timer");
     assert_eq!(pkts.len(), 4);
     let eces: Vec<bool> = pkts.iter().map(|p| p.flags.has(Flags::ECE)).collect();
     assert_eq!(
@@ -57,163 +57,21 @@ fn per_packet_mode_acks_every_segment_with_exact_echo() {
     assert_eq!(pkts[3].ack, 4 * MSS as u64);
 }
 
-#[test]
-fn delack_coalesces_pairs_and_arms_timer_on_odd_tail() {
-    let mut h = CtxHarness::new(1);
-    register(&mut h, 100 * MSS as u64);
-    let mut rx = Receiver::new(0, 100 * MSS as u64).with_delack(DelAckConfig::default());
-    // Segments 0,1 -> one ACK; segment 2 -> pending + timer request.
-    let needs = {
-        let mut ctx = h.ctx();
-        let a = rx.on_data(&data(0, false), &mut ctx);
-        let b = rx.on_data(&data(MSS as u64, false), &mut ctx);
-        let c = rx.on_data(&data(2 * MSS as u64, false), &mut ctx);
-        assert!(a.is_some(), "first of a pair waits (timer armed)");
-        assert!(b.is_none(), "second of a pair acks immediately");
-        (c, ())
-    };
-    assert!(needs.0.is_some(), "odd tail must request a delack timer");
-    let (pkts, _) = h.drain();
-    assert_eq!(pkts.len(), 1, "only the pair has been acked");
-    assert_eq!(pkts[0].ack, 2 * MSS as u64);
-    // Timer fires: the tail is flushed.
-    {
-        let mut ctx = h.ctx();
-        rx.on_delack_timer(&mut ctx);
-    }
-    let (pkts, _) = h.drain();
-    assert_eq!(pkts.len(), 1);
-    assert_eq!(pkts[0].ack, 3 * MSS as u64);
-    // A stale timer with nothing pending is a no-op.
-    {
-        let mut ctx = h.ctx();
-        rx.on_delack_timer(&mut ctx);
-    }
-    let (pkts, _) = h.drain();
-    assert!(pkts.is_empty());
-}
-
-#[test]
-fn delack_ce_state_change_forces_immediate_echo() {
-    let mut h = CtxHarness::new(1);
-    register(&mut h, 100 * MSS as u64);
-    let mut rx = Receiver::new(0, 100 * MSS as u64).with_delack(DelAckConfig::default());
-    // Unmarked segment (pending), then a marked one: the CE flip must
-    // first flush the unmarked coverage with ECE=0, then ack the marked
-    // segment with ECE=1 (DCTCP's exact byte accounting).
-    {
-        let mut ctx = h.ctx();
-        rx.on_data(&data(0, false), &mut ctx);
-        rx.on_data(&data(MSS as u64, true), &mut ctx);
-    }
-    let (pkts, _) = h.drain();
-    assert_eq!(
-        pkts.len(),
-        2,
-        "CE flip yields two ACKs: old state, then new"
-    );
-    assert!(!pkts[0].flags.has(Flags::ECE));
-    assert_eq!(pkts[0].ack, MSS as u64);
-    assert!(pkts[1].flags.has(Flags::ECE));
-    assert_eq!(pkts[1].ack, 2 * MSS as u64);
-}
-
-#[test]
-fn delack_out_of_order_acks_immediately() {
-    let mut h = CtxHarness::new(1);
-    register(&mut h, 100 * MSS as u64);
-    let mut rx = Receiver::new(0, 100 * MSS as u64).with_delack(DelAckConfig::default());
-    {
-        let mut ctx = h.ctx();
-        // Segment 1 arrives before segment 0: immediate dup-ACK.
-        let r = rx.on_data(&data(MSS as u64, false), &mut ctx);
-        assert!(r.is_none(), "OOO must not be delayed");
-    }
-    let (pkts, _) = h.drain();
-    assert_eq!(pkts.len(), 1);
-    assert_eq!(pkts[0].ack, 0, "dup-ACK at the hole");
-    // The hole-filler is also immediate (recovery progress).
-    {
-        let mut ctx = h.ctx();
-        let r = rx.on_data(&data(0, false), &mut ctx);
-        assert!(r.is_none());
-    }
-    let (pkts, _) = h.drain();
-    assert_eq!(pkts.len(), 1);
-    assert_eq!(pkts[0].ack, 2 * MSS as u64);
-}
-
+/// Completion is recorded once, by the live receiver at the completing
+/// segment; a duplicate that reaches it once complete records nothing.
 #[test]
 fn completion_is_recorded_once_regardless_of_mode() {
-    for delack in [false, true] {
-        let mut h = CtxHarness::new(1);
-        register(&mut h, 2 * MSS as u64);
-        let mut rx = Receiver::new(0, 2 * MSS as u64);
-        if delack {
-            rx = rx.with_delack(DelAckConfig::default());
-        }
-        h.now = SimTime::from_us(50);
-        {
-            let mut ctx = h.ctx();
-            rx.on_data(&data(0, false), &mut ctx);
-            rx.on_data(&data(MSS as u64, false), &mut ctx);
-        }
-        assert!(rx.is_complete());
-        assert_eq!(h.recorder().completed_count(), 1);
-        assert_eq!(h.recorder().flows()[0].end, SimTime::from_us(50));
-    }
-}
-
-#[test]
-fn dsack_survives_delayed_ack_coalescing() {
-    // A deferred delayed-ACK is already pending when the duplicate lands:
-    // the duplicate coalesces into that ACK, and the single emitted ACK
-    // must still carry DSACK — it is the sender's only evidence that its
-    // retransmission was spurious.
     let mut h = CtxHarness::new(1);
-    register(&mut h, 100 * MSS as u64);
-    let mut rx = Receiver::new(0, 100 * MSS as u64).with_delack(DelAckConfig {
-        every: 4,
-        ..DelAckConfig::default()
-    });
-    {
-        let mut ctx = h.ctx();
-        let r = rx.on_data(&data(0, false), &mut ctx);
-        assert!(r.is_some(), "first of a quad must defer (timer armed)");
-        let r = rx.on_data(&data(0, false), &mut ctx); // exact duplicate
-        assert!(r.is_none(), "a duplicate must flush immediately");
-    }
-    let (pkts, _) = h.drain();
-    assert_eq!(pkts.len(), 1, "duplicate coalesces into one ACK");
-    assert!(
-        pkts[0].flags.has(Flags::DSACK),
-        "DSACK lost in delayed-ACK coalescing"
-    );
-    assert_eq!(pkts[0].ack, MSS as u64);
-}
-
-#[test]
-fn dsack_survives_ce_flip_double_emit() {
-    // The duplicate arrives with the CE bit flipped: the receiver first
-    // flushes the old-state coverage, then acks the new state. The DSACK
-    // must ride one of the two ACKs, not vanish between them.
-    let mut h = CtxHarness::new(1);
-    register(&mut h, 100 * MSS as u64);
-    let mut rx = Receiver::new(0, 100 * MSS as u64).with_delack(DelAckConfig {
-        every: 4,
-        ..DelAckConfig::default()
-    });
-    {
-        let mut ctx = h.ctx();
-        rx.on_data(&data(0, false), &mut ctx);
-        rx.on_data(&data(0, true), &mut ctx); // duplicate + CE flip
-    }
-    let (pkts, _) = h.drain();
-    assert_eq!(pkts.len(), 2, "CE flip emits old state then new");
-    assert!(
-        pkts.iter().any(|p| p.flags.has(Flags::DSACK)),
-        "DSACK lost across the CE-flip double emit"
-    );
+    register(&mut h, 2 * MSS as u64);
+    let mut rx = Receiver::new(0, 2 * MSS as u64);
+    h.now = SimTime::from_us(50);
+    rx.on_data(&data(0, false), &mut h.ctx());
+    rx.on_data(&data(MSS as u64, false), &mut h.ctx());
+    assert!(rx.is_complete());
+    h.now = SimTime::from_us(80);
+    rx.on_data(&data(0, false), &mut h.ctx());
+    assert_eq!(h.recorder().completed_count(), 1);
+    assert_eq!(h.recorder().flows()[0].end, SimTime::from_us(50));
 }
 
 #[test]
@@ -248,24 +106,19 @@ fn reordering_telemetry_tracks_dup_bytes_and_buffer_high_water() {
     assert_eq!(h.recorder().get(Counter::DupBytes), MSS as u64);
 }
 
+/// A duplicate is DSACKed by a live receiver (more of the flow is still to
+/// come) and by a complete one alike.
 #[test]
 fn dsack_is_flagged_in_both_modes() {
-    for delack in [false, true] {
+    for segments in [100, 1] {
         let mut h = CtxHarness::new(1);
-        register(&mut h, 100 * MSS as u64);
-        let mut rx = Receiver::new(0, 100 * MSS as u64);
-        if delack {
-            rx = rx.with_delack(DelAckConfig::default());
-        }
-        {
-            let mut ctx = h.ctx();
-            rx.on_data(&data(0, false), &mut ctx);
-            rx.on_data(&data(0, false), &mut ctx); // exact duplicate
-        }
+        register(&mut h, segments * MSS as u64);
+        let mut rx = Receiver::new(0, segments * MSS as u64);
+        rx.on_data(&data(0, false), &mut h.ctx());
+        assert_eq!(rx.is_complete(), segments == 1);
+        rx.on_data(&data(0, false), &mut h.ctx()); // exact duplicate
         let (pkts, _) = h.drain();
-        assert!(
-            pkts.iter().any(|p| p.flags.has(Flags::DSACK)),
-            "duplicate data must produce a DSACK (delack={delack})"
-        );
+        let dsacks: Vec<bool> = pkts.iter().map(|p| p.flags.has(Flags::DSACK)).collect();
+        assert_eq!(dsacks, [false, true], "{segments} segments");
     }
 }
