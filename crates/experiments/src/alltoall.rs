@@ -12,7 +12,7 @@
 //! works, parameterized names included).
 
 use netsim::SimTime;
-use stats::{fmt_secs, BinSpec, BinStats, FctAccumulator, Table};
+use stats::{fmt_secs, BinStats, FctAccumulator, Table, PAPER_BINS};
 
 use crate::cell::{baseline, paper_fabric, ratio_cell, windowed_cell, Cell, Digest};
 use crate::report::{Opts, Report};
@@ -49,7 +49,7 @@ pub fn sweep(opts: &Opts, schemes: &[SchemeSpec], loads: &[f64]) -> Vec<Vec<Cell
 /// flows: counts and means exact, tail percentiles within its 0.5 %
 /// sketch guarantee.
 fn binned(fct: &Digest) -> Vec<BinStats> {
-    let mut acc = FctAccumulator::new(BinSpec::paper());
+    let mut acc = FctAccumulator::new();
     for x in &fct.samples {
         acc.record_sample(x);
     }
@@ -72,7 +72,7 @@ fn normalized_table(
     let mut table = Table::new(header);
     for (load, cells) in loads.iter().zip(grid) {
         let bins: Vec<Vec<BinStats>> = cells.iter().map(|c| binned(&c.fct)).collect();
-        for (bi, bin) in BinSpec::paper().bins().iter().enumerate() {
+        for (bi, bin) in PAPER_BINS.iter().enumerate() {
             // Empty bins carry `None` — rendered "-" so a binless config
             // can't masquerade as a perfect (0 s) tail.
             let stat = |s: usize| {

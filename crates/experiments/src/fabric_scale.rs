@@ -11,7 +11,7 @@
 //! shrinks to a k=8 / 128-host CI-sized run.
 
 use netsim::SimTime;
-use stats::{BinSpec, FctAccumulator, Table};
+use stats::{FctAccumulator, Table};
 use topology::FatTreeParams;
 
 use crate::cell::{kary_fabric, kary_window, poisson_websearch, secs_or_dash, Cell};
@@ -47,7 +47,7 @@ pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FctAccumulator, Ce
     let specs = poisson_websearch(opts, &params, LOAD, window.end, STREAM_TAG);
     let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed).run();
     let cell = Cell::of(out, window);
-    let mut acc = FctAccumulator::new(BinSpec::paper());
+    let mut acc = FctAccumulator::new();
     for x in &cell.fct.samples {
         acc.record_sample(x);
     }

@@ -137,7 +137,7 @@ mod tests {
     }
 
     fn cnt(s: &RunSummary, name: &str) -> Option<u64> {
-        s.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        crate::report::json_u64(s, name)
     }
 
     /// Smoke-sized end-to-end sweep: all four default schemes on both
@@ -159,8 +159,8 @@ mod tests {
         let fastcc = by_label("fastcc");
         assert!(
             cnt(fastcc, "cn_sent").unwrap_or(0) > 0 && cnt(fastcc, "cn_delivered").unwrap_or(0) > 0,
-            "incast at 30% load must trip the CN threshold: {:?}",
-            fastcc.counters
+            "incast at 30% load must trip the CN threshold: {}",
+            fastcc.to_json("feedback").to_string()
         );
         assert!(
             cnt(fastcc, "feedback_lead_samples").unwrap_or(0) > 0,

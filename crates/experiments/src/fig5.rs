@@ -37,8 +37,9 @@ pub fn run_cell(opts: &Opts, scheme: &SchemeSpec, fan_in: u32) -> JobStats {
     // cool-down jobs by start time like the FCT window does.
     let in_window: Vec<_> = out
         .effective_flows()
-        .into_iter()
+        .iter()
         .filter(|f| f.start >= window.start && f.start < window.end)
+        .cloned()
         .collect();
     job_completion(&in_window)
 }

@@ -121,7 +121,7 @@ mod tests {
     }
 
     fn cnt(s: &RunSummary, name: &str) -> Option<u64> {
-        s.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        crate::report::json_u64(s, name)
     }
 
     /// The acceptance table of the experiment: packet-level spraying shows
@@ -144,26 +144,26 @@ mod tests {
         let rps = by_label("_rps_");
         assert!(
             cnt(rps, "ooo_pkts_rcvd").unwrap_or(0) > 0,
-            "RPS must reorder: {:?}",
-            rps.counters
+            "RPS must reorder: {}",
+            rps.to_json("reordering").to_string()
         );
         let flowcut_sw = by_label("flowcut_sw");
         assert_eq!(
             cnt(flowcut_sw, "ooo_pkts_rcvd").unwrap_or(0),
             0,
-            "switch flowcuts must deliver in order: {:?}",
-            flowcut_sw.counters
+            "switch flowcuts must deliver in order: {}",
+            flowcut_sw.to_json("reordering").to_string()
         );
         assert!(
             cnt(flowcut_sw, "spurious_retransmits").is_none(),
             "in-order delivery cannot produce spurious retransmits \
-             (zero-valued reordering metrics are omitted): {:?}",
-            flowcut_sw.counters
+             (zero-valued reordering metrics are omitted): {}",
+            flowcut_sw.to_json("reordering").to_string()
         );
         assert!(
             cnt(flowcut_sw, "flowcut_pinned").unwrap_or(0) > 0,
-            "the flowcut fabric must actually pin flows: {:?}",
-            flowcut_sw.counters
+            "the flowcut fabric must actually pin flows: {}",
+            flowcut_sw.to_json("reordering").to_string()
         );
         // ECMP never moves a flow, so its summary carries no reordering
         // metrics at all (omitted while zero) — the pre-PR layout.

@@ -143,14 +143,20 @@ mod tests {
             rep_short.quantile(0.99),
             ecmp_short.quantile(0.99)
         );
-        // The summaries carry the reroute counters for the JSON artifact.
-        assert!(selection
-            .iter()
-            .zip(&results)
-            .all(|(s, c)| summary(&opts, s, &c.out)
-                .counters
-                .iter()
-                .any(|(n, _)| n == "reroutes")));
+        // The summaries carry the reroute counters for the JSON artifact,
+        // and count a replicated flow once, as the tables do.
+        for (scheme, c) in selection.iter().zip(&results) {
+            let s = summary(&opts, scheme, &c.out);
+            assert!(crate::report::json_u64(&s, "reroutes").is_some());
+            let primaries = c.out.flows.len() - c.out.replicas.len();
+            let json = s.to_json("repflow").to_string();
+            assert!(
+                json.contains(&format!(r#""total":{primaries},"mean_s""#)),
+                "{} summary must count {primaries} flows: {json}",
+                scheme.name()
+            );
+        }
+        assert!(rep.out.flows.len() > ecmp.out.flows.len(), "replicas ran");
     }
 
     #[test]

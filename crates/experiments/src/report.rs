@@ -1,6 +1,8 @@
 //! Experiment reports: titled tables plus notes, renderable to the
 //! terminal and to CSV files under `results/`, plus machine-readable
-//! per-run JSON summaries (`--json DIR`).
+//! per-run JSON summaries (`--json DIR`). A [`RunSummary`] is encoded as
+//! JSON once, when it is built from the finished run; the schema is in
+//! DESIGN.md §6.
 
 use std::fs;
 use std::io;
@@ -261,9 +263,12 @@ impl Cli {
     }
 }
 
-/// The machine-readable summary of one simulation run: identifying
-/// metadata, every counter, FCT percentiles over completed flows, the
-/// collected telemetry series, and the event count.
+/// The machine-readable summary of one simulation run, encoded as JSON
+/// the moment it is built: identifying metadata, the event count, every
+/// counter, FCT percentiles over completed flows (replicas folded into
+/// their primary, as every table counts them), the collected telemetry
+/// series, and — only when the run has them — the `drops` and
+/// `reconvergence` sections.
 ///
 /// Serialization is fully deterministic (insertion-ordered keys, exact
 /// integers, shortest-round-trip floats): two runs with the same seed
@@ -273,81 +278,12 @@ impl Cli {
 pub struct RunSummary {
     /// Distinguishes runs within one experiment (e.g. "flows8_seed3").
     pub label: String,
-    /// Scheme display name.
-    pub scheme: String,
-    /// Scale factor the run was generated at.
-    pub scale: f64,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Every [`Counter`], as `(name, value)` in canonical order.
-    pub counters: Vec<(String, u64)>,
-    /// FCT statistics in seconds over completed flows, as
-    /// `(name, value)`: completed/total counts and mean/p50/p90/p99/max.
-    pub fct_percentiles: Vec<(String, f64)>,
-    /// Telemetry series: `(name, points)` with times in seconds.
-    pub series: Vec<(String, Vec<(f64, f64)>)>,
-    /// Per-port drop-reason rows `((node, port), counts-by-reason)`,
-    /// sorted by `(node, port)`. Empty for a loss-free run, in which
-    /// case the JSON omits the `drops` section entirely (keeping
-    /// summaries of fault-free runs byte-identical to earlier layouts).
-    pub drops: Vec<(
-        (netsim::NodeId, netsim::PortId),
-        [u64; netsim::DropReason::COUNT],
-    )>,
-    /// Reconvergence SLO summary of a run with an armed probe
-    /// ([`netsim::SloConfig`]); `None` — the JSON omits the section —
-    /// for every run without one, keeping probe-free summaries
-    /// byte-identical to earlier layouts.
-    pub recon: Option<ReconSummary>,
     /// Events the simulator processed.
     pub events: u64,
-}
-
-/// The JSON-facing digest of a run's [`netsim::SloResults`]: how fast
-/// flows that were in flight at the failure instant delivered their first
-/// post-failure payload, plus the binned goodput curve the dip metrics
-/// are computed from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReconSummary {
-    /// The failure instant the probe was armed with (s).
-    pub fail_at_s: f64,
-    /// Goodput bin width (s).
-    pub bin_s: f64,
-    /// Flows that reconverged (CI greps for a nonzero `"samples"`).
-    pub samples: u64,
-    /// Reconvergence-latency percentiles in seconds, as `(name, value)`;
-    /// empty when no flow reconverged.
-    pub latency_percentiles: Vec<(String, f64)>,
-    /// Delivered payload bytes per goodput bin.
-    pub goodput_bytes: Vec<u64>,
-}
-
-impl ReconSummary {
-    /// Digest measured SLO results.
-    pub fn from_slo(slo: &netsim::SloResults) -> Self {
-        let lats: Vec<f64> = slo
-            .reconvergence_latencies()
-            .iter()
-            .map(|t| t.as_secs_f64())
-            .collect();
-        let mut latency_percentiles = Vec::new();
-        for (name, value) in [
-            ("p50_s", stats::percentile(&lats, 0.5)),
-            ("p99_s", stats::percentile(&lats, 0.99)),
-            ("max_s", stats::percentile(&lats, 1.0)),
-        ] {
-            if let Some(v) = value {
-                latency_percentiles.push((name.to_string(), v));
-            }
-        }
-        ReconSummary {
-            fail_at_s: slo.fail_at.as_secs_f64(),
-            bin_s: slo.bin.as_secs_f64(),
-            samples: slo.samples() as u64,
-            latency_percentiles,
-            goodput_bytes: slo.goodput_bins.clone(),
-        }
-    }
+    /// `meta` after its leading `experiment` key.
+    meta: Vec<(String, Json)>,
+    /// The sections after `meta`, in output order.
+    sections: Vec<(String, Json)>,
 }
 
 impl RunSummary {
@@ -359,153 +295,142 @@ impl RunSummary {
         seed: u64,
         out: &RunOutput,
     ) -> Self {
-        // `Emit::NonZero` counters are omitted while zero (same
-        // None-when-empty contract as the `drops` section).
-        let counters = Counter::all()
-            .iter()
-            .filter(|&&c| c.emit() == Emit::Always || out.get(c) != 0)
-            .map(|&c| (c.name().to_string(), out.get(c)))
-            .collect();
-        let fcts: Vec<f64> = out
-            .flows
+        let label = label.into();
+        let meta = vec![
+            ("label".into(), Json::str(&label)),
+            ("scheme".into(), Json::str(scheme)),
+            ("scale".into(), Json::Num(opts.scale)),
+            ("seed".into(), Json::U64(seed)),
+        ];
+        // `Emit::NonZero` counters are omitted while zero (the same
+        // omit-when-empty rule as the optional sections).
+        let mut counters = Json::obj();
+        for c in Counter::all() {
+            if c.emit() == Emit::Always || out.get(c) != 0 {
+                counters.set(c.name(), Json::U64(out.get(c)));
+            }
+        }
+        let flows = out.effective_flows();
+        let fcts: Vec<f64> = flows
             .iter()
             .filter_map(|f| f.fct())
             .map(|t| t.as_secs_f64())
             .collect();
-        let mut fct_percentiles = vec![
-            ("completed".to_string(), fcts.len() as f64),
-            ("total".to_string(), out.flows.len() as f64),
-        ];
-        for (name, value) in [
-            ("mean_s", stats::mean(&fcts)),
-            ("p50_s", stats::percentile(&fcts, 0.5)),
-            ("p90_s", stats::percentile(&fcts, 0.9)),
-            ("p99_s", stats::percentile(&fcts, 0.99)),
-            ("max_s", stats::percentile(&fcts, 1.0)),
-        ] {
-            if let Some(v) = value {
-                fct_percentiles.push((name.to_string(), v));
-            }
-        }
-        let series = out
-            .series()
-            .iter()
-            .map(|s| {
-                let pts = s
-                    .points()
-                    .iter()
-                    .map(|&(t, v)| (t.as_secs_f64(), v))
-                    .collect::<Vec<_>>();
-                (s.name().to_string(), pts)
-            })
-            .collect();
-        RunSummary {
-            label: label.into(),
-            scheme: scheme.to_string(),
-            scale: opts.scale,
-            seed,
-            counters,
-            fct_percentiles,
-            series,
-            drops: out.drops().per_port(),
-            recon: out.slo().map(ReconSummary::from_slo),
-            events: out.events,
-        }
-    }
-
-    /// Build the JSON tree: `{meta, events, counters, fct_percentiles,
-    /// series}`.
-    pub fn to_json(&self, experiment: &str) -> Json {
-        let mut meta = Json::obj();
-        meta.set("experiment", Json::str(experiment));
-        meta.set("label", Json::str(&self.label));
-        meta.set("scheme", Json::str(&self.scheme));
-        meta.set("scale", Json::Num(self.scale));
-        meta.set("seed", Json::U64(self.seed));
-        let mut counters = Json::obj();
-        for (name, value) in &self.counters {
-            counters.set(name.clone(), Json::U64(*value));
-        }
         let mut fct = Json::obj();
-        for (name, value) in &self.fct_percentiles {
-            fct.set(name.clone(), Json::Num(*value));
-        }
+        fct.set("completed", Json::Num(fcts.len() as f64));
+        fct.set("total", Json::Num(flows.len() as f64));
+        set_present(&mut fct, "mean_s", stats::mean(&fcts));
+        percentiles(
+            &mut fct,
+            &fcts,
+            &[("p50_s", 0.5), ("p90_s", 0.9), ("p99_s", 0.99)],
+        );
         let mut series = Json::arr();
-        for (name, points) in &self.series {
+        for s in out.series() {
             let mut pts = Json::arr();
-            for &(t, v) in points {
-                let mut pair = Json::arr();
-                pair.push(Json::Num(t));
-                pair.push(Json::Num(v));
-                pts.push(pair);
+            for &(t, v) in s.points() {
+                pts.push(Json::Arr(vec![Json::Num(t.as_secs_f64()), Json::Num(v)]));
             }
-            let mut s = Json::obj();
-            s.set("name", Json::str(name.clone()));
-            s.set("points", pts);
-            series.push(s);
+            let mut obj = Json::obj();
+            obj.set("name", Json::str(s.name())).set("points", pts);
+            series.push(obj);
         }
-        let mut root = Json::obj();
-        root.set("meta", meta);
-        root.set("events", Json::U64(self.events));
-        root.set("counters", counters);
-        if let Some(drops) = self.drops_json() {
-            root.set("drops", drops);
+        let mut sections = vec![
+            ("events".into(), Json::U64(out.events)),
+            ("counters".into(), counters),
+        ];
+        sections.extend(drops_json(out.drops()).map(|d| ("drops".into(), d)));
+        sections.push(("fct_percentiles".into(), fct));
+        sections.extend(
+            out.slo()
+                .map(|slo| ("reconvergence".into(), recon_json(slo))),
+        );
+        sections.push(("series".into(), series));
+        RunSummary {
+            label,
+            events: out.events,
+            meta,
+            sections,
         }
-        root.set("fct_percentiles", fct);
-        if let Some(recon) = &self.recon {
-            let mut r = Json::obj();
-            r.set("fail_at_s", Json::Num(recon.fail_at_s));
-            r.set("bin_s", Json::Num(recon.bin_s));
-            r.set("samples", Json::U64(recon.samples));
-            for (name, value) in &recon.latency_percentiles {
-                r.set(name.clone(), Json::Num(*value));
-            }
-            let mut bins = Json::arr();
-            for &b in &recon.goodput_bytes {
-                bins.push(Json::U64(b));
-            }
-            r.set("goodput_bytes", bins);
-            root.set("reconvergence", r);
-        }
-        root.set("series", series);
-        root
     }
 
-    /// The `drops` section: run-wide totals per [`netsim::DropReason`]
-    /// plus per-port rows. `None` when the run dropped nothing, so
-    /// loss-free summaries keep their historical byte layout.
-    fn drops_json(&self) -> Option<Json> {
-        let reasons = netsim::DropReason::all();
-        let mut totals = [0u64; netsim::DropReason::COUNT];
-        for (_, counts) in &self.drops {
-            for (t, c) in totals.iter_mut().zip(counts) {
-                *t += c;
-            }
-        }
-        let total: u64 = totals.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let mut drops = Json::obj();
-        drops.set("total", Json::U64(total));
-        for (reason, t) in reasons.iter().zip(totals) {
-            drops.set(reason.name(), Json::U64(t));
-        }
-        let mut ports = Json::arr();
-        for &((node, port), counts) in &self.drops {
-            let mut row = Json::obj();
-            row.set("node", Json::U64(node as u64));
-            row.set("port", Json::U64(port as u64));
-            for (reason, c) in reasons.iter().zip(counts) {
-                if c > 0 {
-                    row.set(reason.name(), Json::U64(c));
-                }
-            }
-            ports.push(row);
-        }
-        drops.set("ports", ports);
-        Some(drops)
+    /// The JSON tree: `meta` (led by `experiment`), then the sections
+    /// [`RunSummary::from_run`] encoded.
+    pub fn to_json(&self, experiment: &str) -> Json {
+        let meta = object(("experiment", Json::str(experiment)), &self.meta);
+        object(("meta", meta), &self.sections)
     }
+}
+
+/// An object of `head` followed by `tail`.
+fn object(head: (&str, Json), tail: &[(String, Json)]) -> Json {
+    let mut entries = vec![(head.0.to_string(), head.1)];
+    entries.extend_from_slice(tail);
+    Json::Obj(entries)
+}
+
+/// Set `key` when the statistic exists (an empty sample has none).
+fn set_present(obj: &mut Json, key: &str, value: Option<f64>) {
+    if let Some(v) = value {
+        obj.set(key, Json::Num(v));
+    }
+}
+
+/// Nearest-rank percentiles of `xs` as `(key, q)` entries, ending with
+/// the maximum as `max_s`; nothing for an empty sample.
+fn percentiles(obj: &mut Json, xs: &[f64], qs: &[(&str, f64)]) {
+    for &(key, q) in qs.iter().chain(&[("max_s", 1.0)]) {
+        set_present(obj, key, stats::percentile(xs, q));
+    }
+}
+
+/// The `drops` section: run-wide totals per [`netsim::DropReason`] plus
+/// per-port rows sorted by `(node, port)`. `None` when the run dropped
+/// nothing, so loss-free summaries keep their historical byte layout.
+fn drops_json(audit: &netsim::DropAudit) -> Option<Json> {
+    if audit.is_empty() {
+        return None;
+    }
+    let reasons = netsim::DropReason::all();
+    let mut drops = Json::obj();
+    drops.set("total", Json::U64(audit.total()));
+    for (reason, t) in reasons.iter().zip(audit.totals()) {
+        drops.set(reason.name(), Json::U64(t));
+    }
+    let mut ports = Json::arr();
+    for ((node, port), counts) in audit.per_port() {
+        let mut row = Json::obj();
+        row.set("node", Json::U64(node as u64));
+        row.set("port", Json::U64(port as u64));
+        for (reason, c) in reasons.iter().zip(counts) {
+            if c > 0 {
+                row.set(reason.name(), Json::U64(c));
+            }
+        }
+        ports.push(row);
+    }
+    drops.set("ports", ports);
+    Some(drops)
+}
+
+/// The `reconvergence` section of a run with an armed SLO probe: how
+/// fast flows in flight at the failure instant delivered their first
+/// post-failure payload (CI greps for a nonzero `samples`), plus the
+/// binned goodput curve the dip metrics are computed from.
+fn recon_json(slo: &netsim::SloResults) -> Json {
+    let lats: Vec<f64> = slo
+        .reconvergence_latencies()
+        .iter()
+        .map(|t| t.as_secs_f64())
+        .collect();
+    let mut r = Json::obj();
+    r.set("fail_at_s", Json::Num(slo.fail_at.as_secs_f64()));
+    r.set("bin_s", Json::Num(slo.bin.as_secs_f64()));
+    r.set("samples", Json::U64(slo.samples() as u64));
+    percentiles(&mut r, &lats, &[("p50_s", 0.5), ("p99_s", 0.99)]);
+    let bins = slo.goodput_bins.iter().map(|&b| Json::U64(b)).collect();
+    r.set("goodput_bytes", Json::Arr(bins));
+    r
 }
 
 /// A rendered experiment: named sections of tables plus free-form notes
@@ -771,6 +696,19 @@ fn trace_event_json(at: netsim::SimTime, ev: &TraceEvent) -> Json {
     o
 }
 
+/// The integer at the first `key` of `summary`'s compact JSON, if the
+/// key is there: tests read counters where CI greps them.
+#[cfg(test)]
+pub(crate) fn json_u64(summary: &RunSummary, key: &str) -> Option<u64> {
+    let json = summary.to_json("test").to_string();
+    let at = json.find(&format!("\"{key}\":"))? + key.len() + 3;
+    json[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()?
+        .parse()
+        .ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,28 +743,37 @@ mod tests {
 
     #[test]
     fn run_summary_json_layout_is_stable() {
-        let rs = RunSummary {
-            label: "flows8_seed3".into(),
-            scheme: "ECMP".into(),
-            scale: 1.0,
-            seed: 3,
-            counters: vec![("reroutes".into(), 2)],
-            fct_percentiles: vec![("mean_s".into(), 0.5)],
-            series: vec![("vfield.f0".into(), vec![(0.0, 3.0)])],
-            drops: vec![],
-            recon: None,
-            events: 10,
-        };
+        let params = topology::FatTreeParams::tiny();
+        let specs = workloads::microbench(&params, 2, 50_000);
+        let scheme = crate::schemes::ecmp();
+        let out = crate::Run::new(params, &scheme, &specs, netsim::SimTime::from_secs(1), 3)
+            .telemetry(netsim::TelemetryConfig::every(netsim::SimTime::from_ms(1)))
+            .run();
+        assert!(out.drops().is_empty() && out.slo().is_none());
+        let rs = RunSummary::from_run("flows2_seed3", "ECMP", &Opts::default(), 3, &out);
+        assert_eq!(rs.events, out.events);
         let j = rs.to_json("demo").to_string();
-        assert_eq!(
-            j,
-            r#"{"meta":{"experiment":"demo","label":"flows8_seed3","scheme":"ECMP","scale":1,"seed":3},"events":10,"counters":{"reroutes":2},"fct_percentiles":{"mean_s":0.5},"series":[{"name":"vfield.f0","points":[[0,3]]}]}"#
+        let head = r#"{"meta":{"experiment":"demo","label":"flows2_seed3","scheme":"ECMP","scale":1,"seed":3},"events":"#;
+        assert!(j.starts_with(head), "{j}");
+        // A loss-free, probe-free run: exactly these sections, in order.
+        let keys = [
+            r#","counters":{"data_pkts_rcvd":"#,
+            r#"},"fct_percentiles":{"completed":2,"total":2,"mean_s":"#,
+            r#","max_s":"#,
+            r#"},"series":[{"name":""#,
+        ];
+        let at: Vec<usize> = keys.iter().map(|k| j.find(k).expect(k)).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{j}");
+        assert!(!j.contains("drops\":{") && !j.contains("reconvergence"));
+        assert!(
+            !j.contains("dsack_undos"),
+            "zero NonZero counters are omitted"
         );
         let mut r = Report::new("demo");
         r.run_summary(rs);
         let dir = std::env::temp_dir().join(format!("fbjson_{}", std::process::id()));
         let files = r.write_json(&dir).unwrap();
-        assert_eq!(files, ["demo_flows8_seed3.json"]);
+        assert_eq!(files, ["demo_flows2_seed3.json"]);
         let text = std::fs::read_to_string(dir.join(&files[0])).unwrap();
         assert!(text.starts_with("{\n  \"meta\""));
         assert!(text.ends_with("}\n"));
@@ -835,66 +782,49 @@ mod tests {
 
     #[test]
     fn drops_section_appears_only_when_packets_were_lost() {
-        let mut rs = RunSummary {
-            label: "l".into(),
-            scheme: "ECMP".into(),
-            scale: 1.0,
-            seed: 1,
-            counters: vec![],
-            fct_percentiles: vec![],
-            series: vec![],
-            drops: vec![((4, 1), [0, 0, 0, 0])],
-            recon: None,
-            events: 0,
-        };
-        // All-zero rows count as loss-free: no section.
-        assert!(!rs.to_json("demo").to_string().contains("drops"));
-        rs.drops = vec![((4, 1), [2, 0, 7, 0]), ((9, 0), [0, 1, 0, 3])];
-        let j = rs.to_json("demo").to_string();
-        assert!(j.contains(
-            r#""drops":{"total":13,"queue_full":2,"link_down":1,"gray_loss":7,"corruption":3,"#
-        ));
-        assert!(j.contains(r#"{"node":4,"port":1,"queue_full":2,"gray_loss":7}"#));
-        assert!(j.contains(r#"{"node":9,"port":0,"link_down":1,"corruption":3}"#));
-        // Reasons sum to the advertised total.
-        assert_eq!(2 + 1 + 7 + 3, 13);
+        use netsim::DropReason::*;
+        let mut audit = netsim::DropAudit::default();
+        assert_eq!(drops_json(&audit), None);
+        for (reason, node, port, n) in [
+            (LinkDown, 9, 0, 1),
+            (Corruption, 9, 0, 3),
+            (QueueFull, 4, 1, 2),
+            (GrayLoss, 4, 1, 7),
+        ] {
+            for _ in 0..n {
+                audit.record(reason, node, port);
+            }
+        }
+        // Totals per reason, then rows sorted by (node, port) that name
+        // only the reasons they saw.
+        assert_eq!(
+            drops_json(&audit).unwrap().to_string(),
+            r#"{"total":13,"queue_full":2,"link_down":1,"gray_loss":7,"corruption":3,"ports":[{"node":4,"port":1,"queue_full":2,"gray_loss":7},{"node":9,"port":0,"link_down":1,"corruption":3}]}"#
+        );
     }
 
     #[test]
-    fn reconvergence_section_appears_only_with_an_armed_probe() {
-        let mut rs = RunSummary {
-            label: "l".into(),
-            scheme: "ECMP".into(),
-            scale: 1.0,
-            seed: 1,
-            counters: vec![],
-            fct_percentiles: vec![],
-            series: vec![],
-            drops: vec![],
-            recon: None,
-            events: 0,
+    fn reconvergence_section_digests_the_slo_results() {
+        use netsim::SimTime;
+        let slo = netsim::SloResults {
+            fail_at: SimTime::from_us(5_000),
+            bin: SimTime::from_us(500),
+            first_after: vec![(1, SimTime::from_us(16_000)), (2, SimTime::from_us(5_100))],
+            goodput_bins: vec![1000, 0, 2000],
         };
-        assert!(!rs.to_json("demo").to_string().contains("reconvergence"));
-        rs.recon = Some(ReconSummary {
-            fail_at_s: 0.005,
-            bin_s: 0.0005,
-            samples: 3,
-            latency_percentiles: vec![("p50_s".into(), 0.0001), ("p99_s".into(), 0.011)],
-            goodput_bytes: vec![1000, 0, 2000],
-        });
-        let j = rs.to_json("demo").to_string();
-        assert!(
-            j.contains(
-                r#""reconvergence":{"fail_at_s":0.005,"bin_s":0.0005,"samples":3,"p50_s":0.0001,"p99_s":0.011,"goodput_bytes":[1000,0,2000]}"#
-            ),
-            "{j}"
+        assert_eq!(
+            recon_json(&slo).to_string(),
+            r#"{"fail_at_s":0.005,"bin_s":0.0005,"samples":2,"p50_s":0.0001,"p99_s":0.011,"max_s":0.011,"goodput_bytes":[1000,0,2000]}"#
         );
-        // The section sits between fct_percentiles and series, so
-        // probe-free layouts (pinned above) are unchanged.
-        let fct = j.find("fct_percentiles").unwrap();
-        let recon = j.find("reconvergence").unwrap();
-        let series = j.find("series").unwrap();
-        assert!(fct < recon && recon < series);
+        // No flow reconverged: the counts stay, the percentiles go.
+        let none = netsim::SloResults {
+            first_after: vec![],
+            ..slo
+        };
+        assert_eq!(
+            recon_json(&none).to_string(),
+            r#"{"fail_at_s":0.005,"bin_s":0.0005,"samples":0,"goodput_bytes":[1000,0,2000]}"#
+        );
     }
 
     #[test]

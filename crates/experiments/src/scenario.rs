@@ -7,6 +7,7 @@
 //! installing agents, auditing conservation, and fanning sweeps out over
 //! a bounded worker pool.
 
+use std::borrow::Cow;
 use std::ops::Deref;
 
 use netsim::{
@@ -55,16 +56,16 @@ impl RunOutput {
     /// The flow records as the *application* experienced them: replicas
     /// are folded into their primary (a replicated flow completes when
     /// its first copy does) and dropped from the list. For
-    /// non-replicating schemes this is simply a copy of `flows`.
+    /// non-replicating schemes this is `flows` itself, borrowed.
     ///
     /// The merge is defensive: a pair whose copies *all* failed to
     /// complete (reachable under heavy-loss fault plans) leaves the
     /// primary in the list with `end == SimTime::MAX` — see
     /// [`RunOutput::incomplete_flows`] — and a malformed pair (id out of
     /// range, self-pair) is skipped rather than panicking mid-analysis.
-    pub fn effective_flows(&self) -> Vec<netsim::FlowRecord> {
+    pub fn effective_flows(&self) -> Cow<'_, [netsim::FlowRecord]> {
         if self.replicas.is_empty() {
-            return self.flows.to_vec();
+            return Cow::Borrowed(&self.flows);
         }
         let mut merged = self.flows.to_vec();
         let mut drop: Vec<bool> = vec![false; merged.len()];
@@ -87,7 +88,7 @@ impl RunOutput {
             i += 1;
             keep
         });
-        merged
+        Cow::Owned(merged)
     }
 
     /// Ids of effective (replica-merged) flows that never completed.
@@ -118,11 +119,8 @@ impl RunOutput {
 /// slowest of all — they are exactly what a diagnosis wants to see — and
 /// ties break by flow id so the selection is deterministic.
 pub fn slowest_flows(out: &RunOutput, k: usize) -> Vec<FlowId> {
-    let mut eff: Vec<_> = out
-        .effective_flows()
-        .into_iter()
-        .filter(|f| f.proto == Proto::Tcp)
-        .collect();
+    let flows = out.effective_flows();
+    let mut eff: Vec<_> = flows.iter().filter(|f| f.proto == Proto::Tcp).collect();
     eff.sort_by_key(|f| (std::cmp::Reverse(f.fct().unwrap_or(SimTime::MAX)), f.flow));
     eff.into_iter().take(k).map(|f| f.flow).collect()
 }

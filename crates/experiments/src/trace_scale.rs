@@ -25,7 +25,7 @@
 //! crate); the report files stay byte-deterministic.
 
 use netsim::{DetRng, FlowRecord, Proto, SimTime, LINK_BPS, LINK_DELAY};
-use stats::{fmt_secs, job_completion, BinSpec, FctAccumulator, JobStats, Table};
+use stats::{fmt_secs, job_completion, FctAccumulator, JobStats, Table};
 use topology::FatTreeParams;
 use workloads::{load, PoissonStream, Workload};
 
@@ -75,7 +75,7 @@ fn duration_for(p: &FatTreeParams, target: u64, mean_bytes: f64) -> SimTime {
 /// Generate + aggregate one curve point at `target` flows.
 pub fn run_point(p: &FatTreeParams, wl: Workload, target: u64, seed: u64) -> PointResult {
     let started = std::time::Instant::now();
-    let mut acc = FctAccumulator::new(BinSpec::paper());
+    let mut acc = FctAccumulator::new();
     if let Some(dist) = wl.stream_dist() {
         // Streaming path: never materializes the flow list.
         let duration = duration_for(p, target, dist.mean_bytes());

@@ -45,26 +45,15 @@ fn render_once() -> String {
     summary.to_json("table1").to_string_pretty()
 }
 
-#[test]
-fn golden_run_json_is_reproducible_and_matches_the_committed_file() {
-    let first = render_once();
-    let second = render_once();
-    assert_eq!(
-        first, second,
-        "same-seed runs must serialize byte-identically"
-    );
-
-    let path: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "table1_run.json",
-    ]
-    .iter()
-    .collect();
+/// Compare `text` byte for byte with `tests/golden/<file>`, or rewrite
+/// the file when `UPDATE_GOLDEN` is set.
+fn check_golden(file: &str, text: &str) {
+    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", file]
+        .iter()
+        .collect();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &first).unwrap();
+        std::fs::write(&path, text).unwrap();
         return;
     }
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -74,11 +63,65 @@ fn golden_run_json_is_reproducible_and_matches_the_committed_file() {
         )
     });
     assert_eq!(
-        first,
+        text,
         golden,
         "run JSON drifted from {}; if intentional, regenerate with UPDATE_GOLDEN=1",
         path.display()
     );
+}
+
+#[test]
+fn golden_run_json_is_reproducible_and_matches_the_committed_file() {
+    let first = render_once();
+    let second = render_once();
+    assert_eq!(
+        first, second,
+        "same-seed runs must serialize byte-identically"
+    );
+    check_golden("table1_run.json", &first);
+}
+
+/// A run that fills every optional section of the summary: RPS sprays a
+/// microbenchmark across a fabric with one gray aggregation-core link, so
+/// the JSON carries a `drops` section, reordering counters that are
+/// omitted while zero, and — with the SLO probe armed at the loss onset —
+/// a `reconvergence` section.
+fn render_optional_sections() -> String {
+    use experiments::{Run, RunSummary};
+    use netsim::{FaultPlan, SloConfig};
+    use topology::FatTreeParams;
+
+    let params = FatTreeParams::tiny();
+    let specs = workloads::microbench(&params, 4, 200_000);
+    let scheme = schemes::rps();
+    let fail_at = SimTime::from_us(500);
+    let out = Run::new(params, &scheme, &specs, SimTime::from_secs(20), 5)
+        .slo(SloConfig {
+            fail_at,
+            bin: SimTime::from_us(500),
+        })
+        .faults(&|ft| {
+            let (node, port) = ft.agg_core_link(0, 0);
+            let mut plan = FaultPlan::new();
+            plan.gray_loss(node, port, 0.05, fail_at);
+            plan
+        })
+        .run();
+    RunSummary::from_run("optional", scheme.name(), &Opts::default(), 5, &out)
+        .to_json("golden")
+        .to_string_pretty()
+}
+
+#[test]
+fn golden_optional_sections_match_the_committed_file() {
+    let json = render_optional_sections();
+    assert!(json.contains("\"drops\": {"), "no drops section:\n{json}");
+    assert!(json.contains("\"reconvergence\": {"), "no probe:\n{json}");
+    assert!(
+        json.contains("\"ooo_bytes_max\": "),
+        "no RPS counters:\n{json}"
+    );
+    check_golden("optional_sections_run.json", &json);
 }
 
 /// The fixture run is loss-free, and the summary layout must reflect

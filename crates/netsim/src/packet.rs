@@ -87,9 +87,6 @@ impl Flags {
     pub const ECE: u8 = 1 << 2;
     /// Final segment of the flow.
     pub const FIN: u8 = 1 << 3;
-    /// Packet is ECN-capable transport (ECT); non-ECT packets are dropped
-    /// instead of marked when the queue exceeds the marking threshold.
-    pub const ECT: u8 = 1 << 4;
     /// Duplicate-SACK: this ACK acknowledges a segment the receiver already
     /// held — the sender's retransmission was spurious (reordering, not
     /// loss). Senders use it to undo recovery and raise their reordering
@@ -181,9 +178,9 @@ pub struct Packet {
     /// sender for RTT estimation. On data packets this is the send time; on
     /// ACKs it is the echoed value.
     pub tstamp: SimTime,
-    /// Number of duplicate-ACK-relevant SACK-less ordering information: the
-    /// highest sequence number the receiver has seen (used only for
-    /// statistics, not by the protocol).
+    /// On ACKs, the highest segment start the receiver has seen. The
+    /// sender sizes its reordering extent from it (`peer_high`, DESIGN
+    /// §7), so it is protocol state, not statistics; 0 on data packets.
     pub rcv_high: u64,
     /// The INT stack: per-hop telemetry stamped by switches with INT
     /// enabled, `None` everywhere else (the default for every
@@ -205,8 +202,6 @@ impl Packet {
         payload: u32,
         now: SimTime,
     ) -> Packet {
-        let mut flags = Flags::default();
-        flags.set(Flags::ECT);
         Packet {
             flow,
             key,
@@ -215,7 +210,7 @@ impl Packet {
             payload,
             ack: 0,
             size: payload + HEADER_BYTES,
-            flags,
+            flags: Flags::default(),
             tstamp: now,
             rcv_high: 0,
             int: None,
@@ -232,7 +227,6 @@ impl Packet {
     ) -> Packet {
         let mut flags = Flags::default();
         flags.set(Flags::ACK);
-        flags.set(Flags::ECT);
         Packet {
             flow,
             key: data_key.reversed(),
@@ -254,7 +248,6 @@ impl Packet {
     pub fn cn(flow: FlowId, data_key: FlowKey, vfield: u8, blame: IntHop, now: SimTime) -> Packet {
         let mut flags = Flags::default();
         flags.set(Flags::CN);
-        flags.set(Flags::ECT);
         Packet {
             flow,
             key: data_key.reversed(),
@@ -274,12 +267,6 @@ impl Packet {
     #[inline]
     pub fn dst(&self) -> HostId {
         self.key.dst
-    }
-
-    /// True if this packet may be ECN-marked rather than dropped.
-    #[inline]
-    pub fn ecn_capable(&self) -> bool {
-        self.flags.has(Flags::ECT)
     }
 }
 
@@ -332,7 +319,6 @@ mod tests {
     fn data_packet_sizes() {
         let p = Packet::data(7, key(), 3, 0, MSS, SimTime::ZERO);
         assert_eq!(p.size, MTU);
-        assert!(p.ecn_capable());
         assert!(!p.flags.has(Flags::ACK));
         let a = Packet::ack_packet(7, key(), 0, 1460, SimTime::from_us(5));
         assert_eq!(a.size, ACK_BYTES);

@@ -5,8 +5,9 @@
 //! the marking threshold `K`, an ECN-capable packet gets its CE bit set —
 //! this is the single-threshold marking DCTCP relies on (paper §4.2:
 //! "a congested switch marks every packet exceeding a desired queue size
-//! threshold", K = 90 KB for 10 Gbps links). Non-ECN packets (or any packet
-//! once the byte capacity is exhausted) are dropped at the tail.
+//! threshold", K = 90 KB for 10 Gbps links). A packet is dropped at the
+//! tail only when the byte capacity is exhausted; the simulator builds
+//! every packet ECN-capable, so crossing K marks and never drops.
 //!
 //! The queue stores small entries, not packets — packets live in the
 //! simulator's [`crate::slab::PacketSlab`]. An entry carries what the port

@@ -285,8 +285,9 @@ impl Port {
         recorder: &mut Recorder,
     ) -> Option<bool> {
         let entry = Entry::new(id, pkt.size, in_port, pkt.key.proto);
-        let EnqueueResult::Queued { marked } = self.queue.enqueue_entry(entry, pkt.ecn_capable())
-        else {
+        // Every packet is ECN-capable transport: the queue marks, never
+        // drops, above K.
+        let EnqueueResult::Queued { marked } = self.queue.enqueue_entry(entry, true) else {
             return None;
         };
         if marked {

@@ -1,4 +1,6 @@
-//! Flow-completion-time statistics: filtering, percentiles, size bins.
+//! Flow-completion-time statistics: filtering, percentiles, and the
+//! paper's size bins ([`PAPER_BINS`], the one bin set every binned table
+//! uses).
 
 use netsim::{FlowRecord, Proto, SimTime};
 
@@ -109,73 +111,31 @@ impl SizeBin {
     }
 }
 
-/// A value-type set of flow-size bins — the unit the binned-FCT APIs take
-/// ([`binned`], [`crate::FctAccumulator`]) instead of a loose `&[SizeBin]`
-/// slice. Constructors carry the semantics: [`BinSpec::paper`] (also the
-/// `Default`) is the paper's Figure 3/4 binning; [`BinSpec::custom`] takes
-/// any bin list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinSpec {
-    bins: Vec<SizeBin>,
-}
-
-impl BinSpec {
-    /// The paper's Figure 3/4 bins (see [`paper_bins`]).
-    pub fn paper() -> Self {
-        BinSpec {
-            bins: paper_bins().to_vec(),
-        }
-    }
-
-    /// An arbitrary bin list (need not partition; overlaps mean a flow
-    /// counts toward its first matching bin in index order).
-    pub fn custom(bins: Vec<SizeBin>) -> Self {
-        BinSpec { bins }
-    }
-
-    /// The bins, in order.
-    pub fn bins(&self) -> &[SizeBin] {
-        &self.bins
-    }
-
-    /// Index of the first bin containing `bytes`, if any.
-    pub fn index_of(&self, bytes: u64) -> Option<usize> {
-        self.bins.iter().position(|b| b.contains(bytes))
-    }
-}
-
-impl Default for BinSpec {
-    fn default() -> Self {
-        BinSpec::paper()
-    }
-}
-
-/// The paper's Figure 3/4 bins: `[1KB,10KB]`, `(10KB,128KB]`,
-/// `(128KB,1MB]`, `>1MB` (expressed half-open on byte counts).
-pub fn paper_bins() -> [SizeBin; 4] {
-    [
-        SizeBin {
-            label: "[1KB,10KB]",
-            lo: 0,
-            hi: 10_001,
-        },
-        SizeBin {
-            label: "(10KB,128KB]",
-            lo: 10_001,
-            hi: 128_001,
-        },
-        SizeBin {
-            label: "(128KB,1MB]",
-            lo: 128_001,
-            hi: 1_000_001,
-        },
-        SizeBin {
-            label: ">1MB",
-            lo: 1_000_001,
-            hi: u64::MAX,
-        },
-    ]
-}
+/// The paper's Figure 3/4 bins — the one bin set every binned-FCT table
+/// uses: `[1KB,10KB]`, `(10KB,128KB]`, `(128KB,1MB]`, `>1MB` (expressed
+/// half-open on byte counts, so they partition every size).
+pub const PAPER_BINS: [SizeBin; 4] = [
+    SizeBin {
+        label: "[1KB,10KB]",
+        lo: 0,
+        hi: 10_001,
+    },
+    SizeBin {
+        label: "(10KB,128KB]",
+        lo: 10_001,
+        hi: 128_001,
+    },
+    SizeBin {
+        label: "(128KB,1MB]",
+        lo: 128_001,
+        hi: 1_000_001,
+    },
+    SizeBin {
+        label: ">1MB",
+        lo: 1_000_001,
+        hi: u64::MAX,
+    },
+];
 
 /// Per-bin latency summary.
 ///
@@ -197,11 +157,11 @@ pub struct BinStats {
     pub p999_s: Option<f64>,
 }
 
-/// Summarize `samples` into the given bins (exact path: holds all FCTs
+/// Summarize `samples` into [`PAPER_BINS`] (exact path: holds all FCTs
 /// per bin in memory — fine at experiment scale; at millions of flows use
 /// the streaming [`crate::FctAccumulator`] instead).
-pub fn binned(samples: &[Sample], spec: &BinSpec) -> Vec<BinStats> {
-    spec.bins()
+pub fn binned(samples: &[Sample]) -> Vec<BinStats> {
+    PAPER_BINS
         .iter()
         .map(|&bin| {
             let fcts: Vec<f64> = samples
@@ -374,7 +334,7 @@ mod tests {
 
     #[test]
     fn paper_bins_partition_sizes() {
-        let bins = paper_bins();
+        let bins = PAPER_BINS;
         for bytes in [
             1_000u64, 10_000, 10_001, 128_000, 128_001, 1_000_000, 1_000_001, 30_000_000,
         ] {
@@ -404,7 +364,7 @@ mod tests {
                 fct_s: 10.0,
             },
         ];
-        let b = binned(&samples, &BinSpec::paper());
+        let b = binned(&samples);
         assert_eq!(b[0].count, 2);
         assert_eq!(b[0].mean_s, Some(2.0));
         assert_eq!(b[0].p99_s, Some(3.0));
@@ -452,33 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn bin_spec_default_is_paper_and_indexes_first_match() {
-        let spec = BinSpec::default();
-        assert_eq!(spec, BinSpec::paper());
-        assert_eq!(spec.bins().len(), 4);
-        assert_eq!(spec.index_of(5_000), Some(0));
-        assert_eq!(spec.index_of(50_000), Some(1));
-        assert_eq!(spec.index_of(2_000_000), Some(3));
-        assert_eq!(spec.index_of(u64::MAX), Some(3));
-        // Overlapping custom bins: first match wins.
-        let overlap = BinSpec::custom(vec![
-            SizeBin {
-                label: "a",
-                lo: 0,
-                hi: 100,
-            },
-            SizeBin {
-                label: "b",
-                lo: 50,
-                hi: 200,
-            },
-        ]);
-        assert_eq!(overlap.index_of(75), Some(0));
-        assert_eq!(overlap.index_of(150), Some(1));
-        assert_eq!(overlap.index_of(500), None);
-    }
-
-    #[test]
     fn empty_bins_report_none_not_zero() {
         // Regression: an empty bin's p99 used to come back as 0.0 via
         // `unwrap_or(0.0)`, masquerading as a perfect tail.
@@ -486,13 +419,13 @@ mod tests {
             bytes: 5_000,
             fct_s: 1.0,
         }];
-        let b = binned(&samples, &BinSpec::paper());
+        let b = binned(&samples);
         assert_eq!(b[1].count, 0);
         assert_eq!(b[1].mean_s, None);
         assert_eq!(b[1].p99_s, None);
         assert_eq!(b[1].p999_s, None);
         // And a fully empty input leaves every bin explicit about it.
-        for bs in binned(&[], &BinSpec::paper()) {
+        for bs in binned(&[]) {
             assert_eq!(bs.count, 0);
             assert_eq!(bs.p99_s, None);
         }

@@ -15,9 +15,9 @@ pub mod sketch;
 pub mod table;
 
 pub use fct::{
-    binned, cdf_points, completion_fraction, job_completion, mean, paper_bins, percentile, samples,
-    BinSpec, BinStats, JobStats, Sample, SizeBin,
+    binned, cdf_points, completion_fraction, job_completion, mean, percentile, samples, BinStats,
+    JobStats, Sample, SizeBin, PAPER_BINS,
 };
 pub use json::Json;
-pub use sketch::{FctAccumulator, QuantileSketch};
+pub use sketch::{FctAccumulator, QuantileSketch, ALPHA};
 pub use table::{fmt_gbps, fmt_ratio, fmt_secs, Table};

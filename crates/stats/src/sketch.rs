@@ -3,22 +3,28 @@
 //!
 //! [`QuantileSketch`] is a hand-rolled DDSketch-style quantile
 //! summary: values are counted into logarithmically spaced buckets with
-//! relative width `gamma = (1 + alpha) / (1 - alpha)`, so any quantile is
-//! answered with relative error at most `alpha` using memory proportional
-//! to the *value range* (a few hundred buckets for microsecond-to-minute
-//! FCTs) — never to the number of observations. Everything is
-//! deterministic (sorted bucket maps, no randomness, no wall clock), in
-//! the same spirit as [`crate::Json`]: two identical runs serialize and
-//! summarize byte-identically.
+//! relative width `gamma = (1 + ALPHA) / (1 - ALPHA)`, so any quantile is
+//! answered with relative error at most [`ALPHA`] (0.5 %, the one
+//! accuracy in use) using memory proportional to the *value range* (a few
+//! hundred buckets for microsecond-to-minute FCTs) — never to the number
+//! of observations. Everything is deterministic (sorted bucket maps, no
+//! randomness, no wall clock), in the same spirit as [`crate::Json`]: two
+//! identical runs serialize and summarize byte-identically.
 //!
 //! [`FctAccumulator`] layers the flow-size bins on top: one overall sketch
-//! plus one per [`crate::fct::SizeBin`], fed incrementally one completed
-//! flow at a time (`record(bytes, fct_s)`), so a run over 10^6+ flows
-//! needs O(buckets) stats memory instead of a `Vec<Sample>` per flow.
+//! plus one per [`crate::PAPER_BINS`] bin, fed incrementally one
+//! completed flow at a time (`record(bytes, fct_s)`), so a run over 10^6+
+//! flows needs O(buckets) stats memory instead of a `Vec<Sample>` per flow.
 
 use std::collections::BTreeMap;
 
-use crate::fct::{BinSpec, BinStats, Sample};
+use crate::fct::{BinStats, Sample, PAPER_BINS};
+
+/// The sketch's relative-accuracy guarantee: quantile estimates are
+/// within `ALPHA * true_value` of the exact order statistic. 0.5 % sits
+/// comfortably inside the 1 % equivalence budget with room for
+/// rank-vs-interpolation slop.
+pub const ALPHA: f64 = 0.005;
 
 /// Values below this (in the caller's unit; seconds for FCTs) are counted
 /// in a dedicated underflow bucket and reported as the observed minimum.
@@ -26,13 +32,10 @@ use crate::fct::{BinSpec, BinStats, Sample};
 const MIN_TRACKED: f64 = 1e-12;
 
 /// A deterministic DDSketch-style quantile summary of
-/// non-negative values.
+/// non-negative values, accurate to [`ALPHA`].
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    /// Relative-accuracy guarantee: quantile estimates are within
-    /// `alpha * true_value` of the exact order statistic.
-    alpha: f64,
-    /// `ln(gamma)` with `gamma = (1 + alpha) / (1 - alpha)`.
+    /// `ln(gamma)` with `gamma = (1 + ALPHA) / (1 - ALPHA)`.
     ln_gamma: f64,
     /// Observations counted.
     count: u64,
@@ -49,15 +52,10 @@ pub struct QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// A sketch guaranteeing `alpha` relative accuracy (`0 < alpha < 1`).
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0 && alpha.is_finite(),
-            "alpha {alpha} out of range"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+    /// An empty FCT sketch.
+    pub fn for_fct() -> Self {
+        let gamma = (1.0 + ALPHA) / (1.0 - ALPHA);
         QuantileSketch {
-            alpha,
             ln_gamma: gamma.ln(),
             count: 0,
             sum: 0.0,
@@ -66,17 +64,6 @@ impl QuantileSketch {
             underflow: 0,
             buckets: BTreeMap::new(),
         }
-    }
-
-    /// The default FCT sketch: 0.5 % relative accuracy, comfortably inside
-    /// the 1 % equivalence budget with room for rank-vs-interpolation slop.
-    pub fn for_fct() -> Self {
-        QuantileSketch::new(0.005)
-    }
-
-    /// The accuracy guarantee this sketch was built with.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Count one value. Values must be finite and non-negative (FCTs are).
@@ -120,7 +107,7 @@ impl QuantileSketch {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by the same nearest-rank convention as
-    /// [`crate::fct::percentile`], accurate to `alpha` relative error;
+    /// [`crate::fct::percentile`], accurate to [`ALPHA`] relative error;
     /// `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
@@ -136,7 +123,7 @@ impl QuantileSketch {
             cum += c;
             if cum >= rank {
                 // Mid-point of the bucket (gamma^(idx-1), gamma^idx]:
-                // 2*gamma^idx/(gamma+1), within alpha of any member.
+                // 2*gamma^idx/(gamma+1), within ALPHA of any member.
                 let gamma_idx = (self.ln_gamma * idx as f64).exp();
                 let est = 2.0 * gamma_idx / ((self.ln_gamma.exp()) + 1.0);
                 return Some(est.clamp(self.min, self.max));
@@ -164,38 +151,33 @@ impl QuantileSketch {
 ///
 /// Feed it one completed flow at a time; ask for the same [`BinStats`]
 /// rows the exact path produces (counts and means exact, tail percentiles
-/// within the sketch's `alpha`).
+/// within [`ALPHA`]).
 #[derive(Debug, Clone)]
 pub struct FctAccumulator {
-    bins: BinSpec,
     overall: QuantileSketch,
-    per_bin: Vec<QuantileSketch>,
+    /// One sketch per [`PAPER_BINS`] bin, in bin order.
+    per_bin: [QuantileSketch; PAPER_BINS.len()],
+}
+
+impl Default for FctAccumulator {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FctAccumulator {
-    /// An accumulator over `bins` at the default FCT accuracy (0.5 %).
-    pub fn new(bins: BinSpec) -> Self {
-        FctAccumulator::with_alpha(bins, 0.005)
-    }
-
-    /// An accumulator over `bins` with an explicit accuracy.
-    pub fn with_alpha(bins: BinSpec, alpha: f64) -> Self {
-        let per_bin = bins
-            .bins()
-            .iter()
-            .map(|_| QuantileSketch::new(alpha))
-            .collect();
+    /// An empty accumulator over the paper's bins.
+    pub fn new() -> Self {
         FctAccumulator {
-            bins,
-            overall: QuantileSketch::new(alpha),
-            per_bin,
+            overall: QuantileSketch::for_fct(),
+            per_bin: std::array::from_fn(|_| QuantileSketch::for_fct()),
         }
     }
 
     /// Count one completed flow of `bytes` with completion time `fct_s`.
     pub fn record(&mut self, bytes: u64, fct_s: f64) {
         self.overall.add(fct_s);
-        if let Some(i) = self.bins.index_of(bytes) {
+        if let Some(i) = PAPER_BINS.iter().position(|b| b.contains(bytes)) {
             self.per_bin[i].add(fct_s);
         }
     }
@@ -218,8 +200,7 @@ impl FctAccumulator {
     /// Per-bin summary rows, shaped exactly like [`crate::fct::binned`]:
     /// counts and means are exact; p99/p99.9 carry the sketch guarantee.
     pub fn binned(&self) -> Vec<BinStats> {
-        self.bins
-            .bins()
+        PAPER_BINS
             .iter()
             .zip(&self.per_bin)
             .map(|(&bin, sk)| BinStats {
@@ -363,9 +344,8 @@ mod tests {
             let fct = 1e-4 + (i as f64) * 1e-6 + (x % 1000) as f64 * 1e-5;
             vals.push(Sample { bytes, fct_s: fct });
         }
-        let spec = BinSpec::paper();
-        let exact = crate::fct::binned(&vals, &spec);
-        let mut acc = FctAccumulator::new(BinSpec::paper());
+        let exact = crate::fct::binned(&vals);
+        let mut acc = FctAccumulator::new();
         for s in &vals {
             acc.record_sample(s);
         }

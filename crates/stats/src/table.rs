@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn csv_quotes_cells_that_need_it() {
         let mut t = Table::new(vec!["bin", "mean"]);
-        for bin in crate::fct::paper_bins() {
+        for bin in crate::fct::PAPER_BINS {
             t.row(vec![bin.label.to_string(), "1.0".to_string()]);
         }
         t.row(vec!["say \"hi\"", "a\nb"]);

@@ -513,6 +513,63 @@ fn check_window(s: &TcpSender, seed: u64) {
     );
 }
 
+/// Watches DSACK undos: an undo may restore cwnd to at most the window
+/// the sender had when it entered the recovery it undoes.
+#[derive(Default)]
+struct UndoWatch {
+    /// cwnd just before the ACK that entered the open recovery; `None`
+    /// when no recovery can be undone (none entered, or an RTO since).
+    entry: Option<f64>,
+    /// Undos checked, over all seeds.
+    undos: u32,
+}
+
+impl UndoWatch {
+    /// The sender's cwnd, its cumulative ACK and the recovery counters:
+    /// taken before a step, it is what the step is judged against.
+    fn snapshot(s: &TcpSender, w: &Wire, h: &CtxHarness) -> (f64, u64, [u64; 3]) {
+        let counts = [
+            Counter::FastRetransmits,
+            Counter::DsackUndos,
+            Counter::Timeouts,
+        ];
+        (s.cwnd(), w.una, counts.map(|c| h.recorder().get(c)))
+    }
+
+    fn check(
+        &mut self,
+        before: (f64, u64, [u64; 3]),
+        s: &TcpSender,
+        w: &Wire,
+        h: &CtxHarness,
+        seed: u64,
+    ) {
+        let (cwnd, una, [fr, undos, rtos]) = before;
+        let (_, _, [fr_now, undos_now, rtos_now]) = Self::snapshot(s, w, h);
+        if rtos_now > rtos {
+            self.entry = None;
+        }
+        if fr_now > fr {
+            self.entry = Some(cwnd);
+        }
+        if undos_now > undos {
+            let Some(entry) = self.entry.take() else {
+                panic!("seed {seed}: undo with no open recovery");
+            };
+            // The ACK that carried the DSACK may also advance the
+            // cumulative ACK, which grows the restored window by at most
+            // one MSS.
+            let growth = if w.una > una { MSS as f64 } else { 0.0 };
+            assert!(
+                s.cwnd() <= entry + growth,
+                "seed {seed}: undo restored cwnd {} above the {entry} of recovery entry",
+                s.cwnd()
+            );
+            self.undos += 1;
+        }
+    }
+}
+
 /// The sender against a hostile network. Each seed picks a flow size, a
 /// host stack and the odds of every perturbation, then runs a schedule
 /// built from what the sender actually sent: data and ACKs delivered out
@@ -521,13 +578,16 @@ fn check_window(s: &TcpSender, seed: u64) {
 /// before and after their deadline. After every step: cwnd ≥ one MSS,
 /// `alpha` ∈ [0, 1], and every segment lies in `[0, size)` on the MSS grid,
 /// carries FIN only at the end and starts within `MAX_CWND` of the
-/// cumulative ACK. Then the network turns reliable and the sender must
+/// cumulative ACK; a DSACK undo restores no more than the window the
+/// sender entered its recovery with ([`UndoWatch`]; the undos must
+/// happen). Then the network turns reliable and the sender must
 /// complete. Every fifth seed sends 2–3 MB over the reliable network
 /// alone: the one schedule that grows cwnd into the `MAX_CWND` cap.
 #[test]
 fn sender_invariants_hold_under_adversarial_schedules() {
     let odds = [0.0, 0.02, 0.1, 0.4];
     let mut capped = 0;
+    let mut watch = UndoWatch::default();
     for seed in 0..40u64 {
         let mut rng = DetRng::new(seed, 0x22);
         let (size, steps) = if seed % 5 == 0 {
@@ -556,7 +616,9 @@ fn sender_invariants_hold_under_adversarial_schedules() {
         let mut s = TcpSender::new(0, key, size, cfg, None, 0, &mut h.ctx());
         w.timer = s.start(&mut h.ctx());
         w.collect(&mut h, seed);
+        watch.entry = None;
         for _ in 0..steps {
+            let before = UndoWatch::snapshot(&s, &w, &h);
             h.now += SimTime::from_ns(rng.gen_range(20_000) as u64);
             match rng.gen_range(100) {
                 0..=39 if !w.data.is_empty() => {
@@ -598,6 +660,7 @@ fn sender_invariants_hold_under_adversarial_schedules() {
             }
             w.collect(&mut h, seed);
             check_window(&s, seed);
+            watch.check(before, &s, &w, &h, seed);
         }
         // The network turns reliable: deliver everything in order and let
         // the retransmit timer cover what the schedule lost.
@@ -630,4 +693,5 @@ fn sender_invariants_hold_under_adversarial_schedules() {
         assert!(w.held.iter().all(|&b| b), "seed {seed}: receiver has holes");
     }
     assert!(capped > 0, "no seed grew cwnd to MAX_CWND");
+    assert!(watch.undos > 0, "no schedule undid a recovery");
 }
