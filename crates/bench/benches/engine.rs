@@ -1,6 +1,6 @@
 //! Simulator-engine microbenchmarks with no flowbench counterpart: bulk
 //! event scheduling, the RNG, raw packet-forwarding throughput through the
-//! full simulator (plain, traced, INT-stamped, flowcut-pinned), workload
+//! full simulator (plain, traced, flowcut-pinned), workload
 //! generation, and the chaos incident. The per-operation probes — scheduler
 //! hold model, ECMP select, queue enqueue/dequeue, sketch add — are
 //! flowbench's (`benchmark/`, `netsim.event.push_pop_ns_d*`,
@@ -113,42 +113,6 @@ fn bench_forwarding_traced(h: &Harness) {
     );
 }
 
-/// INT-stamping overhead on the same 5 000-packet blast:
-/// `simulator/blast_5k_packets_through_switch` above is the feedback-off
-/// baseline (the disabled check is one `Option` branch); here the switch
-/// appends a per-hop INT record to every forwarded packet
-/// ([`netsim::FeedbackConfig::int_only`]) — pricing the lazy stack
-/// allocation plus the per-hop push on the forwarding hot path.
-fn bench_int_stamp(h: &Harness) {
-    h.bench_with_setup(
-        "feedback/int_stamp_overhead",
-        5_000,
-        || {
-            let mut sim = Simulator::new(1);
-            let h0 = sim.add_host(SimTime::ZERO, SimTime::ZERO);
-            let h1 = sim.add_host(SimTime::ZERO, SimTime::ZERO);
-            let sw = sim.add_switch(
-                SwitchConfig::commodity(HashConfig::FiveTuple)
-                    .with_feedback(netsim::FeedbackConfig::int_only()),
-            );
-            sim.connect(h0, sw, LinkSpec::host_10g());
-            sim.connect(h1, sw, LinkSpec::host_10g());
-            let mut rt = RoutingTable::new(2);
-            rt.set(0, vec![0]);
-            rt.set(1, vec![1]);
-            sim.set_routes(sw, rt);
-            let log = RxLog::shared();
-            sim.set_agent(h0, Box::new(Blaster::new(1, 5_000, log.clone())));
-            sim.set_agent(h1, Box::new(CountingSink { log }));
-            sim
-        },
-        |mut sim| {
-            sim.run_to_quiescence();
-            black_box(sim.events_processed())
-        },
-    );
-}
-
 /// Flowcut pin-table overhead on the same 5 000-packet blast:
 /// `simulator/blast_5k_packets_through_switch` above is the stateless-hash
 /// baseline; here the switch runs flowcut switching
@@ -218,7 +182,7 @@ fn bench_workload_engine(h: &Harness) {
 /// is engine throughput in delivered packets/sec.
 fn bench_chaos(h: &Harness) {
     let params = topology::FatTreeParams::k_ary(16).expect("k=16 is valid");
-    let scheme = experiments::schemes::flowbender(Default::default());
+    let scheme = experiments::Scheme::FlowBender(Default::default());
     let rng = DetRng::new(3, 0xFAB);
     let specs: Vec<netsim::FlowSpec> = workloads::PoissonStream::new(
         &params,
@@ -249,7 +213,6 @@ fn main() {
     bench_rng(&h);
     bench_forwarding(&h);
     bench_forwarding_traced(&h);
-    bench_int_stamp(&h);
     bench_flowcut_pin(&h);
     bench_workload_engine(&h);
     bench_chaos(&h);

@@ -6,7 +6,7 @@
 
 use std::hint::black_box;
 
-use experiments::schemes::{self, SchemeSpec};
+use experiments::Scheme;
 use experiments::{run_fat_tree, run_testbed, RunOutput, Window};
 use fb_bench::Harness;
 use netsim::event::EventKind;
@@ -17,8 +17,8 @@ use workloads::{
     all_to_all, hotspot, microbench, partition_aggregate, testbed_one_tor, FlowSizeDist,
 };
 
-fn fb() -> SchemeSpec {
-    schemes::flowbender(flowbender::Config::default())
+fn fb() -> Scheme {
+    Scheme::FlowBender(flowbender::Config::default())
 }
 
 /// What one run of a row did: the packets it delivered — the unit the row's
@@ -101,7 +101,7 @@ fn bench_fig3_fig4(h: &Harness) {
     );
     for (name, scheme) in [
         ("paper/fig3_alltoall_mean_flowbender", fb()),
-        ("paper/fig4_alltoall_tail_ecmp", schemes::ecmp()),
+        ("paper/fig4_alltoall_tail_ecmp", Scheme::Ecmp),
     ] {
         bench_run(h, name, || {
             let out = run_fat_tree(params, &scheme, &specs, window.drain_until, 1);
@@ -150,7 +150,7 @@ fn bench_fig6_fig7(h: &Harness) {
         bench_run(h, name, || {
             Work::of(&run_fat_tree(
                 params,
-                &schemes::flowbender(cfg),
+                &Scheme::FlowBender(cfg),
                 &specs,
                 SimTime::from_ms(200),
                 1,
@@ -245,7 +245,7 @@ fn bench_ablation(h: &Harness) {
         bench_run(h, name, || {
             Work::of(&run_fat_tree(
                 params,
-                &schemes::flowbender(cfg),
+                &Scheme::FlowBender(cfg),
                 &specs,
                 SimTime::from_ms(200),
                 1,

@@ -18,7 +18,7 @@ use workloads::Workload;
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
 use crate::scenario::{parallel_map, run_fat_tree};
-use crate::schemes;
+use crate::schemes::Scheme;
 
 /// A named FlowBender variant.
 pub struct Variant {
@@ -79,7 +79,7 @@ pub fn sweep(opts: &Opts) -> Vec<Cell> {
             SimTime::from_ms(60),
             0xAB1A,
         );
-        let scheme = schemes::flowbender(v.cfg);
+        let scheme = Scheme::FlowBender(v.cfg);
         let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
         Cell::of(out, window)
     })

@@ -17,7 +17,7 @@ use stats::{fmt_secs, BinStats, FctAccumulator, Table, PAPER_BINS};
 use crate::cell::{baseline, paper_fabric, ratio_cell, windowed_cell, Cell, Digest};
 use crate::report::{Opts, Report};
 use crate::scenario::sweep_schemes;
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::{self, Scheme};
 
 /// The paper's evaluated loads (fraction of bisection bandwidth).
 pub const LOADS: [f64; 3] = [0.2, 0.4, 0.6];
@@ -31,7 +31,7 @@ pub const LOADS: [f64; 3] = [0.2, 0.4, 0.6];
 /// all-to-all by default, or whatever `--workload` selected — the RNG
 /// stream is unchanged, so the default reproduces the pre-registry flow
 /// lists byte for byte.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec], loads: &[f64]) -> Vec<Vec<Cell>> {
+pub fn sweep(opts: &Opts, schemes: &[Scheme], loads: &[f64]) -> Vec<Vec<Cell>> {
     opts.validate();
     let params = paper_fabric(opts);
     let workload = opts.workload_or("websearch");
@@ -58,12 +58,7 @@ fn binned(fct: &Digest) -> Vec<BinStats> {
 
 /// Build the Figure 3 (mean) or Figure 4 (p99) normalized-latency table,
 /// one column per swept non-baseline scheme.
-fn normalized_table(
-    schemes: &[SchemeSpec],
-    grid: &[Vec<Cell>],
-    loads: &[f64],
-    tail: bool,
-) -> Table {
+fn normalized_table(schemes: &[Scheme], grid: &[Vec<Cell>], loads: &[f64], tail: bool) -> Table {
     let base = baseline(schemes);
     let others: Vec<usize> = (0..schemes.len()).filter(|&s| s != base).collect();
     let mut header = vec!["load".to_string(), "flow size".to_string()];
@@ -92,7 +87,7 @@ fn normalized_table(
 }
 
 /// Figure 3: mean latency normalized to ECMP.
-pub fn fig3_report(schemes: &[SchemeSpec], grid: &[Vec<Cell>], loads: &[f64]) -> Report {
+pub fn fig3_report(schemes: &[Scheme], grid: &[Vec<Cell>], loads: &[f64]) -> Report {
     let mut r = Report::new("fig3");
     r.section(
         format!(
@@ -124,7 +119,7 @@ pub fn fig3_report(schemes: &[SchemeSpec], grid: &[Vec<Cell>], loads: &[f64]) ->
 }
 
 /// Figure 4: 99th-percentile latency normalized to ECMP.
-pub fn fig4_report(schemes: &[SchemeSpec], grid: &[Vec<Cell>], loads: &[f64]) -> Report {
+pub fn fig4_report(schemes: &[Scheme], grid: &[Vec<Cell>], loads: &[f64]) -> Report {
     let mut r = Report::new("fig4");
     r.section(
         format!(
@@ -139,7 +134,7 @@ pub fn fig4_report(schemes: &[SchemeSpec], grid: &[Vec<Cell>], loads: &[f64]) ->
 }
 
 /// §4.2.3: out-of-order delivery statistics.
-pub fn ooo_report(schemes: &[SchemeSpec], grid: &[Vec<Cell>], loads: &[f64]) -> Report {
+pub fn ooo_report(schemes: &[Scheme], grid: &[Vec<Cell>], loads: &[f64]) -> Report {
     let mut table = Table::new(vec!["load", "scheme", "ooo fraction", "reroutes"]);
     for (load, cells) in loads.iter().zip(grid) {
         for (scheme, c) in schemes.iter().zip(cells) {
@@ -222,8 +217,8 @@ mod tests {
             ..Opts::default()
         };
         let sel = vec![
-            schemes::ecmp(),
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::Ecmp,
+            Scheme::FlowBender(flowbender::Config::default()),
         ];
         let results = &sweep(&opts, &sel, &[0.4])[0];
         assert_eq!(results.len(), 2);
@@ -278,8 +273,8 @@ mod tests {
         // No ECMP in the selection: the first scheme becomes the baseline
         // and the column set follows the sweep.
         let sel = vec![
-            schemes::flowbender(flowbender::Config::default()),
-            schemes::flowbender(flowbender::Config::default().with_n(2)),
+            Scheme::FlowBender(flowbender::Config::default()),
+            Scheme::FlowBender(flowbender::Config::default().with_n(2)),
         ];
         let results = sweep(&opts, &sel, &[0.2]);
         let fig3 = fig3_report(&sel, &results, &[0.2]);

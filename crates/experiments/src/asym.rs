@@ -19,7 +19,7 @@ use workloads::microbench;
 use crate::cell::Digest;
 use crate::report::{Opts, Report};
 use crate::scenario::{parallel_map, Window};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// One configuration's outcome.
 #[derive(Debug)]
@@ -39,19 +39,19 @@ pub struct Cell {
 }
 
 /// The evaluated configurations: `(label, scheme, install_wcmp_weights)`.
-fn configs() -> Vec<(&'static str, SchemeSpec, bool)> {
+fn configs() -> Vec<(&'static str, Scheme, bool)> {
     vec![
-        ("ECMP (oblivious)", schemes::ecmp(), false),
-        ("RPS", schemes::rps(), false),
-        ("WCMP (correct weights)", schemes::ecmp(), true),
+        ("ECMP (oblivious)", Scheme::Ecmp, false),
+        ("RPS", Scheme::Rps, false),
+        ("WCMP (correct weights)", Scheme::Ecmp, true),
         (
             "FlowBender (no weights)",
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::FlowBender(flowbender::Config::default()),
             false,
         ),
         (
             "FlowBender + WCMP",
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::FlowBender(flowbender::Config::default()),
             true,
         ),
     ]
@@ -61,7 +61,7 @@ fn configs() -> Vec<(&'static str, SchemeSpec, bool)> {
 /// uplink degraded to `slow_rate`.
 pub fn run_config(
     label: &'static str,
-    scheme: &SchemeSpec,
+    scheme: &Scheme,
     wcmp: bool,
     bytes: u64,
     slow_rate: u64,
@@ -142,16 +142,16 @@ mod tests {
     fn flowbender_compensates_for_missing_weights() {
         let bytes = 3_000_000;
         let slow = 5_000_000_000;
-        let ecmp = run_config("ecmp", &schemes::ecmp(), false, bytes, slow, 9);
+        let ecmp = run_config("ecmp", &Scheme::Ecmp, false, bytes, slow, 9);
         let fb = run_config(
             "fb",
-            &schemes::flowbender(flowbender::Config::default()),
+            &Scheme::FlowBender(flowbender::Config::default()),
             false,
             bytes,
             slow,
             9,
         );
-        let wcmp = run_config("wcmp", &schemes::ecmp(), true, bytes, slow, 9);
+        let wcmp = run_config("wcmp", &Scheme::Ecmp, true, bytes, slow, 9);
         // Everyone completes.
         assert_eq!(ecmp.completed, 16);
         assert_eq!(fb.completed, 16);
@@ -178,8 +178,8 @@ mod tests {
     fn wcmp_weights_shift_traffic_off_the_slow_link() {
         let bytes = 3_000_000;
         let slow = 5_000_000_000;
-        let ecmp = run_config("ecmp", &schemes::ecmp(), false, bytes, slow, 11);
-        let wcmp = run_config("wcmp", &schemes::ecmp(), true, bytes, slow, 11);
+        let ecmp = run_config("ecmp", &Scheme::Ecmp, false, bytes, slow, 11);
+        let wcmp = run_config("wcmp", &Scheme::Ecmp, true, bytes, slow, 11);
         // With weights, the slow link carries (weakly) less traffic.
         assert!(
             wcmp.slow_link_bps <= ecmp.slow_link_bps * 1.05,

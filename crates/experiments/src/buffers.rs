@@ -15,17 +15,17 @@ use workloads::Workload;
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
 use crate::scenario::{run_fat_tree, sweep_schemes};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Evaluated per-port buffer capacities (bytes).
 pub const CAPACITIES: [u64; 3] = [150_000, 400_000, 2 * 1024 * 1024];
 
 /// The compared schemes, ECMP (the baseline) first.
-fn contenders() -> Vec<SchemeSpec> {
+fn contenders() -> Vec<Scheme> {
     vec![
-        schemes::ecmp(),
-        schemes::flowbender(flowbender::Config::default()),
-        schemes::rps(),
+        Scheme::Ecmp,
+        Scheme::FlowBender(flowbender::Config::default()),
+        Scheme::Rps,
     ]
 }
 

@@ -13,13 +13,13 @@
 use netsim::{
     Counter, DetRng, FaultPlan, FlowRecord, FlowSpec, NodeId, PortId, SimTime, TraceConfig,
 };
-use stats::{Sample, Table};
+use stats::Sample;
 use topology::FatTreeParams;
 use workloads::{FlowSizeDist, PoissonStream, Workload};
 
-use crate::report::{Opts, Report, RunSummary};
-use crate::scenario::{sweep_schemes, Run, RunOutput, Window};
-use crate::schemes::SchemeSpec;
+use crate::report::Opts;
+use crate::scenario::{Run, RunOutput, Window};
+use crate::schemes::Scheme;
 
 /// The FCT statistics of one run: the completed TCP flows that arrived
 /// inside the measurement window, replicas merged into their primaries.
@@ -107,7 +107,7 @@ impl Cell {
 
 /// Column of the scheme a table normalizes to: ECMP when it was swept,
 /// otherwise the first swept scheme.
-pub fn baseline(schemes: &[SchemeSpec]) -> usize {
+pub fn baseline(schemes: &[Scheme]) -> usize {
     schemes.iter().position(|s| s.name() == "ECMP").unwrap_or(0)
 }
 
@@ -176,109 +176,6 @@ pub fn poisson_websearch(
     PoissonStream::new(params, load, duration, FlowSizeDist::web_search(), &rng).collect()
 }
 
-/// A (scheme × workload) sweep on a k=8 fat-tree (k=4 under `--smoke`) —
-/// `feedback` and `reordering` are two of these, differing in this
-/// description, their default scheme and workload sets, and the table row
-/// they print per cell.
-pub struct WorkloadSweep {
-    /// Report name.
-    pub name: &'static str,
-    /// What each section title leads with.
-    pub title: &'static str,
-    /// RNG stream tag of the workload generators.
-    pub tag: u64,
-    /// Table column headers.
-    pub headers: &'static [&'static str],
-}
-
-impl WorkloadSweep {
-    /// Offered load (fraction of edge bandwidth): enough congestion to
-    /// exercise the schemes, not enough to collapse the fabric.
-    pub const LOAD: f64 = 0.3;
-
-    /// The fabric these sweeps build.
-    pub fn fabric(opts: &Opts) -> FatTreeParams {
-        kary_fabric(opts, 8)
-    }
-
-    /// Run one (scheme, workload) cell with the flight recorder on for
-    /// the flows `trace` selects. The flow list is deterministic in
-    /// `(seed, slug)`, independent of scheme.
-    pub fn cell(
-        &self,
-        opts: &Opts,
-        scheme: &SchemeSpec,
-        wl_slug: &str,
-        trace: TraceConfig,
-    ) -> Cell {
-        let params = Self::fabric(opts);
-        // Generous drain: jobs arriving late in the window still need
-        // their fan-in to finish for the completion column to mean anything.
-        let window = kary_window(
-            opts,
-            SimTime::from_ms(2),
-            SimTime::from_us(400),
-            SimTime::from_ms(20),
-        );
-        let wl = workloads::find(wl_slug).unwrap_or_else(|| panic!("unknown workload `{wl_slug}`"));
-        let mut rng = DetRng::new(opts.seed, self.tag);
-        let specs = wl.generate(&params, Self::LOAD, window.end, &mut rng);
-        let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
-            .trace(trace)
-            .run();
-        Cell::of(out, window)
-    }
-
-    /// Sweep the `--scheme` selection (default `schemes`) over the
-    /// `--workload` selection (default `workloads`) and build the report:
-    /// one section per workload, one table row (from `row`, which may
-    /// also attach to the report) and one JSON run summary per cell.
-    pub fn report(
-        &self,
-        opts: &Opts,
-        schemes: &[SchemeSpec],
-        workloads: Vec<String>,
-        mut row: impl FnMut(&mut Report, &str, &SchemeSpec, &str, &Cell) -> Vec<String>,
-    ) -> Report {
-        opts.validate();
-        let params = Self::fabric(opts);
-        let selection = opts.scheme_selection(schemes);
-        let wl_slugs = opts.workload.clone().map_or(workloads, |w| vec![w]);
-        let grid = sweep_schemes(&selection, &wl_slugs, |scheme, wl| {
-            self.cell(opts, scheme, wl, TraceConfig::off())
-        });
-
-        let mut report = Report::new(self.name);
-        for (wl_slug, cells) in wl_slugs.iter().zip(&grid) {
-            let wl = workloads::find(wl_slug).expect("resolved by cell()");
-            let mut table = Table::new(self.headers.to_vec());
-            for (scheme, cell) in selection.iter().zip(cells) {
-                let label = format!("{}_{}_seed{}", wl.slug(), scheme.slug(), opts.seed);
-                table.row(row(&mut report, &label, scheme, wl_slug, cell));
-                report.run_summary(RunSummary::from_run(
-                    label,
-                    scheme.name(),
-                    opts,
-                    opts.seed,
-                    &cell.out,
-                ));
-            }
-            report.section(
-                format!(
-                    "{} on {}: k={} fat-tree ({} hosts) at {:.0}% load",
-                    self.title,
-                    wl.name(),
-                    params.pods,
-                    params.n_hosts(),
-                    Self::LOAD * 100.0
-                ),
-                table,
-            );
-        }
-        report
-    }
-}
-
 /// The paper fat-tree, whatever the options say, as the registry rows of
 /// the experiments that build it and honor `--workload` name it.
 pub fn paper_fabric(_: &Opts) -> FatTreeParams {
@@ -291,7 +188,7 @@ pub fn paper_fabric(_: &Opts) -> FatTreeParams {
 /// inter-pod paths. Runs with the flight recorder on for the flows `trace`
 /// selects; every flow counts (no window).
 pub fn faulted_microbench(
-    scheme: &SchemeSpec,
+    scheme: &Scheme,
     bytes: u64,
     seed: u64,
     trace: TraceConfig,
@@ -327,7 +224,6 @@ pub fn failure_cells(c: &Cell) -> [String; 4] {
 mod tests {
     use super::*;
     use crate::scenario::run_fat_tree;
-    use crate::schemes;
 
     /// Four short flows starting 1 ms apart, so a window can cut between
     /// them; all under RepFlow's 100 KB replication threshold.
@@ -349,7 +245,7 @@ mod tests {
     fn digest_trims_to_the_window_by_arrival_time() {
         let params = FatTreeParams::tiny();
         let until = SimTime::from_secs(1);
-        let out = run_fat_tree(params, &schemes::ecmp(), &staggered(), until, 1);
+        let out = run_fat_tree(params, &Scheme::Ecmp, &staggered(), until, 1);
         let fct_of = |i: usize| out.flows[i].fct().expect("completes").as_secs_f64();
         // [1 ms, 3 ms): flows 1 and 2 — not the warm-up flow 0, not flow 3
         // arriving exactly at the window's end.
@@ -364,13 +260,7 @@ mod tests {
         assert_eq!(d.only(|s| s.bytes > 40_000).n(), 0);
         // A run cut short of flow 3's arrival: it is in the window but
         // cannot complete, and the completion fraction says so.
-        let cut = run_fat_tree(
-            params,
-            &schemes::ecmp(),
-            &staggered(),
-            SimTime::from_ms(3),
-            1,
-        );
+        let cut = run_fat_tree(params, &Scheme::Ecmp, &staggered(), SimTime::from_ms(3), 1);
         let d = Digest::of(&cut, window(2, 4));
         assert_eq!((d.n(), d.completion), (1, 0.5));
     }
@@ -380,7 +270,7 @@ mod tests {
         let until = SimTime::from_secs(1);
         let out = run_fat_tree(
             FatTreeParams::tiny(),
-            &schemes::repflow(),
+            &Scheme::RepFlow,
             &staggered(),
             until,
             1,
@@ -401,13 +291,7 @@ mod tests {
     #[test]
     fn an_empty_window_digests_to_zeros_and_full_completion() {
         let until = SimTime::from_secs(1);
-        let out = run_fat_tree(
-            FatTreeParams::tiny(),
-            &schemes::ecmp(),
-            &staggered(),
-            until,
-            1,
-        );
+        let out = run_fat_tree(FatTreeParams::tiny(), &Scheme::Ecmp, &staggered(), until, 1);
         let d = Digest::of(&out, window(10, 20));
         assert_eq!(
             (d.n(), d.mean(), d.quantile(0.99), d.max()),
@@ -418,9 +302,9 @@ mod tests {
 
     #[test]
     fn baseline_is_ecmp_when_swept_else_the_first_scheme() {
-        let fb = schemes::flowbender(Default::default());
-        assert_eq!(baseline(&[fb.clone(), schemes::ecmp(), schemes::rps()]), 1);
-        assert_eq!(baseline(&[schemes::rps(), fb]), 0);
+        let fb = Scheme::FlowBender(Default::default());
+        assert_eq!(baseline(&[fb, Scheme::Ecmp, Scheme::Rps]), 1);
+        assert_eq!(baseline(&[Scheme::Rps, fb]), 0);
         assert_eq!(ratio_cell(Some(1.0), Some(2.0)), stats::fmt_ratio(0.5));
         assert_eq!(ratio_cell(Some(1.0), Some(0.0)), "-");
         assert_eq!(ratio_cell(None, Some(2.0)), "-");

@@ -26,7 +26,7 @@ use crate::cell::{kary_window, poisson_websearch, Digest};
 use crate::fabric_scale::{fabric, LOAD};
 use crate::report::{Opts, Report, RunSummary};
 use crate::scenario::{parallel_map, PlanFn, Run, RunOutput, Window};
-use crate::schemes;
+use crate::schemes::{self, Scheme};
 
 /// RNG stream tag for the per-source Poisson streams (distinct from
 /// fabric-scale's so the two experiments draw independent workloads).
@@ -182,7 +182,7 @@ fn setup(opts: &Opts) -> Setup {
 fn run_one(
     s: &Setup,
     opts: &Opts,
-    scheme: &schemes::SchemeSpec,
+    scheme: &schemes::Scheme,
 ) -> (ChaosResult, RunOutput, RunOutput) {
     let run = |plan_fn: PlanFn| {
         Run::new(s.params, scheme, &s.specs, s.window.drain_until, opts.seed)
@@ -261,8 +261,7 @@ pub fn run(opts: &Opts) -> Report {
     opts.validate();
     let s = setup(opts);
     let k = s.params.pods;
-    let selection =
-        opts.scheme_selection(&[schemes::ecmp(), schemes::flowbender(Default::default())]);
+    let selection = opts.scheme_selection(&[Scheme::Ecmp, Scheme::FlowBender(Default::default())]);
 
     let mut table = Table::new(vec![
         "scheme",
@@ -372,7 +371,7 @@ mod tests {
 
     #[test]
     fn incident_clears_and_flows_still_complete() {
-        let scheme = schemes::flowbender(Default::default());
+        let scheme = Scheme::FlowBender(Default::default());
         let opts = opts();
         let (r, _, chaos) = run_one(&setup(&opts), &opts, &scheme);
         assert!(r.recon_samples > 0, "crash must leave flows to reconverge");

@@ -17,7 +17,7 @@ use topology::FatTreeParams;
 use crate::cell::{kary_fabric, kary_window, poisson_websearch, secs_or_dash, Cell};
 use crate::report::{Opts, Report, RunSummary};
 use crate::scenario::Run;
-use crate::schemes;
+use crate::schemes::{self, Scheme};
 
 /// Offered load (fraction of edge bandwidth). One point, not a sweep —
 /// a 1024-host packet run is minutes, and the load sweep story is fig3's.
@@ -34,7 +34,7 @@ pub fn fabric(opts: &Opts) -> FatTreeParams {
 
 /// Run one scheme on the k-ary fabric, returning the FCT sketch of the
 /// measured flows alongside the cell.
-pub fn run_one(opts: &Opts, scheme: &schemes::SchemeSpec) -> (FctAccumulator, Cell) {
+pub fn run_one(opts: &Opts, scheme: &schemes::Scheme) -> (FctAccumulator, Cell) {
     let params = fabric(opts);
     // Short windows: a 1024-host all-to-all generates hundreds of flows
     // (and tens of millions of events) per simulated millisecond.
@@ -59,8 +59,7 @@ pub fn run(opts: &Opts) -> Report {
     opts.validate();
     let params = fabric(opts);
     let k = params.pods;
-    let selection =
-        opts.scheme_selection(&[schemes::ecmp(), schemes::flowbender(Default::default())]);
+    let selection = opts.scheme_selection(&[Scheme::Ecmp, Scheme::FlowBender(Default::default())]);
 
     let mut table = Table::new(vec![
         "scheme", "flows", "complete", "mean", "p99", "ooo", "events",

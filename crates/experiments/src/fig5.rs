@@ -13,7 +13,7 @@ use topology::FatTreeParams;
 use crate::cell::{baseline, ratio_cell, windowed_cell};
 use crate::report::{Opts, Report};
 use crate::scenario::{run_fat_tree, sweep_schemes};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::{self, Scheme};
 
 /// Fan-in degrees from the paper's Figure 5.
 pub const FAN_INS: [u32; 4] = [4, 8, 16, 32];
@@ -22,7 +22,7 @@ pub const FAN_INS: [u32; 4] = [4, 8, 16, 32];
 /// from the workload registry's `incast:<fanin>` pattern (the same
 /// generator and RNG stream the hard-coded `partition_aggregate` call
 /// always used, so results are byte-compatible).
-pub fn run_cell(opts: &Opts, scheme: &SchemeSpec, fan_in: u32) -> JobStats {
+pub fn run_cell(opts: &Opts, scheme: &Scheme, fan_in: u32) -> JobStats {
     let params = FatTreeParams::paper();
     let (specs, window) = windowed_cell(
         opts,
@@ -45,7 +45,7 @@ pub fn run_cell(opts: &Opts, scheme: &SchemeSpec, fan_in: u32) -> JobStats {
 }
 
 /// Run the sweep over `schemes` × [`FAN_INS`]: one row per fan-in.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Vec<JobStats>> {
+pub fn sweep(opts: &Opts, schemes: &[Scheme]) -> Vec<Vec<JobStats>> {
     opts.validate();
     sweep_schemes(schemes, &FAN_INS, |scheme, &fan_in| {
         run_cell(opts, scheme, fan_in)
@@ -105,8 +105,8 @@ mod tests {
             ..Opts::default()
         };
         let sel = vec![
-            schemes::ecmp(),
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::Ecmp,
+            Scheme::FlowBender(flowbender::Config::default()),
         ];
         let cells = parallel_map(sel, |scheme| {
             let js = run_cell(&opts, &scheme, 4);

@@ -17,13 +17,13 @@ use workloads::testbed_one_tor;
 use crate::cell::Cell;
 use crate::report::{Opts, Report};
 use crate::scenario::{run_testbed, sweep_schemes, Window};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Loads from the paper.
 pub const LOADS: [f64; 3] = [0.2, 0.4, 0.6];
 
 /// Run the sweep: one row per load, one [`Cell`] per scheme.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Vec<Cell>> {
+pub fn sweep(opts: &Opts, schemes: &[Scheme]) -> Vec<Vec<Cell>> {
     opts.validate();
     let params = TestbedParams::paper();
     let duration = opts.scaled(SimTime::from_ms(800));
@@ -58,8 +58,8 @@ pub fn run(opts: &Opts) -> Report {
     let grid = sweep(
         opts,
         &[
-            schemes::ecmp(),
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::Ecmp,
+            Scheme::FlowBender(flowbender::Config::default()),
         ],
     );
     let mut table = Table::new(vec![
@@ -121,7 +121,7 @@ mod tests {
         );
         let out = run_testbed(
             params.clone(),
-            &schemes::flowbender(flowbender::Config::default()),
+            &Scheme::FlowBender(flowbender::Config::default()),
             &specs,
             window.drain_until,
             opts.seed,

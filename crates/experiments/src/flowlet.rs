@@ -16,7 +16,7 @@ use workloads::{microbench, Workload};
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
 use crate::scenario::{parallel_map, run_fat_tree, sweep_schemes, Window};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Flowlet inactivity gaps evaluated (around the ~90 µs fabric RTT).
 pub const GAPS_US: [u64; 3] = [50, 100, 500];
@@ -25,13 +25,13 @@ pub const GAPS_US: [u64; 3] = [50, 100, 500];
 pub const LOADS: [f64; 2] = [0.4, 0.6];
 
 /// The compared schemes, ECMP (the baseline) first.
-fn contenders() -> Vec<SchemeSpec> {
+fn contenders() -> Vec<Scheme> {
     let mut v = vec![
-        schemes::ecmp(),
-        schemes::flowbender(flowbender::Config::default()),
+        Scheme::Ecmp,
+        Scheme::FlowBender(flowbender::Config::default()),
     ];
     for gap in GAPS_US {
-        v.push(schemes::flowlet(SimTime::from_us(gap)));
+        v.push(Scheme::Flowlet(SimTime::from_us(gap)));
     }
     v
 }
@@ -137,7 +137,7 @@ mod tests {
         );
         let out = run_fat_tree(
             params,
-            &schemes::flowlet(SimTime::from_us(100)),
+            &Scheme::Flowlet(SimTime::from_us(100)),
             &specs,
             window.drain_until,
             opts.seed,

@@ -20,7 +20,7 @@ use stats::Table;
 use crate::cell::{failure_cells, faulted_microbench, Cell};
 use crate::report::{Opts, Report, RunSummary};
 use crate::scenario::{sweep_schemes, traced_replay};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// The loss rates swept by the committed experiment.
 pub const LOSS_RATES: [f64; 4] = [0.005, 0.01, 0.02, 0.04];
@@ -30,13 +30,7 @@ pub const LOSS_RATES: [f64; 4] = [0.005, 0.01, 0.02, 0.04];
 /// probability `loss` from the start. Apart from the timelines in
 /// `out.results.timelines()`, a traced run's output is byte-identical to
 /// the untraced run at the same seed.
-pub fn run_scheme(
-    scheme: &SchemeSpec,
-    loss: f64,
-    bytes: u64,
-    seed: u64,
-    trace: TraceConfig,
-) -> Cell {
+pub fn run_scheme(scheme: &Scheme, loss: f64, bytes: u64, seed: u64, trace: TraceConfig) -> Cell {
     faulted_microbench(scheme, bytes, seed, trace, &|plan, node, port| {
         plan.gray_loss(node, port, loss, SimTime::ZERO);
     })
@@ -53,8 +47,8 @@ pub fn run(opts: &Opts) -> Report {
     opts.validate();
     let bytes = (10_000_000.0 * opts.scale) as u64;
     let contenders = [
-        schemes::ecmp(),
-        schemes::flowbender(flowbender::Config::default()),
+        Scheme::Ecmp,
+        Scheme::FlowBender(flowbender::Config::default()),
     ];
     let grid = sweep_schemes(&contenders, &LOSS_RATES, |scheme, &loss| {
         let cell = |trace| run_scheme(scheme, loss, bytes, opts.seed, trace);
@@ -114,7 +108,7 @@ mod tests {
     use super::*;
     use netsim::Counter;
 
-    fn plain(scheme: &SchemeSpec, loss: f64, bytes: u64, seed: u64) -> Cell {
+    fn plain(scheme: &Scheme, loss: f64, bytes: u64, seed: u64) -> Cell {
         run_scheme(scheme, loss, bytes, seed, TraceConfig::off())
     }
 
@@ -122,9 +116,9 @@ mod tests {
     fn flowbender_escapes_gray_link_ecmp_suffers() {
         let bytes = 3_000_000;
         let loss = 0.04;
-        let ecmp = plain(&schemes::ecmp(), loss, bytes, 11);
+        let ecmp = plain(&Scheme::Ecmp, loss, bytes, 11);
         let fb = plain(
-            &schemes::flowbender(flowbender::Config::default()),
+            &Scheme::FlowBender(flowbender::Config::default()),
             loss,
             bytes,
             11,
@@ -163,8 +157,8 @@ mod tests {
     #[test]
     fn same_seed_reproduces_exactly() {
         let bytes = 500_000;
-        let a = plain(&schemes::ecmp(), 0.01, bytes, 7);
-        let b = plain(&schemes::ecmp(), 0.01, bytes, 7);
+        let a = plain(&Scheme::Ecmp, 0.01, bytes, 7);
+        let b = plain(&Scheme::Ecmp, 0.01, bytes, 7);
         assert!(gray_drops(&a) > 0, "the gray link drops");
         assert!(a.out.conservation.holds());
         assert_eq!(gray_drops(&a), gray_drops(&b));

@@ -14,7 +14,7 @@ use workloads::hotspot;
 
 use crate::report::{Opts, Report};
 use crate::scenario::{parallel_map, run_testbed};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Per-path throughput for one scheme.
 #[derive(Debug)]
@@ -45,7 +45,7 @@ impl PathLoads {
 }
 
 /// Run the hotspot experiment for the given schemes.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<PathLoads> {
+pub fn sweep(opts: &Opts, schemes: &[Scheme]) -> Vec<PathLoads> {
     opts.validate();
     let params = TestbedParams::paper();
     let duration = opts.scaled(SimTime::from_ms(100));
@@ -89,8 +89,8 @@ pub fn run(opts: &Opts) -> Report {
     let loads = sweep(
         opts,
         &opts.scheme_selection(&[
-            schemes::ecmp(),
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::Ecmp,
+            Scheme::FlowBender(flowbender::Config::default()),
         ]),
     );
     let mut table = Table::new(vec!["scheme", "path", "TCP", "UDP", "total", "hotspot?"]);
@@ -141,8 +141,8 @@ mod tests {
         let loads = sweep(
             &opts,
             &[
-                schemes::ecmp(),
-                schemes::flowbender(flowbender::Config::default()),
+                Scheme::Ecmp,
+                Scheme::FlowBender(flowbender::Config::default()),
             ],
         );
         let ecmp = &loads[0];

@@ -25,11 +25,10 @@
 //! | [`trace_scale`] | extension: million-flow workload engine + streaming FCT sketches |
 //! | [`fabric_scale`] | extension: 1024-host all-to-all on a k=16 fat-tree |
 //! | [`chaos`] | extension: incident-timeline chaos drill with reconvergence SLOs |
-//! | [`feedback`] | extension: switch-assisted feedback — INT telemetry + early CN |
 //! | [`reordering`] | extension: reordering cost by routing locus, incl. switch-side flowcuts |
 //!
-//! Which load-balancing designs exist — and how a new one is added in a
-//! single file — is owned by the [`schemes`] registry; which traffic
+//! Which load-balancing designs exist is owned by the [`schemes`]
+//! registry (one [`Scheme`] variant per design); which traffic
 //! patterns exist is owned by the `workloads` crate's registry (selected
 //! with `--workload`); the one runner ([`Run`]) and the sweep machinery
 //! live in [`scenario`].
@@ -40,9 +39,9 @@
 //!
 //! 1. **cell set-up** — a helper from [`cell`] turns the options into a
 //!    flow list and a measurement [`Window`] ([`cell::windowed_cell`] for
-//!    the paper-fabric sweeps, [`cell::WorkloadSweep`] for the k-ary
-//!    scheme × workload sweeps, [`cell::faulted_microbench`] for the
-//!    failure microbenchmarks); the window, warm-up, drain and
+//!    the paper-fabric sweeps, [`cell::kary_fabric`] and
+//!    [`cell::kary_window`] for the k-ary ones, [`cell::faulted_microbench`]
+//!    for the failure microbenchmarks); the window, warm-up, drain and
 //!    normalization conventions are stated once, in [`cell`]'s docs;
 //! 2. **sweep** — [`sweep_schemes`] runs the cell per `(param, scheme)`
 //!    and returns the `[param][scheme]` grid, which tables index directly;
@@ -66,7 +65,6 @@ pub mod buffers;
 pub mod cell;
 pub mod chaos;
 pub mod fabric_scale;
-pub mod feedback;
 pub mod fig5;
 pub mod fig8;
 pub mod flowlet;
@@ -91,7 +89,11 @@ pub use scenario::{
     parallel_map, run_fat_tree, run_fat_tree_sharded, run_testbed, slowest_flows, sweep_schemes,
     traced_replay, Run, RunOutput, ShardStats, Window,
 };
-pub use schemes::{Replication, SchemeSpec};
+pub use schemes::{Replication, Scheme};
+
+/// The scheme type's former name, kept so code written against it still
+/// compiles.
+pub type SchemeSpec = Scheme;
 
 /// The error text for an unknown `--scheme` value: names the offender and
 /// lists every registered scheme, mirroring the unknown-experiment error.

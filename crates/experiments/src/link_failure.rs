@@ -15,12 +15,12 @@ use stats::{fmt_secs, Table};
 use crate::cell::{failure_cells, faulted_microbench, Cell};
 use crate::report::{Opts, Report};
 use crate::scenario::parallel_map;
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Run the failure experiment for one scheme: the
 /// [`faulted_microbench`] with both directions of the uplink dying at
 /// `fail_at` — packets already hashed onto it black-hole.
-pub fn run_scheme(scheme: &SchemeSpec, bytes: u64, fail_at: SimTime, seed: u64) -> Cell {
+pub fn run_scheme(scheme: &Scheme, bytes: u64, fail_at: SimTime, seed: u64) -> Cell {
     let kill = |plan: &mut netsim::FaultPlan, node, port| {
         plan.kill(node, port, fail_at);
     };
@@ -33,8 +33,8 @@ pub fn run(opts: &Opts) -> Report {
     let bytes = (10_000_000.0 * opts.scale) as u64;
     let fail_at = SimTime::from_ms(5);
     let contenders = vec![
-        schemes::ecmp(),
-        schemes::flowbender(flowbender::Config::default()),
+        Scheme::Ecmp,
+        Scheme::FlowBender(flowbender::Config::default()),
     ];
     let results = parallel_map(contenders, |s| {
         let c = run_scheme(&s, bytes, fail_at, opts.seed);
@@ -73,9 +73,9 @@ mod tests {
     #[test]
     fn flowbender_survives_failure_ecmp_strands_flows() {
         let bytes = 3_000_000;
-        let ecmp = run_scheme(&schemes::ecmp(), bytes, SimTime::from_ms(2), 21);
+        let ecmp = run_scheme(&Scheme::Ecmp, bytes, SimTime::from_ms(2), 21);
         let fb = run_scheme(
-            &schemes::flowbender(flowbender::Config::default()),
+            &Scheme::FlowBender(flowbender::Config::default()),
             bytes,
             SimTime::from_ms(2),
             21,

@@ -147,7 +147,7 @@ fn main() -> ExitCode {
     if !opts.trace.is_off() && reports.iter().all(|r| r.traces.is_empty()) {
         eprintln!(
             "warning: --trace requested but `{command}` attached no timelines \
-             (the flight recorder is wired into: gray-failure, feedback)"
+             (the flight recorder is wired into: gray-failure, reordering)"
         );
     }
     for report in &reports {

@@ -8,12 +8,11 @@
 
 use topology::FatTreeParams;
 
-use crate::cell::{paper_fabric, WorkloadSweep};
+use crate::cell::paper_fabric;
 use crate::report::{Opts, Report};
 use crate::{
-    ablation, alltoall, asym, buffers, chaos, fabric_scale, feedback, fig5, fig8, flowlet,
-    gray_failure, hotspot, link_failure, reordering, repflow, sensitivity, table1, topo_dep,
-    trace_scale,
+    ablation, alltoall, asym, buffers, chaos, fabric_scale, fig5, fig8, flowlet, gray_failure,
+    hotspot, link_failure, reordering, repflow, sensitivity, table1, topo_dep, trace_scale,
 };
 
 /// One runnable experiment from the paper (or an extension). All run
@@ -36,7 +35,7 @@ pub struct Experiment {
     pub fabric: Option<fn(&Opts) -> FatTreeParams>,
 }
 
-static REGISTRY: [Experiment; 22] = [
+static REGISTRY: [Experiment; 21] = [
     Experiment {
         name: "table1",
         describe: "Table 1: 250MB ToR-to-ToR microbenchmark",
@@ -158,16 +157,10 @@ static REGISTRY: [Experiment; 22] = [
         fabric: None,
     },
     Experiment {
-        name: "feedback",
-        describe: "extension: switch-assisted feedback — INT telemetry + early CN vs the ECN echo",
-        run: |o| vec![feedback::run(o)],
-        fabric: Some(WorkloadSweep::fabric),
-    },
-    Experiment {
         name: "reordering",
         describe: "extension: reordering cost by routing locus — spraying vs switch-side flowcuts",
         run: |o| vec![reordering::run(o)],
-        fabric: Some(WorkloadSweep::fabric),
+        fabric: Some(reordering::fabric),
     },
 ];
 
@@ -187,7 +180,7 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// Run `rows` in order and return one report per row. What a row's `run`
 /// returns is pooled by report name, and a row whose report is already in
 /// the pool does not run again — so the sweep fig3/fig4/ooo share runs
-/// once per call, whether one of them was asked for or all 22 rows.
+/// once per call, whether one of them was asked for or all 21 rows.
 pub fn run(rows: &[&Experiment], opts: &Opts) -> Vec<Report> {
     let mut pool: Vec<Report> = Vec::new();
     let mut reports = Vec::with_capacity(rows.len());
@@ -243,7 +236,7 @@ mod tests {
             let found = find(e.name).expect("registered name must resolve");
             assert_eq!(found.name, e.name);
         }
-        assert_eq!(registry().len(), 22);
+        assert_eq!(registry().len(), 21);
         assert!(find("no-such-experiment").is_none());
     }
 
@@ -275,7 +268,7 @@ mod tests {
     }
 
     /// `--workload` is judged against the fabric the experiment builds:
-    /// 32:1 incast fits the 128-host paper fabric and feedback's k=8, not
+    /// 32:1 incast fits the 128-host paper fabric and reordering's k=8, not
     /// the 16-host smoke fabric — and rows that ignore `--workload` have
     /// nothing to check.
     #[test]
@@ -286,22 +279,19 @@ mod tests {
             ..Opts::default()
         };
         let check = |name: &str, o: &Opts| check_workload(&[find(name).unwrap()], o);
-        for name in ["fig3", "trace-scale", "feedback", "reordering", "chaos"] {
+        for name in ["fig3", "trace-scale", "reordering", "chaos"] {
             assert!(check(name, &opts("incast_32_1", false)).is_ok(), "{name}");
             assert!(check(name, &opts("websearch", true)).is_ok(), "{name}");
         }
-        for name in ["feedback", "reordering"] {
-            let err = check(name, &opts("incast_32_1", true)).unwrap_err();
-            assert!(
-                err.contains("more than 32 hosts")
-                    && err.contains(&format!("`{name} --smoke` builds 16")),
-                "{err}"
-            );
-            assert!(
-                check(name, &opts("incast:15", true)).is_ok(),
-                "15 senders fit 16 hosts"
-            );
-        }
+        let err = check("reordering", &opts("incast_32_1", true)).unwrap_err();
+        assert!(
+            err.contains("more than 32 hosts") && err.contains("`reordering --smoke` builds 16"),
+            "{err}"
+        );
+        assert!(
+            check("reordering", &opts("incast:15", true)).is_ok(),
+            "15 senders fit 16 hosts"
+        );
         assert!(check("fig3", &opts("incast:128", false)).is_err());
         assert!(
             check("chaos", &opts("incast:128", true)).is_ok(),

@@ -19,29 +19,21 @@
 //! counters ([`Counter::FlowcutPinned`], [`Counter::FlowcutReroutes`])
 //! show how often re-routing actually happened.
 
-use netsim::{Counter, SimTime};
+use netsim::{Counter, DetRng, SimTime, TraceConfig};
+use stats::Table;
+use topology::FatTreeParams;
 
-use crate::cell::{secs_or_dash, WorkloadSweep};
-use crate::report::{Opts, Report};
-use crate::schemes::{self, SchemeSpec};
+use crate::cell::{kary_fabric, kary_window, secs_or_dash, Cell};
+use crate::report::{Opts, Report, RunSummary};
+use crate::scenario::{sweep_schemes, traced_replay, Run};
+use crate::schemes::Scheme;
 
-/// What the reordering sweep is: see [`WorkloadSweep`].
-pub const SWEEP: WorkloadSweep = WorkloadSweep {
-    name: "reordering",
-    title: "Reordering cost by routing locus",
-    tag: 0x00DD_BA11,
-    headers: &[
-        "scheme",
-        "complete",
-        "p99 FCT",
-        "ooo pkts",
-        "spurious rtx",
-        "dsack undos",
-        "dup bytes",
-        "ooo buf max",
-        "fc reroutes",
-    ],
-};
+/// Offered load (fraction of edge bandwidth): enough congestion to
+/// exercise the schemes, not enough to collapse the fabric.
+const LOAD: f64 = 0.3;
+
+/// RNG stream tag of the workload generators.
+const TAG: u64 = 0x00DD_BA11;
 
 /// Workload slugs swept by default.
 pub fn default_workloads() -> Vec<String> {
@@ -49,27 +41,84 @@ pub fn default_workloads() -> Vec<String> {
 }
 
 /// The default scheme set: the three routing loci, two schemes each.
-pub fn default_schemes() -> Vec<SchemeSpec> {
+pub fn default_schemes() -> Vec<Scheme> {
+    let gap = SimTime::from_us(100);
     vec![
-        schemes::ecmp(),
-        schemes::flowbender(Default::default()),
-        schemes::rps(),
-        schemes::detail(),
-        schemes::flowcut(SimTime::from_us(100)),
-        schemes::flowcut_sw(SimTime::from_us(100)),
+        Scheme::Ecmp,
+        Scheme::FlowBender(Default::default()),
+        Scheme::Rps,
+        Scheme::DeTail,
+        Scheme::Flowcut(gap),
+        Scheme::FlowcutSw(gap),
     ]
 }
 
-/// Run the reordering experiment and build the report.
-pub fn run(opts: &Opts) -> Report {
-    let mut report = SWEEP.report(
+/// The fabric this experiment builds: a k=8 fat-tree (k=4 under
+/// `--smoke`).
+pub fn fabric(opts: &Opts) -> FatTreeParams {
+    kary_fabric(opts, 8)
+}
+
+/// Run one (scheme, workload) cell with the flight recorder on for the
+/// flows `trace` selects. The flow list is deterministic in
+/// `(seed, slug)`, independent of scheme.
+fn cell(opts: &Opts, scheme: &Scheme, wl_slug: &str, trace: TraceConfig) -> Cell {
+    let params = fabric(opts);
+    // Generous drain: flows arriving late in the window still need to
+    // finish for the completion column to mean anything.
+    let window = kary_window(
         opts,
-        &default_schemes(),
-        default_workloads(),
-        |_, _, scheme, _, c| {
+        SimTime::from_ms(2),
+        SimTime::from_us(400),
+        SimTime::from_ms(20),
+    );
+    let wl = workloads::find(wl_slug).unwrap_or_else(|| panic!("unknown workload `{wl_slug}`"));
+    let mut rng = DetRng::new(opts.seed, TAG);
+    let specs = wl.generate(&params, LOAD, window.end, &mut rng);
+    let out = Run::new(params, scheme, &specs, window.drain_until, opts.seed)
+        .trace(trace)
+        .run();
+    Cell::of(out, window)
+}
+
+/// Run the reordering experiment and build the report: the `--scheme`
+/// selection over the `--workload` selection, one section per workload,
+/// one table row and one JSON run summary per cell, and with `--trace`
+/// one traced replay per cell.
+pub fn run(opts: &Opts) -> Report {
+    opts.validate();
+    let params = fabric(opts);
+    let selection = opts.scheme_selection(&default_schemes());
+    let wl_slugs = opts
+        .workload
+        .clone()
+        .map_or_else(default_workloads, |w| vec![w]);
+    let grid = sweep_schemes(&selection, &wl_slugs, |scheme, wl| {
+        let c = cell(opts, scheme, wl, TraceConfig::off());
+        let timelines = traced_replay(&opts.trace, &c.out, |cfg| cell(opts, scheme, wl, cfg).out);
+        (c, timelines)
+    });
+
+    let mut report = Report::new("reordering");
+    for (wl_slug, cells) in wl_slugs.iter().zip(grid) {
+        let wl = workloads::find(wl_slug).expect("resolved by cell()");
+        let mut table = Table::new(vec![
+            "scheme",
+            "complete",
+            "p99 FCT",
+            "ooo pkts",
+            "spurious rtx",
+            "dsack undos",
+            "dup bytes",
+            "ooo buf max",
+            "fc reroutes",
+        ]);
+        for (scheme, (c, timelines)) in selection.iter().zip(cells) {
+            let label = format!("{}_{}_seed{}", wl.slug(), scheme.slug(), opts.seed);
+            report.trace_timelines(&label, timelines);
             let get = |counter| c.out.get(counter);
-            vec![
-                scheme.name().to_string(),
+            table.row(vec![
+                scheme.name(),
                 format!("{:.1}%", c.fct.completion * 100.0),
                 secs_or_dash(c.fct.quantile(0.99)),
                 match (get(Counter::OooPktsRcvd), get(Counter::DataPktsRcvd)) {
@@ -84,9 +133,26 @@ pub fn run(opts: &Opts) -> Report {
                     0 => "-".into(),
                     n => n.to_string(),
                 },
-            ]
-        },
-    );
+            ]);
+            report.run_summary(RunSummary::from_run(
+                label,
+                scheme.name(),
+                opts,
+                opts.seed,
+                &c.out,
+            ));
+        }
+        report.section(
+            format!(
+                "Reordering cost by routing locus on {}: k={} fat-tree ({} hosts) at {:.0}% load",
+                wl.name(),
+                params.pods,
+                params.n_hosts(),
+                LOAD * 100.0
+            ),
+            table,
+        );
+    }
     report.note(
         "ooo pkts = packets arriving after a later sequence was already seen \
          (receiver accounting, % of data received); spurious rtx = fast \
@@ -108,8 +174,7 @@ pub fn run(opts: &Opts) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::RunSummary;
-    use netsim::TraceConfig;
+    use crate::report::TraceSel;
 
     fn smoke_opts() -> Opts {
         Opts {
@@ -178,14 +243,7 @@ mod tests {
     /// retransmit, and duplicate bytes back the story.
     #[test]
     fn rps_misfires_are_dsack_accounted() {
-        let out = SWEEP
-            .cell(
-                &smoke_opts(),
-                &schemes::rps(),
-                "websearch",
-                TraceConfig::off(),
-            )
-            .out;
+        let out = cell(&smoke_opts(), &Scheme::Rps, "websearch", TraceConfig::off()).out;
         assert!(out.get(Counter::OooPktsRcvd) > 0, "RPS must reorder");
         assert!(
             out.get(Counter::SpuriousRetransmits) >= out.get(Counter::DsackUndos),
@@ -195,5 +253,39 @@ mod tests {
             out.get(Counter::OooBytesMax) > 0,
             "reordering must park bytes in the reassembly buffer"
         );
+    }
+
+    /// `--trace` replays each cell with the flight recorder on and
+    /// attaches the timelines under the cell's run label; the tables and
+    /// run summaries stay the untraced run's, byte for byte.
+    #[test]
+    fn trace_selection_attaches_timelines_to_the_report() {
+        let plain = Opts {
+            schemes: vec!["flowcut-sw".into()],
+            workload: Some("incast:8".into()),
+            ..smoke_opts()
+        };
+        let traced = Opts {
+            trace: TraceSel::Slowest(2),
+            ..plain.clone()
+        };
+        let (a, b) = (run(&plain), run(&traced));
+        assert!(a.traces.is_empty());
+        assert_eq!(b.traces.len(), 2, "slowest=2 on the one cell");
+        assert!(b.traces.iter().all(|(label, _)| *label == b.runs[0].label));
+        let tables = |r: &Report| -> Vec<String> {
+            r.sections
+                .iter()
+                .map(|(title, t)| format!("{title}\n{}", t.render()))
+                .collect()
+        };
+        assert_eq!(tables(&a), tables(&b));
+        let json = |r: &Report| -> Vec<String> {
+            r.runs
+                .iter()
+                .map(|s| s.to_json("reordering").to_string())
+                .collect()
+        };
+        assert_eq!(json(&a), json(&b));
     }
 }

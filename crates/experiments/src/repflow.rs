@@ -19,14 +19,14 @@ use workloads::Workload;
 use crate::cell::{baseline, windowed_cell, Cell};
 use crate::report::{Opts, Report, RunSummary};
 use crate::scenario::{parallel_map, run_fat_tree, RunOutput};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Flows below this size count as "short" in the report tables — the same
-/// 100 KB cut-off [`schemes::repflow`] replicates under.
+/// 100 KB cut-off [`Scheme::RepFlow`] replicates under.
 pub const SHORT_BYTES: u64 = 100_000;
 
 /// Run the 40 % web-search all-to-all workload once per scheme.
-pub fn sweep(opts: &Opts, schemes: &[SchemeSpec]) -> Vec<Cell> {
+pub fn sweep(opts: &Opts, schemes: &[Scheme]) -> Vec<Cell> {
     opts.validate();
     let params = FatTreeParams::paper();
     parallel_map(schemes.to_vec(), |scheme| {
@@ -53,7 +53,7 @@ pub fn overhead_frac(out: &RunOutput) -> f64 {
 }
 
 /// The machine-readable summary of one scheme's run.
-fn summary(opts: &Opts, scheme: &SchemeSpec, out: &RunOutput) -> RunSummary {
+fn summary(opts: &Opts, scheme: &Scheme, out: &RunOutput) -> RunSummary {
     let label = format!("{}_seed{}", scheme.slug(), opts.seed);
     RunSummary::from_run(label, scheme.name(), opts, opts.seed, out)
 }
@@ -61,9 +61,9 @@ fn summary(opts: &Opts, scheme: &SchemeSpec, out: &RunOutput) -> RunSummary {
 /// Produce the replication-vs-rerouting report.
 pub fn run(opts: &Opts) -> Report {
     let selection = opts.scheme_selection(&[
-        schemes::ecmp(),
-        schemes::flowbender(flowbender::Config::default()),
-        schemes::repflow(),
+        Scheme::Ecmp,
+        Scheme::FlowBender(flowbender::Config::default()),
+        Scheme::RepFlow,
     ]);
     let cells = sweep(opts, &selection);
     let short = |c: &Cell| c.fct.only(|s| s.bytes < SHORT_BYTES);
@@ -121,7 +121,7 @@ mod tests {
             seed: 7,
             ..Opts::default()
         };
-        let selection = [schemes::ecmp(), schemes::repflow()];
+        let selection = [Scheme::Ecmp, Scheme::RepFlow];
         let results = sweep(&opts, &selection);
         let (ecmp, rep) = (&results[0], &results[1]);
         assert_eq!(ecmp.out.replicas.len(), 0);

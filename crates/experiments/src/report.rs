@@ -170,8 +170,8 @@ impl Opts {
     /// on every CLI path.
     pub fn scheme_selection(
         &self,
-        default: &[crate::schemes::SchemeSpec],
-    ) -> Vec<crate::schemes::SchemeSpec> {
+        default: &[crate::schemes::Scheme],
+    ) -> Vec<crate::schemes::Scheme> {
         if self.schemes.is_empty() {
             return default.to_vec();
         }
@@ -290,7 +290,7 @@ impl RunSummary {
     /// Summarize a finished run.
     pub fn from_run(
         label: impl Into<String>,
-        scheme: &str,
+        scheme: impl Into<String>,
         opts: &Opts,
         seed: u64,
         out: &RunOutput,
@@ -661,7 +661,9 @@ fn trace_event_json(at: netsim::SimTime, ev: &TraceEvent) -> Json {
             o.set("port", Json::U64(port as u64));
             o.set("qbytes", Json::U64(qbytes));
         }
-        TraceEvent::EcnMark { node, port } | TraceEvent::Dequeue { node, port } => {
+        TraceEvent::EcnMark { node, port }
+        | TraceEvent::Dequeue { node, port }
+        | TraceEvent::FlowcutReroute { node, port } => {
             o.set("node", Json::U64(node as u64));
             o.set("port", Json::U64(port as u64));
         }
@@ -682,15 +684,6 @@ fn trace_event_json(at: netsim::SimTime, ev: &TraceEvent) -> Json {
         TraceEvent::Decision { from_v, to_v } => {
             o.set("from_v", Json::U64(from_v as u64));
             o.set("to_v", Json::U64(to_v as u64));
-        }
-        TraceEvent::IntStamp { node, port, qbytes } | TraceEvent::CnEmit { node, port, qbytes } => {
-            o.set("node", Json::U64(node as u64));
-            o.set("port", Json::U64(port as u64));
-            o.set("qbytes", Json::U64(qbytes));
-        }
-        TraceEvent::CnArrive { node, port } | TraceEvent::FlowcutReroute { node, port } => {
-            o.set("node", Json::U64(node as u64));
-            o.set("port", Json::U64(port as u64));
         }
     }
     o
@@ -745,7 +738,7 @@ mod tests {
     fn run_summary_json_layout_is_stable() {
         let params = topology::FatTreeParams::tiny();
         let specs = workloads::microbench(&params, 2, 50_000);
-        let scheme = crate::schemes::ecmp();
+        let scheme = crate::Scheme::Ecmp;
         let out = crate::Run::new(params, &scheme, &specs, netsim::SimTime::from_secs(1), 3)
             .telemetry(netsim::TelemetryConfig::every(netsim::SimTime::from_ms(1)))
             .run();

@@ -1,7 +1,7 @@
 //! Shared experiment machinery: the runner ([`Run`]), replication
 //! expansion, and parallel sweeps.
 //!
-//! What to run is described by a [`crate::schemes::SchemeSpec`] (fabric +
+//! What to run is described by a [`crate::schemes::Scheme`] (fabric +
 //! host sides of one design, see the `schemes` module); this module owns
 //! *how* to run it: building the topology, expanding replicated flows,
 //! installing agents, auditing conservation, and fanning sweeps out over
@@ -18,7 +18,7 @@ use topology::{build_fat_tree, build_testbed, FatTree, FatTreeParams, Testbed, T
 use transport::install_agents;
 
 use crate::report::TraceSel;
-use crate::schemes::SchemeSpec;
+use crate::schemes::Scheme;
 
 /// Everything a finished run hands back for analysis (thread-safe: no
 /// simulator internals). Dereferences to [`RunResults`], so flow records,
@@ -150,10 +150,7 @@ pub fn traced_replay(
 /// short TCP flow appended (dense ids continuing after the primaries),
 /// everything else passes through untouched. Returns the expanded spec
 /// list and the `(primary, replica)` pairs.
-fn expand_replicas(
-    specs: &[FlowSpec],
-    scheme: &SchemeSpec,
-) -> (Vec<FlowSpec>, Vec<(FlowId, FlowId)>) {
+fn expand_replicas(specs: &[FlowSpec], scheme: &Scheme) -> (Vec<FlowSpec>, Vec<(FlowId, FlowId)>) {
     let Some(rep) = scheme.replication() else {
         return (specs.to_vec(), Vec::new());
     };
@@ -179,7 +176,7 @@ pub type PlanFn<'a> = &'a (dyn Fn(&FatTree) -> FaultPlan + Sync);
 /// window plus a drain period), from `seed`. Everything else is opt-in:
 ///
 /// ```
-/// use experiments::{schemes, Run};
+/// use experiments::{Run, Scheme};
 /// use netsim::{Counter, FaultPlan, FlowSpec, SimTime};
 /// use topology::FatTreeParams;
 ///
@@ -188,7 +185,7 @@ pub type PlanFn<'a> = &'a (dyn Fn(&FatTree) -> FaultPlan + Sync);
 /// let specs: Vec<FlowSpec> = (0..8)
 ///     .map(|i| FlowSpec::tcp(i, i, 8 + i, 200_000, SimTime::ZERO))
 ///     .collect();
-/// let scheme = schemes::flowbender(Default::default());
+/// let scheme = Scheme::FlowBender(Default::default());
 /// let out = Run::new(FatTreeParams::tiny(), &scheme, &specs, SimTime::from_secs(5), 42)
 ///     .faults(&|ft| {
 ///         let (agg, port) = ft.agg_core_link(0, 0);
@@ -214,7 +211,7 @@ pub type PlanFn<'a> = &'a (dyn Fn(&FatTree) -> FaultPlan + Sync);
 #[derive(Clone)]
 pub struct Run<'a> {
     params: FatTreeParams,
-    scheme: &'a SchemeSpec,
+    scheme: &'a Scheme,
     specs: &'a [FlowSpec],
     until: SimTime,
     seed: u64,
@@ -228,7 +225,7 @@ impl<'a> Run<'a> {
     /// A plain run: no telemetry, no tracing, no SLO probe, no faults.
     pub fn new(
         params: FatTreeParams,
-        scheme: &'a SchemeSpec,
+        scheme: &'a Scheme,
         specs: &'a [FlowSpec],
         until: SimTime,
         seed: u64,
@@ -305,7 +302,7 @@ impl<'a> Run<'a> {
 /// The five-argument short form of [`Run`]: a plain run.
 pub fn run_fat_tree(
     params: FatTreeParams,
-    scheme: &SchemeSpec,
+    scheme: &Scheme,
     specs: &[FlowSpec],
     until: SimTime,
     seed: u64,
@@ -337,7 +334,7 @@ pub struct ShardStats {
 /// [`Run`] on the calling thread whatever `shards` says (0 is an error).
 pub fn run_fat_tree_sharded(
     params: FatTreeParams,
-    scheme: &SchemeSpec,
+    scheme: &Scheme,
     specs: &[FlowSpec],
     until: SimTime,
     seed: u64,
@@ -363,7 +360,7 @@ pub fn run_fat_tree_sharded(
 /// order.
 pub fn run_testbed(
     params: TestbedParams,
-    scheme: &SchemeSpec,
+    scheme: &Scheme,
     specs: &[FlowSpec],
     until: SimTime,
     seed: u64,
@@ -463,15 +460,15 @@ where
 /// per scheme, in registry order. This is the one sweep loop every
 /// experiment used to hand-roll; jobs are flattened params-outer /
 /// schemes-inner so result order matches the nested loops they replaced.
-pub fn sweep_schemes<P, T, F>(schemes: &[SchemeSpec], params: &[P], f: F) -> Vec<Vec<T>>
+pub fn sweep_schemes<P, T, F>(schemes: &[Scheme], params: &[P], f: F) -> Vec<Vec<T>>
 where
     P: Clone + Send + Sync,
     T: Send,
-    F: Fn(&SchemeSpec, &P) -> T + Sync,
+    F: Fn(&Scheme, &P) -> T + Sync,
 {
-    let jobs: Vec<(SchemeSpec, P)> = params
+    let jobs: Vec<(Scheme, P)> = params
         .iter()
-        .flat_map(|p| schemes.iter().map(|s| (s.clone(), p.clone())))
+        .flat_map(|p| schemes.iter().map(|&s| (s, p.clone())))
         .collect();
     let flat = parallel_map(jobs, |(s, p)| f(&s, &p));
     let mut flat = flat.into_iter();
@@ -546,7 +543,7 @@ mod tests {
         let specs: Vec<FlowSpec> = (0..8)
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 300_000, SimTime::ZERO))
             .collect();
-        let scheme = schemes::flowbender(fb::Config::default());
+        let scheme = Scheme::FlowBender(fb::Config::default());
         let base = Run::new(params, &scheme, &specs, SimTime::from_secs(5), 1);
         let plain = base.run();
         assert!(plain.flows.iter().all(|f| f.fct().is_some()));
@@ -595,7 +592,7 @@ mod tests {
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 100_000, SimTime::ZERO))
             .collect();
         let until = SimTime::from_secs(5);
-        let run = |shards| run_fat_tree_sharded(params, &schemes::ecmp(), &specs, until, 1, shards);
+        let run = |shards| run_fat_tree_sharded(params, &Scheme::Ecmp, &specs, until, 1, shards);
         assert!(run(0).is_err());
         let (one, two) = (run(1).unwrap(), run(2).unwrap());
         assert!(one.shard_stats.is_none());
@@ -633,7 +630,7 @@ mod tests {
         let watch: Vec<(usize, usize)> = (0..4).map(|a| (0usize, a)).collect();
         let out = run_testbed(
             params,
-            &schemes::ecmp(),
+            &Scheme::Ecmp,
             &specs,
             SimTime::from_ms(20),
             7,
@@ -656,13 +653,7 @@ mod tests {
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
             FlowSpec::tcp(2, 2, 10, 2_000_000, SimTime::ZERO),
         ];
-        let out = run_fat_tree(
-            params,
-            &schemes::repflow(),
-            &specs,
-            SimTime::from_secs(5),
-            3,
-        );
+        let out = run_fat_tree(params, &Scheme::RepFlow, &specs, SimTime::from_secs(5), 3);
         assert_eq!(out.replicas, vec![(0, 3), (1, 4)]);
         assert_eq!(out.flows.len(), 5, "two replicas were installed");
         assert!(out.flows.iter().all(|f| f.fct().is_some()));
@@ -694,15 +685,9 @@ mod tests {
             FlowSpec::tcp(0, 0, 8, 50_000, SimTime::ZERO),
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
         ];
-        let out = Run::new(
-            params,
-            &schemes::repflow(),
-            &specs,
-            SimTime::from_ms(200),
-            3,
-        )
-        .faults(&kill_host0)
-        .run();
+        let out = Run::new(params, &Scheme::RepFlow, &specs, SimTime::from_ms(200), 3)
+            .faults(&kill_host0)
+            .run();
         let eff = out.effective_flows();
         assert_eq!(eff.len(), 2, "replicas fold away even when incomplete");
         let incomplete = out.incomplete_flows();
@@ -719,7 +704,7 @@ mod tests {
             FlowSpec::tcp(1, 1, 9, 30_000, SimTime::ZERO),
             FlowSpec::tcp(2, 2, 10, 2_000_000, SimTime::ZERO),
         ];
-        let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_ms(200), 3)
+        let out = Run::new(params, &Scheme::Ecmp, &specs, SimTime::from_ms(200), 3)
             .faults(&kill_host0)
             .run();
         let slow = slowest_flows(&out, 2);
@@ -736,7 +721,7 @@ mod tests {
     fn non_replicating_scheme_has_no_replicas() {
         let params = FatTreeParams::tiny();
         let specs = vec![FlowSpec::tcp(0, 0, 8, 50_000, SimTime::ZERO)];
-        let out = run_fat_tree(params, &schemes::ecmp(), &specs, SimTime::from_secs(5), 3);
+        let out = run_fat_tree(params, &Scheme::Ecmp, &specs, SimTime::from_secs(5), 3);
         assert!(out.replicas.is_empty());
         assert_eq!(out.effective_flows().len(), out.flows.len());
     }
@@ -782,7 +767,7 @@ mod tests {
 
     #[test]
     fn sweep_schemes_groups_by_param_in_registry_order() {
-        let schemes = vec![schemes::ecmp(), schemes::rps()];
+        let schemes = vec![Scheme::Ecmp, Scheme::Rps];
         let out = sweep_schemes(&schemes, &[10u64, 20u64], |s, p| {
             format!("{}@{p}", s.name())
         });
@@ -801,7 +786,7 @@ mod tests {
         let specs: Vec<FlowSpec> = (0..8)
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 200_000, SimTime::ZERO))
             .collect();
-        let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_secs(5), 1)
+        let out = Run::new(params, &Scheme::Ecmp, &specs, SimTime::from_secs(5), 1)
             .faults(&|ft| {
                 let mut plan = FaultPlan::new();
                 let (agg, port) = ft.agg_core_link(0, 0);
@@ -833,7 +818,7 @@ mod tests {
         let specs: Vec<FlowSpec> = (0..8)
             .map(|i| FlowSpec::tcp(i, i, 8 + i, 500_000, SimTime::ZERO))
             .collect();
-        let scheme = schemes::flowbender(fb::Config::default());
+        let scheme = Scheme::FlowBender(fb::Config::default());
         let out = Run::new(params, &scheme, &specs, SimTime::from_secs(5), 1)
             .telemetry(TelemetryConfig::every(SimTime::from_us(100)))
             .run();

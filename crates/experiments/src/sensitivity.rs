@@ -16,7 +16,7 @@ use workloads::Workload;
 use crate::cell::{windowed_cell, Digest};
 use crate::report::{Opts, Report};
 use crate::scenario::{parallel_map, run_fat_tree};
-use crate::schemes;
+use crate::schemes::Scheme;
 
 /// N values of Figure 6.
 pub const N_VALUES: [u32; 5] = [1, 2, 3, 4, 5];
@@ -34,7 +34,7 @@ fn run_variant(opts: &Opts, cfg: flowbender::Config) -> f64 {
         SimTime::from_ms(60),
         0x5E45,
     );
-    let scheme = schemes::flowbender(cfg);
+    let scheme = Scheme::FlowBender(cfg);
     let out = run_fat_tree(params, &scheme, &specs, window.drain_until, opts.seed);
     Digest::of(&out, window).mean()
 }

@@ -17,7 +17,7 @@ use workloads::microbench;
 use crate::cell::Digest;
 use crate::report::{Opts, Report, RunSummary};
 use crate::scenario::{parallel_map, Run, Window};
-use crate::schemes::{self, SchemeSpec};
+use crate::schemes::Scheme;
 
 /// Flow counts evaluated by the paper (1, 2, 3 flows per route on average).
 pub const FLOW_COUNTS: [u32; 3] = [8, 16, 24];
@@ -47,7 +47,7 @@ fn telemetry() -> TelemetryConfig {
 /// `telemetry`, returning each cell with the machine-readable
 /// [`RunSummary`] of its run (`opts` supplies the summary's metadata).
 pub fn run_scheme(
-    scheme: &SchemeSpec,
+    scheme: &Scheme,
     bytes: u64,
     seed: u64,
     telemetry: TelemetryConfig,
@@ -106,9 +106,9 @@ pub fn run(opts: &Opts) -> Report {
                 })
                 .collect()
         };
-        let ecmp = split(run_scheme(&schemes::ecmp(), bytes, seed, telemetry(), opts));
+        let ecmp = split(run_scheme(&Scheme::Ecmp, bytes, seed, telemetry(), opts));
         let bender = split(run_scheme(
-            &schemes::flowbender(flowbender::Config::default()),
+            &Scheme::FlowBender(flowbender::Config::default()),
             bytes,
             seed,
             telemetry(),
@@ -162,14 +162,14 @@ mod tests {
     #[test]
     fn shrunken_table1_shows_the_shape() {
         let bytes = 2_000_000;
-        let cells = |scheme: &SchemeSpec| -> Vec<Cell> {
+        let cells = |scheme: &Scheme| -> Vec<Cell> {
             run_scheme(scheme, bytes, 3, TelemetryConfig::off(), &Opts::default())
                 .into_iter()
                 .map(|(cell, _)| cell)
                 .collect()
         };
-        let ecmp = cells(&schemes::ecmp());
-        let fb = cells(&schemes::flowbender(flowbender::Config::default()));
+        let ecmp = cells(&Scheme::Ecmp);
+        let fb = cells(&Scheme::FlowBender(flowbender::Config::default()));
         for (e, b) in ecmp.iter().zip(&fb) {
             assert_eq!(e.completed as u32, e.flows);
             assert_eq!(b.completed as u32, b.flows);

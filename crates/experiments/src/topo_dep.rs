@@ -17,7 +17,7 @@ use workloads::Workload;
 use crate::cell::{windowed_cell, Cell};
 use crate::report::{Opts, Report};
 use crate::scenario::{run_fat_tree, sweep_schemes};
-use crate::schemes;
+use crate::schemes::Scheme;
 
 /// The two fabrics compared: the paper's and its doubled-port-density
 /// variant.
@@ -32,8 +32,8 @@ fn fabrics() -> [(&'static str, FatTreeParams); 2] {
 pub fn sweep(opts: &Opts) -> Vec<Vec<Cell>> {
     opts.validate();
     let contenders = [
-        schemes::ecmp(),
-        schemes::flowbender(flowbender::Config::default()),
+        Scheme::Ecmp,
+        Scheme::FlowBender(flowbender::Config::default()),
     ];
     sweep_schemes(&contenders, &fabrics(), |scheme, (_, params)| {
         let tag = 0x70D ^ params.n_hosts() as u64;

@@ -25,7 +25,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// unknown option like any other.
 #[test]
 fn shards_is_an_unknown_option() {
-    let out = experiments(&["feedback", "--smoke", "--shards", "2"]);
+    let out = experiments(&["reordering", "--smoke", "--shards", "2"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.starts_with("usage: experiments"), "{stderr}");
@@ -41,8 +41,8 @@ fn shards_is_an_unknown_option() {
 fn an_incast_wider_than_the_fabric_is_rejected_with_exit_2() {
     let cases: [(&[&str], &str); 4] = [
         (
-            &["feedback", "--smoke", "--workload", "incast_32_1"],
-            "`feedback --smoke` builds 16",
+            &["reordering", "--smoke", "--workload", "incast_32_1"],
+            "`reordering --smoke` builds 16",
         ),
         (
             &["reordering", "--smoke", "--workload", "incast:16"],
@@ -101,7 +101,7 @@ fn workload_parameters_are_bounded_and_the_largest_fitting_incast_runs() {
     std::fs::remove_dir_all(&dir).unwrap();
 
     for bad in ["hotspot:1e308", "onoff:1e30", "incast:70000"] {
-        let out = experiments(&["feedback", "--smoke", "--workload", bad]);
+        let out = experiments(&["reordering", "--smoke", "--workload", bad]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bad}: {stderr}");
         assert!(
@@ -114,13 +114,13 @@ fn workload_parameters_are_bounded_and_the_largest_fitting_incast_runs() {
 
 /// `--trace` works on the sweep experiments unconditionally.
 #[test]
-fn trace_writes_a_timeline_on_feedback() {
+fn trace_writes_a_timeline_on_reordering() {
     let dir = scratch("trace");
     let out = experiments(&[
-        "feedback",
+        "reordering",
         "--smoke",
         "--scheme",
-        "fastcc",
+        "flowcut-sw",
         "--workload",
         "incast:8",
         "--trace",
@@ -135,7 +135,7 @@ fn trace_writes_a_timeline_on_feedback() {
     let timelines = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .filter(|f| f.starts_with("feedback_incast_8_1_fastcc_seed1_trace_f"))
+        .filter(|f| f.starts_with("reordering_incast_8_1_flowcut_sw_100us_seed1_trace_f"))
         .count();
     assert_eq!(timelines, 1, "one timeline file for slowest=1: {stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -145,7 +145,7 @@ fn trace_writes_a_timeline_on_feedback() {
 /// option values built from the grammar's own heads, digits, separators,
 /// empty and huge numbers — half of them head + number, half free
 /// concatenations — go through `Cli::parse` → `Opts::check` →
-/// `registry::check_workload` over all 22 rows. Each comes back accepted or
+/// `registry::check_workload` over all 21 rows. Each comes back accepted or
 /// as an error value — no panic — and an accepted workload has a slug that
 /// is still a usable file name.
 #[test]

@@ -17,7 +17,7 @@
 //! reconvergence SLO probe (probe output included).
 
 use experiments::report::{Opts, RunSummary};
-use experiments::schemes::{self, SchemeSpec};
+use experiments::schemes::{self, Scheme};
 use experiments::{Run, RunOutput};
 use netsim::{DetRng, FaultPlan, FlowSpec, SimTime, SloConfig};
 use topology::FatTreeParams;
@@ -25,7 +25,7 @@ use workloads::{FlowSizeDist, PoissonStream};
 
 const SEEDS: u64 = 3;
 
-fn chaos_run(scheme: &SchemeSpec, seed: u64) -> RunOutput {
+fn chaos_run(scheme: &Scheme, seed: u64) -> RunOutput {
     let params = FatTreeParams::tiny();
     // 8 cross-pod flows (hosts 0..8 are pod 0, 8..16 pod 1). Half are
     // short (50 KB, below the RepFlow replication cut-off) so replicating
@@ -54,7 +54,7 @@ fn chaos_run(scheme: &SchemeSpec, seed: u64) -> RunOutput {
 /// DeTail exercising PFC pause/resume. With `outage`, core 1 — which
 /// serves every pod — crashes at 100 µs and revives at 400 µs while a
 /// pod-0 uplink flaps, under an armed SLO probe.
-fn k8_run(scheme: &SchemeSpec, outage: bool) -> RunOutput {
+fn k8_run(scheme: &Scheme, outage: bool) -> RunOutput {
     const SEED: u64 = 3;
     let params = FatTreeParams::k_ary(8).expect("k=8 is a valid arity");
     let rng = DetRng::new(SEED, 0xDE7);
@@ -136,7 +136,7 @@ fn conservation_holds_under_randomized_faults_for_every_registered_scheme() {
 
 #[test]
 fn repeated_runs_are_byte_identical_for_every_registered_scheme() {
-    type Input = (&'static str, fn(&SchemeSpec) -> RunOutput);
+    type Input = (&'static str, fn(&Scheme) -> RunOutput);
     let inputs: [Input; 3] = [
         ("randomized faults", |s| chaos_run(s, 3)),
         ("k=8 all-to-all", |s| k8_run(s, false)),
@@ -145,10 +145,10 @@ fn repeated_runs_are_byte_identical_for_every_registered_scheme() {
     for scheme in schemes::registry() {
         for (what, run) in inputs {
             let (a, b) = (run(&scheme), run(&scheme));
-            let json = summary_json(&a, scheme.name());
+            let json = summary_json(&a, &scheme.name());
             assert_eq!(
                 json,
-                summary_json(&b, scheme.name()),
+                summary_json(&b, &scheme.name()),
                 "{}, {what}: RunSummary JSON differs between two runs",
                 scheme.name()
             );

@@ -10,9 +10,9 @@
 
 use std::path::PathBuf;
 
-use experiments::schemes;
 use experiments::table1::{run_scheme, FLOW_COUNTS};
 use experiments::Opts;
+use experiments::Scheme;
 use netsim::{SimTime, TelemetryConfig};
 
 const BYTES: u64 = 2_000_000;
@@ -29,7 +29,7 @@ fn render_once() -> String {
         ..Opts::default()
     };
     let runs = run_scheme(
-        &schemes::flowbender(flowbender::Config::default()),
+        &Scheme::FlowBender(flowbender::Config::default()),
         BYTES,
         SEED,
         telemetry(),
@@ -93,7 +93,7 @@ fn render_optional_sections() -> String {
 
     let params = FatTreeParams::tiny();
     let specs = workloads::microbench(&params, 4, 200_000);
-    let scheme = schemes::rps();
+    let scheme = Scheme::Rps;
     let fail_at = SimTime::from_us(500);
     let out = Run::new(params, &scheme, &specs, SimTime::from_secs(20), 5)
         .slo(SloConfig {
@@ -150,7 +150,7 @@ fn dropful_run_reasons_sum_to_total() {
 
     let params = FatTreeParams::tiny();
     let specs = microbench(&params, 4, 200_000);
-    let out = Run::new(params, &schemes::ecmp(), &specs, SimTime::from_secs(20), 5)
+    let out = Run::new(params, &Scheme::Ecmp, &specs, SimTime::from_secs(20), 5)
         .faults(&|ft| {
             let (node, port) = ft.agg_core_link(0, 0);
             let mut plan = FaultPlan::new();

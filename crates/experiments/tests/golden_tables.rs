@@ -1,7 +1,7 @@
 //! Golden-file test for the rendered report tables.
 //!
-//! Five cheap reports — three web-search all-to-all / testbed sweeps and
-//! the two k-ary workload sweeps at smoke size — are rendered at a fixed
+//! Four cheap reports — three web-search all-to-all / testbed sweeps and
+//! the k-ary reordering sweep at smoke size — are rendered at a fixed
 //! seed and compared byte-for-byte against committed goldens. The
 //! run-summary JSON has had a golden since `golden_json`; this pins the
 //! *tables* (titles, column sets, normalization, number formatting), so a
@@ -72,11 +72,6 @@ fn flowlet_tables_match_the_golden() {
 #[test]
 fn fig8_table_matches_the_golden() {
     check("fig8.txt", experiments::fig8::run(&scaled(0.05, 1)));
-}
-
-#[test]
-fn feedback_smoke_tables_match_the_golden() {
-    check("feedback_smoke.txt", experiments::feedback::run(&smoke(1)));
 }
 
 #[test]

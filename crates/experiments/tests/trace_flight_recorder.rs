@@ -5,19 +5,19 @@
 //! timelines when `--trace` is on.
 
 use experiments::gray_failure::{gray_drops, run, run_scheme};
-use experiments::{slowest_flows, timeline_json, Opts, RunSummary, SchemeSpec, TraceSel};
+use experiments::{slowest_flows, timeline_json, Opts, RunSummary, Scheme, TraceSel};
 use netsim::{Counter, TraceConfig};
 
 const BYTES: u64 = 3_000_000;
 const LOSS: f64 = 0.02;
 const SEED: u64 = 21;
 
-fn fb() -> SchemeSpec {
-    experiments::schemes::flowbender(flowbender::Config::default())
+fn fb() -> Scheme {
+    experiments::Scheme::FlowBender(flowbender::Config::default())
 }
 
 /// One gray-failure cell, traced per `cfg`.
-fn cell(scheme: &SchemeSpec, cfg: TraceConfig) -> experiments::Cell {
+fn cell(scheme: &Scheme, cfg: TraceConfig) -> experiments::Cell {
     run_scheme(scheme, LOSS, BYTES, SEED, cfg)
 }
 
@@ -72,7 +72,7 @@ fn timeline_json_is_deterministic_across_runs_and_scheme_order() {
     // Interleave an unrelated ECMP run: every run is an independent
     // simulation, so what else ran (and in what order) must not leak
     // into the timelines.
-    let _ = cell(&experiments::schemes::ecmp(), TraceConfig::off());
+    let _ = cell(&experiments::Scheme::Ecmp, TraceConfig::off());
     let second = cell(&scheme, cfg).out;
 
     let ser = |out: &experiments::RunOutput| -> Vec<String> {

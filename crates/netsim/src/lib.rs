@@ -74,8 +74,8 @@ pub use faults::{FaultAction, FaultPlan};
 pub use flow::{register_flows, FlowSpec};
 pub use hashing::{DetHashMap, EcmpHasher, FxBuildHasher, FxHasher, HashConfig};
 pub use packet::{
-    Flags, FlowId, FlowKey, HostId, IntHop, IntStack, NodeId, Packet, PortId, Proto, ACK_BYTES,
-    HEADER_BYTES, MSS, MTU,
+    Flags, FlowId, FlowKey, HostId, NodeId, Packet, PortId, Proto, ACK_BYTES, HEADER_BYTES, MSS,
+    MTU,
 };
 pub use queue::{EcnQueue, EnqueueResult, QueueStats};
 pub use record::{
@@ -87,8 +87,7 @@ pub use sim::{
 };
 pub use slab::{PacketId, PacketSlab};
 pub use switch::{
-    CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme, PfcConfig,
-    PinTable, PortSetId, RoutingTable, CN_DELAY, CN_MIN_GAP,
+    FlowcutConfig, FlowcutDecision, ForwardingScheme, PfcConfig, PinTable, PortSetId, RoutingTable,
 };
 pub use telemetry::{Series, SeriesKey, Telemetry, TelemetryConfig};
 pub use time::SimTime;

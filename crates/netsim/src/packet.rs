@@ -92,11 +92,6 @@ impl Flags {
     /// loss). Senders use it to undo recovery and raise their reordering
     /// threshold, as Linux's DSACK handling does.
     pub const DSACK: u8 = 1 << 5;
-    /// Congestion notification: a switch-generated back-to-sender packet
-    /// (P4-style early feedback) announcing that a queue this flow
-    /// traverses crossed its notification threshold. Carries the blamed
-    /// hop in [`Packet::int`]; pre-empts the end-to-end ECN echo.
-    pub const CN: u8 = 1 << 6;
 
     /// True if the given flag bit(s) are all set.
     #[inline]
@@ -114,38 +109,6 @@ impl Flags {
     #[inline]
     pub fn clear(&mut self, bit: u8) {
         self.0 &= !bit;
-    }
-}
-
-/// One hop's worth of INT (in-band network telemetry) metadata: what a
-/// switch knew about the packet's egress queue at enqueue time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntHop {
-    /// The switch that stamped this record.
-    pub node: NodeId,
-    /// The egress port the packet was queued on.
-    pub port: PortId,
-    /// Queue occupancy in bytes *after* this packet was enqueued.
-    pub qbytes: u64,
-    /// Whether the queue ECN-marked the packet at this hop.
-    pub marked: bool,
-}
-
-/// The per-packet INT stack: one [`IntHop`] per switch traversed, in path
-/// order. Allocated lazily (packets of a telemetry-disabled fabric never
-/// carry one) and boxed so the disabled case costs one `Option` niche.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IntStack {
-    /// Hop records, first hop first.
-    pub hops: Vec<IntHop>,
-}
-
-impl IntStack {
-    /// The hop with the deepest queue — the congestion suspect a
-    /// feedback-driven controller should bend away from. `None` for an
-    /// empty stack.
-    pub fn blamed_hop(&self) -> Option<IntHop> {
-        self.hops.iter().copied().max_by_key(|h| h.qbytes)
     }
 }
 
@@ -182,10 +145,6 @@ pub struct Packet {
     /// sender sizes its reordering extent from it (`peer_high`, DESIGN
     /// §7), so it is protocol state, not statistics; 0 on data packets.
     pub rcv_high: u64,
-    /// The INT stack: per-hop telemetry stamped by switches with INT
-    /// enabled, `None` everywhere else (the default for every
-    /// constructor). On a CN packet this carries exactly the blamed hop.
-    pub int: Option<Box<IntStack>>,
 }
 
 /// Sentinel ingress port of a queued packet that is not attributed to any
@@ -213,7 +172,6 @@ impl Packet {
             flags: Flags::default(),
             tstamp: now,
             rcv_high: 0,
-            int: None,
         }
     }
 
@@ -238,28 +196,6 @@ impl Packet {
             flags,
             tstamp: echo,
             rcv_high: 0,
-            int: None,
-        }
-    }
-
-    /// Build a switch-generated congestion notification headed back to
-    /// `data_key`'s source. Wire-wise a bare header ([`ACK_BYTES`]); the
-    /// blamed hop rides in the INT stack.
-    pub fn cn(flow: FlowId, data_key: FlowKey, vfield: u8, blame: IntHop, now: SimTime) -> Packet {
-        let mut flags = Flags::default();
-        flags.set(Flags::CN);
-        Packet {
-            flow,
-            key: data_key.reversed(),
-            vfield,
-            seq: 0,
-            payload: 0,
-            ack: 0,
-            size: ACK_BYTES,
-            flags,
-            tstamp: now,
-            rcv_high: 0,
-            int: Some(Box::new(IntStack { hops: vec![blame] })),
         }
     }
 
@@ -325,50 +261,12 @@ mod tests {
         assert!(a.flags.has(Flags::ACK));
         assert_eq!(a.key, key().reversed());
         assert_eq!(a.tstamp, SimTime::from_us(5));
-        assert!(a.int.is_none(), "no INT stack unless a switch stamps one");
     }
 
+    /// The packet is the unit every queue, slab slot and event moves;
+    /// its size is the per-packet memory cost of the whole simulator.
     #[test]
-    fn int_stack_blames_the_deepest_queue() {
-        let mut s = IntStack::default();
-        assert_eq!(s.blamed_hop(), None);
-        s.hops.push(IntHop {
-            node: 8,
-            port: 1,
-            qbytes: 3000,
-            marked: false,
-        });
-        s.hops.push(IntHop {
-            node: 12,
-            port: 0,
-            qbytes: 90_000,
-            marked: true,
-        });
-        s.hops.push(IntHop {
-            node: 9,
-            port: 2,
-            qbytes: 100,
-            marked: false,
-        });
-        let blame = s.blamed_hop().unwrap();
-        assert_eq!((blame.node, blame.port), (12, 0));
-    }
-
-    #[test]
-    fn cn_packet_reverses_key_and_carries_blame() {
-        let blame = IntHop {
-            node: 12,
-            port: 3,
-            qbytes: 64_000,
-            marked: true,
-        };
-        let p = Packet::cn(7, key(), 2, blame, SimTime::from_us(9));
-        assert!(p.flags.has(Flags::CN));
-        assert!(!p.flags.has(Flags::ACK));
-        assert_eq!(p.key, key().reversed());
-        assert_eq!(p.dst(), 1, "headed back to the data source");
-        assert_eq!(p.size, ACK_BYTES);
-        assert_eq!(p.payload, 0);
-        assert_eq!(p.int.as_ref().unwrap().hops, vec![blame]);
+    fn packet_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Packet>(), 64);
     }
 }

@@ -54,7 +54,7 @@ pub enum Emit {
     /// Always, zero or not (the counters every run can move).
     Always,
     /// Only while nonzero: counters that one opt-in layer alone can move
-    /// (switch feedback, the reordering suite, flowcuts), so summaries of
+    /// (the reordering suite, flowcuts), so summaries of
     /// runs that never exercise it keep the byte layout pinned before the
     /// layer existed.
     NonZero,
@@ -131,22 +131,6 @@ counters! {
     FastRetransmits = "fast_retransmits", Always;
     /// DSACKs received by senders (spurious retransmissions detected).
     DsacksRcvd = "dsacks_rcvd", Always;
-    /// Switch-generated congestion notifications emitted.
-    CnSent = "cn_sent", NonZero;
-    /// Congestion notifications delivered back to their senders.
-    CnDelivered = "cn_delivered", NonZero;
-    /// Congestion notifications suppressed by the per-(port, flow) rate
-    /// limiter.
-    CnSuppressed = "cn_suppressed", NonZero;
-    /// INT per-hop telemetry records stamped into forwarded packets.
-    IntStamps = "int_stamps", NonZero;
-    /// Summed lead time (picoseconds) by which a CN beat the end-to-end
-    /// ECN echo for the same congestion window. Divide by
-    /// [`Counter::FeedbackLeadSamples`] for the mean.
-    FeedbackLeadPs = "feedback_lead_ps", NonZero;
-    /// Number of CN-vs-ECN-echo lead samples in
-    /// [`Counter::FeedbackLeadPs`].
-    FeedbackLeadSamples = "feedback_lead_samples", NonZero;
     /// Retransmissions proven spurious by a DSACK: the "lost" segment's
     /// original copy arrived after all (the reordering tax of spraying).
     SpuriousRetransmits = "spurious_retransmits", NonZero;

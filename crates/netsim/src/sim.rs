@@ -16,18 +16,17 @@
 //!    propagation delay plus the peer's ingress processing delay later.
 //! 3. At a switch, `Arrive` runs the forwarding scheme (ECMP hash / RPS /
 //!    adaptive / flowlet / flowcut), enqueues at the chosen egress, then
-//!    does the switch-only work — INT stamp and early CN, PFC accounting —
-//!    and kicks the egress. At a host, `Arrive` is delivered to the agent.
+//!    does the switch-only work — PFC accounting — and kicks the egress.
+//!    At a host, `Arrive` is delivered to the agent.
 //!
 //! There is one of each step. Host NIC and switch egress enqueue through the
 //! same `Port::enqueue` (drop-tail, ECN mark, `Enqueue` / `EcnMark` trace);
 //! every undelivered packet leaves the slab through `drop_packet` (queue
 //! full, link down, gray loss, corruption); every transmission starts in
-//! `try_start_tx`. Within a hop the order of scheduler calls (CN arrival,
-//! PFC pause, then the tx-start `seq`) and of trace events (`Hop`,
-//! `Enqueue`, `EcnMark`, `IntStamp`, `CnEmit`) is part of the
-//! determinism contract: reordering either changes same-instant ties or
-//! timeline files.
+//! `try_start_tx`. Within a hop the order of scheduler calls (PFC pause,
+//! then the tx-start `seq`) and of trace events (`Hop`, `Enqueue`,
+//! `EcnMark`) is part of the determinism contract: reordering either
+//! changes same-instant ties or timeline files.
 //!
 //! One event per hop, then — not a `TxDone` at the last bit *and* an
 //! `Arrive` a propagation delay later. At datacenter loads most
@@ -98,14 +97,14 @@ use crate::agent::{Agent, Ctx, NullAgent};
 use crate::event::{EventKind, FaultSet, Scheduler, Tie};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::hashing::{EcmpHasher, HashConfig};
-use crate::packet::{Flags, IntHop, NodeId, Packet, PortId, Proto, INGRESS_NONE};
+use crate::packet::{Flags, NodeId, Packet, PortId, Proto, INGRESS_NONE};
 use crate::queue::{EcnQueue, EnqueueResult, Entry, QueueStats};
 use crate::record::{Counter, DropReason, Recorder, RunResults, SloConfig};
 use crate::rng::DetRng;
 use crate::slab::{PacketId, PacketSlab};
 use crate::switch::{
-    select_port, CnLimiter, FeedbackConfig, FlowcutConfig, FlowcutDecision, ForwardingScheme,
-    PfcAction, PfcConfig, PfcState, PinTable, RoutingTable, CN_DELAY,
+    select_port, FlowcutConfig, FlowcutDecision, ForwardingScheme, PfcAction, PfcConfig, PfcState,
+    PinTable, RoutingTable,
 };
 use crate::telemetry::{SeriesKey, TelemetryConfig};
 use crate::time::SimTime;
@@ -272,8 +271,8 @@ impl Port {
     /// The one enqueue step, shared by host NICs and switch egresses: queue
     /// `pkt` (slab id `id`, which came in through `in_port` — `INGRESS_NONE`
     /// at its own host) at this egress, whose address is `at`; set CE if the
-    /// queue marked it; trace the outcome. `Some(marked)` when queued; on
-    /// `None` the queue was full and the caller drops the packet.
+    /// queue marked it; trace the outcome. `true` when queued; on `false`
+    /// the queue was full and the caller drops the packet.
     #[inline]
     fn enqueue(
         &mut self,
@@ -283,12 +282,12 @@ impl Port {
         at: (NodeId, PortId),
         now: SimTime,
         recorder: &mut Recorder,
-    ) -> Option<bool> {
+    ) -> bool {
         let entry = Entry::new(id, pkt.size, in_port, pkt.key.proto);
         // Every packet is ECN-capable transport: the queue marks, never
         // drops, above K.
         let EnqueueResult::Queued { marked } = self.queue.enqueue_entry(entry, true) else {
-            return None;
+            return false;
         };
         if marked {
             pkt.flags.set(Flags::CE);
@@ -299,7 +298,7 @@ impl Port {
         if marked {
             recorder.trace_event(now, pkt.flow, TraceEvent::EcnMark { node, port });
         }
-        Some(marked)
+        true
     }
 
     /// Put the latest transmission's `TxDone` in the scheduler, under the
@@ -335,11 +334,6 @@ struct SwitchMeta {
     pfc: Option<PfcState>,
     pins: PinTable,
     rng: DetRng,
-    /// Switch-assisted feedback (INT stamping / CN emission); `None` (the
-    /// default) keeps the forwarding hot path on a single branch.
-    feedback: Option<FeedbackConfig>,
-    /// Per-(port, flow) CN pacing state; empty unless CN is enabled.
-    cn_limiter: CnLimiter,
 }
 
 // Hosts waste `SwitchMeta`-sized slots, but boxing the variant would put a
@@ -368,10 +362,6 @@ pub struct SwitchConfig {
     pub hash: HashConfig,
     /// PFC configuration, if this switch generates pause frames.
     pub pfc: Option<PfcConfig>,
-    /// Switch-assisted feedback (INT per-hop stamping and/or early CN
-    /// emission); `None` (the default everywhere) is byte-identical to a
-    /// switch that never heard of the feedback layer.
-    pub feedback: Option<FeedbackConfig>,
 }
 
 impl SwitchConfig {
@@ -382,7 +372,6 @@ impl SwitchConfig {
             scheme: ForwardingScheme::EcmpHash,
             hash,
             pfc: None,
-            feedback: None,
         }
     }
 
@@ -392,7 +381,6 @@ impl SwitchConfig {
             scheme: ForwardingScheme::Rps,
             hash: HashConfig::FiveTuple,
             pfc: None,
-            feedback: None,
         }
     }
 
@@ -403,7 +391,6 @@ impl SwitchConfig {
             scheme: ForwardingScheme::Adaptive,
             hash: HashConfig::FiveTuple,
             pfc: Some(PfcConfig::detail_defaults()),
-            feedback: None,
         }
     }
 
@@ -416,7 +403,6 @@ impl SwitchConfig {
             scheme: ForwardingScheme::Flowlet { gap },
             hash: HashConfig::FiveTuple,
             pfc: None,
-            feedback: None,
         }
     }
 
@@ -430,17 +416,7 @@ impl SwitchConfig {
             scheme: ForwardingScheme::Flowcut { cfg },
             hash: HashConfig::FiveTuple,
             pfc: None,
-            feedback: None,
         }
-    }
-
-    /// Enable the switch-assisted feedback layer (INT stamping / early
-    /// CN) on this switch. Validates `cfg` eagerly so misconfigured
-    /// thresholds fail at build time, not mid-run.
-    pub fn with_feedback(mut self, cfg: FeedbackConfig) -> Self {
-        cfg.validate();
-        self.feedback = Some(cfg);
-        self
     }
 }
 
@@ -583,8 +559,6 @@ impl Simulator {
                 pfc: cfg.pfc.map(|p| PfcState::new(p, 0)),
                 pins: PinTable::new(),
                 rng: self.master_rng.split(0x5311_0000 | id as u64),
-                feedback: cfg.feedback,
-                cn_limiter: CnLimiter::new(),
             }),
             ports: Vec::new(),
             proc_delay: SWITCH_PROC_DELAY,
@@ -1013,22 +987,6 @@ impl Simulator {
                 let pkt = self.packets.remove(id);
                 self.delivered += 1;
                 self.recorder.slo_delivery(self.now, pkt.flow, pkt.payload);
-                if pkt.flags.has(Flags::CN) {
-                    self.recorder.bump(Counter::CnDelivered);
-                    if self.recorder.trace_wants(pkt.flow) {
-                        let (bn, bp) = pkt
-                            .int
-                            .as_ref()
-                            .and_then(|s| s.blamed_hop())
-                            .map(|h| (h.node, h.port))
-                            .unwrap_or((node, port));
-                        self.recorder.trace_event(
-                            self.now,
-                            pkt.flow,
-                            TraceEvent::CnArrive { node: bn, port: bp },
-                        );
-                    }
-                }
                 self.with_agent(node, |agent, ctx| agent.on_packet(pkt, ctx));
             }
             NodeKind::Switch(_) => self.forward(node, port, id),
@@ -1037,9 +995,8 @@ impl Simulator {
 
     /// Switch forwarding, in the order the trace and the scheduler see it:
     /// egress selection (`FlowcutReroute`, `Hop`), the shared enqueue step
-    /// (`Enqueue`, `EcnMark`), switch-assisted feedback (`IntStamp`,
-    /// `CnEmit` and the CN's arrival), PFC accounting (the pause frame),
-    /// then the TX kick. The slab, the node table, the recorder and the
+    /// (`Enqueue`, `EcnMark`), PFC accounting (the pause frame), then the
+    /// TX kick. The slab, the node table, the recorder and the
     /// scheduler are disjoint fields, so the packet and the switch stay
     /// borrowed while the hop is traced and its events are scheduled.
     fn forward(&mut self, sw: NodeId, in_port: PortId, id: PacketId) {
@@ -1096,55 +1053,10 @@ impl Simulator {
         };
         self.recorder.trace_event(now, flow, ev);
         let out = &mut ports[egress as usize];
-        let Some(marked) = out.enqueue(id, pkt, in_port, (sw, egress), now, &mut self.recorder)
-        else {
+        if !out.enqueue(id, pkt, in_port, (sw, egress), now, &mut self.recorder) {
             return self.drop_packet(id, DropReason::QueueFull, sw, egress);
-        };
-        // INT stamping and the CN decision both read the post-enqueue
-        // occupancy of the chosen egress.
-        let qbytes = out.queue.bytes();
-        if let Some(fb) = meta.feedback {
-            let hop = IntHop {
-                node: sw,
-                port: egress,
-                qbytes,
-                marked,
-            };
-            if fb.int_stamp {
-                pkt.int.get_or_insert_with(Default::default).hops.push(hop);
-                self.recorder.bump(Counter::IntStamps);
-                let ev = TraceEvent::IntStamp {
-                    node: sw,
-                    port: egress,
-                    qbytes,
-                };
-                self.recorder.trace_event(now, flow, ev);
-            }
-            let over = fb.cn_threshold.is_some_and(|threshold| qbytes > threshold);
-            if over && !meta.cn_limiter.allow(now, egress, flow) {
-                self.recorder.bump(Counter::CnSuppressed);
-            } else if over {
-                // The back-to-sender CN is a first-class slab packet (the
-                // conservation ledger counts it as injected here) delivered
-                // straight to the sender host `CN_DELAY` later — no queues,
-                // no fabric. Port 0 is cosmetic: hosts have one NIC and the
-                // arrival handler ignores the port for host nodes.
-                self.recorder.bump(Counter::CnSent);
-                let ev = TraceEvent::CnEmit {
-                    node: sw,
-                    port: egress,
-                    qbytes,
-                };
-                self.recorder.trace_event(now, flow, ev);
-                let cn = Packet::cn(flow, pkt.key, pkt.vfield, hop, now);
-                let arrive = EventKind::Arrive {
-                    node: cn.dst(),
-                    port: 0,
-                    pkt: self.packets.insert(cn),
-                };
-                self.sched.schedule(now + CN_DELAY, arrive);
-            }
         }
+        let qbytes = out.queue.bytes();
         // PFC: account the buffered packet against its ingress.
         if let Some(pfc) = &mut meta.pfc {
             if pfc.on_buffered(in_port, size) == PfcAction::SendPause {
@@ -1174,9 +1086,10 @@ impl Simulator {
         let pkt = self.packets.get_mut(id);
         let nic = &mut self.nodes[host as usize].ports[0];
         let at = (host, 0);
-        match nic.enqueue(id, pkt, INGRESS_NONE, at, self.now, &mut self.recorder) {
-            Some(_) => self.try_start_tx(host, 0),
-            None => self.drop_packet(id, DropReason::QueueFull, host, 0),
+        if nic.enqueue(id, pkt, INGRESS_NONE, at, self.now, &mut self.recorder) {
+            self.try_start_tx(host, 0)
+        } else {
+            self.drop_packet(id, DropReason::QueueFull, host, 0)
         }
     }
 
@@ -1717,125 +1630,6 @@ mod tests {
         let mut sim = Simulator::new(1);
         let sw = sim.add_switch(SwitchConfig::rps());
         sim.set_agent(sw, Box::new(NullAgent));
-    }
-
-    /// Three hosts on one switch with feedback `fb`; h0 and h1 send
-    /// towards h2 (convergecast, so the egress queue actually builds).
-    fn feedback_world(fb: FeedbackConfig) -> (Simulator, NodeId, NodeId, NodeId) {
-        let mut sim = Simulator::new(7);
-        let h0 = sim.add_host_default();
-        let h1 = sim.add_host_default();
-        let h2 = sim.add_host_default();
-        let sw = sim
-            .add_switch(SwitchConfig::commodity(HashConfig::FiveTupleAndVField).with_feedback(fb));
-        sim.connect(h0, sw, LinkSpec::host_10g());
-        sim.connect(h1, sw, LinkSpec::host_10g());
-        sim.connect(h2, sw, LinkSpec::host_10g());
-        let mut rt = RoutingTable::new(3);
-        rt.set(h0, vec![0]);
-        rt.set(h1, vec![1]);
-        rt.set(h2, vec![2]);
-        sim.set_routes(sw, rt);
-        (sim, h0, h1, h2)
-    }
-
-    /// Counts delivered packets that carry an INT stack.
-    struct IntProbe {
-        stamped: std::rc::Rc<std::cell::Cell<u32>>,
-    }
-
-    impl Agent for IntProbe {
-        fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
-        fn on_packet(&mut self, pkt: Packet, _ctx: &mut Ctx<'_>) {
-            if let Some(stack) = &pkt.int {
-                assert_eq!(stack.hops.len(), 1, "one switch on this path");
-                assert!(stack.hops[0].qbytes > 0, "post-enqueue occupancy");
-                self.stamped.set(self.stamped.get() + 1);
-            }
-        }
-        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
-    }
-
-    #[test]
-    fn int_stamps_every_forwarded_packet() {
-        let (mut sim, h0, _h1, h2) = feedback_world(FeedbackConfig::int_only());
-        sim.set_agent(
-            h0,
-            Box::new(Blaster {
-                dst: h2,
-                count: 5,
-                received: std::rc::Rc::new(std::cell::Cell::new(0)),
-                echo: false,
-            }),
-        );
-        let stamped = std::rc::Rc::new(std::cell::Cell::new(0));
-        sim.set_agent(
-            h2,
-            Box::new(IntProbe {
-                stamped: stamped.clone(),
-            }),
-        );
-        sim.run_to_quiescence();
-        assert_eq!(stamped.get(), 5, "every data packet carries its hop");
-        assert_eq!(sim.recorder().get(Counter::IntStamps), 5);
-        assert_eq!(sim.recorder().get(Counter::CnSent), 0, "CN disabled");
-        sim.assert_conservation();
-    }
-
-    #[test]
-    fn cn_emitted_on_congested_queue_and_delivered_to_senders() {
-        // Two line-rate senders into one egress: the queue crosses 3000 B
-        // (two packets deep) almost immediately.
-        let (mut sim, h0, h1, h2) = feedback_world(FeedbackConfig::cn(3000));
-        let cn_at_h0 = std::rc::Rc::new(std::cell::Cell::new(0));
-        let cn_at_h1 = std::rc::Rc::new(std::cell::Cell::new(0));
-        sim.set_agent(
-            h0,
-            Box::new(Blaster {
-                dst: h2,
-                count: 30,
-                received: cn_at_h0.clone(),
-                echo: false,
-            }),
-        );
-        sim.set_agent(
-            h1,
-            Box::new(Blaster {
-                dst: h2,
-                count: 30,
-                received: cn_at_h1.clone(),
-                echo: false,
-            }),
-        );
-        let sink = std::rc::Rc::new(std::cell::Cell::new(0));
-        sim.set_agent(
-            h2,
-            Box::new(Blaster {
-                dst: h2,
-                count: 0,
-                received: sink.clone(),
-                echo: false,
-            }),
-        );
-        sim.run_to_quiescence();
-        assert_eq!(sink.get(), 60, "all data still delivered");
-        let sent = sim.recorder().get(Counter::CnSent);
-        assert!(sent > 0, "congested queue must emit CNs");
-        assert_eq!(
-            sim.recorder().get(Counter::CnDelivered),
-            sent,
-            "every CN reaches its sender"
-        );
-        // h2 sent nothing, so everything h0/h1 received is a CN.
-        assert_eq!(u64::from(cn_at_h0.get() + cn_at_h1.get()), sent);
-        // The per-(port, flow) limiter paces emission: with a 100 µs gap
-        // and a run much shorter than 2 x 100 µs, at most one CN per flow
-        // escaped suppression beyond the first.
-        assert!(
-            sent <= 2 * 2,
-            "rate limiter must pace per (port, flow): {sent}"
-        );
-        sim.assert_conservation();
     }
 
     /// Sends one data packet per `(at, dst, payload)` entry, at exactly

@@ -17,12 +17,11 @@
 //!
 //! The configs here carry only what a scheme varies. What the paper fixes
 //! is a constant: a flowcut boundary re-routes only off an egress holding
-//! more than one [`MTU`], and the feedback layer paces CNs at
-//! [`CN_MIN_GAP`] per (port, flow) and delivers them [`CN_DELAY`] after
-//! emission. (The switch's 1 µs ingress delay lives in `sim`.)
+//! more than one [`MTU`]. (The switch's 1 µs ingress delay lives in
+//! `sim`.)
 
 use crate::hashing::{DetHashMap, EcmpHasher};
-use crate::packet::{FlowId, Packet, PortId, MTU};
+use crate::packet::{Packet, PortId, MTU};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
@@ -240,107 +239,6 @@ impl PfcConfig {
             pause_threshold: 20_000,
             resume_threshold: 10_000,
         }
-    }
-}
-
-/// Minimum spacing between two CNs per (egress port, flow): one
-/// outstanding notification per RTT (~100 µs), so a congested queue can't
-/// storm the sender.
-pub const CN_MIN_GAP: SimTime = SimTime::from_us(100);
-
-/// Delivery latency of a CN back to its source host. A constant (the CN
-/// skips data queues, like a priority-queued control frame) so feedback
-/// timing is independent of fabric load: roughly the reverse-path wire +
-/// host-RX-stack time, and several times faster than the ~86 µs
-/// end-to-end echo it pre-empts.
-pub const CN_DELAY: SimTime = SimTime::from_us(20);
-
-/// Switch-assisted feedback: opt-in INT per-hop telemetry stamping and
-/// switch-generated early congestion notifications (CN), the P4-style
-/// fast-feedback layer. Entirely off by default — a fabric without a
-/// `FeedbackConfig` forwards byte-identically to one that predates it.
-/// CNs are paced by [`CN_MIN_GAP`] and arrive [`CN_DELAY`] after emission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedbackConfig {
-    /// Stamp an [`crate::IntHop`] (node, egress port, queue bytes, ECN
-    /// state) into every forwarded packet's INT stack.
-    pub int_stamp: bool,
-    /// Emit a CN packet back to the sender when the egress queue exceeds
-    /// this many bytes at enqueue; `None` disables CN generation.
-    pub cn_threshold: Option<u64>,
-}
-
-impl FeedbackConfig {
-    /// INT stamping only: per-hop telemetry, no switch-generated packets.
-    pub fn int_only() -> Self {
-        FeedbackConfig {
-            int_stamp: true,
-            cn_threshold: None,
-        }
-    }
-
-    /// CN generation at `threshold` bytes of egress queue.
-    pub fn cn(threshold: u64) -> Self {
-        FeedbackConfig {
-            int_stamp: false,
-            cn_threshold: Some(threshold),
-        }
-    }
-
-    /// Validate invariants.
-    ///
-    /// # Panics
-    /// On out-of-range values.
-    pub fn validate(&self) {
-        if let Some(t) = self.cn_threshold {
-            assert!(t > 0, "CN threshold must be positive");
-        }
-    }
-}
-
-/// Per-switch CN pacing state: at most one notification per
-/// (egress port, flow) per [`CN_MIN_GAP`].
-///
-/// Pure bookkeeping (no simulator types beyond ids and time), so the
-/// "never more than one outstanding CN per (port, flow) per gap"
-/// guarantee is property-testable in isolation.
-#[derive(Debug, Default)]
-pub struct CnLimiter {
-    /// (egress port, flow) → earliest time the next CN may be emitted.
-    next_allowed: DetHashMap<(PortId, FlowId), SimTime>,
-}
-
-impl CnLimiter {
-    /// Create an empty limiter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether a CN may be emitted at `now` for `(port, flow)`. When it
-    /// may, the emission is registered and the next one is blocked until
-    /// `now + CN_MIN_GAP`.
-    pub fn allow(&mut self, now: SimTime, port: PortId, flow: FlowId) -> bool {
-        match self.next_allowed.get_mut(&(port, flow)) {
-            Some(next) if now < *next => false,
-            Some(next) => {
-                *next = now + CN_MIN_GAP;
-                true
-            }
-            None => {
-                self.next_allowed.insert((port, flow), now + CN_MIN_GAP);
-                true
-            }
-        }
-    }
-
-    /// Number of (port, flow) pairs tracked (diagnostics).
-    pub fn len(&self) -> usize {
-        self.next_allowed.len()
-    }
-
-    /// True if no pair is tracked yet.
-    pub fn is_empty(&self) -> bool {
-        self.next_allowed.is_empty()
     }
 }
 
@@ -969,117 +867,5 @@ mod tests {
         let d = PfcConfig::detail_defaults();
         assert_eq!(d.pause_threshold, 20_000);
         assert_eq!(d.resume_threshold, 10_000);
-    }
-
-    /// The presets, and the CN delivery constant: on a congested egress
-    /// every CN reaches its sender exactly `CN_DELAY` after the switch
-    /// emitted it.
-    #[test]
-    fn feedback_config_presets() {
-        use crate::sim::{LinkSpec, Simulator, SwitchConfig};
-        use crate::testutil::{Blaster, RxLog};
-        use crate::trace::{TraceConfig, TraceEvent};
-
-        let i = FeedbackConfig::int_only();
-        assert!(i.int_stamp && i.cn_threshold.is_none());
-        i.validate();
-        let c = FeedbackConfig::cn(3000);
-        assert!(!c.int_stamp);
-        assert_eq!(c.cn_threshold, Some(3000));
-        assert!(CN_DELAY < SimTime::from_us(86), "CN beats the e2e echo");
-        c.validate();
-
-        // Two line-rate senders (flows 0 and 1) into one egress towards h2.
-        let mut sim = Simulator::new(7);
-        let hosts: Vec<_> = (0..3).map(|_| sim.add_host_default()).collect();
-        let sw = sim.add_switch(SwitchConfig::commodity(HashConfig::FiveTuple).with_feedback(c));
-        let mut rt = RoutingTable::new(3);
-        for (port, &h) in hosts.iter().enumerate() {
-            sim.connect(h, sw, LinkSpec::host_10g());
-            rt.set(h, vec![port as PortId]);
-        }
-        sim.set_routes(sw, rt);
-        sim.set_trace(TraceConfig::flows(vec![0, 1]));
-        for flow in 0..2 {
-            let mut b = Blaster::new(hosts[2], 30, RxLog::shared());
-            b.flow = flow;
-            b.sport = 10 + flow as u16;
-            sim.set_agent(hosts[flow as usize], Box::new(b));
-        }
-        sim.run_to_quiescence();
-        for tl in sim.into_results().timelines() {
-            let at = |pick: fn(&TraceEvent) -> bool| -> Vec<SimTime> {
-                tl.events
-                    .iter()
-                    .filter(|(_, e)| pick(e))
-                    .map(|&(t, _)| t)
-                    .collect()
-            };
-            let emitted = at(|e| matches!(e, TraceEvent::CnEmit { .. }));
-            let landed = at(|e| matches!(e, TraceEvent::CnArrive { .. }));
-            assert!(
-                !emitted.is_empty(),
-                "flow {}: the queue must emit CNs",
-                tl.flow
-            );
-            let due: Vec<SimTime> = emitted.iter().map(|&t| t + CN_DELAY).collect();
-            assert_eq!(
-                landed, due,
-                "flow {}: a CN lands CN_DELAY after emission",
-                tl.flow
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn feedback_config_rejects_zero_threshold() {
-        FeedbackConfig::cn(0).validate();
-    }
-
-    #[test]
-    fn cn_limiter_paces_per_port_flow() {
-        let mut lim = CnLimiter::new();
-        assert_eq!(CN_MIN_GAP, SimTime::from_us(100));
-        assert!(lim.allow(SimTime::ZERO, 1, 7));
-        // Within the gap: suppressed, repeatedly.
-        assert!(!lim.allow(SimTime::from_us(10), 1, 7));
-        assert!(!lim.allow(SimTime::from_us(99), 1, 7));
-        // Other (port, flow) pairs are independent.
-        assert!(lim.allow(SimTime::from_us(10), 2, 7));
-        assert!(lim.allow(SimTime::from_us(10), 1, 8));
-        // At/after the gap: allowed again.
-        assert!(lim.allow(SimTime::from_us(100), 1, 7));
-        assert!(!lim.allow(SimTime::from_us(150), 1, 7));
-        assert_eq!(lim.len(), 3);
-    }
-
-    /// Property: over a long randomized query stream, no (port, flow)
-    /// pair is ever granted two CNs less than [`CN_MIN_GAP`] apart — the
-    /// "one outstanding CN per (port, flow) per RTT" guarantee.
-    #[test]
-    fn cn_limiter_never_exceeds_one_per_gap_property() {
-        for seed in 0..8u64 {
-            let mut rng = DetRng::new(seed, 0xC0FFEE);
-            let mut lim = CnLimiter::new();
-            let mut now = SimTime::ZERO;
-            let mut last_granted: DetHashMap<(PortId, FlowId), SimTime> = DetHashMap::default();
-            for _ in 0..5_000 {
-                // Time advances by random sub-gap steps so queries land
-                // densely inside each pacing window.
-                now += SimTime::from_ps(rng.gen_range(20_000_000) as u64);
-                let port = rng.gen_range(4) as PortId;
-                let flow = rng.gen_range(8);
-                if lim.allow(now, port, flow) {
-                    if let Some(&prev) = last_granted.get(&(port, flow)) {
-                        assert!(
-                            now.saturating_sub(prev) >= CN_MIN_GAP,
-                            "seed {seed}: CNs {prev:?} and {now:?} within the gap"
-                        );
-                    }
-                    last_granted.insert((port, flow), now);
-                }
-            }
-        }
     }
 }

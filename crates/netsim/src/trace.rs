@@ -146,34 +146,6 @@ pub enum TraceEvent {
     /// flow's path works again (the reconvergence SLO probe's per-flow
     /// sample, see [`crate::record::SloConfig`]).
     Reconverge,
-    /// A switch stamped an INT per-hop record into the packet at enqueue.
-    IntStamp {
-        /// Stamping switch.
-        node: NodeId,
-        /// Egress port the record describes.
-        port: PortId,
-        /// Queue occupancy in bytes after the enqueue.
-        qbytes: u64,
-    },
-    /// A switch emitted a back-to-sender congestion notification because
-    /// this flow's packet found the egress queue over the CN threshold.
-    CnEmit {
-        /// Emitting switch (the blamed hop).
-        node: NodeId,
-        /// Blamed egress port.
-        port: PortId,
-        /// Queue occupancy in bytes that triggered the CN.
-        qbytes: u64,
-    },
-    /// A congestion notification reached the flow's sender, carrying the
-    /// blamed hop — this is the early signal that pre-empts the
-    /// end-to-end ECN echo.
-    CnArrive {
-        /// Blamed switch (from the CN's INT record).
-        node: NodeId,
-        /// Blamed egress port.
-        port: PortId,
-    },
     /// A switch re-routed this flow's flowcut at a detected boundary
     /// (idle gap exceeded and the load trigger fired): subsequent packets
     /// pin to the new egress.
@@ -200,9 +172,6 @@ impl TraceEvent {
             TraceEvent::RtoFire { .. } => "rto_fire",
             TraceEvent::Decision { .. } => "decision",
             TraceEvent::Reconverge => "reconverge",
-            TraceEvent::IntStamp { .. } => "int_stamp",
-            TraceEvent::CnEmit { .. } => "cn_emit",
-            TraceEvent::CnArrive { .. } => "cn_arrive",
             TraceEvent::FlowcutReroute { .. } => "flowcut_reroute",
         }
     }
@@ -429,17 +398,6 @@ mod tests {
             TraceEvent::RtoFire { backoff_exp: 0 },
             TraceEvent::Decision { from_v: 0, to_v: 1 },
             TraceEvent::Reconverge,
-            TraceEvent::IntStamp {
-                node: 0,
-                port: 0,
-                qbytes: 0,
-            },
-            TraceEvent::CnEmit {
-                node: 0,
-                port: 0,
-                qbytes: 0,
-            },
-            TraceEvent::CnArrive { node: 0, port: 0 },
             TraceEvent::FlowcutReroute { node: 0, port: 0 },
         ];
         let kinds: std::collections::HashSet<_> = evs.iter().map(|e| e.kind()).collect();

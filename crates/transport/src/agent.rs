@@ -156,24 +156,6 @@ impl HostAgent {
         self.arm_schedule(ctx);
     }
 
-    /// A switch-generated congestion notification landed: route it to the
-    /// flow's sender so it can react mid-RTT. CNs for completed flows are
-    /// silently dropped — they are advisory, never reliable.
-    fn on_cn(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        let Some(sender) = self.senders.get_mut(&pkt.flow) else {
-            return;
-        };
-        let Some(hop) = pkt.int.as_ref().and_then(|s| s.blamed_hop()) else {
-            return; // malformed CN: no blamed hop
-        };
-        let fb = flowbender::Feedback::Cn {
-            node: hop.node,
-            port: hop.port,
-            qbytes: hop.qbytes,
-        };
-        sender.on_feedback(fb, ctx);
-    }
-
     fn on_ack(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
         let Some(sender) = self.senders.get_mut(&pkt.flow) else {
             return; // late ACK for a completed flow
@@ -234,11 +216,7 @@ impl Agent for HostAgent {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if pkt.flags.has(Flags::CN) {
-            // Must be demuxed before the ACK/data split: a CN is neither
-            // (it targets the *sender* of the congested flow).
-            self.on_cn(&pkt, ctx);
-        } else if pkt.flags.has(Flags::ACK) {
+        if pkt.flags.has(Flags::ACK) {
             self.on_ack(&pkt, ctx);
         } else {
             self.on_data(&pkt, ctx);
@@ -461,79 +439,6 @@ mod tests {
             stats.tx_bytes_udp
         );
         assert_eq!(stats.tx_bytes_tcp, 0);
-    }
-
-    /// [`run_star`] with switch feedback (INT stamping and/or CN) enabled.
-    fn run_star_fb(
-        n: u32,
-        bytes: u64,
-        cfg: TcpConfig,
-        fb: netsim::FeedbackConfig,
-        seed: u64,
-    ) -> netsim::Recorder {
-        let mut sim = Simulator::new(seed);
-        let senders: Vec<_> = (0..n).map(|_| sim.add_host_default()).collect();
-        let rx = sim.add_host_default();
-        let sw = sim
-            .add_switch(SwitchConfig::commodity(HashConfig::FiveTupleAndVField).with_feedback(fb));
-        for &s in &senders {
-            sim.connect(s, sw, LinkSpec::host_10g());
-        }
-        sim.connect(rx, sw, LinkSpec::host_10g());
-        let mut rt = RoutingTable::new(n as usize + 1);
-        for (i, _) in senders.iter().enumerate() {
-            rt.set(i as u32, vec![i as u16]);
-        }
-        rt.set(n, vec![n as u16]);
-        sim.set_routes(sw, rt);
-        let specs: Vec<FlowSpec> = (0..n)
-            .map(|i| FlowSpec::tcp(i, i, n, bytes, SimTime::from_us(i as u64)))
-            .collect();
-        install_agents(&mut sim, &specs, &cfg);
-        sim.run_until(SimTime::from_secs(10));
-        sim.into_recorder()
-    }
-
-    #[test]
-    fn fastcc_reacts_to_cns_and_measures_the_lead_over_the_echo() {
-        // CN threshold at the ECN mark point: every marked enqueue also
-        // fires (rate-limited) switch feedback, so the CN and the echo
-        // race for the same window — the CN must win by its shorter path.
-        // The stock stack cuts cwnd on whichever lands first.
-        let rec = run_star_fb(
-            8,
-            500_000,
-            TcpConfig::default(),
-            netsim::FeedbackConfig::cn(90_000),
-            11,
-        );
-        assert_eq!(rec.completed_count(), 8);
-        assert!(rec.get(Counter::CnDelivered) > 0, "no CNs reached senders");
-        let samples = rec.get(Counter::FeedbackLeadSamples);
-        assert!(samples > 0, "no CN ever pre-empted an ECN echo");
-        let mean_lead_ps = rec.get(Counter::FeedbackLeadPs) / samples;
-        // The CN takes CN_DELAY (20us); the echo takes the rest of
-        // the data packet's journey plus the ACK's return (~40us+ here).
-        assert!(
-            mean_lead_ps > SimTime::from_us(5).as_ps(),
-            "mean lead = {mean_lead_ps} ps"
-        );
-    }
-
-    #[test]
-    fn int_echo_drives_bender_int_controller() {
-        // INT-only fabric: every forwarded packet is stamped, the receiver
-        // echoes the stack, and the Bender-INT controller bends away from
-        // the blamed hop once congestion is confirmed on consecutive ACKs.
-        let cfg = TcpConfig::with_path(crate::config::PathSpec::BenderInt);
-        let rec = run_star_fb(8, 500_000, cfg, netsim::FeedbackConfig::int_only(), 12);
-        assert_eq!(rec.completed_count(), 8);
-        assert!(rec.get(Counter::IntStamps) > 0, "fabric stamped nothing");
-        // The shared downlink marks under an 8-way incast; confirmed blame
-        // must have produced at least one bend.
-        assert!(rec.get(Counter::MarkedAcksRcvd) > 0);
-        assert!(rec.get(Counter::Reroutes) > 0, "Bender-INT never bent");
-        assert_eq!(rec.get(Counter::CnSent), 0, "INT-only fabric sent CNs");
     }
 
     #[test]

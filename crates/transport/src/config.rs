@@ -3,19 +3,18 @@
 //! The paper runs every scheme over one host stack (§4.2): TCP New Reno
 //! under DCTCP (g = 1/16), RTO_min = 10 ms, an initial window of ten
 //! segments, and a receiver that acknowledges every segment at once. Those
-//! fixed values are the constants below, as are Bender-INT's parameters,
-//! which only one scheme uses. A [`TcpConfig`] holds only what a scheme
-//! varies: the duplicate-ACK threshold (DeTail turns fast retransmit off)
-//! and the [`PathSpec`] naming which path controller each flow runs
-//! (FlowBender for the paper's scheme, a fixed V for the oblivious
-//! baselines).
+//! fixed values are the constants below. A [`TcpConfig`] holds only what a
+//! scheme varies: the duplicate-ACK threshold (DeTail turns fast
+//! retransmit off) and the [`PathSpec`] naming which path controller each
+//! flow runs (FlowBender for the paper's scheme, a fixed V for the
+//! oblivious baselines).
 //!
 //! The set of controllers is closed here: [`PathSpec::build`] turns the
 //! shared spec into one flow's [`PathControl`], an enum over the
 //! `flowbender` crate's state machines that the sender holds inline and
 //! drives with one `match` per event.
 
-use flowbender::{BenderInt, Decision, Feedback, FlowBender, FlowcutGap, Rng};
+use flowbender::{Decision, FlowBender, FlowcutGap, Rng};
 use netsim::{SimTime, MSS};
 
 /// Initial congestion window in bytes: ten segments (IW = 10).
@@ -31,12 +30,6 @@ pub const MAX_CWND: u64 = 1_000_000;
 /// `g`, the gain of DCTCP's exponentially weighted `alpha` estimate
 /// (Alizadeh et al., SIGCOMM'10; paper: 1/16).
 pub const DCTCP_G: f64 = 1.0 / 16.0;
-/// Bender-INT's number of V options: FlowBender's default range.
-pub const BENDER_INT_V_RANGE: u8 = 8;
-/// Consecutive same-hop blames Bender-INT requires before bending.
-pub const BENDER_INT_CONFIRM: u32 = 3;
-/// Bender-INT's hold-off after a bend before it judges the new path.
-pub const BENDER_INT_HOLD: SimTime = SimTime::from_us(100);
 
 /// The host-side path-control policy: which [`PathControl`] each flow of
 /// a [`TcpConfig`] runs, with its parameters.
@@ -57,11 +50,6 @@ pub enum PathSpec {
         /// Number of V options.
         v_range: u8,
     },
-    /// Bender-INT: bend away from the blamed hop after
-    /// [`BENDER_INT_CONFIRM`] consecutive same-hop blames, then hold the
-    /// new path for [`BENDER_INT_HOLD`]. The flow starts at
-    /// `vhint % BENDER_INT_V_RANGE`.
-    BenderInt,
 }
 
 impl PathSpec {
@@ -76,12 +64,6 @@ impl PathSpec {
             PathSpec::Flowcut { gap, v_range } => {
                 PathControl::Flowcut(FlowcutGap::new(gap.as_ps(), v_range, rng))
             }
-            PathSpec::BenderInt => PathControl::BenderInt(BenderInt::new(
-                BENDER_INT_V_RANGE,
-                vhint % BENDER_INT_V_RANGE,
-                BENDER_INT_CONFIRM,
-                BENDER_INT_HOLD.as_ps(),
-            )),
         }
     }
 
@@ -106,8 +88,6 @@ pub enum PathControl {
     FlowBender(FlowBender),
     /// Host-side flowcut switching.
     Flowcut(FlowcutGap),
-    /// FlowBender with per-hop blame.
-    BenderInt(BenderInt),
 }
 
 impl PathControl {
@@ -119,7 +99,6 @@ impl PathControl {
             PathControl::Static(v) => *v,
             PathControl::FlowBender(fb) => fb.vfield(),
             PathControl::Flowcut(fc) => fc.vfield(),
-            PathControl::BenderInt(b) => b.vfield(),
         }
     }
 
@@ -138,16 +117,7 @@ impl PathControl {
                 Decision::Stay
             }
             PathControl::Flowcut(fc) => fc.on_ack(now_ps, rng),
-            PathControl::Static(_) | PathControl::BenderInt(_) => Decision::Stay,
-        }
-    }
-
-    /// A switch-assisted feedback signal arrived at `now_ps`, mid-RTT;
-    /// only Bender-INT reacts.
-    pub fn on_feedback(&mut self, fb: Feedback, now_ps: u64) -> Decision {
-        match self {
-            PathControl::BenderInt(b) => b.on_feedback(fb, now_ps),
-            _ => Decision::Stay,
+            PathControl::Static(_) => Decision::Stay,
         }
     }
 
@@ -167,7 +137,6 @@ impl PathControl {
             PathControl::Static(_) => Decision::Stay,
             PathControl::FlowBender(fb) => fb.on_timeout(rng),
             PathControl::Flowcut(fc) => fc.on_timeout(rng),
-            PathControl::BenderInt(b) => b.on_timeout(),
         }
     }
 }
@@ -245,7 +214,6 @@ mod tests {
         assert_eq!(INIT_CWND, 14_600.0);
         assert_eq!(RTO_MIN, SimTime::from_ms(10));
         assert_eq!(DCTCP_G, 0.0625);
-        assert_eq!(BENDER_INT_V_RANGE, flowbender::Config::default().v_range);
         let c = TcpConfig::default();
         assert_eq!(c.dupack_threshold, Some(3));
         assert!(c.path.is_none());
@@ -287,9 +255,6 @@ mod tests {
             flowcut.build(0, &mut rng),
             PathControl::Flowcut(_)
         ));
-        let c = PathSpec::BenderInt.build(13, &mut rng);
-        assert!(matches!(c, PathControl::BenderInt(_)));
-        assert_eq!(c.vfield(), 13 % 8, "Bender-INT starts at vhint % v_range");
     }
 
     /// The oblivious schemes' byte-identity rests on this: a static path
@@ -299,13 +264,7 @@ mod tests {
         let before = SplitMix64::new(7).next_u32();
         let mut rng = SplitMix64::new(7);
         let mut p = PathSpec::Static.build(3, &mut rng);
-        let fb = Feedback::Cn {
-            node: 1,
-            port: 2,
-            qbytes: 100_000,
-        };
         assert_eq!(p.on_ack(true, 100, &mut rng), Decision::Stay);
-        assert_eq!(p.on_feedback(fb, 100), Decision::Stay);
         assert_eq!(p.on_rtt_end(&mut rng), Decision::Stay);
         assert_eq!(p.on_timeout(&mut rng), Decision::Stay);
         assert_eq!(p.vfield(), 3);
@@ -345,7 +304,6 @@ mod tests {
         assert_eq!(flowcut(100), flowcut(100));
         assert_ne!(flowcut(100), flowcut(500));
         assert_ne!(PathSpec::Static, flowcut(100));
-        assert_ne!(PathSpec::BenderInt, PathSpec::Static);
     }
 
     #[test]

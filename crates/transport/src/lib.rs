@@ -8,8 +8,7 @@
 //!   with exponential backoff and a 10 ms RTO floor;
 //! * **DCTCP** on top (all evaluated schemes run over DCTCP): per-window
 //!   `alpha` estimation with gain 1/16 from per-packet ECN echoes, and the
-//!   `cwnd *= 1 - alpha/2` multiplicative decrease — also triggered by a
-//!   switch CN when the fabric sends them;
+//!   `cwnd *= 1 - alpha/2` multiplicative decrease;
 //! * **FlowBender** (from the `flowbender` crate) attached per flow when
 //!   configured: DCTCP's window rounds double as FlowBender's RTT epochs;
 //! * **UDP** constant-bit-rate sources for the hotspot experiment.

@@ -7,8 +7,7 @@
 //!
 //! Every data segment is acknowledged at once, by an ACK whose `ECE`
 //! mirrors that segment's CE bit — the exact-echo configuration most DCTCP
-//! simulations use — and which carries the segment's INT stack back when
-//! the fabric stamps one, so an INT-driven sender can blame a hop.
+//! simulations use.
 //!
 //! A [`Receiver`] is only needed while a flow is in progress. Once every
 //! byte has arrived the completing segment has been acknowledged and the
@@ -25,7 +24,7 @@ use std::collections::BTreeMap;
 use netsim::{Counter, Ctx, Flags, FlowId, Packet};
 
 /// Acknowledge data segment `pkt` of `flow` at once: cumulative `ack_num`,
-/// the segment's CE bit as `ECE`, DSACK when `dsack`, and its INT stack.
+/// the segment's CE bit as `ECE`, and DSACK when `dsack`.
 /// `rcv_high` is the highest segment start seen.
 fn send_ack(
     flow: FlowId,
@@ -45,7 +44,6 @@ fn send_ack(
         ack.flags.set(Flags::DSACK);
     }
     ack.rcv_high = rcv_high;
-    ack.int = pkt.int.clone();
     ctx.send(ack);
 }
 
@@ -88,7 +86,7 @@ impl Dormant {
     /// A data segment for a flow whose every byte has already arrived: count
     /// it (a reordered arrival if it starts below `max_seen`, all of its
     /// payload duplicate bytes) and answer at once with `ack = size`, DSACK,
-    /// and the segment's CE bit and INT stack echoed. A complete
+    /// and the segment's CE bit echoed. A complete
     /// [`Receiver`] runs exactly this.
     pub(crate) fn on_data(&mut self, flow: FlowId, pkt: &Packet, ctx: &mut Ctx<'_>) {
         debug_assert!(self.is_retired(), "flow {flow} has not completed");

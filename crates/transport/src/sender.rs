@@ -10,9 +10,7 @@
 //! * **DCTCP** (always on) rides on the ECN echo: the sender estimates
 //!   `alpha`, the smoothed fraction of marked bytes per window
 //!   ([`DCTCP_G`] = 1/16), and scales cwnd by `1 - alpha/2` at most once
-//!   per window when a congestion signal arrives — the first ECN echo or
-//!   a switch CN, whichever lands first. CNs reach a sender only on a
-//!   fabric built with [`netsim::FeedbackConfig::cn`] (the FastCC scheme).
+//!   per window, on the first ECN echo.
 //! * a **path controller** ([`PathControl`], built from
 //!   [`TcpConfig::path`]) observes the same ACK stream: each
 //!   congestion-window "round" doubles as its RTT epoch (both end when
@@ -23,7 +21,7 @@
 //!   baselines run a static V, which never draws from the RNG and never
 //!   reroutes.
 
-use flowbender::{Decision, Feedback};
+use flowbender::Decision;
 use netsim::{Counter, Ctx, Flags, FlowId, FlowKey, Packet, SeriesKey, SimTime, TraceEvent, MSS};
 
 use crate::config::{PathControl, TcpConfig, DCTCP_G, INIT_CWND, MAX_CWND, RTO_MIN};
@@ -83,11 +81,6 @@ pub struct TcpSender {
     window_end: u64,
     /// cwnd already reduced in this window.
     cwr: bool,
-    /// When the first switch CN of the current window landed, before any
-    /// ECN echo did. The first ECE ACK of the same window closes the
-    /// measurement: `now - cn_at` is the lead time the switch feedback
-    /// bought over the end-to-end echo ([`Counter::FeedbackLeadPs`]).
-    cn_at: Option<SimTime>,
 
     // --- Path control ---
     ctrl: PathControl,
@@ -153,7 +146,6 @@ impl TcpSender {
             win_bytes_marked: 0,
             window_end: 0,
             cwr: false,
-            cn_at: None,
             ctrl,
             skip_until: 0,
         }
@@ -294,49 +286,6 @@ impl TcpSender {
         }
     }
 
-    /// Handle switch-originated feedback (a CN packet, routed here by the
-    /// host agent) mid-RTT, without waiting for the ACK clock.
-    ///
-    /// Two independent reactions:
-    ///
-    /// * a CN earns the DCTCP cwnd cut *now*, sharing the once-per-window
-    ///   `cwr` gate with the ordinary ECN echo — whichever signal arrives
-    ///   first cuts, the other is a no-op;
-    /// * the path controller's [`PathControl::on_feedback`], so
-    ///   feedback-aware controllers (Bender-INT) can reroute mid-window.
-    pub fn on_feedback(&mut self, fb: Feedback, ctx: &mut Ctx<'_>) {
-        if self.is_complete() {
-            return;
-        }
-        if matches!(fb, Feedback::Cn { .. }) {
-            // Open the lead-time measurement only if the echo for this
-            // window hasn't already arrived (then the CN pre-empted
-            // nothing) and no earlier CN opened it.
-            if !self.cwr && self.cn_at.is_none() {
-                self.cn_at = Some(ctx.now());
-            }
-            self.ecn_cut(ctx);
-        }
-        let d = self.ctrl.on_feedback(fb, ctx.now().as_ps());
-        self.note_reroute(d, Counter::Reroutes, ctx);
-    }
-
-    /// The window reduction a congestion signal earns — the first ECN echo
-    /// of a window or a CN that beat it — at most once per window (`cwr`):
-    /// `cwnd *= 1 − alpha/2`, floored at one MSS, with ssthresh kept at the
-    /// reduced level so growth continues additively rather than re-entering
-    /// slow start.
-    fn ecn_cut(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cwr {
-            return;
-        }
-        self.cwnd *= 1.0 - self.alpha / 2.0;
-        self.cwnd = self.cwnd.max(MSS as f64);
-        self.ssthresh = self.ssthresh.min(self.cwnd);
-        self.trace_cwnd(ctx);
-        self.cwr = true;
-    }
-
     /// Handle an incoming cumulative ACK. Returns a timer deadline to arm,
     /// if the retransmit timer needs (re)scheduling.
     pub fn on_ack(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> Option<SimTime> {
@@ -351,24 +300,9 @@ impl TcpSender {
             ctx.recorder().bump(Counter::MarkedAcksRcvd);
         }
         if ack > self.skip_until {
-            let now_ps = ctx.now().as_ps();
             // Mid-window reroute (gap-based controllers).
-            let d = self.ctrl.on_ack(ece, now_ps, ctx.rng());
+            let d = self.ctrl.on_ack(ece, ctx.now().as_ps(), ctx.rng());
             self.note_reroute(d, Counter::Reroutes, ctx);
-            // INT echo: the receiver mirrored the data packet's per-hop
-            // telemetry onto this ACK. Hand the deepest-queue hop to the
-            // controller so it can bend away from the blamed port
-            // (Bender-INT); oblivious controllers ignore it.
-            if let Some(hop) = pkt.int.as_ref().and_then(|s| s.blamed_hop()) {
-                let fb = Feedback::IntEcho {
-                    node: hop.node,
-                    port: hop.port,
-                    qbytes: hop.qbytes,
-                    marked: hop.marked,
-                };
-                let d = self.ctrl.on_feedback(fb, now_ps);
-                self.note_reroute(d, Counter::Reroutes, ctx);
-            }
         }
         self.peer_high = self.peer_high.max(pkt.rcv_high);
 
@@ -386,20 +320,17 @@ impl TcpSender {
             self.on_reordering_detected(ctx);
         }
 
-        // Close the feedback-lead measurement: this is the first ECN echo
-        // since a CN landed for the same window — the CN beat it by `lead`.
-        if ece {
-            if let Some(cn_time) = self.cn_at.take() {
-                let lead = ctx.now().saturating_sub(cn_time);
-                ctx.recorder().add(Counter::FeedbackLeadPs, lead.as_ps());
-                ctx.recorder().bump(Counter::FeedbackLeadSamples);
-            }
-        }
-
-        // DCTCP reduction: at most once per window, on the first ECN echo
-        // (duplicate or not — reordering must not mask congestion).
-        if ece {
-            self.ecn_cut(ctx);
+        // DCTCP reduction: at most once per window (`cwr`), on the first
+        // ECN echo (duplicate or not — reordering must not mask
+        // congestion): `cwnd *= 1 − alpha/2`, floored at one MSS, with
+        // ssthresh kept at the reduced level so growth continues
+        // additively rather than re-entering slow start.
+        if ece && !self.cwr {
+            self.cwnd *= 1.0 - self.alpha / 2.0;
+            self.cwnd = self.cwnd.max(MSS as f64);
+            self.ssthresh = self.ssthresh.min(self.cwnd);
+            self.trace_cwnd(ctx);
+            self.cwr = true;
         }
 
         if ack > self.snd_una {
@@ -444,8 +375,6 @@ impl TcpSender {
             self.win_bytes_acked = 0;
             self.win_bytes_marked = 0;
             self.cwr = false;
-            // A CN whose window ended without any echo measured nothing.
-            self.cn_at = None;
             self.window_end = self.snd_nxt;
             let d = self.ctrl.on_rtt_end(ctx.rng());
             self.note_reroute(d, Counter::Reroutes, ctx);
@@ -584,7 +513,6 @@ impl TcpSender {
         self.win_bytes_acked = 0;
         self.win_bytes_marked = 0;
         self.cwr = false;
-        self.cn_at = None;
         self.window_end = self.snd_una;
         self.retransmit_una(ctx);
 

@@ -6,8 +6,8 @@
 
 use netsim::testutil::CtxHarness;
 use netsim::{
-    register_flows, Agent, Counter, DetRng, Flags, FlowKey, FlowSpec, HashConfig, IntHop, IntStack,
-    LinkSpec, Packet, Proto, RoutingTable, SimTime, Simulator, SwitchConfig, MSS,
+    register_flows, Agent, Counter, DetRng, Flags, FlowKey, FlowSpec, HashConfig, LinkSpec, Packet,
+    Proto, RoutingTable, SimTime, Simulator, SwitchConfig, MSS,
 };
 use transport::config::MAX_CWND;
 use transport::{HostAgent, Receiver, RttEstimator, TcpConfig, TcpSender, TimerOutcome, RTO_MAX};
@@ -143,14 +143,12 @@ fn reassembly_matches_bitmap_model() {
 }
 
 /// One data segment of a receiver schedule: its place in the flow, its CE
-/// mark, whether a switch stamped INT on it, and how long after the
-/// previous arrival it lands.
+/// mark, and how long after the previous arrival it lands.
 #[derive(Debug, Clone, Copy)]
 struct Arrival {
     seq: u64,
     len: u32,
     ce: bool,
-    int: bool,
     gap: SimTime,
 }
 
@@ -169,15 +167,6 @@ impl Arrival {
         }
         if self.seq + self.len as u64 == size {
             p.flags.set(Flags::FIN);
-        }
-        if self.int {
-            let hop = IntHop {
-                node: 9,
-                port: (self.seq / MSS as u64) as u16,
-                qbytes: self.seq,
-                marked: self.ce,
-            };
-            p.int = Some(Box::new(IntStack { hops: vec![hop] }));
         }
         p
     }
@@ -222,7 +211,6 @@ fn receiver_schedule(rng: &mut DetRng) -> (u64, Vec<Arrival>) {
                 seq,
                 len: (size - seq).min(mss) as u32,
                 ce: rng.gen_f64() < 0.3,
-                int: rng.gen_f64() < 0.5,
                 gap: SimTime::from_us(rng.gen_range(20) as u64),
             }
         })
@@ -270,13 +258,13 @@ fn replay_schedule(size: u64, arrivals: &[Arrival], via_host: bool) -> Replayed 
     }
 }
 
-/// The receiver against hostile delivery, with INT stamps and CE marks on
-/// random segments:
+/// The receiver against hostile delivery, with CE marks on random
+/// segments:
 /// * completion is recorded exactly once, at the arrival that covers the
 ///   last missing byte;
 /// * every segment is answered at once by one ACK carrying the model's
 ///   cumulative ACK, the highest segment start seen so far (`rcv_high`),
-///   and the segment's own CE bit and INT stack;
+///   and the segment's own CE bit;
 /// * the cumulative ACK never decreases and ends at the flow size, so no
 ///   byte is delivered twice;
 /// * every segment after completion is answered with `ack = size` and
@@ -345,8 +333,6 @@ fn receiver_acks_hold_under_adversarial_schedules() {
                 assert_eq!(ack.ack, exp, "seed {seed}: cumulative ACK");
                 assert_eq!(ack.rcv_high, hi, "seed {seed}: rcv_high");
                 assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: echo");
-                let echoed = ack.int.as_ref().map(|s| s.hops[0].qbytes);
-                assert_eq!(echoed, a.int.then_some(a.seq), "seed {seed}: INT echo");
                 if i > done_at {
                     late += 1;
                     assert_eq!(ack.ack, size, "seed {seed}: late ACK");
@@ -574,7 +560,7 @@ impl UndoWatch {
 /// host stack and the odds of every perturbation, then runs a schedule
 /// built from what the sender actually sent: data and ACKs delivered out
 /// of order, duplicated or dropped, ECE and DSACK flags (spurious ones
-/// too), switch CNs in between, and retransmit-timer events fired both
+/// too), and retransmit-timer events fired both
 /// before and after their deadline. After every step: cwnd ≥ one MSS,
 /// `alpha` ∈ [0, 1], and every segment lies in `[0, size)` on the MSS grid,
 /// carries FIN only at the end and starts within `MAX_CWND` of the
@@ -638,14 +624,6 @@ fn sender_invariants_hold_under_adversarial_schedules() {
                     if rng.gen_f64() >= p_drop {
                         w.ack(&mut s, &a, &mut h);
                     }
-                }
-                80..=87 => {
-                    let fb = flowbender::Feedback::Cn {
-                        node: 9,
-                        port: rng.gen_range(4) as u16,
-                        qbytes: 100_000,
-                    };
-                    s.on_feedback(fb, &mut h.ctx());
                 }
                 // A stale timer event, whatever its deadline.
                 88..=93 => w.fire(&mut s, &mut h),

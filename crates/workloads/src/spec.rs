@@ -1,6 +1,6 @@
 //! The workload registry: every traffic pattern as one named,
 //! parameterized [`Workload`] selectable by slug — the traffic-side twin
-//! of the experiments crate's `SchemeSpec` registry.
+//! of the experiments crate's `Scheme` registry.
 //!
 //! The set is closed: [`Workload`] is an enum with one variant per
 //! pattern, and each operation is one `match`. Adding a workload is one

@@ -11,7 +11,7 @@
 //! cargo run --release --example hotspot_udp
 //! ```
 
-use experiments::{hotspot, report::Opts, schemes};
+use experiments::{hotspot, report::Opts, Scheme};
 
 fn main() {
     let opts = Opts {
@@ -23,8 +23,8 @@ fn main() {
     let loads = hotspot::sweep(
         &opts,
         &[
-            schemes::ecmp(),
-            schemes::flowbender(flowbender::Config::default()),
+            Scheme::Ecmp,
+            Scheme::FlowBender(flowbender::Config::default()),
         ],
     );
     for pl in &loads {

@@ -8,7 +8,7 @@ use transport::{install_agents, TcpConfig};
 use workloads::{all_to_all, microbench, FlowSizeDist};
 
 /// Helper: run an all-to-all workload on the tiny fat-tree under a scheme.
-fn tiny_all_to_all(scheme: &experiments::SchemeSpec, seed: u64) -> netsim::Recorder {
+fn tiny_all_to_all(scheme: &experiments::Scheme, seed: u64) -> netsim::Recorder {
     let params = FatTreeParams::tiny();
     let mut rng = DetRng::new(seed, 1);
     let dist = FlowSizeDist::web_search();
@@ -36,7 +36,7 @@ fn conservation_data_packets_received_cover_flow_bytes() {
     // Every byte of every flow must arrive at least once: the sum of flow
     // sizes bounds the unique data delivered; received packets * MSS must
     // cover it (retransmits can only add).
-    let rec = tiny_all_to_all(&experiments::schemes::ecmp(), 5);
+    let rec = tiny_all_to_all(&experiments::Scheme::Ecmp, 5);
     let total_bytes: u64 = rec.flows().iter().map(|f| f.bytes).sum();
     let delivered_capacity = rec.get(Counter::DataPktsRcvd) * netsim::MSS as u64;
     assert!(
@@ -47,7 +47,7 @@ fn conservation_data_packets_received_cover_flow_bytes() {
 
 #[test]
 fn ecmp_never_reorders_or_reroutes() {
-    let rec = tiny_all_to_all(&experiments::schemes::ecmp(), 7);
+    let rec = tiny_all_to_all(&experiments::Scheme::Ecmp, 7);
     assert_eq!(
         rec.get(Counter::OooPktsRcvd),
         0,
@@ -60,9 +60,9 @@ fn ecmp_never_reorders_or_reroutes() {
 #[test]
 fn reordering_ranks_match_the_paper() {
     // FlowBender reorders a little; RPS and DeTail reorder a lot.
-    let fb = tiny_all_to_all(&experiments::schemes::flowbender(FbConfig::default()), 7);
-    let rps = tiny_all_to_all(&experiments::schemes::rps(), 7);
-    let detail = tiny_all_to_all(&experiments::schemes::detail(), 7);
+    let fb = tiny_all_to_all(&experiments::Scheme::FlowBender(FbConfig::default()), 7);
+    let rps = tiny_all_to_all(&experiments::Scheme::Rps, 7);
+    let detail = tiny_all_to_all(&experiments::Scheme::DeTail, 7);
     let frac = |r: &netsim::Recorder| {
         r.get(Counter::OooPktsRcvd) as f64 / r.get(Counter::DataPktsRcvd).max(1) as f64
     };
@@ -110,7 +110,7 @@ fn full_paper_fat_tree_microbenchmark_runs_deterministically() {
 #[test]
 fn different_seeds_change_microscopic_but_not_macroscopic_outcomes() {
     let fcts = |seed: u64| {
-        let rec = tiny_all_to_all(&experiments::schemes::flowbender(FbConfig::default()), seed);
+        let rec = tiny_all_to_all(&experiments::Scheme::FlowBender(FbConfig::default()), seed);
         let v: Vec<f64> = rec
             .flows()
             .iter()

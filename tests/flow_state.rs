@@ -91,7 +91,7 @@ const DRAIN: SimTime = SimTime::from_ms(100);
 /// generated.
 fn peak_heap(window: SimTime) -> (usize, usize) {
     let p = FatTreeParams::paper();
-    let scheme = experiments::schemes::rps();
+    let scheme = experiments::Scheme::Rps;
     let mut rng = DetRng::new(7, 0x5_7A7E);
     let specs = workloads::patterns::incast(32).generate(&p, 0.4, window, &mut rng);
     let horizon = specs.last().expect("the window admits jobs").start + DRAIN;
