@@ -775,10 +775,6 @@ mod tests {
     fn event_is_compact() {
         // The point of the packet slab: events are a few words, not a
         // packet. Guard against regressions re-inlining payloads.
-        assert!(
-            std::mem::size_of::<Event>() <= 32,
-            "Event grew to {} bytes",
-            std::mem::size_of::<Event>()
-        );
+        assert_eq!(std::mem::size_of::<Event>(), 32);
     }
 }

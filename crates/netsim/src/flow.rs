@@ -119,11 +119,19 @@ impl FlowSpec {
     /// ephemeral ports would in a real host. Replicas derive ports from
     /// their *primary's* id: both copies share the 5-tuple and differ only
     /// in the V-field, which is the whole replication mechanism.
+    ///
+    /// # Panics
+    /// If a host id does not fit the key's 16-bit address (hosts are
+    /// numbered first, so every fabric up to `k = 64` fits).
     pub fn key(&self) -> FlowKey {
         let hash_id = self.clone_of.unwrap_or(self.id);
+        let addr = |host: HostId| {
+            u16::try_from(host)
+                .unwrap_or_else(|_| panic!("flow {}: host {host} has no 16-bit address", self.id))
+        };
         FlowKey {
-            src: self.src,
-            dst: self.dst,
+            src: addr(self.src),
+            dst: addr(self.dst),
             sport: 1024 + (hash_id % 60_000) as u16,
             dport: 9_000 + (hash_id / 60_000) as u16,
             proto: self.proto,
@@ -211,6 +219,19 @@ mod tests {
         assert_eq!(rep.start, primary.start);
         assert_eq!(rep.job, Some(9));
         assert_eq!(primary.vhint, 0);
+    }
+
+    #[test]
+    fn host_ids_up_to_sixteen_bits_are_addresses() {
+        let top = u16::MAX as HostId;
+        let key = FlowSpec::tcp(0, top, top - 1, 100, SimTime::ZERO).key();
+        assert_eq!((key.src, key.dst), (u16::MAX, u16::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 4: host 65536 has no 16-bit address")]
+    fn host_ids_past_sixteen_bits_are_refused() {
+        FlowSpec::tcp(4, 0, 1 << 16, 100, SimTime::ZERO).key();
     }
 
     #[test]

@@ -197,7 +197,7 @@ mod tests {
     use crate::packet::{FlowKey, Packet};
     use crate::time::SimTime;
 
-    fn pkt(src: u32, sport: u16, v: u8) -> Packet {
+    fn pkt(src: u16, sport: u16, v: u8) -> Packet {
         let key = FlowKey {
             src,
             dst: 99,
@@ -257,8 +257,8 @@ mod tests {
     fn selection_is_roughly_uniform_over_flows() {
         let h = EcmpHasher::new(HashConfig::FiveTuple, 77);
         let mut counts = [0usize; 4];
-        for s in 0..4000u32 {
-            counts[h.select(&pkt(s, (s % 5000) as u16, 0), 4)] += 1;
+        for s in 0..4000u16 {
+            counts[h.select(&pkt(s, s % 5000, 0), 4)] += 1;
         }
         for &c in &counts {
             assert!((800..1200).contains(&c), "skewed: {counts:?}");
@@ -270,8 +270,8 @@ mod tests {
         let h = EcmpHasher::new(HashConfig::FiveTuple, 9);
         let weights = [3, 1];
         let mut counts = [0usize; 2];
-        for s in 0..8000u32 {
-            counts[h.select_weighted(&pkt(s, (s % 997) as u16, 0), &weights)] += 1;
+        for s in 0..8000u16 {
+            counts[h.select_weighted(&pkt(s, s % 997, 0), &weights)] += 1;
         }
         let frac = counts[0] as f64 / 8000.0;
         assert!(

@@ -4,6 +4,15 @@
 //! the fields that affect forwarding and transport behaviour (addresses, ports,
 //! sequence numbers, flags, the FlowBender V-field) plus its wire size, but
 //! no payload bytes — the payload's content never matters, only its length.
+//!
+//! Each field is as wide as the header field it models: 32-bit TCP
+//! sequence/acknowledgment offsets, 16-bit lengths, 16-bit host addresses
+//! (every buildable fabric numbers its hosts below 65 536) and an 8-bit V.
+//! That makes a packet 40 bytes, and every queued packet costs that much
+//! in the [`crate::slab::PacketSlab`]. Values are narrowed where they are
+//! made: `TcpSender::new` refuses a flow above `u32::MAX` bytes,
+//! [`crate::FlowSpec::key`] refuses a host id above `u16::MAX`, and a UDP
+//! source wraps its sequence like real 32-bit sequence space.
 
 use crate::time::SimTime;
 
@@ -44,10 +53,10 @@ pub enum Proto {
 /// same `FlowKey`; ACKs carry the reversed key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
-    /// Source host.
-    pub src: HostId,
+    /// Source host (a 16-bit address; see the module docs).
+    pub src: u16,
     /// Destination host.
-    pub dst: HostId,
+    pub dst: u16,
     /// Source transport port.
     pub sport: u16,
     /// Destination transport port.
@@ -114,9 +123,9 @@ impl Flags {
 
 /// A simulated packet.
 ///
-/// Cheap to copy (`Clone`), small, and payload-free. The `size` field is the
-/// full wire size (headers + payload) used for serialization-time and queue
-/// accounting.
+/// Cheap to copy (`Clone`), 40 bytes, and payload-free. The `size` field
+/// is the full wire size (headers + payload) used for serialization-time and
+/// queue accounting.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Flow this packet belongs to (bookkeeping, not used for forwarding).
@@ -128,13 +137,13 @@ pub struct Packet {
     /// changing it re-routes the flow.
     pub vfield: u8,
     /// Byte offset of the first payload byte (TCP sequence number).
-    pub seq: u64,
+    pub seq: u32,
     /// Payload length in bytes (0 for pure ACKs).
-    pub payload: u32,
+    pub payload: u16,
     /// Cumulative acknowledgment number (valid when `Flags::ACK` set).
-    pub ack: u64,
+    pub ack: u32,
     /// Full wire size in bytes.
-    pub size: u32,
+    pub size: u16,
     /// Flag bits.
     pub flags: Flags,
     /// Timestamp echoed by the receiver (TCP timestamp option), used by the
@@ -144,7 +153,7 @@ pub struct Packet {
     /// On ACKs, the highest segment start the receiver has seen. The
     /// sender sizes its reordering extent from it (`peer_high`, DESIGN
     /// §7), so it is protocol state, not statistics; 0 on data packets.
-    pub rcv_high: u64,
+    pub rcv_high: u32,
 }
 
 /// Sentinel ingress port of a queued packet that is not attributed to any
@@ -152,7 +161,8 @@ pub struct Packet {
 pub const INGRESS_NONE: u16 = u16::MAX;
 
 impl Packet {
-    /// Build a data segment.
+    /// Build a data segment. `seq` must fit the 32-bit sequence space and
+    /// the wire size 16 bits; senders guarantee both.
     pub fn data(
         flow: FlowId,
         key: FlowKey,
@@ -161,21 +171,30 @@ impl Packet {
         payload: u32,
         now: SimTime,
     ) -> Packet {
+        debug_assert!(
+            seq <= u32::MAX as u64,
+            "seq {seq} past 32-bit sequence space"
+        );
+        debug_assert!(
+            payload <= (u16::MAX as u32 - HEADER_BYTES),
+            "payload {payload} B overflows the 16-bit wire size"
+        );
         Packet {
             flow,
             key,
             vfield,
-            seq,
-            payload,
+            seq: seq as u32,
+            payload: payload as u16,
             ack: 0,
-            size: payload + HEADER_BYTES,
+            size: (payload + HEADER_BYTES) as u16,
             flags: Flags::default(),
             tstamp: now,
             rcv_high: 0,
         }
     }
 
-    /// Build a pure ACK for `key`'s reverse direction.
+    /// Build a pure ACK for `key`'s reverse direction. `ack` must fit the
+    /// 32-bit sequence space.
     pub fn ack_packet(
         flow: FlowId,
         data_key: FlowKey,
@@ -183,6 +202,10 @@ impl Packet {
         ack: u64,
         echo: SimTime,
     ) -> Packet {
+        debug_assert!(
+            ack <= u32::MAX as u64,
+            "ack {ack} past 32-bit sequence space"
+        );
         let mut flags = Flags::default();
         flags.set(Flags::ACK);
         Packet {
@@ -191,8 +214,8 @@ impl Packet {
             vfield,
             seq: 0,
             payload: 0,
-            ack,
-            size: ACK_BYTES,
+            ack: ack as u32,
+            size: ACK_BYTES as u16,
             flags,
             tstamp: echo,
             rcv_high: 0,
@@ -202,7 +225,7 @@ impl Packet {
     /// Destination host of this packet.
     #[inline]
     pub fn dst(&self) -> HostId {
-        self.key.dst
+        self.key.dst as HostId
     }
 }
 
@@ -254,19 +277,19 @@ mod tests {
     #[test]
     fn data_packet_sizes() {
         let p = Packet::data(7, key(), 3, 0, MSS, SimTime::ZERO);
-        assert_eq!(p.size, MTU);
+        assert_eq!(p.size as u32, MTU);
         assert!(!p.flags.has(Flags::ACK));
         let a = Packet::ack_packet(7, key(), 0, 1460, SimTime::from_us(5));
-        assert_eq!(a.size, ACK_BYTES);
+        assert_eq!(a.size as u32, ACK_BYTES);
         assert!(a.flags.has(Flags::ACK));
         assert_eq!(a.key, key().reversed());
         assert_eq!(a.tstamp, SimTime::from_us(5));
     }
 
-    /// The packet is the unit every queue, slab slot and event moves;
-    /// its size is the per-packet memory cost of the whole simulator.
+    /// The packet is the unit every slab slot holds; its size is the
+    /// per-packet memory cost of the whole simulator.
     #[test]
-    fn packet_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Packet>(), 64);
+    fn packet_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Packet>(), 40);
     }
 }

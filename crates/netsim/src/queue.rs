@@ -14,9 +14,10 @@
 //! needs when it starts transmitting (wire size, PFC ingress attribution,
 //! protocol), so dequeue and tx-start never touch the slab. The marking
 //! decision is returned in [`EnqueueResult::Queued`]; the caller (which
-//! owns the slab) applies the CE bit. One entry is 8 bytes: a saturated
-//! deep-buffered port holds ~1400 of them, and how many ports saturate is
-//! what differs between two seeds of one workload.
+//! owns the slab) applies the CE bit. One entry is 8 bytes, and the packet
+//! it names is a 40-byte slab slot, so a queued packet costs 48 bytes: a
+//! saturated deep-buffered port holds ~1400 of them, and how many ports
+//! saturate is what differs between two seeds of one workload.
 
 use std::collections::VecDeque;
 
@@ -56,11 +57,7 @@ impl Entry {
     /// `ingress` is the port the buffering switch received the packet on
     /// (PFC accounting), or [`INGRESS_NONE`].
     #[inline]
-    pub(crate) fn new(id: PacketId, size: u32, ingress: PortId, proto: Proto) -> Entry {
-        assert!(
-            size <= u16::MAX as u32,
-            "wire size {size} B overflows a queue entry"
-        );
+    pub(crate) fn new(id: PacketId, size: u16, ingress: PortId, proto: Proto) -> Entry {
         debug_assert!(ingress == INGRESS_NONE || ingress < NO_INGRESS);
         let udp = match proto {
             Proto::Tcp => 0,
@@ -68,7 +65,7 @@ impl Entry {
         };
         Entry {
             id,
-            size: size as u16,
+            size,
             tag: (ingress & NO_INGRESS) | udp,
         }
     }
@@ -150,6 +147,8 @@ impl EcnQueue {
     /// DCTCP's specification.
     #[inline]
     pub fn enqueue(&mut self, id: PacketId, size: u32, ecn_capable: bool) -> EnqueueResult {
+        let size = u16::try_from(size)
+            .unwrap_or_else(|_| panic!("wire size {size} B overflows a queue entry"));
         self.enqueue_entry(Entry::new(id, size, INGRESS_NONE, Proto::Tcp), ecn_capable)
     }
 
@@ -247,11 +246,11 @@ mod tests {
         assert_eq!(std::mem::size_of::<Entry>(), 8);
         for proto in [Proto::Tcp, Proto::Udp] {
             for ingress in [0, 1, 47, NO_INGRESS - 1, INGRESS_NONE] {
-                for size in [0, 40, MTU, u16::MAX as u32] {
+                for size in [0, 40, MTU as u16, u16::MAX] {
                     let e = Entry::new(9, size, ingress, proto);
                     assert_eq!(
                         (e.id, e.size(), e.ingress(), e.proto()),
-                        (9, size, ingress, proto)
+                        (9, size as u32, ingress, proto)
                     );
                 }
             }

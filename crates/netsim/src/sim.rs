@@ -986,7 +986,8 @@ impl Simulator {
                 // The packet leaves the slab here: the agent owns it now.
                 let pkt = self.packets.remove(id);
                 self.delivered += 1;
-                self.recorder.slo_delivery(self.now, pkt.flow, pkt.payload);
+                self.recorder
+                    .slo_delivery(self.now, pkt.flow, pkt.payload as u32);
                 self.with_agent(node, |agent, ctx| agent.on_packet(pkt, ctx));
             }
             NodeKind::Switch(_) => self.forward(node, port, id),
@@ -1307,8 +1308,8 @@ mod tests {
             let src = ctx.host();
             for i in 0..self.count {
                 let key = FlowKey {
-                    src,
-                    dst: self.dst,
+                    src: src as u16,
+                    dst: self.dst as u16,
                     sport: 1,
                     dport: 2,
                     proto: Proto::Tcp,
@@ -1324,7 +1325,7 @@ mod tests {
                     pkt.flow,
                     pkt.key,
                     0,
-                    pkt.seq + pkt.payload as u64,
+                    pkt.seq as u64 + pkt.payload as u64,
                     pkt.tstamp,
                 );
                 ctx.send(ack);
@@ -1648,8 +1649,8 @@ mod tests {
         fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
             let (_, dst, payload) = self.sends[token as usize];
             let key = FlowKey {
-                src: ctx.host(),
-                dst,
+                src: ctx.host() as u16,
+                dst: dst as u16,
                 sport: 1,
                 dport: 2,
                 proto: Proto::Tcp,

@@ -1,13 +1,13 @@
 //! A free-list slab owning every in-flight [`Packet`].
 //!
-//! The event queue used to carry whole `Packet`s inside event payloads, so
-//! every heap sift copied ~80 bytes. Instead, the simulator owns a
-//! [`PacketSlab`] and events carry a 4-byte [`PacketId`]; the packet is
-//! materialised exactly once (when an agent hands it to [`crate::Ctx::send`])
-//! and moved out exactly once (delivery to the destination agent, or a
-//! drop). Slots are recycled through a LIFO free list, which keeps the slab
-//! dense, cache-warm, and — because ids are handed out by a deterministic
-//! rule — bit-for-bit reproducible across runs.
+//! Events and queue entries carry a 4-byte [`PacketId`] rather than the
+//! 40-byte packet; the packet is materialised exactly once (when an agent
+//! hands it to [`crate::Ctx::send`]) and moved out exactly once (delivery
+//! to the destination agent, or a drop). A slot is exactly one packet, so
+//! the slab costs 40 bytes per packet in flight. Slots are recycled through
+//! a LIFO free list, which keeps the slab dense, cache-warm, and — because
+//! ids are handed out by a deterministic rule — bit-for-bit reproducible
+//! across runs.
 
 use crate::packet::Packet;
 
@@ -191,7 +191,9 @@ mod tests {
 
     #[test]
     fn free_link_fits_in_the_packet_it_replaces() {
-        // The footprint stays `peak * size_of::<Packet>()`.
+        // The footprint stays `peak * size_of::<Packet>()`: the `Free`
+        // link and the variant tag live in bytes a live packet leaves
+        // unused (the tag in `Proto`'s niche).
         assert_eq!(std::mem::size_of::<Slot>(), std::mem::size_of::<Packet>());
     }
 

@@ -63,8 +63,8 @@ impl Blaster {
 
     fn send_one(&mut self, ctx: &mut Ctx<'_>) {
         let key = FlowKey {
-            src: ctx.host(),
-            dst: self.dst,
+            src: ctx.host() as u16,
+            dst: self.dst as u16,
             sport: self.sport,
             dport: 7,
             proto: Proto::Tcp,
@@ -103,7 +103,7 @@ impl Agent for Blaster {
         self.log
             .borrow_mut()
             .arrivals
-            .push((ctx.now(), pkt.flow, pkt.seq));
+            .push((ctx.now(), pkt.flow, pkt.seq as u64));
     }
 
     fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
@@ -194,7 +194,7 @@ impl Agent for CountingSink {
         self.log
             .borrow_mut()
             .arrivals
-            .push((ctx.now(), pkt.flow, pkt.seq));
+            .push((ctx.now(), pkt.flow, pkt.seq as u64));
     }
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
 }

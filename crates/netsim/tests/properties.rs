@@ -37,7 +37,7 @@ fn queue_matches_reference_model() {
             let enq = rng.gen_range(2) == 0;
             let payload = 1 + rng.gen_range(1_999);
             if enq {
-                let size = mk_pkt(0, payload, 7, 0).size;
+                let size = mk_pkt(0, payload, 7, 0).size as u32;
                 match q.enqueue(next_id, size, true) {
                     EnqueueResult::Queued { .. } => {
                         model.push_back((next_id, size as u64));
@@ -82,7 +82,7 @@ fn queue_marks_exactly_above_threshold() {
         let mut q = EcnQueue::new(1_000_000, k);
         let mut occupancy = 0u64;
         for (i, p) in payloads.iter().enumerate() {
-            let size = mk_pkt(0, *p, 7, 0).size;
+            let size = mk_pkt(0, *p, 7, 0).size as u32;
             let expect = occupancy >= k;
             occupancy += size as u64;
             assert_eq!(
@@ -378,12 +378,16 @@ impl Agent for Scripted {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         self.log
             .borrow_mut()
-            .push((ctx.host(), ctx.now(), pkt.flow, pkt.seq));
+            .push((ctx.host(), ctx.now(), pkt.flow, pkt.seq as u64));
         if pkt.payload == 0 {
             return;
         }
         ctx.send(Packet::ack_packet(
-            pkt.flow, pkt.key, 0, pkt.seq, pkt.tstamp,
+            pkt.flow,
+            pkt.key,
+            0,
+            pkt.seq as u64,
+            pkt.tstamp,
         ));
         let got = &mut self.received[pkt.flow as usize];
         *got += 1;
@@ -395,8 +399,8 @@ impl Agent for Scripted {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         let b = self.bursts[token as usize];
         let key = FlowKey {
-            src: ctx.host(),
-            dst: b.dst,
+            src: ctx.host() as u16,
+            dst: b.dst as u16,
             sport: b.flow as u16,
             dport: 80,
             proto: Proto::Tcp,

@@ -434,7 +434,7 @@ fn install_routes(sim: &mut Simulator, ft: &FatTree) {
 mod tests {
     use super::*;
     use netsim::testutil::{Blaster, CountingSink, RxLog};
-    use netsim::HashConfig;
+    use netsim::{FlowSpec, HashConfig, SimTime};
 
     fn build(params: FatTreeParams) -> (Simulator, FatTree) {
         let mut sim = Simulator::new(11);
@@ -474,6 +474,19 @@ mod tests {
         for &h in &ft.hosts {
             assert_eq!(sim.port_count(h), 1);
         }
+    }
+
+    /// Hosts are numbered first, so the largest fabric's last host is
+    /// `n_hosts - 1` = 65 535: every host of every buildable fat-tree has a
+    /// 16-bit flow-key address.
+    #[test]
+    fn the_largest_fabrics_hosts_fit_a_flow_key() {
+        let (_sim, ft) = build(FatTreeParams::paper());
+        assert!(ft.hosts.iter().enumerate().all(|(i, &h)| h as usize == i));
+        let last = FatTreeParams::k_ary(64).unwrap().n_hosts() as u32 - 1;
+        let key = FlowSpec::tcp(0, 0, last, 1, SimTime::ZERO).key();
+        assert_eq!(key.dst, u16::MAX);
+        assert!(FatTreeParams::k_ary(66).is_err());
     }
 
     #[test]

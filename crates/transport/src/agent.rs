@@ -475,7 +475,7 @@ mod tests {
         let (acks, timers) = h.drain();
         let seen: Vec<_> = acks
             .iter()
-            .map(|a| (a.ack, a.flags.has(Flags::DSACK)))
+            .map(|a| (a.ack as u64, a.flags.has(Flags::DSACK)))
             .collect();
         let size = spec.bytes;
         assert_eq!(seen, [(0, false), (size, false), (size, true)]);

@@ -25,7 +25,8 @@ use netsim::{Counter, Ctx, Flags, FlowId, Packet};
 
 /// Acknowledge data segment `pkt` of `flow` at once: cumulative `ack_num`,
 /// the segment's CE bit as `ECE`, and DSACK when `dsack`.
-/// `rcv_high` is the highest segment start seen.
+/// `rcv_high` is the highest segment start seen, so it fits the packet's
+/// 32-bit field as every segment start does.
 fn send_ack(
     flow: FlowId,
     pkt: &Packet,
@@ -43,7 +44,7 @@ fn send_ack(
     if dsack {
         ack.flags.set(Flags::DSACK);
     }
-    ack.rcv_high = rcv_high;
+    ack.rcv_high = rcv_high as u32;
     ctx.send(ack);
 }
 
@@ -89,16 +90,17 @@ impl Dormant {
     /// and the segment's CE bit echoed. A complete
     /// [`Receiver`] runs exactly this.
     pub(crate) fn on_data(&mut self, flow: FlowId, pkt: &Packet, ctx: &mut Ctx<'_>) {
+        let seq = pkt.seq as u64;
         debug_assert!(self.is_retired(), "flow {flow} has not completed");
         debug_assert!(
-            pkt.seq + pkt.payload as u64 <= self.size,
+            seq + pkt.payload as u64 <= self.size,
             "data past the end of flow {flow}"
         );
         ctx.recorder().bump(Counter::DataPktsRcvd);
-        if pkt.seq < self.max_seen {
+        if seq < self.max_seen {
             ctx.recorder().bump(Counter::OooPktsRcvd);
         }
-        self.max_seen = self.max_seen.max(pkt.seq);
+        self.max_seen = self.max_seen.max(seq);
         if pkt.payload > 0 {
             ctx.recorder().add(Counter::DupBytes, pkt.payload as u64);
         }
@@ -172,16 +174,17 @@ impl Receiver {
 
         // §4.2.3 metric: a packet is out-of-order if a later sequence was
         // already seen when it arrives.
-        if pkt.seq < self.max_seen {
+        let seq = pkt.seq as u64;
+        if seq < self.max_seen {
             ctx.recorder().bump(Counter::OooPktsRcvd);
         }
-        self.max_seen = self.max_seen.max(pkt.seq);
+        self.max_seen = self.max_seen.max(seq);
 
         // DSACK: the segment is entirely data we already hold — the
         // sender's retransmission was spurious. Tell it so (Linux's DSACK).
-        let end = pkt.seq + pkt.payload as u64;
-        let duplicate = end <= self.expected || self.holds(pkt.seq, end);
-        let dup_bytes = self.insert_range(pkt.seq, end);
+        let end = seq + pkt.payload as u64;
+        let duplicate = end <= self.expected || self.holds(seq, end);
+        let dup_bytes = self.insert_range(seq, end);
 
         // Reordering cost telemetry: wasted wire bytes and the reassembly
         // buffer's high-water mark (how much memory spraying costs the NIC).
@@ -255,6 +258,8 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::testutil::CtxHarness;
+    use netsim::{register_flows, FlowSpec, SimTime, MSS};
 
     /// Drive insert_range directly (the ctx-dependent path is covered by
     /// the integration tests).
@@ -345,6 +350,40 @@ mod tests {
         // Retransmit covering old + new data.
         r.insert_range(1000, 2500);
         assert_eq!(r.expected(), 2500);
+    }
+
+    /// The flow's last segment ends exactly at the top of the 32-bit
+    /// sequence space: it arrives early, then the hole before it, then a
+    /// duplicate of it — each ACK's number, `rcv_high` and DSACK bit are
+    /// those of any other flow's tail.
+    #[test]
+    fn segments_ending_at_the_top_of_sequence_space_are_acked_right() {
+        const END: u64 = u32::MAX as u64;
+        let (a, b) = (END - 2 * MSS as u64, END - MSS as u64);
+        let spec = FlowSpec::tcp(0, 1, 0, END, SimTime::ZERO);
+        let mut h = CtxHarness::new(1);
+        register_flows(h.recorder_mut(), std::slice::from_ref(&spec));
+        // Every byte before `a` has arrived in order.
+        let mut r = Receiver {
+            expected: a,
+            max_seen: a - MSS as u64,
+            ..rx(END)
+        };
+        for seq in [b, a, b] {
+            let seg = Packet::data(0, spec.key(), 0, seq, MSS, SimTime::ZERO);
+            r.on_data(&seg, &mut h.ctx());
+        }
+        assert!(r.is_complete());
+        let (acks, _) = h.drain();
+        let seen: Vec<_> = acks
+            .iter()
+            .map(|p| (p.ack, p.rcv_high, p.flags.has(Flags::DSACK)))
+            .collect();
+        let (a, b) = (a as u32, b as u32);
+        assert_eq!(
+            seen,
+            [(a, b, false), (u32::MAX, b, false), (u32::MAX, b, true)]
+        );
     }
 
     #[test]

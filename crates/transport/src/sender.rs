@@ -112,6 +112,10 @@ impl TcpSender {
         vhint: u8,
         ctx: &mut Ctx<'_>,
     ) -> Self {
+        assert!(
+            size <= u32::MAX as u64,
+            "flow {flow}: {size} B does not fit TCP's 32-bit sequence space"
+        );
         cfg.validate();
         let ctrl = cfg.path.build(vhint, ctx.rng());
         let rtt = RttEstimator::new(RTO_MIN, RTO_MIN);
@@ -174,7 +178,7 @@ impl TcpSender {
 
     /// Destination host of this flow.
     pub fn dst(&self) -> netsim::HostId {
-        self.key.dst
+        self.key.dst as netsim::HostId
     }
 
     /// The V-field for outgoing packets.
@@ -293,7 +297,7 @@ impl TcpSender {
         if self.is_complete() {
             return None;
         }
-        let ack = pkt.ack;
+        let ack = pkt.ack as u64;
         let ece = pkt.flags.has(Flags::ECE);
         ctx.recorder().bump(Counter::AcksRcvd);
         if ece {
@@ -304,7 +308,7 @@ impl TcpSender {
             let d = self.ctrl.on_ack(ece, ctx.now().as_ps(), ctx.rng());
             self.note_reroute(d, Counter::Reroutes, ctx);
         }
-        self.peer_high = self.peer_high.max(pkt.rcv_high);
+        self.peer_high = self.peer_high.max(pkt.rcv_high as u64);
 
         // Timestamp echo gives a valid sample even across retransmits.
         self.rtt.sample(ctx.now().saturating_sub(pkt.tstamp));

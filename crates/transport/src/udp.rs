@@ -28,7 +28,10 @@ pub struct UdpSender {
     gap: SimTime,
     /// Bytes remaining to send (`u64::MAX` = unbounded).
     remaining: u64,
-    seq: u64,
+    /// Sequence number of the next datagram: wraps like 32-bit TCP
+    /// sequence space (no receiver reads it), so a source may run past
+    /// 4 GiB.
+    seq: u32,
     sent_pkts: u64,
 }
 
@@ -78,12 +81,12 @@ impl UdpSender {
             self.flow,
             self.key,
             self.vfield,
-            self.seq,
+            self.seq as u64,
             payload,
             ctx.now(),
         );
         ctx.send(pkt);
-        self.seq += payload as u64;
+        self.seq = self.seq.wrapping_add(payload);
         self.sent_pkts += 1;
         self.remaining = self.remaining.saturating_sub(payload as u64);
         (self.remaining > 0).then(|| ctx.now() + self.gap)
@@ -93,6 +96,7 @@ impl UdpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::testutil::CtxHarness;
 
     #[test]
     fn gap_matches_rate() {
@@ -106,5 +110,20 @@ mod tests {
         // 6 Gbps, 1500B frames: 2 us per frame.
         let u = UdpSender::new(0, key, 6_000_000_000, u64::MAX);
         assert_eq!(u.gap, SimTime::from_ns(2000));
+    }
+
+    /// The sequence wraps like 32-bit TCP's, so a source runs past 4 GiB.
+    #[test]
+    fn sequence_wraps_past_four_gib() {
+        let spec = netsim::FlowSpec::udp(0, 0, 1, 10_000_000_000, SimTime::ZERO);
+        let mut h = CtxHarness::new(1);
+        let mut u = UdpSender::new(0, spec.key(), spec.udp_rate_bps, spec.bytes);
+        u.seq = u32::MAX - 100;
+        for _ in 0..3 {
+            u.tick(&mut h.ctx());
+        }
+        let (pkts, _) = h.drain();
+        let seqs: Vec<u32> = pkts.iter().map(|p| p.seq).collect();
+        assert_eq!(seqs, [u32::MAX - 100, MSS - 101, 2 * MSS - 101]);
     }
 }

@@ -327,15 +327,16 @@ fn receiver_acks_hold_under_adversarial_schedules() {
             for &(i, ref ack) in &r.acks {
                 let a = &arrivals[i];
                 assert!(ack.flags.has(Flags::ACK));
-                assert!(ack.ack >= prev, "seed {seed}: cumulative ACK went back");
-                prev = ack.ack;
+                let cum = ack.ack as u64;
+                assert!(cum >= prev, "seed {seed}: cumulative ACK went back");
+                prev = cum;
                 let (exp, hi) = after[i];
-                assert_eq!(ack.ack, exp, "seed {seed}: cumulative ACK");
-                assert_eq!(ack.rcv_high, hi, "seed {seed}: rcv_high");
+                assert_eq!(cum, exp, "seed {seed}: cumulative ACK");
+                assert_eq!(ack.rcv_high as u64, hi, "seed {seed}: rcv_high");
                 assert_eq!(ack.flags.has(Flags::ECE), a.ce, "seed {seed}: echo");
                 if i > done_at {
                     late += 1;
-                    assert_eq!(ack.ack, size, "seed {seed}: late ACK");
+                    assert_eq!(cum, size, "seed {seed}: late ACK");
                     assert!(ack.flags.has(Flags::DSACK), "seed {seed}: late DSACK");
                 }
             }
@@ -434,9 +435,10 @@ impl Wire {
             "seed {seed}: the sender arms no timers itself"
         );
         for p in pkts {
-            let end = p.seq + p.payload as u64;
+            let seq = p.seq as u64;
+            let end = seq + p.payload as u64;
             assert!(p.payload > 0 && end <= self.size, "seed {seed}: {p:?}");
-            assert_eq!(p.seq % MSS as u64, 0, "seed {seed}: off the MSS grid");
+            assert_eq!(p.seq % MSS, 0, "seed {seed}: off the MSS grid");
             assert_eq!(
                 p.flags.has(Flags::FIN),
                 end == self.size,
@@ -445,9 +447,9 @@ impl Wire {
             // The receive window: no segment starts MAX_CWND or more past
             // the cumulative ACK, so bytes in flight stay capped.
             assert!(
-                p.seq < self.una + MAX_CWND,
+                seq < self.una + MAX_CWND,
                 "seed {seed}: {} in flight",
-                p.seq - self.una
+                seq - self.una
             );
             self.data.push(p);
         }
@@ -457,15 +459,15 @@ impl Wire {
     /// ACK — DSACK when it already held the segment, ECE and spurious
     /// DSACK flags at the given odds.
     fn receive(&mut self, p: &Packet, p_ece: f64, p_dsack: f64, rng: &mut DetRng) {
-        let seg = (p.seq / MSS as u64) as usize;
+        let seg = (p.seq / MSS) as usize;
         let dup = std::mem::replace(&mut self.held[seg], true);
         while self.held.get(self.next_missing) == Some(&true) {
             self.next_missing += 1;
         }
-        self.high = self.high.max(p.seq + p.payload as u64);
+        self.high = self.high.max(p.seq as u64 + p.payload as u64);
         let cum = (self.next_missing as u64 * MSS as u64).min(self.size);
         let mut a = Packet::ack_packet(p.flow, p.key, 0, cum, p.tstamp);
-        a.rcv_high = self.high;
+        a.rcv_high = self.high as u32;
         if dup || rng.gen_f64() < p_dsack {
             a.flags.set(Flags::DSACK);
         }
@@ -479,7 +481,7 @@ impl Wire {
         if let Some(deadline) = s.on_ack(a, &mut h.ctx()) {
             self.timer = Some(deadline);
         }
-        self.una = self.una.max(a.ack);
+        self.una = self.una.max(a.ack as u64);
     }
 
     fn fire(&mut self, s: &mut TcpSender, h: &mut CtxHarness) {

@@ -54,7 +54,7 @@ fn per_packet_mode_acks_every_segment_with_exact_echo() {
         vec![false, true, false, true],
         "echo must be exact per packet"
     );
-    assert_eq!(pkts[3].ack, 4 * MSS as u64);
+    assert_eq!(pkts[3].ack, 4 * MSS);
 }
 
 /// Completion is recorded once, by the live receiver at the completing

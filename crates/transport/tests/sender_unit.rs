@@ -31,7 +31,7 @@ fn ack(num: u64, ece: bool, rcv_high: u64, now: SimTime) -> Packet {
     if ece {
         a.flags.set(Flags::ECE);
     }
-    a.rcv_high = rcv_high;
+    a.rcv_high = rcv_high as u32;
     a
 }
 
@@ -48,10 +48,19 @@ fn initial_window_is_ten_segments() {
     let (pkts, _) = h.drain();
     assert_eq!(pkts.len(), 10);
     for (i, p) in pkts.iter().enumerate() {
-        assert_eq!(p.seq, i as u64 * MSS as u64);
-        assert_eq!(p.payload, MSS);
+        assert_eq!(p.seq, i as u32 * MSS);
+        assert_eq!(p.payload as u32, MSS);
         assert!(!p.flags.has(Flags::ACK));
     }
+}
+
+/// TCP's sequence space is 32 bits: a longer flow is refused when its
+/// sender is made, naming the flow.
+#[test]
+#[should_panic(expected = "flow 0: 4294967296 B does not fit TCP's 32-bit sequence space")]
+fn a_flow_past_32_bit_sequence_space_is_refused() {
+    let mut h = CtxHarness::new(1);
+    mk_sender(&mut h, u32::MAX as u64 + 1, TcpConfig::default());
 }
 
 #[test]

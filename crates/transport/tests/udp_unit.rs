@@ -34,8 +34,8 @@ fn ticks_space_datagrams_at_the_configured_rate() {
     assert_eq!(pkts.len(), 5);
     assert_eq!(u.sent_pkts(), 5);
     for (i, p) in pkts.iter().enumerate() {
-        assert_eq!(p.seq, i as u64 * MSS as u64);
-        assert_eq!(p.payload, MSS);
+        assert_eq!(p.seq, i as u32 * MSS);
+        assert_eq!(p.payload as u32, MSS);
         assert_eq!(p.key.proto, Proto::Udp);
     }
 }

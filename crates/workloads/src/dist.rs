@@ -11,19 +11,70 @@
 //!
 //! Sampling is inverse-transform with log-linear interpolation between CDF
 //! knots, so sizes span the whole range rather than clustering on the knots.
+//! Each built-in table carries its mean, which load calibration reads on
+//! every generator call; the tests recompute it from the knots.
 
 use netsim::DetRng;
 
 /// A flow-size distribution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum FlowSizeDist {
     /// Every flow has exactly this many bytes.
     Fixed(u64),
     /// Uniform between the two bounds (inclusive), in bytes.
     Uniform(u64, u64),
-    /// Piecewise log-linear CDF over `(bytes, cum_prob)` knots.
-    Cdf(Vec<(u64, f64)>),
+    /// One of the built-in piecewise log-linear CDFs.
+    Cdf(&'static SizeTable),
 }
+
+/// A built-in CDF and its mean. Only this module makes one, so a table's
+/// mean always belongs to its knots.
+#[derive(Debug)]
+pub struct SizeTable {
+    /// `(bytes, cum_prob)` knots: bytes increasing, probabilities
+    /// non-decreasing from 0 to 1.
+    knots: &'static [(u64, f64)],
+    /// Mean flow size in bytes: the stratified integral of the inverse CDF
+    /// over 100 000 strata.
+    mean: f64,
+}
+
+/// [`FlowSizeDist::web_search`].
+static WEB_SEARCH: SizeTable = SizeTable {
+    knots: &[
+        (1_000, 0.00),
+        (2_000, 0.12),
+        (5_000, 0.30),
+        (10_000, 0.50),
+        (20_000, 0.60),
+        (50_000, 0.70),
+        (128_000, 0.78),
+        (300_000, 0.84),
+        (1_000_000, 0.90),
+        (3_000_000, 0.95),
+        (10_000_000, 0.98),
+        (30_000_000, 0.995),
+        (100_000_000, 1.00),
+    ],
+    mean: 889_783.269_15,
+};
+
+/// [`FlowSizeDist::data_mining`].
+static DATA_MINING: SizeTable = SizeTable {
+    knots: &[
+        (100, 0.00),
+        (300, 0.30),
+        (1_000, 0.55),
+        (3_000, 0.70),
+        (10_000, 0.78),
+        (100_000, 0.86),
+        (1_000_000, 0.92),
+        (10_000_000, 0.96),
+        (100_000_000, 0.99),
+        (1_000_000_000, 1.00),
+    ],
+    mean: 5_265_107.544_74,
+};
 
 impl FlowSizeDist {
     /// The heavy-tailed web-search-like distribution described above.
@@ -33,21 +84,7 @@ impl FlowSizeDist {
     /// `(128 KB, 1 MB]` ≈ 12 %, `> 1 MB` ≈ 10 % — the last bin carrying
     /// ≈ 85 % of all bytes.
     pub fn web_search() -> Self {
-        FlowSizeDist::Cdf(vec![
-            (1_000, 0.00),
-            (2_000, 0.12),
-            (5_000, 0.30),
-            (10_000, 0.50),
-            (20_000, 0.60),
-            (50_000, 0.70),
-            (128_000, 0.78),
-            (300_000, 0.84),
-            (1_000_000, 0.90),
-            (3_000_000, 0.95),
-            (10_000_000, 0.98),
-            (30_000_000, 0.995),
-            (100_000_000, 1.00),
-        ])
+        FlowSizeDist::Cdf(&WEB_SEARCH)
     }
 
     /// The data-mining distribution from the DCTCP/VL2 measurement line
@@ -61,40 +98,7 @@ impl FlowSizeDist {
     /// `> 1 MB` ≈ 8 % — with a mean near 5 MB, an order of magnitude
     /// above web-search's.
     pub fn data_mining() -> Self {
-        FlowSizeDist::Cdf(vec![
-            (100, 0.00),
-            (300, 0.30),
-            (1_000, 0.55),
-            (3_000, 0.70),
-            (10_000, 0.78),
-            (100_000, 0.86),
-            (1_000_000, 0.92),
-            (10_000_000, 0.96),
-            (100_000_000, 0.99),
-            (1_000_000_000, 1.00),
-        ])
-    }
-
-    /// Validate CDF monotonicity (and bounds ordering for `Uniform`).
-    ///
-    /// # Panics
-    /// On malformed parameters.
-    pub fn validate(&self) {
-        match self {
-            FlowSizeDist::Fixed(b) => assert!(*b > 0, "zero-size flows"),
-            FlowSizeDist::Uniform(lo, hi) => {
-                assert!(*lo > 0 && lo <= hi, "bad uniform bounds {lo}..{hi}")
-            }
-            FlowSizeDist::Cdf(knots) => {
-                assert!(knots.len() >= 2, "CDF needs at least two knots");
-                assert_eq!(knots.first().unwrap().1, 0.0, "CDF must start at 0");
-                assert_eq!(knots.last().unwrap().1, 1.0, "CDF must end at 1");
-                for w in knots.windows(2) {
-                    assert!(w[0].0 < w[1].0, "CDF bytes must increase");
-                    assert!(w[0].1 <= w[1].1, "CDF probs must not decrease");
-                }
-            }
-        }
+        FlowSizeDist::Cdf(&DATA_MINING)
     }
 
     /// Draw one flow size.
@@ -102,7 +106,7 @@ impl FlowSizeDist {
         match self {
             FlowSizeDist::Fixed(b) => *b,
             FlowSizeDist::Uniform(lo, hi) => lo + (rng.gen_f64() * (hi - lo + 1) as f64) as u64,
-            FlowSizeDist::Cdf(knots) => Self::inverse(knots, rng.gen_f64()),
+            FlowSizeDist::Cdf(table) => Self::inverse(table.knots, rng.gen_f64()),
         }
     }
 
@@ -124,22 +128,22 @@ impl FlowSizeDist {
         knots.last().unwrap().0
     }
 
-    /// Mean flow size in bytes, computed by deterministic stratified
-    /// quadrature over the inverse CDF (exact for `Fixed`, accurate to
-    /// ≈0.1 % for the others — plenty for load calibration).
+    /// Mean flow size in bytes (a table's stored mean is accurate to
+    /// ≈0.1 % — plenty for load calibration).
+    ///
+    /// # Panics
+    /// On zero-size flows or reversed uniform bounds.
     pub fn mean_bytes(&self) -> f64 {
-        match self {
-            FlowSizeDist::Fixed(b) => *b as f64,
-            FlowSizeDist::Uniform(lo, hi) => (*lo as f64 + *hi as f64) / 2.0,
-            FlowSizeDist::Cdf(knots) => {
-                const STRATA: usize = 100_000;
-                let mut sum = 0.0;
-                for i in 0..STRATA {
-                    let p = (i as f64 + 0.5) / STRATA as f64;
-                    sum += Self::inverse(knots, p) as f64;
-                }
-                sum / STRATA as f64
+        match *self {
+            FlowSizeDist::Fixed(b) => {
+                assert!(b > 0, "zero-size flows");
+                b as f64
             }
+            FlowSizeDist::Uniform(lo, hi) => {
+                assert!(lo > 0 && lo <= hi, "bad uniform bounds {lo}..{hi}");
+                (lo as f64 + hi as f64) / 2.0
+            }
+            FlowSizeDist::Cdf(table) => table.mean,
         }
     }
 }
@@ -152,10 +156,51 @@ mod tests {
         DetRng::new(7, 7)
     }
 
+    /// CDF monotonicity: bytes increase, probabilities run from 0 to 1
+    /// without decreasing.
+    fn validate(knots: &[(u64, f64)]) {
+        assert!(knots.len() >= 2, "CDF needs at least two knots");
+        assert_eq!(knots.first().unwrap().1, 0.0, "CDF must start at 0");
+        assert_eq!(knots.last().unwrap().1, 1.0, "CDF must end at 1");
+        for w in knots.windows(2) {
+            assert!(w[0].0 < w[1].0, "CDF bytes must increase");
+            assert!(w[0].1 <= w[1].1, "CDF probs must not decrease");
+        }
+    }
+
+    /// The mean of the inverse CDF by deterministic stratified quadrature
+    /// over 100 000 strata.
+    fn stratified_mean(knots: &[(u64, f64)]) -> f64 {
+        const STRATA: usize = 100_000;
+        let mut sum = 0.0;
+        for i in 0..STRATA {
+            let p = (i as f64 + 0.5) / STRATA as f64;
+            sum += FlowSizeDist::inverse(knots, p) as f64;
+        }
+        sum / STRATA as f64
+    }
+
+    /// Each table is well formed and stores the stratified integral of its
+    /// knots to the bit (every load calibration, so every arrival time,
+    /// reads it).
+    #[test]
+    fn tables_are_valid_and_store_their_stratified_mean() {
+        for (d, bits) in [
+            (FlowSizeDist::web_search(), 0x412b_276e_89ce_075f_u64),
+            (FlowSizeDist::data_mining(), 0x4154_15b4_e2dd_0529),
+        ] {
+            let FlowSizeDist::Cdf(table) = d else {
+                unreachable!()
+            };
+            validate(table.knots);
+            assert_eq!(stratified_mean(table.knots).to_bits(), bits);
+            assert_eq!(table.mean.to_bits(), bits);
+        }
+    }
+
     #[test]
     fn fixed_is_fixed() {
         let d = FlowSizeDist::Fixed(1_000_000);
-        d.validate();
         let mut r = rng();
         for _ in 0..10 {
             assert_eq!(d.sample(&mut r), 1_000_000);
@@ -166,7 +211,7 @@ mod tests {
     #[test]
     fn uniform_stays_in_bounds_with_right_mean() {
         let d = FlowSizeDist::Uniform(1_000, 9_000);
-        d.validate();
+        assert_eq!(d.mean_bytes(), 5_000.0);
         let mut r = rng();
         let n = 50_000;
         let mut sum = 0u64;
@@ -182,7 +227,6 @@ mod tests {
     #[test]
     fn web_search_is_valid_and_heavy_tailed() {
         let d = FlowSizeDist::web_search();
-        d.validate();
         let mut r = rng();
         let n = 200_000;
         let mut small = 0u64; // <= 10KB flows
@@ -232,7 +276,6 @@ mod tests {
         // of flows is tiny, the mass of bytes is in the giant tail, and
         // the mean sits an order of magnitude above web-search's.
         let d = FlowSizeDist::data_mining();
-        d.validate();
         let mut r = rng();
         let n = 200_000;
         let mut tiny = 0u64; // <= 10KB flows
@@ -257,12 +300,12 @@ mod tests {
             "byte share of >1MB flows: {big_byte_share}"
         );
         // Percentile spot checks straight off the knots.
-        let FlowSizeDist::Cdf(knots) = &d else {
+        let FlowSizeDist::Cdf(table) = d else {
             unreachable!()
         };
-        assert_eq!(FlowSizeDist::inverse(knots, 0.55), 1_000);
-        assert_eq!(FlowSizeDist::inverse(knots, 0.78), 10_000);
-        assert_eq!(FlowSizeDist::inverse(knots, 0.92), 1_000_000);
+        assert_eq!(FlowSizeDist::inverse(table.knots, 0.55), 1_000);
+        assert_eq!(FlowSizeDist::inverse(table.knots, 0.78), 10_000);
+        assert_eq!(FlowSizeDist::inverse(table.knots, 0.92), 1_000_000);
         // Mean near 5 MB, ~8x web-search's ~600KB.
         let mean = d.mean_bytes();
         assert!(
@@ -274,14 +317,10 @@ mod tests {
 
     #[test]
     fn inverse_cdf_is_monotone() {
-        let d = FlowSizeDist::web_search();
-        let FlowSizeDist::Cdf(knots) = &d else {
-            unreachable!()
-        };
         let mut prev = 0;
         for i in 0..1000 {
             let p = i as f64 / 1000.0;
-            let v = FlowSizeDist::inverse(knots, p);
+            let v = FlowSizeDist::inverse(WEB_SEARCH.knots, p);
             assert!(v >= prev, "non-monotone at p={p}");
             prev = v;
         }
@@ -290,12 +329,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn cdf_must_start_at_zero() {
-        FlowSizeDist::Cdf(vec![(10, 0.5), (20, 1.0)]).validate();
+        validate(&[(10, 0.5), (20, 1.0)]);
     }
 
     #[test]
     #[should_panic]
     fn cdf_bytes_must_increase() {
-        FlowSizeDist::Cdf(vec![(10, 0.0), (10, 1.0)]).validate();
+        validate(&[(10, 0.0), (10, 1.0)]);
     }
 }

@@ -38,7 +38,6 @@ pub fn all_to_all(
     dist: &FlowSizeDist,
     rng: &mut DetRng,
 ) -> Vec<FlowSpec> {
-    dist.validate();
     let n = p.n_hosts() as u32;
     let rate = load::fat_tree_flow_rate_per_host(p, load, dist.mean_bytes());
     let mean_gap_secs = 1.0 / rate;

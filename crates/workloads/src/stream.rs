@@ -47,7 +47,6 @@ impl PoissonStream {
         dist: FlowSizeDist,
         base: &DetRng,
     ) -> Self {
-        dist.validate();
         let n = p.n_hosts() as u32;
         assert!(n >= 2);
         let rate = load::fat_tree_flow_rate_per_host(p, load, dist.mean_bytes());

@@ -150,7 +150,7 @@ fn streaming_path_matches_streaming_path_not_batch() {
             continue;
         };
         let mk = || {
-            PoissonStream::new(&p, LOAD, DURATION, dist.clone(), &DetRng::new(7, 0x57AE))
+            PoissonStream::new(&p, LOAD, DURATION, dist, &DetRng::new(7, 0x57AE))
                 .map(|s| key(&s))
                 .collect::<Vec<_>>()
         };

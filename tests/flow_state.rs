@@ -114,7 +114,10 @@ fn heap_per_offered_flow_is_bounded() {
     let per_flow = (peak_long as f64 - peak_short as f64) / (n_long - n_short) as f64;
     println!(
         "flow state: {per_flow:.0} B of peak heap per offered flow \
-         ({n_short} flows: {peak_short} B, {n_long} flows: {peak_long} B)"
+         ({n_short} flows: {peak_short} B, {n_long} flows: {peak_long} B); \
+         per packet: Packet {} B, Event {} B",
+        std::mem::size_of::<netsim::Packet>(),
+        std::mem::size_of::<netsim::event::Event>()
     );
     assert!(
         per_flow <= 192.0,
