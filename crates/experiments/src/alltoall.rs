@@ -45,9 +45,9 @@ pub fn sweep(opts: &Opts, schemes: &[Scheme], loads: &[f64]) -> Vec<Vec<Cell>> {
 }
 
 /// Per-size-bin latency stats (paper bins) through the streaming
-/// [`FctAccumulator`] — the same path `trace_scale` uses at millions of
-/// flows: counts and means exact, tail percentiles within its 0.5 %
-/// sketch guarantee.
+/// [`FctAccumulator`] — the same path `fabric_scale` uses at 1024 hosts:
+/// counts and means exact, tail percentiles within its 0.5 % sketch
+/// guarantee.
 fn binned(fct: &Digest) -> Vec<BinStats> {
     let mut acc = FctAccumulator::new();
     for x in &fct.samples {

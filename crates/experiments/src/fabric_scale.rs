@@ -1,11 +1,11 @@
 //! `fabric-scale` — fig3-style all-to-all on a 1024-host k=16 fat-tree,
 //! packet-simulated end to end.
 //!
-//! This is the run `trace-scale` pointed at: scheme fidelity (real
-//! DCTCP/FlowBender endpoints, real switches) at a fabric eight times the
-//! paper's. Traffic comes from the streaming [`workloads::PoissonStream`]
-//! generator, and FCT statistics go through the streaming
-//! [`stats::FctAccumulator`] sketch, as at `trace-scale`.
+//! Scheme fidelity (real DCTCP/FlowBender endpoints, real switches) at a
+//! fabric eight times the paper's. Traffic comes from the streaming
+//! [`workloads::PoissonStream`] generator, and FCT statistics go through
+//! the streaming [`stats::FctAccumulator`] sketch, whose memory is bounded
+//! by its bucket count, not the flow count.
 //!
 //! `--topo k=<K>` picks the fabric arity (hosts = k³/4); `--smoke`
 //! shrinks to a k=8 / 128-host CI-sized run.
@@ -95,15 +95,18 @@ pub fn run(opts: &Opts) -> Report {
         table,
     );
     report.note(
-        "mean and p99 come from a streaming FctAccumulator sketch, as at \
-         trace-scale: exact for counts/means and within the sketch guarantee \
-         for tails",
+        "mean and p99 come from a streaming FctAccumulator sketch: exact \
+         for counts/means and within the sketch guarantee for tails",
     );
     report
 }
 
 #[cfg(test)]
 mod tests {
+    use netsim::{DetRng, LINK_BPS};
+    use workloads::load::fat_tree_flow_rate_per_host;
+    use workloads::{FlowSizeDist, PoissonStream};
+
     use super::*;
 
     /// Smoke-sized end-to-end run. Keep the fabric at k=4 (16 hosts) so
@@ -124,5 +127,43 @@ mod tests {
         assert_eq!(r.sections.len(), 1);
         assert_eq!(r.sections[0].1.len(), 1, "one scheme row");
         assert_eq!(r.runs[0].label, "ecmp_k4_seed3");
+    }
+
+    /// The streaming path this experiment stands on, at a million flows:
+    /// websearch flows straight from `PoissonStream` into the sketch, with
+    /// stats memory bounded by the sketch — not the flow count. Each flow
+    /// is scored by its edge-link serialization time.
+    #[test]
+    fn full_point_reaches_a_million_flows_with_flat_memory() {
+        const FLOWS: usize = 1_000_000;
+        const TRACE_LOAD: f64 = 0.6;
+        let p = FatTreeParams::paper();
+        let dist = FlowSizeDist::web_search();
+        let per_host = fat_tree_flow_rate_per_host(&p, TRACE_LOAD, dist.mean_bytes());
+        // 25 % headroom over the expected duration so `take` always fills.
+        let duration =
+            SimTime::from_secs_f64(FLOWS as f64 / (per_host * p.n_hosts() as f64) * 1.25);
+        let stream = PoissonStream::new(&p, TRACE_LOAD, duration, dist, &DetRng::new(3, 0x57AE));
+        let mut acc = FctAccumulator::new();
+        let mut n = 0;
+        for spec in stream.take(FLOWS) {
+            acc.record(spec.bytes, spec.bytes as f64 * 8.0 / LINK_BPS as f64);
+            n += 1;
+        }
+        assert_eq!(n, 1_000_000);
+        assert_eq!(acc.count(), 1_000_000);
+        assert!(
+            acc.bucket_count() < 8_192,
+            "buckets {} not flat",
+            acc.bucket_count()
+        );
+        assert!(
+            acc.memory_bytes() < 1 << 20,
+            "sketch memory {} exceeds 1 MB",
+            acc.memory_bytes()
+        );
+        // The heavy tail is visible: p99.9 well above p50.
+        let sk = acc.overall();
+        assert!(sk.quantile(0.999).unwrap() > 5.0 * sk.quantile(0.5).unwrap());
     }
 }

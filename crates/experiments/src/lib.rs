@@ -3,8 +3,7 @@
 //! One module per paper artifact; each produces a [`report::Report`] whose
 //! tables mirror the rows/series the paper reports (normalized to ECMP
 //! where the paper normalizes). The `experiments` binary exposes them as
-//! subcommands; the `fb-bench` crate reuses the same entry points at
-//! reduced scale for `cargo bench`.
+//! subcommands.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|
@@ -22,7 +21,6 @@
 //! | [`flowlet`] | extension: FlowBender vs LetFlow-style flowlet switching |
 //! | [`ablation`] | §3.4/§5 design refinements |
 //! | [`repflow`] | extension: RepFlow-style short-flow replication vs rerouting |
-//! | [`trace_scale`] | extension: million-flow workload engine + streaming FCT sketches |
 //! | [`fabric_scale`] | extension: 1024-host all-to-all on a k=16 fat-tree |
 //! | [`chaos`] | extension: incident-timeline chaos drill with reconvergence SLOs |
 //! | [`reordering`] | extension: reordering cost by routing locus, incl. switch-side flowcuts |
@@ -80,7 +78,6 @@ pub mod schemes;
 pub mod sensitivity;
 pub mod table1;
 pub mod topo_dep;
-pub mod trace_scale;
 
 pub use cell::{Cell, Digest};
 pub use registry::{find, registry, Experiment};

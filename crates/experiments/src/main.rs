@@ -143,6 +143,9 @@ fn main() -> ExitCode {
 
     let started = std::time::Instant::now();
     let reports = registry::run(&rows, &opts);
+    // Simulation time only: BENCH_run.json's throughput leaves out the
+    // rendering and file writing below.
+    let wall_s = started.elapsed().as_secs_f64();
 
     if !opts.trace.is_off() && reports.iter().all(|r| r.traces.is_empty()) {
         eprintln!(
@@ -164,7 +167,6 @@ fn main() -> ExitCode {
                 Err(e) => eprintln!("warning: could not write {} JSON: {e}", report.name),
             }
         }
-        let wall_s = started.elapsed().as_secs_f64();
         let total_events: u64 = reports
             .iter()
             .flat_map(|r| r.runs.iter())

@@ -12,7 +12,7 @@ use crate::cell::paper_fabric;
 use crate::report::{Opts, Report};
 use crate::{
     ablation, alltoall, asym, buffers, chaos, fabric_scale, fig5, fig8, flowlet, gray_failure,
-    hotspot, link_failure, reordering, repflow, sensitivity, table1, topo_dep, trace_scale,
+    hotspot, link_failure, reordering, repflow, sensitivity, table1, topo_dep,
 };
 
 /// One runnable experiment from the paper (or an extension). All run
@@ -35,7 +35,7 @@ pub struct Experiment {
     pub fabric: Option<fn(&Opts) -> FatTreeParams>,
 }
 
-static REGISTRY: [Experiment; 21] = [
+static REGISTRY: [Experiment; 20] = [
     Experiment {
         name: "table1",
         describe: "Table 1: 250MB ToR-to-ToR microbenchmark",
@@ -139,12 +139,6 @@ static REGISTRY: [Experiment; 21] = [
         fabric: None,
     },
     Experiment {
-        name: "trace-scale",
-        describe: "extension: million-flow workload engine + streaming FCT sketches",
-        run: |o| vec![trace_scale::run(o)],
-        fabric: Some(paper_fabric),
-    },
-    Experiment {
         name: "fabric-scale",
         describe: "extension: 1024-host all-to-all on a k=16 fat-tree",
         run: |o| vec![fabric_scale::run(o)],
@@ -180,7 +174,7 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// Run `rows` in order and return one report per row. What a row's `run`
 /// returns is pooled by report name, and a row whose report is already in
 /// the pool does not run again — so the sweep fig3/fig4/ooo share runs
-/// once per call, whether one of them was asked for or all 21 rows.
+/// once per call, whether one of them was asked for or all 20 rows.
 pub fn run(rows: &[&Experiment], opts: &Opts) -> Vec<Report> {
     let mut pool: Vec<Report> = Vec::new();
     let mut reports = Vec::with_capacity(rows.len());
@@ -236,7 +230,7 @@ mod tests {
             let found = find(e.name).expect("registered name must resolve");
             assert_eq!(found.name, e.name);
         }
-        assert_eq!(registry().len(), 21);
+        assert_eq!(registry().len(), 20);
         assert!(find("no-such-experiment").is_none());
     }
 
@@ -279,7 +273,7 @@ mod tests {
             ..Opts::default()
         };
         let check = |name: &str, o: &Opts| check_workload(&[find(name).unwrap()], o);
-        for name in ["fig3", "trace-scale", "reordering", "chaos"] {
+        for name in ["fig3", "reordering", "chaos"] {
             assert!(check(name, &opts("incast_32_1", false)).is_ok(), "{name}");
             assert!(check(name, &opts("websearch", true)).is_ok(), "{name}");
         }

@@ -11,8 +11,8 @@
 //!   is on exactly when the list is non-empty. The default list is empty;
 //!   every hook in the hot path is then a single branch
 //!   ([`Recorder::trace_wants`](crate::Recorder::trace_wants) tests one
-//!   length), so an untraced run pays nothing measurable (see
-//!   `BENCH_engine.json`, `forward_5k_pkts` vs `forward_5k_pkts_traced`).
+//!   length), so an untraced run pays one branch per hook, already
+//!   inside flowbench's `netsim.switch.hop_ns`.
 //! * Each traced flow owns a ring of [`RING_CAPACITY`]
 //!   `(SimTime, TraceEvent)` pairs. When the ring is full the *oldest*
 //!   events are overwritten and counted in

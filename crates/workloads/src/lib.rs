@@ -18,7 +18,7 @@
 //! `hotspot:<zipf-skew>`, `onoff:<burst>`) — the traffic-side twin of the
 //! experiments crate's scheme registry; [`patterns`] builds the
 //! parameterized ones. [`stream::PoissonStream`] is the O(hosts)-memory
-//! streaming generator for trace-scale runs.
+//! streaming generator for runs too large to hold their flow list.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

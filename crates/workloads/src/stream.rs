@@ -1,4 +1,4 @@
-//! Streaming flow generation for trace-scale runs.
+//! Streaming flow generation for runs too large to hold their flow list.
 //!
 //! The batch generators materialize a `Vec<FlowSpec>` and sort it — fine
 //! at experiment scale, but a million-flow trace costs hundreds of MB and
